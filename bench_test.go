@@ -229,23 +229,20 @@ func BenchmarkRealSort(b *testing.B) {
 	recs := benchRecords(200_000)
 	for _, tc := range []struct {
 		name string
-		opt  Options
+		opt  Option
 	}{
-		{"repl6-split", Options{}},
-		{"quick-split", Options{Method: Quicksort}},
-		{"repl1-split", Options{BlockPages: 1}},
-		{"repl6-susp", Options{Adaptation: Suspension}},
-		{"repl6-page", Options{Adaptation: MRUPaging}},
+		{"repl6-split", nil},
+		{"quick-split", WithMethod(Quicksort)},
+		{"repl1-split", WithBlockPages(1)},
+		{"repl6-susp", WithAdaptation(Suspension)},
+		{"repl6-page", WithAdaptation(MRUPaging)},
 	} {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
-			opt := tc.opt
-			opt.PageRecords = 256
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				opt.Budget = NewBudget(32)
-				opt.Store = NewMemStore()
-				res, err := Sort(context.Background(), NewSliceIterator(recs), WithOptions(opt))
+				res, err := Sort(context.Background(), NewSliceIterator(recs), tc.opt,
+					WithPageRecords(256), WithBudget(NewBudget(32)), WithStore(NewMemStore()))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -97,9 +97,8 @@
 // # Choosing a run store
 //
 // Sorted runs live in a RunStore, chosen with WithStore and built by the
-// NewStoreConfig builder, which applies one set of knobs (page checksums,
-// read concurrency, retry policy, fault hooks, tracing) to whichever
-// backend it finishes with:
+// NewStoreConfig builder, which applies one set of knobs (retry policy,
+// fault hooks, tracing) to whichever backend it finishes with:
 //
 //	store, err := masort.NewStoreConfig().
 //		WithRetry(masort.RetryPolicy{MaxAttempts: 3}).
@@ -128,6 +127,20 @@
 // Every backend honors the same RunStore contract (see RunStore), passes
 // the storetest conformance suite, and reports store_demote /
 // store_promote / store_retry events through the trace seam.
+//
+// Store architecture: FileStore, StripedStore and MmapStore are one
+// implementation — an unexported paged-run layer — over thin devices. The
+// layer owns the checksummed page frame, the per-run page index, the
+// per-device background writer with its durability watermark and
+// rollback, the bounded read path with its single re-read on corruption,
+// the retry taxonomy, FaultHooks, store trace events, the buffer pool and
+// the token types. A device owns one run file and four methods:
+// positional write, fetch an extent, truncate, close-and-remove. The file
+// device fetches with ReadAt into a pooled buffer; the mmap device
+// returns a slice of a mapping that stays valid until the store closes;
+// striping is the N > 1 case of the same index (page i on device i mod
+// N), so File(dir) is simply N = 1. A new backend is a new device plus a
+// StoreConfig terminal, verified by running storetest.Run on it.
 //
 // # Buffer ownership
 //

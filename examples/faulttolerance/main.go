@@ -5,7 +5,7 @@
 // output — the only trace of the trouble is the retry counter in the
 // stats and the store_retry events in the flight recorder.
 //
-// The same wiring — WithStoreFaults + WithStoreRetry + a trace.Ring on
+// The same wiring — StoreConfig.WithFaults + WithRetry + a trace.Ring on
 // the store — is how the engine's fault-schedule tests reproduce every
 // failure path deterministically.
 package main
@@ -44,11 +44,11 @@ func main() {
 	// events can't evict the interesting ones.
 	ring := trace.NewRing(4096)
 
-	store, err := masort.NewFileStore("",
-		masort.WithStoreFaults(inj),
-		masort.WithStoreRetry(masort.RetryPolicy{MaxAttempts: 4, Backoff: 2 * time.Millisecond}),
-		masort.WithStoreTracer(ring),
-	)
+	store, err := masort.NewStoreConfig().
+		WithFaults(inj).
+		WithRetry(masort.RetryPolicy{MaxAttempts: 4, Backoff: 2 * time.Millisecond}).
+		WithTracer(ring).
+		File("")
 	if err != nil {
 		log.Fatal(err)
 	}

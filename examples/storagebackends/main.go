@@ -66,9 +66,7 @@ func main() {
 	// One config for every backend: the knobs compose the same way no
 	// matter which store the builder finishes with.
 	metrics := trace.NewMetrics()
-	cfg := masort.NewStoreConfig().
-		WithPageChecksums(true).
-		WithTracer(metrics)
+	cfg := masort.NewStoreConfig().WithTracer(metrics)
 
 	file, err := cfg.File("") // "" = fresh temp dir, removed on Close
 	if err != nil {

@@ -13,9 +13,9 @@ import (
 
 // The PR 8 fault discipline, re-run against the PR 9 backends: the
 // fault-schedule table and the randomized soak must hold for StripedStore
-// (per-device fault targeting included) and TieredStore (faults landing
-// mid-demotion included) exactly as they do for FileStore — correct output
-// or a documented sentinel chain, and nothing leaked either way.
+// (per-device fault targeting included), MmapStore and TieredStore (faults
+// landing mid-demotion included) exactly as they do for FileStore — correct
+// output or a documented sentinel chain, and nothing leaked either way.
 
 // backendCase builds one faulty store for the schedule/soak harnesses. The
 // returned leak func reports still-live runs after the sort is closed.
@@ -31,6 +31,19 @@ func faultBackends() []backendCase {
 			build: func(t *testing.T, h FaultHooks, policy RetryPolicy) (RunStore, func() int, func() error) {
 				s, err := NewStoreConfig().WithFaults(h).WithRetry(policy).
 					Striped(t.TempDir(), t.TempDir(), t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s, s.Live, s.Close
+			},
+		},
+		{
+			name: "mmap",
+			build: func(t *testing.T, h FaultHooks, policy RetryPolicy) (RunStore, func() int, func() error) {
+				s, err := NewStoreConfig().WithFaults(h).WithRetry(policy).Mmap(t.TempDir())
+				if errors.Is(err, ErrMmapUnsupported) {
+					t.Skip("mmap not supported on this platform")
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,9 +78,10 @@ func faultBackends() []backendCase {
 }
 
 // TestSortFaultSchedulesNewBackends runs the scripted fault-schedule table
-// through pooled sorts over StripedStore and TieredStore. Retry-count
-// assertions are striped-only: a tiered store consumes its backing tokens
-// inside the demotion path, so backing retries are invisible to Stats.
+// through pooled sorts over StripedStore, MmapStore and TieredStore.
+// Retry-count assertions exempt tiered: a tiered store consumes its backing
+// tokens inside the demotion path, so backing retries are invisible to
+// Stats.
 func TestSortFaultSchedulesNewBackends(t *testing.T) {
 	recs := faultSortInput(4096)
 	policy := RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond}
@@ -75,7 +89,7 @@ func TestSortFaultSchedulesNewBackends(t *testing.T) {
 		name        string
 		rules       []faultinject.Rule
 		wantErr     []error
-		wantRetries bool // asserted for striped only
+		wantRetries bool // not asserted for tiered
 	}{
 		{
 			name: "transient-read",
@@ -152,7 +166,7 @@ func TestSortFaultSchedulesNewBackends(t *testing.T) {
 					if n != len(recs) {
 						t.Fatalf("drained %d records, want %d", n, len(recs))
 					}
-					if backend.name == "striped" && tc.wantRetries && res.Stats.StoreRetries == 0 {
+					if backend.name != "tiered" && tc.wantRetries && res.Stats.StoreRetries == 0 {
 						t.Error("Stats.StoreRetries = 0, want > 0")
 					}
 					if err := res.Close(); err != nil {

@@ -128,7 +128,7 @@ func TestSortFaultSchedules(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			inj := faultinject.New(tc.rules...)
-			store, err := NewFileStore(t.TempDir(), WithStoreFaults(inj), WithStoreRetry(policy))
+			store, err := NewStoreConfig().WithFaults(inj).WithRetry(policy).File(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,8 +209,8 @@ func TestSortFaultSoak(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		inj := faultinject.NewSeeded(seed, prof)
-		store, err := NewFileStore(t.TempDir(), WithStoreFaults(inj),
-			WithStoreRetry(RetryPolicy{MaxAttempts: 3, Backoff: 100 * time.Microsecond}))
+		store, err := NewStoreConfig().WithFaults(inj).
+			WithRetry(RetryPolicy{MaxAttempts: 3, Backoff: 100 * time.Microsecond}).File(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +270,7 @@ func TestConcurrentReadersDuringWriteFailure(t *testing.T) {
 	for iter := 0; iter < 25; iter++ {
 		inj := faultinject.New(faultinject.Rule{Op: faultinject.Write, Nth: 2,
 			Fault: faultinject.Fault{Err: faultinject.Permanent("dead batch"), Short: 9}})
-		store, err := NewFileStore(t.TempDir(), WithStoreFaults(inj))
+		store, err := NewStoreConfig().WithFaults(inj).File(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,8 +379,8 @@ func TestFileStoreTransientReadHeals(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			inj := faultinject.New(faultinject.Rule{Op: faultinject.Read, Nth: 1, Count: 1, Fault: tc.fault})
-			store, err := NewFileStore(t.TempDir(), WithStoreFaults(inj),
-				WithStoreRetry(RetryPolicy{MaxAttempts: 2}))
+			store, err := NewStoreConfig().WithFaults(inj).
+				WithRetry(RetryPolicy{MaxAttempts: 2}).File(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -411,7 +411,7 @@ func TestFileStoreTransientReadHeals(t *testing.T) {
 func TestStoreErrorSentinelChains(t *testing.T) {
 	inj := faultinject.New(faultinject.Rule{Op: faultinject.Write, Nth: 1,
 		Fault: faultinject.Fault{Err: syscall.ENOSPC}})
-	store, err := NewFileStore(t.TempDir(), WithStoreFaults(inj))
+	store, err := NewStoreConfig().WithFaults(inj).File(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestWriterErrorPropagatesToInFlightWaits(t *testing.T) {
 		once.Do(func() { err = faultinject.Permanent("first batch dies") })
 		return -1, err
 	}}
-	store, err := NewFileStore(t.TempDir(), WithStoreFaults(inj))
+	store, err := NewStoreConfig().WithFaults(inj).File(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,24 +473,5 @@ func TestWriterErrorPropagatesToInFlightWaits(t *testing.T) {
 		if _, err := pt.Wait(); !errors.Is(err, ErrStoreFailed) {
 			t.Fatalf("in-flight read %d = %v, want ErrStoreFailed chain", i, err)
 		}
-	}
-}
-
-// TestLegacyFramingStillDecodes pins the version gate: a store built with
-// checksums off writes and reads the pre-checksum frame.
-func TestLegacyFramingStillDecodes(t *testing.T) {
-	store, err := NewFileStore(t.TempDir(), WithPageChecksums(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	id, _ := store.Create()
-	tok, err := store.Append(id, []Page{{{Key: 11, Payload: []byte("legacy")}}})
-	if err != nil || tok.Wait() != nil {
-		t.Fatal("append failed")
-	}
-	pg, err := store.ReadAsync(id, 0).Wait()
-	if err != nil || len(pg) != 1 || pg[0].Key != 11 || string(pg[0].Payload) != "legacy" {
-		t.Fatalf("legacy round trip: %+v, %v", pg, err)
 	}
 }

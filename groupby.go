@@ -90,7 +90,7 @@ func GroupBy(ctx context.Context, input Iterator, agg Aggregator, opts ...Option
 			_ = store.Free(out)
 		}
 	}()
-	prec := opt.PageRecords
+	prec := opt.pageRecords
 	if prec <= 0 {
 		prec = 256
 	}

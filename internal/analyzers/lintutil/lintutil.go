@@ -86,7 +86,7 @@ func IsTracerInterface(t types.Type) bool {
 
 // IsTracerish reports whether t is a tracer-bearing type: the Tracer
 // interface itself, or a (pointer to a) struct holding a Tracer-typed
-// field — e.g. the engine's *opTrace and *FileStore. A nil check on such a
+// field — e.g. the engine's *opTrace and *pagedStore. A nil check on such a
 // value counts as guarding the traced path.
 func IsTracerish(t types.Type) bool {
 	if t == nil {

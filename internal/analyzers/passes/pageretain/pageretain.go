@@ -7,11 +7,13 @@
 //     buffers the moment the token completes. Storing the pages (or an
 //     element of them) into a field, global or map, or capturing them in a
 //     goroutine, is durable retention and corrupts recycled pages.
-//   - Pooled buffers (FileStore.getBuf/putBuf, sync.Pool) must not be used
-//     after being returned to the pool.
-//   - pagecodec.DecodePage's aliasBytes result says whether the decoded
-//     records still alias the input buffer; discarding it while recycling
-//     the buffer in the same function is a latent aliasing bug.
+//   - Pooled buffers (the paged-run layer's bufPool.getBuf/putBuf, which
+//     its devices fetch into; sync.Pool) must not be used after being
+//     returned to the pool.
+//   - The aliasBytes result of pagecodec.DecodePageSum (and DecodePage)
+//     says whether the decoded records still alias the input buffer;
+//     discarding it while recycling the buffer in the same function is a
+//     latent aliasing bug.
 //
 // The analysis is intra-procedural and heuristic: it tracks taint through
 // local assignments, range statements and append calls, and treats
@@ -32,14 +34,14 @@ import (
 )
 
 // Analyzer flags page-slice retention in Append implementations,
-// use-after-recycle of pooled buffers, and discarded DecodePage alias
+// use-after-recycle of pooled buffers, and discarded page-decode alias
 // accounting.
 var Analyzer = &analysis.Analyzer{
 	Name: "pageretain",
 	Doc: "run stores must not retain Append page slices or recycled buffers\n\n" +
 		"Enforces the zero-copy buffer-ownership contract: Append pages are\n" +
 		"recycled after token completion, pooled buffers die at putBuf/Put, and\n" +
-		"DecodePage's aliasBytes must be honored before recycling.",
+		"a page decode's aliasBytes must be honored before recycling.",
 	Run: run,
 }
 
@@ -356,9 +358,9 @@ func enclosingBlockInfo(stack []ast.Node, n ast.Node) (*ast.BlockStmt, bool) {
 	return nil, false
 }
 
-// checkDecodeAlias implements rule C: pg, _, n, err := DecodePage(buf) in
-// a function that also recycles buf is discarding the only signal that pg
-// still aliases buf.
+// checkDecodeAlias implements rule C: pg, _, n, err := DecodePageSum(buf)
+// in a function that also recycles buf is discarding the only signal that
+// pg still aliases buf.
 func checkDecodeAlias(pass *analysis.Pass, fd *ast.FuncDecl, putObjs map[types.Object]bool) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		assign, ok := n.(*ast.AssignStmt)
@@ -375,7 +377,7 @@ func checkDecodeAlias(pass *analysis.Pass, fd *ast.FuncDecl, putObjs map[types.O
 		}
 		if root := rootIdent(call.Args[0]); root != nil && putObjs[pass.TypesInfo.Uses[root]] {
 			pass.Reportf(alias.Pos(),
-				"aliasBytes result of DecodePage is discarded but %s is recycled in this function: decoded payloads may alias a recycled buffer — check aliasBytes before putBuf",
+				"aliasBytes result of page decode is discarded but %s is recycled in this function: decoded payloads may alias a recycled buffer — check aliasBytes before putBuf",
 				root.Name)
 		}
 		return true
@@ -384,7 +386,7 @@ func checkDecodeAlias(pass *analysis.Pass, fd *ast.FuncDecl, putObjs map[types.O
 
 func isDecodePage(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "DecodePage" {
+	if !ok || (sel.Sel.Name != "DecodePageSum" && sel.Sel.Name != "DecodePage") {
 		return false
 	}
 	obj := pass.TypesInfo.Uses[sel.Sel]

@@ -4,15 +4,16 @@ package pagecodec
 
 import "core"
 
-// AppendPage encodes pg onto buf.
-func AppendPage(buf []byte, pg core.Page) []byte {
+// AppendPageSum encodes pg onto buf as a checksummed frame.
+func AppendPageSum(buf []byte, pg core.Page) []byte {
 	_ = pg
 	return buf
 }
 
-// DecodePage decodes one page from buf. aliasBytes reports how many bytes
-// of the decoded payloads still alias buf; if non-zero, buf must outlive
-// the page (or the page must be deep-copied) before buf is recycled.
-func DecodePage(buf []byte) (pg core.Page, aliasBytes int, read int, err error) {
+// DecodePageSum decodes one checksummed page from buf. aliasBytes reports
+// how many bytes of the decoded payloads still alias buf; if non-zero, buf
+// must outlive the page (or the page must be deep-copied) before buf is
+// recycled.
+func DecodePageSum(buf []byte) (pg core.Page, aliasBytes int, read int, err error) {
 	return nil, len(buf), len(buf), nil
 }

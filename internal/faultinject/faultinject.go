@@ -6,14 +6,14 @@
 // decisions, so every failure path of the engine becomes a reproducible
 // table-driven test instead of a flaky disk anecdote.
 //
-// The Injector plugs into masort.NewFileStore through the FaultHooks seam
-// (masort.WithStoreFaults): it implements BeforeWrite and AfterRead by
+// The Injector plugs into any disk-backed store through the FaultHooks seam
+// (masort.StoreConfig.WithFaults): it implements BeforeWrite and AfterRead by
 // structural interface satisfaction, so this package never imports the
 // library and the library never imports this package.
 //
 // Error classification is carried on the injected errors themselves:
 // transient errors implement Temporary() bool (net.Error style), which is
-// what FileStore's retry policy keys on. Inject syscall errors (ENOSPC,
+// what the store's retry policy keys on. Inject syscall errors (ENOSPC,
 // EROFS) directly via Rule.Fault.Err to exercise the fail-fast class.
 package faultinject
 

@@ -60,7 +60,7 @@ type PageToken = core.PageToken
 //     wrong data, panic or deadlock).
 type RunStore = core.RunStore
 
-// Event is an adaptation event (see Options.OnEvent).
+// Event is an adaptation event (see WithEvents).
 type Event = core.Event
 
 // EventKind classifies adaptation events.

@@ -34,8 +34,8 @@ func Join(ctx context.Context, left, right Iterator, opts ...Option) (*Result, e
 	meter := &counterMeter{}
 	env, ts := newEnv(ctx, o, mem, meter, ot)
 	res, err := core.SortMergeJoin(env,
-		&pageInput{it: left, size: o.PageRecords},
-		&pageInput{it: right, size: o.PageRecords}, cfg)
+		&pageInput{it: left, size: o.pageRecords},
+		&pageInput{it: right, size: o.pageRecords}, cfg)
 	if err != nil {
 		finish(nil)
 		err = wrapCtxErr(env.Ctx, err)
@@ -45,7 +45,7 @@ func Join(ctx context.Context, left, right Iterator, opts ...Option) (*Result, e
 	js := res.Stats
 	ot.finishStats(&js.SortStats, ts)
 	out := &Result{
-		store:    o.Store,
+		store:    o.store,
 		runs:     []RunID{res.Result},
 		Pages:    res.Pages,
 		Tuples:   res.Tuples,

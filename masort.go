@@ -48,76 +48,36 @@ const (
 	Suspension
 )
 
-// Options configures Sort, Join, GroupBy and Merge as a plain struct. The
-// zero value gives the paper's recommended algorithm (repl6,opt,split) with
-// an in-memory store and a fixed 64-page budget.
-//
-// Deprecated: prefer the functional options (WithBudget, WithMethod, ...);
-// pass an existing struct through WithOptions.
-type Options struct {
-	Method     Method
-	BlockPages int // replacement-selection write block; default 6
-	Merge      MergeStrategy
-	Adaptation Adaptation
-
-	// PageRecords sets records per page — the granularity of both I/O and
-	// memory accounting. Default 256.
-	PageRecords int
-
-	// Budget is the adjustable memory contract; default: fixed 64 pages.
-	Budget *Budget
-
-	// Pool, when set, runs the operator under a process-wide shared pool
-	// instead of Budget (which is then ignored): the operator is admitted
-	// at start, entitled to an arbitrated equal share while running, and
-	// detached at the end, with its view of the arbitration reported in
-	// Result.Pool. See WithPool.
-	Pool *Pool
-
-	// Store holds runs; default: NewMemStore(). Use NewFileStore for
-	// datasets larger than memory.
-	Store RunStore
-
-	// AdaptiveBlockIO spends budget beyond a merge step's requirement on
-	// multi-page read-ahead (the paper's §7 future-work extension).
-	AdaptiveBlockIO bool
-
-	// Workers is the number of goroutines the operator may use for run
-	// generation and merging; 0 and 1 both mean serial execution. Set it
-	// through WithWorkers, which also resolves the use-all-cores default.
-	// This is the single CPU-parallelism knob — budget arbitration across
-	// the workers stays with Budget/Pool, which the crew subdivides
-	// deterministically.
-	Workers int
-
-	// OnEvent, if set, receives adaptation events (phase changes, step
-	// splits, combines, suspensions) as they happen — the observable
-	// history of how the operator reacted to budget changes. The callback
-	// runs on the sorting goroutine and must be fast. See WithEvents for
-	// the concurrency contract.
-	OnEvent func(Event)
-
-	// Tracer, if set, receives the operator's full observability stream
-	// (lifecycle, phases, runs, merge steps, adaptation actions, store
-	// I/O). See WithTracer.
-	Tracer Tracer
-
-	// EventLog, if positive, attaches a ring buffer retaining the last
-	// EventLog trace events to Result.Events. See WithEventLog.
-	EventLog int
+// config is what the functional options fold into. The zero value gives the
+// paper's recommended algorithm (repl6,opt,split) with an in-memory store
+// and a fixed 64-page budget; each field is documented on its With* option.
+type config struct {
+	method          Method
+	blockPages      int
+	merge           MergeStrategy
+	adaptation      Adaptation
+	pageRecords     int
+	budget          *Budget
+	pool            *Pool
+	store           RunStore
+	adaptiveBlockIO bool
+	workers         int
+	onEvent         func(Event)
+	tracer          Tracer
+	eventLog        int
 }
 
-func (o Options) build() (core.SortConfig, Options, error) {
+func (o config) build() (core.SortConfig, config, error) {
 	cfg := core.SortConfig{
-		PageRecords: o.PageRecords,
-		BlockPages:  o.BlockPages,
+		PageRecords: o.pageRecords,
+		BlockPages:  o.blockPages,
 		MinPages:    3,
 	}
 	if cfg.PageRecords == 0 {
 		cfg.PageRecords = 256
-		o.PageRecords = 256
+		o.pageRecords = 256
 	}
-	switch o.Method {
+	switch o.method {
 	case ReplacementSelection:
 		cfg.Method = core.Repl
 		if cfg.BlockPages == 0 {
@@ -126,17 +86,17 @@ func (o Options) build() (core.SortConfig, Options, error) {
 	case Quicksort:
 		cfg.Method = core.Quick
 	default:
-		return cfg, o, fmt.Errorf("masort: unknown method %d", o.Method)
+		return cfg, o, fmt.Errorf("masort: unknown method %d", o.method)
 	}
-	switch o.Merge {
+	switch o.merge {
 	case Optimized:
 		cfg.Merge = core.OptMerge
 	case Naive:
 		cfg.Merge = core.NaiveMerge
 	default:
-		return cfg, o, fmt.Errorf("masort: unknown merge strategy %d", o.Merge)
+		return cfg, o, fmt.Errorf("masort: unknown merge strategy %d", o.merge)
 	}
-	switch o.Adaptation {
+	switch o.adaptation {
 	case DynamicSplitting:
 		cfg.Adapt = core.DynSplit
 	case MRUPaging:
@@ -144,15 +104,15 @@ func (o Options) build() (core.SortConfig, Options, error) {
 	case Suspension:
 		cfg.Adapt = core.Suspend
 	default:
-		return cfg, o, fmt.Errorf("masort: unknown adaptation %d", o.Adaptation)
+		return cfg, o, fmt.Errorf("masort: unknown adaptation %d", o.adaptation)
 	}
-	cfg.AdaptiveBlockIO = o.AdaptiveBlockIO
-	cfg.Workers = o.Workers
-	if o.Budget == nil {
-		o.Budget = NewBudget(64)
+	cfg.AdaptiveBlockIO = o.adaptiveBlockIO
+	cfg.Workers = o.workers
+	if o.budget == nil {
+		o.budget = NewBudget(64)
 	}
-	if o.Store == nil {
-		o.Store = NewMemStore()
+	if o.store == nil {
+		o.store = NewMemStore()
 	}
 	if err := cfg.Validate(); err != nil {
 		return cfg, o, err
@@ -165,11 +125,11 @@ func (o Options) build() (core.SortConfig, Options, error) {
 // stream is routed through it, and with a tracer attached the run store is
 // wrapped so per-operation I/O is measured; the returned tracedStore is nil
 // on the untraced path.
-func newEnv(ctx context.Context, o Options, mem core.Broker, meter *counterMeter, ot *opTrace) (*core.Env, *tracedStore) {
+func newEnv(ctx context.Context, o config, mem core.Broker, meter *counterMeter, ot *opTrace) (*core.Env, *tracedStore) {
 	start := time.Now()
 	env := &core.Env{
 		Ctx:   ctx,
-		Store: o.Store,
+		Store: o.store,
 		Mem:   mem,
 		Meter: meter,
 		Now:   func() time.Duration { return time.Since(start) },
@@ -179,7 +139,7 @@ func newEnv(ctx context.Context, o Options, mem core.Broker, meter *counterMeter
 		ot.envStart = start
 		env.OnEvent = ot.onEvent
 		if ot.tr != nil {
-			ts = &tracedStore{RunStore: o.Store, ot: ot}
+			ts = &tracedStore{RunStore: o.store, ot: ot}
 			env.Store = ts
 		}
 	}
@@ -192,20 +152,20 @@ func newEnv(ctx context.Context, o Options, mem core.Broker, meter *counterMeter
 // canceled while queued). The returned finish func must be called exactly
 // once when the operator is done: it detaches from the pool and, when
 // passed a non-nil Result, attaches the operator's PoolStats to it.
-func memContract(ctx context.Context, o *Options, ot *opTrace) (core.Broker, func(*Result), error) {
-	if o.Pool == nil {
-		return o.Budget, func(*Result) {}, nil
+func memContract(ctx context.Context, o *config, ot *opTrace) (core.Broker, func(*Result), error) {
+	if o.pool == nil {
+		return o.budget, func(*Result) {}, nil
 	}
 	var opID uint64
 	if ot != nil {
 		opID = ot.id
 	}
-	h, err := o.Pool.admit(ctx, opID)
+	h, err := o.pool.admit(ctx, opID)
 	if err != nil {
 		return nil, nil, wrapCtxErr(ctx, err)
 	}
 	return h, func(res *Result) {
-		st := o.Pool.unregister(h)
+		st := o.pool.unregister(h)
 		if res != nil {
 			res.Pool = &st
 		}
@@ -253,16 +213,12 @@ func (m *counterMeter) counters() Counters {
 // waits — freeing every run it created; the returned error then matches
 // both ErrCanceled and the context's own error.
 func Sort(ctx context.Context, input Iterator, opts ...Option) (*Result, error) {
-	return sortWith(ctx, input, applyOptions(opts))
+	return sortNamed(ctx, input, applyOptions(opts), "sort")
 }
 
-func sortWith(ctx context.Context, input Iterator, opt Options) (*Result, error) {
-	return sortNamed(ctx, input, opt, "sort")
-}
-
-// sortNamed is sortWith with the operator name used for trace attribution
+// sortNamed is Sort with the operator name used for trace attribution
 // (GroupBy runs on the sort engine but announces itself as "groupby").
-func sortNamed(ctx context.Context, input Iterator, opt Options, opName string) (*Result, error) {
+func sortNamed(ctx context.Context, input Iterator, opt config, opName string) (*Result, error) {
 	cfg, o, err := opt.build()
 	if err != nil {
 		return nil, err
@@ -279,7 +235,7 @@ func sortNamed(ctx context.Context, input Iterator, opt Options, opName string) 
 	}
 	meter := &counterMeter{}
 	env, ts := newEnv(ctx, o, mem, meter, ot)
-	env.In = &pageInput{it: input, size: o.PageRecords}
+	env.In = &pageInput{it: input, size: o.pageRecords}
 	res, err := core.ExternalSort(env, cfg)
 	if err != nil {
 		finish(nil)
@@ -288,7 +244,7 @@ func sortNamed(ctx context.Context, input Iterator, opt Options, opName string) 
 		return nil, err
 	}
 	out := &Result{
-		store:    o.Store,
+		store:    o.store,
 		runs:     res.Segments,
 		Pages:    res.Pages,
 		Tuples:   res.Tuples,

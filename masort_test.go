@@ -75,12 +75,9 @@ func TestSortAllOptionCombinations(t *testing.T) {
 				name := fmt.Sprintf("m%d-s%d-a%d", m, ms, ad)
 				t.Run(name, func(t *testing.T) {
 					store := NewMemStore()
-					// The struct shim: a whole Options value through one
-					// functional option.
-					out, err := SortSlice(context.Background(), in, WithOptions(Options{
-						Method: m, Merge: ms, Adaptation: ad,
-						PageRecords: 32, Budget: NewBudget(8), Store: store,
-					}))
+					out, err := SortSlice(context.Background(), in,
+						WithMethod(m), WithMergeStrategy(ms), WithAdaptation(ad),
+						WithPageRecords(32), WithBudget(NewBudget(8)), WithStore(store))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -329,24 +326,19 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := SortSlice(context.Background(), nil, WithAdaptation(Adaptation(9))); err == nil {
 		t.Fatal("bad adaptation must fail")
 	}
-	if _, err := SortSlice(context.Background(), nil, WithOptions(Options{Method: Method(9)})); err == nil {
-		t.Fatal("bad method through the struct shim must fail")
-	}
 }
 
 // TestOptionComposition checks the functional-option contract: options
-// compose left to right, later ones override earlier ones, and WithOptions
-// resets the accumulated configuration.
+// compose left to right and later ones override earlier ones.
 func TestOptionComposition(t *testing.T) {
 	o := applyOptions([]Option{
 		WithMethod(Quicksort),
-		WithPageRecords(8),
-		WithOptions(Options{PageRecords: 16}), // resets Method too
+		WithPageRecords(16),
 		WithBlockPages(2),
 		WithBlockPages(3), // later wins
 		nil,               // nil options are ignored
 	})
-	if o.Method != ReplacementSelection || o.PageRecords != 16 || o.BlockPages != 3 {
+	if o.method != Quicksort || o.pageRecords != 16 || o.blockPages != 3 {
 		t.Fatalf("composed options = %+v", o)
 	}
 }

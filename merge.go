@@ -80,11 +80,10 @@ func WriteRun(store RunStore, it Iterator, pageRecords int) (RunID, int, error) 
 // 0 (Pages is exact; WriteRun reports the tuple count at write time).
 //
 // The store argument is authoritative — the ids name runs inside it — so a
-// WithStore option (or the Store field of a struct passed via WithOptions)
-// is ignored here.
+// WithStore option is ignored here.
 func Merge(ctx context.Context, store RunStore, ids []RunID, opts ...Option) (*Result, error) {
 	opt := applyOptions(opts)
-	opt.Store = store
+	opt.store = store
 	cfg, o, err := opt.build()
 	if err != nil {
 		return nil, err
@@ -109,7 +108,7 @@ func Merge(ctx context.Context, store RunStore, ids []RunID, opts ...Option) (*R
 		return nil, err
 	}
 	out := &Result{
-		store:    o.Store,
+		store:    o.store,
 		runs:     []RunID{res.Result},
 		Pages:    res.Pages,
 		Tuples:   res.Tuples,

@@ -53,16 +53,16 @@ type opTrace struct {
 
 // newOpTrace assembles the operator's observability context, or nil when
 // nothing observes it.
-func newOpTrace(o *Options, name string) *opTrace {
-	if o.Tracer == nil && o.OnEvent == nil && o.EventLog <= 0 {
+func newOpTrace(o *config, name string) *opTrace {
+	if o.tracer == nil && o.onEvent == nil && o.eventLog <= 0 {
 		return nil
 	}
-	ot := &opTrace{user: o.OnEvent, name: name, start: time.Now()}
+	ot := &opTrace{user: o.onEvent, name: name, start: time.Now()}
 	ot.envStart = ot.start
-	ot.tr = o.Tracer
-	if o.EventLog > 0 {
-		ot.ring = trace.NewRing(o.EventLog)
-		ot.tr = trace.Multi(o.Tracer, ot.ring)
+	ot.tr = o.tracer
+	if o.eventLog > 0 {
+		ot.ring = trace.NewRing(o.eventLog)
+		ot.tr = trace.Multi(o.tracer, ot.ring)
 	}
 	ot.id = opSeq.Add(1)
 	return ot
@@ -194,18 +194,11 @@ func (s *tracedStore) fill(st *Stats) {
 	st.StoreRetries = int(s.retries.Load())
 }
 
-// retrier is implemented by store tokens that report how many failed
-// attempts were retried before the operation settled (see FileStore's
-// WithStoreRetry); tokens without the method count as zero retries.
-type retrier interface{ Retries() int }
-
 // noteRetries folds a completed token's retry count into the store
 // aggregates.
 func (s *tracedStore) noteRetries(tok any) {
-	if rt, ok := tok.(retrier); ok {
-		if n := rt.Retries(); n > 0 {
-			s.retries.Add(int64(n))
-		}
+	if n := tokenRetries(tok); n > 0 {
+		s.retries.Add(int64(n))
 	}
 }
 

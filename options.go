@@ -4,40 +4,41 @@ import "runtime"
 
 // Option configures Sort, Join, GroupBy and Merge. Options compose left to
 // right; later options override earlier ones.
-type Option func(*Options)
+type Option func(*config)
 
 // WithMethod selects the split-phase in-memory sorting method.
 func WithMethod(m Method) Option {
-	return func(o *Options) { o.Method = m }
+	return func(o *config) { o.method = m }
 }
 
 // WithBlockPages sets the replacement-selection write block in pages
 // (default 6 — the paper's repl6).
 func WithBlockPages(n int) Option {
-	return func(o *Options) { o.BlockPages = n }
+	return func(o *config) { o.blockPages = n }
 }
 
 // WithMergeStrategy selects the preliminary-merge fan-in policy.
 func WithMergeStrategy(s MergeStrategy) Option {
-	return func(o *Options) { o.Merge = s }
+	return func(o *config) { o.merge = s }
 }
 
 // WithAdaptation selects the merge-phase reaction to budget changes.
 func WithAdaptation(a Adaptation) Option {
-	return func(o *Options) { o.Adaptation = a }
+	return func(o *config) { o.adaptation = a }
 }
 
 // WithPageRecords sets records per page — the granularity of both I/O and
 // memory accounting (default 256).
 func WithPageRecords(n int) Option {
-	return func(o *Options) { o.PageRecords = n }
+	return func(o *config) { o.pageRecords = n }
 }
 
-// WithBudget sets the adjustable memory contract the operator runs under.
-// The same *Budget may be shared by several operators (a query plan) and
-// resized from any goroutine while they run.
+// WithBudget sets the adjustable memory contract the operator runs under
+// (default: a private, fixed 64 pages). The same *Budget may be shared by
+// several operators (a query plan) and resized from any goroutine while
+// they run.
 func WithBudget(b *Budget) Option {
-	return func(o *Options) { o.Budget = b }
+	return func(o *config) { o.budget = b }
 }
 
 // WithPool runs the operator under a process-wide shared Pool instead of a
@@ -47,19 +48,19 @@ func WithBudget(b *Budget) Option {
 // reservations, and detaches when it finishes. The operator's view of the
 // arbitration is reported in Result.Pool. WithPool overrides WithBudget.
 func WithPool(p *Pool) Option {
-	return func(o *Options) { o.Pool = p }
+	return func(o *config) { o.pool = p }
 }
 
-// WithStore sets the run store (default NewMemStore; use NewFileStore for
-// datasets larger than memory).
+// WithStore sets the run store (default NewMemStore; use NewFileStore, or
+// another StoreConfig backend, for datasets larger than memory).
 func WithStore(s RunStore) Option {
-	return func(o *Options) { o.Store = s }
+	return func(o *config) { o.store = s }
 }
 
 // WithAdaptiveBlockIO spends budget beyond a merge step's requirement on
 // multi-page read-ahead (the paper's §7 future-work extension).
 func WithAdaptiveBlockIO(on bool) Option {
-	return func(o *Options) { o.AdaptiveBlockIO = on }
+	return func(o *config) { o.adaptiveBlockIO = on }
 }
 
 // WithWorkers sets how many goroutines the operator may use for run
@@ -78,14 +79,14 @@ func WithAdaptiveBlockIO(on bool) Option {
 // used. The simulator ignores parallelism entirely — simulated sorts are
 // defined to be single-threaded.
 func WithWorkers(n int) Option {
-	return func(o *Options) {
+	return func(o *config) {
 		if n == 0 {
 			n = runtime.GOMAXPROCS(0)
 		}
 		if n < 1 {
 			n = 1
 		}
-		o.Workers = n
+		o.workers = n
 	}
 }
 
@@ -102,7 +103,7 @@ func WithWorkers(n int) Option {
 // path. A panicking callback is recovered and counted in
 // Stats.EventPanics; it never corrupts the operation.
 func WithEvents(fn func(Event)) Option {
-	return func(o *Options) { o.OnEvent = fn }
+	return func(o *config) { o.onEvent = fn }
 }
 
 // WithTracer attaches a tracer to the operator: it receives the full
@@ -121,7 +122,7 @@ func WithEvents(fn func(Event)) Option {
 // Tracing also fills the Stats store-I/O aggregates (StoreReads,
 // BytesWritten, ...), which stay zero on the untraced path.
 func WithTracer(t Tracer) Option {
-	return func(o *Options) { o.Tracer = t }
+	return func(o *config) { o.tracer = t }
 }
 
 // WithEventLog attaches a flight-recorder ring retaining the operator's
@@ -129,19 +130,12 @@ func WithTracer(t Tracer) Option {
 // moments before whatever made the result interesting. It composes with
 // WithTracer (both see the stream).
 func WithEventLog(n int) Option {
-	return func(o *Options) { o.EventLog = n }
+	return func(o *config) { o.eventLog = n }
 }
 
-// WithOptions replaces the whole configuration with a legacy Options
-// struct. It is the bridge from the v1 struct surface: options applied
-// before it are discarded, options after it override its fields.
-func WithOptions(opt Options) Option {
-	return func(o *Options) { *o = opt }
-}
-
-// applyOptions folds a chain of Options into the configuration struct.
-func applyOptions(opts []Option) Options {
-	var o Options
+// applyOptions folds a chain of options into the configuration.
+func applyOptions(opts []Option) config {
+	var o config
 	for _, fn := range opts {
 		if fn != nil {
 			fn(&o)

@@ -1,0 +1,693 @@
+package masort
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"syscall"
+	"time"
+
+	"github.com/memadapt/masort/internal/pagecodec"
+	"github.com/memadapt/masort/trace"
+)
+
+// DefaultReadConcurrency is how many page reads a disk-backed store executes
+// in parallel per device. External-memory merges read one page from each of
+// up to fan-in runs at a time; a handful of outstanding positional reads
+// keeps the device busy without thrashing it.
+const DefaultReadConcurrency = 8
+
+// writeQueueDepth bounds how many encoded write batches may be queued per
+// run and device before Append blocks (back-pressure against a slow disk).
+const writeQueueDepth = 4
+
+// device is one run's bytes on one disk: a growable extent addressed by
+// offset. It is everything a disk-backed store backend has to supply; pages,
+// checksums, retries, fault injection, tracing and the write pipeline all
+// live above it in pagedStore, which calls a device's WriteAt and Truncate
+// from the run's single writer goroutine and fetch from any number of
+// readers concurrently.
+type device interface {
+	// WriteAt writes b at off, as io.WriterAt.
+	WriteAt(b []byte, off int64) (int, error)
+
+	// fetch returns the n bytes at off. pooled reports that they were read
+	// into a buffer taken from bufs, which the caller now owns (and recycles
+	// even when err is non-nil); otherwise they are a read-only view the
+	// device keeps valid until the store is closed.
+	fetch(off int64, n int, bufs *bufPool) (b []byte, pooled bool, err error)
+
+	// Truncate cuts the extent back to size bytes.
+	Truncate(size int64) error
+
+	// remove closes the extent and deletes its backing file.
+	remove() error
+}
+
+// bufPool recycles encode and read buffers.
+type bufPool struct{ p sync.Pool } // of *[]byte
+
+func (bp *bufPool) getBuf(n int) []byte {
+	if v := bp.p.Get(); v != nil {
+		b := *(v.(*[]byte))
+		if cap(b) >= n {
+			return b[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+func (bp *bufPool) putBuf(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	b = b[:0]
+	bp.p.Put(&b)
+}
+
+// disk is one directory of a store — one device of the paper's Disks
+// experiment — with the per-device policy the store applies to it.
+type disk struct {
+	dir     string
+	own     bool          // remove dir on Close
+	faults  FaultHooks    // nil: physical I/O untouched
+	readSem chan struct{} // bounds concurrently executing page reads
+}
+
+// pagedStore is the one disk-backed RunStore implementation; FileStore,
+// StripedStore and MmapStore are this type over different devices and
+// directory counts. A run is a sequence of checksummed page frames spread
+// round-robin over the store's N disks — page i lives on disk i mod N — with
+// one in-memory page index per run; a single directory is simply N = 1.
+//
+// Both paths are asynchronous:
+//
+//   - Append encodes the pages into one pooled buffer per participating
+//     disk on the caller's goroutine, advances the page index, and hands
+//     each buffer to that disk's per-run background writer. The returned
+//     Token is the merged durability watermark: it completes when every
+//     disk has landed its share. The store never retains the page slices.
+//   - ReadAsync returns immediately; the page is fetched by a per-disk
+//     bounded set of readers using the exact page extent, so N merge inputs
+//     are read in parallel and reads never contend with the writers for a
+//     file offset. Decoding is zero-copy: Record.Payload sub-slices the
+//     fetched bytes (see the package's buffer-ownership notes). A read of a
+//     page whose write is still queued waits for that disk's durability
+//     watermark first.
+//
+// The store does not assume a perfect disk. A page that fails its checksum
+// is re-read once before the read fails with ErrCorruptPage in the chain;
+// transient I/O errors are retried per the RetryPolicy; errors that survive
+// retry — or are permanent up front, like ENOSPC — wrap ErrStoreFailed. A
+// write that fails terminally breaks the whole run: the index and the
+// failing disk roll back to the durable prefix, and every subsequent
+// Append, Wait and read on the run reports the failure. Reads already in
+// flight on healthy disks may still deliver their pages; a merge consuming
+// the run learns of the failure no later than the broken page.
+type pagedStore struct {
+	disks []disk
+	open  func(path string) (device, error)
+	retry RetryPolicy // zero value: a single attempt
+	bufs  bufPool
+
+	// tr, when set, receives a queue-depth sample (KindStoreQueue) on every
+	// enqueue/dequeue of the write pipeline, summed across runs and disks,
+	// plus KindStoreRetry / KindStoreGaveUp events from the retry loops.
+	tr     trace.Tracer
+	qdepth atomic.Int64
+
+	mu   sync.Mutex
+	runs map[RunID]*pagedRun
+	next RunID
+}
+
+// newPagedStore builds a store over one disk per entry of dirs, creating
+// missing directories; an empty entry becomes a fresh temporary directory
+// that Close removes.
+func newPagedStore(cfg *StoreConfig, dirs []string, open func(string) (device, error)) (*pagedStore, error) {
+	s := &pagedStore{
+		disks: make([]disk, 0, len(dirs)),
+		open:  open,
+		retry: cfg.retry,
+		tr:    cfg.tr,
+		runs:  map[RunID]*pagedRun{},
+	}
+	for i, dir := range dirs {
+		own := dir == ""
+		var err error
+		if own {
+			dir, err = os.MkdirTemp("", "masort-runs-")
+		} else {
+			err = os.MkdirAll(dir, 0o755)
+		}
+		if err != nil {
+			_ = s.removeOwnedDirs()
+			return nil, err
+		}
+		s.disks = append(s.disks, disk{
+			dir:     dir,
+			own:     own,
+			faults:  cfg.faultsAt(i),
+			readSem: make(chan struct{}, DefaultReadConcurrency),
+		})
+	}
+	return s, nil
+}
+
+func (s *pagedStore) removeOwnedDirs() error {
+	var first error
+	for _, d := range s.disks {
+		if d.own {
+			if err := os.Remove(d.dir); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
+}
+
+// pagedRun is one run: its page index and, per disk, an extent with its
+// write pipeline. offsets and the extents' end are updated synchronously by
+// Append (so Pages and read extents are immediately consistent); durable
+// trails end, advanced by the background writers as batches land.
+type pagedRun struct {
+	mu      sync.Mutex
+	cond    sync.Cond // signaled when a durable watermark, werr or closing change
+	offsets []int64   // page i is on exts[i%len(exts)] at byte offsets[i]
+	exts    []runExtent
+	werr    error // sticky background-write error (run is broken)
+	closing bool  // Free/Close in progress: reject new work
+
+	readers sync.WaitGroup // in-flight page reads
+	appends sync.WaitGroup // Append calls between index update and enqueue
+}
+
+// runExtent is one run's share of one disk.
+type runExtent struct {
+	dev     device
+	disk    *disk
+	end     int64 // offset past the last indexed page
+	durable int64 // bytes confirmed on disk
+
+	wq    chan writeJob
+	wdone chan struct{} // writer goroutine exited
+}
+
+// writeJob is one disk's share of an Append batch.
+type writeJob struct {
+	x     *runExtent
+	first int // index of the batch's first page: the rollback point
+	off   int64
+	buf   []byte
+	tok   *writeToken
+}
+
+// writeToken is an asynchronous write completion handle, shared by the
+// per-disk jobs of one batch. Its fields are written under the run's mu
+// before done closes; Wait's channel receive orders the reads after them.
+type writeToken struct {
+	done    chan struct{}
+	pending int // jobs not yet settled
+	err     error
+	retries int
+}
+
+func (t *writeToken) Wait() error { <-t.done; return t.err }
+
+// Retries reports how many failed write attempts were retried, across all
+// disks, before the batch settled. Valid after Wait returns.
+func (t *writeToken) Retries() int { return t.retries }
+
+// pageToken is an asynchronous read completion handle.
+type pageToken struct {
+	done    chan struct{}
+	pg      Page
+	err     error
+	retries int
+}
+
+func (t *pageToken) Wait() (Page, error) { <-t.done; return t.pg, t.err }
+
+// Retries reports how many failed read attempts (transient errors and
+// corruption re-reads) were retried before the read settled. Valid after
+// Wait returns.
+func (t *pageToken) Retries() int { return t.retries }
+
+// retrier is implemented by store tokens that report how many failed
+// attempts were retried before the operation settled.
+type retrier interface{ Retries() int }
+
+// tokenRetries returns a completed token's retry count; tokens without the
+// method count as zero retries.
+func tokenRetries(tok any) int {
+	if rt, ok := tok.(retrier); ok {
+		return rt.Retries()
+	}
+	return 0
+}
+
+// permanentIOErr is the retry loops' error taxonomy: it reports whether err
+// will not improve with retry — out of space, read-only filesystem, or
+// anything self-reporting Temporary() == false (net.Error style, and
+// faultinject's injected errors). Everything else is presumed transient
+// (EINTR, injected timeouts, unknown errors): a bounded retry of a truly
+// broken device only delays the inevitable failure slightly.
+func permanentIOErr(err error) bool {
+	if errors.Is(err, syscall.ENOSPC) || errors.Is(err, syscall.EROFS) {
+		return true
+	}
+	var t interface{ Temporary() bool }
+	return errors.As(err, &t) && !t.Temporary()
+}
+
+// noteQueue moves the sampled write-queue depth by delta and emits it.
+func (s *pagedStore) noteQueue(delta int64) {
+	if s.tr == nil {
+		return
+	}
+	d := s.qdepth.Add(delta)
+	emitSafe(s.tr, trace.Event{Kind: trace.KindStoreQueue, Time: time.Now(), Pages: int(d)}, nil)
+}
+
+// noteFault emits one retry-loop event (KindStoreRetry / KindStoreGaveUp):
+// name is "read" or "write", attempt the 1-based attempt that failed,
+// bytes the extent size.
+func (s *pagedStore) noteFault(kind trace.Kind, name string, attempt int, bytes int64, err error) {
+	if s.tr == nil {
+		return
+	}
+	emitSafe(s.tr, trace.Event{
+		Kind: kind, Time: time.Now(), Name: name,
+		Pages: attempt, Bytes: bytes, Err: err.Error(),
+	}, nil)
+}
+
+// Create opens a new empty run — one extent per disk — and starts its
+// background writers.
+func (s *pagedStore) Create() (RunID, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	id := s.next
+	s.next++
+	r := &pagedRun{exts: make([]runExtent, len(s.disks))}
+	r.cond.L = &r.mu
+	name := fmt.Sprintf("run-%06d.bin", id)
+	for i := range s.disks {
+		dev, err := s.open(filepath.Join(s.disks[i].dir, name))
+		if err != nil {
+			for _, x := range r.exts[:i] {
+				_ = x.dev.remove()
+			}
+			return 0, err
+		}
+		r.exts[i] = runExtent{
+			dev:   dev,
+			disk:  &s.disks[i],
+			wq:    make(chan writeJob, writeQueueDepth),
+			wdone: make(chan struct{}),
+		}
+	}
+	s.runs[id] = r
+	for i := range r.exts {
+		go s.runWriter(r, &r.exts[i])
+	}
+	return id, nil
+}
+
+func (s *pagedStore) run(id RunID) *pagedRun {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.runs[id]
+}
+
+// Append encodes pages and queues them for the run's background writers.
+// The page index advances immediately; the returned token completes once
+// every disk's share is durable. The caller may reuse the page slices after
+// the token completes — the store keeps only the encoded bytes.
+func (s *pagedStore) Append(id RunID, pages []Page) (Token, error) {
+	r := s.run(id)
+	if r == nil {
+		return nil, fmt.Errorf("masort: append to unknown run %d", id)
+	}
+	if len(pages) == 0 {
+		return readyToken{}, nil
+	}
+	r.mu.Lock()
+	if r.werr != nil {
+		err := r.werr
+		r.mu.Unlock()
+		return nil, fmt.Errorf("masort: append to broken run %d: %w", id, err)
+	}
+	if r.closing {
+		r.mu.Unlock()
+		return nil, fmt.Errorf("masort: append to freed run %d", id)
+	}
+	n, first := len(r.exts), len(r.offsets)
+	tok := &writeToken{done: make(chan struct{})}
+	var stack [4]writeJob // keeps the common narrow stripe off the heap
+	jobs := stack[:0]
+	r.offsets = slices.Grow(r.offsets, len(pages))[:first+len(pages)]
+	// One pass per participating disk: its pages are every n-th of the
+	// batch, encoded back to back into one buffer for one positional write.
+	for k := 0; k < n && k < len(pages); k++ {
+		x := &r.exts[(first+k)%n]
+		buf := s.bufs.getBuf(0)
+		for i := k; i < len(pages); i += n {
+			r.offsets[first+i] = x.end + int64(len(buf))
+			buf = pagecodec.AppendPageSum(buf, pages[i])
+		}
+		jobs = append(jobs, writeJob{x: x, first: first, off: x.end, buf: buf, tok: tok})
+		x.end += int64(len(buf))
+	}
+	tok.pending = len(jobs)
+	// Registered under the lock so teardownRun cannot close the queues
+	// between the closing check above and the sends below.
+	r.appends.Add(1)
+	r.mu.Unlock()
+	for _, job := range jobs {
+		s.noteQueue(1) // before the send: the depth must never read negative
+		job.x.wq <- job
+	}
+	r.appends.Done()
+	return tok, nil
+}
+
+// runWriter is one extent's background writer: it lands encoded batches with
+// positional writes (retried per the store's policy) and advances the
+// durability watermark. When a batch fails terminally — or the run is
+// already broken, so the batch is not attempted — it rolls back to the last
+// durable page boundary: index entries at or beyond the batch are dropped,
+// the extent is truncated to match, and the batch's token (and every later
+// one) fails with the ErrStoreFailed chain.
+func (s *pagedStore) runWriter(r *pagedRun, x *runExtent) {
+	defer close(x.wdone)
+	for job := range x.wq {
+		r.mu.Lock()
+		err := r.werr
+		r.mu.Unlock()
+		retries := 0
+		if err == nil {
+			retries, err = s.writeBatch(r, x, job.off, job.buf)
+		}
+		r.mu.Lock()
+		if err == nil {
+			x.durable = job.off + int64(len(job.buf))
+		} else {
+			if r.werr == nil {
+				r.werr = err
+			}
+			// Roll back: the index must only describe durable pages.
+			r.offsets = r.offsets[:min(len(r.offsets), job.first)]
+			if job.off < x.end {
+				x.end = job.off
+				_ = x.dev.Truncate(job.off)
+			}
+		}
+		tok := job.tok
+		tok.retries += retries
+		if err != nil && tok.err == nil {
+			tok.err = err
+		}
+		if tok.pending--; tok.pending == 0 {
+			close(tok.done)
+		}
+		r.cond.Broadcast()
+		r.mu.Unlock()
+		s.bufs.putBuf(job.buf)
+		s.noteQueue(-1)
+	}
+}
+
+// writeBatch lands one encoded batch at off, retrying transient failures
+// per the store's policy. A positional write retry overwrites whatever a
+// torn earlier attempt left behind, so retries are idempotent. The
+// returned error, if any, is terminal and wraps ErrStoreFailed plus the
+// last cause.
+func (s *pagedStore) writeBatch(r *pagedRun, x *runExtent, off int64, buf []byte) (retries int, err error) {
+	budget := s.retry.attempts()
+	for attempt := 1; ; attempt++ {
+		err = writeOnce(x, off, buf)
+		if err == nil {
+			return retries, nil
+		}
+		if permanentIOErr(err) || attempt >= budget || r.isClosing() {
+			s.noteFault(trace.KindStoreGaveUp, "write", attempt, int64(len(buf)), err)
+			return retries, fmt.Errorf("%w: write of %d bytes at %d (attempt %d/%d): %w",
+				ErrStoreFailed, len(buf), off, attempt, budget, err)
+		}
+		retries++
+		s.noteFault(trace.KindStoreRetry, "write", attempt, int64(len(buf)), err)
+		if d := s.retry.backoff(attempt); d > 0 {
+			time.Sleep(d)
+		}
+	}
+}
+
+// writeOnce performs one physical write attempt, routed through the disk's
+// fault hooks when installed. A hook-injected torn write lands its partial
+// bytes for real, so the rollback truncate and retry overwrite are
+// exercised against genuine on-disk state.
+func writeOnce(x *runExtent, off int64, buf []byte) error {
+	if h := x.disk.faults; h != nil {
+		if short, err := h.BeforeWrite(off, buf); err != nil {
+			if short > 0 {
+				_, _ = x.dev.WriteAt(buf[:min(short, len(buf))], off)
+			}
+			return err
+		}
+	}
+	_, err := x.dev.WriteAt(buf, off)
+	return err
+}
+
+// isClosing reports whether the run is being torn down — retry loops check
+// it between attempts so Free/Close never waits out a backoff schedule.
+func (r *pagedRun) isClosing() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.closing
+}
+
+// ReadAsync starts reading one page and returns immediately. The read runs
+// on the page's disk, bounded by that disk's read concurrency, and waits
+// for the page's write to be durable first, so reads may overlap the
+// background writers freely.
+func (s *pagedStore) ReadAsync(id RunID, page int) PageToken {
+	r := s.run(id)
+	if r == nil {
+		return readyPage{err: fmt.Errorf("masort: read of unknown run %d", id)}
+	}
+	r.mu.Lock()
+	if r.closing {
+		r.mu.Unlock()
+		return readyPage{err: fmt.Errorf("masort: read of freed run %d", id)}
+	}
+	if werr := r.werr; werr != nil {
+		// The run is broken: even its durable prefix must not be served, or
+		// a merge would consume half a run and only then learn it failed.
+		r.mu.Unlock()
+		return readyPage{err: fmt.Errorf("masort: read of run %d page %d after write failure: %w", id, page, werr)}
+	}
+	if page < 0 || page >= len(r.offsets) {
+		r.mu.Unlock()
+		return readyPage{err: fmt.Errorf("masort: run %d has no page %d", id, page)}
+	}
+	// The page's extent ends where the disk's next page begins.
+	n := len(r.exts)
+	x := &r.exts[page%n]
+	off, end := r.offsets[page], x.end
+	if page+n < len(r.offsets) {
+		end = r.offsets[page+n]
+	}
+	r.readers.Add(1)
+	r.mu.Unlock()
+	tok := &pageToken{done: make(chan struct{})}
+	go s.readPage(r, x, id, page, off, end, tok)
+	return tok
+}
+
+func (s *pagedStore) readPage(r *pagedRun, x *runExtent, id RunID, page int, off, end int64, tok *pageToken) {
+	defer r.readers.Done()
+	defer close(tok.done)
+	// Wait for the page's bytes to be durable (its write may still be in the
+	// background writer's queue). A write failure anywhere in the run wakes
+	// and fails this read even if its own bytes are durable: the run is
+	// broken and must not be half-consumed.
+	r.mu.Lock()
+	for x.durable < end && r.werr == nil && !r.closing {
+		r.cond.Wait()
+	}
+	switch {
+	case r.werr != nil:
+		err := r.werr
+		r.mu.Unlock()
+		tok.err = fmt.Errorf("masort: read of run %d page %d after write failure: %w", id, page, err)
+		return
+	case r.closing:
+		r.mu.Unlock()
+		tok.err = fmt.Errorf("masort: read of freed run %d", id)
+		return
+	}
+	r.mu.Unlock()
+
+	x.disk.readSem <- struct{}{}
+	defer func() { <-x.disk.readSem }()
+
+	budget := s.retry.attempts()
+	ioAttempt, rereads := 0, 0
+	for {
+		pg, err := s.readOnce(x, off, int(end-off))
+		if err == nil {
+			tok.pg = pg
+			return
+		}
+		size := end - off
+		if errors.Is(err, ErrCorruptPage) {
+			// Corruption gets exactly one re-read, whatever the retry
+			// policy: the bytes may have been mangled in transit (bus,
+			// controller, injected bit rot), in which case a second read
+			// heals it. A second mismatch means the medium itself is bad.
+			if rereads < 1 && !r.isClosing() {
+				rereads++
+				tok.retries++
+				s.noteFault(trace.KindStoreRetry, "read", rereads, size, err)
+				continue
+			}
+			s.noteFault(trace.KindStoreGaveUp, "read", 1+rereads, size, err)
+			tok.err = fmt.Errorf("masort: read run %d page %d: %w", id, page, err)
+			return
+		}
+		ioAttempt++
+		if !permanentIOErr(err) && ioAttempt < budget && !r.isClosing() {
+			tok.retries++
+			s.noteFault(trace.KindStoreRetry, "read", ioAttempt, size, err)
+			if d := s.retry.backoff(ioAttempt); d > 0 {
+				time.Sleep(d)
+			}
+			continue
+		}
+		s.noteFault(trace.KindStoreGaveUp, "read", ioAttempt, size, err)
+		tok.err = fmt.Errorf("masort: read run %d page %d (attempt %d/%d): %w: %w",
+			id, page, ioAttempt, budget, ErrStoreFailed, err)
+		return
+	}
+}
+
+// readOnce performs one physical fetch-and-decode attempt of the n-byte
+// page extent at off. A decode or checksum failure returns an error
+// wrapping ErrCorruptPage; a fetch failure returns the raw cause for the
+// caller to classify. With fault hooks installed the hooks see a pooled
+// private copy, so injected corruption never mutates a device's own view.
+func (s *pagedStore) readOnce(x *runExtent, off int64, n int) (Page, error) {
+	buf, pooled, err := x.dev.fetch(off, n, &s.bufs)
+	if h := x.disk.faults; h != nil && err == nil {
+		if !pooled {
+			buf, pooled = append(s.bufs.getBuf(0), buf...), true
+		}
+		err = h.AfterRead(off, buf)
+	}
+	var (
+		pg          Page
+		alias, read int
+	)
+	if err == nil {
+		pg, alias, read, err = pagecodec.DecodePageSum(buf)
+		if err == nil && read != len(buf) {
+			err = fmt.Errorf("page extent is %d bytes, decoded %d", len(buf), read)
+		}
+		if err != nil {
+			pg, err = nil, fmt.Errorf("decode of %d-byte extent: %w: %w", len(buf), ErrCorruptPage, err)
+		}
+	}
+	if pooled && (err != nil || alias == 0) {
+		// The attempt failed or no payload bytes escaped into the page: the
+		// buffer is dead and can be recycled now. Otherwise the decoded
+		// records own it.
+		s.bufs.putBuf(buf)
+	}
+	return pg, err
+}
+
+// Pages returns the number of pages appended so far (durable or queued).
+func (s *pagedStore) Pages(id RunID) int {
+	r := s.run(id)
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.offsets)
+}
+
+// Free removes a run and its files, draining its write pipelines first.
+func (s *pagedStore) Free(id RunID) error {
+	s.mu.Lock()
+	r, ok := s.runs[id]
+	if !ok {
+		s.mu.Unlock()
+		return fmt.Errorf("masort: free of unknown run %d", id)
+	}
+	delete(s.runs, id)
+	s.mu.Unlock()
+	return s.teardownRun(r)
+}
+
+// teardownRun quiesces a run's pipelines and deletes its files: in-flight
+// Append enqueues finish, queued writes are drained (their tokens resolve
+// normally), waiting readers are woken with an error, and only then are the
+// extents removed — every one of them even if an earlier removal fails, so
+// an owned store directory can still be emptied.
+func (s *pagedStore) teardownRun(r *pagedRun) error {
+	r.mu.Lock()
+	r.closing = true
+	r.cond.Broadcast()
+	r.mu.Unlock()
+	r.appends.Wait() // the writers keep draining until wq closes, so this cannot hang
+	for i := range r.exts {
+		close(r.exts[i].wq)
+	}
+	for i := range r.exts {
+		<-r.exts[i].wdone
+	}
+	r.readers.Wait()
+	var first error
+	for i := range r.exts {
+		if err := r.exts[i].dev.remove(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// Live returns the number of unfreed runs.
+func (s *pagedStore) Live() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.runs)
+}
+
+// Close frees every run and removes the directories the store created
+// itself.
+func (s *pagedStore) Close() error {
+	s.mu.Lock()
+	runs := make([]*pagedRun, 0, len(s.runs))
+	for id, r := range s.runs {
+		runs = append(runs, r)
+		delete(s.runs, id)
+	}
+	s.mu.Unlock()
+	var first error
+	for _, r := range runs {
+		if err := s.teardownRun(r); err != nil && first == nil {
+			first = err
+		}
+	}
+	if err := s.removeOwnedDirs(); err != nil && first == nil {
+		first = err
+	}
+	return first
+}

@@ -282,19 +282,19 @@ func TestMergeParallel(t *testing.T) {
 
 // TestWithWorkersResolution pins the option semantics: 0 resolves to
 // GOMAXPROCS at option-application time, negatives clamp to serial, and the
-// zero-value Options stays serial.
+// zero-value configuration stays serial.
 func TestWithWorkersResolution(t *testing.T) {
 	o := applyOptions([]Option{WithWorkers(0)})
-	if want := runtime.GOMAXPROCS(0); o.Workers != want {
-		t.Fatalf("WithWorkers(0): Workers = %d, want GOMAXPROCS %d", o.Workers, want)
+	if want := runtime.GOMAXPROCS(0); o.workers != want {
+		t.Fatalf("WithWorkers(0): workers = %d, want GOMAXPROCS %d", o.workers, want)
 	}
 	o = applyOptions([]Option{WithWorkers(-3)})
-	if o.Workers != 1 {
-		t.Fatalf("WithWorkers(-3): Workers = %d, want 1", o.Workers)
+	if o.workers != 1 {
+		t.Fatalf("WithWorkers(-3): workers = %d, want 1", o.workers)
 	}
 	o = applyOptions(nil)
-	if o.Workers != 0 {
-		t.Fatalf("zero-value Options: Workers = %d, want 0 (serial)", o.Workers)
+	if o.workers != 0 {
+		t.Fatalf("no options: workers = %d, want 0 (serial)", o.workers)
 	}
 	// A 1-worker request reports serial execution in the stats.
 	res, err := Sort(context.Background(), NewSliceIterator(randomRecords(2000, 1, 0)),

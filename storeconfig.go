@@ -1,12 +1,16 @@
 package masort
 
-import "github.com/memadapt/masort/trace"
+import (
+	"fmt"
+	"time"
 
-// StoreConfig is the unified, composable configuration consumed by every
-// run-store backend: FileStore, StripedStore, MmapStore and TieredStore all
-// read the same knobs (read concurrency, page checksums, retry policy,
-// fault hooks, tracer), so adding a backend never re-grows a parallel
-// option set.
+	"github.com/memadapt/masort/trace"
+)
+
+// StoreConfig is the one configuration consumed by every run-store backend:
+// FileStore, StripedStore, MmapStore and TieredStore all read the same
+// knobs (retry policy, fault hooks, tracer), so adding a backend never
+// re-grows a parallel option set.
 //
 // It is a builder: the With* methods mutate the receiver and return it, so
 // configuration chains into a terminal constructor —
@@ -18,46 +22,61 @@ import "github.com/memadapt/masort/trace"
 //
 // One StoreConfig may build any number of stores (each constructor snapshots
 // the relevant fields), but it is not safe for concurrent mutation.
-//
-// The legacy FileStoreOption functions (WithReadConcurrency,
-// WithPageChecksums, WithStoreRetry, WithStoreFaults, WithStoreTracer) are
-// thin shims over this builder and remain fully supported.
 type StoreConfig struct {
-	readConc int
-	sums     bool
-	retry    RetryPolicy
-	faults   func(device int) FaultHooks
-	tr       trace.Tracer
+	retry  RetryPolicy
+	faults func(device int) FaultHooks
+	tr     trace.Tracer
 }
 
-// NewStoreConfig returns the default store configuration: read concurrency
-// DefaultReadConcurrency, page checksums on, no retry, no fault hooks, no
-// tracer — the same defaults NewFileStore has always had.
-func NewStoreConfig() *StoreConfig {
-	return &StoreConfig{readConc: DefaultReadConcurrency, sums: true}
+// NewStoreConfig returns the default store configuration: no retry, no
+// fault hooks, no tracer.
+func NewStoreConfig() *StoreConfig { return &StoreConfig{} }
+
+// RetryPolicy bounds how a disk-backed store retries transiently failing
+// I/O. Backoff between the attempts of one operation doubles each time —
+// Backoff, 2*Backoff, 4*Backoff, ... — with no jitter, so fault-injection
+// tests are exactly reproducible.
+type RetryPolicy struct {
+	// MaxAttempts is the total attempt budget per operation (first try
+	// included). Values below 1 mean a single attempt, i.e. no retry.
+	MaxAttempts int
+
+	// Backoff is the delay before the first retry; zero retries
+	// immediately.
+	Backoff time.Duration
 }
 
-// WithReadConcurrency bounds the number of page reads a backend executes in
-// parallel (default DefaultReadConcurrency). Striped stores apply the bound
-// per device. Values below 1 are ignored. It has no effect on MmapStore
-// (reads are memory accesses) or the memory tier of a TieredStore.
-func (c *StoreConfig) WithReadConcurrency(n int) *StoreConfig {
-	if n > 0 {
-		c.readConc = n
+// attempts returns the per-operation attempt budget.
+func (p RetryPolicy) attempts() int {
+	return max(p.MaxAttempts, 1)
+}
+
+// backoff returns the delay before retrying after the attempt-th failure
+// (1-based): Backoff doubled per failed attempt, jitter-free.
+func (p RetryPolicy) backoff(attempt int) time.Duration {
+	if p.Backoff <= 0 {
+		return 0
 	}
-	return c
+	// Clamp the shift; nobody backs off for 2^30 periods.
+	return p.Backoff << (min(attempt, 1+30) - 1)
 }
 
-// WithPageChecksums selects whether run pages are framed with a
-// CRC32-Castagnoli checksum (default true). With checksums on, a read that
-// returns different bytes than were written fails with ErrCorruptPage in
-// the chain (after one silent re-read) instead of decoding garbage; the
-// cost is 5 bytes per page and one CRC pass per append and read. Turning
-// them off restores the legacy frame, byte-compatible with stores from
-// before checksums existed.
-func (c *StoreConfig) WithPageChecksums(on bool) *StoreConfig {
-	c.sums = on
-	return c
+// FaultHooks intercepts a disk-backed store's physical I/O for
+// deterministic fault injection (see internal/faultinject for the
+// scriptable implementation). Implementations must be safe for concurrent
+// use: writes arrive from per-run writer goroutines and reads from the
+// store's readers.
+type FaultHooks interface {
+	// BeforeWrite is consulted before each write attempt of an encoded
+	// batch at off. Returning a non-nil error fails the attempt; when
+	// short > 0 the store first lands the leading short bytes — a torn
+	// write, so rollback and retry paths see real partial data on disk.
+	BeforeWrite(off int64, b []byte) (short int, err error)
+
+	// AfterRead is consulted after each read attempt has fetched b and may
+	// fail the attempt or mutate b in place (bit rot for the checksum layer
+	// to catch).
+	AfterRead(off int64, b []byte) error
 }
 
 // WithRetry sets the retry policy for transiently failing I/O: each read
@@ -74,11 +93,7 @@ func (c *StoreConfig) WithRetry(p RetryPolicy) *StoreConfig {
 // device of the built store. Meant for tests (see internal/faultinject); a
 // nil hook leaves the I/O untouched.
 func (c *StoreConfig) WithFaults(h FaultHooks) *StoreConfig {
-	if h == nil {
-		c.faults = nil
-	} else {
-		c.faults = func(int) FaultHooks { return h }
-	}
+	c.faults = func(int) FaultHooks { return h }
 	return c
 }
 
@@ -94,7 +109,7 @@ func (c *StoreConfig) WithDeviceFaults(fn func(device int) FaultHooks) *StoreCon
 
 // WithTracer attaches a tracer to the built store: the async write
 // pipeline's queue depth is sampled as KindStoreQueue events, the retry
-// layer emits KindStoreRetry / KindStoreGaveUp, and a TieredStore emits
+// loops emit KindStoreRetry / KindStoreGaveUp, and a TieredStore emits
 // KindStoreDemote / KindStorePromote as runs spill and pages come back hot.
 // Per-read and per-write latency events are emitted by the operator's
 // WithTracer layer, not here, so they can be attributed to the operator.
@@ -116,20 +131,39 @@ func (c *StoreConfig) faultsAt(device int) FaultHooks {
 // If dir is empty, a fresh temporary directory is used and removed on
 // Close. See FileStore for the backend's semantics.
 func (c *StoreConfig) File(dir string) (*FileStore, error) {
-	return newFileStore(dir, c, 0)
+	s, err := newPagedStore(c, []string{dir}, openFileDevice)
+	if err != nil {
+		return nil, err
+	}
+	return &FileStore{s}, nil
 }
 
 // Striped builds a StripedStore over one directory per device — ideally
 // each on its own disk or filesystem. See StripedStore.
 func (c *StoreConfig) Striped(dirs ...string) (*StripedStore, error) {
-	return newStripedStore(c, dirs)
+	if len(dirs) == 0 {
+		return nil, fmt.Errorf("masort: striped store needs at least one directory")
+	}
+	s, err := newPagedStore(c, dirs, openFileDevice)
+	if err != nil {
+		return nil, err
+	}
+	return &StripedStore{s}, nil
 }
 
 // Mmap builds an mmap-backed MmapStore in dir (created if missing; a fresh
 // temporary directory when empty, removed on Close). See MmapStore. On
 // platforms without mmap support it fails with ErrMmapUnsupported.
 func (c *StoreConfig) Mmap(dir string) (*MmapStore, error) {
-	return newMmapStore(dir, c)
+	if !mmapSupported {
+		return nil, ErrMmapUnsupported
+	}
+	s := &MmapStore{}
+	var err error
+	if s.pagedStore, err = newPagedStore(c, []string{dir}, s.openDevice); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Tiered builds a TieredStore: a memory tier bounded to memPages pages that
@@ -137,64 +171,13 @@ func (c *StoreConfig) Mmap(dir string) (*MmapStore, error) {
 // read. The caller keeps ownership of backing (Close it after the tiered
 // store). See TieredStore.
 func (c *StoreConfig) Tiered(memPages int, backing RunStore) (*TieredStore, error) {
-	return newTieredStore(memPages, backing, c)
-}
-
-// ---- legacy FileStoreOption shims ----
-
-// FileStoreOption configures a store built by NewFileStore (and the other
-// convenience constructors). It is a thin shim over the StoreConfig
-// builder, kept so existing call sites read unchanged; new code composing
-// several knobs or building non-file backends should use NewStoreConfig
-// directly.
-type FileStoreOption func(*StoreConfig)
-
-// WithReadConcurrency bounds the number of page reads the store executes in
-// parallel (default DefaultReadConcurrency).
-//
-// Deprecated: use StoreConfig.WithReadConcurrency via NewStoreConfig.
-func WithReadConcurrency(n int) FileStoreOption {
-	return func(c *StoreConfig) { c.WithReadConcurrency(n) }
-}
-
-// WithPageChecksums selects whether run pages are framed with a
-// CRC32-Castagnoli checksum (default true).
-//
-// Deprecated: use StoreConfig.WithPageChecksums via NewStoreConfig.
-func WithPageChecksums(on bool) FileStoreOption {
-	return func(c *StoreConfig) { c.WithPageChecksums(on) }
-}
-
-// WithStoreRetry sets the store's retry policy for transiently failing
-// I/O.
-//
-// Deprecated: use StoreConfig.WithRetry via NewStoreConfig.
-func WithStoreRetry(p RetryPolicy) FileStoreOption {
-	return func(c *StoreConfig) { c.WithRetry(p) }
-}
-
-// WithStoreFaults installs fault-injection hooks on the store's physical
-// I/O.
-//
-// Deprecated: use StoreConfig.WithFaults via NewStoreConfig.
-func WithStoreFaults(h FaultHooks) FileStoreOption {
-	return func(c *StoreConfig) { c.WithFaults(h) }
-}
-
-// WithStoreTracer attaches a tracer to the store.
-//
-// Deprecated: use StoreConfig.WithTracer via NewStoreConfig.
-func WithStoreTracer(t Tracer) FileStoreOption {
-	return func(c *StoreConfig) { c.WithTracer(t) }
-}
-
-// applyStoreOptions folds legacy options into a fresh default config.
-func applyStoreOptions(opts []FileStoreOption) *StoreConfig {
-	cfg := NewStoreConfig()
-	for _, opt := range opts {
-		if opt != nil {
-			opt(cfg)
-		}
+	if backing == nil {
+		return nil, fmt.Errorf("masort: tiered store needs a backing store")
 	}
-	return cfg
+	return &TieredStore{
+		backing: backing,
+		limit:   max(memPages, 0),
+		tr:      c.tr,
+		runs:    map[RunID]*tieredRun{},
+	}, nil
 }

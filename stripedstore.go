@@ -1,29 +1,18 @@
 package masort
 
-import (
-	"fmt"
-	"sync"
-)
-
-// StripedStore is a disk-backed RunStore spread over N directories —
-// ideally one per physical device — the real-engine twin of the paper's
-// multi-disk Disks experiment. Every run exists on all devices: the pages
-// of each Append batch are distributed round-robin across the devices
-// (continuing from where the previous batch left off), so consecutive
-// pages land on different disks and one run's write bandwidth is the sum
-// of its devices'.
+// StripedStore is a FileStore spread over N directories — ideally one per
+// physical device — the real-engine twin of the paper's multi-disk Disks
+// experiment. Every run has a file on each device and its pages are dealt
+// round-robin — page i lands on device i mod N, across batch boundaries — so
+// consecutive pages sit on different disks and one run's write bandwidth is
+// the sum of its devices'.
 //
-// Each device is a full FileStore underneath, so every per-device run has
-// its own background writer goroutine, page index, checksummed framing,
-// retry policy and fault hooks — a batch's per-device shares are encoded
-// and queued concurrently, one goroutine per participating device, so the
-// CPU cost of framing a batch splits across devices just like the write
-// bandwidth does. The returned Token is the merged
-// durability watermark: it completes when every device has landed its
-// share of the batch, and reads of a page wait on that page's own device
-// only.
+// Each device has its own per-run background writer, read concurrency bound
+// and fault hooks. The Token returned by Append is the merged durability
+// watermark: it completes when every device has landed its share of the
+// batch; a read waits on its page's own device only.
 //
-// Failure semantics match FileStore at run granularity: when any device's
+// Failure semantics are FileStore's at run granularity: when any device's
 // write fails terminally, the whole striped run is broken — the failing
 // device rolls back to its durable prefix, the batch's token (and every
 // later one) reports the ErrStoreFailed chain, and subsequent Appends and
@@ -39,309 +28,25 @@ import (
 // times the descriptors of a single FileStore. Sorts whose budget is tiny
 // relative to the input can produce tens of thousands of runs; there,
 // raise the process fd limit, grow the budget, or stripe less widely.
-type StripedStore struct {
-	devs []*FileStore
-
-	mu   sync.Mutex
-	runs map[RunID]*stripedRun
-	next RunID
-}
-
-// stripePos locates one global page: the device holding it and its page
-// number inside that device's inner run.
-type stripePos struct {
-	dev  int32
-	page int32
-}
-
-// stripedRun is one striped run's bookkeeping: the inner run id on each
-// device, the global page index, and the round-robin cursor carried across
-// batches.
-type stripedRun struct {
-	inner  []RunID
-	pages  []stripePos
-	perDev []int32 // next inner page number, per device
-	cursor int     // device receiving the next page
-	werr   error   // sticky: any device's terminal write failure
-
-	// gate chains this run's batches per device: each batch's per-device
-	// append goroutine starts only after the previous batch's append to the
-	// SAME device returned, so inner page order matches the global index
-	// even when several batch tokens are in flight.
-	gate []chan struct{}
-}
+type StripedStore struct{ *pagedStore }
 
 // NewStripedStore creates a striped run store over the given directories
 // with the default configuration (see NewStoreConfig); an empty directory
 // string makes that device a fresh temporary directory removed on Close.
-// Use StoreConfig.Striped to configure checksums, retries, faults or
-// tracing.
+// Use StoreConfig.Striped to configure retries, faults or tracing.
 func NewStripedStore(dirs ...string) (*StripedStore, error) {
 	return NewStoreConfig().Striped(dirs...)
 }
 
-func newStripedStore(cfg *StoreConfig, dirs []string) (*StripedStore, error) {
-	if len(dirs) == 0 {
-		return nil, fmt.Errorf("masort: striped store needs at least one directory")
-	}
-	s := &StripedStore{runs: map[RunID]*stripedRun{}}
-	for i, dir := range dirs {
-		dev, err := newFileStore(dir, cfg, i)
-		if err != nil {
-			for _, d := range s.devs {
-				_ = d.Close()
-			}
-			return nil, err
-		}
-		s.devs = append(s.devs, dev)
-	}
-	return s, nil
-}
-
 // Devices returns the number of devices (directories) the store stripes
 // over.
-func (s *StripedStore) Devices() int { return len(s.devs) }
+func (s *StripedStore) Devices() int { return len(s.disks) }
 
 // Dirs returns the directory of each device, in device order.
 func (s *StripedStore) Dirs() []string {
-	dirs := make([]string, len(s.devs))
-	for i, d := range s.devs {
-		dirs[i] = d.Dir()
+	dirs := make([]string, len(s.disks))
+	for i, d := range s.disks {
+		dirs[i] = d.dir
 	}
 	return dirs
-}
-
-// Create opens a new empty run: one inner run per device.
-func (s *StripedStore) Create() (RunID, error) {
-	inner := make([]RunID, len(s.devs))
-	for i, dev := range s.devs {
-		id, err := dev.Create()
-		if err != nil {
-			for j := 0; j < i; j++ {
-				_ = s.devs[j].Free(inner[j])
-			}
-			return 0, err
-		}
-		inner[i] = id
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := s.next
-	s.next++
-	s.runs[id] = &stripedRun{inner: inner, perDev: make([]int32, len(s.devs))}
-	return id, nil
-}
-
-// stripeJob is one device's share of a batch, claimed in order under the
-// store lock: prev is the previous batch's gate for the same device (nil
-// for the first), next is closed once this share has been handed to the
-// device.
-type stripeJob struct {
-	dev        int
-	group      []Page
-	prev, next chan struct{}
-}
-
-// Append distributes the batch's pages round-robin across the devices and
-// hands one sub-batch per device to a dedicated goroutine, so the encode
-// and queue cost of a batch splits across the devices. The global page
-// index advances immediately; the returned token completes when every
-// device has made its share durable (the merged watermark). A device-level
-// refusal (e.g. a broken inner run) surfaces on the token, breaking the
-// run. Buffer ownership follows the RunStore contract: the page slices may
-// be reused once the token completes.
-func (s *StripedStore) Append(id RunID, pages []Page) (Token, error) {
-	s.mu.Lock()
-	r := s.runs[id]
-	if r == nil {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("masort: append to unknown run %d", id)
-	}
-	if r.werr != nil {
-		err := r.werr
-		s.mu.Unlock()
-		return nil, fmt.Errorf("masort: append to broken run %d: %w", id, err)
-	}
-	if len(pages) == 0 {
-		s.mu.Unlock()
-		return readyToken{}, nil
-	}
-	// Group the batch per device, preserving page order within each device,
-	// and extend the global index while the lock pins it.
-	groups := make([][]Page, len(s.devs))
-	for i, pg := range pages {
-		dev := (r.cursor + i) % len(s.devs)
-		//masortlint:allow pageretain -- transient regrouping: groups is local, handed straight to the per-device Appends below, and dies with this batch's goroutines; the devices' own tokens gate our merged token, so the pages outlive every retention here
-		groups[dev] = append(groups[dev], pg)
-		r.pages = append(r.pages, stripePos{dev: int32(dev), page: r.perDev[dev]})
-		r.perDev[dev]++
-	}
-	r.cursor = (r.cursor + len(pages)) % len(s.devs)
-	// Claim the per-device order slots while the lock pins them: even with
-	// several batch tokens in flight, each device receives its shares in
-	// batch order, keeping inner page numbers aligned with the global index.
-	if r.gate == nil {
-		r.gate = make([]chan struct{}, len(s.devs))
-	}
-	var jobs []stripeJob
-	for dev, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		next := make(chan struct{})
-		jobs = append(jobs, stripeJob{dev: dev, group: group, prev: r.gate[dev], next: next})
-		r.gate[dev] = next
-	}
-	inner := r.inner
-	s.mu.Unlock()
-
-	// Encode and queue outside the lock, one goroutine per participating
-	// device: a device applying back-pressure must not block the others, and
-	// the per-page framing (copy + checksum) runs on all devices at once.
-	tok := &stripeToken{s: s, id: id, subs: make([]Token, len(jobs))}
-	tok.wg.Add(len(jobs))
-	for i, j := range jobs {
-		go func(i int, j stripeJob) {
-			defer tok.wg.Done()
-			defer close(j.next)
-			if j.prev != nil {
-				<-j.prev
-			}
-			sub, err := s.devs[j.dev].Append(inner[j.dev], j.group)
-			if err != nil {
-				tok.subs[i] = readyToken{err: fmt.Errorf("masort: append to run %d device %d: %w", id, j.dev, err)}
-				return
-			}
-			tok.subs[i] = sub
-		}(i, j)
-	}
-	return tok, nil
-}
-
-// breakRun records a terminal write failure on the run so later Appends and
-// reads are refused.
-func (s *StripedStore) breakRun(id RunID, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r := s.runs[id]; r != nil && r.werr == nil {
-		r.werr = err
-	}
-}
-
-// stripeToken merges the per-device durability tokens of one batch: it
-// completes when every device has landed its share, and carries the first
-// failure (also breaking the run). The WaitGroup joins the per-device
-// append goroutines that fill subs.
-type stripeToken struct {
-	s    *StripedStore
-	id   RunID
-	wg   sync.WaitGroup
-	subs []Token
-}
-
-func (t *stripeToken) Wait() error {
-	t.wg.Wait()
-	var first error
-	for _, sub := range t.subs {
-		if err := sub.Wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if first != nil {
-		t.s.breakRun(t.id, first)
-	}
-	return first
-}
-
-// Retries reports the batch's total retried write attempts across all
-// devices. Valid after Wait returns.
-func (t *stripeToken) Retries() int {
-	t.wg.Wait()
-	n := 0
-	for _, sub := range t.subs {
-		if rt, ok := sub.(interface{ Retries() int }); ok {
-			n += rt.Retries()
-		}
-	}
-	return n
-}
-
-// ReadAsync starts reading one global page from the device that holds it.
-// The read waits for that device's durability watermark to cover the page,
-// exactly as a FileStore read would.
-func (s *StripedStore) ReadAsync(id RunID, page int) PageToken {
-	s.mu.Lock()
-	r := s.runs[id]
-	if r == nil {
-		s.mu.Unlock()
-		return readyPage{err: fmt.Errorf("masort: read of unknown run %d", id)}
-	}
-	if r.werr != nil {
-		err := r.werr
-		s.mu.Unlock()
-		return readyPage{err: fmt.Errorf("masort: read of run %d page %d after write failure: %w", id, page, err)}
-	}
-	if page < 0 || page >= len(r.pages) {
-		s.mu.Unlock()
-		return readyPage{err: fmt.Errorf("masort: run %d has no page %d", id, page)}
-	}
-	pos := r.pages[page]
-	inner := r.inner[pos.dev]
-	s.mu.Unlock()
-	return s.devs[pos.dev].ReadAsync(inner, int(pos.page))
-}
-
-// Pages returns the number of pages appended so far (durable or queued).
-func (s *StripedStore) Pages(id RunID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := s.runs[id]
-	if r == nil {
-		return 0
-	}
-	return len(r.pages)
-}
-
-// Free removes the run from every device, draining their write pipelines
-// first.
-func (s *StripedStore) Free(id RunID) error {
-	s.mu.Lock()
-	r, ok := s.runs[id]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("masort: free of unknown run %d", id)
-	}
-	delete(s.runs, id)
-	s.mu.Unlock()
-	var first error
-	for dev, inner := range r.inner {
-		if err := s.devs[dev].Free(inner); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Live returns the number of unfreed runs.
-func (s *StripedStore) Live() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.runs)
-}
-
-// Close frees every run and closes all devices (removing the directories
-// the store created itself).
-func (s *StripedStore) Close() error {
-	s.mu.Lock()
-	for id := range s.runs {
-		delete(s.runs, id)
-	}
-	s.mu.Unlock()
-	var first error
-	for _, dev := range s.devs {
-		if err := dev.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

@@ -2,11 +2,15 @@ package masort
 
 import (
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/memadapt/masort/internal/faultinject"
+	"github.com/memadapt/masort/internal/pagecodec"
 )
 
 // TestStripedStoreDistribution pins the striping layout: pages go
@@ -39,14 +43,19 @@ func TestStripedStoreDistribution(t *testing.T) {
 		t.Fatalf("Pages = %d, want 6", got)
 	}
 	// With the cursor carried across batches each device holds exactly 3
-	// inner pages (dev0: global 0,2,4; dev1: global 1,3,5).
-	store.mu.Lock()
-	r := store.runs[id]
-	inner := append([]RunID(nil), r.inner...)
-	store.mu.Unlock()
-	for dev, d := range store.devs {
-		if got := d.Pages(inner[dev]); got != 3 {
-			t.Fatalf("device %d holds %d pages, want 3", dev, got)
+	// pages (dev0: global 0,2,4; dev1: global 1,3,5): its run file is those
+	// three frames and nothing else.
+	for dev, dir := range store.Dirs() {
+		var wantSize int64
+		for p := dev; p < len(want); p += store.Devices() {
+			wantSize += int64(pagecodec.EncodedSizeSum(want[p]))
+		}
+		fi, err := os.Stat(filepath.Join(dir, fmt.Sprintf("run-%06d.bin", id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != wantSize {
+			t.Fatalf("device %d holds %d bytes, want %d (3 pages)", dev, fi.Size(), wantSize)
 		}
 	}
 	for p := range want {

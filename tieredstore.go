@@ -66,21 +66,6 @@ func NewTieredStore(memPages int, backing RunStore) (*TieredStore, error) {
 	return NewStoreConfig().Tiered(memPages, backing)
 }
 
-func newTieredStore(memPages int, backing RunStore, cfg *StoreConfig) (*TieredStore, error) {
-	if backing == nil {
-		return nil, fmt.Errorf("masort: tiered store needs a backing store")
-	}
-	if memPages < 0 {
-		memPages = 0
-	}
-	return &TieredStore{
-		backing: backing,
-		limit:   memPages,
-		tr:      cfg.tr,
-		runs:    map[RunID]*tieredRun{},
-	}, nil
-}
-
 // Backing returns the store demoted runs spill to.
 func (s *TieredStore) Backing() RunStore { return s.backing }
 
@@ -272,12 +257,7 @@ func (t *tieredToken) Wait() error {
 }
 
 // Retries reports the backing token's retried attempts.
-func (t *tieredToken) Retries() int {
-	if rt, ok := t.tok.(interface{ Retries() int }); ok {
-		return rt.Retries()
-	}
-	return 0
-}
+func (t *tieredToken) Retries() int { return tokenRetries(t.tok) }
 
 // ReadAsync reads one page: tier-resident and promoted pages complete
 // immediately from memory; a miss on a demoted run goes to the backing
@@ -353,12 +333,7 @@ func (t *tieredPageToken) Wait() (Page, error) {
 }
 
 // Retries reports the backing token's retried attempts.
-func (t *tieredPageToken) Retries() int {
-	if rt, ok := t.tok.(interface{ Retries() int }); ok {
-		return rt.Retries()
-	}
-	return 0
-}
+func (t *tieredPageToken) Retries() int { return tokenRetries(t.tok) }
 
 // Pages returns the number of pages appended so far.
 func (s *TieredStore) Pages(id RunID) int {
