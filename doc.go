@@ -63,6 +63,22 @@
 // the full ownership and fairness contract, and examples/concurrentpool
 // for the multiprogramming scenario end to end.
 //
+// # Run generation
+//
+// The default split method is replacement selection with 6-page block
+// writes, the paper's recommendation. Because the split loop pops a block
+// and then pushes a block, the engine selects in batches: a pushed record
+// is only staged; the first pop after a burst seals the staged records
+// into one sorted mini-run (bucket scatter on the key's top bits, a
+// comparison sort inside a bucket); and each pop replays one root path of
+// a loser tree over the mini-run heads. Run tags are assigned at push time
+// exactly as in classic replacement selection and the order (run, key,
+// payload) is total, so runs, fences and I/O are identical to the classic
+// binary heap's — only Counters.Compares and the CPU time drop. The
+// simulator keeps the classic counted heap, whose comparison counts its
+// CPU model charges, so the reproduced tables do not depend on the real
+// engine's choice of structure.
+//
 // # Parallel execution
 //
 // WithWorkers(n) runs both phases of an operator on a crew of n workers

@@ -1,8 +1,11 @@
 package masort
 
 import (
+	"bytes"
 	"context"
 	"math/rand/v2"
+	"runtime/pprof"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -145,5 +148,53 @@ func TestEventKindStrings(t *testing.T) {
 	}
 	if EventKind(99).String() != "unknown" {
 		t.Fatal("unknown kind string")
+	}
+}
+
+// goroutineLabels returns the debug=1 goroutine profile, which prints each
+// goroutine's pprof labels.
+func goroutineLabels(t *testing.T) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestPhaseProfilerLabels: while a phase runs, the operator's goroutine
+// carries op/phase pprof labels (so a CPU profile splits split from merge);
+// once the operator returns — finished or aborted — they are gone.
+func TestPhaseProfilerLabels(t *testing.T) {
+	in := randomRecords(20_000, 5, 0)
+	seen := map[string]bool{}
+	res, err := Sort(context.Background(), NewSliceIterator(in), WithPageRecords(64), WithBudget(NewBudget(8)),
+		WithEvents(func(ev Event) {
+			if ev.Kind != EvPhase || ev.Phase == "idle" {
+				return
+			}
+			if l := goroutineLabels(t); strings.Contains(l, `"op":"sort"`) && strings.Contains(l, `"phase":"`+ev.Phase+`"`) {
+				seen[ev.Phase] = true
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	if !seen["split"] || !seen["merge"] {
+		t.Fatalf("phases seen labeled: %v, want split and merge", seen)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	_, err = Sort(ctx, NewSliceIterator(in), WithPageRecords(64), WithBudget(NewBudget(8)),
+		WithEvents(func(ev Event) {
+			if ev.Kind == EvPhase && ev.Phase == "merge" {
+				cancel()
+			}
+		}))
+	if err == nil {
+		t.Fatal("canceled sort succeeded")
+	}
+	if labels := goroutineLabels(t); strings.Contains(labels, `"op":`) {
+		t.Fatalf("operator labels outlive the operator:\n%s", labels)
 	}
 }

@@ -10,10 +10,9 @@
 //   - Pooled buffers (the paged-run layer's bufPool.getBuf/putBuf, which
 //     its devices fetch into; sync.Pool) must not be used after being
 //     returned to the pool.
-//   - The aliasBytes result of pagecodec.DecodePageSum (and DecodePage)
-//     says whether the decoded records still alias the input buffer;
-//     discarding it while recycling the buffer in the same function is a
-//     latent aliasing bug.
+//   - The aliasBytes result of pagecodec.DecodePageSum says whether the
+//     decoded records still alias the input buffer; discarding it while
+//     recycling the buffer in the same function is a latent aliasing bug.
 //
 // The analysis is intra-procedural and heuristic: it tracks taint through
 // local assignments, range statements and append calls, and treats
@@ -221,7 +220,7 @@ type putCall struct {
 }
 
 // checkRecycle flags uses of a buffer after it was returned to the pool
-// (rule B) and DecodePage calls that discard aliasBytes while the buffer
+// (rule B) and DecodePageSum calls that discard aliasBytes while the buffer
 // is recycled in the same function (rule C).
 func checkRecycle(pass *analysis.Pass, fd *ast.FuncDecl) {
 	var puts []putCall
@@ -386,7 +385,7 @@ func checkDecodeAlias(pass *analysis.Pass, fd *ast.FuncDecl, putObjs map[types.O
 
 func isDecodePage(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "DecodePageSum" && sel.Sel.Name != "DecodePage") {
+	if !ok || sel.Sel.Name != "DecodePageSum" {
 		return false
 	}
 	obj := pass.TypesInfo.Uses[sel.Sel]

@@ -133,6 +133,13 @@ type Env struct {
 	// Trace optionally receives debug events.
 	Trace func(format string, args ...any)
 
+	// ClassicSelection makes replacement selection run on the classic
+	// binary heap (rsHeap) instead of the batched selector. Both pop the
+	// same record sequence; the simulator sets it because its CPU model
+	// charges the heap's comparison counts (paper Table 4), which must not
+	// move with the real engine's choice of structure.
+	ClassicSelection bool
+
 	// Worker tags events emitted through this Env with a 1-based parallel
 	// worker id; 0 (the default) marks the operator's own goroutine.
 	Worker int

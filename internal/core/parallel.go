@@ -260,6 +260,9 @@ func (c *crew) workerEnv(e *Env, id int, mux *eventMux) *Env {
 		Now:    e.Now,
 		Trace:  e.Trace,
 		Worker: id + 1,
+
+		ClassicSelection: e.ClassicSelection,
+
 		stepFn: func() int { return int(c.steps.Add(1)) },
 	}
 	if e.OnEvent != nil {

@@ -25,7 +25,9 @@ type rsEntry struct {
 // comparisons so the caller can charge them to the simulated CPU. The
 // comparison algorithm is exactly the classic sift-up/sift-down, so the
 // comparison counts — and therefore the simulator's CPU timings — are
-// independent of the compact layout.
+// independent of the compact layout. It is the simulator's selector
+// (Env.ClassicSelection) and the oracle the batched selector is tested
+// against; the real engine runs batchSelector.
 type rsHeap struct {
 	entries  []rsEntry
 	recs     []Record // side table; entries[i].idx indexes it
@@ -67,12 +69,6 @@ func (h *rsHeap) Push(it rsItem) {
 		i = parent
 	}
 	h.compares += cmp
-}
-
-// Peek returns the minimum without removing it. Panics on empty heap.
-func (h *rsHeap) Peek() rsItem {
-	e := h.entries[0]
-	return rsItem{run: int(e.run), rec: h.recs[e.idx]}
 }
 
 // PeekRun returns the minimum's run tag without touching the record side

@@ -23,14 +23,6 @@ func TestRSHeapOrdersByRunThenKey(t *testing.T) {
 	}
 }
 
-func TestRSHeapPeekDoesNotRemove(t *testing.T) {
-	h := &rsHeap{}
-	h.Push(rsItem{run: 0, rec: Record{Key: 5}})
-	if h.Peek().rec.Key != 5 || h.Len() != 1 {
-		t.Fatal("peek must not remove")
-	}
-}
-
 func TestRSHeapCountsCompares(t *testing.T) {
 	h := &rsHeap{}
 	for i := 0; i < 100; i++ {

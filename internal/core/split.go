@@ -149,7 +149,7 @@ func quickSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 // replacement selection answers memory requests fastest (paper §5.2).
 func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 	R := cfg.PageRecords
-	h := &rsHeap{}
+	h := e.newSelector()
 	var runs []*runInfo
 	var (
 		cur       *runInfo

@@ -10,13 +10,10 @@
 // buffer while decoded records are live, and must copy Record.Payload if
 // they retain it past the buffer's lifetime.
 //
-// Two frame versions exist. The legacy frame (AppendPage/DecodePage) is the
-// bare body described above. The checksummed frame (AppendPageSum/
-// DecodePageSum) prefixes the body with a one-byte version marker and a
-// CRC32-Castagnoli of the body, so silent corruption (bit rot, torn reads)
-// is detected instead of decoded. Stores choose a frame per run file and
-// must decode with the matching function: the two framings are not
-// self-describing on the wire.
+// On the wire the body described above never travels bare: the frame
+// (AppendPageSum/DecodePageSum) prefixes it with a one-byte version marker
+// and a CRC32-Castagnoli of the body, so silent corruption (bit rot, torn
+// reads) is detected instead of decoded.
 package pagecodec
 
 import (
@@ -43,9 +40,9 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// AppendPage appends the wire encoding of pg to buf and returns the
-// extended buffer. It never fails: the encoding is defined for every page.
-func AppendPage(buf []byte, pg core.Page) []byte {
+// appendBody appends the frame body of pg to buf and returns the extended
+// buffer. It never fails: the encoding is defined for every page.
+func appendBody(buf []byte, pg core.Page) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(pg)))
 	for _, rec := range pg {
 		buf = binary.LittleEndian.AppendUint64(buf, rec.Key)
@@ -55,8 +52,8 @@ func AppendPage(buf []byte, pg core.Page) []byte {
 	return buf
 }
 
-// EncodedSize returns the exact number of bytes AppendPage will append
-// for pg.
+// EncodedSize returns the exact size of pg's frame body: the bytes that
+// carry records, without the frame overhead.
 func EncodedSize(pg core.Page) int {
 	n := uvarintLen(uint64(len(pg)))
 	for _, rec := range pg {
@@ -74,14 +71,9 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// DecodePage decodes one page from the front of buf.
-//
-// Payloads are zero-copy sub-slices of buf: the returned aliasBytes is the
-// total number of payload bytes aliasing buf. When aliasBytes is zero the
-// caller may recycle buf immediately; otherwise buf is owned by the decoded
-// page until every record referencing it is dead. read is the number of
-// bytes consumed from buf.
-func DecodePage(buf []byte) (pg core.Page, aliasBytes int, read int, err error) {
+// decodeBody decodes one frame body from the front of buf; aliasBytes and
+// read are as DecodePageSum documents them.
+func decodeBody(buf []byte) (pg core.Page, aliasBytes int, read int, err error) {
 	cnt, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return nil, 0, 0, fmt.Errorf("pagecodec: bad record count")
@@ -117,12 +109,12 @@ func DecodePage(buf []byte) (pg core.Page, aliasBytes int, read int, err error) 
 }
 
 // AppendPageSum appends the checksummed encoding of pg to buf: the version
-// marker, a little-endian CRC32-Castagnoli over the legacy body, then the
-// body itself. Like AppendPage it never fails.
+// marker, a little-endian CRC32-Castagnoli over the body, then the body
+// itself. It never fails: the encoding is defined for every page.
 func AppendPageSum(buf []byte, pg core.Page) []byte {
 	start := len(buf)
 	buf = append(buf, sumMarker, 0, 0, 0, 0)
-	buf = AppendPage(buf, pg)
+	buf = appendBody(buf, pg)
 	sum := crc32.Checksum(buf[start+sumOverhead:], castagnoli)
 	binary.LittleEndian.PutUint32(buf[start+1:], sum)
 	return buf
@@ -139,8 +131,12 @@ func EncodedSizeSum(pg core.Page) int {
 // truncated frame, a structurally broken body or a CRC mismatch all return
 // an error wrapping ErrChecksum: with a checksummed frame, any decode
 // failure means the bytes on disk are not the bytes that were written.
-// Alias and read semantics match DecodePage (read includes the frame
-// overhead).
+//
+// Payloads are zero-copy sub-slices of buf: the returned aliasBytes is the
+// total number of payload bytes aliasing buf. When aliasBytes is zero the
+// caller may recycle buf immediately; otherwise buf is owned by the decoded
+// page until every record referencing it is dead. read is the number of
+// bytes consumed from buf, frame overhead included.
 func DecodePageSum(buf []byte) (pg core.Page, aliasBytes int, read int, err error) {
 	if len(buf) < sumOverhead {
 		return nil, 0, 0, fmt.Errorf("pagecodec: frame truncated to %d bytes: %w", len(buf), ErrChecksum)
@@ -150,7 +146,7 @@ func DecodePageSum(buf []byte) (pg core.Page, aliasBytes int, read int, err erro
 	}
 	want := binary.LittleEndian.Uint32(buf[1:])
 	body := buf[sumOverhead:]
-	pg, aliasBytes, read, err = DecodePage(body)
+	pg, aliasBytes, read, err = decodeBody(body)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("%v: %w", err, ErrChecksum)
 	}

@@ -20,14 +20,14 @@ func TestRoundTrip(t *testing.T) {
 	var buf []byte
 	var offs []int
 	for _, pg := range pages {
-		if got, want := EncodedSize(pg), len(AppendPage(nil, pg)); got != want {
+		if got, want := EncodedSize(pg), len(appendBody(nil, pg)); got != want {
 			t.Fatalf("EncodedSize = %d, encoding is %d bytes", got, want)
 		}
 		offs = append(offs, len(buf))
-		buf = AppendPage(buf, pg)
+		buf = appendBody(buf, pg)
 	}
 	for i, pg := range pages {
-		got, alias, read, err := DecodePage(buf[offs[i]:])
+		got, alias, read, err := decodeBody(buf[offs[i]:])
 		if err != nil {
 			t.Fatalf("page %d: %v", i, err)
 		}
@@ -51,8 +51,8 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestDecodeZeroCopyAliasing(t *testing.T) {
-	buf := AppendPage(nil, core.Page{{Key: 7, Payload: []byte("hello")}})
-	pg, alias, _, err := DecodePage(buf)
+	buf := appendBody(nil, core.Page{{Key: 7, Payload: []byte("hello")}})
+	pg, alias, _, err := decodeBody(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,15 +68,15 @@ func TestDecodeZeroCopyAliasing(t *testing.T) {
 }
 
 func TestDecodeCorruptInputs(t *testing.T) {
-	good := AppendPage(nil, core.Page{{Key: 1, Payload: []byte("xyz")}})
+	good := appendBody(nil, core.Page{{Key: 1, Payload: []byte("xyz")}})
 	for i := 0; i < len(good); i++ {
-		if _, _, _, err := DecodePage(good[:i]); err == nil {
+		if _, _, _, err := decodeBody(good[:i]); err == nil {
 			t.Fatalf("truncation at %d bytes decoded without error", i)
 		}
 	}
 	// A count claiming more records than the buffer can hold must fail
 	// before allocating.
-	if _, _, _, err := DecodePage([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}); err == nil {
+	if _, _, _, err := decodeBody([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}); err == nil {
 		t.Fatal("absurd record count decoded without error")
 	}
 }
@@ -91,8 +91,8 @@ func TestRoundTripProperty(t *testing.T) {
 			}
 			pg = append(pg, core.Record{Key: k, Payload: p})
 		}
-		buf := AppendPage(nil, pg)
-		got, _, read, err := DecodePage(buf)
+		buf := appendBody(nil, pg)
+		got, _, read, err := decodeBody(buf)
 		if err != nil || read != len(buf) || len(got) != len(pg) {
 			return false
 		}
@@ -180,14 +180,12 @@ func TestSumTruncation(t *testing.T) {
 	}
 }
 
-// TestSumFrameIsNotLegacy: the two framings must not be confused for one
-// another by the decoders' structural checks alone — stores gate on frame
-// version, and these assertions document why auto-sniffing is unsafe only
-// in one direction (a legacy body can start with any byte, including the
-// marker).
+// TestSumFrameIsNotLegacy: a bare body — what the pre-checksum stores wrote
+// — must not pass for a frame. (Sniffing would be unsafe the other way
+// round too: a body can start with any byte, including the marker.)
 func TestSumFrameIsNotLegacy(t *testing.T) {
 	pg := core.Page{{Key: 5, Payload: []byte("payload")}}
-	legacy := AppendPage(nil, pg)
+	legacy := appendBody(nil, pg)
 	if _, _, _, err := DecodePageSum(legacy); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("legacy frame through DecodePageSum: err = %v, want ErrChecksum chain", err)
 	}

@@ -299,5 +299,7 @@ func (b *binding) newEnv(store *simStore) *core.Env {
 			b.phase = p
 		},
 		SetReclaim: b.setReclaim,
+		// The CPU model charges the classic heap's comparison counts.
+		ClassicSelection: true,
 	}
 }

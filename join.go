@@ -32,7 +32,8 @@ func Join(ctx context.Context, left, right Iterator, opts ...Option) (*Result, e
 		return nil, err
 	}
 	meter := &counterMeter{}
-	env, ts := newEnv(ctx, o, mem, meter, ot)
+	env, ts := newEnv(ctx, o, mem, meter, ot, "join")
+	defer env.SetPhase("idle")
 	res, err := core.SortMergeJoin(env,
 		&pageInput{it: left, size: o.pageRecords},
 		&pageInput{it: right, size: o.pageRecords}, cfg)

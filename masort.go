@@ -3,6 +3,7 @@ package masort
 import (
 	"context"
 	"fmt"
+	"runtime/pprof"
 	"sync/atomic"
 	"time"
 
@@ -125,7 +126,13 @@ func (o config) build() (core.SortConfig, config, error) {
 // stream is routed through it, and with a tracer attached the run store is
 // wrapped so per-operation I/O is measured; the returned tracedStore is nil
 // on the untraced path.
-func newEnv(ctx context.Context, o config, mem core.Broker, meter *counterMeter, ot *opTrace) (*core.Env, *tracedStore) {
+//
+// Phase boundaries label the operator's goroutine for CPU profiles (op,
+// phase), so a profile splits run generation from merging without reading
+// symbol names; crew workers inherit the labels of the goroutine that
+// starts them. "idle" hands the caller's own labels back — callers defer
+// env.SetPhase("idle") so aborted operators do too.
+func newEnv(ctx context.Context, o config, mem core.Broker, meter *counterMeter, ot *opTrace, op string) (*core.Env, *tracedStore) {
 	start := time.Now()
 	env := &core.Env{
 		Ctx:   ctx,
@@ -133,6 +140,13 @@ func newEnv(ctx context.Context, o config, mem core.Broker, meter *counterMeter,
 		Mem:   mem,
 		Meter: meter,
 		Now:   func() time.Duration { return time.Since(start) },
+		SetPhase: func(phase string) {
+			labeled := ctx
+			if phase != "idle" {
+				labeled = pprof.WithLabels(ctx, pprof.Labels("op", op, "phase", phase))
+			}
+			pprof.SetGoroutineLabels(labeled)
+		},
 	}
 	var ts *tracedStore
 	if ot != nil {
@@ -234,7 +248,8 @@ func sortNamed(ctx context.Context, input Iterator, opt config, opName string) (
 		return nil, err
 	}
 	meter := &counterMeter{}
-	env, ts := newEnv(ctx, o, mem, meter, ot)
+	env, ts := newEnv(ctx, o, mem, meter, ot, opName)
+	defer env.SetPhase("idle")
 	env.In = &pageInput{it: input, size: o.pageRecords}
 	res, err := core.ExternalSort(env, cfg)
 	if err != nil {

@@ -99,7 +99,8 @@ func Merge(ctx context.Context, store RunStore, ids []RunID, opts ...Option) (*R
 		return nil, err
 	}
 	meter := &counterMeter{}
-	env, ts := newEnv(ctx, o, mem, meter, ot)
+	env, ts := newEnv(ctx, o, mem, meter, ot, "merge")
+	defer env.SetPhase("idle")
 	res, err := core.MergeExisting(env, cfg, ids)
 	if err != nil {
 		finish(nil)
