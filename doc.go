@@ -81,34 +81,42 @@
 //
 // # Parallel execution
 //
-// WithWorkers(n) runs both phases of an operator on a crew of n workers
-// (0 resolves to GOMAXPROCS; default serial) without changing the
-// output: the parallel result is value-identical to the serial one. The
-// worker model is
+// Worker count is a parameter of the one phase driver, not a second engine:
+// an operator is a split phase and a merge phase, each run on n workers,
+// and WithWorkers(n) sets n (0 resolves to GOMAXPROCS; the default is 1).
+// At n = 1 a phase runs inline on the caller's goroutine against the
+// operator's own budget — no goroutine is started. At n > 1 the same
+// phase body runs on n goroutines, and the output is value-identical at
+// every n. The worker model is
 //
 //   - split phase: workers consume the shared input in page-sized bites
 //     and each produces sorted runs from its share of the budget;
-//   - merge phase: the key space is partitioned at run-page fence keys
-//     and each worker merges one disjoint key range into its own output
-//     segment (a parallel merge tree when pre-existing runs carry no
-//     fences), so a parallel Result holds up to Workers key-ordered
-//     segments that Iterator/All chain transparently;
+//   - merge phase: the key space is cut at run-page fence keys and each
+//     worker merges one disjoint key range into its own output segment,
+//     so a Result holds up to Workers key-ordered segments that
+//     Iterator/All chain transparently. With nothing to cut by (one
+//     worker, a tiny input) the one partition is the runs themselves;
+//     pre-existing runs handed to Merge carry no fences, so their groups
+//     are first merged in parallel and one final merge combines them;
 //   - memory: the single *Budget (or *Pool entitlement) is split into
 //     deterministic equal shares, remainder to the lowest ranks. Every
 //     Shrink propagates to every worker at its next output-page
 //     boundary; when the target cannot sustain the whole crew the
-//     highest ranks park and later resume, and suspension, MRU paging,
-//     dynamic splitting and cancellation all operate per-worker exactly
-//     as they do serially.
+//     highest ranks are parked on a zero share, which the merge answers
+//     with the ordinary suspension sequence (flush, drop, yield, wait,
+//     resume — counted in Stats.Suspensions, reported as EvSuspend /
+//     EvResume with the worker's id) whatever the adaptation strategy.
+//     Suspension, MRU paging, dynamic splitting and cancellation run
+//     per worker, unchanged.
 //
-// Buffer ownership is unchanged by parallelism: each page buffer has a
-// single owning worker from fill to Append hand-off, runs are written by
+// Buffer ownership is unchanged by the worker count: each page buffer has
+// a single owning worker from fill to Append hand-off, runs are written by
 // exactly one goroutine, and completed runs may be read by several
 // goroutines concurrently (the RunStore contract all backends pass
-// storetest with). Result.Stats.Workers reports the crew size that
+// storetest with). Result.Stats.Workers reports the worker count that
 // actually ran — 1 when the configured Broker cannot support
-// context-aware waits and the sort fell back to serial. The simulator
-// never sets workers, keeping its tables byte-identical.
+// context-aware waits. The simulator never sets workers: its sorts take
+// the inline path, so its tables stay byte-identical.
 //
 // # Choosing a run store
 //

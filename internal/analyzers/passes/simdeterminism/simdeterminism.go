@@ -7,11 +7,13 @@
 //
 // Some machinery legitimately needs an escape hatch — the sim scheduler's
 // lock-step coroutine handoff is built on goroutines, the experiments
-// driver fans independent simulations out to workers, and the core's
-// parallel worker crew (real engine only; the simulator never sets
-// SortConfig.Workers) is goroutines by definition. Those sites carry a
-// "//masortlint:allow simdeterminism -- reason" directive; the mandatory
-// justification is the audit trail.
+// driver fans independent simulations out to workers, and the core's one
+// phase driver runs a phase on W workers. The driver is goroutine-free at
+// W = 1 (the phase body runs inline — every simulated sort, since the
+// simulator never sets SortConfig.Workers) and spawns in exactly two places
+// at W > 1: runCrew's workers and the crew's budget-change forwarder. All
+// those sites carry a "//masortlint:allow simdeterminism -- reason"
+// directive; the mandatory justification is the audit trail.
 package simdeterminism
 
 import (
@@ -30,9 +32,10 @@ var simPackages = map[string]bool{
 	"cpumodel":    true,
 	"experiments": true,
 	// core runs under the simulator too: everything it does on behalf of a
-	// simulated sort must stay deterministic. Its parallel path (goroutine
-	// crew) is gated on SortConfig.Workers, which the simulator never sets;
-	// each spawn site carries an allow directive recording that argument.
+	// simulated sort must stay deterministic. Its phase driver (runCrew)
+	// takes the worker count as data and runs inline at W = 1; W > 1 needs
+	// SortConfig.Workers, which the simulator never sets. The two spawn
+	// sites (workers, forwarder) carry allow directives recording that.
 	"core": true,
 }
 

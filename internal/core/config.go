@@ -73,12 +73,12 @@ type SortConfig struct {
 	// growth (ablation).
 	NoCombine bool
 
-	// Workers is the number of goroutines the real engine may use for run
-	// generation and merging; 0 and 1 both mean serial execution. The
-	// parallel path additionally requires the Env's broker to implement
-	// ContextBroker (both real brokers do); otherwise the engine falls back
-	// to serial. The simulator never sets this — simulated sorts are always
-	// single-threaded, so its tables are unaffected.
+	// Workers is how many workers each phase runs on (see runCrew); 0 and 1
+	// both mean one — the phase then runs inline on the caller's goroutine.
+	// More than one additionally requires the Env's broker to implement
+	// ContextBroker (both real brokers do), else one is used. The simulator
+	// never sets this — simulated sorts are always single-threaded, so its
+	// tables are unaffected.
 	Workers int
 }
 

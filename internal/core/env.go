@@ -140,24 +140,17 @@ type Env struct {
 	// move with the real engine's choice of structure.
 	ClassicSelection bool
 
-	// Worker tags events emitted through this Env with a 1-based parallel
-	// worker id; 0 (the default) marks the operator's own goroutine.
+	// Worker tags events emitted through this Env with a 1-based crew
+	// worker id; 0 (the default) marks the operator's own goroutine — every
+	// event of an operation running on one worker.
 	Worker int
 
-	// ShouldPause and WaitResume are the deterministic quiesce protocol for
-	// parallel workers: when the worker's share of the budget drops to zero
-	// (a Pool/Budget shrink arbitrated across the crew), ShouldPause turns
-	// true and the merge engine parks in WaitResume at its next output-page
-	// boundary — after flushing the partial page, dropping every input
-	// buffer and yielding its whole grant. Both are nil for serial
-	// execution and in the simulator.
-	ShouldPause func() bool
-	WaitResume  func() error
-
 	// stepSeq numbers merge steps within the operation (1-based); only the
-	// operator goroutine creates steps, so no synchronization is needed.
-	// Parallel worker Envs share one operation-wide counter via stepFn
-	// instead, so (Worker, Step) pairs stay unique within the operation.
+	// operator goroutine touches it, so no synchronization is needed. The
+	// worker Envs a crew derives (crew.workerEnv: a copy of this Env with a
+	// private Mem view, a Worker tag, serialized OnEvent and no phase or
+	// reclaim hooks) share one operation-wide counter via stepFn instead,
+	// so (Worker, Step) pairs stay unique within the operation.
 	stepSeq int
 	stepFn  func() int
 	// eventPanics counts OnEvent callbacks that panicked and were recovered.
@@ -259,8 +252,8 @@ func (e *Env) yieldAll() {
 
 // freeRuns releases runs abandoned by an aborted operation (best effort:
 // store errors during cleanup are dropped in favor of the original error).
-// Shared key-range clones only drop their buffers — the underlying run
-// belongs to the parallel merge coordinator.
+// Idempotent per run. Shared key-range clones only drop their buffers — the
+// underlying run belongs to the merge coordinator (runCrew).
 func freeRuns(e *Env, runs []*runInfo) {
 	for _, r := range runs {
 		if r == nil || r.freed {

@@ -18,7 +18,8 @@ const (
 	// EvCombineAbort: memory shrank mid-drain; fell back to the preliminary
 	// step.
 	EvCombineAbort
-	// EvSuspend: the merge released everything and is waiting for memory.
+	// EvSuspend: the merge released everything and is waiting for memory —
+	// the suspension strategy, or any strategy on a worker its crew parked.
 	EvSuspend
 	// EvResume: memory returned; input buffers refetched in one batch.
 	EvResume
@@ -69,17 +70,19 @@ type Event struct {
 	Granted int
 	// Detail depends on the kind: fan-in of the new step for EvSplitStep,
 	// combined fan-in for EvCombineDone, the step's fan-in for
-	// EvSuspend/EvResume/EvStepStart/EvStepDone, the run's length in pages
-	// for EvRunDone, and 0 otherwise.
+	// EvStepStart/EvStepDone, the target in pages the operator waits for
+	// for EvSuspend/EvResume (the step's whole requirement under the
+	// suspension strategy, 1 for a worker its crew parked), the run's
+	// length in pages for EvRunDone, and 0 otherwise.
 	Detail int
 	// Step numbers the merge step the event belongs to, 1-based within the
 	// operation, for EvStepStart/EvStepDone; 0 otherwise. Steps of one
 	// operation interleave under dynamic splitting, so matching
 	// start/done pairs need the id.
 	Step int
-	// Worker identifies the parallel worker that emitted the event,
-	// 1-based; 0 for events from the operator's own goroutine (all events
-	// of a serial operation).
+	// Worker identifies the crew worker that emitted the event, 1-based;
+	// 0 for events from the operator's own goroutine (all events of an
+	// operation on one worker).
 	Worker int
 	// Phase carries the phase name for EvPhase events.
 	Phase string

@@ -30,22 +30,19 @@ func SortMergeJoin(e *Env, left, right Input, cfg SortConfig) (*JoinResult, erro
 	st := &JoinStats{}
 	t0 := e.now()
 
-	// Split phase: both relations, one after the other (a single operator).
+	// Split phase: both relations, one after the other (a single operator,
+	// one worker). A failed split has already freed its own runs.
 	e.In = left
-	lruns, err := splitPhase(e, cfg, &st.SortStats)
+	lruns, err := splitPhase(e, cfg, &st.SortStats, 1)
 	if err != nil {
-		freeRuns(e, lruns)
-		e.yieldAll()
 		return nil, fmt.Errorf("core: join split (left): %w", err)
 	}
 	st.LeftRuns = len(lruns)
 	leftTuples := st.TuplesIn
 	e.In = right
-	rruns, err := splitPhase(e, cfg, &st.SortStats)
+	rruns, err := splitPhase(e, cfg, &st.SortStats, 1)
 	if err != nil {
 		freeRuns(e, lruns)
-		freeRuns(e, rruns)
-		e.yieldAll()
 		return nil, fmt.Errorf("core: join split (right): %w", err)
 	}
 	st.RightRuns = len(rruns)

@@ -157,25 +157,36 @@ func (m *mergeEngine) releaseStep(st *mergeStep) {
 // paging. Excess memory beyond the step's requirement goes unused.
 func (m *mergeEngine) runStatic(runs []*runInfo) (*runInfo, error) {
 	pool := append([]*runInfo(nil), runs...)
+	// fail abandons the plan between steps: nothing is in flight, so the
+	// pooled runs are freed and the grant handed back.
+	fail := func(err error) (*runInfo, error) {
+		freeRuns(m.e, pool)
+		m.e.yieldAll()
+		return nil, err
+	}
 	for len(pool) > 1 {
 		// Step boundary: cancellation is observed here.
 		if err := m.e.ctxErr(); err != nil {
-			freeRuns(m.e, pool)
-			m.e.yieldAll()
-			return nil, err
+			return fail(err)
 		}
 		// Unpinned surplus between steps is released immediately.
 		if p := m.e.Mem.Pressure(); p > 0 {
 			m.e.Mem.Yield(min(p, m.e.Mem.Granted()))
 		}
-		t := max(m.e.Mem.Target(), m.cfg.MinPages)
-		k := firstStepFanIn(len(pool), t, m.cfg.Merge)
+		t := m.e.Mem.Target()
+		if t == 0 {
+			// Parked by the crew between steps: plan the next step from the
+			// share that comes back, not from nothing.
+			if err := m.suspend(nil, 1); err != nil {
+				return fail(err)
+			}
+			continue
+		}
+		k := firstStepFanIn(len(pool), max(t, m.cfg.MinPages), m.cfg.Merge)
 		chosen, rest := pickRuns(pool, k, !m.cfg.NoShortestFirst)
 		out, err := m.newOutRun()
 		if err != nil {
-			freeRuns(m.e, pool)
-			m.e.yieldAll()
-			return nil, err
+			return fail(err)
 		}
 		st := &mergeStep{inputs: chosen, out: out}
 		out.producer = st
@@ -197,9 +208,6 @@ func (m *mergeEngine) executeStep(st *mergeStep) error {
 	for {
 		// Output-page boundary: cancellation is observed here.
 		if err := m.e.ctxErr(); err != nil {
-			return err
-		}
-		if err := m.maybeQuiesce(st); err != nil {
 			return err
 		}
 		if err := m.adaptStatic(st); err != nil {
@@ -229,14 +237,42 @@ func (m *mergeEngine) executeStep(st *mergeStep) error {
 // suspension and paging strategies.
 func (m *mergeEngine) adaptStatic(st *mergeStep) error {
 	m.rebalance(st)
-	switch m.cfg.Adapt {
-	case Suspend:
+	t := m.e.Mem.Target()
+	if m.cfg.Adapt == Suspend {
 		need := st.need()
-		if m.e.Mem.Target() >= need {
+		if t >= need {
 			return nil
 		}
-		// Suspend: flush the partial output page, drop every buffer, hand
-		// all pages back, and wait for the memory to return.
+		if err := m.suspend(st, need); err != nil {
+			return err
+		}
+		// Resume: refetch all input buffers together (one elevator sweep).
+		return m.batchLoad(st)
+	}
+	if t == 0 {
+		return m.suspend(st, 1) // parked by the crew
+	}
+	// Paging: shrink residency to the budget; page faults handle the rest.
+	budget := m.pagingBudget(st, t)
+	for m.heldPages(st) > budget {
+		if !m.evictMRU(st) {
+			break
+		}
+	}
+	m.rebalance(st)
+	return nil
+}
+
+// suspend is the one suspension sequence: flush the partial output page,
+// drop every input buffer of st, hand all pages back, and wait — interrupted
+// only by cancellation — until the target reaches `until` pages. The
+// suspension strategy waits for the step's whole requirement; a worker the
+// crew parked (target 0, which no broker reports on its own: they all floor
+// at MinPages or more) waits for any share at all, under every strategy.
+// st is nil between steps, when there is nothing to flush or drop. The run
+// cursors live in workspace records, so merging resumes where it stopped.
+func (m *mergeEngine) suspend(st *mergeStep, until int) error {
+	if st != nil {
 		if err := m.flushOut(st); err != nil {
 			return err
 		}
@@ -246,36 +282,22 @@ func (m *mergeEngine) adaptStatic(st *mergeStep) error {
 		for _, r := range st.inputs {
 			r.drop()
 		}
-		m.e.Mem.Yield(m.e.Mem.Granted())
-		m.st.Suspensions++
-		m.e.emit(EvSuspend, need, "")
-		// Cancellation interrupts the suspension wait: a canceled sort must
-		// not sleep until the budget happens to be restored.
-		if err := m.e.waitTarget(need); err != nil {
-			return err
-		}
-		m.e.Mem.Acquire(need - m.e.Mem.Granted())
-		m.e.emit(EvResume, need, "")
-		// Resume: refetch all input buffers together (one elevator sweep).
-		return m.batchLoad(st)
-	case Paging:
-		// Shrink residency to the budget; page faults handle the rest.
-		budget := m.pagingBudget(st)
-		for m.heldPages(st) > budget {
-			if !m.evictMRU(st) {
-				break
-			}
-		}
-		m.rebalance(st)
-		return nil
 	}
+	m.e.Mem.Yield(m.e.Mem.Granted())
+	m.st.Suspensions++
+	m.e.emit(EvSuspend, until, "")
+	if err := m.e.waitTarget(until); err != nil {
+		return err
+	}
+	m.e.Mem.Acquire(until - m.e.Mem.Granted())
+	m.e.emit(EvResume, until, "")
 	return nil
 }
 
-// pagingBudget is how many pages the paging strategy may keep resident.
-func (m *mergeEngine) pagingBudget(st *mergeStep) int {
-	b := max(m.e.Mem.Target(), m.cfg.MinPages)
-	return min(b, st.need())
+// pagingBudget is how many pages the paging strategy may keep resident
+// under the given target.
+func (m *mergeEngine) pagingBudget(st *mergeStep, target int) int {
+	return min(max(target, m.cfg.MinPages), st.need())
 }
 
 // evictMRU drops the most recently used resident input buffer (the paper's
@@ -350,10 +372,6 @@ func (m *mergeEngine) runDynamic(runs []*runInfo) (*runInfo, error) {
 			m.releaseStep(m.active)
 			return nil, err
 		}
-		if err := m.maybeQuiesce(m.active); err != nil {
-			m.releaseStep(m.active)
-			return nil, err
-		}
 		if err := m.adaptDynamic(); err != nil {
 			m.releaseStep(m.active)
 			return nil, err
@@ -397,7 +415,14 @@ func (m *mergeEngine) runDynamic(runs []*runInfo) (*runInfo, error) {
 func (m *mergeEngine) adaptDynamic() error {
 	st := m.active
 	m.rebalance(st)
-	target := max(m.e.Mem.Target(), m.cfg.MinPages)
+	t := m.e.Mem.Target()
+	if t == 0 { // parked by the crew
+		if err := m.suspend(st, 1); err != nil {
+			return err
+		}
+		t = m.e.Mem.Target()
+	}
+	target := max(t, m.cfg.MinPages)
 	if st.drainOf != nil {
 		if st.need() > target {
 			// Shrunk mid-combine: abort the drain and fall back to the
@@ -589,7 +614,7 @@ func (m *mergeEngine) dropStepBufs(st *mergeStep) {
 func (m *mergeEngine) ensureSlot(st *mergeStep) bool {
 	held := m.heldPages(st)
 	if m.cfg.Adapt == Paging {
-		if held >= m.pagingBudget(st) {
+		if held >= m.pagingBudget(st, m.e.Mem.Target()) {
 			if !m.evictMRU(st) {
 				return false
 			}
@@ -780,37 +805,6 @@ func (m *mergeEngine) freeRun(r *runInfo) error {
 		return nil
 	}
 	return m.e.Store.Free(r.id)
-}
-
-// maybeQuiesce parks the engine when the parallel crew ordered this worker
-// to pause: a Pool/Budget shrink left the worker without a budget share, so
-// it must quiesce deterministically at the output-page boundary rather than
-// race its siblings for pages. The partial output page is flushed, every
-// input buffer of the current step is dropped and the whole grant is handed
-// back before parking; the pause is counted as a suspension. Serial
-// operations (and the simulator) have no pause hook and return immediately.
-func (m *mergeEngine) maybeQuiesce(st *mergeStep) error {
-	if m.e.ShouldPause == nil || !m.e.ShouldPause() {
-		return nil
-	}
-	if err := m.flushOut(st); err != nil {
-		return err
-	}
-	if err := m.waitOut(); err != nil {
-		return err
-	}
-	for _, r := range st.inputs {
-		r.drop()
-	}
-	m.invalidateHeap()
-	m.e.yieldAll()
-	m.st.Suspensions++
-	m.e.emit(EvSuspend, st.need(), "")
-	if err := m.e.WaitResume(); err != nil {
-		return err
-	}
-	m.e.emit(EvResume, st.need(), "")
-	return nil
 }
 
 // headEntry is one headHeap node: the run's current key cached beside the

@@ -1,13 +1,15 @@
 package core
 
-// Parallel execution of the real engine's two phases (ISSUE 10). The
-// simulator never reaches this file: cfg.Workers > 1 is only ever set by the
-// public API, and effectiveWorkers additionally requires the broker to
-// support context waits. Everything here therefore runs wall-clock
-// goroutines freely while the simulated engine stays single-threaded and
-// byte-identical.
+// The phase driver. Both phases of a sort — and the merge exposed on its own
+// — run through runCrew, which takes the worker count as data. At W = 1 the
+// phase body runs inline on the caller's goroutine against the caller's own
+// Env: that is every simulated sort and every sort without WithWorkers, so
+// the simulator stays single-threaded and byte-identical by construction.
+// At W > 1 the same body runs on W goroutines, each against a derived Env.
+// internal/core spawns goroutines in exactly two places: runCrew's workers
+// and newCrew's budget-change forwarder.
 //
-// Worker model:
+// Worker model (W > 1):
 //
 //   - One crew per phase arbitrates the operation's single Broker across W
 //     workers. Each worker sees a private Broker view (workerShare) whose
@@ -16,18 +18,22 @@ package core
 //     Pool.Resize or Budget.Shrink propagates to every worker at its next
 //     page boundary, not just one of them. When the target cannot sustain
 //     all workers (active = t/minNeed), the highest-ranked workers' shares
-//     drop to zero and they quiesce deterministically (mergeEngine
-//     maybeQuiesce) until budget returns or a sibling finishes.
+//     drop to zero. Every broker floors its own target at MinPages or more,
+//     so a zero target means exactly "parked by the crew", and the merge
+//     engine answers it with the ordinary suspension sequence
+//     (mergeEngine.suspend) until budget returns or a sibling finishes.
 //   - Run generation: workers pull input pages from a mutex-guarded shared
 //     input and run the ordinary quickSplit/replSplit against their own
 //     Env view, each appending complete runs through its own store path.
 //   - Merge: the split phase records per-page first-key fences, from which
-//     the coordinator derives W-1 splitter keys; each worker merges
+//     fenceCuts derives up to W-1 splitter keys; each worker merges
 //     key-range clones of every run into one output segment. Segments
-//     concatenate in key order, so parallel output is value-identical to
-//     serial output. Runs without fences (MergeExisting) use a merge tree
-//     instead: disjoint run groups merge in parallel, then one serial
-//     final merge.
+//     concatenate in key order, so the output is value-identical at every
+//     W. With no cuts (W = 1, or an input too small to cut) the one
+//     partition merges the runs themselves. Runs without fences
+//     (MergeExisting) cannot be cut by key: treeMerge first reduces
+//     disjoint run groups in parallel, then the one partition merges the
+//     intermediates.
 import (
 	"context"
 	"slices"
@@ -38,22 +44,89 @@ import (
 
 // effectiveWorkers reports how many goroutines the operation may use: the
 // configured worker count when the broker supports context-cancelable waits
-// (both real brokers do), else 1. The parallel path depends on ContextBroker
-// to run its budget-change forwarder without leaking a goroutine.
+// (both real brokers do), else 1. A crew depends on ContextBroker to run its
+// budget-change forwarder without leaking a goroutine.
 func effectiveWorkers(e *Env, cfg SortConfig) int {
-	if cfg.Workers < 2 {
-		return 1
-	}
-	if _, ok := e.Mem.(ContextBroker); !ok {
+	if _, ok := e.Mem.(ContextBroker); !ok || cfg.Workers < 2 {
 		return 1
 	}
 	return cfg.Workers
 }
 
-// crew coordinates the worker goroutines of one parallel phase over the
-// operation's single Broker. All shares derive from the live parent target
-// on every call, so budget changes are seen by every worker at its next
-// broker interaction.
+// phaseFn is one worker's part of a phase: it runs against its own Env view
+// and stats and returns the runs it produced — also on error, so the driver
+// can free them.
+type phaseFn func(we *Env, id int, st *SortStats) ([]*runInfo, error)
+
+// runCrew runs one phase on w workers and returns their output runs in
+// worker order. The phase consumes its inputs: whatever the workers did not
+// free themselves — runs they only borrowed through key-range clones, and on
+// abort the runs of workers that never got to start — the coordinator frees
+// here, exactly once (freeRuns is idempotent). On error every output is
+// freed too and the whole grant handed back, so an aborted phase leaves
+// nothing behind.
+//
+// A crew of one is not a crew: fn runs inline with the parent Env and stats
+// — no goroutine, no forwarder, no share arithmetic, no lock.
+func runCrew(e *Env, st *SortStats, w, minNeed int, inputs []*runInfo, fn phaseFn) ([]*runInfo, error) {
+	var outs []*runInfo
+	var err error
+	if w == 1 {
+		outs, err = fn(e, 0, st)
+	} else {
+		c := newCrew(e, w, minNeed)
+		wst := make([]SortStats, w)
+		wouts := make([][]*runInfo, w)
+		errs := make([]error, w)
+		var wg sync.WaitGroup
+		for id := range w {
+			wg.Add(1)
+			//masortlint:allow simdeterminism -- W > 1 is real-engine only (the simulator never sets cfg.Workers, and W = 1 takes the inline branch above); worker outputs are collected in worker-id order, independent of scheduling
+			go func() {
+				defer wg.Done()
+				defer c.leave(id)
+				wouts[id], errs[id] = fn(c.workerEnv(e, id), id, &wst[id])
+			}()
+		}
+		wg.Wait()
+		c.close(e)
+		for id := range w {
+			st.add(&wst[id])
+			if err == nil {
+				err = errs[id]
+			}
+		}
+		st.MaxGranted = max(st.MaxGranted, c.maxTot)
+		outs = slices.Concat(wouts...)
+	}
+	freeRuns(e, inputs)
+	if err != nil {
+		freeRuns(e, outs)
+		e.yieldAll()
+		return nil, err
+	}
+	return outs, nil
+}
+
+// add folds one worker's counters into the operation's stats.
+func (s *SortStats) add(w *SortStats) {
+	s.TuplesIn += w.TuplesIn
+	s.PagesIn += w.PagesIn
+	s.Runs += w.Runs
+	s.RunPagesWritten += w.RunPagesWritten
+	s.MergeSteps += w.MergeSteps
+	s.MergePagesRead += w.MergePagesRead
+	s.MergePagesWritten += w.MergePagesWritten
+	s.ExtraMergeReads += w.ExtraMergeReads
+	s.Splits += w.Splits
+	s.Combines += w.Combines
+	s.Suspensions += w.Suspensions
+}
+
+// crew coordinates the worker goroutines of one phase over the operation's
+// single Broker. All shares derive from the live parent target on every
+// call, so budget changes are seen by every worker at its next broker
+// interaction.
 type crew struct {
 	parent  Broker
 	minNeed int // pages a worker needs to be active (1 split, MinPages merge)
@@ -66,6 +139,7 @@ type crew struct {
 	total   int // sum of granted, tracked for the high-water mark
 	maxTot  int
 
+	evMu    sync.Mutex   // serializes worker events into the one OnEvent
 	steps   atomic.Int64 // operation-wide merge-step counter
 	cancel  context.CancelFunc
 	fwdDone chan struct{}
@@ -97,7 +171,7 @@ func newCrew(e *Env, workers, minNeed int) *crew {
 	// The forwarder translates parent budget changes (Pool.Resize,
 	// Budget.Shrink/Grow, sibling-operator churn) into crew wakeups, so a
 	// parked worker re-evaluates its share promptly.
-	//masortlint:allow simdeterminism -- real-engine parallel path, unreachable from the simulator (sim never sets cfg.Workers > 1): the forwarder only wakes crew waiters when the budget changes
+	//masortlint:allow simdeterminism -- a crew exists only at W > 1, which the simulator never sets: the forwarder only wakes crew waiters when the budget changes
 	go func() {
 		defer close(c.fwdDone)
 		for {
@@ -124,7 +198,7 @@ func (c *crew) close(e *Env) {
 // target: the target divides among the lowest-ranked live workers that can
 // each get at least minNeed pages (always at least one), remainder to the
 // lowest ranks. Pure function of (target, live set), so every worker
-// computes the same partition — a shrink quiesces workers deterministically
+// computes the same partition — a shrink parks workers deterministically
 // instead of racing them.
 func (c *crew) shareLocked(id int) int {
 	if !c.live[id] {
@@ -176,49 +250,9 @@ func (c *crew) waitLocked(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// paused reports whether worker id's share has dropped to zero — the signal
-// for the merge engine to quiesce at its next output-page boundary.
-func (c *crew) paused(id int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.live[id] && c.shareLocked(id) == 0
-}
-
-// waitActive parks worker id until its share is nonzero again (budget
-// returned, or a lower-ranked sibling finished and its rank improved).
-func (c *crew) waitActive(ctx context.Context, id int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.shareLocked(id) == 0 {
-		if err := c.waitLocked(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pauseAtStart parks a worker that is already over-rank when it begins: a
-// shrink can land before a worker produces its first page — before
-// mergeEngine.maybeQuiesce ever runs — and without this gate that park
-// would be silent. It is reported exactly like a mid-merge pause
-// (suspension counted, EvSuspend/EvResume emitted), so suspension stats
-// and event-driven budget restores observe every quiesced worker.
-func (c *crew) pauseAtStart(we *Env, st *SortStats, id int) error {
-	if !c.paused(id) {
-		return nil
-	}
-	st.Suspensions++
-	we.emit(EvSuspend, c.minNeed, "")
-	if err := c.waitActive(we.Ctx, id); err != nil {
-		return err
-	}
-	we.emit(EvResume, c.minNeed, "")
-	return nil
-}
-
 // leave retires a finished worker: its remaining grant returns to the
 // parent and the survivors' shares grow at their next page boundary. A
-// paused worker whose rank improves below `active` resumes — this is what
+// parked worker whose rank improves below `active` resumes — this is what
 // guarantees progress when the budget can only sustain a subset of the
 // crew: the rank-0 worker always has a full-or-shared target ≥ the broker
 // floor, finishes, and hands its slot down.
@@ -238,42 +272,30 @@ func (c *crew) leave(id int) {
 	c.cond.Broadcast()
 }
 
-// maxGranted reports the high-water mark of pages held by the whole crew.
-func (c *crew) maxGranted() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.maxTot
-}
-
-// workerEnv derives worker id's execution environment: shared input, store,
-// meter and context; a private broker view; serialized event delivery with
-// per-worker phase events suppressed (the coordinator owns the operation's
-// phase) and the operation-wide step counter shared so (Worker, Step) pairs
-// stay unique.
-func (c *crew) workerEnv(e *Env, id int, mux *eventMux) *Env {
-	we := &Env{
-		In:     e.In,
-		Store:  e.Store,
-		Mem:    &workerShare{c: c, id: id},
-		Meter:  e.Meter,
-		Ctx:    e.Ctx,
-		Now:    e.Now,
-		Trace:  e.Trace,
-		Worker: id + 1,
-
-		ClassicSelection: e.ClassicSelection,
-
-		stepFn: func() int { return int(c.steps.Add(1)) },
-	}
+// workerEnv derives worker id's execution environment by copy, so every Env
+// field is inherited unless named here: a private broker view; the worker
+// tag; serialized event delivery with per-worker phase events suppressed
+// (the coordinator owns the operation's phase, and with it the SetPhase and
+// SetReclaim hooks); and the operation-wide step counter shared so
+// (Worker, Step) pairs stay unique.
+func (c *crew) workerEnv(e *Env, id int) *Env {
+	we := *e
+	we.Mem = &workerShare{c: c, id: id}
+	we.Worker = id + 1
+	we.SetPhase, we.SetReclaim = nil, nil
+	we.stepSeq, we.eventPanics = 0, 0
+	we.stepFn = func() int { return int(c.steps.Add(1)) }
 	if e.OnEvent != nil {
 		we.OnEvent = func(ev Event) {
 			if ev.Kind == EvPhase {
 				return
 			}
-			mux.deliver(ev)
+			c.evMu.Lock()
+			defer c.evMu.Unlock()
+			e.deliver(ev) // recovered observer panics count on the operation's Env
 		}
 	}
-	return we
+	return &we
 }
 
 // workerShare is worker id's private view of the crew's Broker: Target is
@@ -366,19 +388,6 @@ func (w *workerShare) WaitChangeCtx(ctx context.Context) error {
 	return c.waitLocked(ctx)
 }
 
-// eventMux serializes worker adaptation events into the operation's single
-// OnEvent callback, preserving the documented sequential-delivery contract.
-type eventMux struct {
-	mu sync.Mutex
-	fn func(Event)
-}
-
-func (x *eventMux) deliver(ev Event) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.fn(ev)
-}
-
 // lockedInput shares one Input between split workers, page at a time. The
 // first error or end-of-input latches, so sibling workers wind down with
 // whatever they already hold instead of racing a broken source.
@@ -409,95 +418,166 @@ func (l *lockedInput) stop() {
 	l.mu.Unlock()
 }
 
-// addSplitStats folds one split worker's counters into the operation stats.
-func addSplitStats(st, w *SortStats) {
-	st.TuplesIn += w.TuplesIn
-	st.PagesIn += w.PagesIn
-	st.Runs += w.Runs
-	st.RunPagesWritten += w.RunPagesWritten
-}
-
-// addMergeStats folds one merge worker's counters into the operation stats.
-func addMergeStats(st, w *SortStats) {
-	st.MergeSteps += w.MergeSteps
-	st.MergePagesRead += w.MergePagesRead
-	st.MergePagesWritten += w.MergePagesWritten
-	st.ExtraMergeReads += w.ExtraMergeReads
-	st.Splits += w.Splits
-	st.Combines += w.Combines
-	st.Suspensions += w.Suspensions
-}
-
-// parallelSplit is the parallel run-generation phase: cfg.Workers goroutines
-// pull pages from the shared input and run the configured split method
-// against their own Env view, each producing complete runs through its own
-// store append path. Run order is fixed by worker id, and per-partition
-// sorting preserves the adaptation behavior: every worker honors shrink and
-// grow at its page boundaries through its crew share.
-func parallelSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
+// splitPhase runs the configured in-memory sorting method over e.In on w
+// workers and produces the initial set of sorted runs (paper §2.1, §3.1),
+// in worker order. Each worker pulls pages from the shared input and honors
+// shrink and grow at its own page boundaries. An aborted split frees the
+// runs it had produced — cancellation must not leak run storage.
+func splitPhase(e *Env, cfg SortConfig, st *SortStats, w int) ([]*runInfo, error) {
 	e.setPhase("split")
-	w := cfg.Workers
-	// Floor each worker's share at MinPages — and at BlockPages for
+	split, minNeed := replSplit, max(cfg.MinPages, cfg.BlockPages)
+	if cfg.Method == Quick {
+		split, minNeed = quickSplit, cfg.MinPages
+	}
+	// minNeed floors a worker's share at MinPages — and at BlockPages for
 	// replacement selection, which needs the full block as output buffer.
-	// Both split methods degrade gracefully to 1 page, but run length
-	// scales with a worker's share, so admitting workers on slivers of a
-	// tiny budget multiplies the run count (and per-run store resources,
-	// e.g. FileStore's one fd per live run). Below the floor the crew
-	// shrinks toward serial run generation instead.
-	minNeed := cfg.MinPages
-	if cfg.Method == Repl && cfg.BlockPages > minNeed {
-		minNeed = cfg.BlockPages
+	// Both methods degrade gracefully to 1 page, but run length scales with
+	// a worker's share, so admitting workers on slivers of a tiny budget
+	// multiplies the run count (and per-run store resources, e.g. one fd
+	// per live run). Below the floor the crew shrinks toward one worker.
+	var shared *lockedInput // W workers pull from one input; one reads it directly
+	if w > 1 {
+		shared = &lockedInput{in: e.In}
 	}
-	c := newCrew(e, w, minNeed)
-	defer c.close(e)
-	in := &lockedInput{in: e.In}
-	mux := &eventMux{fn: e.OnEvent}
-	type wres struct {
-		runs   []*runInfo
-		err    error
-		st     SortStats
-		panics int
-	}
-	results := make([]wres, w)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		//masortlint:allow simdeterminism -- real-engine parallel split, unreachable from the simulator (sim never sets cfg.Workers > 1); workers produce independent runs collected in worker-id order
-		go func(id int) {
-			defer wg.Done()
-			we := c.workerEnv(e, id, mux)
-			we.In = in
-			r := &results[id]
-			var wst SortStats
-			if cfg.Method == Quick {
-				r.runs, r.err = quickSplit(we, cfg, &wst)
-			} else {
-				r.runs, r.err = replSplit(we, cfg, &wst)
-			}
-			if r.err != nil {
-				in.stop()
-			}
-			r.st = wst
-			r.panics = we.eventPanics
-			c.leave(id)
-		}(i)
-	}
-	wg.Wait()
-	var runs []*runInfo
-	var firstErr error
-	for i := range results {
-		r := &results[i]
-		runs = append(runs, r.runs...)
-		if firstErr == nil && r.err != nil {
-			firstErr = r.err
+	return runCrew(e, st, w, minNeed, nil, func(we *Env, _ int, wst *SortStats) ([]*runInfo, error) {
+		if shared != nil {
+			we.In = shared
 		}
-		addSplitStats(st, &r.st)
-		e.eventPanics += r.panics
+		runs, err := split(we, cfg, wst)
+		if err != nil && shared != nil {
+			shared.stop()
+		}
+		return runs, err
+	})
+}
+
+// mergePhase merges runs into the operation's output segments — one, or up
+// to w in key order when the runs can be cut by key — consuming the runs.
+func mergePhase(e *Env, cfg SortConfig, st *SortStats, w int, runs []*runInfo) ([]*runInfo, error) {
+	e.setPhase("merge")
+	switch len(runs) {
+	case 0:
+		// Empty input still yields a (empty) result run.
+		id, err := e.Store.Create()
+		if err != nil {
+			return nil, err
+		}
+		return []*runInfo{{id: id}}, nil
+	case 1:
+		return runs, nil
 	}
-	if mt := c.maxGranted(); mt > st.MaxGranted {
-		st.MaxGranted = mt
+	cuts, fenced := fenceCuts(runs, w)
+	if !fenced && w > 1 && len(runs) >= 4 {
+		var err error
+		if runs, err = treeMerge(e, cfg, st, w, runs); err != nil {
+			return nil, err
+		}
 	}
-	return runs, firstErr
+	return runCrew(e, st, len(cuts)+1, cfg.MinPages, runs, func(we *Env, id int, wst *SortStats) ([]*runInfo, error) {
+		return mergePartition(we, cfg, wst, runs, cuts, id)
+	})
+}
+
+// fenceCuts derives the splitter keys that partition a merge of runs across
+// up to w workers: the page fences recorded by the split phase, cut at equal
+// cumulative-page intervals. It returns no cuts when w is 1, when the input
+// is too small to give every worker two pages, or when a run has no fences
+// (fenced=false: runs handed to MergeExisting).
+func fenceCuts(runs []*runInfo, w int) (cuts []Key, fenced bool) {
+	total := 0
+	for _, r := range runs {
+		if len(r.fences) != r.pages {
+			return nil, false
+		}
+		total += r.pages
+	}
+	if w = min(w, total/2); w < 2 {
+		return nil, true
+	}
+	fences := make([]Key, 0, total)
+	for _, r := range runs {
+		fences = append(fences, r.fences...)
+	}
+	slices.Sort(fences)
+	cuts = make([]Key, w-1)
+	for i := range cuts {
+		cuts[i] = fences[total*(i+1)/w]
+	}
+	return cuts, true
+}
+
+// treeMerge is the fan-in-bound first level for runs that cannot be cut by
+// key: the runs divide round-robin into disjoint groups and each group
+// merges in parallel into one intermediate run. The workers own their runs
+// outright, so the ordinary consume-and-free path applies.
+func treeMerge(e *Env, cfg SortConfig, st *SortStats, w int, runs []*runInfo) ([]*runInfo, error) {
+	w = min(w, len(runs)/2)
+	groups := make([][]*runInfo, w)
+	for i, r := range runs {
+		groups[i%w] = append(groups[i%w], r)
+	}
+	return runCrew(e, st, w, cfg.MinPages, runs, func(we *Env, id int, wst *SortStats) ([]*runInfo, error) {
+		return mergePartition(we, cfg, wst, groups[id], nil, 0)
+	})
+}
+
+// mergePartition merges partition id of runs into one output run, with the
+// full adaptation machinery (suspension, paging, dynamic splitting, crew
+// parking, cancellation) running against the worker's Env. With no cuts the
+// partition is the runs themselves, freed as the merge retires them; with
+// cuts it is a key-range clone of every run (the coordinator keeps the runs)
+// and may be empty.
+func mergePartition(we *Env, cfg SortConfig, st *SortStats, runs []*runInfo, cuts []Key, id int) ([]*runInfo, error) {
+	if cuts != nil {
+		var err error
+		if runs, err = rangeClones(we, st, runs, cuts, id); err != nil || len(runs) == 0 {
+			return nil, err
+		}
+	}
+	m := &mergeEngine{e: we, cfg: cfg, st: st}
+	out, err := m.mergeRuns(runs)
+	if err == nil && out.shared {
+		// A single-clone partition under a static plan passes the clone
+		// through unchanged; copy its range into a run of our own.
+		out, err = m.materialize(out)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return []*runInfo{out}, nil
+}
+
+// rangeClones builds partition id's view of every run: the records with
+// cuts[id-1] <= key < cuts[id] (the outer partitions are open-ended), each
+// clone positioned on its first record. Runs the fences prove empty in the
+// range are left out.
+func rangeClones(we *Env, st *SortStats, runs []*runInfo, cuts []Key, id int) ([]*runInfo, error) {
+	hasLo, hasHi := id > 0, id < len(cuts)
+	var lo, hi Key
+	if hasLo {
+		lo = cuts[id-1]
+	}
+	if hasHi {
+		hi = cuts[id]
+	}
+	if hasLo && hasHi && lo >= hi {
+		return nil, nil // duplicate splitter keys: the range is empty
+	}
+	var clones []*runInfo
+	for _, r := range runs {
+		c := cloneRange(r, lo, hasLo, hi, hasHi)
+		if c == nil {
+			continue
+		}
+		if err := seekClone(we, st, c, lo, hasLo); err != nil {
+			return nil, err
+		}
+		if c.page >= c.pages || c.bounded && c.pos == 0 && c.fences[c.page] >= c.hi {
+			continue
+		}
+		clones = append(clones, c)
+	}
+	return clones, nil
 }
 
 // cloneRange builds a shared key-bounded view of r for one merge partition:
@@ -576,214 +656,4 @@ func (m *mergeEngine) materialize(clone *runInfo) (*runInfo, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// workerMerge merges worker id's key partition of every run into one output
-// segment, with the full adaptation machinery (suspension, paging, dynamic
-// splitting, pause/resume, cancellation) running against the worker's crew
-// share. Returns nil for an empty partition.
-func workerMerge(we *Env, cfg SortConfig, st *SortStats, runs []*runInfo, cuts []Key, id int) (*runInfo, error) {
-	hasLo, hasHi := id > 0, id < len(cuts)
-	var lo, hi Key
-	if hasLo {
-		lo = cuts[id-1]
-	}
-	if hasHi {
-		hi = cuts[id]
-	}
-	if hasLo && hasHi && lo >= hi {
-		return nil, nil // duplicate splitter keys: the range is empty
-	}
-	var clones []*runInfo
-	for _, r := range runs {
-		c := cloneRange(r, lo, hasLo, hi, hasHi)
-		if c == nil {
-			continue
-		}
-		if err := seekClone(we, st, c, lo, hasLo); err != nil {
-			return nil, err
-		}
-		if c.page >= c.pages {
-			continue
-		}
-		if c.bounded && c.pos == 0 && c.fences[c.page] >= c.hi {
-			continue
-		}
-		clones = append(clones, c)
-	}
-	if len(clones) == 0 {
-		return nil, nil
-	}
-	m := &mergeEngine{e: we, cfg: cfg, st: st}
-	out, err := m.mergeRuns(clones)
-	if err != nil {
-		return nil, err
-	}
-	if out.shared {
-		// A single-clone partition under a static plan passes the clone
-		// through unchanged; copy its range into a run of our own.
-		return m.materialize(out)
-	}
-	return out, nil
-}
-
-// parallelMerge partitions the merge by key range across cfg.Workers
-// goroutines: the split phase's page fences yield W-1 splitter keys at
-// equal cumulative-page intervals, each worker merges bounded clones of
-// every run, and the resulting segments concatenate in key order — the
-// output sequence is value-identical to a serial merge. Returns ok=false
-// (caller falls back to a serial merge) when any run lacks fences or the
-// input is too small to split W ways.
-func parallelMerge(e *Env, cfg SortConfig, st *SortStats, runs []*runInfo) ([]*runInfo, bool, error) {
-	w := cfg.Workers
-	var fences []Key
-	total := 0
-	for _, r := range runs {
-		if len(r.fences) != r.pages {
-			return nil, false, nil
-		}
-		total += r.pages
-		fences = append(fences, r.fences...)
-	}
-	if w > total/2 {
-		w = total / 2
-	}
-	if w < 2 {
-		return nil, false, nil
-	}
-	slices.Sort(fences)
-	cuts := make([]Key, w-1)
-	for i := 1; i < w; i++ {
-		cuts[i-1] = fences[len(fences)*i/w]
-	}
-
-	c := newCrew(e, w, cfg.MinPages)
-	defer c.close(e)
-	mux := &eventMux{fn: e.OnEvent}
-	type wres struct {
-		out    *runInfo
-		err    error
-		st     SortStats
-		panics int
-	}
-	results := make([]wres, w)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		//masortlint:allow simdeterminism -- real-engine parallel merge, unreachable from the simulator (sim never sets cfg.Workers > 1); key-partitioned sub-merges recombine in worker-id order, independent of scheduling
-		go func(id int) {
-			defer wg.Done()
-			we := c.workerEnv(e, id, mux)
-			we.ShouldPause = func() bool { return c.paused(id) }
-			we.WaitResume = func() error { return c.waitActive(we.Ctx, id) }
-			r := &results[id]
-			var wst SortStats
-			if err := c.pauseAtStart(we, &wst, id); err != nil {
-				r.err = err
-			} else {
-				r.out, r.err = workerMerge(we, cfg, &wst, runs, cuts, id)
-			}
-			r.st = wst
-			r.panics = we.eventPanics
-			c.leave(id)
-		}(i)
-	}
-	wg.Wait()
-	var firstErr error
-	var segs []*runInfo
-	for i := range results {
-		r := &results[i]
-		if firstErr == nil && r.err != nil {
-			firstErr = r.err
-		}
-		addMergeStats(st, &r.st)
-		e.eventPanics += r.panics
-		if r.err == nil && r.out != nil {
-			segs = append(segs, r.out)
-		}
-	}
-	if mt := c.maxGranted(); mt > st.MaxGranted {
-		st.MaxGranted = mt
-	}
-	// The workers only borrowed the input runs through shared clones; the
-	// coordinator owns and frees them — exactly once, after every worker is
-	// done (success or abort).
-	freeRuns(e, runs)
-	if firstErr != nil {
-		freeRuns(e, segs)
-		return nil, true, firstErr
-	}
-	return segs, true, nil
-}
-
-// parallelTreeMerge is the fan-in-bound fallback for runs without fences
-// (MergeExisting): the runs divide round-robin into disjoint groups, each
-// group merges in parallel into one intermediate run, and a serial final
-// merge combines the intermediates. Unlike parallelMerge the workers own
-// their runs outright, so the ordinary consume-and-free path applies.
-func parallelTreeMerge(e *Env, cfg SortConfig, st *SortStats, runs []*runInfo) (*runInfo, error) {
-	w := min(cfg.Workers, len(runs)/2)
-	groups := make([][]*runInfo, w)
-	for i, r := range runs {
-		groups[i%w] = append(groups[i%w], r)
-	}
-	c := newCrew(e, w, cfg.MinPages)
-	mux := &eventMux{fn: e.OnEvent}
-	type wres struct {
-		out    *runInfo
-		err    error
-		st     SortStats
-		panics int
-	}
-	results := make([]wres, w)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		//masortlint:allow simdeterminism -- real-engine parallel merge tree, unreachable from the simulator (sim never sets cfg.Workers > 1); groups are disjoint and the final merge is serial
-		go func(id int) {
-			defer wg.Done()
-			we := c.workerEnv(e, id, mux)
-			we.ShouldPause = func() bool { return c.paused(id) }
-			we.WaitResume = func() error { return c.waitActive(we.Ctx, id) }
-			r := &results[id]
-			var wst SortStats
-			if err := c.pauseAtStart(we, &wst, id); err != nil {
-				r.err = err
-				r.st = wst
-				r.panics = we.eventPanics
-				c.leave(id)
-				return
-			}
-			m := &mergeEngine{e: we, cfg: cfg, st: &wst}
-			r.out, r.err = m.mergeRuns(groups[id])
-			r.st = wst
-			r.panics = we.eventPanics
-			c.leave(id)
-		}(i)
-	}
-	wg.Wait()
-	c.close(e)
-	var firstErr error
-	var inter []*runInfo
-	for i := range results {
-		r := &results[i]
-		if firstErr == nil && r.err != nil {
-			firstErr = r.err
-		}
-		addMergeStats(st, &r.st)
-		e.eventPanics += r.panics
-		if r.err == nil && r.out != nil {
-			inter = append(inter, r.out)
-		}
-	}
-	if mt := c.maxGranted(); mt > st.MaxGranted {
-		st.MaxGranted = mt
-	}
-	if firstErr != nil {
-		freeRuns(e, inter)
-		e.yieldAll()
-		return nil, firstErr
-	}
-	m := &mergeEngine{e: e, cfg: cfg, st: st}
-	return m.mergeRuns(inter)
 }

@@ -27,14 +27,14 @@ type runInfo struct {
 	freed    bool
 
 	// fences records the first key of every page as the split phase writes
-	// the run. The parallel merge uses them to partition runs by key range
-	// without reading them; runs handed to MergeExisting have none.
+	// the run. The merge phase cuts them into per-worker key ranges without
+	// reading the runs (fenceCuts); runs handed to MergeExisting have none.
 	fences []Key
 
-	// shared marks a key-range clone of a run owned by the parallel merge
-	// coordinator: the engine must not free the underlying storage when the
-	// clone is consumed (the coordinator frees the run once every worker is
-	// done with it). bounded/hi limit the clone to keys < hi; the lower
+	// shared marks a key-range clone of a run owned by the merge phase's
+	// coordinator (runCrew): the engine must not free the underlying
+	// storage when the clone is consumed (the coordinator frees the run once
+	// every worker is done with it). bounded/hi limit the clone to keys < hi; the lower
 	// bound is applied once, by seeking (page, pos) past keys < lo.
 	shared  bool
 	bounded bool

@@ -5,18 +5,6 @@ import (
 	"sort"
 )
 
-// splitPhase runs the configured in-memory sorting method over e.In and
-// produces the initial set of sorted runs (paper §2.1, §3.1). On error the
-// runs produced so far are returned alongside it, so the caller can free
-// them — cancellation must not leak run storage.
-func splitPhase(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
-	e.setPhase("split")
-	if cfg.Method == Quick {
-		return quickSplit(e, cfg, st)
-	}
-	return replSplit(e, cfg, st)
-}
-
 func countRecs(pages []Page) int {
 	n := 0
 	for _, p := range pages {

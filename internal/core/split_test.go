@@ -10,7 +10,7 @@ func splitOnly(t *testing.T, recs []Record, cfg SortConfig, total int, script []
 	env, store, broker, _ := testEnv(t, recs, cfg.PageRecords, total, 3)
 	broker.script = script
 	st := &SortStats{}
-	runs, err := splitPhase(env, cfg, st)
+	runs, err := splitPhase(env, cfg, st, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +117,13 @@ func TestSplitPropagatesInputError(t *testing.T) {
 	env, _, _, _ := testEnv(t, makeRecords(100, 1), 8, 10, 3)
 	env.In = &errInput{after: 3}
 	st := &SortStats{}
-	if _, err := splitPhase(env, cfg, st); err == nil {
+	if _, err := splitPhase(env, cfg, st, 1); err == nil {
 		t.Fatal("input error must propagate")
 	}
 	cfg.Method = Repl
 	env2, _, _, _ := testEnv(t, makeRecords(100, 1), 8, 10, 3)
 	env2.In = &errInput{after: 3}
-	if _, err := splitPhase(env2, cfg, st); err == nil {
+	if _, err := splitPhase(env2, cfg, st, 1); err == nil {
 		t.Fatal("input error must propagate (repl)")
 	}
 }

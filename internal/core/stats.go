@@ -41,8 +41,9 @@ type SortStats struct {
 	// MaxGranted tracks the high-water mark of pages held.
 	MaxGranted int
 
-	// Workers is the number of goroutines the operation executed with
-	// (1 for serial execution, including every simulated sort).
+	// Workers is the number of workers each phase ran on (1 means inline on
+	// the caller's goroutine: every simulated sort and the real engine's
+	// default).
 	Workers int
 
 	// Store I/O aggregates, filled by the host: completed read requests and

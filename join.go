@@ -17,45 +17,13 @@ import (
 // behaves as for Sort: the join aborts at its next adaptation point,
 // freeing every run of both relations.
 func Join(ctx context.Context, left, right Iterator, opts ...Option) (*Result, error) {
-	cfg, o, err := applyOptions(opts).build()
-	if err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ot := newOpTrace(&o, "join")
-	ot.begin()
-	mem, finish, err := memContract(ctx, &o, ot)
-	if err != nil {
-		ot.end(err)
-		return nil, err
-	}
-	meter := &counterMeter{}
-	env, ts := newEnv(ctx, o, mem, meter, ot, "join")
-	defer env.SetPhase("idle")
-	res, err := core.SortMergeJoin(env,
-		&pageInput{it: left, size: o.pageRecords},
-		&pageInput{it: right, size: o.pageRecords}, cfg)
-	if err != nil {
-		finish(nil)
-		err = wrapCtxErr(env.Ctx, err)
-		ot.end(err)
-		return nil, err
-	}
-	js := res.Stats
-	ot.finishStats(&js.SortStats, ts)
-	out := &Result{
-		store:    o.store,
-		runs:     []RunID{res.Result},
-		Pages:    res.Pages,
-		Tuples:   res.Tuples,
-		Stats:    js.SortStats,
-		Join:     &js,
-		Counters: meter.counters(),
-	}
-	ot.attach(out)
-	finish(out)
-	ot.end(nil)
-	return out, nil
+	return runOp(ctx, applyOptions(opts), "join", func(env *core.Env, cfg core.SortConfig, o config) (*Result, error) {
+		res, err := core.SortMergeJoin(env,
+			&pageInput{it: left, size: o.pageRecords},
+			&pageInput{it: right, size: o.pageRecords}, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{runs: []RunID{res.Result}, Pages: res.Pages, Tuples: res.Tuples, Stats: res.Stats.SortStats, Join: &res.Stats}, nil
+	})
 }

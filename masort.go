@@ -233,6 +233,29 @@ func Sort(ctx context.Context, input Iterator, opts ...Option) (*Result, error) 
 // sortNamed is Sort with the operator name used for trace attribution
 // (GroupBy runs on the sort engine but announces itself as "groupby").
 func sortNamed(ctx context.Context, input Iterator, opt config, opName string) (*Result, error) {
+	return runOp(ctx, opt, opName, func(env *core.Env, cfg core.SortConfig, o config) (*Result, error) {
+		env.In = &pageInput{it: input, size: o.pageRecords}
+		return sortResult(core.ExternalSort(env, cfg))
+	})
+}
+
+// sortResult maps the core's sort (or merge) outcome onto the part of a
+// Result the core knows; runOp completes it.
+func sortResult(res *core.SortResult, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Result{runs: res.Segments, Pages: res.Pages, Tuples: res.Tuples, Stats: res.Stats}, nil
+}
+
+// runOp is the scaffold every operator entry point runs inside: it resolves
+// the options, opens the trace span, takes the memory contract (pool
+// admission included), builds the core Env and hands it to run, which makes
+// the core call and maps its outcome onto a Result (output runs, sizes,
+// stats). runOp completes that Result — store, counters, measured store
+// I/O, event log, pool stats — or, on error, releases the contract, wraps a
+// cancellation and closes the span with the error.
+func runOp(ctx context.Context, opt config, name string, run func(*core.Env, core.SortConfig, config) (*Result, error)) (*Result, error) {
 	cfg, o, err := opt.build()
 	if err != nil {
 		return nil, err
@@ -240,7 +263,7 @@ func sortNamed(ctx context.Context, input Iterator, opt config, opName string) (
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ot := newOpTrace(&o, opName)
+	ot := newOpTrace(&o, name)
 	ot.begin()
 	mem, finish, err := memContract(ctx, &o, ot)
 	if err != nil {
@@ -248,25 +271,20 @@ func sortNamed(ctx context.Context, input Iterator, opt config, opName string) (
 		return nil, err
 	}
 	meter := &counterMeter{}
-	env, ts := newEnv(ctx, o, mem, meter, ot, opName)
+	env, ts := newEnv(ctx, o, mem, meter, ot, name)
 	defer env.SetPhase("idle")
-	env.In = &pageInput{it: input, size: o.pageRecords}
-	res, err := core.ExternalSort(env, cfg)
+	out, err := run(env, cfg, o)
 	if err != nil {
 		finish(nil)
 		err = wrapCtxErr(env.Ctx, err)
 		ot.end(err)
 		return nil, err
 	}
-	out := &Result{
-		store:    o.store,
-		runs:     res.Segments,
-		Pages:    res.Pages,
-		Tuples:   res.Tuples,
-		Stats:    res.Stats,
-		Counters: meter.counters(),
-	}
+	out.store, out.Counters = o.store, meter.counters()
 	ot.finishStats(&out.Stats, ts)
+	if out.Join != nil {
+		out.Join.SortStats = out.Stats
+	}
 	ot.attach(out)
 	finish(out)
 	ot.end(nil)

@@ -84,41 +84,7 @@ func WriteRun(store RunStore, it Iterator, pageRecords int) (RunID, int, error) 
 func Merge(ctx context.Context, store RunStore, ids []RunID, opts ...Option) (*Result, error) {
 	opt := applyOptions(opts)
 	opt.store = store
-	cfg, o, err := opt.build()
-	if err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ot := newOpTrace(&o, "merge")
-	ot.begin()
-	mem, finish, err := memContract(ctx, &o, ot)
-	if err != nil {
-		ot.end(err)
-		return nil, err
-	}
-	meter := &counterMeter{}
-	env, ts := newEnv(ctx, o, mem, meter, ot, "merge")
-	defer env.SetPhase("idle")
-	res, err := core.MergeExisting(env, cfg, ids)
-	if err != nil {
-		finish(nil)
-		err = wrapCtxErr(env.Ctx, err)
-		ot.end(err)
-		return nil, err
-	}
-	out := &Result{
-		store:    o.store,
-		runs:     []RunID{res.Result},
-		Pages:    res.Pages,
-		Tuples:   res.Tuples,
-		Stats:    res.Stats,
-		Counters: meter.counters(),
-	}
-	ot.finishStats(&out.Stats, ts)
-	ot.attach(out)
-	finish(out)
-	ot.end(nil)
-	return out, nil
+	return runOp(ctx, opt, "merge", func(env *core.Env, cfg core.SortConfig, _ config) (*Result, error) {
+		return sortResult(core.MergeExisting(env, cfg, ids))
+	})
 }

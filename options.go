@@ -63,21 +63,23 @@ func WithAdaptiveBlockIO(on bool) Option {
 	return func(o *config) { o.adaptiveBlockIO = on }
 }
 
-// WithWorkers sets how many goroutines the operator may use for run
-// generation and merging — the single CPU-parallelism option. n = 0 means
-// "use every core" (runtime.GOMAXPROCS(0), resolved when the option is
-// applied); n <= 1 means serial execution, the default.
+// WithWorkers sets how many workers each phase of the operator runs on —
+// the single CPU-parallelism option, and plain data to the engine's one
+// phase driver. n = 0 means "use every core" (runtime.GOMAXPROCS(0),
+// resolved when the option is applied); n <= 1 means one worker, the
+// default: the phases then run inline on the caller's goroutine and no
+// goroutine is started.
 //
-// Parallelism changes neither the output nor the memory contract: the
-// result is value-identical to a serial sort of the same input, and the
-// workers collectively never hold more than the Budget/Pool target — a
-// Shrink propagates to every worker at its next page boundary, pausing
-// workers the shrunken budget can no longer sustain (at least one always
-// keeps merging). A parallel sort may return its output as several
-// key-partitioned segment runs; Result.Iterator chains them transparently
-// and Result.Close frees them all. Stats.Workers reports the worker count
-// used. The simulator ignores parallelism entirely — simulated sorts are
-// defined to be single-threaded.
+// The worker count changes neither the output nor the memory contract: the
+// result is value-identical at every n, and the workers collectively never
+// hold more than the Budget/Pool target — a Shrink propagates to every
+// worker at its next page boundary, parking (suspending) workers the
+// shrunken budget can no longer sustain (at least one always keeps
+// merging). With n > 1 the output may come back as several key-partitioned
+// segment runs; Result.Iterator chains them transparently and Result.Close
+// frees them all. Stats.Workers reports the worker count used. The
+// simulator never sets it — simulated sorts are defined to be
+// single-threaded.
 func WithWorkers(n int) Option {
 	return func(o *config) {
 		if n == 0 {
@@ -94,10 +96,10 @@ func WithWorkers(n int) Option {
 // changes, step splits, combines, suspensions) as they happen.
 //
 // Concurrency contract: the engine invokes the callback sequentially —
-// never concurrently with itself for one operator. A serial operator calls
-// it on its own goroutine; a parallel one (WithWorkers) serializes worker
-// events through a mutex, so calls may arrive on worker goroutines
-// (Event.Worker says which). A callback shared across operators (a pooled
+// never concurrently with itself for one operator. On one worker it is
+// called on the operator's own goroutine; more workers (WithWorkers)
+// serialize their events through a mutex, so calls may arrive on worker
+// goroutines (Event.Worker says which). A callback shared across operators (a pooled
 // workload) must be safe for concurrent use, since each operator invokes
 // its own copy of the stream. The callback must be fast — it runs inside the sort's adaptation
 // path. A panicking callback is recovered and counted in

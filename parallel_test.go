@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -278,6 +279,44 @@ func TestMergeParallel(t *testing.T) {
 	if live := store.Live(); live != 0 {
 		t.Fatalf("store still has %d live runs", live)
 	}
+}
+
+// cancelOnAppend cancels the operation from its own nth store append, so the
+// cancel lands at a known point of the merge on any number of CPUs.
+type cancelOnAppend struct {
+	*MemStore
+	cancel  context.CancelFunc
+	at      int64
+	appends atomic.Int64
+}
+
+func (s *cancelOnAppend) Append(id RunID, pages []Page) (Token, error) {
+	if s.appends.Add(1) == s.at {
+		s.cancel()
+	}
+	return s.MemStore.Append(id, pages)
+}
+
+// TestMergeParallelCancelWhileWorkerParked: Merge consumes its inputs even
+// on abort — also the run group of a worker that was still parked (a 3-page
+// budget sustains one of the two) when the cancel landed. The parent of this
+// test left two of the four input runs live.
+func TestMergeParallelCancelWhileWorkerParked(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	store := &cancelOnAppend{MemStore: NewMemStore(), cancel: cancel, at: 1}
+	var ids []RunID
+	for i := range 4 {
+		id, _, err := WriteRun(store.MemStore, NewSliceIterator(sortedRecords(2000, uint64(i), 4)), 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	budget := NewBudget(3)
+	_, err := Merge(ctx, store, ids, WithWorkers(2), WithPageRecords(32), WithBudget(budget))
+	requireCanceled(t, err)
+	requireNoLeaks(t, store.MemStore, budget)
 }
 
 // TestWithWorkersResolution pins the option semantics: 0 resolves to

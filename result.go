@@ -12,9 +12,9 @@ import (
 // result must not be iterated.
 type Result struct {
 	store RunStore
-	// runs holds the output in key order. Serial operators produce exactly
-	// one run; a parallel sort (WithWorkers) may produce up to Workers
-	// key-partitioned segments whose concatenation is the sorted output.
+	// runs holds the output in key order: one run on one worker, up to
+	// Workers key-partitioned segments (WithWorkers) whose concatenation is
+	// the sorted output.
 	// Iterator chains them transparently; Close frees them all.
 	runs []RunID
 
