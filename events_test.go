@@ -133,13 +133,16 @@ func TestEventsSuspension(t *testing.T) {
 	}
 }
 
+// publicEventKinds lists every event kind package masort re-exports; the
+// compiler checks the names, TestEventKindsHavePublicAliases the coverage.
+var publicEventKinds = []EventKind{
+	EvSplitStep, EvCombineStart, EvCombineDone, EvCombineAbort,
+	EvSuspend, EvResume, EvStepDone, EvPhase, EvRunDone, EvStepStart,
+}
+
 func TestEventKindStrings(t *testing.T) {
-	kinds := []EventKind{
-		EvSplitStep, EvCombineStart, EvCombineDone, EvCombineAbort,
-		EvSuspend, EvResume, EvStepDone, EvPhase,
-	}
 	seen := map[string]bool{}
-	for _, k := range kinds {
+	for _, k := range publicEventKinds {
 		s := k.String()
 		if s == "" || s == "unknown" || seen[s] {
 			t.Fatalf("bad kind string %q", s)
@@ -148,6 +151,21 @@ func TestEventKindStrings(t *testing.T) {
 	}
 	if EventKind(99).String() != "unknown" {
 		t.Fatal("unknown kind string")
+	}
+}
+
+// TestEventKindsHavePublicAliases: every kind the engine can deliver to a
+// WithEvents callback (every kind core names, i.e. whose String is not
+// "unknown") can be named from package masort.
+func TestEventKindsHavePublicAliases(t *testing.T) {
+	public := map[EventKind]bool{}
+	for _, k := range publicEventKinds {
+		public[k] = true
+	}
+	for k := EventKind(0); k < 64; k++ {
+		if s := k.String(); s != "unknown" && !public[k] {
+			t.Errorf("core event kind %d (%q) has no masort.Ev* alias", k, s)
+		}
 	}
 }
 

@@ -158,10 +158,3 @@ func TestSharedConservationPanicsOnMisuse(t *testing.T) {
 	}()
 	sp.Unregister(h)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -119,10 +119,10 @@ type Env struct {
 	// "idle") so the buffer manager can attribute request delays.
 	SetPhase func(string)
 	// SetReclaim optionally registers a synchronous clean-buffer reclaimer
-	// with the host's buffer manager (see bufmgr.Pool.Reclaimer). The merge
-	// engine registers itself while running, so competing memory requests
-	// are served from clean input buffers the instant they arrive — the
-	// paper's sub-millisecond merge-phase delays. Hosts whose budget
+	// with the host's buffer manager (see bufmgr.OpHandle.SetReclaimer).
+	// The merge engine registers itself while running, so competing memory
+	// requests are served from clean input buffers the instant they arrive
+	// — the paper's sub-millisecond merge-phase delays. Hosts whose budget
 	// changes arrive from concurrent goroutines (the real engine) must
 	// leave this nil; adaptation then happens at page boundaries.
 	SetReclaim func(fn func(need int) int)
@@ -130,8 +130,6 @@ type Env struct {
 	// suspensions, phase changes) as they happen — the observable history
 	// of how the operator adapted to memory fluctuation.
 	OnEvent func(Event)
-	// Trace optionally receives debug events.
-	Trace func(format string, args ...any)
 
 	// ClassicSelection makes replacement selection run on the classic
 	// binary heap (rsHeap) instead of the batched selector. Both pop the
@@ -197,12 +195,6 @@ func (e *Env) now() time.Duration {
 		return e.Now()
 	}
 	return 0
-}
-
-func (e *Env) trace(format string, args ...any) {
-	if e.Trace != nil {
-		e.Trace(format, args...)
-	}
 }
 
 // ctxErr reports the Env's cancellation state.

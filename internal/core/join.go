@@ -38,7 +38,6 @@ func SortMergeJoin(e *Env, left, right Input, cfg SortConfig) (*JoinResult, erro
 		return nil, fmt.Errorf("core: join split (left): %w", err)
 	}
 	st.LeftRuns = len(lruns)
-	leftTuples := st.TuplesIn
 	e.In = right
 	rruns, err := splitPhase(e, cfg, &st.SortStats, 1)
 	if err != nil {
@@ -68,7 +67,6 @@ func SortMergeJoin(e *Env, left, right Input, cfg SortConfig) (*JoinResult, erro
 	if g := e.Mem.Granted(); g > 0 {
 		e.Mem.Yield(g)
 	}
-	_ = leftTuples
 	return &JoinResult{Result: out.id, Pages: out.pages, Tuples: out.tuples, Stats: *st}, nil
 }
 
@@ -353,30 +351,12 @@ func (j *joinEngine) joinSome(st *mergeStep, lh, rh *headHeap) (stepResult, erro
 		l, r := lh.rs[0].r, rh.rs[0].r
 		switch {
 		case l.ws.Key < r.ws.Key:
-			res, err := m.advanceRun(st, l)
-			if err != nil {
-				return 0, err
-			}
-			if res == advBlocked {
-				return needAdapt, nil
-			}
-			if res == advDry {
-				lh.popRoot()
-			} else {
-				lh.fixRoot()
+			if blocked, err := j.advanceRoot(st, lh); err != nil || blocked {
+				return needAdapt, err
 			}
 		case l.ws.Key > r.ws.Key:
-			res, err := m.advanceRun(st, r)
-			if err != nil {
-				return 0, err
-			}
-			if res == advBlocked {
-				return needAdapt, nil
-			}
-			if res == advDry {
-				rh.popRoot()
-			} else {
-				rh.fixRoot()
+			if blocked, err := j.advanceRoot(st, rh); err != nil || blocked {
+				return needAdapt, err
 			}
 		default:
 			// Equal keys: open a group; the next iteration gathers the
@@ -402,19 +382,9 @@ func (j *joinEngine) processGroup(st *mergeStep, lh, rh *headHeap, produced *int
 	R := m.cfg.PageRecords
 	key := j.groupKey
 	for len(rh.rs) > 0 && rh.rs[0].key == key {
-		rr := rh.rs[0].r
-		j.group = append(j.group, rr.ws)
-		res, err := m.advanceRun(st, rr)
-		if err != nil {
-			return 0, err
-		}
-		if res == advBlocked {
-			return needAdapt, nil
-		}
-		if res == advDry {
-			rh.popRoot()
-		} else {
-			rh.fixRoot()
+		j.group = append(j.group, rh.rs[0].r.ws)
+		if blocked, err := j.advanceRoot(st, rh); err != nil || blocked {
+			return needAdapt, err
 		}
 	}
 	for len(lh.rs) > 0 && lh.rs[0].key == key {
@@ -436,40 +406,37 @@ func (j *joinEngine) processGroup(st *mergeStep, lh, rh *headHeap, produced *int
 		// The left record is fully emitted before advancing, and advanceRun
 		// invalidates its workspace first, so a block here cannot double- or
 		// under-emit on retry.
-		res, err := m.advanceRun(st, ll)
-		if err != nil {
-			return 0, err
-		}
-		if res == advBlocked {
-			return needAdapt, nil
-		}
-		if res == advDry {
-			lh.popRoot()
-		} else {
-			lh.fixRoot()
+		if blocked, err := j.advanceRoot(st, lh); err != nil || blocked {
+			return needAdapt, err
 		}
 	}
 	j.groupValid = false
 	return pageProduced, nil
 }
 
+// advanceRoot moves the run at hh's root past its current record and
+// restores the heap: the root is popped when the run ran dry, re-sifted
+// otherwise. blocked reports a memory shortage that kept the run's next page
+// from loading (the heap is untouched; the caller goes back to adapt).
+func (j *joinEngine) advanceRoot(st *mergeStep, hh *headHeap) (blocked bool, err error) {
+	res, err := j.m.advanceRun(st, hh.rs[0].r)
+	switch {
+	case err != nil || res == advBlocked:
+		return res == advBlocked, err
+	case res == advDry:
+		hh.popRoot()
+	default:
+		hh.fixRoot()
+	}
+	return false, nil
+}
+
 // drainAll consumes the rest of one side without emitting (no matches
 // remain). Returns done=false if a load blocked on memory.
 func (j *joinEngine) drainAll(st *mergeStep, hh *headHeap) (done bool, err error) {
-	m := j.m
 	for len(hh.rs) > 0 {
-		r := hh.rs[0].r
-		res, err := m.advanceRun(st, r)
-		if err != nil {
+		if blocked, err := j.advanceRoot(st, hh); err != nil || blocked {
 			return false, err
-		}
-		if res == advBlocked {
-			return false, nil
-		}
-		if res == advDry {
-			hh.popRoot()
-		} else {
-			hh.fixRoot()
 		}
 	}
 	return true, nil

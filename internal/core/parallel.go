@@ -40,6 +40,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"github.com/memadapt/masort/internal/memarb"
 )
 
 // effectiveWorkers reports how many goroutines the operation may use: the
@@ -197,9 +199,9 @@ func (c *crew) close(e *Env) {
 // shareLocked computes worker id's page entitlement from the live parent
 // target: the target divides among the lowest-ranked live workers that can
 // each get at least minNeed pages (always at least one), remainder to the
-// lowest ranks. Pure function of (target, live set), so every worker
-// computes the same partition — a shrink parks workers deterministically
-// instead of racing them.
+// lowest ranks (memarb's ShareAt rule, as in masort.Pool). Pure function of
+// (target, live set), so every worker computes the same partition — a
+// shrink parks workers deterministically instead of racing them.
 func (c *crew) shareLocked(id int) int {
 	if !c.live[id] {
 		return 0
@@ -223,11 +225,7 @@ func (c *crew) shareLocked(id int) int {
 	if rank >= active {
 		return 0
 	}
-	s := t / active
-	if rank < t%active {
-		s++
-	}
-	return s
+	return memarb.Policy{Total: t}.ShareAt(rank, active, 0, 0)
 }
 
 // waitLocked blocks on the crew condition until the next wakeup (sibling

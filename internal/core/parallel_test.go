@@ -366,7 +366,6 @@ func TestWorkerEnvInheritsByDefault(t *testing.T) {
 		SetPhase:         func(string) {},
 		SetReclaim:       func(func(int) int) {},
 		OnEvent:          func(Event) {},
-		Trace:            func(string, ...any) {},
 		ClassicSelection: true,
 		stepSeq:          7,
 		eventPanics:      2,
@@ -851,6 +850,68 @@ func TestCrewShares(t *testing.T) {
 	for id, want := range []int{0, 4, 3, 0} {
 		if got := share(id); got != want {
 			t.Fatalf("share(%d) = %d, want %d after leave(0)", id, got, want)
+		}
+	}
+}
+
+// fixedTarget is a Broker of which shareLocked only ever asks the target.
+type fixedTarget struct {
+	Broker
+	t int
+}
+
+func (f fixedTarget) Target() int { return f.t }
+
+// TestCrewSharePartitionGrid pins the partition over a (target, live set,
+// minNeed) grid against the rule written out longhand: the lowest-ranked
+// live workers that can each hold minNeed pages (at least one of them) are
+// active and split the target exactly, base share plus one remainder page to
+// each of the lowest ranks; everyone else — parked or gone — gets 0.
+func TestCrewSharePartitionGrid(t *testing.T) {
+	const workers = 4
+	for _, minNeed := range []int{0, 1, 3, 5} {
+		for liveSet := 1; liveSet < 1<<workers; liveSet++ {
+			c := &crew{minNeed: minNeed, live: make([]bool, workers)}
+			for id := range c.live {
+				if c.live[id] = liveSet&(1<<id) != 0; c.live[id] {
+					c.nlive++
+				}
+			}
+			for target := 0; target <= 41; target++ {
+				c.parent = fixedTarget{t: target}
+				active := c.nlive
+				if minNeed > 0 {
+					active = min(active, target/minNeed)
+				}
+				active = max(active, 1)
+				sum, rank := 0, 0
+				for id := range workers {
+					want := 0
+					if c.live[id] {
+						if rank < active {
+							want = target / active
+							if rank < target%active {
+								want++
+							}
+						}
+						rank++
+					}
+					got := c.shareLocked(id)
+					if got != want {
+						t.Fatalf("minNeed %d live %04b target %d: share(%d) = %d, want %d",
+							minNeed, liveSet, target, id, got, want)
+					}
+					if got > 0 && got < minNeed && target >= minNeed {
+						t.Fatalf("minNeed %d live %04b target %d: active worker %d holds only %d",
+							minNeed, liveSet, target, id, got)
+					}
+					sum += got
+				}
+				if sum != target {
+					t.Fatalf("minNeed %d live %04b target %d: shares sum to %d",
+						minNeed, liveSet, target, sum)
+				}
+			}
 		}
 	}
 }

@@ -62,17 +62,20 @@ type Stats struct {
 }
 
 // Start spawns the generator processes into s. rng streams are derived from
-// seed so the workload is identical across algorithm variants.
-func Start(s *sim.Sim, pool *bufmgr.Pool, cfg Config, seed uint64) *Stats {
+// seed and named prefix-<stream>-{arrive,size,hold}, so the workload is
+// identical across algorithm variants and independent between experiments
+// that use different prefixes.
+func Start(s *sim.Sim, pool *bufmgr.SharedPool, cfg Config, seed uint64, prefix string) *Stats {
 	st := &Stats{}
 	start := func(name string, sc StreamConfig) {
 		if sc.Rate <= 0 || sc.MaxFrac <= 0 {
 			return
 		}
-		arr := randx.New(seed, "memload-"+name+"-arrive")
-		size := randx.New(seed, "memload-"+name+"-size")
-		hold := randx.New(seed, "memload-"+name+"-hold")
-		s.Spawn("memload-"+name, func(p *sim.Proc) {
+		name = prefix + "-" + name
+		arr := randx.New(seed, name+"-arrive")
+		size := randx.New(seed, name+"-size")
+		hold := randx.New(seed, name+"-hold")
+		s.Spawn(name, func(p *sim.Proc) {
 			for {
 				p.Sleep(sim.Time(arr.Exp(1/sc.Rate) * 1e9))
 				want := int(size.Uniform(0, sc.MaxFrac) * float64(pool.Total()))
@@ -81,7 +84,7 @@ func Start(s *sim.Sim, pool *bufmgr.Pool, cfg Config, seed uint64) *Stats {
 				}
 				h := sim.Time(hold.Exp(sc.Hold) * 1e9)
 				st.Arrivals++
-				s.Spawn("memreq-"+name, func(rp *sim.Proc) {
+				s.Spawn(name+"-req", func(rp *sim.Proc) {
 					got := pool.Request(rp, want)
 					if got == 0 {
 						return

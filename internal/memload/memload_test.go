@@ -14,18 +14,22 @@ import (
 func runWorkload(t *testing.T, cfg Config, seconds int) (meanStolenFrac float64, st *Stats) {
 	t.Helper()
 	s := sim.New()
-	pool := bufmgr.New(s, 100, 4)
-	pool.Acquire(100)
-	st = Start(s, pool, cfg, 42)
+	pool := bufmgr.NewShared(s, 100, 4)
+	op, err := pool.Register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	op.Acquire(100)
+	st = Start(s, pool, cfg, 42, "memload")
 	var samples, stolen float64
 	s.Spawn("op", func(p *sim.Proc) {
 		end := sim.Time(seconds) * time.Second
 		for p.Now() < end {
 			p.Sleep(10 * time.Millisecond)
-			if pr := pool.Pressure(); pr > 0 {
-				pool.Yield(pr)
+			if pr := op.Pressure(); pr > 0 {
+				op.Yield(pr)
 			} else {
-				pool.Acquire(pool.Target() - pool.OpGranted())
+				op.Acquire(op.Target() - op.Granted())
 			}
 			samples++
 			stolen += float64(pool.ReqGranted())

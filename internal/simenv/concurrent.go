@@ -4,13 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/memadapt/masort/internal/bufmgr"
 	"github.com/memadapt/masort/internal/core"
-	"github.com/memadapt/masort/internal/cpumodel"
-	"github.com/memadapt/masort/internal/diskmodel"
-	"github.com/memadapt/masort/internal/memload"
-	"github.com/memadapt/masort/internal/randx"
-	"github.com/memadapt/masort/internal/sim"
 )
 
 // ConcurrentResult reports a multiprogramming experiment: Workers sorts
@@ -34,109 +28,34 @@ type ConcurrentResult struct {
 // the paper's single-operator model to the multiprogramming setting its
 // introduction motivates.
 func RunConcurrent(cfg Config, workers int) (*ConcurrentResult, error) {
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(workers, 1)
 	if cfg.NumSorts <= 0 {
 		cfg.NumSorts = workers
 	}
-	floor := max(cfg.FloorPages, cfg.Algo.MinPages, 3)
-	if workers*floor > cfg.MemoryPages {
-		return nil, fmt.Errorf("simenv: %d workers need %d pages of floor, have %d",
-			workers, workers*floor, cfg.MemoryPages)
-	}
-
-	s := sim.New()
-	relSizes := make([]int, cfg.NumRel)
-	for i := range relSizes {
-		relSizes[i] = cfg.RelPages
-	}
-	layout, err := diskmodel.NewLayout(cfg.Geometry, cfg.NDisks, relSizes)
+	cfg.Join = false // sort-only
+	sys, err := newSystem(cfg, workers, "sharedload")
 	if err != nil {
 		return nil, err
 	}
-	disks := make([]*diskmodel.Disk, cfg.NDisks)
-	for i := range disks {
-		disks[i] = diskmodel.New(s, cfg.Geometry, randx.New(cfg.Seed, fmt.Sprintf("disk-%d", i)))
+	suffixes := make([]string, workers)
+	for w := range suffixes {
+		suffixes[w] = fmt.Sprintf("-%d", w)
 	}
-	cpu := cpumodel.New(s, cfg.CPUMips)
-	pool := bufmgr.NewShared(s, cfg.MemoryPages, floor)
-
-	// Competing request streams against the shared pool.
-	startSharedLoad(s, pool, cfg.Fluct, cfg.Seed)
-
 	res := &ConcurrentResult{}
-	started := 0
-	running := workers
-	var runErr error
-
-	for w := 0; w < workers; w++ {
-		w := w
-		s.Spawn(fmt.Sprintf("worker-%d", w), func(p *sim.Proc) {
-			defer func() {
-				running--
-				if running == 0 {
-					s.Stop()
-				}
-			}()
-			relPick := randx.New(cfg.Seed, fmt.Sprintf("relation-choice-%d", w))
-			for runErr == nil && started < cfg.NumSorts {
-				started++
-				h, err := pool.Register()
-				if err != nil {
-					runErr = err
-					return
-				}
-				h.Bind(p)
-				b := &binding{
-					p: p, s: s, cpu: cpu, costs: cfg.Costs,
-					disks: disks, layout: layout, shared: h, seed: cfg.Seed,
-				}
-				store := newSimStore(b)
-				env := b.newEnv(store)
-				env.In = newRelationInput(b, relPick.IntN(cfg.NumRel), cfg.RelPages, cfg.PageRecords)
-				sr, err := core.ExternalSort(env, cfg.Algo)
-				if err != nil {
-					runErr = err
-					return
-				}
-				if cfg.Validate {
-					if err := validateSorted(store, sr.Result); err != nil {
-						runErr = err
-						return
-					}
-				}
-				if err := store.Free(sr.Result); err != nil {
-					runErr = err
-					return
-				}
-				sr.Stats.FillModeledIO(8 << 10)
-				if h.Granted() != 0 {
-					runErr = fmt.Errorf("simenv: worker %d finished holding %d pages", w, h.Granted())
-					return
-				}
-				pool.Unregister(h)
-				res.Sorts = append(res.Sorts, sr.Stats)
-			}
-		})
-	}
-
-	if err := s.Run(); err != nil {
+	var total time.Duration
+	err = sys.run(suffixes, func(st core.JoinStats) {
+		res.Sorts = append(res.Sorts, st.SortStats)
+		total += st.Response
+	})
+	if err != nil {
 		return nil, err
 	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	res.SimDuration = s.Now()
-	res.CPUBusy = cpu.BusyTime()
-	for _, d := range disks {
+	res.SimDuration = sys.s.Now()
+	res.CPUBusy = sys.cpu.BusyTime()
+	for _, d := range sys.disks {
 		res.DiskBusy += d.Stats.BusyTime
 	}
-	res.Rejected = pool.Rejected
-	var total time.Duration
-	for _, st := range res.Sorts {
-		total += st.Response
-	}
+	res.Rejected = sys.pool.Rejected
 	if n := len(res.Sorts); n > 0 {
 		res.MeanResponse = total / time.Duration(n)
 	}
@@ -144,46 +63,4 @@ func RunConcurrent(cfg Config, workers int) (*ConcurrentResult, error) {
 		res.Throughput = float64(len(res.Sorts)) / res.SimDuration.Hours()
 	}
 	return res, nil
-}
-
-// startSharedLoad mirrors memload.Start against a SharedPool.
-func startSharedLoad(s *sim.Sim, pool *bufmgr.SharedPool, cfg memload.Config, seed uint64) {
-	start := func(name string, sc memload.StreamConfig) {
-		if sc.Rate <= 0 || sc.MaxFrac <= 0 {
-			return
-		}
-		arr := randx.New(seed, "sharedload-"+name+"-arrive")
-		size := randx.New(seed, "sharedload-"+name+"-size")
-		hold := randx.New(seed, "sharedload-"+name+"-hold")
-		s.Spawn("sharedload-"+name, func(p *sim.Proc) {
-			for {
-				p.Sleep(sim.Time(arr.Exp(1/sc.Rate) * 1e9))
-				want := int(size.Uniform(0, sc.MaxFrac) * float64(pool.Total()))
-				if want < 1 {
-					continue
-				}
-				h := sim.Time(hold.Exp(sc.Hold) * 1e9)
-				s.Spawn("sharedreq-"+name, func(rp *sim.Proc) {
-					got := pool.Request(rp, want)
-					if got == 0 {
-						return
-					}
-					rp.Sleep(h)
-					pool.ReleaseRequest(got)
-				})
-			}
-		})
-	}
-	start("small", cfg.Small)
-	start("large", cfg.Large)
-}
-
-func max(xs ...int) int {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -11,58 +11,24 @@ import (
 
 	"github.com/memadapt/masort/internal/bufmgr"
 	"github.com/memadapt/masort/internal/core"
-	"github.com/memadapt/masort/internal/cpumodel"
 	"github.com/memadapt/masort/internal/diskmodel"
 	"github.com/memadapt/masort/internal/randx"
 	"github.com/memadapt/masort/internal/sim"
 )
 
-// binding ties one executing operator (a simulated process) to the system's
-// resources. All core.Env interfaces hang off it.
+// binding ties one source process and the operator it is currently
+// executing to the system's resources. All core.Env interfaces hang off it;
+// the pool handle is the operator's core.Broker as it stands.
 type binding struct {
-	p      *sim.Proc
-	s      *sim.Sim
-	cpu    *cpumodel.CPU
-	costs  cpumodel.CostTable
-	disks  []*diskmodel.Disk
-	layout *diskmodel.Layout
-	pool   *bufmgr.Pool // single-operator pool (nil in shared mode)
-	shared *bufmgr.OpHandle
-	seed   uint64
-	phase  string
+	*system
+	p     *sim.Proc
+	mem   *bufmgr.OpHandle
+	phase string
 }
-
-// broker returns the operator's memory broker view.
-func (b *binding) broker() core.Broker {
-	if b.shared != nil {
-		return sharedBroker{b.shared}
-	}
-	return simBroker{b}
-}
-
-// setReclaim registers the operator's instant reclaimer with whichever pool
-// owns it.
-func (b *binding) setReclaim(fn func(int) int) {
-	if b.shared != nil {
-		b.shared.SetReclaimer(fn)
-		return
-	}
-	b.pool.Reclaimer = fn
-}
-
-// sharedBroker adapts a SharedPool operator handle to core.Broker.
-type sharedBroker struct{ h *bufmgr.OpHandle }
-
-func (br sharedBroker) Granted() int      { return br.h.Granted() }
-func (br sharedBroker) Target() int       { return br.h.Target() }
-func (br sharedBroker) Acquire(n int) int { return br.h.Acquire(n) }
-func (br sharedBroker) Yield(n int)       { br.h.Yield(n) }
-func (br sharedBroker) Pressure() int     { return br.h.Pressure() }
-func (br sharedBroker) WaitTarget(n int)  { br.h.WaitTarget(n) }
-func (br sharedBroker) WaitChange()       { br.h.WaitChange() }
 
 func (b *binding) chargeIO(pages int) {
-	b.cpu.Charge(b.p, int64(pages)*(b.costs.StartIO+b.costs.FixPage))
+	c := &b.cfg.Costs
+	b.cpu.Charge(b.p, int64(pages)*(c.StartIO+c.FixPage))
 }
 
 // ---- Meter ----
@@ -71,34 +37,23 @@ type simMeter struct{ b *binding }
 
 func (m simMeter) Charge(op core.Op, n int64) {
 	var instr int64
+	c := &m.b.cfg.Costs
 	switch op {
 	case core.OpCompare:
-		instr = m.b.costs.Compare
+		instr = c.Compare
 	case core.OpCopyTuple:
-		instr = m.b.costs.CopyTuple
+		instr = c.CopyTuple
 	case core.OpBuildEntry:
-		instr = m.b.costs.BuildEntry
+		instr = c.BuildEntry
 	case core.OpSwapEntry:
-		instr = m.b.costs.SwapEntry
+		instr = c.SwapEntry
 	case core.OpStartIO:
-		instr = m.b.costs.StartIO
+		instr = c.StartIO
 	case core.OpFixPage:
-		instr = m.b.costs.FixPage
+		instr = c.FixPage
 	}
 	m.b.cpu.Charge(m.b.p, n*instr)
 }
-
-// ---- Broker ----
-
-type simBroker struct{ b *binding }
-
-func (br simBroker) Granted() int      { return br.b.pool.OpGranted() }
-func (br simBroker) Target() int       { return br.b.pool.Target() }
-func (br simBroker) Acquire(n int) int { return br.b.pool.Acquire(n) }
-func (br simBroker) Yield(n int)       { br.b.pool.Yield(n) }
-func (br simBroker) Pressure() int     { return br.b.pool.Pressure() }
-func (br simBroker) WaitTarget(n int)  { br.b.pool.WaitTarget(br.b.p, n) }
-func (br simBroker) WaitChange()       { br.b.pool.WaitChange(br.b.p) }
 
 // ---- Input: relation scan ----
 
@@ -122,7 +77,7 @@ func newRelationInput(b *binding, rel, pages, pageRecords int) *relationInput {
 		rel:   rel,
 		pages: pages,
 		prec:  pageRecords,
-		rng:   randx.New(b.seed, fmt.Sprintf("relation-%d", rel)),
+		rng:   randx.New(b.cfg.Seed, fmt.Sprintf("relation-%d", rel)),
 	}
 }
 
@@ -292,13 +247,13 @@ func (s *simStore) data(id core.RunID) []core.Record {
 func (b *binding) newEnv(store *simStore) *core.Env {
 	return &core.Env{
 		Store: store,
-		Mem:   b.broker(),
+		Mem:   b.mem,
 		Meter: simMeter{b},
 		Now:   func() time.Duration { return b.s.Now() },
 		SetPhase: func(p string) {
 			b.phase = p
 		},
-		SetReclaim: b.setReclaim,
+		SetReclaim: b.mem.SetReclaimer,
 		// The CPU model charges the classic heap's comparison counts.
 		ClassicSelection: true,
 	}

@@ -106,123 +106,166 @@ type Result struct {
 	Rejected    int
 }
 
-// Run executes the experiment and aggregates statistics.
-func Run(cfg Config) (*Result, error) {
-	if cfg.NumSorts <= 0 {
-		cfg.NumSorts = 1
-	}
-	if cfg.FloorPages < cfg.Algo.MinPages {
-		cfg.FloorPages = max(cfg.Algo.MinPages, 3)
-	}
-	if cfg.MemoryPages < cfg.FloorPages {
-		return nil, fmt.Errorf("simenv: M=%d pages below floor %d", cfg.MemoryPages, cfg.FloorPages)
-	}
+// system is one assembled instance of Figure 4: the simulator clock, the
+// disk layout and disks, the CPU, and the buffer manager with its competing
+// request streams. Source processes (run) issue operators against it.
+type system struct {
+	cfg    Config
+	s      *sim.Sim
+	cpu    *cpumodel.CPU
+	disks  []*diskmodel.Disk
+	layout *diskmodel.Layout
+	pool   *bufmgr.SharedPool
+	err    error // first operator failure; stops every source
+}
 
-	s := sim.New()
+// newSystem builds the system for `sources` concurrently executing
+// operators. load prefixes the competing streams' RNG names.
+func newSystem(cfg Config, sources int, load string) (*system, error) {
+	floor := max(cfg.FloorPages, cfg.Algo.MinPages, 3)
+	if sources*floor > cfg.MemoryPages {
+		return nil, fmt.Errorf("simenv: %d operators need %d pages of floor, have M=%d",
+			sources, sources*floor, cfg.MemoryPages)
+	}
 	relSizes := make([]int, cfg.NumRel)
 	for i := range relSizes {
 		relSizes[i] = cfg.RelPages
 	}
 	if cfg.Join {
 		relSizes = []int{cfg.RelPages, cfg.JoinRightPages}
-		if cfg.JoinKeySpace == 0 {
-			cfg.JoinKeySpace = 1 << 20
-		}
 	}
 	layout, err := diskmodel.NewLayout(cfg.Geometry, cfg.NDisks, relSizes)
 	if err != nil {
 		return nil, err
 	}
+	s := sim.New()
 	disks := make([]*diskmodel.Disk, cfg.NDisks)
 	for i := range disks {
 		disks[i] = diskmodel.New(s, cfg.Geometry, randx.New(cfg.Seed, fmt.Sprintf("disk-%d", i)))
 	}
-	cpu := cpumodel.New(s, cfg.CPUMips)
-	pool := bufmgr.New(s, cfg.MemoryPages, cfg.FloorPages)
-	memload.Start(s, pool, cfg.Fluct, cfg.Seed)
+	sys := &system{
+		cfg: cfg, s: s, cpu: cpumodel.New(s, cfg.CPUMips), disks: disks, layout: layout,
+		pool: bufmgr.NewShared(s, cfg.MemoryPages, floor),
+	}
+	memload.Start(s, sys.pool, cfg.Fluct, cfg.Seed, load)
+	return sys, nil
+}
 
-	res := &Result{}
-	relPick := randx.New(cfg.Seed, "relation-choice")
-	var runErr error
-
-	s.Spawn("source", func(p *sim.Proc) {
-		defer s.Stop()
-		b := &binding{
-			p: p, s: s, cpu: cpu, costs: cfg.Costs,
-			disks: disks, layout: layout, pool: pool, seed: cfg.Seed,
-		}
-		pool.PhaseFn = func() string { return b.phase }
-		for i := 0; i < cfg.NumSorts; i++ {
-			store := newSimStore(b)
-			env := b.newEnv(store)
-			if cfg.Join {
-				left := newRelationInput(b, 0, cfg.RelPages, cfg.PageRecords)
-				right := newRelationInput(b, 1, cfg.JoinRightPages, cfg.PageRecords)
-				left.keySpace = cfg.JoinKeySpace
-				right.keySpace = cfg.JoinKeySpace
-				jr, err := core.SortMergeJoin(env, left, right, cfg.Algo)
+// run spawns one source process per name suffix; together they issue
+// cfg.NumSorts operators, each source one after another, handing every
+// finished operator's statistics to done. It returns when the last source
+// has finished (or the first operator has failed).
+func (sys *system) run(suffixes []string, done func(core.JoinStats)) error {
+	started, running := 0, len(suffixes)
+	for _, suffix := range suffixes {
+		sys.s.Spawn("source"+suffix, func(p *sim.Proc) {
+			defer func() {
+				if running--; running == 0 {
+					sys.s.Stop()
+				}
+			}()
+			b := &binding{system: sys, p: p}
+			relPick := randx.New(sys.cfg.Seed, "relation-choice"+suffix)
+			for sys.err == nil && started < sys.cfg.NumSorts {
+				started++
+				st, err := b.operate(relPick)
 				if err != nil {
-					runErr = err
+					sys.err = err
 					return
 				}
-				if cfg.Validate {
-					if err := validateSorted(store, jr.Result); err != nil {
-						runErr = err
-						return
-					}
-				}
-				if err := store.Free(jr.Result); err != nil {
-					runErr = err
-					return
-				}
-				jr.Stats.FillModeledIO(8 << 10) // logical 8 KB pages
-				res.Joins = append(res.Joins, jr.Stats)
-			} else {
-				rel := relPick.IntN(cfg.NumRel)
-				env.In = newRelationInput(b, rel, cfg.RelPages, cfg.PageRecords)
-				sr, err := core.ExternalSort(env, cfg.Algo)
-				if err != nil {
-					runErr = err
-					return
-				}
-				if cfg.Validate {
-					if err := validateSorted(store, sr.Result); err != nil {
-						runErr = err
-						return
-					}
-					if sr.Tuples != cfg.RelPages*cfg.PageRecords {
-						runErr = fmt.Errorf("simenv: sort %d produced %d tuples, want %d",
-							i, sr.Tuples, cfg.RelPages*cfg.PageRecords)
-						return
-					}
-				}
-				if err := store.Free(sr.Result); err != nil {
-					runErr = err
-					return
-				}
-				sr.Stats.FillModeledIO(8 << 10)
-				res.Sorts = append(res.Sorts, sr.Stats)
+				done(st)
 			}
-			if pool.OpGranted() != 0 {
-				runErr = fmt.Errorf("simenv: operator %d left %d pages granted", i, pool.OpGranted())
-				return
-			}
-			if inUse := layout.TempInUse(); sumInts(inUse) != 0 {
-				runErr = fmt.Errorf("simenv: operator %d leaked temp pages: %v", i, inUse)
-				return
-			}
-		}
-	})
+		})
+	}
+	if err := sys.s.Run(); err != nil {
+		return err
+	}
+	return sys.err
+}
 
-	if err := s.Run(); err != nil {
+// operate executes one operator on the binding's process: register with the
+// buffer manager, sort one relation (or join the two), validate, free the
+// result, check for leaked pages.
+func (b *binding) operate(relPick *randx.Stream) (core.JoinStats, error) {
+	cfg := &b.cfg
+	var st core.JoinStats
+	var result core.RunID
+	h, err := b.pool.Register()
+	if err != nil {
+		return st, err
+	}
+	h.Bind(b.p)
+	h.PhaseFn = func() string { return b.phase }
+	b.mem = h
+	store := newSimStore(b)
+	env := b.newEnv(store)
+	if cfg.Join {
+		left := newRelationInput(b, 0, cfg.RelPages, cfg.PageRecords)
+		right := newRelationInput(b, 1, cfg.JoinRightPages, cfg.PageRecords)
+		left.keySpace = cfg.JoinKeySpace
+		right.keySpace = cfg.JoinKeySpace
+		jr, err := core.SortMergeJoin(env, left, right, cfg.Algo)
+		if err != nil {
+			return st, err
+		}
+		st, result = jr.Stats, jr.Result
+	} else {
+		env.In = newRelationInput(b, relPick.IntN(cfg.NumRel), cfg.RelPages, cfg.PageRecords)
+		sr, err := core.ExternalSort(env, cfg.Algo)
+		if err != nil {
+			return st, err
+		}
+		if want := cfg.RelPages * cfg.PageRecords; cfg.Validate && sr.Tuples != want {
+			return st, fmt.Errorf("simenv: sort produced %d tuples, want %d", sr.Tuples, want)
+		}
+		st.SortStats, result = sr.Stats, sr.Result
+	}
+	if cfg.Validate {
+		if err := validateSorted(store, result); err != nil {
+			return st, err
+		}
+	}
+	if err := store.Free(result); err != nil {
+		return st, err
+	}
+	st.FillModeledIO(8 << 10) // logical 8 KB pages
+	if h.Granted() != 0 {
+		return st, fmt.Errorf("simenv: operator finished holding %d pages", h.Granted())
+	}
+	b.pool.Unregister(h)
+	// With no operator registered, every temp page still in use is a leak.
+	if inUse := b.layout.TempInUse(); b.pool.Ops() == 0 && sumInts(inUse) != 0 {
+		return st, fmt.Errorf("simenv: operator leaked temp pages: %v", inUse)
+	}
+	return st, nil
+}
+
+// Run executes the experiment and aggregates statistics.
+func Run(cfg Config) (*Result, error) {
+	if cfg.NumSorts <= 0 {
+		cfg.NumSorts = 1
+	}
+	if cfg.Join && cfg.JoinKeySpace == 0 {
+		cfg.JoinKeySpace = 1 << 20
+	}
+	sys, err := newSystem(cfg, 1, "memload")
+	if err != nil {
 		return nil, err
 	}
-	if runErr != nil {
-		return nil, runErr
+	res := &Result{}
+	err = sys.run([]string{""}, func(st core.JoinStats) {
+		if cfg.Join {
+			res.Joins = append(res.Joins, st)
+		} else {
+			res.Sorts = append(res.Sorts, st.SortStats)
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.SimDuration = s.Now()
-	res.CPUBusy = cpu.BusyTime()
-	for _, d := range disks {
+	res.SimDuration = sys.s.Now()
+	res.CPUBusy = sys.cpu.BusyTime()
+	for _, d := range sys.disks {
 		res.DiskStats.Reads += d.Stats.Reads
 		res.DiskStats.Writes += d.Stats.Writes
 		res.DiskStats.BusyTime += d.Stats.BusyTime
@@ -230,8 +273,8 @@ func Run(cfg Config) (*Result, error) {
 		res.DiskStats.SeekTime += d.Stats.SeekTime
 		res.DiskStats.Seeks += d.Stats.Seeks
 	}
-	res.Rejected = pool.Rejected
-	aggregate(res, pool)
+	res.Rejected = sys.pool.Rejected
+	aggregate(res, sys.pool.Delays)
 	return res, nil
 }
 
@@ -253,7 +296,7 @@ func validateSorted(store *simStore, id core.RunID) error {
 	return nil
 }
 
-func aggregate(res *Result, pool *bufmgr.Pool) {
+func aggregate(res *Result, delays []bufmgr.DelayRecord) {
 	stats := res.Sorts
 	if len(res.Joins) > 0 {
 		for _, j := range res.Joins {
@@ -285,7 +328,7 @@ func aggregate(res *Result, pool *bufmgr.Pool) {
 	res.MeanExtraIO = extra / float64(n)
 
 	var splitDelays, mergeDelays []time.Duration
-	for _, d := range pool.Delays {
+	for _, d := range delays {
 		switch d.Phase {
 		case "split":
 			splitDelays = append(splitDelays, d.Delay)

@@ -76,6 +76,8 @@ const (
 	EvResume       = core.EvResume
 	EvStepDone     = core.EvStepDone
 	EvPhase        = core.EvPhase
+	EvRunDone      = core.EvRunDone
+	EvStepStart    = core.EvStepStart
 )
 
 // Less reports the record ordering used by all sorts and joins.
