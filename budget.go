@@ -2,7 +2,8 @@ package masort
 
 import (
 	"context"
-	"sync"
+
+	"github.com/memadapt/masort/internal/memarb"
 )
 
 // Budget arbitrates memory between a running sort (or join) and the rest of
@@ -17,18 +18,22 @@ import (
 // progress), raisable with NewBudgetWithFloor when the workload's real
 // minimum is higher (a wide Join's final step, a shared Pool's
 // per-operator floor).
+//
+// A Budget is a private arbiter of one: the same memarb.Arbiter a Pool
+// shares between many operators, holding a single permanently registered
+// operator whose handle every WithBudget user acquires through. The one
+// thing that differs is who stands behind the target: a Budget has an owner
+// who will restore it, so a suspended operator waits for its full need
+// however long that takes, where a Pool bounds the wait by its total.
 type Budget struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	target  int
-	granted int
-	floor   int
+	arb *memarb.Arbiter
+	h   *memarb.Handle
 }
 
 // NewBudget creates a budget of the given number of pages with the default
 // 3-page floor.
 func NewBudget(pages int) *Budget {
-	return NewBudgetWithFloor(pages, 3)
+	return NewBudgetWithFloor(pages, minFloor)
 }
 
 // NewBudgetWithFloor creates a budget of the given number of pages whose
@@ -38,168 +43,66 @@ func NewBudget(pages int) *Budget {
 // of a Pool the budget must coexist with, or a Join's final-step fan-in —
 // so that Shrink and Resize cannot strand the operator below it.
 func NewBudgetWithFloor(pages, floor int) *Budget {
-	if floor < 3 {
-		floor = 3
-	}
-	b := &Budget{floor: floor}
-	b.cond = sync.NewCond(&b.mu)
-	if pages < b.floor {
-		pages = b.floor
-	}
-	b.target = pages
-	return b
+	arb := memarb.New(memarb.Config{Total: pages, Floor: max(floor, minFloor)})
+	// The first operator of a fresh arbiter always fits: total ≥ floor.
+	h, _ := arb.Register(context.Background(), 0, false)
+	return &Budget{arb: arb, h: h}
 }
 
 // Floor returns the guaranteed minimum below which the target never drops.
-func (b *Budget) Floor() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.floor
-}
+func (b *Budget) Floor() int { return b.arb.Floor() }
 
 // Resize sets the target to pages (raised to the floor if below it — so
 // negative or zero values mean "shrink to minimum") and wakes the operator.
-func (b *Budget) Resize(pages int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if pages < b.floor {
-		pages = b.floor
-	}
-	b.target = pages
-	b.cond.Broadcast()
-}
+func (b *Budget) Resize(pages int) { b.arb.Resize(pages) }
 
 // Grow adds n pages to the target. Non-positive n is ignored — use Shrink
 // to reduce the target.
 func (b *Budget) Grow(n int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if n > 0 {
-		b.target += n
-		b.cond.Broadcast()
+		b.arb.Grow(n)
 	}
 }
 
 // Shrink removes n pages from the target (floored). Non-positive n is
 // ignored — use Grow to raise the target.
 func (b *Budget) Shrink(n int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if n <= 0 {
-		return
+	if n > 0 {
+		b.arb.Grow(-n)
 	}
-	b.target -= n
-	if b.target < b.floor {
-		b.target = b.floor
-	}
-	b.cond.Broadcast()
 }
 
 // Target returns the pages the operator is currently entitled to.
-func (b *Budget) Target() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.target
-}
+func (b *Budget) Target() int { return b.h.Target() }
 
 // Granted returns the pages the operator currently holds.
-func (b *Budget) Granted() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.granted
-}
+func (b *Budget) Granted() int { return b.h.Granted() }
 
 // Acquire grants the operator up to n additional pages within the target.
-func (b *Budget) Acquire(n int) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	room := b.target - b.granted
-	if n > room {
-		n = room
-	}
-	if n < 0 {
-		n = 0
-	}
-	b.granted += n
-	return n
-}
+func (b *Budget) Acquire(n int) int { return b.h.Acquire(n) }
 
 // Yield returns n pages.
-func (b *Budget) Yield(n int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if n > b.granted {
-		n = b.granted
-	}
-	if n > 0 {
-		b.granted -= n
-		b.cond.Broadcast()
-	}
-}
+func (b *Budget) Yield(n int) { b.h.Yield(n) }
 
 // Pressure returns how many pages the operator holds above the target.
-func (b *Budget) Pressure() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if p := b.granted - b.target; p > 0 {
-		return p
-	}
-	return 0
-}
+func (b *Budget) Pressure() int { return b.h.Pressure() }
 
 // WaitTarget blocks until the target is at least n.
-func (b *Budget) WaitTarget(n int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for b.target < n {
-		b.cond.Wait()
-	}
-}
+func (b *Budget) WaitTarget(n int) { b.h.WaitTarget(n) }
 
 // WaitChange blocks until the budget changes.
-func (b *Budget) WaitChange() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.cond.Wait()
-}
-
-// wake broadcasts under the lock. Used by the context-aware waits: taking
-// the mutex orders the broadcast against a waiter that is between its
-// cancellation check and cond.Wait, so a cancel can never be missed.
-func (b *Budget) wake() {
-	b.mu.Lock()
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
+func (b *Budget) WaitChange() { b.h.WaitChange() }
 
 // WaitTargetCtx blocks until the target is at least n or ctx is canceled,
 // returning ctx's error in the latter case. It makes suspension waits
 // cancelable: a suspended sort whose context is canceled returns promptly
 // instead of sleeping until the budget happens to be restored.
 func (b *Budget) WaitTargetCtx(ctx context.Context, n int) error {
-	stop := context.AfterFunc(ctx, b.wake)
-	defer stop()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for b.target < n {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		b.cond.Wait()
-	}
-	return nil
+	return b.h.WaitTargetCtx(ctx, n)
 }
 
 // WaitChangeCtx blocks until the budget changes or ctx is canceled,
 // returning ctx's error in the latter case.
 func (b *Budget) WaitChangeCtx(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, b.wake)
-	defer stop()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	b.cond.Wait()
-	return ctx.Err()
+	return b.h.WaitChangeCtx(ctx)
 }

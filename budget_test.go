@@ -56,3 +56,21 @@ func TestBudgetInputValidation(t *testing.T) {
 		t.Fatalf("Target after Resize(-7) = %d, want floor 3", b.Target())
 	}
 }
+
+// TestBudgetHotPathAllocFree: Target, Acquire, Pressure and Yield run once
+// per page of every sort, through the budget's one handle. On an arbiter of
+// one operator with no reservations they must not allocate (and, a share of
+// one being the whole, the handle does not search for its rank either: see
+// memarb.Handle's entitled).
+func TestBudgetHotPathAllocFree(t *testing.T) {
+	b := NewBudget(64)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if b.h.Target() != 64 || b.h.Acquire(8) != 8 || b.h.Pressure() != 0 {
+			t.Fatal("a budget's operator is not entitled to all of it")
+		}
+		b.h.Yield(8)
+	})
+	if allocs != 0 {
+		t.Fatalf("Target/Acquire/Pressure/Yield allocate %.1f times per page", allocs)
+	}
+}

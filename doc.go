@@ -98,11 +98,14 @@
 //     worker, a tiny input) the one partition is the runs themselves;
 //     pre-existing runs handed to Merge carry no fences, so their groups
 //     are first merged in parallel and one final merge combines them;
-//   - memory: the single *Budget (or *Pool entitlement) is split into
-//     deterministic equal shares, remainder to the lowest ranks. Every
-//     Shrink propagates to every worker at its next output-page
-//     boundary; when the target cannot sustain the whole crew the
-//     highest ranks are parked on a zero share, which the merge answers
+//   - memory: the shares come from the operation's own handle on its
+//     *Budget (or *Pool) — the crew is not a second arbiter. The handle
+//     divides its live entitlement into deterministic equal shares,
+//     remainder to the lowest ranks, under the lock that serves Resize
+//     and Reserve, so every Shrink propagates to every worker at its
+//     next output-page boundary; when the target cannot sustain the
+//     whole crew the highest ranks are parked — a zero share from the
+//     same arbiter, woken by the same condition — which the merge answers
 //     with the ordinary suspension sequence (flush, drop, yield, wait,
 //     resume — counted in Stats.Suspensions, reported as EvSuspend /
 //     EvResume with the worker's id) whatever the adaptation strategy.
@@ -114,9 +117,9 @@
 // exactly one goroutine, and completed runs may be read by several
 // goroutines concurrently (the RunStore contract all backends pass
 // storetest with). Result.Stats.Workers reports the worker count that
-// actually ran — 1 when the configured Broker cannot support
-// context-aware waits. The simulator never sets workers: its sorts take
-// the inline path, so its tables stay byte-identical.
+// actually ran. The simulator never sets workers, and its buffer manager
+// could not divide itself among a crew if it did: its sorts take the
+// inline path, so its tables stay byte-identical.
 //
 // # Choosing a run store
 //

@@ -3,6 +3,7 @@ package masort
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand/v2"
 	"runtime/pprof"
 	"strings"
@@ -130,6 +131,93 @@ func TestEventsSuspension(t *testing.T) {
 	assertSorted(t, out)
 	if suspends == 0 || suspends != resumes {
 		t.Fatalf("suspends=%d resumes=%d (must pair)", suspends, resumes)
+	}
+}
+
+// TestSuspensionWaitContract pins what a suspended step waits for, which
+// depends on who stands behind the target and on nothing else — not on the
+// worker count. 16 pages are squeezed to 3 as the first wide merge step
+// starts (fan-in 4 or more: it needs at least 5), from that step's own
+// start event, so its worker's next page boundary finds the target short.
+//
+// Under a Budget the owner will restore the target, so the step sleeps: each
+// worker emits one EvSuspend (suspended for want of pages, or parked on a
+// zero share) and no further one until Grow gives its need back. Under a
+// Pool nobody will, so the wait is bounded by the pool's total: the step
+// gets through on the 3 pages, suspending again and again, and the sort
+// finishes with the pool never restored.
+func TestSuspensionWaitContract(t *testing.T) {
+	const full, squeezed = 16, 3
+	in := randomRecords(60_000, 41, 0)
+	for _, pooled := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("pool=%v/w%d", pooled, workers), func(t *testing.T) {
+				budget, pool := NewBudget(full), NewPool(full)
+				mem := WithBudget(budget)
+				if pooled {
+					mem = WithPool(pool)
+				}
+				var (
+					mu       sync.Mutex
+					shrunk   bool
+					restored bool
+					suspends = map[int]int{} // per worker, squeeze to restore
+				)
+				restore := func() {
+					// Long enough for a spinning wait to show: the thrashing
+					// Pool rows run hundreds of cycles in this time.
+					time.Sleep(100 * time.Millisecond)
+					mu.Lock()
+					defer mu.Unlock()
+					restored = true
+					budget.Grow(full - squeezed)
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+				defer cancel()
+				res, err := Sort(ctx, NewSliceIterator(in),
+					WithAdaptation(Suspension), WithPageRecords(32), WithWorkers(workers), mem,
+					WithEvents(func(ev Event) {
+						mu.Lock()
+						defer mu.Unlock()
+						switch {
+						case ev.Kind == EvStepStart && ev.Detail >= 4 && !shrunk:
+							shrunk = true
+							budget.Resize(squeezed)
+							pool.Resize(squeezed)
+						case ev.Kind == EvSuspend && shrunk && !restored:
+							if suspends[ev.Worker]++; !pooled && len(suspends) == 1 && suspends[ev.Worker] == 1 {
+								go restore()
+							}
+						}
+					}))
+				if err != nil {
+					t.Fatalf("sort: %v (a Pool's wait must not outlast its total)", err)
+				}
+				defer res.Close()
+				out, err := Drain(res.Iterator())
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSorted(t, out)
+				assertPermutation(t, in, out)
+				mu.Lock()
+				defer mu.Unlock()
+				if len(suspends) == 0 {
+					t.Fatal("the squeeze never suspended a step")
+				}
+				if pooled {
+					if res.Stats.Suspensions < 2 {
+						t.Fatalf("%d suspensions: a step needing 5 pages cannot have got through on %d in one", res.Stats.Suspensions, squeezed)
+					}
+					return
+				}
+				for w, n := range suspends {
+					if n != 1 {
+						t.Fatalf("worker %d suspended %d times before the budget was restored: it spun instead of sleeping", w, n)
+					}
+				}
+			})
+		}
 	}
 }
 

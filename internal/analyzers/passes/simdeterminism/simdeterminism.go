@@ -10,10 +10,11 @@
 // driver fans independent simulations out to workers, and the core's one
 // phase driver runs a phase on W workers. The driver is goroutine-free at
 // W = 1 (the phase body runs inline — every simulated sort, since the
-// simulator never sets SortConfig.Workers) and spawns in exactly two places
-// at W > 1: runCrew's workers and the crew's budget-change forwarder. All
-// those sites carry a "//masortlint:allow simdeterminism -- reason"
-// directive; the mandatory justification is the audit trail.
+// simulator never sets SortConfig.Workers) and spawns in exactly one place
+// at W > 1: runCrew's workers, whose memory the operation's own broker
+// arbitrates without a goroutine of its own. All those sites carry a
+// "//masortlint:allow simdeterminism -- reason" directive; the mandatory
+// justification is the audit trail.
 package simdeterminism
 
 import (
@@ -34,8 +35,8 @@ var simPackages = map[string]bool{
 	// core runs under the simulator too: everything it does on behalf of a
 	// simulated sort must stay deterministic. Its phase driver (runCrew)
 	// takes the worker count as data and runs inline at W = 1; W > 1 needs
-	// SortConfig.Workers, which the simulator never sets. The two spawn
-	// sites (workers, forwarder) carry allow directives recording that.
+	// SortConfig.Workers, which the simulator never sets. The one spawn
+	// site (runCrew's workers) carries an allow directive recording that.
 	"core": true,
 }
 

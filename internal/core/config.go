@@ -75,10 +75,11 @@ type SortConfig struct {
 
 	// Workers is how many workers each phase runs on (see runCrew); 0 and 1
 	// both mean one — the phase then runs inline on the caller's goroutine.
-	// More than one additionally requires the Env's broker to implement
-	// ContextBroker (both real brokers do), else one is used. The simulator
-	// never sets this — simulated sorts are always single-threaded, so its
-	// tables are unaffected.
+	// More than one additionally requires a broker that can divide itself
+	// among a crew (crewBroker: the real engine's does, the simulator's does
+	// not), else one is used. The simulator never sets this either —
+	// simulated sorts are always single-threaded, so its tables are
+	// unaffected.
 	Workers int
 }
 

@@ -67,7 +67,12 @@ type Broker interface {
 	Yield(n int)
 	// Pressure returns max(0, Granted()-Target()).
 	Pressure() int
-	// WaitTarget blocks until Target() >= n (n is clamped to the pool size).
+	// WaitTarget blocks until Target() >= n. Whether n is bounded is the
+	// broker's policy, not the protocol's: a private budget waits for n
+	// itself, however long its owner takes to restore it; a shared pool
+	// (real or simulated) bounds n by what its total could ever entitle the
+	// caller to, so the wait ends once competing demands drain — possibly
+	// with Target() still below n, which the caller must then make do with.
 	WaitTarget(n int)
 	// WaitChange blocks until the target may have changed.
 	WaitChange()

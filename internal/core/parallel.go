@@ -6,22 +6,24 @@ package core
 // Env: that is every simulated sort and every sort without WithWorkers, so
 // the simulator stays single-threaded and byte-identical by construction.
 // At W > 1 the same body runs on W goroutines, each against a derived Env.
-// internal/core spawns goroutines in exactly two places: runCrew's workers
-// and newCrew's budget-change forwarder.
+// internal/core spawns goroutines in exactly one place: runCrew's workers.
 //
 // Worker model (W > 1):
 //
-//   - One crew per phase arbitrates the operation's single Broker across W
-//     workers. Each worker sees a private Broker view (workerShare) whose
-//     Target is a deterministic share of the live parent target — t/active
-//     with the remainder going to the lowest-ranked live workers — so a
-//     Pool.Resize or Budget.Shrink propagates to every worker at its next
-//     page boundary, not just one of them. When the target cannot sustain
-//     all workers (active = t/minNeed), the highest-ranked workers' shares
-//     drop to zero. Every broker floors its own target at MinPages or more,
-//     so a zero target means exactly "parked by the crew", and the merge
-//     engine answers it with the ordinary suspension sequence
-//     (mergeEngine.suspend) until budget returns or a sibling finishes.
+//   - The crew is not an arbiter. The operation's own Broker divides its
+//     entitlement among the W workers (crewBroker.Divide): each worker's
+//     Broker is a sub-handle of the operation's, whose Target is a
+//     deterministic share of the live parent target — t/active with the
+//     remainder going to the lowest-ranked live workers (memarb.CrewShare)
+//     — computed under the operation's arbiter's lock, so a Pool.Resize or
+//     Budget.Shrink propagates to every worker at its next page boundary,
+//     not just one of them. When the target cannot sustain all workers
+//     (active = t/minNeed), the highest-ranked workers' shares drop to
+//     zero. Every arbiter floors an operator's target at MinPages or more,
+//     so a zero target means exactly "parked", and the merge engine answers
+//     it with the ordinary suspension sequence (mergeEngine.suspend),
+//     sleeping on the same arbiter until budget returns or a sibling
+//     finishes.
 //   - Run generation: workers pull input pages from a mutex-guarded shared
 //     input and run the ordinary quickSplit/replSplit against their own
 //     Env view, each appending complete runs through its own store path.
@@ -35,7 +37,6 @@ package core
 //     disjoint run groups in parallel, then the one partition merges the
 //     intermediates.
 import (
-	"context"
 	"slices"
 	"sort"
 	"sync"
@@ -44,12 +45,19 @@ import (
 	"github.com/memadapt/masort/internal/memarb"
 )
 
+// crewBroker is optionally implemented by brokers that can divide their
+// entitlement among the workers of a crew. The real engine's one broker
+// (memarb.Handle) does; the simulator's (bufmgr.OpHandle) does not, which
+// keeps every simulated sort on one worker by construction.
+type crewBroker interface {
+	Divide(workers, minNeed int) []*memarb.Handle
+}
+
 // effectiveWorkers reports how many goroutines the operation may use: the
-// configured worker count when the broker supports context-cancelable waits
-// (both real brokers do), else 1. A crew depends on ContextBroker to run its
-// budget-change forwarder without leaking a goroutine.
+// configured worker count when the broker can divide itself among a crew,
+// else 1.
 func effectiveWorkers(e *Env, cfg SortConfig) int {
-	if _, ok := e.Mem.(ContextBroker); !ok || cfg.Workers < 2 {
+	if _, ok := e.Mem.(crewBroker); !ok || cfg.Workers < 2 {
 		return 1
 	}
 	return cfg.Workers
@@ -69,14 +77,17 @@ type phaseFn func(we *Env, id int, st *SortStats) ([]*runInfo, error)
 // nothing behind.
 //
 // A crew of one is not a crew: fn runs inline with the parent Env and stats
-// — no goroutine, no forwarder, no share arithmetic, no lock.
+// — no goroutine, no sub-handles, no share arithmetic.
 func runCrew(e *Env, st *SortStats, w, minNeed int, inputs []*runInfo, fn phaseFn) ([]*runInfo, error) {
 	var outs []*runInfo
 	var err error
 	if w == 1 {
 		outs, err = fn(e, 0, st)
 	} else {
-		c := newCrew(e, w, minNeed)
+		// The caller checked that e.Mem is a crewBroker (effectiveWorkers).
+		shares := e.Mem.(crewBroker).Divide(w, minNeed)
+		c := &crew{}
+		c.steps.Store(int64(e.stepSeq))
 		wst := make([]SortStats, w)
 		wouts := make([][]*runInfo, w)
 		errs := make([]error, w)
@@ -86,19 +97,19 @@ func runCrew(e *Env, st *SortStats, w, minNeed int, inputs []*runInfo, fn phaseF
 			//masortlint:allow simdeterminism -- W > 1 is real-engine only (the simulator never sets cfg.Workers, and W = 1 takes the inline branch above); worker outputs are collected in worker-id order, independent of scheduling
 			go func() {
 				defer wg.Done()
-				defer c.leave(id)
-				wouts[id], errs[id] = fn(c.workerEnv(e, id), id, &wst[id])
+				defer shares[id].Leave()
+				wouts[id], errs[id] = fn(c.workerEnv(e, shares[id], id), id, &wst[id])
 			}()
 		}
 		wg.Wait()
-		c.close(e)
+		e.stepSeq = int(c.steps.Load())
 		for id := range w {
 			st.add(&wst[id])
 			if err == nil {
 				err = errs[id]
 			}
 		}
-		st.MaxGranted = max(st.MaxGranted, c.maxTot)
+		st.MaxGranted = max(st.MaxGranted, shares[0].Stats().MaxGranted)
 		outs = slices.Concat(wouts...)
 	}
 	freeRuns(e, inputs)
@@ -125,160 +136,23 @@ func (s *SortStats) add(w *SortStats) {
 	s.Suspensions += w.Suspensions
 }
 
-// crew coordinates the worker goroutines of one phase over the operation's
-// single Broker. All shares derive from the live parent target on every
-// call, so budget changes are seen by every worker at its next broker
-// interaction.
+// crew is what the workers of one phase share besides the operation's
+// Broker (whose sub-handles arbitrate their memory): one event stream and
+// one merge-step numbering.
 type crew struct {
-	parent  Broker
-	minNeed int // pages a worker needs to be active (1 split, MinPages merge)
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	granted []int
-	live    []bool
-	nlive   int
-	total   int // sum of granted, tracked for the high-water mark
-	maxTot  int
-
-	evMu    sync.Mutex   // serializes worker events into the one OnEvent
-	steps   atomic.Int64 // operation-wide merge-step counter
-	cancel  context.CancelFunc
-	fwdDone chan struct{}
-}
-
-// newCrew starts the crew and its budget-change forwarder. The caller must
-// have checked that e.Mem implements ContextBroker (effectiveWorkers).
-func newCrew(e *Env, workers, minNeed int) *crew {
-	c := &crew{
-		parent:  e.Mem,
-		minNeed: minNeed,
-		granted: make([]int, workers),
-		live:    make([]bool, workers),
-		nlive:   workers,
-		fwdDone: make(chan struct{}),
-	}
-	c.cond = sync.NewCond(&c.mu)
-	for i := range c.live {
-		c.live[i] = true
-	}
-	c.steps.Store(int64(e.stepSeq))
-	base := e.Ctx
-	if base == nil {
-		base = context.Background()
-	}
-	fctx, cancel := context.WithCancel(base)
-	c.cancel = cancel
-	cb := e.Mem.(ContextBroker)
-	// The forwarder translates parent budget changes (Pool.Resize,
-	// Budget.Shrink/Grow, sibling-operator churn) into crew wakeups, so a
-	// parked worker re-evaluates its share promptly.
-	//masortlint:allow simdeterminism -- a crew exists only at W > 1, which the simulator never sets: the forwarder only wakes crew waiters when the budget changes
-	go func() {
-		defer close(c.fwdDone)
-		for {
-			if err := cb.WaitChangeCtx(fctx); err != nil {
-				return
-			}
-			c.mu.Lock()
-			c.cond.Broadcast()
-			c.mu.Unlock()
-		}
-	}()
-	return c
-}
-
-// close stops the forwarder and folds the shared step counter back into the
-// Env. Call once every worker has finished.
-func (c *crew) close(e *Env) {
-	c.cancel()
-	<-c.fwdDone
-	e.stepSeq = int(c.steps.Load())
-}
-
-// shareLocked computes worker id's page entitlement from the live parent
-// target: the target divides among the lowest-ranked live workers that can
-// each get at least minNeed pages (always at least one), remainder to the
-// lowest ranks (memarb's ShareAt rule, as in masort.Pool). Pure function of
-// (target, live set), so every worker computes the same partition — a
-// shrink parks workers deterministically instead of racing them.
-func (c *crew) shareLocked(id int) int {
-	if !c.live[id] {
-		return 0
-	}
-	t := c.parent.Target()
-	active := c.nlive
-	if c.minNeed > 0 {
-		if a := t / c.minNeed; a < active {
-			active = a
-		}
-	}
-	if active < 1 {
-		active = 1
-	}
-	rank := 0
-	for i := 0; i < id; i++ {
-		if c.live[i] {
-			rank++
-		}
-	}
-	if rank >= active {
-		return 0
-	}
-	return memarb.Policy{Total: t}.ShareAt(rank, active, 0, 0)
-}
-
-// waitLocked blocks on the crew condition until the next wakeup (sibling
-// acquire/yield/leave or a forwarded budget change); ctx interrupts it.
-func (c *crew) waitLocked(ctx context.Context) error {
-	if ctx == nil {
-		c.cond.Wait()
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	stop := context.AfterFunc(ctx, func() {
-		c.mu.Lock()
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	})
-	c.cond.Wait()
-	stop()
-	return ctx.Err()
-}
-
-// leave retires a finished worker: its remaining grant returns to the
-// parent and the survivors' shares grow at their next page boundary. A
-// parked worker whose rank improves below `active` resumes — this is what
-// guarantees progress when the budget can only sustain a subset of the
-// crew: the rank-0 worker always has a full-or-shared target ≥ the broker
-// floor, finishes, and hands its slot down.
-func (c *crew) leave(id int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.live[id] {
-		return
-	}
-	c.live[id] = false
-	c.nlive--
-	if g := c.granted[id]; g > 0 {
-		c.granted[id] = 0
-		c.total -= g
-		c.parent.Yield(g)
-	}
-	c.cond.Broadcast()
+	evMu  sync.Mutex   // serializes worker events into the one OnEvent
+	steps atomic.Int64 // operation-wide merge-step counter
 }
 
 // workerEnv derives worker id's execution environment by copy, so every Env
-// field is inherited unless named here: a private broker view; the worker
+// field is inherited unless named here: its share of the broker; the worker
 // tag; serialized event delivery with per-worker phase events suppressed
 // (the coordinator owns the operation's phase, and with it the SetPhase and
 // SetReclaim hooks); and the operation-wide step counter shared so
 // (Worker, Step) pairs stay unique.
-func (c *crew) workerEnv(e *Env, id int) *Env {
+func (c *crew) workerEnv(e *Env, share Broker, id int) *Env {
 	we := *e
-	we.Mem = &workerShare{c: c, id: id}
+	we.Mem = share
 	we.Worker = id + 1
 	we.SetPhase, we.SetReclaim = nil, nil
 	we.stepSeq, we.eventPanics = 0, 0
@@ -294,96 +168,6 @@ func (c *crew) workerEnv(e *Env, id int) *Env {
 		}
 	}
 	return &we
-}
-
-// workerShare is worker id's private view of the crew's Broker: Target is
-// the worker's deterministic share, Acquire clamps to it, and waits park on
-// the crew condition (woken by siblings and forwarded budget changes).
-type workerShare struct {
-	c  *crew
-	id int
-}
-
-func (w *workerShare) Granted() int {
-	w.c.mu.Lock()
-	defer w.c.mu.Unlock()
-	return w.c.granted[w.id]
-}
-
-func (w *workerShare) Target() int {
-	w.c.mu.Lock()
-	defer w.c.mu.Unlock()
-	return w.c.shareLocked(w.id)
-}
-
-func (w *workerShare) Acquire(n int) int {
-	c := w.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	room := c.shareLocked(w.id) - c.granted[w.id]
-	if n > room {
-		n = room
-	}
-	if n <= 0 {
-		return 0
-	}
-	got := c.parent.Acquire(n)
-	if got > 0 {
-		c.granted[w.id] += got
-		c.total += got
-		if c.total > c.maxTot {
-			c.maxTot = c.total
-		}
-		c.cond.Broadcast()
-	}
-	return got
-}
-
-func (w *workerShare) Yield(n int) {
-	c := w.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n > c.granted[w.id] {
-		n = c.granted[w.id]
-	}
-	if n <= 0 {
-		return
-	}
-	c.granted[w.id] -= n
-	c.total -= n
-	c.parent.Yield(n)
-	c.cond.Broadcast()
-}
-
-func (w *workerShare) Pressure() int {
-	w.c.mu.Lock()
-	defer w.c.mu.Unlock()
-	if p := w.c.granted[w.id] - w.c.shareLocked(w.id); p > 0 {
-		return p
-	}
-	return 0
-}
-
-func (w *workerShare) WaitTarget(n int) { _ = w.WaitTargetCtx(nil, n) }
-func (w *workerShare) WaitChange()      { _ = w.WaitChangeCtx(nil) }
-
-func (w *workerShare) WaitTargetCtx(ctx context.Context, n int) error {
-	c := w.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.shareLocked(w.id) < n {
-		if err := c.waitLocked(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (w *workerShare) WaitChangeCtx(ctx context.Context) error {
-	c := w.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.waitLocked(ctx)
 }
 
 // lockedInput shares one Input between split workers, page at a time. The

@@ -12,118 +12,28 @@ import (
 	"testing"
 	"time"
 
+	"github.com/memadapt/masort/internal/memarb"
 	"github.com/memadapt/masort/internal/randx"
 )
 
 // ---- thread-safe test substrate (the serial harness in testenv_test.go is
 // deliberately unsynchronized; parallel tests need their own) ----
 
-// ctxBudget is a minimal mutex+cond Broker with context-cancelable waits —
-// the shape of the real masort.Budget, local to the tests so the core
-// package stays dependency-free.
-type ctxBudget struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	target  int
-	granted int
+// testBudget is the real arbiter set up the way masort.NewBudget sets it up
+// — one permanently registered operator, 3-page floor, unclamped waits — so
+// the crew tests exercise the broker that ships.
+type testBudget struct {
+	*memarb.Handle
+	arb *memarb.Arbiter
 }
 
-func newCtxBudget(total int) *ctxBudget {
-	b := &ctxBudget{target: total}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+func newTestBudget(total int) *testBudget {
+	arb := memarb.New(memarb.Config{Total: total, Floor: 3})
+	h, _ := arb.Register(context.Background(), 0, false)
+	return &testBudget{Handle: h, arb: arb}
 }
 
-func (b *ctxBudget) Granted() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.granted
-}
-
-func (b *ctxBudget) Target() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.target
-}
-
-func (b *ctxBudget) Acquire(n int) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if room := b.target - b.granted; n > room {
-		n = room
-	}
-	if n < 0 {
-		n = 0
-	}
-	b.granted += n
-	if n > 0 {
-		b.cond.Broadcast()
-	}
-	return n
-}
-
-func (b *ctxBudget) Yield(n int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if n > b.granted {
-		panic(fmt.Sprintf("ctxBudget: yield %d with %d granted", n, b.granted))
-	}
-	b.granted -= n
-	b.cond.Broadcast()
-}
-
-func (b *ctxBudget) Pressure() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if p := b.granted - b.target; p > 0 {
-		return p
-	}
-	return 0
-}
-
-func (b *ctxBudget) Resize(n int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.target = n
-	b.cond.Broadcast()
-}
-
-func (b *ctxBudget) WaitTarget(n int) { _ = b.WaitTargetCtx(context.Background(), n) }
-func (b *ctxBudget) WaitChange()      { _ = b.WaitChangeCtx(context.Background()) }
-
-func (b *ctxBudget) wait(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, func() {
-		b.mu.Lock()
-		b.cond.Broadcast()
-		b.mu.Unlock()
-	})
-	b.cond.Wait()
-	stop()
-	return ctx.Err()
-}
-
-func (b *ctxBudget) WaitTargetCtx(ctx context.Context, n int) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for b.target < n {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := b.wait(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (b *ctxBudget) WaitChangeCtx(ctx context.Context) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return b.wait(ctx)
-}
+func (b *testBudget) Resize(n int) { b.arb.Resize(n) }
 
 // safeStore is a mutex-guarded in-memory RunStore with an append
 // observation hook, for driving budget changes from store traffic.
@@ -254,7 +164,7 @@ func compareRecords(a, b Record) int {
 
 // TestParallelSortMatchesSerial is the determinism contract of the one phase
 // driver: for every worker count × method × adaptation — W = 1 and the
-// no-ContextBroker fallback included, all through the same entry — the
+// no-crewBroker fallback included, all through the same entry — the
 // concatenated segments equal slices.SortFunc on (key, payload).
 func TestParallelSortMatchesSerial(t *testing.T) {
 	recs := payloadRecords(20000, 7)
@@ -268,7 +178,7 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 	}
 	variants := []variant{
 		{"w1", 1, false, 1}, {"w2", 2, false, 2}, {"w4", 4, false, 4},
-		// A broker without context waits cannot host a crew: one worker.
+		// A broker that cannot divide itself cannot host a crew: one worker.
 		{"w4nocb", 4, true, 1},
 	}
 	for _, method := range []Method{Quick, Repl} {
@@ -283,7 +193,7 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 					env := &Env{
 						In:    &sliceInput{pages: pagesOf(recs, 32)},
 						Store: store,
-						Mem:   newCtxBudget(48),
+						Mem:   newTestBudget(48),
 						Ctx:   context.Background(),
 					}
 					if v.noCtx {
@@ -315,25 +225,41 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 }
 
 // TestOneWorkerSpawnsNoGoroutine pins the property the simulator depends on:
-// at W = 1 both phases run inline on the caller's goroutine — no worker, no
-// forwarder — observed from inside the operation's own events.
+// at W = 1 both phases run inline on the caller's goroutine, observed from
+// inside the operation's own events — and, at W = 2, that the workers are
+// all a crew costs: each phase runs on exactly W goroutines above the
+// baseline (the store here starts none of its own) and leaves none behind.
 func TestOneWorkerSpawnsNoGoroutine(t *testing.T) {
 	recs := makeRecords(8000, 13)
-	for _, workers := range []int{0, 1} {
+	for _, workers := range []int{0, 1, 2} {
+		extra := 0 // goroutines a phase may run above the baseline
+		if workers > 1 {
+			extra = workers
+		}
+		// Earlier tests' workers may still be on their way out: take the
+		// baseline once the count has stopped moving.
 		base := runtime.NumGoroutine()
-		seen := map[string]int{}
+		for still := 0; still < 5; still++ {
+			time.Sleep(time.Millisecond)
+			if n := runtime.NumGoroutine(); n != base {
+				base, still = n, 0
+			}
+		}
+		seen, peak := map[string]int{}, map[string]int{}
 		phase := ""
 		env := &Env{
 			In:    &sliceInput{pages: pagesOf(recs, 32)},
 			Store: newSafeStore(),
-			Mem:   newCtxBudget(16),
+			Mem:   newTestBudget(16),
 			Ctx:   context.Background(),
 			OnEvent: func(ev Event) {
 				if ev.Kind == EvPhase {
 					phase = ev.Phase
 				}
 				seen[phase]++
-				if n := runtime.NumGoroutine(); n > base {
+				n := runtime.NumGoroutine()
+				peak[phase] = max(peak[phase], n)
+				if n > base+extra {
 					t.Errorf("Workers=%d: %d goroutines during %q (%v), %d before the sort", workers, n, phase, ev.Kind, base)
 				}
 			},
@@ -347,6 +273,17 @@ func TestOneWorkerSpawnsNoGoroutine(t *testing.T) {
 		if seen["split"] < 2 || seen["merge"] < 2 {
 			t.Fatalf("events observed per phase: %v, want some in split and merge", seen)
 		}
+		if peak["split"] != base+extra || peak["merge"] != base+extra {
+			t.Fatalf("Workers=%d: goroutine peaks per phase %v, want %d in split and merge", workers, peak, base+extra)
+		}
+		// A worker's goroutine may still be on its way out when the phase
+		// driver's WaitGroup lets go of it.
+		for i := 0; runtime.NumGoroutine() > base && i < 1000; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("Workers=%d: %d goroutines after the sort, %d before it", workers, n, base)
+		}
 	}
 }
 
@@ -359,7 +296,7 @@ func TestWorkerEnvInheritsByDefault(t *testing.T) {
 	parent := &Env{
 		In:               &sliceInput{},
 		Store:            newSafeStore(),
-		Mem:              newCtxBudget(12),
+		Mem:              newTestBudget(12),
 		Meter:            newCountingMeter(),
 		Ctx:              context.Background(),
 		Now:              func() time.Duration { return 0 },
@@ -370,9 +307,10 @@ func TestWorkerEnvInheritsByDefault(t *testing.T) {
 		stepSeq:          7,
 		eventPanics:      2,
 	}
-	c := newCrew(parent, 2, 3)
-	defer c.close(parent)
-	we := c.workerEnv(parent, 1)
+	shares := parent.Mem.(crewBroker).Divide(2, 3)
+	c := &crew{}
+	c.steps.Store(int64(parent.stepSeq))
+	we := c.workerEnv(parent, shares[1], 1)
 
 	pv, wv := reflect.ValueOf(parent).Elem(), reflect.ValueOf(we).Elem()
 	for i := range pv.NumField() {
@@ -392,13 +330,13 @@ func TestWorkerEnvInheritsByDefault(t *testing.T) {
 			t.Errorf("worker Env.%s = %v, parent has %v", f.Name, b.Interface(), a.Interface())
 		}
 	}
-	if _, ok := we.Mem.(*workerShare); !ok || we.Worker != 2 || we.OnEvent == nil {
+	if we.Mem != Broker(shares[1]) || we.Worker != 2 || we.OnEvent == nil {
 		t.Errorf("worker overrides missing: Mem %T, Worker %d, OnEvent set %v", we.Mem, we.Worker, we.OnEvent != nil)
 	}
 	if we.SetPhase != nil || we.SetReclaim != nil || we.stepSeq != 0 || we.eventPanics != 0 || we.stepFn == nil {
 		t.Errorf("worker Env kept coordinator-only state: %+v", we)
 	}
-	if a, b := we.nextStep(), c.workerEnv(parent, 0).nextStep(); a != 8 || b != 9 {
+	if a, b := we.nextStep(), c.workerEnv(parent, shares[0], 0).nextStep(); a != 8 || b != 9 {
 		t.Errorf("workers number steps %d, %d; want the operation-wide 8, 9", a, b)
 	}
 }
@@ -416,7 +354,7 @@ func TestParallelShrinkPropagatesToAllWorkers(t *testing.T) {
 		workers   = 4
 	)
 	recs := makeRecords(40000, 11)
-	budget := newCtxBudget(total)
+	budget := newTestBudget(total)
 	store := newSafeStore()
 
 	type obs struct {
@@ -516,7 +454,7 @@ func TestParallelSuspendResumeMidMerge(t *testing.T) {
 	pct := func(p int) Key { return sorted[len(sorted)*p/100].Key }
 	for _, adapt := range []Adapt{Suspend, DynSplit} {
 		t.Run(fmt.Sprintf("adapt%d", adapt), func(t *testing.T) {
-			budget := newCtxBudget(total)
+			budget := newTestBudget(total)
 			store := newSafeStore()
 			var (
 				mu      sync.Mutex
@@ -585,7 +523,7 @@ func TestParallelSuspendResumeMidMerge(t *testing.T) {
 // leak-free abort: every run freed, every page yielded.
 func TestParallelCancelMidMerge(t *testing.T) {
 	recs := makeRecords(30000, 5)
-	budget := newCtxBudget(48)
+	budget := newTestBudget(48)
 	store := newSafeStore()
 	ctx, cancel := context.WithCancel(context.Background())
 	var (
@@ -660,7 +598,7 @@ func TestParallelMergeExistingTree(t *testing.T) {
 		t.Run(fmt.Sprintf("runs%d", n), func(t *testing.T) {
 			merge := func(workers int) (*SortResult, []Record, *safeStore) {
 				store := newSafeStore()
-				env := &Env{Store: store, Mem: newCtxBudget(32), Ctx: context.Background()}
+				env := &Env{Store: store, Mem: newTestBudget(32), Ctx: context.Background()}
 				ids, all := fencelessRuns(t, env, n, 2000)
 				cfg := DefaultConfig()
 				cfg.PageRecords = 32
@@ -703,7 +641,7 @@ func TestParallelMergeExistingTree(t *testing.T) {
 // two workers; the cancel lands while the other is still parked.
 func TestParallelMergeCancelWhileParkedFreesInputs(t *testing.T) {
 	store := newSafeStore()
-	budget := newCtxBudget(32)
+	budget := newTestBudget(32)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	env := &Env{Store: store, Mem: budget, Ctx: ctx}
@@ -739,7 +677,10 @@ func TestParallelMergeCancelWhileParkedFreesInputs(t *testing.T) {
 // "mid" cuts it from worker 2's own append three quarters through the key
 // space, so its very next page boundary finds it parked. Either way worker 1
 // is held at the first quartile until then — it may not finish and hand its
-// rank down first, however the scheduler orders the two.
+// rank down first, however the scheduler orders the two — and the "mid" cut
+// waits for that hold: a worker 1 still short of it would meet the 5 pages at
+// a page boundary of its own and, under the suspension strategy, rightly
+// suspend for want of them.
 func TestParkedWorkerSuspendsOnce(t *testing.T) {
 	const total = 48
 	recs := makeRecords(20000, 17)
@@ -749,7 +690,7 @@ func TestParkedWorkerSuspendsOnce(t *testing.T) {
 	for _, adapt := range []Adapt{Suspend, Paging, DynSplit} {
 		for _, when := range []string{"start", "mid"} {
 			t.Run(fmt.Sprintf("a%d_%s", adapt, when), func(t *testing.T) {
-				budget := newCtxBudget(total)
+				budget := newTestBudget(total)
 				store := newSafeStore()
 				var (
 					mu      sync.Mutex
@@ -757,7 +698,8 @@ func TestParkedWorkerSuspendsOnce(t *testing.T) {
 					shrunk  bool
 					events  []Event
 				)
-				parked := make(chan struct{})
+				parked, held := make(chan struct{}), make(chan struct{})
+				var holdOnce sync.Once
 				env := &Env{
 					In: &sliceInput{pages: pagesOf(recs, 32)}, Store: store, Mem: budget, Ctx: context.Background(),
 					OnEvent: func(ev Event) {
@@ -781,13 +723,18 @@ func TestParkedWorkerSuspendsOnce(t *testing.T) {
 				store.gate = func(pages []Page) {
 					k := pages[0][0].Key
 					mu.Lock()
-					if merging && !shrunk && k >= q75 {
-						shrunk = true
-						budget.Resize(5)
-					}
+					cut := merging && !shrunk && k >= q75
 					hold := merging && k >= q25 && k < q40
 					mu.Unlock()
+					if cut {
+						<-held
+						mu.Lock()
+						shrunk = true
+						budget.Resize(5)
+						mu.Unlock()
+					}
 					if hold {
+						holdOnce.Do(func() { close(held) })
 						<-parked
 					}
 				}
@@ -814,72 +761,56 @@ func TestParkedWorkerSuspendsOnce(t *testing.T) {
 	}
 }
 
-// TestCrewShares pins the deterministic share arithmetic: the target
-// divides among the lowest-ranked live workers that can each hold minNeed
-// pages, remainder to the lowest ranks, recomputed from the live target on
-// every call.
+// TestCrewShares pins the deterministic share arithmetic of the sub-handles
+// a crew works through: the target divides among the lowest-ranked live
+// workers that can each hold minNeed pages, remainder to the lowest ranks,
+// recomputed from the live target on every call.
 func TestCrewShares(t *testing.T) {
-	budget := newCtxBudget(32)
-	e := &Env{Mem: budget, Ctx: context.Background()}
-	c := newCrew(e, 4, 3)
-	defer c.close(e)
-
-	share := func(id int) int {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.shareLocked(id)
-	}
-	for id, want := range []int{8, 8, 8, 8} {
-		if got := share(id); got != want {
-			t.Fatalf("share(%d) = %d, want %d at target 32", id, got, want)
+	budget := newTestBudget(32)
+	shares := budget.Divide(4, 3)
+	check := func(when string, want ...int) {
+		t.Helper()
+		for id, w := range want {
+			if got := shares[id].Target(); got != w {
+				t.Fatalf("share(%d) = %d, want %d %s", id, got, w, when)
+			}
 		}
 	}
+	check("at target 32", 8, 8, 8, 8)
 	budget.Resize(34) // remainder 2 goes to the two lowest ranks
-	for id, want := range []int{9, 9, 8, 8} {
-		if got := share(id); got != want {
-			t.Fatalf("share(%d) = %d, want %d at target 34", id, got, want)
-		}
-	}
+	check("at target 34", 9, 9, 8, 8)
 	budget.Resize(7) // only two workers can hold minNeed=3: ranks 2,3 pause
-	for id, want := range []int{4, 3, 0, 0} {
-		if got := share(id); got != want {
-			t.Fatalf("share(%d) = %d, want %d at target 7", id, got, want)
-		}
-	}
-	c.leave(0) // rank improves: worker 1 becomes rank 0, worker 2 resumes
-	for id, want := range []int{0, 4, 3, 0} {
-		if got := share(id); got != want {
-			t.Fatalf("share(%d) = %d, want %d after leave(0)", id, got, want)
-		}
-	}
+	check("at target 7", 4, 3, 0, 0)
+	shares[0].Leave() // rank improves: worker 1 becomes rank 0, worker 2 resumes
+	check("after worker 0 left", 0, 4, 3, 0)
 }
-
-// fixedTarget is a Broker of which shareLocked only ever asks the target.
-type fixedTarget struct {
-	Broker
-	t int
-}
-
-func (f fixedTarget) Target() int { return f.t }
 
 // TestCrewSharePartitionGrid pins the partition over a (target, live set,
 // minNeed) grid against the rule written out longhand: the lowest-ranked
 // live workers that can each hold minNeed pages (at least one of them) are
 // active and split the target exactly, base share plus one remainder page to
-// each of the lowest ranks; everyone else — parked or gone — gets 0.
+// each of the lowest ranks; everyone else — parked or gone — gets 0. The
+// arbiter has no floor here, so the grid reaches the targets below MinPages
+// that no real operator is ever entitled to.
 func TestCrewSharePartitionGrid(t *testing.T) {
 	const workers = 4
 	for _, minNeed := range []int{0, 1, 3, 5} {
 		for liveSet := 1; liveSet < 1<<workers; liveSet++ {
-			c := &crew{minNeed: minNeed, live: make([]bool, workers)}
-			for id := range c.live {
-				if c.live[id] = liveSet&(1<<id) != 0; c.live[id] {
-					c.nlive++
+			arb := memarb.New(memarb.Config{Total: 41})
+			op, _ := arb.Register(context.Background(), 0, false)
+			shares := op.Divide(workers, minNeed)
+			live := make([]bool, workers)
+			nlive := 0
+			for id := range live {
+				if live[id] = liveSet&(1<<id) != 0; live[id] {
+					nlive++
+				} else {
+					shares[id].Leave()
 				}
 			}
 			for target := 0; target <= 41; target++ {
-				c.parent = fixedTarget{t: target}
-				active := c.nlive
+				arb.Resize(target)
+				active := nlive
 				if minNeed > 0 {
 					active = min(active, target/minNeed)
 				}
@@ -887,7 +818,7 @@ func TestCrewSharePartitionGrid(t *testing.T) {
 				sum, rank := 0, 0
 				for id := range workers {
 					want := 0
-					if c.live[id] {
+					if live[id] {
 						if rank < active {
 							want = target / active
 							if rank < target%active {
@@ -896,7 +827,7 @@ func TestCrewSharePartitionGrid(t *testing.T) {
 						}
 						rank++
 					}
-					got := c.shareLocked(id)
+					got := shares[id].Target()
 					if got != want {
 						t.Fatalf("minNeed %d live %04b target %d: share(%d) = %d, want %d",
 							minNeed, liveSet, target, id, got, want)

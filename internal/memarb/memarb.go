@@ -1,8 +1,8 @@
-// Package memarb holds the memory-arbitration policy shared by the
-// simulator's buffer manager (internal/bufmgr.SharedPool) and the real
-// engine's process-wide pool (masort.Pool): how a fixed total of buffer
-// pages is divided between N adaptive operators and a stream of competing
-// reservations made on behalf of higher-priority work.
+// Package memarb holds the memory arbitration shared by the simulator's
+// buffer manager (internal/bufmgr.SharedPool) and the real engine
+// (masort.Budget, masort.Pool, and the crew of a parallel phase): how a
+// fixed total of buffer pages is divided between N adaptive operators and a
+// stream of competing reservations made on behalf of higher-priority work.
 //
 // The policy is the paper's reservation protocol (Pang, Carey, Livny §4.2)
 // generalized to multiprogramming: every registered operator is entitled to
@@ -11,9 +11,16 @@
 // reservations are capped so the floors always remain coverable, which is
 // also the admission rule for new operators.
 //
-// The package is pure arithmetic — no clocks, goroutines or simulator
-// types — so both the discrete-event simulation and the wall-clock engine
-// compute identical entitlements from identical states.
+// The package has two layers. Policy and CrewShare (this file) are pure
+// arithmetic — no clocks, locks or simulator types — so the discrete-event
+// simulation and the wall-clock engine compute identical entitlements from
+// identical states; the simulator uses nothing else. Arbiter and Handle
+// (arbiter.go) are the real engine's one concurrent arbiter over that
+// arithmetic: one mutex, one condition variable, blocking waits. The
+// arbiter may block its callers and reads the wall clock to time admission
+// and waits for its accounts, nothing more: it starts no goroutines, sets
+// no timers, and knows nothing of tracing or of the engine — observers are
+// plain function hooks called outside the lock.
 package memarb
 
 // Policy fixes the two pool constants: the total page count and the
@@ -89,4 +96,26 @@ func (p Policy) CanAdmitWith(ops, reserved, pending int) bool {
 // never be satisfied.
 func (p Policy) Headroom(ops, reserved, pending int) int {
 	return p.Total - ops*p.Floor - reserved - pending
+}
+
+// CrewShare returns the entitlement of the rank-th of live workers dividing
+// one operator's target between them (rank 0 is the lowest-numbered worker
+// still running). The target divides among the lowest-ranked workers that
+// can each get at least minNeed pages — always at least one, so the
+// operation progresses on any target — with the remainder going to the
+// lowest ranks (the ShareAt rule); the other workers are parked on a zero
+// share, as is a negative rank (a worker that left). A pure function of its
+// arguments: every worker computes the same partition, the shares of the
+// active workers sum to the target exactly, and a shrink parks workers
+// deterministically instead of racing them.
+func CrewShare(target, rank, live, minNeed int) int {
+	active := live
+	if minNeed > 0 {
+		active = min(active, target/minNeed)
+	}
+	active = max(active, 1)
+	if rank < 0 || rank >= active {
+		return 0
+	}
+	return Policy{Total: target}.ShareAt(rank, active, 0, 0)
 }

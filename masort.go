@@ -45,7 +45,11 @@ const (
 	// MRUPaging keeps merging with fewer buffers, paging inputs in and out
 	// with most-recently-used replacement.
 	MRUPaging
-	// Suspension stops the merge until the budget is restored.
+	// Suspension stops a merge step whose requirement the target no longer
+	// covers and waits. Under a Budget it sleeps until the budget's owner
+	// restores the step's requirement; under a Pool, which has no owner to
+	// wait for, the wait is bounded by the pool's total — below it the step
+	// resumes on what there is and suspends again at its next page.
 	Suspension
 )
 
@@ -160,15 +164,16 @@ func newEnv(ctx context.Context, o config, mem core.Broker, meter *counterMeter,
 	return env, ts
 }
 
-// memContract resolves the operator's memory broker. Under a Pool the
-// operator is admitted first (which may queue until capacity frees, or
+// memContract resolves the operator's memory broker: the Budget's one
+// handle, or a handle of its own on the Pool. Under a Pool the operator is
+// admitted first (which may queue until capacity frees, or
 // fail — ErrPoolSaturated under RejectWhenFull, the context's error if
 // canceled while queued). The returned finish func must be called exactly
 // once when the operator is done: it detaches from the pool and, when
 // passed a non-nil Result, attaches the operator's PoolStats to it.
 func memContract(ctx context.Context, o *config, ot *opTrace) (core.Broker, func(*Result), error) {
 	if o.pool == nil {
-		return o.budget, func(*Result) {}, nil
+		return o.budget.h, func(*Result) {}, nil
 	}
 	var opID uint64
 	if ot != nil {
@@ -179,8 +184,9 @@ func memContract(ctx context.Context, o *config, ot *opTrace) (core.Broker, func
 		return nil, nil, wrapCtxErr(ctx, err)
 	}
 	return h, func(res *Result) {
-		st := o.pool.unregister(h)
+		h.Leave()
 		if res != nil {
+			st := PoolStats(h.Stats())
 			res.Pool = &st
 		}
 	}, nil

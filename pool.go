@@ -3,7 +3,6 @@ package masort
 import (
 	"context"
 	"errors"
-	"sync"
 	"time"
 
 	"github.com/memadapt/masort/internal/memarb"
@@ -44,7 +43,7 @@ func WithPoolFloor(pages int) PoolOption {
 		if pages < minFloor {
 			pages = minFloor
 		}
-		p.pol.Floor = pages
+		p.floor = pages
 	}
 }
 
@@ -90,89 +89,53 @@ const minFloor = 3
 // nil; the zero value is not usable — construct with NewPool. All methods
 // are safe for concurrent use.
 type Pool struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	pol       memarb.Policy
+	arb       *memarb.Arbiter
+	floor     int
 	admission AdmissionPolicy
-	tr        Tracer // fixed at construction; emits happen outside mu
-
-	// Conservation: Σ granted + reserved + free == total at all times;
-	// pending is a promise against future free pages, not a holding. free
-	// may go negative transiently after a shrinking Resize — the deficit
-	// is repaid as operators yield down to their new entitlements.
-	free     int
-	reserved int
-	pending  int // pages promised to queued reservations
-
-	ops   []*poolOp // registration order — oldest first
-	queue []*reservation
-
-	rejectedOps int
-	rejectedRes int
-}
-
-type reservation struct {
-	want    int
-	granted bool
+	tr        Tracer // fixed at construction; emits happen outside the arbiter's lock
 }
 
 // NewPool creates a pool of total pages. The total must cover at least one
 // per-operator floor; smaller values are raised to it.
 func NewPool(total int, opts ...PoolOption) *Pool {
-	p := &Pool{pol: memarb.Policy{Total: total, Floor: minFloor}}
-	p.cond = sync.NewCond(&p.mu)
+	p := &Pool{floor: minFloor}
 	for _, fn := range opts {
 		if fn != nil {
 			fn(p)
 		}
 	}
-	if p.pol.Total < p.pol.Floor {
-		p.pol.Total = p.pol.Floor
+	cfg := memarb.Config{Total: total, Floor: p.floor, ClampWaits: true}
+	if p.tr != nil {
+		cfg.OnGrant = func(op uint64, pages int) {
+			emitSafe(p.tr, trace.Event{Kind: trace.KindPoolGrant, Time: time.Now(), Op: op, Pages: pages}, nil)
+		}
+		cfg.OnWait = func(op uint64, d time.Duration) {
+			emitSafe(p.tr, trace.Event{Kind: trace.KindPoolWait, Time: time.Now(), Op: op, Dur: d}, nil)
+		}
 	}
-	p.free = p.pol.Total
+	p.arb = memarb.New(cfg)
 	return p
 }
 
 // Total returns the pool size in pages.
-func (p *Pool) Total() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.pol.Total
-}
+func (p *Pool) Total() int { return p.arb.Snapshot().Total }
 
 // Floor returns the per-operator guaranteed minimum.
-func (p *Pool) Floor() int { return p.pol.Floor }
+func (p *Pool) Floor() int { return p.floor }
 
 // Ops returns the number of operators currently admitted.
-func (p *Pool) Ops() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.ops)
-}
+func (p *Pool) Ops() int { return len(p.arb.Snapshot().Targets) }
 
 // Reserved returns the pages currently held by application reservations.
-func (p *Pool) Reserved() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.reserved
-}
+func (p *Pool) Reserved() int { return p.arb.Snapshot().Reserved }
 
 // RejectedOps and RejectedReservations count admission failures
 // (RejectWhenFull) and zero-grant reservations since the pool was created.
-func (p *Pool) RejectedOps() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rejectedOps
-}
+func (p *Pool) RejectedOps() int { return p.arb.Snapshot().RejectedOps }
 
 // RejectedReservations counts Reserve calls that returned 0 for lack of
 // headroom.
-func (p *Pool) RejectedReservations() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rejectedRes
-}
+func (p *Pool) RejectedReservations() int { return p.arb.Snapshot().RejectedReservations }
 
 // Resize changes the pool total. Growing takes effect immediately; the new
 // pages join the free pool and entitlements rise. Shrinking never breaks
@@ -181,28 +144,11 @@ func (p *Pool) RejectedReservations() int {
 // and takes effect as operators yield down to their reduced entitlements.
 // Resize returns the total actually set.
 func (p *Pool) Resize(total int) int {
-	set := p.resize(total)
+	set := p.arb.Resize(total)
 	if p.tr != nil {
 		emitSafe(p.tr, trace.Event{Kind: trace.KindPoolResize, Time: time.Now(), Pages: set}, nil)
 	}
 	return set
-}
-
-func (p *Pool) resize(total int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	min := len(p.ops)*p.pol.Floor + p.reserved + p.pending
-	if min < p.pol.Floor {
-		min = p.pol.Floor
-	}
-	if total < min {
-		total = min
-	}
-	p.free += total - p.pol.Total
-	p.pol.Total = total
-	p.tryGrant()
-	p.cond.Broadcast()
-	return total
 }
 
 // Reserve takes up to want pages away from the pool on behalf of the
@@ -218,157 +164,37 @@ func (p *Pool) Reserve(ctx context.Context, want int) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if h := p.pol.Headroom(len(p.ops), p.reserved, p.pending); want > h {
-		want = h
-	}
-	if want <= 0 {
-		p.rejectedRes++
-		return 0, nil
-	}
-	r := &reservation{want: want}
-	p.queue = append(p.queue, r)
-	p.pending += want
-	p.tryGrant()
-	// Entitlements just dropped: wake operators so they start yielding.
-	p.cond.Broadcast()
-	stop := context.AfterFunc(ctx, p.wake)
-	defer stop()
-	for !r.granted {
-		if err := ctx.Err(); err != nil {
-			p.dropReservation(r)
-			return 0, err
-		}
-		p.cond.Wait()
-	}
-	return want, nil
-}
-
-// dropReservation removes a still-pending reservation after its context is
-// canceled. Grant may have raced with cancellation; then the pages are
-// handed back instead.
-func (p *Pool) dropReservation(r *reservation) {
-	if r.granted {
-		p.releaseLocked(r.want)
-		return
-	}
-	for i, q := range p.queue {
-		if q == r {
-			p.queue = append(p.queue[:i], p.queue[i+1:]...)
-			break
-		}
-	}
-	p.pending -= r.want
-	p.tryGrant() // later reservations may now fit
-	p.cond.Broadcast()
+	return p.arb.Reserve(ctx, want)
 }
 
 // Release returns n reserved pages to the pool. Releasing more than is
 // currently reserved is clamped.
-func (p *Pool) Release(n int) {
-	if n <= 0 {
-		return
+func (p *Pool) Release(n int) { p.arb.Release(n) }
+
+// admit registers a new operator with the pool's arbiter, waiting
+// (QueueWhenFull) or failing (RejectWhenFull) while one more floor does not
+// fit in what application reservations have not taken. The handle is the
+// operator's core.Broker, so the engine adapts to pool arbitration exactly
+// as it adapts to a resized Budget; the operator detaches with Leave. op is
+// the operator's trace id (0 when untraced), attributed to the pool's
+// events.
+func (p *Pool) admit(ctx context.Context, op uint64) (*memarb.Handle, error) {
+	h, err := p.arb.Register(ctx, op, p.admission == QueueWhenFull)
+	saturated := errors.Is(err, memarb.ErrSaturated)
+	if saturated {
+		err = ErrPoolSaturated
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.releaseLocked(n)
-}
-
-func (p *Pool) releaseLocked(n int) {
-	if n > p.reserved {
-		n = p.reserved
-	}
-	p.reserved -= n
-	p.free += n
-	p.tryGrant()
-	p.cond.Broadcast()
-}
-
-// tryGrant satisfies queued reservations FIFO, each all-at-once, from the
-// free pool. Callers hold p.mu.
-func (p *Pool) tryGrant() {
-	for len(p.queue) > 0 && p.free >= p.queue[0].want {
-		r := p.queue[0]
-		p.queue = p.queue[1:]
-		p.free -= r.want
-		p.reserved += r.want
-		p.pending -= r.want
-		r.granted = true
-	}
-}
-
-// wake broadcasts under the lock; used by context-cancelable waits (see
-// Budget.wake for the ordering argument).
-func (p *Pool) wake() {
-	p.mu.Lock()
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// admit registers a new operator, waiting (QueueWhenFull) or failing
-// (RejectWhenFull) while one more floor does not fit in what application
-// reservations have not taken — an admitted operator's floor must be
-// genuinely acquirable, not promised away. op is the operator's trace id
-// (0 when untraced), attributed to the admission events.
-func (p *Pool) admit(ctx context.Context, op uint64) (*poolOp, error) {
-	h, err := p.register(ctx, op)
 	if p.tr != nil {
 		switch {
 		case err == nil:
 			emitSafe(p.tr, trace.Event{Kind: trace.KindPoolAdmit, Time: time.Now(),
-				Op: op, Dur: h.stats.AdmissionWait}, nil)
-		case errors.Is(err, ErrPoolSaturated):
+				Op: op, Dur: h.Stats().AdmissionWait}, nil)
+		case saturated:
 			emitSafe(p.tr, trace.Event{Kind: trace.KindPoolReject, Time: time.Now(),
 				Op: op, Err: err.Error()}, nil)
 		}
 	}
 	return h, err
-}
-
-func (p *Pool) register(ctx context.Context, op uint64) (*poolOp, error) {
-	start := time.Now()
-	stop := context.AfterFunc(ctx, p.wake)
-	defer stop()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for !p.pol.CanAdmitWith(len(p.ops), p.reserved, p.pending) {
-		if p.admission == RejectWhenFull {
-			p.rejectedOps++
-			return nil, ErrPoolSaturated
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		p.cond.Wait()
-	}
-	h := &poolOp{p: p, op: op}
-	h.stats.AdmissionWait = time.Since(start)
-	p.ops = append(p.ops, h)
-	// Every sibling's entitlement just shrank.
-	p.cond.Broadcast()
-	return h, nil
-}
-
-// unregister removes a finished operator, returning any pages it still
-// holds (the engine yields everything on success and on abort; this is
-// belt-and-braces) and re-equalizing the survivors' shares.
-func (p *Pool) unregister(h *poolOp) PoolStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if h.granted > 0 {
-		p.free += h.granted
-		h.granted = 0
-	}
-	for i, o := range p.ops {
-		if o == h {
-			p.ops = append(p.ops[:i], p.ops[i+1:]...)
-			break
-		}
-	}
-	p.tryGrant()
-	p.cond.Broadcast()
-	return h.stats
 }
 
 // PoolStats reports one operator's interaction with its Pool: how memory
@@ -392,196 +218,4 @@ type PoolStats struct {
 	// total time spent in them.
 	Waits    int
 	WaitTime time.Duration
-}
-
-// poolOp is one operator's view of a Pool. It implements core.Broker and
-// core.ContextBroker, so the engine adapts to pool arbitration exactly as
-// it adapts to a resized Budget.
-type poolOp struct {
-	p       *Pool
-	op      uint64 // trace id of the operator, 0 when untraced
-	granted int
-	stats   PoolStats
-}
-
-// index returns the operator's registration rank (0 = oldest). Callers
-// hold p.mu.
-func (h *poolOp) index() int {
-	for i, o := range h.p.ops {
-		if o == h {
-			return i
-		}
-	}
-	return 0
-}
-
-// target computes the entitlement. Callers hold p.mu.
-func (h *poolOp) target() int {
-	return h.p.pol.ShareAt(h.index(), len(h.p.ops), h.p.reserved, h.p.pending)
-}
-
-// Granted returns the pages the operator holds.
-func (h *poolOp) Granted() int {
-	h.p.mu.Lock()
-	defer h.p.mu.Unlock()
-	return h.granted
-}
-
-// Target returns the operator's current entitlement.
-func (h *poolOp) Target() int {
-	h.p.mu.Lock()
-	defer h.p.mu.Unlock()
-	return h.target()
-}
-
-// Pressure returns max(0, Granted-Target).
-func (h *poolOp) Pressure() int {
-	h.p.mu.Lock()
-	defer h.p.mu.Unlock()
-	if pr := h.granted - h.target(); pr > 0 {
-		return pr
-	}
-	return 0
-}
-
-// Acquire grants up to n additional pages, bounded by the entitlement and
-// the free pool.
-func (h *poolOp) Acquire(n int) int {
-	got := h.acquire(n)
-	if got > 0 && h.p.tr != nil {
-		emitSafe(h.p.tr, trace.Event{Kind: trace.KindPoolGrant, Time: time.Now(),
-			Op: h.op, Pages: got}, nil)
-	}
-	return got
-}
-
-func (h *poolOp) acquire(n int) int {
-	h.p.mu.Lock()
-	defer h.p.mu.Unlock()
-	if room := h.target() - h.granted; n > room {
-		n = room
-	}
-	if n > h.p.free {
-		n = h.p.free
-	}
-	if n <= 0 {
-		return 0
-	}
-	h.granted += n
-	h.p.free -= n
-	h.stats.Grants++
-	h.stats.PagesGranted += n
-	if h.granted > h.stats.MaxGranted {
-		h.stats.MaxGranted = h.granted
-	}
-	return n
-}
-
-// Yield returns n pages to the pool, waking queued reservations and
-// siblings that may grow into them.
-func (h *poolOp) Yield(n int) {
-	h.p.mu.Lock()
-	defer h.p.mu.Unlock()
-	if n > h.granted {
-		n = h.granted
-	}
-	if n <= 0 {
-		return
-	}
-	h.granted -= n
-	h.p.free += n
-	h.p.tryGrant()
-	h.p.cond.Broadcast()
-}
-
-// WaitTarget blocks until the entitlement reaches n (clamped to the pool
-// total, so the wait terminates once reservations drain and siblings
-// finish).
-func (h *poolOp) WaitTarget(n int) { _ = h.waitTarget(nil, n) }
-
-// WaitChange blocks until the arbitration state changes.
-func (h *poolOp) WaitChange() { _ = h.waitChange(nil) }
-
-// WaitTargetCtx implements core.ContextBroker.
-func (h *poolOp) WaitTargetCtx(ctx context.Context, n int) error {
-	stop := context.AfterFunc(ctx, h.p.wake)
-	defer stop()
-	return h.waitTarget(ctx, n)
-}
-
-// WaitChangeCtx implements core.ContextBroker.
-func (h *poolOp) WaitChangeCtx(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, h.p.wake)
-	defer stop()
-	return h.waitChange(ctx)
-}
-
-func (h *poolOp) waitTarget(ctx context.Context, n int) error {
-	waited, err := h.waitTargetLocked(ctx, n)
-	h.emitWait(waited)
-	return err
-}
-
-func (h *poolOp) waitTargetLocked(ctx context.Context, n int) (time.Duration, error) {
-	h.p.mu.Lock()
-	defer h.p.mu.Unlock()
-	// The clamp to the pool total is re-applied every iteration: Resize may
-	// shrink the total mid-wait, and a stale bound would leave the operator
-	// waiting for an entitlement that can no longer exist.
-	need := func() int {
-		if t := h.p.pol.Total; n > t {
-			return t
-		}
-		return n
-	}
-	if h.target() >= need() {
-		return 0, nil
-	}
-	h.stats.Waits++
-	start := time.Now()
-	defer func() { h.stats.WaitTime += time.Since(start) }()
-	for h.target() < need() {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return time.Since(start), err
-			}
-		}
-		h.p.cond.Wait()
-	}
-	return time.Since(start), nil
-}
-
-func (h *poolOp) waitChange(ctx context.Context) error {
-	waited, err := h.waitChangeLocked(ctx)
-	h.emitWait(waited)
-	return err
-}
-
-func (h *poolOp) waitChangeLocked(ctx context.Context) (time.Duration, error) {
-	h.p.mu.Lock()
-	defer h.p.mu.Unlock()
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-	}
-	h.stats.Waits++
-	start := time.Now()
-	h.p.cond.Wait()
-	d := time.Since(start)
-	h.stats.WaitTime += d
-	if ctx != nil {
-		return d, ctx.Err()
-	}
-	return d, nil
-}
-
-// emitWait reports a completed blocking wait (zero-duration "waits" — the
-// fast path where the target was already satisfied — are not waits and emit
-// nothing).
-func (h *poolOp) emitWait(d time.Duration) {
-	if d > 0 && h.p.tr != nil {
-		emitSafe(h.p.tr, trace.Event{Kind: trace.KindPoolWait, Time: time.Now(),
-			Op: h.op, Dur: d}, nil)
-	}
 }

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/memadapt/masort/internal/memarb"
 )
 
 func TestPoolSingleSort(t *testing.T) {
@@ -144,6 +146,7 @@ func TestPoolFairnessUnderChurn(t *testing.T) {
 	for wave := 0; wave < 5; wave++ {
 		n := 2 + wave%3 // 2..4 operators per wave
 		var opWG sync.WaitGroup
+		handles := make([]*memarb.Handle, n)
 		for i := 0; i < n; i++ {
 			opWG.Add(1)
 			go func() {
@@ -153,6 +156,7 @@ func TestPoolFairnessUnderChurn(t *testing.T) {
 					t.Errorf("admit: %v", err)
 					return
 				}
+				handles[i] = h
 				for k := 0; k < 200; k++ {
 					if tgt := h.Target(); tgt < floor {
 						t.Errorf("target %d below floor %d", tgt, floor)
@@ -176,13 +180,12 @@ func TestPoolFairnessUnderChurn(t *testing.T) {
 		}
 		// Quiescent fairness check: no reservations pending (the app
 		// goroutine holds at most briefly — snapshot under the lock).
-		pool.mu.Lock()
-		ops := len(pool.ops)
-		avail := total - pool.reserved - pool.pending
+		snap := pool.arb.Snapshot()
+		ops := len(snap.Targets)
+		avail := total - snap.Reserved - snap.Pending
 		sum := 0
 		minT, maxT := total, 0
-		for _, h := range pool.ops {
-			tg := h.target()
+		for _, tg := range snap.Targets {
 			sum += tg
 			if tg < minT {
 				minT = tg
@@ -203,10 +206,8 @@ func TestPoolFairnessUnderChurn(t *testing.T) {
 		if avail >= ops*floor && sum != avail {
 			t.Fatalf("wave %d: shares sum to %d, want full division of %d", wave, sum, avail)
 		}
-		handles := append([]*poolOp(nil), pool.ops...)
-		pool.mu.Unlock()
 		for _, h := range handles {
-			pool.unregister(h)
+			h.Leave()
 		}
 		if pool.Ops() != 0 {
 			t.Fatalf("wave %d: operators left after departures", wave)
@@ -222,7 +223,7 @@ func TestPoolAdmissionReject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.unregister(h)
+	defer h.Leave()
 	// One floor fits in 5 pages; a second does not.
 	_, err = Sort(context.Background(), NewSliceIterator(randomRecords(100, 1, 0)),
 		WithPageRecords(16), WithPool(pool))
@@ -243,7 +244,7 @@ func TestPoolAdmissionRespectsReservations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.unregister(h1)
+	defer h1.Leave()
 	got, err := pool.Reserve(context.Background(), 7)
 	if err != nil || got != 7 {
 		t.Fatalf("Reserve = (%d, %v), want (7, nil)", got, err)
@@ -257,7 +258,7 @@ func TestPoolAdmissionRespectsReservations(t *testing.T) {
 	if err != nil {
 		t.Fatalf("admit after Release: %v", err)
 	}
-	pool.unregister(h2)
+	h2.Leave()
 }
 
 // TestPoolWaitTargetSurvivesShrink: a WaitTarget bound must track the
@@ -281,13 +282,13 @@ func TestPoolWaitTargetSurvivesShrink(t *testing.T) {
 	}()
 	time.Sleep(10 * time.Millisecond)
 	pool.Resize(20) // 40 is now unreachable even alone
-	pool.unregister(h2)
+	h2.Leave()
 	select {
 	case <-done: // target 20 == clamped bound 20
 	case <-time.After(10 * time.Second):
 		t.Fatal("WaitTarget never returned after shrink + sibling departure")
 	}
-	pool.unregister(h1)
+	h1.Leave()
 }
 
 func TestPoolAdmissionQueue(t *testing.T) {
@@ -316,7 +317,7 @@ func TestPoolAdmissionQueue(t *testing.T) {
 		t.Fatalf("sort finished while pool was full: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	pool.unregister(h)
+	h.Leave()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -333,7 +334,7 @@ func TestPoolAdmissionCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.unregister(h)
+	defer h.Leave()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -358,7 +359,7 @@ func TestPoolReserveHeadroomAndRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.unregister(h)
+	defer h.Leave()
 	// Headroom is total - floors = 16: a 100-page demand is capped there.
 	got, err := pool.Reserve(context.Background(), 100)
 	if err != nil {
@@ -396,7 +397,7 @@ func TestPoolReserveBlocksUntilYield(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.unregister(h)
+	defer h.Leave()
 	if got := h.Acquire(12); got != 12 {
 		t.Fatalf("Acquire(12) = %d", got)
 	}
@@ -437,7 +438,7 @@ func TestPoolReserveCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.unregister(h)
+	defer h.Leave()
 	h.Acquire(12)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -455,11 +456,9 @@ func TestPoolReserveCanceled(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("canceled Reserve never returned")
 	}
-	pool.mu.Lock()
-	if pool.pending != 0 || len(pool.queue) != 0 {
-		t.Fatalf("canceled reservation left pending=%d queue=%d", pool.pending, len(pool.queue))
+	if snap := pool.arb.Snapshot(); snap.Pending != 0 || snap.Queued != 0 {
+		t.Fatalf("canceled reservation left pending=%d queue=%d", snap.Pending, snap.Queued)
 	}
-	pool.mu.Unlock()
 	h.Yield(h.Granted())
 }
 
@@ -476,11 +475,11 @@ func TestPoolResize(t *testing.T) {
 	if tgt := h1.Target(); tgt != 15 {
 		t.Fatalf("target after grow = %d, want 15", tgt)
 	}
-	pool.unregister(h2)
+	h2.Leave()
 	if tgt := h1.Target(); tgt != 30 {
 		t.Fatalf("target after sibling departure = %d, want whole pool", tgt)
 	}
-	pool.unregister(h1)
+	h1.Leave()
 }
 
 // TestPoolJoinAndGroupBy runs the other operator types under one pool
