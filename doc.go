@@ -91,7 +91,9 @@
 //
 //   - split phase: workers consume the shared input in page-sized bites
 //     and each produces sorted runs from its share of the budget;
-//   - merge phase: the key space is cut at run-page fence keys and each
+//   - merge phase: every run the engine writes — split output or merge
+//     intermediate — records each page's first key as a fence (8 bytes a
+//     page); the key space is cut at those fence keys and each
 //     worker merges one disjoint key range into its own output segment,
 //     so a Result holds up to Workers key-ordered segments that
 //     Iterator/All chain transparently. With nothing to cut by (one

@@ -3,6 +3,8 @@ package masort
 import (
 	"context"
 	"fmt"
+
+	"github.com/memadapt/masort/internal/core"
 )
 
 // Aggregator folds the records of one key group into a single output
@@ -63,113 +65,64 @@ func (f *FuncAggregator) Finish(k Key) []byte { return f.OnFinish(k) }
 // GroupBy groups the input by Record.Key and folds each group with agg,
 // returning one record per distinct key (sorted by key). The grouping runs
 // on the memory-adaptive external sort, so the budget may be resized while
-// it executes; the aggregation pass itself uses two pages. Cancellation is
-// observed both by the underlying sort and between aggregation pages.
+// it executes; the aggregation pass that follows holds two pages (the sorted
+// run's read-ahead and one output page), taken from the operator's own
+// memory contract while it is still attached — under WithPool the operator
+// leaves the pool, and its trace span closes, only once the result run is
+// durable. Cancellation is observed both by the underlying sort and between
+// aggregation pages.
 func GroupBy(ctx context.Context, input Iterator, agg Aggregator, opts ...Option) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opt := applyOptions(opts)
-	// The operator announces itself as "groupby"; its trace span covers the
-	// sort stage (the dominant cost), not the two-page aggregation pass.
-	sorted, err := sortNamed(ctx, input, opt, "groupby")
-	if err != nil {
-		return nil, err
-	}
-	defer sorted.Close()
-	store := sorted.store
-	out, err := store.Create()
-	if err != nil {
-		return nil, err
-	}
-	// The aggregation pass materializes into `out`; abandon it on error so
-	// a failed or canceled GroupBy leaves no storage behind.
-	committed := false
-	defer func() {
-		if !committed {
-			_ = store.Free(out)
-		}
-	}()
-	prec := opt.pageRecords
-	if prec <= 0 {
-		prec = 256
-	}
-
-	var (
-		pg      = make(Page, 0, prec)
-		pages   int
-		tuples  int
-		open    bool
-		current Key
-	)
-	flush := func() error {
-		if len(pg) == 0 {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return wrapCtxErr(ctx, err)
-		}
-		tok, err := store.Append(out, []Page{pg})
+	return runOp(ctx, applyOptions(opts), "groupby", func(env *core.Env, cfg core.SortConfig, o config) (*Result, error) {
+		env.In = &pageInput{it: input, size: o.pageRecords}
+		sorted, err := sortResult(core.ExternalSort(env, cfg))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := tok.Wait(); err != nil {
-			return err
+		sorted.store = env.Store
+		defer sorted.Close()
+		// Best effort, like every transient buffer outside a phase: a pool
+		// with nothing to spare must not deadlock the pass.
+		if got := env.Mem.Acquire(2); got > 0 {
+			defer env.Mem.Yield(got)
 		}
-		pages++
-		pg = make(Page, 0, prec)
-		return nil
-	}
-	emit := func() error {
-		pg = append(pg, Record{Key: current, Payload: agg.Finish(current)})
-		tuples++
-		if len(pg) == prec {
-			return flush()
+		env.In = &pageInput{it: &groupIterator{in: sorted.Iterator(), agg: agg}, size: o.pageRecords}
+		out, err := sortResult(core.WriteRun(env))
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	}
+		out.Stats = sorted.Stats
+		return out, nil
+	})
+}
 
-	it := sorted.Iterator()
+// groupIterator folds each run of equal keys of a sorted iterator into one
+// record. Only one group is open at a time; head is the first record of the
+// next one.
+type groupIterator struct {
+	in   Iterator
+	agg  Aggregator
+	head Record
+	open bool
+}
+
+func (g *groupIterator) Next() (Record, bool, error) {
+	if !g.open {
+		rec, ok, err := g.in.Next()
+		if err != nil || !ok {
+			return Record{}, false, err
+		}
+		g.head = rec
+	}
+	key := g.head.Key
+	g.agg.Start(g.head)
 	for {
-		rec, ok, err := it.Next()
+		rec, ok, err := g.in.Next()
 		if err != nil {
-			return nil, err
+			return Record{}, false, err
 		}
-		if !ok {
-			break
+		if g.head, g.open = rec, ok; !ok || rec.Key != key {
+			return Record{Key: key, Payload: g.agg.Finish(key)}, true, nil
 		}
-		switch {
-		case !open:
-			agg.Start(rec)
-			current = rec.Key
-			open = true
-		case rec.Key == current:
-			agg.Add(rec)
-		default:
-			if err := emit(); err != nil {
-				return nil, err
-			}
-			agg.Start(rec)
-			current = rec.Key
-		}
+		g.agg.Add(rec)
 	}
-	if open {
-		if err := emit(); err != nil {
-			return nil, err
-		}
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	committed = true
-	return &Result{
-		store:    store,
-		runs:     []RunID{out},
-		Pages:    pages,
-		Tuples:   tuples,
-		Stats:    sorted.Stats,
-		Pool:     sorted.Pool,
-		Counters: sorted.Counters,
-		Events:   sorted.Events,
-	}, nil
 }

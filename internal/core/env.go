@@ -249,18 +249,8 @@ func (e *Env) yieldAll() {
 
 // freeRuns releases runs abandoned by an aborted operation (best effort:
 // store errors during cleanup are dropped in favor of the original error).
-// Idempotent per run. Shared key-range clones only drop their buffers — the
-// underlying run belongs to the merge coordinator (runCrew).
 func freeRuns(e *Env, runs []*runInfo) {
 	for _, r := range runs {
-		if r == nil || r.freed {
-			continue
-		}
-		r.freed = true
-		r.drop()
-		if r.shared {
-			continue
-		}
-		_ = e.Store.Free(r.id)
+		_ = r.free(e.Store)
 	}
 }

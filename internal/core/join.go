@@ -50,7 +50,7 @@ func SortMergeJoin(e *Env, left, right Input, cfg SortConfig) (*JoinResult, erro
 	e.setPhase("merge")
 	tm := e.now()
 	j := &joinEngine{
-		m:     &mergeEngine{e: e, cfg: cfg, st: &st.SortStats},
+		m:     newMergeEngine(e, cfg, &st.SortStats),
 		left:  lruns,
 		right: rruns,
 	}
@@ -88,7 +88,7 @@ type joinEngine struct {
 }
 
 func (j *joinEngine) run() (*runInfo, error) {
-	out, err := j.m.newOutRun()
+	out, err := newRun(j.m.e.Store)
 	if err != nil {
 		j.releaseAll()
 		return nil, err
@@ -196,7 +196,7 @@ func chooseJoinSide(left, right []*runInfo, k int) (fromLeft bool) {
 // adaptation strategy. Dynamic splitting may split/combine internally. The
 // parent engine's reclaimer is restored afterwards.
 func (m *mergeEngine) mergeSubset(runs []*runInfo) (*runInfo, error) {
-	sub := &mergeEngine{e: m.e, cfg: m.cfg, st: m.st}
+	sub := newMergeEngine(m.e, m.cfg, m.st)
 	out, err := sub.mergeRuns(runs)
 	m.e.setReclaimFn(m.reclaim)
 	return out, err
@@ -246,10 +246,7 @@ func (j *joinEngine) jointStep() (bool, error) {
 			m.rebalance(st)
 			target := max(m.e.Mem.Target(), m.cfg.MinPages)
 			if st.need() > target && len(st.inputs) > 2 {
-				if err := m.flushOut(st); err != nil {
-					return false, err
-				}
-				if err := m.waitOut(); err != nil {
+				if err := m.drainOut(st); err != nil {
 					return false, err
 				}
 				m.dropStepBufs(st)
@@ -291,14 +288,11 @@ func (j *joinEngine) jointStep() (bool, error) {
 		}
 		switch res {
 		case stepDone:
-			if err := m.flushOut(st); err != nil {
-				return false, err
-			}
-			if err := m.waitOut(); err != nil {
+			if err := m.drainOut(st); err != nil {
 				return false, err
 			}
 			for _, r := range st.inputs {
-				if err := m.freeRun(r); err != nil {
+				if err := r.free(m.e.Store); err != nil {
 					return false, err
 				}
 			}
@@ -393,10 +387,10 @@ func (j *joinEngine) processGroup(st *mergeStep, lh, rh *headHeap, produced *int
 			payload := make([]byte, 0, len(ll.ws.Payload)+len(g.Payload))
 			payload = append(payload, ll.ws.Payload...)
 			payload = append(payload, g.Payload...)
-			m.appendOut(Record{Key: key, Payload: payload})
+			m.w.add(Record{Key: key, Payload: payload})
 			*produced++
 			m.e.charge(OpCopyTuple, 1)
-			if len(m.outBuf) >= R {
+			if m.w.n >= R {
 				if err := m.flushOut(st); err != nil {
 					return 0, err
 				}

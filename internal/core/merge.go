@@ -48,10 +48,7 @@ type mergeEngine struct {
 	active  *mergeStep
 	curStep *mergeStep // step whose buffers the reclaimer may take
 
-	outBuf   Page // output page under construction
-	outSent  Page // page handed to Append, reusable once outTok completes
-	outFree  Page // recycled page buffer for the next outBuf
-	outTok   Token
+	w        runWriter // the output page under construction and in flight
 	mruClock int64
 	cmp      int64 // comparison charges accumulated between flushes
 
@@ -66,6 +63,11 @@ type mergeEngine struct {
 
 // invalidateHeap forces the next produceOnePage to rebuild the head heap.
 func (m *mergeEngine) invalidateHeap() { m.hhValid = false }
+
+// newMergeEngine builds an engine whose output writer is bound to e's store.
+func newMergeEngine(e *Env, cfg SortConfig, st *SortStats) *mergeEngine {
+	return &mergeEngine{e: e, cfg: cfg, st: st, w: runWriter{store: e.Store, recs: cfg.PageRecords}}
+}
 
 // mergeRuns merges runs into a single result run under the configured
 // merging strategy and adaptation strategy.
@@ -113,21 +115,12 @@ func (m *mergeEngine) reclaim(need int) int {
 	return yielded
 }
 
-func (m *mergeEngine) newOutRun() (*runInfo, error) {
-	id, err := m.e.Store.Create()
-	if err != nil {
-		return nil, err
-	}
-	return &runInfo{id: id}, nil
-}
-
 // releaseStep abandons a merge after an error: the in-flight write is
 // awaited, every run still owned by the step chain (inputs, outputs, and a
 // combine-in-progress sub-step's runs) is freed, and all granted pages are
 // handed back. This is the no-leak guarantee for canceled operations.
 func (m *mergeEngine) releaseStep(st *mergeStep) {
-	_ = m.waitOut()
-	m.outBuf, m.outSent, m.outFree = nil, nil, nil
+	_ = m.w.wait()
 	m.invalidateHeap()
 	seen := map[*mergeStep]bool{}
 	var visit func(*mergeStep)
@@ -137,11 +130,9 @@ func (m *mergeEngine) releaseStep(st *mergeStep) {
 		}
 		seen[s] = true
 		for _, r := range s.inputs {
-			_ = m.freeRun(r)
+			_ = r.free(m.e.Store)
 		}
-		if s.out != nil {
-			_ = m.freeRun(s.out)
-		}
+		_ = s.out.free(m.e.Store)
 		visit(s.parent)
 		visit(s.drainOf)
 	}
@@ -184,7 +175,7 @@ func (m *mergeEngine) runStatic(runs []*runInfo) (*runInfo, error) {
 		}
 		k := firstStepFanIn(len(pool), max(t, m.cfg.MinPages), m.cfg.Merge)
 		chosen, rest := pickRuns(pool, k, !m.cfg.NoShortestFirst)
-		out, err := m.newOutRun()
+		out, err := newRun(m.e.Store)
 		if err != nil {
 			return fail(err)
 		}
@@ -273,10 +264,7 @@ func (m *mergeEngine) adaptStatic(st *mergeStep) error {
 // cursors live in workspace records, so merging resumes where it stopped.
 func (m *mergeEngine) suspend(st *mergeStep, until int) error {
 	if st != nil {
-		if err := m.flushOut(st); err != nil {
-			return err
-		}
-		if err := m.waitOut(); err != nil {
+		if err := m.drainOut(st); err != nil {
 			return err
 		}
 		for _, r := range st.inputs {
@@ -354,7 +342,7 @@ func (m *mergeEngine) batchLoad(st *mergeStep) error {
 // phase starts with a single step combining all runs; adaptation splits and
 // combines steps as memory fluctuates.
 func (m *mergeEngine) runDynamic(runs []*runInfo) (*runInfo, error) {
-	out, err := m.newOutRun()
+	out, err := newRun(m.e.Store)
 	if err != nil {
 		freeRuns(m.e, runs)
 		m.e.yieldAll()
@@ -429,7 +417,7 @@ func (m *mergeEngine) adaptDynamic() error {
 			// preliminary step (its state is untouched — it simply resumes).
 			prelim := st.drainOf
 			st.drainOf = nil
-			if err := m.waitOut(); err != nil {
+			if err := m.w.wait(); err != nil {
 				return err
 			}
 			m.dropStepBufs(st)
@@ -448,7 +436,7 @@ func (m *mergeEngine) adaptDynamic() error {
 	if !m.cfg.NoCombine && st.parent != nil {
 		combinedNeed := len(st.parent.inputs) - 1 + len(st.inputs) + 1
 		if combinedNeed <= target {
-			if err := m.waitOut(); err != nil {
+			if err := m.w.wait(); err != nil {
 				return err
 			}
 			m.dropStepBufs(st)
@@ -467,7 +455,7 @@ func (m *mergeEngine) adaptDynamic() error {
 // where k follows the configured merging strategy.
 func (m *mergeEngine) splitActive(target int) error {
 	st := m.active
-	if err := m.waitOut(); err != nil {
+	if err := m.w.wait(); err != nil {
 		return err
 	}
 	for st.need() > target {
@@ -478,7 +466,7 @@ func (m *mergeEngine) splitActive(target int) error {
 		}
 		chosen, rest := pickRuns(st.inputs, k, !m.cfg.NoShortestFirst)
 		m.dropStepBufs(st)
-		out, err := m.newOutRun()
+		out, err := newRun(m.e.Store)
 		if err != nil {
 			return err
 		}
@@ -517,7 +505,7 @@ func (m *mergeEngine) absorb(st *mergeStep) error {
 	st.inputs = append(inputs, prelim.inputs...)
 	m.invalidateHeap() // the absorbed runs must enter the heap
 	m.e.emit(EvCombineDone, len(st.inputs), "")
-	return m.freeRun(drained)
+	return drained.free(m.e.Store)
 }
 
 // ---- shared execution ----
@@ -700,78 +688,40 @@ func (m *mergeEngine) load(st *mergeStep, r *runInfo, ahead int) (bool, error) {
 	return true, nil
 }
 
-// appendOut appends one record to the output page, reusing the recycled
-// page buffer when one is available (steady-state merging allocates no new
-// output pages: two buffers rotate through fill → in-flight → free).
-func (m *mergeEngine) appendOut(rec Record) {
-	if m.outBuf == nil {
-		if m.outFree != nil {
-			m.outBuf, m.outFree = m.outFree, nil
-		} else {
-			m.outBuf = make(Page, 0, m.cfg.PageRecords)
-		}
-	}
-	m.outBuf = append(m.outBuf, rec)
-}
-
-// flushOut appends the (possibly partial) output buffer to the step's
-// output run asynchronously, waiting for the previous flush first.
+// flushOut appends the (possibly partial) output page to the step's output
+// run asynchronously, waiting for the previous flush first.
 func (m *mergeEngine) flushOut(st *mergeStep) error {
-	if len(m.outBuf) == 0 {
-		return nil
-	}
-	pg := m.outBuf
-	m.outBuf = nil
-	if err := m.waitOut(); err != nil {
+	n := m.w.n
+	pages, err := m.w.flush(st.out)
+	if err != nil || pages == 0 {
 		return err
 	}
-	tok, err := m.e.Store.Append(st.out.id, []Page{pg})
-	if err != nil {
-		return err
-	}
-	m.outTok = tok
-	m.outSent = pg
-	st.out.pages++
-	st.out.tuples += len(pg)
-	m.st.MergePagesWritten++
-	m.e.charge(OpCopyTuple, int64(len(pg)))
+	m.st.MergePagesWritten += pages
+	m.e.charge(OpCopyTuple, int64(n))
 	m.e.charge(OpCompare, m.cmp)
 	m.cmp = 0
 	return nil
 }
 
-// waitOut waits for the in-flight output write. Once the token completes
-// every store has taken its own copy of the bytes (RunStore contract), so
-// the flushed page buffer is recycled for the next output page.
-func (m *mergeEngine) waitOut() error {
-	if m.outTok == nil {
-		return nil
+// drainOut flushes the partial output page and waits until it is durable.
+func (m *mergeEngine) drainOut(st *mergeStep) error {
+	if err := m.flushOut(st); err != nil {
+		return err
 	}
-	err := m.outTok.Wait()
-	m.outTok = nil
-	if m.outSent != nil {
-		if err == nil {
-			m.outFree = m.outSent[:0]
-		}
-		m.outSent = nil
-	}
-	return err
+	return m.w.wait()
 }
 
 // finishStep completes a step: waits for the last write, frees the consumed
 // input runs and marks the output complete.
 func (m *mergeEngine) finishStep(st *mergeStep) error {
-	if err := m.flushOut(st); err != nil {
-		return err
-	}
-	if err := m.waitOut(); err != nil {
+	if err := m.drainOut(st); err != nil {
 		return err
 	}
 	for _, r := range st.inputs {
 		if r.producer != nil {
 			return fmt.Errorf("core: finishing step with live producer on %v", r)
 		}
-		if err := m.freeRun(r); err != nil {
+		if err := r.free(m.e.Store); err != nil {
 			return err
 		}
 	}
@@ -791,20 +741,6 @@ func (m *mergeEngine) finishStep(st *mergeStep) error {
 func (m *mergeEngine) startStep(st *mergeStep) {
 	st.id = m.e.nextStep()
 	m.e.emitStep(EvStepStart, len(st.inputs), st.id, "")
-}
-
-func (m *mergeEngine) freeRun(r *runInfo) error {
-	if r.freed {
-		return nil
-	}
-	r.freed = true
-	r.drop()
-	if r.shared {
-		// A key-range clone: the underlying run is owned by the parallel
-		// merge coordinator, which frees it once every worker is done.
-		return nil
-	}
-	return m.e.Store.Free(r.id)
 }
 
 // headEntry is one headHeap node: the run's current key cached beside the
@@ -958,9 +894,9 @@ func (m *mergeEngine) produceOnePage(st *mergeStep) (stepResult, error) {
 		m.invalidateHeap()
 		return stepDone, nil
 	}
-	for len(m.outBuf) < R && len(hh.rs) > 0 {
+	for m.w.n < R && len(hh.rs) > 0 {
 		r := hh.rs[0].r
-		m.appendOut(r.ws)
+		m.w.add(r.ws)
 		res, err := m.advanceRun(st, r)
 		if err != nil {
 			m.invalidateHeap()

@@ -17,14 +17,15 @@ func mkRuns(t *testing.T, store *memStore, pageRecs int, pages []int) ([]*runInf
 		for i := 0; i < np*pageRecs; i++ {
 			recs = append(recs, Record{Key: uint64(i*len(pages) + ri)})
 		}
-		id, err := store.Create()
+		r, err := newRun(store)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := store.Append(id, pagesOf(recs, pageRecs)); err != nil {
+		w := runWriter{store: store}
+		if err := w.append(r, pagesOf(recs, pageRecs)); err != nil {
 			t.Fatal(err)
 		}
-		runs = append(runs, &runInfo{id: id, pages: np, tuples: len(recs)})
+		runs = append(runs, r)
 		all = append(all, recs...)
 	}
 	return runs, all
@@ -34,11 +35,28 @@ func mergeWith(t *testing.T, cfg SortConfig, broker *scriptedBroker, store *memS
 	t.Helper()
 	st := &SortStats{}
 	env := &Env{Store: store, Mem: broker, Meter: newCountingMeter()}
-	m := &mergeEngine{e: env, cfg: cfg, st: st}
+	m := newMergeEngine(env, cfg, st)
+	// Invariant: every run entering a merge step — split output or merge
+	// intermediate — was written by the engine, so it is fenced page by page.
+	env.OnEvent = func(ev Event) {
+		if ev.Kind != EvStepDone {
+			return
+		}
+		step := m.active
+		if step == nil {
+			step = m.curStep
+		}
+		for _, r := range step.inputs {
+			if len(r.fences) != r.pages {
+				t.Errorf("step %d input %v has %d fences", ev.Step, r, len(r.fences))
+			}
+		}
+	}
 	out, err := m.mergeRuns(runs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFenced(t, store, out)
 	return out, st
 }
 
@@ -206,9 +224,9 @@ func TestMergePropagatesReadErrors(t *testing.T) {
 		broker := newScriptedBroker(t, 8, 3)
 		st := &SortStats{}
 		env := &Env{Store: store, Mem: broker, Meter: newCountingMeter()}
-		m := &mergeEngine{e: env, cfg: SortConfig{
+		m := newMergeEngine(env, SortConfig{
 			Method: Quick, Merge: OptMerge, Adapt: adapt, PageRecords: 4, MinPages: 3, BlockPages: 1,
-		}, st: st}
+		}, st)
 		if _, err := m.mergeRuns(runs); err == nil {
 			t.Fatalf("adapt %v: injected read error must propagate", adapt)
 		}

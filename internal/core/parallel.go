@@ -240,11 +240,11 @@ func mergePhase(e *Env, cfg SortConfig, st *SortStats, w int, runs []*runInfo) (
 	switch len(runs) {
 	case 0:
 		// Empty input still yields a (empty) result run.
-		id, err := e.Store.Create()
+		out, err := newRun(e.Store)
 		if err != nil {
 			return nil, err
 		}
-		return []*runInfo{{id: id}}, nil
+		return []*runInfo{out}, nil
 	case 1:
 		return runs, nil
 	}
@@ -316,7 +316,7 @@ func mergePartition(we *Env, cfg SortConfig, st *SortStats, runs []*runInfo, cut
 			return nil, err
 		}
 	}
-	m := &mergeEngine{e: we, cfg: cfg, st: st}
+	m := newMergeEngine(we, cfg, st)
 	out, err := m.mergeRuns(runs)
 	if err == nil && out.shared {
 		// A single-clone partition under a static plan passes the clone
@@ -425,9 +425,9 @@ func seekClone(we *Env, st *SortStats, c *runInfo, lo Key, hasLo bool) error {
 // ordinary (trivially 1-way) merge step, so the partition's output is a
 // real run the coordinator owns — a clone cannot be returned directly.
 func (m *mergeEngine) materialize(clone *runInfo) (*runInfo, error) {
-	out, err := m.newOutRun()
+	out, err := newRun(m.e.Store)
 	if err != nil {
-		_ = m.freeRun(clone)
+		_ = clone.free(m.e.Store)
 		return nil, err
 	}
 	stp := &mergeStep{inputs: []*runInfo{clone}, out: out}

@@ -579,11 +579,11 @@ func fencelessRuns(t *testing.T, env *Env, n, size int) (ids []RunID, all []Reco
 	for i := range n {
 		recs := makeRecords(size, uint64(100+i))
 		sortRecords(recs)
-		ri, err := writeRun(env, recs, 32)
+		res, err := WriteRun(&Env{Store: env.Store, In: &sliceInput{pages: pagesOf(recs, 32)}})
 		if err != nil {
-			t.Fatalf("writeRun: %v", err)
+			t.Fatalf("WriteRun: %v", err)
 		}
-		ids = append(ids, ri.id)
+		ids = append(ids, res.Result)
 		all = append(all, recs...)
 	}
 	return ids, all
@@ -645,10 +645,11 @@ func TestParallelMergeCancelWhileParkedFreesInputs(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	env := &Env{Store: store, Mem: budget, Ctx: ctx}
-	ids, _ := fencelessRuns(t, env, 4, 2000) // appends 1-4
+	ids, _ := fencelessRuns(t, env, 4, 2000)
 	budget.Resize(3)
+	first := store.appends + 1 // the merge's first append
 	store.onAppend = func(_ RunID, nth, _ int) {
-		if nth == 5 {
+		if nth == first {
 			cancel()
 		}
 	}

@@ -26,9 +26,11 @@ type runInfo struct {
 	producer *mergeStep // step still appending to this run, nil when complete
 	freed    bool
 
-	// fences records the first key of every page as the split phase writes
-	// the run. The merge phase cuts them into per-worker key ranges without
-	// reading the runs (fenceCuts); runs handed to MergeExisting have none.
+	// fences records the first key of every page, appended by the run
+	// writer as it writes the page: len(fences) == pages for every run the
+	// engine wrote, split output and merge intermediate alike. The merge
+	// phase cuts them into per-worker key ranges without reading the runs
+	// (fenceCuts). Only runs named by id — MergeExisting's inputs — have none.
 	fences []Key
 
 	// shared marks a key-range clone of a run owned by the merge phase's

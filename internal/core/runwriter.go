@@ -1,0 +1,170 @@
+package core
+
+// runWriter is the one place runs are written: every Store.Create and
+// Store.Append of the engine happens here (and every Store.Free in
+// runInfo.free below). It owns its client's output page buffers — a split
+// worker's block, a merge engine's output page — and the one write in
+// flight; the run being written is a parameter, so one writer serves the
+// successive (or, under dynamic splitting, interleaved) output runs of its
+// client with the same buffers.
+//
+// Buffers rotate through fill → in-flight → free: a flushed block's pages
+// are recycled once its token completes (every store has its own copy of
+// the bytes by then), so steady-state writing allocates no pages. CPU
+// charges, events and statistics stay with the callers.
+type runWriter struct {
+	store RunStore
+	recs  int    // records per page, for add's pagination
+	fill  Page   // page under construction, cap == recs
+	block []Page // full pages waiting for the next flush
+	n     int    // records buffered in block and fill
+	sent  []Page // block handed to the store, recycled once tok completes
+	free  []Page // recycled page buffers
+	tok   Token  // the one write in flight
+}
+
+// newRun opens a new empty run.
+func newRun(s RunStore) (*runInfo, error) {
+	id, err := s.Create()
+	if err != nil {
+		return nil, err
+	}
+	return &runInfo{id: id}, nil
+}
+
+// add buffers one record for the next flush, paginating as it goes.
+func (w *runWriter) add(rec Record) {
+	if len(w.fill) == cap(w.fill) {
+		w.nextPage()
+	}
+	w.fill = append(w.fill, rec)
+	w.n++
+}
+
+// nextPage retires the full fill page into the block and starts another,
+// recycled when one is free.
+func (w *runWriter) nextPage() {
+	if w.fill != nil {
+		w.block = append(w.block, w.fill)
+	}
+	if k := len(w.free) - 1; k >= 0 {
+		w.fill, w.free = w.free[k], w.free[:k]
+	} else {
+		w.fill = make(Page, 0, w.recs)
+	}
+}
+
+// flush appends everything buffered by add (the last page possibly partial)
+// to r as one block and reports how many pages that was.
+func (w *runWriter) flush(r *runInfo) (int, error) {
+	if len(w.fill) > 0 {
+		w.block = append(w.block, w.fill)
+		w.fill = nil
+	}
+	pages := len(w.block)
+	if pages == 0 {
+		return 0, nil
+	}
+	if err := w.append(r, w.block); err != nil {
+		return 0, err
+	}
+	w.sent, w.block, w.n = w.block, w.sent[:0], 0
+	return pages, nil
+}
+
+// append writes caller-owned pages to the end of r asynchronously. At most
+// one write is in flight: the previous one is awaited first. Every page's
+// first key is recorded as its fence (copied by value, so recycling the
+// buffer later is safe) — 8 bytes per page, the rule for every run the
+// engine writes.
+func (w *runWriter) append(r *runInfo, pages []Page) error {
+	if err := w.wait(); err != nil {
+		return err
+	}
+	tok, err := w.store.Append(r.id, pages)
+	if err != nil {
+		return err
+	}
+	w.tok = tok
+	for _, p := range pages {
+		r.fences = append(r.fences, p[0].Key)
+		r.tuples += len(p)
+	}
+	r.pages += len(pages)
+	return nil
+}
+
+// wait waits for the write in flight, then recycles the flushed block.
+func (w *runWriter) wait() error {
+	if w.tok == nil {
+		return nil
+	}
+	err := w.tok.Wait()
+	w.tok = nil
+	if err == nil {
+		for _, pg := range w.sent {
+			w.free = append(w.free, pg[:0])
+		}
+	}
+	w.sent = w.sent[:0]
+	return err
+}
+
+// abort abandons r: the run must be quiescent before it is freed, so the
+// write in flight is awaited first.
+func (w *runWriter) abort(r *runInfo) {
+	_ = w.wait()
+	_ = r.free(w.store)
+}
+
+// free releases the run's buffers and storage. It is idempotent. A shared
+// key-range clone only drops its buffers: the underlying run belongs to the
+// merge coordinator (runCrew), which frees it once every worker is done.
+func (r *runInfo) free(s RunStore) error {
+	if r == nil || r.freed {
+		return nil
+	}
+	r.freed = true
+	r.drop()
+	if r.shared {
+		return nil
+	}
+	return s.Free(r.id)
+}
+
+// WriteRun writes e.In to e.Store as one new run, a page per append with
+// one write in flight, observing e.Ctx at page boundaries — the ingest path
+// behind the public WriteRun and GroupBy's aggregation pass. The input must
+// already be sorted. A failed write leaves no run behind.
+func WriteRun(e *Env) (*SortResult, error) {
+	w := runWriter{store: e.Store}
+	r, err := newRun(e.Store)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.copyIn(e, r); err != nil {
+		w.abort(r)
+		return nil, err
+	}
+	return &SortResult{Result: r.id, Segments: []RunID{r.id}, Pages: r.pages, Tuples: r.tuples}, nil
+}
+
+// copyIn appends e.In to r page by page until the input ends, then waits
+// for the last write.
+func (w *runWriter) copyIn(e *Env, r *runInfo) error {
+	for {
+		if err := e.ctxErr(); err != nil {
+			return err
+		}
+		pg, ok, err := e.In.NextPage()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return w.wait()
+		}
+		if err := w.append(r, []Page{pg}); err != nil {
+			return err
+		}
+	}
+}

@@ -5,50 +5,13 @@ import (
 	"sort"
 )
 
-func countRecs(pages []Page) int {
-	n := 0
-	for _, p := range pages {
-		n += len(p)
-	}
-	return n
-}
-
-// writeRun materializes recs as a brand-new run in one asynchronous append,
-// waiting for durability before returning (a Quicksort run's buffers are
-// only reusable once the whole run is on disk, paper footnote 1).
-func writeRun(e *Env, recs []Record, pageRecords int) (*runInfo, error) {
-	id, err := e.Store.Create()
-	if err != nil {
-		return nil, err
-	}
-	var pages []Page
-	for len(recs) > 0 {
-		n := min(pageRecords, len(recs))
-		pages = append(pages, Page(recs[:n:n]))
-		recs = recs[n:]
-	}
-	tok, err := e.Store.Append(id, pages)
-	if err != nil {
-		_ = e.Store.Free(id)
-		return nil, err
-	}
-	if err := tok.Wait(); err != nil {
-		_ = e.Store.Free(id)
-		return nil, err
-	}
-	fences := make([]Key, len(pages))
-	for i, p := range pages {
-		fences[i] = p[0].Key
-	}
-	return &runInfo{id: id, pages: len(pages), tuples: countRecs(pages), fences: fences}, nil
-}
-
 // quickSplit implements the Quicksort split phase: fill all granted memory
 // with input pages, sort a (key,pointer) list, write the result out as one
 // run. It reacts to memory growth while filling; under pressure it must
 // finish sorting and writing the current contents before freeing anything —
 // the paper's explanation for Quicksort's long split-phase delays.
 func quickSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
+	w := runWriter{store: e.Store}
 	var runs []*runInfo
 	inputDone := false
 	for !inputDone {
@@ -108,13 +71,27 @@ func quickSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 		sort.Slice(recs, func(i, j int) bool { cmp++; return Less(recs[i], recs[j]) })
 		e.charge(OpCompare, cmp)
 		e.charge(OpSwapEntry, cmp/2) // pointer swaps, ~half the comparisons
-		// Gather tuples through the pointers into output pages.
+		// Gather tuples through the pointers into output pages, written as
+		// one append that is awaited at once: a Quicksort run's buffers are
+		// only reusable once the whole run is on disk (paper footnote 1).
 		e.charge(OpCopyTuple, int64(tuples))
-		ri, err := writeRun(e, recs, cfg.PageRecords)
+		ri, err := newRun(e.Store)
 		if err != nil {
 			return runs, err
 		}
-		runs = append(runs, ri)
+		runs = append(runs, ri) // from here on the caller frees it on error
+		var pages []Page
+		for len(recs) > 0 {
+			n := min(cfg.PageRecords, len(recs))
+			pages = append(pages, Page(recs[:n:n]))
+			recs = recs[n:]
+		}
+		if err := w.append(ri, pages); err != nil {
+			return runs, err
+		}
+		if err := w.wait(); err != nil {
+			return runs, err
+		}
 		st.Runs++
 		e.emit(EvRunDone, ri.pages, "")
 		st.RunPagesWritten += ri.pages
@@ -138,38 +115,23 @@ func quickSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 	R := cfg.PageRecords
 	h := e.newSelector()
+	// The output block lives in the writer, whose buffers serve every run of
+	// this split in turn.
+	w := runWriter{store: e.Store, recs: R}
 	var runs []*runInfo
 	var (
 		cur       *runInfo
 		curTag    int
 		curLast   Record
 		curOpen   bool
-		outTok    Token
 		inputDone bool
 	)
 	heapPages := func() int { return PagesForTuples(h.Len(), R) }
-	// Output block pages rotate through fill → in-flight → free: a block's
-	// buffers are recycled once its write token completes (every store has
-	// its own copy of the bytes by then), so steady-state emission allocates
-	// no new pages.
-	var inFlight, freePages []Page
-	newPage := func() Page {
-		if n := len(freePages); n > 0 {
-			pg := freePages[n-1]
-			freePages = freePages[:n-1]
-			return pg
-		}
-		return make(Page, 0, R)
-	}
-	// fail abandons the split: the in-flight block write is awaited (its
-	// buffers are owned by the store once Append returns, but the run must
-	// be quiescent before the caller frees it) and every run produced so
-	// far — including the open one — is handed back for cleanup.
+	// fail abandons the split: the in-flight block write is awaited (the run
+	// must be quiescent before the caller frees it) and every run produced
+	// so far — including the open one — is handed back for cleanup.
 	fail := func(err error) ([]*runInfo, error) {
-		if outTok != nil {
-			_ = outTok.Wait()
-			outTok = nil
-		}
+		_ = w.wait()
 		if cur != nil {
 			runs = append(runs, cur)
 			cur = nil
@@ -186,22 +148,8 @@ func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 	capPages := func() int {
 		return max(1, e.Mem.Granted())
 	}
-	waitOut := func() error {
-		if outTok == nil {
-			return nil
-		}
-		err := outTok.Wait()
-		outTok = nil
-		if err == nil {
-			for _, pg := range inFlight {
-				freePages = append(freePages, pg[:0])
-			}
-		}
-		inFlight = nil
-		return err
-	}
 	closeRun := func() error {
-		if err := waitOut(); err != nil {
+		if err := w.wait(); err != nil {
 			return err
 		}
 		if cur != nil {
@@ -223,49 +171,24 @@ func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 		if h.PeekRun() != curTag {
 			return true, nil
 		}
-		var pages []Page
-		for len(pages) < maxPages && h.Len() > 0 && h.PeekRun() == curTag {
-			pg := newPage()
-			for len(pg) < R && h.Len() > 0 && h.PeekRun() == curTag {
-				it := h.Pop()
-				pg = append(pg, it.rec)
-				curLast = it.rec
-				curOpen = true
-			}
-			pages = append(pages, pg)
-			if len(pg) < R {
-				break // run boundary inside the page
-			}
+		n := 0
+		for ; n < maxPages*R && h.Len() > 0 && h.PeekRun() == curTag; n++ {
+			curLast = h.Pop().rec
+			w.add(curLast)
 		}
+		curOpen = true
 		e.charge(OpCompare, h.TakeCompares())
-		e.charge(OpCopyTuple, int64(countRecs(pages)))
+		e.charge(OpCopyTuple, int64(n))
 		if cur == nil {
-			id, err := e.Store.Create()
-			if err != nil {
+			if cur, err = newRun(e.Store); err != nil {
 				return false, err
 			}
-			cur = &runInfo{id: id}
 		}
-		// At most one block write in flight: reuse of the output buffers
-		// must wait for the previous write to land.
-		if err := waitOut(); err != nil {
-			return false, err
-		}
-		tok, err := e.Store.Append(cur.id, pages)
+		pages, err := w.flush(cur)
 		if err != nil {
 			return false, err
 		}
-		outTok = tok
-		inFlight = pages
-		for _, p := range pages {
-			// Record the page fence before the buffer is recycled: the key is
-			// copied by value, so buffer reuse after the token completes is
-			// still safe.
-			cur.fences = append(cur.fences, p[0].Key)
-		}
-		cur.pages += len(pages)
-		cur.tuples += countRecs(pages)
-		st.RunPagesWritten += len(pages)
+		st.RunPagesWritten += pages
 		ended = (h.Len() == 0 && inputDone) || (h.Len() > 0 && h.PeekRun() != curTag)
 		return ended, nil
 	}
@@ -309,7 +232,7 @@ func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 					}
 				}
 			}
-			if err := waitOut(); err != nil {
+			if err := w.wait(); err != nil {
 				return fail(err)
 			}
 			y := min(p, e.Mem.Granted())
@@ -354,13 +277,8 @@ func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 			}
 		}
 	}
-	if err := waitOut(); err != nil {
+	if err := closeRun(); err != nil {
 		return fail(err)
-	}
-	if cur != nil {
-		runs = append(runs, cur)
-		st.Runs++
-		e.emit(EvRunDone, cur.pages, "")
 	}
 	return runs, nil
 }

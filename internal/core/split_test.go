@@ -26,9 +26,7 @@ func checkRunsValid(t *testing.T, store *memStore, runs []*runInfo, wantTuples i
 		if len(recs) != r.tuples {
 			t.Fatalf("run %d tuple mismatch: %d vs %d", r.id, len(recs), r.tuples)
 		}
-		if store.Pages(r.id) != r.pages {
-			t.Fatalf("run %d page mismatch", r.id)
-		}
+		checkFenced(t, store, r)
 		total += r.tuples
 	}
 	if total != wantTuples {

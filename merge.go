@@ -15,56 +15,25 @@ func WriteRun(store RunStore, it Iterator, pageRecords int) (RunID, int, error) 
 	if pageRecords <= 0 {
 		pageRecords = 256
 	}
-	id, err := store.Create()
+	var prev Record
+	n := 0
+	checked := FuncIterator(func() (Record, bool, error) {
+		rec, ok, err := it.Next()
+		if err != nil || !ok {
+			return rec, ok, err
+		}
+		if n > 0 && Less(rec, prev) {
+			return rec, false, fmt.Errorf("masort: WriteRun input not sorted at record %d", n)
+		}
+		prev = rec
+		n++
+		return rec, true, nil
+	})
+	res, err := core.WriteRun(&core.Env{Store: store, In: &pageInput{it: checked, size: pageRecords}})
 	if err != nil {
 		return 0, 0, err
 	}
-	var (
-		pg     = make(Page, 0, pageRecords)
-		prev   Record
-		have   bool
-		tuples int
-		pages  int
-	)
-	flush := func() error {
-		if len(pg) == 0 {
-			return nil
-		}
-		tok, err := store.Append(id, []Page{pg})
-		if err != nil {
-			return err
-		}
-		if err := tok.Wait(); err != nil {
-			return err
-		}
-		pages++
-		pg = make(Page, 0, pageRecords)
-		return nil
-	}
-	for {
-		rec, ok, err := it.Next()
-		if err != nil {
-			return 0, 0, err
-		}
-		if !ok {
-			break
-		}
-		if have && Less(rec, prev) {
-			return 0, 0, fmt.Errorf("masort: WriteRun input not sorted at record %d", tuples)
-		}
-		prev, have = rec, true
-		pg = append(pg, rec)
-		tuples++
-		if len(pg) == pageRecords {
-			if err := flush(); err != nil {
-				return 0, 0, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return 0, 0, err
-	}
-	return id, tuples, nil
+	return res.Result, res.Tuples, nil
 }
 
 // Merge combines already-sorted runs into a single sorted run under the

@@ -2,6 +2,7 @@ package masort
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sort"
@@ -9,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/memadapt/masort/trace"
 )
 
 func sortedRecords(n int, start uint64, step uint64) []Record {
@@ -32,6 +35,49 @@ func TestWriteRunValidatesOrder(t *testing.T) {
 	}
 	if _, _, err := WriteRun(store, NewSliceIterator([]Record{{Key: 5}, {Key: 1}}), 8); err == nil {
 		t.Fatal("unsorted input must be rejected")
+	}
+}
+
+// failNthAppend fails the nth Append (1-based) of the store it wraps.
+type failNthAppend struct {
+	*MemStore
+	nth int
+}
+
+func (f *failNthAppend) Append(id RunID, pages []Page) (Token, error) {
+	if f.nth--; f.nth == 0 {
+		return nil, errors.New("injected append failure")
+	}
+	return f.MemStore.Append(id, pages)
+}
+
+// TestWriteRunFreesOnError is the regression for the run WriteRun used to
+// leave behind on every error path: whatever stops the write — and however
+// many pages already landed — the store ends up with no live run.
+func TestWriteRunFreesOnError(t *testing.T) {
+	unsorted := sortedRecords(40, 0, 1)
+	unsorted[30].Key = 2
+	n := 0
+	for name, tc := range map[string]struct {
+		in      Iterator
+		failNth int
+	}{
+		"unsorted input": {in: NewSliceIterator(unsorted)},
+		"iterator error": {in: FuncIterator(func() (Record, bool, error) {
+			if n++; n > 30 {
+				return Record{}, false, errors.New("source went away")
+			}
+			return Record{Key: Key(n)}, true, nil
+		})},
+		"append failure": {in: NewSliceIterator(sortedRecords(40, 0, 1)), failNth: 3},
+	} {
+		mem := NewMemStore()
+		if _, _, err := WriteRun(&failNthAppend{MemStore: mem, nth: tc.failNth}, tc.in, 8); err == nil {
+			t.Fatalf("%s: WriteRun succeeded", name)
+		}
+		if live := mem.Live(); live != 0 {
+			t.Fatalf("%s: failed WriteRun left %d live run(s)", name, live)
+		}
 	}
 }
 
@@ -266,5 +312,46 @@ func TestGroupByUnderBudgetChanges(t *testing.T) {
 	out, _ := Drain(res.Iterator())
 	if len(out) != len(want) {
 		t.Fatalf("groups = %d, want %d", len(out), len(want))
+	}
+}
+
+// TestGroupByAggregatesInsideItsContract pins that the aggregation pass is
+// part of the operator: while Aggregator.Finish runs the operator is still
+// attached to its pool (so its two pages are the pool's to arbitrate), and
+// the trace span closes only after the result run's last write.
+func TestGroupByAggregatesInsideItsContract(t *testing.T) {
+	pool := NewPool(24)
+	tr := &collectTracer{}
+	in := randomRecords(8000, 41, 0)
+	for i := range in {
+		in[i].Key %= 700
+	}
+	count := &CountAggregator{}
+	agg := &FuncAggregator{OnStart: count.Start, OnAdd: count.Add, OnFinish: func(k Key) []byte {
+		if ops := pool.Ops(); ops != 1 {
+			t.Errorf("Finish(%d) ran with %d operators attached to the pool, want 1", k, ops)
+		}
+		return count.Finish(k)
+	}}
+	res, err := GroupBy(context.Background(), NewSliceIterator(in), agg,
+		WithPageRecords(64), WithPool(pool), WithTracer(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	if res.Tuples != 700 || res.Pages != 11 || pool.Ops() != 0 {
+		t.Fatalf("tuples=%d pages=%d ops=%d, want 700, 11, 0", res.Tuples, res.Pages, pool.Ops())
+	}
+	lastWrite, opEnd := -1, -1
+	for i, ev := range tr.events() {
+		switch ev.Kind {
+		case trace.KindStoreWrite:
+			lastWrite = i
+		case trace.KindOpEnd:
+			opEnd = i
+		}
+	}
+	if lastWrite < 0 || opEnd < lastWrite {
+		t.Fatalf("KindOpEnd at %d, last KindStoreWrite at %d: the span must cover the aggregation pass", opEnd, lastWrite)
 	}
 }
