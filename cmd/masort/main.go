@@ -368,6 +368,9 @@ func main() {
 		fmt.Fprintf(os.Stderr,
 			"sorted %d records: %d runs, %d merge steps, %d splits, %d combines, %d suspensions, %d extra reads, %d workers, %v total\n",
 			res.Tuples, s.Runs, s.MergeSteps, s.Splits, s.Combines, s.Suspensions, s.ExtraMergeReads, s.Workers, s.Response)
+		// Whether the store takes merge-read pages back for reuse: close to
+		// all of them on the disk-backed stores, none on mem and tiered.
+		fmt.Fprintf(os.Stderr, "merge pages released to the store / read: %d / %d\n", s.MergePagesReleased, s.MergePagesRead)
 		if len(tracers) > 0 {
 			fmt.Fprintf(os.Stderr,
 				"store I/O: %d reads (%d bytes, %v), %d writes (%d bytes, %v)\n",

@@ -182,6 +182,17 @@
 // aliases one read buffer, which lives exactly as long as records
 // referencing it — callers retaining payloads from many pages should copy
 // them (append([]byte(nil), rec.Payload...)), and must never mutate them.
+//
+// A store's read tokens may additionally offer Release(), an optional
+// method found by type assertion: it ends the token's life and gives the
+// page's memory back to the store for its next read. The merge releases
+// every input page it has consumed once the output holding its records is
+// durable, which is how merges on the disk-backed stores read without
+// allocating (Stats.MergePagesReleased counts them); dropped pages, the
+// join's final phase and Result.Iterator never release. A store offering
+// Release promises in return that Append keeps no payload bytes — not only
+// no page slices — past its token; MemStore keeps payload aliases (it
+// copies shallowly) and therefore must never offer it.
 // See README.md ("Buffer ownership and zero-copy") for the full rules.
 //
 // See README.md for a tour of the repository, and cmd/masim for the full

@@ -1,6 +1,9 @@
 package masort
 
-import "os"
+import (
+	"os"
+	"slices"
+)
 
 // FileStore is a disk-backed RunStore: each run is one file of checksummed
 // page frames in a directory, with an in-memory page index per run.
@@ -38,7 +41,7 @@ func NewFileStore(dir string) (*FileStore, error) {
 // Dir returns the directory holding run files.
 func (s *FileStore) Dir() string { return s.disks[0].dir }
 
-// fileDevice is a run file read with positional reads into pooled buffers.
+// fileDevice is a run file read with positional reads into the frame's buffer.
 type fileDevice struct{ *os.File }
 
 func openFileDevice(path string) (device, error) {
@@ -49,8 +52,8 @@ func openFileDevice(path string) (device, error) {
 	return fileDevice{f}, nil
 }
 
-func (d fileDevice) fetch(off int64, n int, bufs *bufPool) ([]byte, bool, error) {
-	b := bufs.getBuf(n)
+func (d fileDevice) fetch(off int64, n int, buf []byte) ([]byte, bool, error) {
+	b := slices.Grow(buf[:0], n)[:n]
 	_, err := d.ReadAt(b, off)
 	return b, true, err
 }

@@ -1,0 +1,212 @@
+package masort
+
+import (
+	"context"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
+
+// sampleReads is a FileStore that samples the allocator and the free list of
+// read frames as merge reads go by. It hands the store's own tokens through,
+// so the engine still sees their Release.
+type sampleReads struct {
+	*FileStore
+	from, to  int64 // TotalAlloc is sampled at these read counts
+	reads     atomic.Int64
+	allocFrom uint64
+	allocTo   uint64
+	maxFrames int // largest free list seen
+}
+
+func (s *sampleReads) ReadAsync(id RunID, page int) PageToken {
+	switch s.reads.Add(1) {
+	case s.from:
+		s.allocFrom = totalAlloc()
+	case s.to:
+		s.allocTo = totalAlloc()
+	}
+	s.maxFrames = max(s.maxFrames, s.freeFrames())
+	return s.FileStore.ReadAsync(id, page)
+}
+
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// poolDropsPuts reports whether this runtime's sync.Pool throws away part of
+// what is put into it, as it does at random under the race detector (a quarter
+// of all Puts). The store's encode buffers live in one, so allocation counts
+// are the production ones only when it keeps them. (Without the detector a
+// Get misses only across two collections; a false positive merely skips a
+// bound.)
+func poolDropsPuts() bool {
+	var p sync.Pool
+	const n = 64
+	for range n {
+		p.Put(new(int))
+	}
+	for range n {
+		if p.Get() == nil {
+			return true
+		}
+	}
+	return false
+}
+
+func (s *pagedStore) freeFrames() int {
+	s.frames.mu.Lock()
+	defer s.frames.mu.Unlock()
+	return max(len(s.frames.recs), len(s.frames.bufs))
+}
+
+// TestMergeReadsAllocateNothing is the allocation gate on the merge's read
+// path: merging 40 fenced runs on a FileStore, a page read in steady state
+// costs its token, its channel and its reader goroutine plus the write side's
+// token — ≈ 0.6 KB, against 4.9 KB at these 64-record pages (14.8 KB at the
+// default 256) when every read allocated its record array and read buffer —
+// and the free list stays within its constant.
+func TestMergeReadsAllocateNothing(t *testing.T) {
+	const pageRecords, budgetPages = 64, 41
+	in := randomRecords(budgetPages*40*pageRecords, 7, 16) // 40 memory-sized runs
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	store := &sampleReads{FileStore: fs, from: 400, to: 1400}
+	res, err := Sort(context.Background(), NewSliceIterator(in),
+		WithMethod(Quicksort), WithPageRecords(pageRecords), WithBudget(NewBudget(budgetPages)), WithStore(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	st := res.Stats
+	if st.Runs < 32 || int64(st.MergePagesRead) < store.to {
+		t.Fatalf("want >= 32 runs and >= %d merge reads, got %d runs, %d reads", store.to, st.Runs, st.MergePagesRead)
+	}
+	perRead := float64(store.allocTo-store.allocFrom) / float64(store.to-store.from)
+	t.Logf("%d runs, %d merge reads (%d released), %.0f B allocated per read in steady state, free list peaked at %d frames",
+		st.Runs, st.MergePagesRead, st.MergePagesReleased, perRead, store.maxFrames)
+	if poolDropsPuts() {
+		t.Log("sync.Pool drops Puts (race detector): encode buffers are reallocated, the byte bound does not apply")
+	} else if perRead > 1024 {
+		t.Errorf("%.0f B allocated per merge page read in steady state, want <= 1024", perRead)
+	}
+	if st.MergePagesReleased != st.MergePagesRead {
+		t.Errorf("released %d of %d merge pages at a fixed budget", st.MergePagesReleased, st.MergePagesRead)
+	}
+	if got := max(store.maxFrames, fs.freeFrames()); got > maxFreeFrames || fs.freeFrames() == 0 {
+		t.Errorf("free list peaked at %d frames and ends with %d, want within (0, %d]", got, fs.freeFrames(), maxFreeFrames)
+	}
+}
+
+// writePages appends pages to a fresh run and waits for them.
+func writePages(t *testing.T, s RunStore, pages ...Page) RunID {
+	t.Helper()
+	id, err := s.Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok, err := s.Append(id, pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tok.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+func testPage(key Key) Page {
+	return Page{{Key: key, Payload: []byte("abcdefgh")}, {Key: key + 1, Payload: []byte("ijklmnop")}}
+}
+
+// TestFailedDecodeKeepsItsFrame: a frame taken for a read attempt that fails
+// its checksum goes back on the free list, so the mandatory re-read decodes
+// into the very same memory instead of leaving it to the collector.
+func TestFailedDecodeKeepsItsFrame(t *testing.T) {
+	var corrupt atomic.Bool
+	s, err := NewStoreConfig().WithFaults(hookFuncs{afterRead: func(_ int64, b []byte) error {
+		if corrupt.CompareAndSwap(true, false) {
+			b[len(b)-1] ^= 0x40 // bit rot in transit: heals on the re-read
+		}
+		return nil
+	}}).File(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	id := writePages(t, s, testPage(1), testPage(3))
+
+	// Prime the free list with one released frame.
+	first := s.ReadAsync(id, 0)
+	pg, err := first.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, payload := &pg[0], &pg[0].Payload[0]
+	first.(interface{ Release() }).Release()
+	if s.freeFrames() != 1 {
+		t.Fatalf("free list holds %d frames after one release, want 1", s.freeFrames())
+	}
+
+	corrupt.Store(true)
+	second := s.ReadAsync(id, 1)
+	pg, err = second.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.(retrier).Retries() != 1 || corrupt.Load() {
+		t.Fatalf("want exactly one corruption re-read, got %d retries", second.(retrier).Retries())
+	}
+	if pg[0].Key != 3 || string(pg[1].Payload) != "ijklmnop" {
+		t.Fatalf("re-read delivered %v", pg)
+	}
+	if &pg[0] != recs || &pg[0].Payload[0] != payload {
+		t.Fatal("the re-read did not decode into the frame the failed attempt had taken: it leaked")
+	}
+	if s.freeFrames() != 0 {
+		t.Fatalf("free list holds %d frames while the only frame is out", s.freeFrames())
+	}
+}
+
+// TestReleaseIsIdempotent: a second Release must not put the frame on the
+// free list again — two readers decoding into one frame is silent corruption.
+func TestReleaseIsIdempotent(t *testing.T) {
+	s, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	id := writePages(t, s, testPage(1), testPage(3), testPage(5))
+
+	tok := s.ReadAsync(id, 0)
+	if _, err := tok.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	rel := tok.(interface{ Release() })
+	rel.Release()
+	rel.Release()
+	if s.freeFrames() != 1 {
+		t.Fatalf("free list holds %d frames after a double release, want 1", s.freeFrames())
+	}
+	if pg, err := tok.Wait(); pg != nil || err != nil {
+		t.Fatalf("a released token still yields a page: %v, %v", pg, err)
+	}
+	a, b := s.ReadAsync(id, 1), s.ReadAsync(id, 2)
+	pa, errA := a.Wait()
+	pb, errB := b.Wait()
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if &pa[0] == &pb[0] || &pa[0].Payload[0] == &pb[0].Payload[0] {
+		t.Fatal("two live pages share one frame")
+	}
+	if pa[0].Key != 3 || pb[0].Key != 5 || string(pa[0].Payload) != "abcdefgh" || string(pb[1].Payload) != "ijklmnop" {
+		t.Fatalf("pages read back wrong: %v %v", pa, pb)
+	}
+}

@@ -6,13 +6,21 @@
 //     returned token's completion — the engine recycles its output page
 //     buffers the moment the token completes. Storing the pages (or an
 //     element of them) into a field, global or map, or capturing them in a
-//     goroutine, is durable retention and corrupts recycled pages.
-//   - Pooled buffers (the paged-run layer's bufPool.getBuf/putBuf, which
-//     its devices fetch into; sync.Pool) must not be used after being
-//     returned to the pool.
-//   - The aliasBytes result of pagecodec.DecodePageSum says whether the
-//     decoded records still alias the input buffer; discarding it while
-//     recycling the buffer in the same function is a latent aliasing bug.
+//     goroutine, is durable retention and corrupts recycled pages. A store
+//     whose read tokens offer Release (core.PageReleaser) promises more: no
+//     payload bytes of those pages survive the token either, because the
+//     merge hands the input frames they alias back to the store at that
+//     moment — which is why the shallow-copying MemStore must never offer
+//     Release. (Retained payload aliases are beyond this intra-procedural
+//     check; storetest.PoisonStore catches them at run time.)
+//   - Pooled buffers (the paged-run layer's bufPool.getBuf/putBuf for
+//     encode buffers; sync.Pool) must not be used after being returned to
+//     the pool. Read frames need no such rule: frameList.put empties the
+//     holder it is given, and Release ends its token's life.
+//   - The aliasBytes result of pagecodec.DecodePageInto (and of its
+//     nil-frame form DecodePageSum) says whether the decoded records still
+//     alias the input buffer; discarding it while recycling the buffer in
+//     the same function is a latent aliasing bug.
 //
 // The analysis is intra-procedural and heuristic: it tracks taint through
 // local assignments, range statements and append calls, and treats
@@ -220,8 +228,8 @@ type putCall struct {
 }
 
 // checkRecycle flags uses of a buffer after it was returned to the pool
-// (rule B) and DecodePageSum calls that discard aliasBytes while the buffer
-// is recycled in the same function (rule C).
+// (rule B) and page-decode calls that discard aliasBytes while the buffer is
+// recycled in the same function (rule C).
 func checkRecycle(pass *analysis.Pass, fd *ast.FuncDecl) {
 	var puts []putCall
 	putObjs := map[types.Object]bool{}
@@ -357,9 +365,10 @@ func enclosingBlockInfo(stack []ast.Node, n ast.Node) (*ast.BlockStmt, bool) {
 	return nil, false
 }
 
-// checkDecodeAlias implements rule C: pg, _, n, err := DecodePageSum(buf)
-// in a function that also recycles buf is discarding the only signal that
-// pg still aliases buf.
+// checkDecodeAlias implements rule C: pg, _, n, err := DecodePageInto(into,
+// buf) — or DecodePageSum(buf) — in a function that also recycles buf is
+// discarding the only signal that pg still aliases buf. The encoded buffer
+// is the call's last argument in both forms.
 func checkDecodeAlias(pass *analysis.Pass, fd *ast.FuncDecl, putObjs map[types.Object]bool) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		assign, ok := n.(*ast.AssignStmt)
@@ -374,7 +383,7 @@ func checkDecodeAlias(pass *analysis.Pass, fd *ast.FuncDecl, putObjs map[types.O
 		if !ok || alias.Name != "_" {
 			return true
 		}
-		if root := rootIdent(call.Args[0]); root != nil && putObjs[pass.TypesInfo.Uses[root]] {
+		if root := rootIdent(call.Args[len(call.Args)-1]); root != nil && putObjs[pass.TypesInfo.Uses[root]] {
 			pass.Reportf(alias.Pos(),
 				"aliasBytes result of page decode is discarded but %s is recycled in this function: decoded payloads may alias a recycled buffer — check aliasBytes before putBuf",
 				root.Name)
@@ -385,7 +394,7 @@ func checkDecodeAlias(pass *analysis.Pass, fd *ast.FuncDecl, putObjs map[types.O
 
 func isDecodePage(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "DecodePageSum" {
+	if !ok || sel.Sel.Name != "DecodePageSum" && sel.Sel.Name != "DecodePageInto" {
 		return false
 	}
 	obj := pass.TypesInfo.Uses[sel.Sel]

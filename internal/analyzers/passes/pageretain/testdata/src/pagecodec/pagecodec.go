@@ -15,5 +15,10 @@ func AppendPageSum(buf []byte, pg core.Page) []byte {
 // must outlive the page (or the page must be deep-copied) before buf is
 // recycled.
 func DecodePageSum(buf []byte) (pg core.Page, aliasBytes int, read int, err error) {
-	return nil, len(buf), len(buf), nil
+	return DecodePageInto(nil, buf)
+}
+
+// DecodePageInto is DecodePageSum decoding over a recycled record array.
+func DecodePageInto(into core.Page, buf []byte) (pg core.Page, aliasBytes int, read int, err error) {
+	return into[:0], len(buf), len(buf), nil
 }

@@ -161,6 +161,17 @@ func (s *pagedStore) readDropAlias(buf []byte) (core.Page, error) {
 	return pg, nil
 }
 
+// readIntoDropAlias is readDropAlias on the frame-taking decode: the
+// encoded buffer is the second argument there.
+func (s *pagedStore) readIntoDropAlias(recs core.Page, buf []byte) (core.Page, error) {
+	pg, _, _, err := pagecodec.DecodePageInto(recs, buf) // want `aliasBytes result of page decode is discarded`
+	if err != nil {
+		s.bufs.putBuf(buf)
+		return nil, err
+	}
+	return pg, nil
+}
+
 // readErrorPathPut recycles on an early-return error path and keeps using
 // the buffer on the success path. Clean: the put's branch returned.
 func (s *pagedStore) readErrorPathPut(buf []byte) (core.Page, error) {

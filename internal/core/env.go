@@ -20,6 +20,26 @@ type PageToken interface {
 	Wait() (Page, error)
 }
 
+// PageReleaser is optionally implemented by read tokens (discovered by type
+// assertion, like ContextBroker) whose store wants the page's memory back:
+// Release ends the token's life and hands the page — its record array and
+// whatever its payloads alias — to the store for reuse by a later read. The
+// caller must hold no reference into the page any more, and none may survive
+// anywhere else: the merge releases an input page only once every output
+// page holding one of its records has been appended and that append's token
+// has completed. A store whose tokens offer Release therefore promises more
+// than RunStore asks: its Append retains no payload bytes (not only no page
+// slices) past token completion. A store that keeps payload aliases — the
+// shallow-copying MemStore — must never offer it.
+//
+// Release is optional for the caller too: a page that is never released is
+// garbage-collected as before. The merge releases what it consumes in steady
+// state and leaves every page an adaptation drops, and everything the drain
+// path serves, to the collector. A second Release is a no-op.
+type PageReleaser interface {
+	Release()
+}
+
 // RunStore stores sorted runs. Implementations are bound to the executing
 // process/goroutine: all calls for one *run* come from that single context
 // (different runs may be driven from different goroutines).
@@ -29,7 +49,10 @@ type PageToken interface {
 // its output page buffers once the token completes. Conversely, pages
 // returned by ReadAsync are owned by the store's caller for reading; the
 // caller must treat them as immutable (stores may return shared or
-// buffer-aliasing pages).
+// buffer-aliasing pages). They stay valid for as long as they are
+// referenced, unless the read token offers Release (PageReleaser) and the
+// caller invokes it: then the page is the store's again, and the store in
+// turn guarantees that Append keeps no payload bytes past its token.
 type RunStore interface {
 	// Create opens a new empty run.
 	Create() (RunID, error)

@@ -66,7 +66,8 @@ func (m *mergeEngine) invalidateHeap() { m.hhValid = false }
 
 // newMergeEngine builds an engine whose output writer is bound to e's store.
 func newMergeEngine(e *Env, cfg SortConfig, st *SortStats) *mergeEngine {
-	return &mergeEngine{e: e, cfg: cfg, st: st, w: runWriter{store: e.Store, recs: cfg.PageRecords}}
+	return &mergeEngine{e: e, cfg: cfg, st: st,
+		w: runWriter{store: e.Store, recs: cfg.PageRecords, released: &st.MergePagesReleased}}
 }
 
 // mergeRuns merges runs into a single result run under the configured
@@ -327,13 +328,21 @@ func (m *mergeEngine) batchLoad(st *mergeStep) error {
 		pends = append(pends, pend{r, m.e.Store.ReadAsync(r.id, r.page)})
 	}
 	for _, p := range pends {
-		pg, err := p.tok.Wait()
+		pg, err := waitPage(p.tok)
 		if err != nil {
 			return err
 		}
 		p.r.bufs = append(p.r.bufs, pg)
 	}
 	return nil
+}
+
+// waitPage completes a merge read, keeping the token's release handle with
+// the page when the store offers one.
+func waitPage(tok PageToken) (inPage, error) {
+	recs, err := tok.Wait()
+	rel, _ := tok.(PageReleaser)
+	return inPage{recs, rel}, err
 }
 
 // ---- dynamic splitting ----
@@ -676,7 +685,7 @@ func (m *mergeEngine) load(st *mergeStep, r *runInfo, ahead int) (bool, error) {
 			toks = append(toks, pendingRead{idx, m.e.Store.ReadAsync(r.id, idx)})
 		}
 		for _, pr := range toks {
-			pg, err := pr.tok.Wait()
+			pg, err := waitPage(pr.tok)
 			if err != nil {
 				return false, err
 			}
@@ -897,6 +906,14 @@ func (m *mergeEngine) produceOnePage(st *mergeStep) (stepResult, error) {
 	for m.w.n < R && len(hh.rs) > 0 {
 		r := hh.rs[0].r
 		m.w.add(r.ws)
+		if r.spent != nil {
+			// That was the last record of a page the run has left, and this
+			// step read the page (drop forgets the handle at every step
+			// switch): every record of it now sits in one of this writer's
+			// output pages, so the page goes home once this one is durable.
+			m.w.retire(r.spent)
+			r.spent = nil
+		}
 		res, err := m.advanceRun(st, r)
 		if err != nil {
 			m.invalidateHeap()

@@ -131,6 +131,7 @@ func (s *SortStats) add(w *SortStats) {
 	s.MergePagesRead += w.MergePagesRead
 	s.MergePagesWritten += w.MergePagesWritten
 	s.ExtraMergeReads += w.ExtraMergeReads
+	s.MergePagesReleased += w.MergePagesReleased
 	s.Splits += w.Splits
 	s.Combines += w.Combines
 	s.Suspensions += w.Suspensions

@@ -17,9 +17,17 @@ type runInfo struct {
 
 	ws      Record // current record (valid if wsValid)
 	wsValid bool
-	page    int    // page index of the next record to refill from
-	pos     int    // record index within that page
-	bufs    []Page // resident pages, consecutive from `page`; nil when dropped
+	page    int      // page index of the next record to refill from
+	pos     int      // record index within that page
+	bufs    []inPage // resident pages, consecutive from `page`; nil when dropped
+
+	// spent is the release handle of the page that left bufs while ws still
+	// aliases it: ws is that page's last record. Only the merge's emit loop
+	// retires it (produceOnePage); otherwise the next refill or drop forgets
+	// it and the collector takes the page, like every page an adaptation
+	// drops. A handle therefore never crosses from one step to another: the
+	// step that retires a page is the one that read it and emitted all of it.
+	spent PageReleaser
 
 	lastUsed int64      // MRU clock for the paging strategy
 	hiLoaded int        // high-water mark of loaded pages (re-read detection)
@@ -43,6 +51,13 @@ type runInfo struct {
 	hi      Key
 }
 
+// inPage is one resident input page with, when the store's read token
+// offers one, the handle that gives its memory back (PageReleaser).
+type inPage struct {
+	recs Page
+	tok  PageReleaser
+}
+
 // remainingPages estimates how much of the run is left to read — the metric
 // used to pick the "shortest" runs for preliminary merges.
 func (r *runInfo) remainingPages() int { return r.pages - r.page }
@@ -50,11 +65,16 @@ func (r *runInfo) remainingPages() int { return r.pages - r.page }
 // loaded returns the number of resident buffer pages.
 func (r *runInfo) loaded() int { return len(r.bufs) }
 
-// drop releases all resident buffers. The workspace record and the refill
-// position survive, so merging can resume after re-reading `page`.
+// drop releases all resident buffers — to the collector: the spent page's
+// handle goes with them, because whoever resumes the run may not be the step
+// that consumed that page (a join's pending group still aliases the pages its
+// joint step read when a split hands the run to a preliminary merge). The
+// workspace record and the refill position survive, so merging can resume
+// after re-reading `page`.
 func (r *runInfo) drop() int {
 	n := len(r.bufs)
 	r.bufs = nil
+	r.spent = nil
 	return n
 }
 
@@ -74,11 +94,12 @@ func (r *runInfo) needsLoad() bool {
 // current page to be resident; returns false (and invalidates the
 // workspace) when no stored records remain resident.
 func (r *runInfo) refill() bool {
+	r.spent = nil // ws moves on: nothing aliases the page it kept alive
 	if len(r.bufs) == 0 {
 		r.wsValid = false
 		return false
 	}
-	rec := r.bufs[0][r.pos]
+	rec := r.bufs[0].recs[r.pos]
 	if r.bounded && rec.Key >= r.hi {
 		// The clone's key range is exhausted: everything from here on
 		// belongs to the next partition. Discard the residue so the run
@@ -93,7 +114,8 @@ func (r *runInfo) refill() bool {
 	r.ws = rec
 	r.wsValid = true
 	r.pos++
-	for len(r.bufs) > 0 && r.pos >= len(r.bufs[0]) {
+	for len(r.bufs) > 0 && r.pos >= len(r.bufs[0].recs) {
+		r.spent = r.bufs[0].tok
 		r.bufs = r.bufs[1:]
 		r.page++
 		r.pos = 0

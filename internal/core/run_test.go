@@ -4,7 +4,7 @@ import "testing"
 
 func TestRunInfoCursorBasics(t *testing.T) {
 	r := &runInfo{id: 1, pages: 2, tuples: 5}
-	r.bufs = []Page{{{Key: 1}, {Key: 2}, {Key: 3}}}
+	r.bufs = []inPage{{recs: Page{{Key: 1}, {Key: 2}, {Key: 3}}}}
 	if !r.refill() || r.ws.Key != 1 {
 		t.Fatalf("refill: %+v", r.ws)
 	}
@@ -19,7 +19,7 @@ func TestRunInfoCursorBasics(t *testing.T) {
 	if !r.needsLoad() {
 		t.Fatal("second page must need a load")
 	}
-	r.bufs = []Page{{{Key: 4}, {Key: 5}}}
+	r.bufs = []inPage{{recs: Page{{Key: 4}, {Key: 5}}}}
 	r.refill()
 	r.refill()
 	if r.refill() {
@@ -32,7 +32,7 @@ func TestRunInfoCursorBasics(t *testing.T) {
 
 func TestRunInfoDropPreservesPosition(t *testing.T) {
 	r := &runInfo{id: 1, pages: 3}
-	r.bufs = []Page{{{Key: 10}, {Key: 20}}, {{Key: 30}}}
+	r.bufs = []inPage{{recs: Page{{Key: 10}, {Key: 20}}}, {recs: Page{{Key: 30}}}}
 	r.refill() // ws=10, pos=1
 	wsKey := r.ws.Key
 	dropped := r.drop()
@@ -46,7 +46,7 @@ func TestRunInfoDropPreservesPosition(t *testing.T) {
 		t.Fatalf("refill position lost: page=%d pos=%d", r.page, r.pos)
 	}
 	// Reload the same page and continue: the next record is 20.
-	r.bufs = []Page{{{Key: 10}, {Key: 20}}}
+	r.bufs = []inPage{{recs: Page{{Key: 10}, {Key: 20}}}}
 	r.refill()
 	if r.ws.Key != 20 {
 		t.Fatalf("resumed at %d, want 20", r.ws.Key)

@@ -12,6 +12,13 @@ package core
 // are recycled once its token completes (every store has its own copy of
 // the bytes by then), so steady-state writing allocates no pages. CPU
 // charges, events and statistics stay with the callers.
+//
+// The merge's consumed input pages ride the same rotation: a page whose last
+// record was just buffered is retired here, moves with the block at flush,
+// and is released to its store when that write's token succeeds — so a read
+// frame is reused only after every output page holding one of its records
+// (this block at the latest) is encoded and durable. After a failed write
+// nothing is released; the collector takes the pages.
 type runWriter struct {
 	store RunStore
 	recs  int    // records per page, for add's pagination
@@ -21,6 +28,13 @@ type runWriter struct {
 	sent  []Page // block handed to the store, recycled once tok completes
 	free  []Page // recycled page buffers
 	tok   Token  // the one write in flight
+
+	// retired holds release handles of input pages whose last record is in
+	// block or fill ([0]) or in the write in flight ([1]). released is where
+	// wait counts the pages it gives back (the client's statistic); a writer
+	// whose client retires pages must set it.
+	retired  [2][]PageReleaser
+	released *int
 }
 
 // newRun opens a new empty run.
@@ -39,6 +53,12 @@ func (w *runWriter) add(rec Record) {
 	}
 	w.fill = append(w.fill, rec)
 	w.n++
+}
+
+// retire takes over an input page whose records have all been buffered by
+// add: it is released once the block holding the last of them is durable.
+func (w *runWriter) retire(pg PageReleaser) {
+	w.retired[0] = append(w.retired[0], pg)
 }
 
 // nextPage retires the full fill page into the block and starts another,
@@ -69,6 +89,7 @@ func (w *runWriter) flush(r *runInfo) (int, error) {
 		return 0, err
 	}
 	w.sent, w.block, w.n = w.block, w.sent[:0], 0
+	w.retired[0], w.retired[1] = w.retired[1], w.retired[0] // [1] is empty: append waited
 	return pages, nil
 }
 
@@ -94,7 +115,8 @@ func (w *runWriter) append(r *runInfo, pages []Page) error {
 	return nil
 }
 
-// wait waits for the write in flight, then recycles the flushed block.
+// wait waits for the write in flight, then recycles the flushed block and
+// releases the input pages retired into it.
 func (w *runWriter) wait() error {
 	if w.tok == nil {
 		return nil
@@ -105,8 +127,14 @@ func (w *runWriter) wait() error {
 		for _, pg := range w.sent {
 			w.free = append(w.free, pg[:0])
 		}
+		for _, pg := range w.retired[1] {
+			pg.Release()
+			*w.released++
+		}
 	}
 	w.sent = w.sent[:0]
+	clear(w.retired[1])
+	w.retired[1] = w.retired[1][:0]
 	return err
 }
 

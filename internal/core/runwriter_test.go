@@ -211,3 +211,75 @@ func TestRunWriterAbortFreesOnce(t *testing.T) {
 		}
 	}
 }
+
+// heldStore is a store whose append tokens complete only when the test says
+// so, successfully or not.
+type heldStore struct {
+	*memStore
+	toks []*heldToken
+}
+
+type heldToken struct{ err error }
+
+func (t *heldToken) Wait() error { return t.err }
+
+func (s *heldStore) Append(id RunID, pages []Page) (Token, error) {
+	if _, err := s.memStore.Append(id, pages); err != nil {
+		return nil, err
+	}
+	s.toks = append(s.toks, &heldToken{})
+	return s.toks[len(s.toks)-1], nil
+}
+
+type releaseFlag bool
+
+func (f *releaseFlag) Release() { *f = true }
+
+// TestRunWriterRetireGenerations pins the two-generation rule for retired
+// input pages: a page retired while a block fills is released neither at
+// that block's flush nor by the wait for the previous write, only once the
+// wait for its own block's write succeeds — and never after a failed write.
+func TestRunWriterRetireGenerations(t *testing.T) {
+	s := &heldStore{memStore: newMemStore()}
+	released := 0
+	w := runWriter{store: s, recs: 2, released: &released}
+	r, err := newRun(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b, c releaseFlag
+	flush := func() {
+		t.Helper()
+		if _, err := w.flush(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	w.add(Record{Key: 1})
+	w.retire(&a)
+	flush() // block 1 in flight, a rides with it
+	w.add(Record{Key: 2})
+	w.retire(&b)
+	if a || b {
+		t.Fatal("released at flush, before the write's token was waited for")
+	}
+	flush() // waits for block 1, then sends block 2
+	if !a || b {
+		t.Fatalf("after block 1's write completed: a released %v (want true), b released %v (want false)", a, b)
+	}
+	w.add(Record{Key: 3})
+	w.retire(&c)
+	s.toks[1].err = errors.New("injected write failure")
+	if _, err := w.flush(r); err == nil {
+		t.Fatal("flush must report the failed write it waited for")
+	}
+	if err := w.wait(); err != nil {
+		t.Fatalf("nothing in flight after a failed flush, wait said %v", err)
+	}
+	if b || c {
+		t.Fatalf("released after a failed write: b %v, c %v", b, c)
+	}
+	if released != 1 {
+		t.Fatalf("counted %d released pages, want 1: retired pages of a failed write are not released", released)
+	}
+}

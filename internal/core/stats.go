@@ -32,6 +32,15 @@ type SortStats struct {
 	// faults and buffer reloads after dynamic-splitting step switches.
 	ExtraMergeReads int
 
+	// MergePagesReleased counts the merge-read pages whose memory went back
+	// to the store for reuse (PageReleaser) instead of to the collector,
+	// counted as Release is called.
+	// Against MergePagesRead it tells whether the store participates: close
+	// to all of them on the disk-backed stores at a steady budget, fewer
+	// under adaptation (dropped pages are not released), none on stores
+	// whose read tokens offer no Release (MemStore, TieredStore, custom).
+	MergePagesReleased int
+
 	// Splits / Combines / Suspensions count adaptation actions taken during
 	// the merge phase.
 	Splits      int

@@ -4,14 +4,16 @@
 //
 // The codec is allocation-conscious by design. Encoding appends to a
 // caller-provided buffer (so write buffers can be pooled), and decoding is
-// zero-copy: payloads are sub-slices of the encoded buffer, so a page
-// decodes with exactly one record-slice allocation no matter how many
-// records carry payloads. Callers therefore must not mutate the encoded
-// buffer while decoded records are live, and must copy Record.Payload if
-// they retain it past the buffer's lifetime.
+// zero-copy into a caller-provided record array (so read frames can be
+// recycled): payloads are sub-slices of the encoded buffer, so a page
+// decodes with at most one record-slice allocation — none when the array is
+// large enough — no matter how many records carry payloads. Callers
+// therefore must not mutate the encoded buffer while decoded records are
+// live, and must copy Record.Payload if they retain it past the buffer's
+// lifetime.
 //
 // On the wire the body described above never travels bare: the frame
-// (AppendPageSum/DecodePageSum) prefixes it with a one-byte version marker
+// (AppendPageSum/DecodePageInto) prefixes it with a one-byte version marker
 // and a CRC32-Castagnoli of the body, so silent corruption (bit rot, torn
 // reads) is detected instead of decoded.
 package pagecodec
@@ -25,7 +27,7 @@ import (
 	"github.com/memadapt/masort/internal/core"
 )
 
-// ErrChecksum is returned (wrapped) by DecodePageSum when the frame is
+// ErrChecksum is returned (wrapped) by DecodePageInto when the frame is
 // structurally broken or the body fails CRC verification — the page bytes
 // are corrupt and must not be trusted.
 var ErrChecksum = errors.New("pagecodec: page checksum mismatch")
@@ -71,9 +73,9 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// decodeBody decodes one frame body from the front of buf; aliasBytes and
-// read are as DecodePageSum documents them.
-func decodeBody(buf []byte) (pg core.Page, aliasBytes int, read int, err error) {
+// decodeBody decodes one frame body from the front of buf into the array
+// behind into; aliasBytes and read are as DecodePageInto documents them.
+func decodeBody(into core.Page, buf []byte) (pg core.Page, aliasBytes int, read int, err error) {
 	cnt, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return nil, 0, 0, fmt.Errorf("pagecodec: bad record count")
@@ -82,7 +84,10 @@ func decodeBody(buf []byte) (pg core.Page, aliasBytes int, read int, err error) 
 	if cnt > uint64(len(buf)) { // each record takes at least one byte
 		return nil, 0, 0, fmt.Errorf("pagecodec: record count %d exceeds buffer", cnt)
 	}
-	pg = make(core.Page, 0, cnt)
+	pg = into[:0]
+	if uint64(cap(pg)) < cnt {
+		pg = make(core.Page, 0, cnt)
+	}
 	for i := uint64(0); i < cnt; i++ {
 		if pos+8 > len(buf) {
 			return nil, 0, 0, fmt.Errorf("pagecodec: truncated key at record %d", i)
@@ -126,18 +131,29 @@ func EncodedSizeSum(pg core.Page) int {
 	return sumOverhead + EncodedSize(pg)
 }
 
-// DecodePageSum decodes one checksummed page from the front of buf,
+// DecodePageSum is DecodePageInto with no record array to reuse: the page is
+// freshly allocated.
+func DecodePageSum(buf []byte) (pg core.Page, aliasBytes int, read int, err error) {
+	return DecodePageInto(nil, buf)
+}
+
+// DecodePageInto decodes one checksummed page from the front of buf,
 // verifying the body CRC before returning records. A bad marker, a
 // truncated frame, a structurally broken body or a CRC mismatch all return
 // an error wrapping ErrChecksum: with a checksummed frame, any decode
 // failure means the bytes on disk are not the bytes that were written.
+//
+// The records are written over the array behind into (its contents are
+// dead; a recycled, dirty array decodes exactly like nil), which is replaced
+// by a fresh one only when its capacity is too small for the page. After a
+// failed decode the array holds nothing live and may be reused.
 //
 // Payloads are zero-copy sub-slices of buf: the returned aliasBytes is the
 // total number of payload bytes aliasing buf. When aliasBytes is zero the
 // caller may recycle buf immediately; otherwise buf is owned by the decoded
 // page until every record referencing it is dead. read is the number of
 // bytes consumed from buf, frame overhead included.
-func DecodePageSum(buf []byte) (pg core.Page, aliasBytes int, read int, err error) {
+func DecodePageInto(into core.Page, buf []byte) (pg core.Page, aliasBytes int, read int, err error) {
 	if len(buf) < sumOverhead {
 		return nil, 0, 0, fmt.Errorf("pagecodec: frame truncated to %d bytes: %w", len(buf), ErrChecksum)
 	}
@@ -146,7 +162,7 @@ func DecodePageSum(buf []byte) (pg core.Page, aliasBytes int, read int, err erro
 	}
 	want := binary.LittleEndian.Uint32(buf[1:])
 	body := buf[sumOverhead:]
-	pg, aliasBytes, read, err = decodeBody(body)
+	pg, aliasBytes, read, err = decodeBody(into, body)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("%v: %w", err, ErrChecksum)
 	}

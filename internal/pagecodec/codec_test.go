@@ -2,7 +2,9 @@ package pagecodec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -27,7 +29,7 @@ func TestRoundTrip(t *testing.T) {
 		buf = appendBody(buf, pg)
 	}
 	for i, pg := range pages {
-		got, alias, read, err := decodeBody(buf[offs[i]:])
+		got, alias, read, err := decodeBody(nil, buf[offs[i]:])
 		if err != nil {
 			t.Fatalf("page %d: %v", i, err)
 		}
@@ -52,7 +54,7 @@ func TestRoundTrip(t *testing.T) {
 
 func TestDecodeZeroCopyAliasing(t *testing.T) {
 	buf := appendBody(nil, core.Page{{Key: 7, Payload: []byte("hello")}})
-	pg, alias, _, err := decodeBody(buf)
+	pg, alias, _, err := decodeBody(nil, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +72,13 @@ func TestDecodeZeroCopyAliasing(t *testing.T) {
 func TestDecodeCorruptInputs(t *testing.T) {
 	good := appendBody(nil, core.Page{{Key: 1, Payload: []byte("xyz")}})
 	for i := 0; i < len(good); i++ {
-		if _, _, _, err := decodeBody(good[:i]); err == nil {
+		if _, _, _, err := decodeBody(nil, good[:i]); err == nil {
 			t.Fatalf("truncation at %d bytes decoded without error", i)
 		}
 	}
 	// A count claiming more records than the buffer can hold must fail
 	// before allocating.
-	if _, _, _, err := decodeBody([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}); err == nil {
+	if _, _, _, err := decodeBody(nil, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}); err == nil {
 		t.Fatal("absurd record count decoded without error")
 	}
 }
@@ -92,7 +94,7 @@ func TestRoundTripProperty(t *testing.T) {
 			pg = append(pg, core.Record{Key: k, Payload: p})
 		}
 		buf := appendBody(nil, pg)
-		got, _, read, err := decodeBody(buf)
+		got, _, read, err := decodeBody(nil, buf)
 		if err != nil || read != len(buf) || len(got) != len(pg) {
 			return false
 		}
@@ -189,4 +191,78 @@ func TestSumFrameIsNotLegacy(t *testing.T) {
 	if _, _, _, err := DecodePageSum(legacy); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("legacy frame through DecodePageSum: err = %v, want ErrChecksum chain", err)
 	}
+}
+
+// dirtyFrame is a recycled record array: live-looking records within its
+// length, junk beyond it.
+func dirtyFrame() core.Page {
+	pg := make(core.Page, 9)
+	for i := range pg {
+		pg[i] = core.Record{Key: 0xDEAD0000 + uint64(i), Payload: []byte("stale")}
+	}
+	return pg[:5]
+}
+
+// pageFrom carves a page out of fuzz input: per record one length byte, up
+// to eight key bytes and the payload.
+func pageFrom(data []byte) core.Page {
+	var pg core.Page
+	for len(data) > 0 && len(pg) < 32 {
+		n := int(data[0]) % 20
+		data = data[1:]
+		var key [8]byte
+		data = data[copy(key[:], data):]
+		n = min(n, len(data))
+		rec := core.Record{Key: binary.LittleEndian.Uint64(key[:])}
+		if n > 0 {
+			rec.Payload = data[:n]
+		}
+		pg, data = append(pg, rec), data[n:]
+	}
+	return pg
+}
+
+func samePage(a, b core.Page) bool {
+	return slices.EqualFunc(a, b, func(x, y core.Record) bool {
+		return x.Key == y.Key && bytes.Equal(x.Payload, y.Payload)
+	})
+}
+
+// FuzzPageCodec holds the frame codec to four properties: arbitrary bytes
+// never panic the decoder; decoding into a dirty recycled record array gives
+// exactly what decoding into nil gives; a page round-trips; and every
+// single-bit flip of a frame is detected — as an error or as a frame that no
+// longer fills its extent, the two things the store checks.
+func FuzzPageCodec(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 'a', 'b', 'c', 0, 9})
+	f.Add(AppendPageSum(nil, core.Page{{Key: 42, Payload: []byte("the quick brown fox")}, {Key: 43}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		intoNil, aliasN, readN, errN := DecodePageInto(nil, data)
+		intoDirty, aliasD, readD, errD := DecodePageInto(dirtyFrame(), data)
+		if (errN == nil) != (errD == nil) || aliasN != aliasD || readN != readD || !samePage(intoNil, intoDirty) {
+			t.Fatalf("dirty frame decodes differently: (%v, %d, %d, %v) vs nil's (%v, %d, %d, %v)",
+				intoDirty, aliasD, readD, errD, intoNil, aliasN, readN, errN)
+		}
+		if errN != nil && !errors.Is(errN, ErrChecksum) {
+			t.Fatalf("decode error %v does not wrap ErrChecksum", errN)
+		}
+
+		pg := pageFrom(data)
+		frame := AppendPageSum(nil, pg)
+		if len(frame) != EncodedSizeSum(pg) {
+			t.Fatalf("EncodedSizeSum = %d, frame is %d bytes", EncodedSizeSum(pg), len(frame))
+		}
+		got, _, read, err := DecodePageInto(dirtyFrame(), frame)
+		if err != nil || read != len(frame) || !samePage(got, pg) {
+			t.Fatalf("round trip: %v, read %d of %d, %v", err, read, len(frame), got)
+		}
+		for bit := range 8 * len(frame) {
+			frame[bit/8] ^= 1 << (bit % 8)
+			if _, _, read, err := DecodePageInto(nil, frame); err == nil && read == len(frame) {
+				t.Fatalf("flip of bit %d went undetected", bit)
+			}
+			frame[bit/8] ^= 1 << (bit % 8)
+		}
+	})
 }

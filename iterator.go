@@ -45,6 +45,15 @@ type PageToken = core.PageToken
 //     with them by then or copy. Payload bytes are immutable and shared.
 //     Pages delivered by ReadAsync belong to the store; callers must not
 //     modify them, and they stay valid until the run is freed.
+//   - Optionally, a read token may offer Release() (core.PageReleaser,
+//     found by type assertion): the reader's word that it holds no
+//     reference into the page any more, after which the store may decode
+//     another read into the same memory. The merge releases the input
+//     pages it has consumed, once the output holding their records is
+//     durable; nothing else ever does. A store offering it must keep no
+//     payload bytes of appended pages past their token (they alias the
+//     frames being given back) — so MemStore, which copies shallowly, must
+//     never offer it. storetest.PoisonOnRelease checks a store's tokens.
 //   - A terminal write failure breaks the whole run: the failing token
 //     (and every later one) reports an error chain including
 //     ErrStoreFailed, and subsequent Appends and reads on the run are

@@ -12,7 +12,10 @@ import (
 // returning, so callers may reuse page buffers immediately (payload bytes
 // are shared, not copied — they are immutable by the RunStore contract).
 // ReadAsync returns the stored page itself, not a copy: callers must treat
-// it as read-only, and it remains valid until the run is freed.
+// it as read-only, and it remains valid until the run is freed. Because the
+// stored pages keep aliasing the caller's payload bytes, its read tokens
+// must never offer Release (see RunStore): the merge's input frames would be
+// recycled under the runs written from them.
 type MemStore struct {
 	mu    sync.Mutex
 	runs  map[RunID][]Page

@@ -97,7 +97,7 @@ func (s *MmapStore) openDevice(path string) (device, error) {
 	return &mmapDevice{File: f, store: s}, nil
 }
 
-func (d *mmapDevice) fetch(off int64, n int, _ *bufPool) ([]byte, bool, error) {
+func (d *mmapDevice) fetch(off int64, n int, _ []byte) ([]byte, bool, error) {
 	end := off + int64(n)
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -219,7 +219,19 @@ func (s *tracedStore) Append(id RunID, pages []Page) (Token, error) {
 }
 
 func (s *tracedStore) ReadAsync(id RunID, page int) PageToken {
-	return &tracedPageToken{PageToken: s.RunStore.ReadAsync(id, page), s: s, start: time.Now()}
+	t := &tracedPageToken{PageToken: s.RunStore.ReadAsync(id, page), s: s, start: time.Now()}
+	if rel, ok := t.PageToken.(core.PageReleaser); ok {
+		return releasingTracedPageToken{t, rel}
+	}
+	return t
+}
+
+// releasingTracedPageToken is the traced token of a store whose read tokens
+// offer Release: tracing must not cost the store its frames back, nor make a
+// store that offers none look as if it did.
+type releasingTracedPageToken struct {
+	*tracedPageToken
+	core.PageReleaser
 }
 
 // tracedToken observes an append batch; the measurement completes at the

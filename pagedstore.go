@@ -35,11 +35,12 @@ type device interface {
 	// WriteAt writes b at off, as io.WriterAt.
 	WriteAt(b []byte, off int64) (int, error)
 
-	// fetch returns the n bytes at off. pooled reports that they were read
-	// into a buffer taken from bufs, which the caller now owns (and recycles
-	// even when err is non-nil); otherwise they are a read-only view the
-	// device keeps valid until the store is closed.
-	fetch(off int64, n int, bufs *bufPool) (b []byte, pooled bool, err error)
+	// fetch returns the n bytes at off. A device that reads into memory
+	// reads into buf — the caller's, contents dead, grown when too small —
+	// and returns it with owned set, also when err is non-nil; otherwise the
+	// bytes are a read-only view the device keeps valid until the store is
+	// closed, and buf is untouched.
+	fetch(off int64, n int, buf []byte) (b []byte, owned bool, err error)
 
 	// Truncate cuts the extent back to size bytes.
 	Truncate(size int64) error
@@ -48,17 +49,17 @@ type device interface {
 	remove() error
 }
 
-// bufPool recycles encode and read buffers.
+// bufPool recycles encode buffers. (Read buffers travel with their page's
+// frame, see frameList.)
 type bufPool struct{ p sync.Pool } // of *[]byte
 
-func (bp *bufPool) getBuf(n int) []byte {
+// getBuf returns an empty buffer for appending to; a pooled one is used
+// whatever its capacity — append grows it — never discarded as too small.
+func (bp *bufPool) getBuf() []byte {
 	if v := bp.p.Get(); v != nil {
-		b := *(v.(*[]byte))
-		if cap(b) >= n {
-			return b[:n]
-		}
+		return *(v.(*[]byte))
 	}
-	return make([]byte, n)
+	return nil
 }
 
 func (bp *bufPool) putBuf(b []byte) {
@@ -67,6 +68,66 @@ func (bp *bufPool) putBuf(b []byte) {
 	}
 	b = b[:0]
 	bp.p.Put(&b)
+}
+
+// maxFreeFrames bounds a store's free list of read frames. A frame is as
+// large as the page it last held, so the list holds at most 64 pages of the
+// caller's geometry — ≈ 0.9 MB per store at the default 256-record page with
+// 16-byte payloads (8 KB of records + 6.4 KB of encoded bytes a frame) —
+// whatever the budget, the number of runs or the input size. A steady merge
+// keeps only a few frames here (it takes one per read and gives one back per
+// page consumed); the bound matters when a wide merge step ends and returns
+// its whole fan-in at once.
+const maxFreeFrames = 64
+
+// frame is the memory of one decoded page: the record array and, on devices
+// that read into memory, the bytes its payloads alias.
+type frame struct {
+	recs Page
+	buf  []byte
+}
+
+// frameList is a store's free list of read frames, kept as its two kinds of
+// part (a dead record array and a dead buffer owe each other nothing). Only
+// pages whose reader calls Release come back — the merge's consumed inputs —
+// plus the buffers of reads that failed or left no payload aliases behind;
+// everything else is garbage-collected, and a read that finds a part missing
+// allocates it.
+type frameList struct {
+	mu   sync.Mutex
+	recs []Page   // at most maxFreeFrames
+	bufs [][]byte // at most maxFreeFrames
+}
+
+func (fl *frameList) get() (fr frame) {
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	if k := len(fl.recs) - 1; k >= 0 {
+		fr.recs = fl.recs[k]
+		fl.recs[k] = nil
+		fl.recs = fl.recs[:k]
+	}
+	if k := len(fl.bufs) - 1; k >= 0 {
+		fr.buf = fl.bufs[k]
+		fl.bufs[k] = nil
+		fl.bufs = fl.bufs[:k]
+	}
+	return fr
+}
+
+// put moves *fr's parts onto the list (dropping what a full list cannot
+// take) and empties it, under the list's lock: a frame can be put only once,
+// however many times and from wherever put is called on its holder.
+func (fl *frameList) put(fr *frame) {
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	if fr.recs != nil && len(fl.recs) < maxFreeFrames {
+		fl.recs = append(fl.recs, fr.recs[:0])
+	}
+	if fr.buf != nil && len(fl.bufs) < maxFreeFrames {
+		fl.bufs = append(fl.bufs, fr.buf[:0])
+	}
+	*fr = frame{}
 }
 
 // disk is one directory of a store — one device of the paper's Disks
@@ -97,7 +158,10 @@ type disk struct {
 //     file offset. Decoding is zero-copy: Record.Payload sub-slices the
 //     fetched bytes (see the package's buffer-ownership notes). A read of a
 //     page whose write is still queued waits for that disk's durability
-//     watermark first.
+//     watermark first. The read token offers Release: a reader that is done
+//     with the page hands its frame back for the next read, which is how a
+//     merge reads without allocating; pages never released are the
+//     collector's, as ever.
 //
 // The store does not assume a perfect disk. A page that fails its checksum
 // is re-read once before the read fails with ErrCorruptPage in the chain;
@@ -109,10 +173,11 @@ type disk struct {
 // flight on healthy disks may still deliver their pages; a merge consuming
 // the run learns of the failure no later than the broken page.
 type pagedStore struct {
-	disks []disk
-	open  func(path string) (device, error)
-	retry RetryPolicy // zero value: a single attempt
-	bufs  bufPool
+	disks  []disk
+	open   func(path string) (device, error)
+	retry  RetryPolicy // zero value: a single attempt
+	bufs   bufPool
+	frames frameList
 
 	// tr, when set, receives a queue-depth sample (KindStoreQueue) on every
 	// enqueue/dequeue of the write pipeline, summed across runs and disks,
@@ -222,15 +287,26 @@ func (t *writeToken) Wait() error { <-t.done; return t.err }
 // disks, before the batch settled. Valid after Wait returns.
 func (t *writeToken) Retries() int { return t.retries }
 
-// pageToken is an asynchronous read completion handle.
+// pageToken is an asynchronous read completion handle. It owns the frame
+// its page was decoded into until Release gives it back.
 type pageToken struct {
 	done    chan struct{}
-	pg      Page
+	s       *pagedStore
+	fr      frame // fr.recs is the page; empty once released or on error
 	err     error
 	retries int
 }
 
-func (t *pageToken) Wait() (Page, error) { <-t.done; return t.pg, t.err }
+func (t *pageToken) Wait() (Page, error) { <-t.done; return t.fr.recs, t.err }
+
+// Release returns the page's frame to the store for reuse by a later read
+// (see core.PageReleaser): the caller must hold no reference to the page,
+// its records' payloads included. It ends the token's life — Wait yields no
+// page afterwards — and a second call is a no-op.
+func (t *pageToken) Release() {
+	<-t.done
+	t.s.frames.put(&t.fr)
+}
 
 // Retries reports how many failed read attempts (transient errors and
 // corruption re-reads) were retried before the read settled. Valid after
@@ -355,7 +431,7 @@ func (s *pagedStore) Append(id RunID, pages []Page) (Token, error) {
 	// batch, encoded back to back into one buffer for one positional write.
 	for k := 0; k < n && k < len(pages); k++ {
 		x := &r.exts[(first+k)%n]
-		buf := s.bufs.getBuf(0)
+		buf := s.bufs.getBuf()
 		for i := k; i < len(pages); i += n {
 			r.offsets[first+i] = x.end + int64(len(buf))
 			buf = pagecodec.AppendPageSum(buf, pages[i])
@@ -505,7 +581,7 @@ func (s *pagedStore) ReadAsync(id RunID, page int) PageToken {
 	}
 	r.readers.Add(1)
 	r.mu.Unlock()
-	tok := &pageToken{done: make(chan struct{})}
+	tok := &pageToken{done: make(chan struct{}), s: s}
 	go s.readPage(r, x, id, page, off, end, tok)
 	return tok
 }
@@ -540,9 +616,9 @@ func (s *pagedStore) readPage(r *pagedRun, x *runExtent, id RunID, page int, off
 	budget := s.retry.attempts()
 	ioAttempt, rereads := 0, 0
 	for {
-		pg, err := s.readOnce(x, off, int(end-off))
+		fr, err := s.readOnce(x, off, int(end-off))
 		if err == nil {
-			tok.pg = pg
+			tok.fr = fr
 			return
 		}
 		size := end - off
@@ -578,38 +654,50 @@ func (s *pagedStore) readPage(r *pagedRun, x *runExtent, id RunID, page int, off
 }
 
 // readOnce performs one physical fetch-and-decode attempt of the n-byte
-// page extent at off. A decode or checksum failure returns an error
+// page extent at off, into a frame from the free list; the decoded page is
+// the returned frame's recs. A decode or checksum failure returns an error
 // wrapping ErrCorruptPage; a fetch failure returns the raw cause for the
-// caller to classify. With fault hooks installed the hooks see a pooled
-// private copy, so injected corruption never mutates a device's own view.
-func (s *pagedStore) readOnce(x *runExtent, off int64, n int) (Page, error) {
-	buf, pooled, err := x.dev.fetch(off, n, &s.bufs)
+// caller to classify. Either way the frame of a failed attempt goes back on
+// the list. With fault hooks installed the hooks see a private copy in the
+// frame's buffer, so injected corruption never mutates a device's own view.
+func (s *pagedStore) readOnce(x *runExtent, off int64, n int) (frame, error) {
+	fr := s.frames.get()
+	buf, owned, err := x.dev.fetch(off, n, fr.buf)
+	if owned {
+		fr.buf = buf
+	}
 	if h := x.disk.faults; h != nil && err == nil {
-		if !pooled {
-			buf, pooled = append(s.bufs.getBuf(0), buf...), true
+		if !owned {
+			fr.buf = append(fr.buf[:0], buf...)
+			buf, owned = fr.buf, true
 		}
 		err = h.AfterRead(off, buf)
 	}
-	var (
-		pg          Page
-		alias, read int
-	)
 	if err == nil {
-		pg, alias, read, err = pagecodec.DecodePageSum(buf)
+		var (
+			pg          Page
+			alias, read int
+		)
+		pg, alias, read, err = pagecodec.DecodePageInto(fr.recs, buf)
 		if err == nil && read != len(buf) {
 			err = fmt.Errorf("page extent is %d bytes, decoded %d", len(buf), read)
 		}
 		if err != nil {
-			pg, err = nil, fmt.Errorf("decode of %d-byte extent: %w: %w", len(buf), ErrCorruptPage, err)
+			err = fmt.Errorf("decode of %d-byte extent: %w: %w", len(buf), ErrCorruptPage, err)
+		} else {
+			fr.recs = pg
+			if owned && alias == 0 {
+				// No payload bytes escaped into the page: the buffer is dead
+				// and serves the next read now, released page or not.
+				s.frames.put(&frame{buf: fr.buf})
+				fr.buf = nil
+			}
 		}
 	}
-	if pooled && (err != nil || alias == 0) {
-		// The attempt failed or no payload bytes escaped into the page: the
-		// buffer is dead and can be recycled now. Otherwise the decoded
-		// records own it.
-		s.bufs.putBuf(buf)
+	if err != nil {
+		s.frames.put(&fr)
 	}
-	return pg, err
+	return fr, err
 }
 
 // Pages returns the number of pages appended so far (durable or queued).
