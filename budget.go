@@ -90,8 +90,9 @@ func (b *Budget) Pressure() int { return b.h.Pressure() }
 // WaitTarget blocks until the target is at least n.
 func (b *Budget) WaitTarget(n int) { b.h.WaitTarget(n) }
 
-// WaitChange blocks until the budget changes.
-func (b *Budget) WaitChange() { b.h.WaitChange() }
+// WaitChange blocks until the budget changes: the next change after the
+// call, for every caller waiting.
+func (b *Budget) WaitChange() { _ = b.h.WaitNextChange(context.Background()) }
 
 // WaitTargetCtx blocks until the target is at least n or ctx is canceled,
 // returning ctx's error in the latter case. It makes suspension waits
@@ -104,5 +105,5 @@ func (b *Budget) WaitTargetCtx(ctx context.Context, n int) error {
 // WaitChangeCtx blocks until the budget changes or ctx is canceled,
 // returning ctx's error in the latter case.
 func (b *Budget) WaitChangeCtx(ctx context.Context) error {
-	return b.h.WaitChangeCtx(ctx)
+	return b.h.WaitNextChange(ctx)
 }

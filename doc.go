@@ -74,10 +74,17 @@
 // a loser tree over the mini-run heads. Run tags are assigned at push time
 // exactly as in classic replacement selection and the order (run, key,
 // payload) is total, so runs, fences and I/O are identical to the classic
-// binary heap's — only Counters.Compares and the CPU time drop. The
-// simulator keeps the classic counted heap, whose comparison counts its
-// CPU model charges, so the reproduced tables do not depend on the real
-// engine's choice of structure.
+// binary heap's — only Counters.Compares and the CPU time drop.
+//
+// The same loser tree serves run generation, the merge and the join: the
+// merge and each side of the join select among their runs' one-record
+// workspaces through it (a run that runs dry turns its leaf idle; runs a
+// combine absorbs enter at idle leaves; nothing is allocated after
+// construction). Counters.Compares charges ⌈log₂ leaves⌉ per replayed
+// path, plus one per match when a leaf enters or the tree is rebuilt. The
+// simulator keeps the classic counted heaps for both jobs, whose
+// comparison counts its CPU model charges, so the reproduced tables do not
+// depend on the real engine's choice of structure.
 //
 // # Parallel execution
 //

@@ -18,14 +18,24 @@ type sampleReads struct {
 	allocFrom uint64
 	allocTo   uint64
 	maxFrames int // largest free list seen
+
+	// schedule, when set, moves budget to schedule[i] at read every*(i+1):
+	// the merge splits, combines and absorbs while it is being sampled.
+	budget   *Budget
+	every    int64
+	schedule []int
 }
 
 func (s *sampleReads) ReadAsync(id RunID, page int) PageToken {
-	switch s.reads.Add(1) {
+	n := s.reads.Add(1)
+	switch n {
 	case s.from:
 		s.allocFrom = totalAlloc()
 	case s.to:
 		s.allocTo = totalAlloc()
+	}
+	if s.every > 0 && n%s.every == 0 && n/s.every <= int64(len(s.schedule)) {
+		s.budget.Resize(s.schedule[n/s.every-1])
 	}
 	s.maxFrames = max(s.maxFrames, s.freeFrames())
 	return s.FileStore.ReadAsync(id, page)
@@ -72,35 +82,63 @@ func (s *pagedStore) freeFrames() int {
 func TestMergeReadsAllocateNothing(t *testing.T) {
 	const pageRecords, budgetPages = 64, 41
 	in := randomRecords(budgetPages*40*pageRecords, 7, 16) // 40 memory-sized runs
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	store := &sampleReads{FileStore: fs, from: 400, to: 1400}
-	res, err := Sort(context.Background(), NewSliceIterator(in),
-		WithMethod(Quicksort), WithPageRecords(pageRecords), WithBudget(NewBudget(budgetPages)), WithStore(store))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Close()
-	st := res.Stats
-	if st.Runs < 32 || int64(st.MergePagesRead) < store.to {
-		t.Fatalf("want >= 32 runs and >= %d merge reads, got %d runs, %d reads", store.to, st.Runs, st.MergePagesRead)
-	}
-	perRead := float64(store.allocTo-store.allocFrom) / float64(store.to-store.from)
-	t.Logf("%d runs, %d merge reads (%d released), %.0f B allocated per read in steady state, free list peaked at %d frames",
-		st.Runs, st.MergePagesRead, st.MergePagesReleased, perRead, store.maxFrames)
-	if poolDropsPuts() {
-		t.Log("sync.Pool drops Puts (race detector): encode buffers are reallocated, the byte bound does not apply")
-	} else if perRead > 1024 {
-		t.Errorf("%.0f B allocated per merge page read in steady state, want <= 1024", perRead)
-	}
-	if st.MergePagesReleased != st.MergePagesRead {
-		t.Errorf("released %d of %d merge pages at a fixed budget", st.MergePagesReleased, st.MergePagesRead)
-	}
-	if got := max(store.maxFrames, fs.freeFrames()); got > maxFreeFrames || fs.freeFrames() == 0 {
-		t.Errorf("free list peaked at %d frames and ends with %d, want within (0, %d]", got, fs.freeFrames(), maxFreeFrames)
+	for _, tc := range []struct {
+		name     string
+		every    int64
+		schedule []int
+	}{
+		{name: "fixed"},
+		// sort_file_fluct's kind of traffic while the reads are sampled: a
+		// split, a combine aborted by the next shrink, a second one that runs
+		// to its absorb. Each rebuilds or re-enters the selection tree, which
+		// must allocate nothing for it; the pages each of them drops are the
+		// collector's by design (≈ 90 frames here, ≈ 0.3 KB a sampled read),
+		// which is why the schedule is no busier than this.
+		{name: "fluct", every: 100, schedule: []int{41, 41, 41, 33, 41, 37, 41, 29, 41}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs, err := NewFileStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs.Close()
+			budget := NewBudget(budgetPages)
+			store := &sampleReads{FileStore: fs, from: 400, to: 1400, budget: budget, every: tc.every, schedule: tc.schedule}
+			switches := 0 // times the merge changed the run set under its selection tree
+			res, err := Sort(context.Background(), NewSliceIterator(in),
+				WithMethod(Quicksort), WithPageRecords(pageRecords), WithBudget(budget), WithStore(store),
+				WithEvents(func(ev Event) {
+					switch ev.Kind {
+					case EvSplitStep, EvCombineStart, EvCombineAbort, EvCombineDone:
+						switches++
+					}
+				}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer res.Close()
+			st := res.Stats
+			if st.Runs < 32 || int64(st.MergePagesRead) < store.to {
+				t.Fatalf("want >= 32 runs and >= %d merge reads, got %d runs, %d reads", store.to, st.Runs, st.MergePagesRead)
+			}
+			perRead := float64(store.allocTo-store.allocFrom) / float64(store.to-store.from)
+			t.Logf("%d runs, %d merge reads (%d released), %d splits/combines/aborts/absorbs, %.0f B allocated per read in steady state, free list peaked at %d frames",
+				st.Runs, st.MergePagesRead, st.MergePagesReleased, switches, perRead, store.maxFrames)
+			if poolDropsPuts() {
+				t.Log("sync.Pool drops Puts (race detector): encode buffers are reallocated, the byte bound does not apply")
+			} else if perRead > 1024 {
+				t.Errorf("%.0f B allocated per merge page read in steady state, want <= 1024", perRead)
+			}
+			if tc.schedule == nil && st.MergePagesReleased != st.MergePagesRead {
+				t.Errorf("released %d of %d merge pages at a fixed budget", st.MergePagesReleased, st.MergePagesRead)
+			}
+			if tc.schedule != nil && switches < 5 {
+				t.Errorf("%d splits, combines, aborts and absorbs: the schedule did not make the merge adapt", switches)
+			}
+			if got := max(store.maxFrames, fs.freeFrames()); got > maxFreeFrames || fs.freeFrames() == 0 {
+				t.Errorf("free list peaked at %d frames and ends with %d, want within (0, %d]", got, fs.freeFrames(), maxFreeFrames)
+			}
+		})
 	}
 }
 

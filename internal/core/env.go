@@ -97,7 +97,10 @@ type Broker interface {
 	// caller to, so the wait ends once competing demands drain — possibly
 	// with Target() still below n, which the caller must then make do with.
 	WaitTarget(n int)
-	// WaitChange blocks until the target may have changed.
+	// WaitChange blocks until the target may have changed. Where other
+	// goroutines change it (the real engine), "changed" counts from the
+	// caller's last WaitChange, not from the moment of the call: check, then
+	// wait must not lose a change that lands in between.
 	WaitChange()
 }
 

@@ -49,10 +49,13 @@ func SortMergeJoin(e *Env, left, right Input, cfg SortConfig) (*JoinResult, erro
 
 	e.setPhase("merge")
 	tm := e.now()
+	m := newMergeEngine(e, cfg, &st.SortStats)
 	j := &joinEngine{
-		m:     newMergeEngine(e, cfg, &st.SortStats),
+		m:     m,
 		left:  lruns,
 		right: rruns,
+		lh:    e.newRunHeads(&m.cmp),
+		rh:    e.newRunHeads(&m.cmp),
 	}
 	out, err := j.run()
 	if err != nil {
@@ -76,6 +79,11 @@ type joinEngine struct {
 	left  []*runInfo
 	right []*runInfo
 	out   *runInfo
+
+	// lh and rh select among the left and the right relation's runs in the
+	// joint step; like the merge's hh they are built once and reset per
+	// (re)build, so a retried step allocates nothing for them.
+	lh, rh runHeads
 
 	// group buffers the right-side records of the join key currently being
 	// processed. It persists across adaptation interruptions: the gathered
@@ -213,9 +221,9 @@ func (j *joinEngine) jointStep() (bool, error) {
 	m.startStep(st) // an interrupted attempt leaves its span open; the retry is a new step
 	m.curStep = st
 	defer func() { m.curStep = nil }()
-	lh := headHeap{cmp: &m.cmp}
-	rh := headHeap{cmp: &m.cmp}
-	prime := func(runs []*runInfo, hh *headHeap) (stepResult, error) {
+	lh, rh := j.lh, j.rh
+	prime := func(runs []*runInfo, hh runHeads) (stepResult, error) {
+		hh.reset(len(runs))
 		for _, r := range runs {
 			if !r.wsValid {
 				if r.exhausted() {
@@ -260,9 +268,8 @@ func (j *joinEngine) jointStep() (bool, error) {
 			}
 		}
 
-		// (Re)build both head heaps — buffers may have moved underneath us.
-		lh.rs, rh.rs = lh.rs[:0], rh.rs[:0]
-		if res, err := prime(j.left, &lh); err != nil || res == needAdapt {
+		// (Re)build both sides' selection — buffers may have moved underneath us.
+		if res, err := prime(j.left, lh); err != nil || res == needAdapt {
 			if err != nil {
 				return false, err
 			}
@@ -271,7 +278,7 @@ func (j *joinEngine) jointStep() (bool, error) {
 			}
 			continue
 		}
-		if res, err := prime(j.right, &rh); err != nil || res == needAdapt {
+		if res, err := prime(j.right, rh); err != nil || res == needAdapt {
 			if err != nil {
 				return false, err
 			}
@@ -282,7 +289,7 @@ func (j *joinEngine) jointStep() (bool, error) {
 		}
 
 		// Merge-join one output page worth, then loop back to adapt.
-		res, err := j.joinSome(st, &lh, &rh)
+		res, err := j.joinSome(st, lh, rh)
 		if err != nil {
 			return false, err
 		}
@@ -313,7 +320,7 @@ func (j *joinEngine) jointStep() (bool, error) {
 // produced (or an input blocks / everything is consumed). All state —
 // including a half-processed equal-key group — survives interruption, so a
 // retry after adaptation resumes exactly where it stopped.
-func (j *joinEngine) joinSome(st *mergeStep, lh, rh *headHeap) (stepResult, error) {
+func (j *joinEngine) joinSome(st *mergeStep, lh, rh runHeads) (stepResult, error) {
 	m := j.m
 	R := m.cfg.PageRecords
 	produced := 0
@@ -327,7 +334,8 @@ func (j *joinEngine) joinSome(st *mergeStep, lh, rh *headHeap) (stepResult, erro
 			}
 			continue
 		}
-		if len(lh.rs) == 0 || len(rh.rs) == 0 {
+		l, r := lh.min(), rh.min()
+		if l == nil || r == nil {
 			// One side exhausted, no group pending: no matches remain.
 			lDone, err := j.drainAll(st, lh)
 			if err != nil {
@@ -342,7 +350,6 @@ func (j *joinEngine) joinSome(st *mergeStep, lh, rh *headHeap) (stepResult, erro
 			}
 			return needAdapt, nil
 		}
-		l, r := lh.rs[0].r, rh.rs[0].r
 		switch {
 		case l.ws.Key < r.ws.Key:
 			if blocked, err := j.advanceRoot(st, lh); err != nil || blocked {
@@ -371,18 +378,17 @@ func (j *joinEngine) joinSome(st *mergeStep, lh, rh *headHeap) (stepResult, erro
 // operator workspace — standard sort-merge-join group handling), emits the
 // cross product with every left record of the key, and closes the group.
 // Interruptions leave the group pending for the next call.
-func (j *joinEngine) processGroup(st *mergeStep, lh, rh *headHeap, produced *int) (stepResult, error) {
+func (j *joinEngine) processGroup(st *mergeStep, lh, rh runHeads, produced *int) (stepResult, error) {
 	m := j.m
 	R := m.cfg.PageRecords
 	key := j.groupKey
-	for len(rh.rs) > 0 && rh.rs[0].key == key {
-		j.group = append(j.group, rh.rs[0].r.ws)
+	for r := rh.min(); r != nil && r.ws.Key == key; r = rh.min() {
+		j.group = append(j.group, r.ws)
 		if blocked, err := j.advanceRoot(st, rh); err != nil || blocked {
 			return needAdapt, err
 		}
 	}
-	for len(lh.rs) > 0 && lh.rs[0].key == key {
-		ll := lh.rs[0].r
+	for ll := lh.min(); ll != nil && ll.ws.Key == key; ll = lh.min() {
 		for _, g := range j.group {
 			payload := make([]byte, 0, len(ll.ws.Payload)+len(g.Payload))
 			payload = append(payload, ll.ws.Payload...)
@@ -408,27 +414,27 @@ func (j *joinEngine) processGroup(st *mergeStep, lh, rh *headHeap, produced *int
 	return pageProduced, nil
 }
 
-// advanceRoot moves the run at hh's root past its current record and
-// restores the heap: the root is popped when the run ran dry, re-sifted
-// otherwise. blocked reports a memory shortage that kept the run's next page
-// from loading (the heap is untouched; the caller goes back to adapt).
-func (j *joinEngine) advanceRoot(st *mergeStep, hh *headHeap) (blocked bool, err error) {
-	res, err := j.m.advanceRun(st, hh.rs[0].r)
+// advanceRoot moves hh's minimum run past its current record and restores
+// the order: the run is removed when it ran dry, replayed otherwise. blocked
+// reports a memory shortage that kept the run's next page from loading (hh
+// is untouched; the caller goes back to adapt, which rebuilds it).
+func (j *joinEngine) advanceRoot(st *mergeStep, hh runHeads) (blocked bool, err error) {
+	res, err := j.m.advanceRun(st, hh.min())
 	switch {
 	case err != nil || res == advBlocked:
 		return res == advBlocked, err
 	case res == advDry:
-		hh.popRoot()
+		hh.popMin()
 	default:
-		hh.fixRoot()
+		hh.fixMin()
 	}
 	return false, nil
 }
 
 // drainAll consumes the rest of one side without emitting (no matches
 // remain). Returns done=false if a load blocked on memory.
-func (j *joinEngine) drainAll(st *mergeStep, hh *headHeap) (done bool, err error) {
-	for len(hh.rs) > 0 {
+func (j *joinEngine) drainAll(st *mergeStep, hh runHeads) (done bool, err error) {
+	for hh.min() != nil {
 		if blocked, err := j.advanceRoot(st, hh); err != nil || blocked {
 			return false, err
 		}

@@ -52,22 +52,24 @@ type mergeEngine struct {
 	mruClock int64
 	cmp      int64 // comparison charges accumulated between flushes
 
-	// hh is the head heap over the active step's runs. It persists across
-	// output pages — rebuilding it per page costs Θ(fan-in) comparisons and
-	// an allocation per page — and is invalidated only when the step's run
-	// set changes (split, combine, absorb) or a run blocks mid-advance.
-	hh      headHeap
+	// hh selects among the active step's runs. It persists across output
+	// pages — rebuilding it per page costs Θ(fan-in) comparisons — and is
+	// invalidated only when the step's run set changes (split, combine) or a
+	// run blocks mid-advance.
+	hh      runHeads
 	hhStep  *mergeStep // step hh was built for
 	hhValid bool
 }
 
-// invalidateHeap forces the next produceOnePage to rebuild the head heap.
+// invalidateHeap forces the next produceOnePage to rebuild hh.
 func (m *mergeEngine) invalidateHeap() { m.hhValid = false }
 
 // newMergeEngine builds an engine whose output writer is bound to e's store.
 func newMergeEngine(e *Env, cfg SortConfig, st *SortStats) *mergeEngine {
-	return &mergeEngine{e: e, cfg: cfg, st: st,
+	m := &mergeEngine{e: e, cfg: cfg, st: st,
 		w: runWriter{store: e.Store, recs: cfg.PageRecords, released: &st.MergePagesReleased}}
+	m.hh = e.newRunHeads(&m.cmp)
+	return m
 }
 
 // mergeRuns merges runs into a single result run under the configured
@@ -512,9 +514,33 @@ func (m *mergeEngine) absorb(st *mergeStep) error {
 		}
 	}
 	st.inputs = append(inputs, prelim.inputs...)
-	m.invalidateHeap() // the absorbed runs must enter the heap
+	if !m.enterAbsorbed(st, prelim.inputs) {
+		m.invalidateHeap()
+	}
 	m.e.emit(EvCombineDone, len(st.inputs), "")
 	return drained.free(m.e.Store)
+}
+
+// enterAbsorbed adds the runs a combine brought in to the selection structure
+// standing for st, whose drained run has already left it: no rebuild. It
+// declines — the caller invalidates — when the structure is not st's or takes
+// no late entries, and when a run must be advanced first (that can block on
+// memory, which the rebuild handles).
+func (m *mergeEngine) enterAbsorbed(st *mergeStep, runs []*runInfo) bool {
+	if !m.hh.absorbs() || !m.hhValid || m.hhStep != st {
+		return false
+	}
+	for _, r := range runs {
+		if !r.wsValid && !r.exhausted() {
+			return false
+		}
+	}
+	for _, r := range runs {
+		if r.wsValid {
+			m.hh.push(r)
+		}
+	}
+	return true
 }
 
 // ---- shared execution ----
@@ -752,6 +778,83 @@ func (m *mergeEngine) startStep(st *mergeStep) {
 	m.e.emitStep(EvStepStart, len(st.inputs), st.id, "")
 }
 
+// runHeads is the selection structure of a merge or of one side of a join:
+// the step's runs that hold a workspace record, ordered by that record (key,
+// then payload bytes). Which implementation a host gets (Env.newRunHeads)
+// changes which comparisons are made, never which run is the minimum.
+type runHeads interface {
+	// reset empties the structure ahead of pushing up to n runs.
+	reset(n int)
+	// push enters a run whose workspace is valid.
+	push(r *runInfo)
+	// absorbs reports whether push is also good on a structure in use; if
+	// not, a run joins only by reset and pushing every run anew.
+	absorbs() bool
+	// min returns the run holding the smallest record, nil when none is left.
+	min() *runInfo
+	// fixMin restores order after min's workspace moved to its next record.
+	fixMin()
+	// popMin removes min, which ran dry.
+	popMin()
+}
+
+// newRunHeads returns the host's selection structure for merging, charging
+// its comparisons to *cmp: the loser tree for the real engine, the counted
+// binary heap where the host asks for it (the simulator, whose CPU model is
+// calibrated on the heap's comparisons).
+func (e *Env) newRunHeads(cmp *int64) runHeads {
+	if e.ClassicSelection {
+		return &headHeap{cmp: cmp}
+	}
+	h := &headTree{}
+	h.t.tie, h.t.cmp = h.payloadLess, cmp
+	return h
+}
+
+// headTree is the loser tree over the runs' current records: a leaf's head
+// is its run's workspace key, cached, under tag 0; a run that runs dry turns
+// its leaf idle, where a run absorbed later can enter.
+type headTree struct {
+	t    loserTree
+	runs []*runInfo // by leaf; nil at an idle leaf
+}
+
+// payloadLess breaks a key tie between two live leaves.
+func (h *headTree) payloadLess(a, b int32) bool {
+	return bytes.Compare(h.runs[a].ws.Payload, h.runs[b].ws.Payload) < 0
+}
+
+func (h *headTree) reset(n int) {
+	clear(h.runs)
+	h.t.reset(n)
+	h.runs = leafSlots(h.runs, &h.t)
+}
+
+func (h *headTree) push(r *runInfo) {
+	leaf := h.t.take()
+	h.runs = leafSlots(h.runs, &h.t)
+	h.runs[leaf] = r
+	h.t.heads[leaf] = ltHead{key: r.ws.Key}
+	h.t.enter(leaf)
+}
+
+func (h *headTree) absorbs() bool { return true }
+
+func (h *headTree) min() *runInfo { return h.runs[h.t.min()] }
+
+func (h *headTree) fixMin() {
+	leaf := h.t.min()
+	h.t.heads[leaf].key = h.runs[leaf].ws.Key
+	h.t.replay(leaf)
+}
+
+func (h *headTree) popMin() {
+	leaf := h.t.min()
+	h.runs[leaf] = nil
+	h.t.kill(leaf)
+	h.t.replay(leaf)
+}
+
 // headEntry is one headHeap node: the run's current key cached beside the
 // run pointer, so the common comparison touches only the 16-byte entry
 // (payloads are consulted only to break key ties).
@@ -760,13 +863,27 @@ type headEntry struct {
 	r   *runInfo
 }
 
-// headHeap is a min-heap over the current records of loaded runs, playing
-// the selection tree's role; its comparison count is charged to the CPU.
-// The comparison algorithm matches Less exactly (key, then payload bytes),
-// so the cached-key layout changes no comparison counts.
+// headHeap is the counted binary min-heap over the current records of loaded
+// runs — the simulator's runHeads (Env.ClassicSelection), every comparison
+// charged to the CPU, and the oracle the tree is tested against. The
+// comparison algorithm matches Less exactly (key, then payload bytes), so
+// the cached-key layout changes no comparison counts.
 type headHeap struct {
 	rs  []headEntry
 	cmp *int64
+}
+
+func (h *headHeap) reset(int) { h.rs = h.rs[:0] }
+
+// absorbs is false: the simulator's CPU model is calibrated on the
+// comparisons of the rebuild a combine has always cost the heap.
+func (h *headHeap) absorbs() bool { return false }
+
+func (h *headHeap) min() *runInfo {
+	if len(h.rs) == 0 {
+		return nil
+	}
+	return h.rs[0].r
 }
 
 func (h *headHeap) less(i, j int) bool {
@@ -791,9 +908,9 @@ func (h *headHeap) push(r *runInfo) {
 	}
 }
 
-// fixRoot restores heap order after the root run advanced to a new record
+// fixMin restores heap order after the root run advanced to a new record
 // (refreshing its cached key first).
-func (h *headHeap) fixRoot() {
+func (h *headHeap) fixMin() {
 	h.rs[0].key = h.rs[0].r.ws.Key
 	i := 0
 	n := len(h.rs)
@@ -814,12 +931,12 @@ func (h *headHeap) fixRoot() {
 	}
 }
 
-func (h *headHeap) popRoot() {
+func (h *headHeap) popMin() {
 	n := len(h.rs) - 1
 	h.rs[0] = h.rs[n]
 	h.rs = h.rs[:n]
 	if n > 0 {
-		h.fixRoot()
+		h.fixMin()
 	}
 }
 
@@ -860,9 +977,9 @@ func (m *mergeEngine) advanceRun(st *mergeStep, r *runInfo) (advResult, error) {
 // run empties (correctness requires absorbing before emitting more) or
 // needAdapt when a buffer cannot be loaded under the current memory.
 //
-// The head heap persists across calls: it is rebuilt only when the step
-// changed or something invalidated it. Run workspaces survive buffer drops
-// (suspension, paging eviction, reclaim), so heap order stays correct
+// The selection structure persists across calls: it is rebuilt only when the
+// step changed or something invalidated it. Run workspaces survive buffer
+// drops (suspension, paging eviction, reclaim), so its order stays correct
 // across those events without a rebuild.
 func (m *mergeEngine) produceOnePage(st *mergeStep) (stepResult, error) {
 	R := m.cfg.PageRecords
@@ -870,10 +987,9 @@ func (m *mergeEngine) produceOnePage(st *mergeStep) (stepResult, error) {
 	if st.drainOf != nil {
 		drainRun = st.drainOf.out
 	}
-	hh := &m.hh
+	hh := m.hh
 	if !m.hhValid || m.hhStep != st {
-		hh.cmp = &m.cmp
-		hh.rs = hh.rs[:0]
+		hh.reset(len(st.inputs))
 		m.hhStep = st
 		m.hhValid = false
 		for _, r := range st.inputs {
@@ -899,12 +1015,12 @@ func (m *mergeEngine) produceOnePage(st *mergeStep) (stepResult, error) {
 	if drainRun != nil && drainRun.exhausted() {
 		return drainEmpty, nil
 	}
-	if len(hh.rs) == 0 {
+	r := hh.min()
+	if r == nil {
 		m.invalidateHeap()
 		return stepDone, nil
 	}
-	for m.w.n < R && len(hh.rs) > 0 {
-		r := hh.rs[0].r
+	for ; m.w.n < R && r != nil; r = hh.min() {
 		m.w.add(r.ws)
 		if r.spent != nil {
 			// That was the last record of a page the run has left, and this
@@ -921,17 +1037,17 @@ func (m *mergeEngine) produceOnePage(st *mergeStep) (stepResult, error) {
 		}
 		switch res {
 		case advOK:
-			hh.fixRoot()
+			hh.fixMin()
 		case advBlocked:
-			// The root consumed its workspace but could not refill: the heap
-			// no longer reflects it. Rebuild after adaptation.
+			// The minimum consumed its workspace but could not refill: the
+			// structure no longer reflects it. Rebuild after adaptation.
 			m.invalidateHeap()
 			if err := m.flushOut(st); err != nil {
 				return 0, err
 			}
 			return needAdapt, nil
 		case advDry:
-			hh.popRoot()
+			hh.popMin()
 			if r == drainRun {
 				if err := m.flushOut(st); err != nil {
 					return 0, err

@@ -245,16 +245,49 @@ func TestOneWorkerSpawnsNoGoroutine(t *testing.T) {
 				base, still = n, 0
 			}
 		}
+		// A worker's goroutine may still be on its way out when the phase
+		// driver's WaitGroup lets go of it.
+		drain := func() {
+			for i := 0; runtime.NumGoroutine() > base && i < 1000; i++ {
+				time.Sleep(time.Millisecond)
+			}
+		}
 		seen, peak := map[string]int{}, map[string]int{}
 		phase := ""
+		store := newSafeStore()
+		if workers > 1 {
+			// Whether an event fires while all W workers are alive must not be
+			// left to the scheduler (on a loaded box one worker can finish a
+			// phase before its sibling has started): each phase's first W
+			// appends — one per worker, a held worker appends no second — wait
+			// for one another. Every worker still owes an event after its first
+			// append (run-done, step-done), so the first of those finds all W
+			// alive. phase is the coordinator's, written between crews.
+			var mu sync.Mutex
+			arrived := map[string]int{}
+			all := map[string]chan struct{}{"split": make(chan struct{}), "merge": make(chan struct{})}
+			store.gate = func([]Page) {
+				mu.Lock()
+				arrived[phase]++
+				n := arrived[phase]
+				mu.Unlock()
+				if n == workers {
+					close(all[phase])
+				}
+				if n <= workers {
+					<-all[phase]
+				}
+			}
+		}
 		env := &Env{
 			In:    &sliceInput{pages: pagesOf(recs, 32)},
-			Store: newSafeStore(),
+			Store: store,
 			Mem:   newTestBudget(16),
 			Ctx:   context.Background(),
 			OnEvent: func(ev Event) {
 				if ev.Kind == EvPhase {
 					phase = ev.Phase
+					drain() // the last phase's crew is no part of this one
 				}
 				seen[phase]++
 				n := runtime.NumGoroutine()
@@ -276,11 +309,7 @@ func TestOneWorkerSpawnsNoGoroutine(t *testing.T) {
 		if peak["split"] != base+extra || peak["merge"] != base+extra {
 			t.Fatalf("Workers=%d: goroutine peaks per phase %v, want %d in split and merge", workers, peak, base+extra)
 		}
-		// A worker's goroutine may still be on its way out when the phase
-		// driver's WaitGroup lets go of it.
-		for i := 0; runtime.NumGoroutine() > base && i < 1000; i++ {
-			time.Sleep(time.Millisecond)
-		}
+		drain()
 		if n := runtime.NumGoroutine(); n > base {
 			t.Fatalf("Workers=%d: %d goroutines after the sort, %d before it", workers, n, base)
 		}
@@ -759,6 +788,72 @@ func TestParkedWorkerSuspendsOnce(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// leaveInWindow is a parked worker's broker on which the lower-ranked sibling
+// finishes and leaves exactly between the worker's "no page" check and its
+// wait — the window a loaded box opens by descheduling the worker there.
+type leaveInWindow struct {
+	*memarb.Handle
+	sibling *memarb.Handle
+	once    sync.Once
+}
+
+func (b *leaveInWindow) WaitChangeCtx(ctx context.Context) error {
+	b.once.Do(b.sibling.Leave)
+	return b.Handle.WaitChangeCtx(ctx)
+}
+
+// TestParkedSplitWorkerSeesSiblingLeave: a split worker the crew parked must
+// not lose the wakeup of its sibling's departure when that lands between its
+// check and its wait — under a budget nobody resizes again there is no other.
+// (At the parent of the change that added it this test hangs: the wait was
+// "until the next change", and the one change had already happened.)
+func TestParkedSplitWorkerSeesSiblingLeave(t *testing.T) {
+	for _, method := range []Method{Quick, Repl} {
+		t.Run(fmt.Sprintf("m%d", method), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Method, cfg.PageRecords = method, 32
+			split := replSplit
+			if method == Quick {
+				split = quickSplit
+			}
+			budget := newTestBudget(8)
+			shares := budget.Divide(2, 6) // 8 pages sustain one worker of 6: rank 1 is parked
+			if got := shares[1].Target(); got != 0 {
+				t.Fatalf("second worker has target %d, want 0 (parked)", got)
+			}
+			recs := makeRecords(1000, 23)
+			store := newSafeStore()
+			env := &Env{
+				In: &sliceInput{pages: pagesOf(recs, cfg.PageRecords)}, Store: store,
+				Mem: &leaveInWindow{Handle: shares[1], sibling: shares[0]}, Ctx: context.Background(),
+			}
+			var runs []*runInfo
+			var err error
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				runs, err = split(env, cfg, &SortStats{})
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("parked worker slept through its sibling's departure")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			shares[1].Leave()
+			var got []Record
+			for _, r := range runs {
+				run := store.records([]RunID{r.id})
+				checkSorted(t, run)
+				got = append(got, run...)
+			}
+			checkPermutation(t, recs, got)
+		})
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestRunInfoCursorBasics(t *testing.T) {
 	r := &runInfo{id: 1, pages: 2, tuples: 5}
@@ -66,38 +69,33 @@ func TestRunInfoRemainingPages(t *testing.T) {
 	}
 }
 
+// TestHeadHeapOrdering drives both runHeads implementations through the
+// merge's calls: the minimum's workspace moves on (fixMin must refresh the
+// cached key), runs go dry, and comparisons are charged.
 func TestHeadHeapOrdering(t *testing.T) {
-	var cmp int64
-	hh := headHeap{cmp: &cmp}
-	keys := []uint64{42, 7, 99, 1, 55}
-	for _, k := range keys {
-		r := &runInfo{ws: Record{Key: k}, wsValid: true}
-		hh.push(r)
-	}
-	if hh.rs[0].r.ws.Key != 1 {
-		t.Fatalf("min = %d", hh.rs[0].r.ws.Key)
-	}
-	// Replace the root run's current record and fix: the heap must refresh
-	// the cached key and re-establish order.
-	hh.rs[0].r.ws.Key = 60
-	hh.fixRoot()
-	if hh.rs[0].r.ws.Key != 7 {
-		t.Fatalf("after fix min = %d", hh.rs[0].r.ws.Key)
-	}
-	var prev uint64
-	for i := 0; len(hh.rs) > 0; i++ {
-		k := hh.rs[0].r.ws.Key
-		if hh.rs[0].key != k {
-			t.Fatalf("cached key %d out of sync with ws key %d", hh.rs[0].key, k)
+	for _, classic := range []bool{true, false} {
+		var cmp int64
+		hh := (&Env{ClassicSelection: classic}).newRunHeads(&cmp)
+		hh.reset(5)
+		for _, k := range []uint64{42, 7, 99, 1, 55} {
+			hh.push(&runInfo{ws: Record{Key: k}, wsValid: true})
 		}
-		if i > 0 && k < prev {
-			t.Fatal("heap pops out of order")
+		if k := hh.min().ws.Key; k != 1 {
+			t.Fatalf("classic=%v: min = %d", classic, k)
 		}
-		prev = k
-		hh.popRoot()
-	}
-	if cmp == 0 {
-		t.Fatal("comparisons must be counted")
+		hh.min().ws.Key = 60
+		hh.fixMin()
+		var got []uint64
+		for r := hh.min(); r != nil; r = hh.min() {
+			got = append(got, r.ws.Key)
+			hh.popMin()
+		}
+		if !slices.Equal(got, []uint64{7, 42, 55, 60, 99}) {
+			t.Fatalf("classic=%v: popped %v", classic, got)
+		}
+		if cmp == 0 {
+			t.Fatalf("classic=%v: comparisons must be counted", classic)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"math"
 	"math/bits"
 	"slices"
 )
@@ -29,7 +28,7 @@ func (e *Env) newSelector() selector {
 	if e.ClassicSelection {
 		return &rsHeap{}
 	}
-	return &batchSelector{}
+	return newBatchSelector()
 }
 
 const (
@@ -38,7 +37,6 @@ const (
 	maxBucketBits = 10   // scatter buckets per run tag ≤ 1 << maxBucketBits
 	smallBucket   = 16   // insertion sort up to this many entries, pdqsort above
 	freeSlack     = 8    // chunks the free list may hold across a seal
-	deadRun       = math.MaxInt32
 )
 
 // rsChunk is the unit of record storage: a mini-run is a chain of chunks
@@ -52,12 +50,6 @@ type rsChunk struct {
 	recs [chunkRecs]Record
 }
 
-// rsHead is a mini-run's next record as the loser tree sees it.
-type rsHead struct {
-	key Key
-	run int32
-}
-
 // miniRun is the unread remainder of one sealed burst.
 type miniRun struct {
 	c   *rsChunk
@@ -69,7 +61,7 @@ type miniRun struct {
 // only stages the record; the first PeekRun/Pop after a burst seals the
 // staged records into one sorted mini-run (bucket scatter on the key's top
 // bits, comparison sort inside a bucket), and Pop replays one root path of
-// a loser tree over the mini-run heads — a handful of comparisons over a
+// the loser tree over the mini-run heads — a handful of comparisons over a
 // few hundred bytes where the binary heap sifts through its whole array.
 type batchSelector struct {
 	n        int // live entries, staged and sealed
@@ -79,16 +71,19 @@ type batchSelector struct {
 	staged []*rsChunk // their records, position p at staged[p/chunkRecs]
 	sorted []rsEntry  // scatter destination, reused from seal to seal
 
-	// The loser tree: tree[0] is the winning leaf, tree[j] the loser of the
-	// match at internal node j; leaf l sits at node len(tree)+l. A leaf
-	// without a mini-run carries a head that loses to every live one.
-	tree  []int32
-	heads []rsHead
-	runs  []miniRun
-	idle  []int32 // leaves without a mini-run
+	// lt orders the mini-runs by their heads — (run tag, key) of the next
+	// record — and runs holds the mini-run behind each of its leaves.
+	lt   loserTree
+	runs []miniRun
 
 	free  *rsChunk // recycled chunks
 	nfree int
+}
+
+func newBatchSelector() *batchSelector {
+	s := &batchSelector{}
+	s.lt.tie, s.lt.cmp = s.payloadLess, &s.compares
+	return s
 }
 
 func (s *batchSelector) Len() int { return s.n }
@@ -117,14 +112,14 @@ func (s *batchSelector) PeekRun() int {
 	if len(s.stage) > 0 {
 		s.seal()
 	}
-	return int(s.heads[s.tree[0]].run)
+	return int(s.lt.heads[s.lt.min()].tag)
 }
 
 func (s *batchSelector) Pop() rsItem {
 	if len(s.stage) > 0 {
 		s.seal()
 	}
-	leaf := s.tree[0]
+	leaf := s.lt.min()
 	m := &s.runs[leaf]
 	c := m.c
 	it := rsItem{run: int(c.tags[m.pos]), rec: c.recs[m.pos]}
@@ -138,50 +133,12 @@ func (s *batchSelector) Pop() rsItem {
 		s.release(c)
 	}
 	if m.c != nil {
-		s.heads[leaf] = rsHead{key: m.c.recs[m.pos].Key, run: m.c.tags[m.pos]}
+		s.lt.heads[leaf] = ltHead{key: m.c.recs[m.pos].Key, tag: m.c.tags[m.pos]}
 	} else {
-		s.heads[leaf] = rsHead{key: Key(leaf), run: deadRun}
-		s.idle = append(s.idle, leaf)
+		s.lt.kill(leaf)
 	}
-	// Replay the winner's path: every loser stored on it is the winner of
-	// the sibling subtree, so one comparison per level restores the tree.
-	// Which side wins a match is a coin flip, so the comparison and the
-	// swap are arithmetic, not branches: (run, key) compares as one 128-bit
-	// subtraction, and the borrow selects winner and loser through a mask.
-	k := len(s.tree)
-	w, hw := leaf, s.heads[leaf]
-	for j := (k + int(leaf)) >> 1; j > 0; j >>= 1 {
-		o := s.tree[j]
-		ho := s.heads[o]
-		_, lt := bits.Sub64(ho.key, hw.key, 0)
-		_, lt = bits.Sub64(uint64(uint32(ho.run)), uint64(uint32(hw.run)), lt)
-		if ho == hw && s.payloadLess(o, w) {
-			lt = 1
-		}
-		mask := -lt // all ones when o beats w
-		d := (w ^ o) & int32(mask)
-		s.tree[j], w = o^d, w^d
-		hw.key ^= (hw.key ^ ho.key) & mask
-		hw.run ^= (hw.run ^ ho.run) & int32(mask)
-	}
-	s.tree[0] = w
-	s.compares += int64(bits.Len(uint(k)) - 1)
+	s.lt.replay(leaf)
 	return it
-}
-
-// leafLess orders two leaves by their heads: run tag, key, then payload
-// bytes (key ties only). Idle leaves carry distinct keys, so they never
-// reach the payload step.
-func (s *batchSelector) leafLess(a, b int32) bool {
-	s.compares++
-	ha, hb := s.heads[a], s.heads[b]
-	if ha.run != hb.run {
-		return ha.run < hb.run
-	}
-	if ha.key != hb.key {
-		return ha.key < hb.key
-	}
-	return s.payloadLess(a, b)
 }
 
 // payloadLess breaks a (run, key) tie between two live leaves.
@@ -351,65 +308,9 @@ func (s *batchSelector) stagedLess(a, b rsEntry) bool {
 // addRun enters a sealed mini-run at an idle leaf: O(log K) comparisons.
 // Only when every leaf is taken does the tree double and rebuild.
 func (s *batchSelector) addRun(first *rsChunk) {
-	if len(s.idle) == 0 {
-		s.grow()
-	}
-	leaf := s.idle[len(s.idle)-1]
-	s.idle = s.idle[:len(s.idle)-1]
+	leaf := s.lt.take()
+	s.runs = leafSlots(s.runs, &s.lt)
 	s.runs[leaf] = miniRun{c: first}
-	s.heads[leaf] = rsHead{key: first.recs[0].Key, run: first.tags[0]}
-
-	// The leaf is not the winner, so the losers on its path are not all
-	// sibling-subtree winners. Recover those top-down without comparing a
-	// key: at each node the match was between the winner that went up and
-	// the stored loser, and whichever of the two lies under the off-path
-	// child is that subtree's winner.
-	k := len(s.tree)
-	pos := k + int(leaf)
-	depth := bits.Len(uint(k)) - 1
-	var opp [32]int32
-	w := s.tree[0]
-	for lvl := depth; lvl >= 1; lvl-- {
-		l := s.tree[pos>>lvl]
-		if (k+int(l))>>(lvl-1) == pos>>(lvl-1) {
-			opp[lvl], w = w, l
-		} else {
-			opp[lvl] = l
-		}
-	}
-	w = leaf
-	for lvl := 1; lvl <= depth; lvl++ {
-		o := opp[lvl]
-		if s.leafLess(o, w) {
-			o, w = w, o
-		}
-		s.tree[pos>>lvl] = o
-	}
-	s.tree[0] = w
-}
-
-// grow doubles the leaf count and rebuilds the tree bottom-up.
-func (s *batchSelector) grow() {
-	old := len(s.tree)
-	k := max(2*old, 4)
-	s.tree = slices.Grow(s.tree[:0], k)[:k]
-	s.heads = slices.Grow(s.heads, k-old)[:k]
-	s.runs = slices.Grow(s.runs, k-old)[:k]
-	for l := k - 1; l >= old; l-- {
-		s.heads[l] = rsHead{key: Key(l), run: deadRun}
-		s.runs[l] = miniRun{}
-		s.idle = append(s.idle, int32(l))
-	}
-	win := make([]int32, 2*k) // subtree winners; a doubling is rare enough to allocate
-	for l := 0; l < k; l++ {
-		win[k+l] = int32(l)
-	}
-	for j := k - 1; j >= 1; j-- {
-		a, b := win[2*j], win[2*j+1]
-		if s.leafLess(b, a) {
-			a, b = b, a
-		}
-		win[j], s.tree[j] = a, b
-	}
-	s.tree[0] = win[1]
+	s.lt.heads[leaf] = ltHead{key: first.recs[0].Key, tag: first.tags[0]}
+	s.lt.enter(leaf)
 }

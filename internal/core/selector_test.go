@@ -69,7 +69,7 @@ func runSelectionScript(t *testing.T, data []byte) {
 		b, data = data[0], data[1:]
 		return b, true
 	}
-	batched, classic := selector(&batchSelector{}), selector(&rsHeap{})
+	batched, classic := selector(newBatchSelector()), selector(&rsHeap{})
 	cur := 0 // tag of the last popped record: pushes are tagged cur or cur+1
 	var serial uint64
 	pop := func() {
@@ -281,7 +281,7 @@ func (s *batchSelector) chunkSlots() int {
 // checks that the retained storage came down with the grant.
 func TestBatchSelectorFootprintFollowsGrant(t *testing.T) {
 	const R, block = 256, 6
-	s := &batchSelector{}
+	s := newBatchSelector()
 	rng := randx.New(5, "footprint")
 	cur, curOpen := 0, false
 	var last Record

@@ -27,8 +27,11 @@ func quickSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 				e.Mem.Acquire(g)
 			}
 			if e.Mem.Granted() == 0 {
-				// Entitled but the (shared) pool is empty: wait rather than
-				// spin. A single-operator pool never reaches this state.
+				// Parked by the crew, or entitled while the (shared) pool is
+				// empty: wait rather than spin. The real broker's wait counts
+				// changes from its last return, so a sibling that yields or
+				// leaves between the check above and the wait is not slept
+				// through. A single-operator pool never reaches this state.
 				if err := e.waitChange(); err != nil {
 					return runs, err
 				}
@@ -202,7 +205,8 @@ func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 			e.Mem.Acquire(g)
 		}
 		if e.Mem.Granted() == 0 && !(inputDone && h.Len() == 0) {
-			// Entitled but the (shared) pool is empty: wait rather than spin.
+			// Parked, or entitled while the (shared) pool is empty: wait rather
+			// than spin (see quickSplit).
 			if err := e.waitChange(); err != nil {
 				return fail(err)
 			}

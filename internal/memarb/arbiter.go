@@ -52,6 +52,12 @@ type Arbiter struct {
 	reserved int
 	pending  int // pages promised to queued reservations
 
+	// gen counts state changes. A handle remembers the generation its last
+	// WaitChange returned at (Handle.seen), so "wait for a change" means a
+	// change since it last looked, not since the wait began: one that lands
+	// between a failed Acquire and the wait is not slept through.
+	gen uint64
+
 	ops   []*Handle // registration order — oldest first
 	queue []*reservation
 
@@ -111,6 +117,7 @@ func (a *Arbiter) changed() {
 		a.pending -= r.want
 		r.granted = true
 	}
+	a.gen++
 	a.cond.Broadcast()
 }
 
@@ -223,6 +230,7 @@ func (a *Arbiter) Register(ctx context.Context, op uint64, queue bool) (*Handle,
 	h.stats.AdmissionWait = time.Since(start)
 	a.ops = append(a.ops, h)
 	a.changed() // every sibling's entitlement just shrank
+	h.seen = a.gen
 	return h, nil
 }
 
@@ -254,6 +262,7 @@ type Handle struct {
 	a       *Arbiter
 	op      uint64
 	granted int
+	seen    uint64    // a.gen at creation or when the last WaitChange returned
 	stats   Stats     // an operator's account; a worker's stays zero
 	crew    *division // non-nil on a worker's sub-handle
 }
@@ -274,9 +283,11 @@ type division struct {
 // waits sleep on the arbiter's condition like any other — until the target
 // grows or a lower-ranked sibling leaves. Each worker must Leave when done.
 func (h *Handle) Divide(workers, minNeed int) []*Handle {
+	h.a.mu.Lock()
+	defer h.a.mu.Unlock()
 	d := &division{parent: h, minNeed: minNeed, live: make([]*Handle, workers)}
 	for i := range d.live {
-		d.live[i] = &Handle{a: h.a, crew: d}
+		d.live[i] = &Handle{a: h.a, crew: d, seen: h.a.gen}
 	}
 	return slices.Clone(d.live)
 }
@@ -414,8 +425,12 @@ func (h *Handle) Stats() Stats {
 	return h.stats
 }
 
-// anyChange as a wait's page count means "until the next change".
-const anyChange = -1
+// A wait's page count below zero means a wait for a change of state instead:
+// one since the handle last looked (anyChange), or one from now on.
+const (
+	anyChange  = -1
+	nextChange = -2
+)
 
 // WaitTarget blocks until the entitlement reaches n. Under ClampWaits n is
 // bounded, afresh on every wakeup, by the entitlement the handle would have
@@ -424,7 +439,14 @@ const anyChange = -1
 // siblings finish, even if a Resize took the total below n meanwhile.
 func (h *Handle) WaitTarget(n int) { _ = h.wait(context.Background(), max(n, 0)) }
 
-// WaitChange blocks until the arbitration state changes.
+// WaitChange blocks until the arbitration state has changed since the handle
+// was created or last returned from WaitChange — at once if it already has;
+// every WaitChange in progress on the handle returns on the same change. A
+// caller that acquires, gets nothing and waits therefore cannot lose the
+// wakeup of a change that lands in between (a sibling yielding or leaving),
+// even if no other change ever follows; the price is a return, now and then,
+// for a change it had already acted on. This is the engine's wait, for the
+// one goroutine that works through the handle.
 func (h *Handle) WaitChange() { _ = h.wait(context.Background(), anyChange) }
 
 // WaitTargetCtx is WaitTarget interrupted by ctx, whose error it returns.
@@ -433,6 +455,12 @@ func (h *Handle) WaitTargetCtx(ctx context.Context, n int) error { return h.wait
 // WaitChangeCtx is WaitChange interrupted by ctx, whose error it returns.
 func (h *Handle) WaitChangeCtx(ctx context.Context) error { return h.wait(ctx, anyChange) }
 
+// WaitNextChange blocks until the state changes after the call, or ctx is
+// done. It is the onlooker's wait: it keeps no memory on the handle, so any
+// number of goroutines may use it beside the one the handle works for without
+// taking a change away from that one's WaitChange.
+func (h *Handle) WaitNextChange(ctx context.Context) error { return h.wait(ctx, nextChange) }
+
 // wait is the one blocking wait. A wait that is satisfied on arrival is not
 // a wait: it is neither counted nor observed.
 func (h *Handle) wait(ctx context.Context, n int) error {
@@ -440,10 +468,13 @@ func (h *Handle) wait(ctx context.Context, n int) error {
 	stop := context.AfterFunc(ctx, a.wake)
 	defer stop()
 	a.mu.Lock()
-	woken := false
+	from := h.seen
+	if n == nextChange {
+		from = a.gen
+	}
 	done := func() bool {
-		if n == anyChange {
-			return woken
+		if n < 0 {
+			return a.gen != from
 		}
 		need := n
 		if a.cfg.ClampWaits {
@@ -454,19 +485,20 @@ func (h *Handle) wait(ctx context.Context, n int) error {
 	var waited time.Duration
 	var err error
 	if !done() {
-		err = ctx.Err()
-		start := time.Now()
-		for err == nil && !done() {
-			a.cond.Wait()
-			woken = true
-			err = ctx.Err()
-		}
-		if woken {
-			waited = time.Since(start)
-			st := &h.operator().stats
+		if err = ctx.Err(); err == nil {
+			// Counted on the way in: a sleeper shows in Stats while it sleeps.
+			st, start := &h.operator().stats, time.Now()
 			st.Waits++
+			for err == nil && !done() {
+				a.cond.Wait()
+				err = ctx.Err()
+			}
+			waited = time.Since(start)
 			st.WaitTime += waited
 		}
+	}
+	if n == anyChange {
+		h.seen = a.gen
 	}
 	a.mu.Unlock()
 	if waited > 0 && a.cfg.OnWait != nil {

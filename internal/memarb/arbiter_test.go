@@ -5,7 +5,9 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 )
 
 // modelOp is one registered operator of the conservation model with the
@@ -235,4 +237,95 @@ func TestClampedWaitOfParkedWorkerSleeps(t *testing.T) {
 	if got := crew[1].Target(); got != 3 {
 		t.Fatalf("worker promoted to rank 0 has target %d, want 3", got)
 	}
+}
+
+// TestWaitChangeCountsFromLastLook: a WaitChange is a wait for a change
+// since the handle last looked, not since the wait began. A worker that
+// acquires nothing, then loses the processor while its sibling leaves — the
+// only change there will ever be — must not sleep through it; and once it
+// has returned, the next wait is for the next change.
+func TestWaitChangeCountsFromLastLook(t *testing.T) {
+	a := New(Config{Total: 8, Floor: 3})
+	op, _ := a.Register(context.Background(), 0, false)
+	crew := op.Divide(2, 6)
+	if got := crew[1].Acquire(1); got != 0 {
+		t.Fatalf("parked worker acquired %d pages", got)
+	}
+	crew[0].Leave()
+	crew[1].WaitChange() // at the parent of this change: sleeps forever
+	if got := crew[1].Target(); got != 8 {
+		t.Fatalf("worker promoted to rank 0 has target %d, want 8", got)
+	}
+	woke := make(chan struct{})
+	go func() {
+		crew[1].WaitChange()
+		close(woke)
+	}()
+	for range 100 { // nothing changed since: spurious wakeups put it back to sleep
+		a.wake()
+		runtime.Gosched()
+	}
+	select {
+	case <-woke:
+		t.Fatal("WaitChange returned twice for one change")
+	default:
+	}
+	a.Resize(9)
+	<-woke
+}
+
+// sleepers waits until the operator has n waits on its account: a wait is
+// counted, under the lock, as it goes to sleep.
+func sleepers(t *testing.T, op *Handle, n int) {
+	t.Helper()
+	for i := 0; op.Stats().Waits < n; i++ {
+		if i > 5000 {
+			t.Fatalf("%d of %d waiters asleep", op.Stats().Waits, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestOneChangeWakesEveryWaiter: the baseline a wait compares against is
+// taken when it begins, so the first of several waiters on one handle to wake
+// does not put the others back to sleep by recording the change as seen.
+func TestOneChangeWakesEveryWaiter(t *testing.T) {
+	for name, wait := range map[string]func(*Handle){
+		"WaitChange":     (*Handle).WaitChange,
+		"WaitNextChange": func(h *Handle) { _ = h.WaitNextChange(context.Background()) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			a := New(Config{Total: 8, Floor: 3})
+			h, _ := a.Register(context.Background(), 0, false)
+			var wg sync.WaitGroup
+			for range 3 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					wait(h)
+				}()
+			}
+			sleepers(t, h, 3)
+			a.Resize(9)
+			wg.Wait() // a waiter left asleep hangs the test
+		})
+	}
+}
+
+// TestOnlookerLeavesTheChangeToTheWorker: WaitNextChange waits from the call
+// — a change before it does not count — and keeps no memory on the handle,
+// so the change it returns on is still there for the handle's own WaitChange.
+func TestOnlookerLeavesTheChangeToTheWorker(t *testing.T) {
+	a := New(Config{Total: 8, Floor: 3})
+	h, _ := a.Register(context.Background(), 0, false)
+	a.Resize(9) // the worker has not looked since
+	looked := make(chan struct{})
+	go func() {
+		_ = h.WaitNextChange(context.Background())
+		close(looked)
+	}()
+	sleepers(t, h, 1) // the resize above is not "next"
+	a.Resize(10)
+	<-looked
+	h.WaitChange() // both resizes are news to the worker: returns at once
 }

@@ -88,10 +88,11 @@ func drainClose(t *testing.T, res *masort.Result) []masort.Record {
 // through untouched, so Release stays visible to the engine.
 //
 // The schedule starts with the merge phase (armed by its phase event): that
-// is where pages are released, and a schedule keyed on page operations must
-// not park a split worker — a parked worker whose sibling then finishes the
-// input sleeps on "any change" (core's split loops), and with the last
-// operation issued no change would ever come.
+// is where pages are released. (It used to have a second reason: a split
+// worker the schedule parked could sleep through its sibling's departure,
+// the last change there would ever be. The arbiter's waits count changes
+// from the waiter's last look now; TestParkedSplitWorkerSeesSiblingLeave in
+// internal/core pins it.)
 type resizeOnOps struct {
 	masort.RunStore
 	budget *masort.Budget
