@@ -170,7 +170,14 @@
 // per-device background writer with its durability watermark and
 // rollback, the bounded read path with its single re-read on corruption,
 // the retry taxonomy, FaultHooks, store trace events, the buffer pool and
-// the token types. A device owns one run file and four methods:
+// the token types. A read token is a request that whoever reaches it first
+// executes: the first Wait runs the read on its own goroutine, unless the
+// device's recent fetches were slow enough (tens of microseconds) for
+// ReadAsync to have started a reader goroutine for it — so nothing is
+// spawned, signalled or woken per page on a device the page cache hides,
+// read-ahead and batched reads still overlap a slow one, and
+// DefaultReadConcurrency bounds the reads running per device either way. A
+// device owns one run file and four methods:
 // positional write, fetch an extent, truncate, close-and-remove. The file
 // device fetches with ReadAt into a pooled buffer; the mmap device
 // returns a slice of a mapping that stays valid until the store closes;
@@ -195,11 +202,17 @@
 // page's memory back to the store for its next read. The merge releases
 // every input page it has consumed once the output holding its records is
 // durable, which is how merges on the disk-backed stores read without
-// allocating (Stats.MergePagesReleased counts them); dropped pages, the
-// join's final phase and Result.Iterator never release. A store offering
-// Release promises in return that Append keeps no payload bytes — not only
-// no page slices — past its token; MemStore keeps payload aliases (it
-// copies shallowly) and therefore must never offer it.
+// allocating (Stats.MergePagesReleased counts them); dropped pages and the
+// join's final phase never release. A store offering Release promises in
+// return that Append keeps no payload bytes — not only no page slices —
+// past its token; MemStore keeps payload aliases (it copies shallowly) and
+// therefore must never offer it.
+//
+// ReleaseRecords() is the smaller, independent offer: the store gets the
+// page's record array back and nothing else. Result.Iterator, which hands
+// out Record values and cannot know who keeps them, calls it on each page
+// it leaves; the bytes the payloads alias are never reused, so records
+// stay valid while referenced and a retained Payload pins its page buffer.
 // See README.md ("Buffer ownership and zero-copy") for the full rules.
 //
 // See README.md for a tour of the repository, and cmd/masim for the full

@@ -12,11 +12,17 @@ import (
 // goroutine and hands the bytes to a per-run background writer; the
 // returned Token completes when the batch is durable, after which the page
 // slices may be reused (the store never retains them). ReadAsync returns
-// immediately and fetches the exact page extent with a positional read on a
-// bounded set of readers (DefaultReadConcurrency), waiting first for the
-// page's write if it is still queued; decoding is zero-copy, so
+// immediately with a token for the exact page extent; the positional read
+// runs on the goroutine that first waits for the token — a cached file
+// answers in less time than handing the read to somebody else takes — or,
+// once the device's recent reads have taken longer than a hand-off costs
+// (tens of microseconds), on a reader goroutine started at issue, so
+// read-ahead and batched reads overlap a slow device. Either way at most
+// DefaultReadConcurrency reads run at once, each waiting first for the
+// page's write if it is still queued. Decoding is zero-copy, so
 // Record.Payload sub-slices the read buffer (see the package's
-// buffer-ownership notes).
+// buffer-ownership notes); a token's Release gives the whole frame back for
+// the next read, ReleaseRecords the record array only.
 //
 // The store does not assume a perfect disk: a page failing its
 // CRC32-Castagnoli checksum is re-read once before the read fails with

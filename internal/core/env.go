@@ -34,10 +34,25 @@ type PageToken interface {
 //
 // Release is optional for the caller too: a page that is never released is
 // garbage-collected as before. The merge releases what it consumes in steady
-// state and leaves every page an adaptation drops, and everything the drain
-// path serves, to the collector. A second Release is a no-op.
+// state and leaves every page an adaptation drops to the collector; the drain
+// path gives back record arrays only (RecordsReleaser). A second Release is
+// a no-op, and so is one before the token's Wait has delivered a page.
 type PageReleaser interface {
 	Release()
+}
+
+// RecordsReleaser is PageReleaser's smaller neighbour, as optional and found
+// the same way: ReleaseRecords hands back the page's record array alone. The
+// caller must not read the Page slice again, but Record values it copied out
+// stay good, payloads included — whatever those alias is never reused, a
+// retained Payload pins it as it always has. So it asks nothing of Append,
+// and a reader that serves Records and cannot know who keeps them — the
+// output iterator behind Result.Iterator, page by page as it leaves them —
+// may call it where Release would be wrong. It ends the token's life like
+// Release (neither does anything after the other); before the read has
+// completed, after it failed, and a second time it is a no-op.
+type RecordsReleaser interface {
+	ReleaseRecords()
 }
 
 // RunStore stores sorted runs. Implementations are bound to the executing

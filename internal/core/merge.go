@@ -59,6 +59,24 @@ type mergeEngine struct {
 	hh      runHeads
 	hhStep  *mergeStep // step hh was built for
 	hhValid bool
+
+	// pends is load's and batchLoad's list of reads issued and not yet
+	// waited for; neither runs inside the other, and each leaves it empty.
+	pends []pendingRead
+}
+
+// pendingRead is one issued read of page idx of run r.
+type pendingRead struct {
+	r   *runInfo
+	idx int
+	tok PageToken
+}
+
+// keepPends takes the scratch list back from load or batchLoad, grown as it
+// may be, dropping the tokens so that the list pins no page.
+func (m *mergeEngine) keepPends(pends []pendingRead) {
+	clear(pends)
+	m.pends = pends[:0]
 }
 
 // invalidateHeap forces the next produceOnePage to rebuild hh.
@@ -314,11 +332,8 @@ func (m *mergeEngine) evictMRU(st *mergeStep) bool {
 // batchLoad issues reads for every input that needs its current page and
 // waits for all of them (suspension's batched refetch).
 func (m *mergeEngine) batchLoad(st *mergeStep) error {
-	type pend struct {
-		r   *runInfo
-		tok PageToken
-	}
-	var pends []pend
+	pends := m.pends[:0]
+	defer func() { m.keepPends(pends) }()
 	for _, r := range st.inputs {
 		if !r.needsLoad() {
 			continue
@@ -327,7 +342,7 @@ func (m *mergeEngine) batchLoad(st *mergeStep) error {
 			break // shortage right after resume: the next adapt round retries
 		}
 		m.noteRead(r, r.page)
-		pends = append(pends, pend{r, m.e.Store.ReadAsync(r.id, r.page)})
+		pends = append(pends, pendingRead{r, r.page, m.e.Store.ReadAsync(r.id, r.page)})
 	}
 	for _, p := range pends {
 		pg, err := waitPage(p.tok)
@@ -689,16 +704,15 @@ func (m *mergeEngine) noteRead(r *runInfo, page int) {
 // page is discarded (I/O cost still paid) if the reclaimer took the buffers
 // underneath it while the read was in flight; the outer loop then retries.
 func (m *mergeEngine) load(st *mergeStep, r *runInfo, ahead int) (bool, error) {
+	toks := m.pends[:0]
+	defer func() { m.keepPends(toks) }()
 	for r.needsLoad() {
 		n := r.pages - r.page
 		if n > ahead {
 			n = ahead
 		}
-		type pendingRead struct {
-			idx int
-			tok PageToken
-		}
-		var toks []pendingRead
+		clear(toks)
+		toks = toks[:0]
 		for i := 0; i < n; i++ {
 			if !m.ensureSlot(st) {
 				if len(toks) > 0 {
@@ -708,7 +722,7 @@ func (m *mergeEngine) load(st *mergeStep, r *runInfo, ahead int) (bool, error) {
 			}
 			idx := r.page + len(r.bufs) + len(toks)
 			m.noteRead(r, idx)
-			toks = append(toks, pendingRead{idx, m.e.Store.ReadAsync(r.id, idx)})
+			toks = append(toks, pendingRead{r, idx, m.e.Store.ReadAsync(r.id, idx)})
 		}
 		for _, pr := range toks {
 			pg, err := waitPage(pr.tok)

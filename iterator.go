@@ -34,9 +34,19 @@ type PageToken = core.PageToken
 // package verifies):
 //
 //   - Create opens a new empty run; Append adds pages to its end and
-//     returns a durability Token; ReadAsync starts reading one page and
-//     returns a PageToken; Pages reports pages appended so far (durable or
-//     not); Free releases the run and everything queued for it.
+//     returns a durability Token; ReadAsync asks for one page and returns
+//     a PageToken; Pages reports pages appended so far (durable or not);
+//     Free releases the run and everything queued for it.
+//   - Who runs a read is the store's business: all that is asked is that
+//     the page is there when Wait returns. A store may read inside
+//     ReadAsync, start the read there, or leave it to the first Wait — the
+//     disk-backed stores run it on the waiter's own goroutine unless the
+//     device has been slow enough of late for a hand-off to pay, and then
+//     start a reader at issue time (at most DefaultReadConcurrency reads
+//     per device run at once, whoever runs them). So read tokens, like
+//     write tokens, may be waited late, from any goroutine, by several at
+//     once, or never: a token nobody waits for must cost nothing that
+//     Free or Close would have to wait for.
 //   - Append may queue: the write is durable only once its Token.Wait
 //     returns nil. The engine issues at most one batch per run before
 //     waiting, but tokens may be waited late or never (Free must cope).
@@ -54,6 +64,15 @@ type PageToken = core.PageToken
 //     payload bytes of appended pages past their token (they alias the
 //     frames being given back) — so MemStore, which copies shallowly, must
 //     never offer it. storetest.PoisonOnRelease checks a store's tokens.
+//   - Optionally, and independently, a read token may offer
+//     ReleaseRecords() (core.RecordsReleaser): the reader has copied the
+//     Records out and will not read the Page slice again, so the store
+//     may reuse the record array — and nothing else: whatever the
+//     payloads alias stays untouched for as long as anyone references it.
+//     Result.Iterator calls it on every page it leaves. It asks nothing
+//     of Append. Both releases end the token's life, and both are no-ops
+//     before Wait has delivered the page, after a failed read and the
+//     second time.
 //   - A terminal write failure breaks the whole run: the failing token
 //     (and every later one) reports an error chain including
 //     ErrStoreFailed, and subsequent Appends and reads on the run are
@@ -236,9 +255,12 @@ func (p *pageInput) NextPage() (core.Page, bool, error) {
 }
 
 // runIterator streams a stored run back as records, keeping one page of
-// read-ahead in flight: while page i is being consumed, page i+1 is already
-// on its way from the store, so iteration over an asynchronous store (e.g.
-// FileStore) overlaps decode/consume with disk I/O.
+// read-ahead issued: while page i is being consumed the read of page i+1 is
+// already with the store, which overlaps it with the consumer where that
+// pays (a disk-backed store on a slow device) and otherwise runs it when
+// the iterator gets there. It hands out Record values, never the page, so
+// it gives each page's record array back to a store that wants it
+// (core.RecordsReleaser) as it leaves the page; payloads stay the caller's.
 type runIterator struct {
 	store RunStore
 	id    RunID
@@ -246,11 +268,17 @@ type runIterator struct {
 	page  int
 	buf   Page
 	pos   int
-	ahead PageToken // in-flight read of page `page`, if any
+	cur   core.RecordsReleaser // buf's token, when it takes the array back
+	ahead PageToken            // issued read of page `page`, if any
 }
 
 func (r *runIterator) Next() (Record, bool, error) {
 	for r.pos >= len(r.buf) {
+		if r.cur != nil {
+			r.buf, r.pos = nil, 0
+			r.cur.ReleaseRecords()
+			r.cur = nil
+		}
 		if r.page >= r.pages {
 			return Record{}, false, nil
 		}
@@ -267,8 +295,8 @@ func (r *runIterator) Next() (Record, bool, error) {
 		if r.page < r.pages {
 			r.ahead = r.store.ReadAsync(r.id, r.page)
 		}
-		r.buf = pg
-		r.pos = 0
+		r.buf, r.pos = pg, 0
+		r.cur, _ = tok.(core.RecordsReleaser)
 	}
 	rec := r.buf[r.pos]
 	r.pos++

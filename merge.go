@@ -15,25 +15,36 @@ func WriteRun(store RunStore, it Iterator, pageRecords int) (RunID, int, error) 
 	if pageRecords <= 0 {
 		pageRecords = 256
 	}
-	var prev Record
-	n := 0
-	checked := FuncIterator(func() (Record, bool, error) {
-		rec, ok, err := it.Next()
-		if err != nil || !ok {
-			return rec, ok, err
-		}
-		if n > 0 && Less(rec, prev) {
-			return rec, false, fmt.Errorf("masort: WriteRun input not sorted at record %d", n)
-		}
-		prev = rec
-		n++
-		return rec, true, nil
-	})
-	res, err := core.WriteRun(&core.Env{Store: store, In: &pageInput{it: checked, size: pageRecords}})
+	in := &orderedInput{pageInput: pageInput{it: it, size: pageRecords}}
+	res, err := core.WriteRun(&core.Env{Store: store, In: in})
 	if err != nil {
 		return 0, 0, err
 	}
 	return res.Result, res.Tuples, nil
+}
+
+// orderedInput is a pageInput that checks the ordering of what it yields,
+// page by page and across page boundaries, so a slice input still pages as
+// sub-slices of the caller's records.
+type orderedInput struct {
+	pageInput
+	prev Record // last record of the pages before
+	n    int    // records in the pages before
+}
+
+func (o *orderedInput) NextPage() (core.Page, bool, error) {
+	pg, ok, err := o.pageInput.NextPage()
+	if err != nil || !ok {
+		return pg, ok, err
+	}
+	for i, rec := range pg {
+		if o.n+i > 0 && Less(rec, o.prev) {
+			return nil, false, fmt.Errorf("masort: WriteRun input not sorted at record %d", o.n+i)
+		}
+		o.prev = rec
+	}
+	o.n += len(pg)
+	return pg, true, nil
 }
 
 // Merge combines already-sorted runs into a single sorted run under the

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -35,6 +36,68 @@ func TestWriteRunValidatesOrder(t *testing.T) {
 	}
 	if _, _, err := WriteRun(store, NewSliceIterator([]Record{{Key: 5}, {Key: 1}}), 8); err == nil {
 		t.Fatal("unsorted input must be rejected")
+	}
+}
+
+// inPlacePages counts the appended pages that are sub-slices of recs, in
+// order, and those that are not.
+type inPlacePages struct {
+	*MemStore
+	recs            []Record
+	next            int // record the next page should start at
+	inPlace, copied int
+}
+
+func (c *inPlacePages) Append(id RunID, pages []Page) (Token, error) {
+	for _, pg := range pages {
+		if &pg[0] == &c.recs[c.next] {
+			c.inPlace++
+		} else {
+			c.copied++
+		}
+		c.next += len(pg)
+	}
+	return c.MemStore.Append(id, pages)
+}
+
+// TestWriteRunChecksOrderPageByPage: the order check runs over the pages the
+// input yields, so a slice input reaches the store as sub-slices of the
+// caller's records — no page is copied on the way in — and the error still
+// names the first record out of order, whichever kind of input it came from.
+func TestWriteRunChecksOrderPageByPage(t *testing.T) {
+	recs := sortedRecords(100, 0, 3)
+	store := &inPlacePages{MemStore: NewMemStore(), recs: recs}
+	if _, _, err := WriteRun(store, NewSliceIterator(recs), 8); err != nil {
+		t.Fatal(err)
+	}
+	if store.inPlace != 13 || store.copied != 0 {
+		t.Fatalf("%d pages appended in place, %d copied; want 13 sub-slices of the input", store.inPlace, store.copied)
+	}
+
+	for _, at := range []int{1, 7, 8, 13, 99} { // in a page, and across a page boundary
+		bad := sortedRecords(100, 10, 3)
+		bad[at].Key = bad[at-1].Key - 1
+		want := fmt.Sprintf("not sorted at record %d", at)
+		i := 0
+		inputs := map[string]Iterator{
+			"slice": NewSliceIterator(bad),
+			"func": FuncIterator(func() (Record, bool, error) {
+				if i == len(bad) {
+					return Record{}, false, nil
+				}
+				i++
+				return bad[i-1], true, nil
+			}),
+		}
+		for name, in := range inputs {
+			mem := NewMemStore()
+			if _, _, err := WriteRun(mem, in, 8); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s input out of order at %d: error %v, want %q", name, at, err, want)
+			}
+			if mem.Live() != 0 {
+				t.Errorf("%s input out of order at %d: the rejected run is still live", name, at)
+			}
+		}
 	}
 }
 

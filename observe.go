@@ -264,12 +264,22 @@ func (t *tracedToken) Wait() error {
 	return err
 }
 
-// tracedPageToken observes one page read, completing at the first Wait.
+// tracedPageToken observes one page read, completing at the first Wait. It
+// passes ReleaseRecords on to a store that offers it; offering it over one
+// that does not changes nothing, since — unlike Release, which the engine
+// counts and the store answers with a promise about Append — nobody acts on
+// its presence.
 type tracedPageToken struct {
 	PageToken
 	s     *tracedStore
 	start time.Time
 	done  bool
+}
+
+func (t *tracedPageToken) ReleaseRecords() {
+	if rr, ok := t.PageToken.(core.RecordsReleaser); ok {
+		rr.ReleaseRecords()
+	}
 }
 
 func (t *tracedPageToken) Wait() (Page, error) {

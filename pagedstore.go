@@ -16,10 +16,21 @@ import (
 )
 
 // DefaultReadConcurrency is how many page reads a disk-backed store executes
-// in parallel per device. External-memory merges read one page from each of
-// up to fan-in runs at a time; a handful of outstanding positional reads
-// keeps the device busy without thrashing it.
+// in parallel per device, whoever runs them: a read a waiter runs inline
+// takes a slot like one handed to a reader goroutine. External-memory merges
+// read one page from each of up to fan-in runs at a time; a handful of
+// outstanding positional reads keeps the device busy without thrashing it.
 const DefaultReadConcurrency = 8
+
+// dispatchFetchTime is how slow a device's recent fetches must have been for
+// ReadAsync to hand a read to a goroutine of its own instead of leaving it
+// to whoever waits for it. Handing off costs a goroutine, a completion
+// channel and a wake-up — of the order of 10 µs of CPU a page, against the
+// ≈ 10 µs a whole page read takes inline when the page cache holds the file
+// — and buys overlap worth one fetch time; so it pays only on a device whose
+// fetches take clearly longer than the hand-off. The margin keeps a cached
+// file's occasional slow fetch (a preempted reader) from flipping the rule.
+const dispatchFetchTime = 50 * time.Microsecond
 
 // writeQueueDepth bounds how many encoded write batches may be queued per
 // run and device before Append blocks (back-pressure against a slow disk).
@@ -88,11 +99,12 @@ type frame struct {
 }
 
 // frameList is a store's free list of read frames, kept as its two kinds of
-// part (a dead record array and a dead buffer owe each other nothing). Only
-// pages whose reader calls Release come back — the merge's consumed inputs —
-// plus the buffers of reads that failed or left no payload aliases behind;
-// everything else is garbage-collected, and a read that finds a part missing
-// allocates it.
+// part (a dead record array and a dead buffer owe each other nothing). What
+// comes back: whole pages whose reader calls Release — the merge's consumed
+// inputs — the record arrays of pages whose reader calls ReleaseRecords — the
+// output iterator's, page by page — and the buffers of reads that failed or
+// left no payload aliases behind; everything else is garbage-collected, and a
+// read that finds a part missing allocates it.
 type frameList struct {
 	mu   sync.Mutex
 	recs []Page   // at most maxFreeFrames
@@ -117,14 +129,16 @@ func (fl *frameList) get() (fr frame) {
 
 // put moves *fr's parts onto the list (dropping what a full list cannot
 // take) and empties it, under the list's lock: a frame can be put only once,
-// however many times and from wherever put is called on its holder.
-func (fl *frameList) put(fr *frame) {
+// however many times and from wherever put is called on its holder. With
+// withBuf false the buffer is dropped instead of listed: somebody may still
+// hold payloads that alias it.
+func (fl *frameList) put(fr *frame, withBuf bool) {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
 	if fr.recs != nil && len(fl.recs) < maxFreeFrames {
 		fl.recs = append(fl.recs, fr.recs[:0])
 	}
-	if fr.buf != nil && len(fl.bufs) < maxFreeFrames {
+	if withBuf && fr.buf != nil && len(fl.bufs) < maxFreeFrames {
 		fl.bufs = append(fl.bufs, fr.buf[:0])
 	}
 	*fr = frame{}
@@ -137,6 +151,21 @@ type disk struct {
 	own     bool          // remove dir on Close
 	faults  FaultHooks    // nil: physical I/O untouched
 	readSem chan struct{} // bounds concurrently executing page reads
+
+	// fetchNanos is a moving average (weight 1/8 a sample, from zero) of how
+	// long the disk's recent fetches took, fault hooks included, on the
+	// monotonic clock; every read attempt feeds it, whoever ran it. A disk
+	// with no sample yet counts as fast. Updates may race and lose a sample.
+	fetchNanos atomic.Int64
+}
+
+// slow reports whether a read of this disk is worth a goroutine of its own
+// (see dispatchFetchTime).
+func (d *disk) slow() bool { return d.fetchNanos.Load() > int64(dispatchFetchTime) }
+
+func (d *disk) noteFetch(took time.Duration) {
+	avg := d.fetchNanos.Load()
+	d.fetchNanos.Store(avg + (int64(took)-avg)/8)
 }
 
 // pagedStore is the one disk-backed RunStore implementation; FileStore,
@@ -152,16 +181,28 @@ type disk struct {
 //     each buffer to that disk's per-run background writer. The returned
 //     Token is the merged durability watermark: it completes when every
 //     disk has landed its share. The store never retains the page slices.
-//   - ReadAsync returns immediately; the page is fetched by a per-disk
-//     bounded set of readers using the exact page extent, so N merge inputs
-//     are read in parallel and reads never contend with the writers for a
-//     file offset. Decoding is zero-copy: Record.Payload sub-slices the
-//     fetched bytes (see the package's buffer-ownership notes). A read of a
-//     page whose write is still queued waits for that disk's durability
-//     watermark first. The read token offers Release: a reader that is done
-//     with the page hands its frame back for the next read, which is how a
-//     merge reads without allocating; pages never released are the
-//     collector's, as ever.
+//   - ReadAsync validates the request, records the page's exact extent in
+//     the token and returns; the read itself — readPage: durability wait,
+//     a slot of the disk's read concurrency, fetch, checksum, decode, retry —
+//     runs where it is waited for. The first Wait claims the token and runs
+//     the read on its own goroutine: the paper's merge holds one buffer per
+//     input and waits on the line after it asks, so on a device the page
+//     cache hides a hand-off would cost more than the read. Only when the
+//     disk's recent fetches have been slow (dispatchFetchTime) does ReadAsync
+//     start a reader goroutine for the token at once, so read-ahead and a
+//     batch of N merge inputs overlap the device and each other, at most
+//     DefaultReadConcurrency per disk. A token nobody waits for
+//     costs no I/O and holds nothing but its own few words. Reads never
+//     contend with the writers for a file offset, and a read of a page
+//     whose write is still queued waits for that disk's durability
+//     watermark first. Decoding is zero-copy: Record.Payload sub-slices the
+//     fetched bytes (see the package's buffer-ownership notes). The read
+//     token offers Release — a reader that is done with the page hands its
+//     frame back for the next read, which is how a merge reads without
+//     allocating — and ReleaseRecords, for a reader that has copied the
+//     Records out and may still hold their payloads: the record array comes
+//     back, the bytes stay the collector's. Pages never released are the
+//     collector's whole, as ever.
 //
 // The store does not assume a perfect disk. A page that fails its checksum
 // is re-read once before the read fails with ErrCorruptPage in the chain;
@@ -173,7 +214,7 @@ type disk struct {
 // flight on healthy disks may still deliver their pages; a merge consuming
 // the run learns of the failure no later than the broken page.
 type pagedStore struct {
-	disks  []disk
+	disks  []disk // fixed at construction: runs point into it
 	open   func(path string) (device, error)
 	retry  RetryPolicy // zero value: a single attempt
 	bufs   bufPool
@@ -185,6 +226,10 @@ type pagedStore struct {
 	tr     trace.Tracer
 	qdepth atomic.Int64
 
+	// Reads by who ran them: a waiter, or a goroutine started at issue.
+	inlineReads, dispatchedReads atomic.Int64
+	now                          func() time.Time // times the fetches; time.Now outside tests
+
 	mu   sync.Mutex
 	runs map[RunID]*pagedRun
 	next RunID
@@ -195,10 +240,11 @@ type pagedStore struct {
 // that Close removes.
 func newPagedStore(cfg *StoreConfig, dirs []string, open func(string) (device, error)) (*pagedStore, error) {
 	s := &pagedStore{
-		disks: make([]disk, 0, len(dirs)),
+		disks: make([]disk, len(dirs)),
 		open:  open,
 		retry: cfg.retry,
 		tr:    cfg.tr,
+		now:   time.Now,
 		runs:  map[RunID]*pagedRun{},
 	}
 	for i, dir := range dirs {
@@ -213,20 +259,17 @@ func newPagedStore(cfg *StoreConfig, dirs []string, open func(string) (device, e
 			_ = s.removeOwnedDirs()
 			return nil, err
 		}
-		s.disks = append(s.disks, disk{
-			dir:     dir,
-			own:     own,
-			faults:  cfg.faultsAt(i),
-			readSem: make(chan struct{}, DefaultReadConcurrency),
-		})
+		d := &s.disks[i]
+		d.dir, d.own, d.faults = dir, own, cfg.faultsAt(i)
+		d.readSem = make(chan struct{}, DefaultReadConcurrency)
 	}
 	return s, nil
 }
 
 func (s *pagedStore) removeOwnedDirs() error {
 	var first error
-	for _, d := range s.disks {
-		if d.own {
+	for i := range s.disks {
+		if d := &s.disks[i]; d.own {
 			if err := os.Remove(d.dir); err != nil && first == nil {
 				first = err
 			}
@@ -247,7 +290,7 @@ type pagedRun struct {
 	werr    error // sticky background-write error (run is broken)
 	closing bool  // Free/Close in progress: reject new work
 
-	readers sync.WaitGroup // in-flight page reads
+	readers sync.WaitGroup // page reads that are running (counted under mu while !closing)
 	appends sync.WaitGroup // Append calls between index update and enqueue
 }
 
@@ -287,25 +330,86 @@ func (t *writeToken) Wait() error { <-t.done; return t.err }
 // disks, before the batch settled. Valid after Wait returns.
 func (t *writeToken) Retries() int { return t.retries }
 
-// pageToken is an asynchronous read completion handle. It owns the frame
-// its page was decoded into until Release gives it back.
+// pageToken is one page read: a request that whoever reaches it first
+// executes. state moves unclaimed → running → done, once each way. ReadAsync
+// leaves the token unclaimed, or — on a slow disk — running on a reader
+// goroutine; the first Wait to find it unclaimed claims it and runs readPage
+// itself. Whoever runs the read writes fr, err and retries and then stores
+// done, which is what lets every later reader of state see them. The token
+// owns the frame its page was decoded into until a release gives it back.
 type pageToken struct {
-	done    chan struct{}
-	s       *pagedStore
+	s        *pagedStore
+	r        *pagedRun
+	id       RunID
+	page     int
+	off, end int64 // the page's extent on r.exts[page%len(r.exts)]
+
+	state atomic.Uint32
+	mu    sync.Mutex    // guards done against the done transition
+	done  chan struct{} // made by a Wait that finds somebody else running the read
+
 	fr      frame // fr.recs is the page; empty once released or on error
 	err     error
 	retries int
 }
 
-func (t *pageToken) Wait() (Page, error) { <-t.done; return t.fr.recs, t.err }
+const (
+	readUnclaimed uint32 = iota
+	readRunning
+	readDone
+)
+
+// Wait returns the page, running the read on the caller's goroutine unless
+// a reader goroutine or another waiter already has it.
+func (t *pageToken) Wait() (Page, error) {
+	switch {
+	case t.state.Load() == readDone:
+	case t.state.CompareAndSwap(readUnclaimed, readRunning):
+		t.s.inlineReads.Add(1)
+		t.s.readPage(t, false)
+	default:
+		t.mu.Lock()
+		if t.state.Load() == readDone {
+			t.mu.Unlock()
+			break
+		}
+		if t.done == nil {
+			t.done = make(chan struct{})
+		}
+		done := t.done
+		t.mu.Unlock()
+		<-done
+	}
+	return t.fr.recs, t.err
+}
+
+// finish publishes the read's outcome and wakes the waiters that found it
+// running.
+func (t *pageToken) finish() {
+	t.mu.Lock()
+	t.state.Store(readDone)
+	if t.done != nil {
+		close(t.done)
+	}
+	t.mu.Unlock()
+}
 
 // Release returns the page's frame to the store for reuse by a later read
 // (see core.PageReleaser): the caller must hold no reference to the page,
 // its records' payloads included. It ends the token's life — Wait yields no
-// page afterwards — and a second call is a no-op.
-func (t *pageToken) Release() {
-	<-t.done
-	t.s.frames.put(&t.fr)
+// page afterwards — and a second call is a no-op, as is a call on a token
+// whose read has not completed or has failed: there is no page to give back.
+func (t *pageToken) Release() { t.release(true) }
+
+// ReleaseRecords is Release for a caller that has copied the page's Records
+// out and may still hold them (see core.RecordsReleaser): the record array
+// goes back to the store, the bytes the payloads alias never do.
+func (t *pageToken) ReleaseRecords() { t.release(false) }
+
+func (t *pageToken) release(withBuf bool) {
+	if t.state.Load() == readDone {
+		t.s.frames.put(&t.fr, withBuf)
+	}
 }
 
 // Retries reports how many failed read attempts (transient errors and
@@ -548,10 +652,13 @@ func (r *pagedRun) isClosing() bool {
 	return r.closing
 }
 
-// ReadAsync starts reading one page and returns immediately. The read runs
-// on the page's disk, bounded by that disk's read concurrency, and waits
-// for the page's write to be durable first, so reads may overlap the
-// background writers freely.
+// ReadAsync validates the read of one page, notes its extent and returns
+// immediately. The read runs when the token is first waited for, on the
+// waiter's goroutine — or, when the page's disk has been slow of late, on a
+// goroutine started here, so that the caller's other work overlaps it.
+// Either way it is bounded by that disk's read concurrency and waits for the
+// page's write to be durable first, so reads may overlap the background
+// writers freely.
 func (s *pagedStore) ReadAsync(id RunID, page int) PageToken {
 	r := s.run(id)
 	if r == nil {
@@ -579,20 +686,37 @@ func (s *pagedStore) ReadAsync(id RunID, page int) PageToken {
 	if page+n < len(r.offsets) {
 		end = r.offsets[page+n]
 	}
-	r.readers.Add(1)
+	dispatch := x.disk.slow()
+	if dispatch {
+		r.readers.Add(1) // here, so that Free waits for the goroutine
+	}
 	r.mu.Unlock()
-	tok := &pageToken{done: make(chan struct{}), s: s}
-	go s.readPage(r, x, id, page, off, end, tok)
+	tok := &pageToken{s: s, r: r, id: id, page: page, off: off, end: end}
+	if dispatch {
+		tok.state.Store(readRunning)
+		s.dispatchedReads.Add(1)
+		go s.readPage(tok, true)
+	}
 	return tok
 }
 
-func (s *pagedStore) readPage(r *pagedRun, x *runExtent, id RunID, page int, off, end int64, tok *pageToken) {
-	defer r.readers.Done()
-	defer close(tok.done)
+// readPage is the read: the only code that fetches and decodes a page,
+// called by the Wait that claimed the token or as the reader goroutine
+// ReadAsync started (counted, then, among the run's running reads already).
+func (s *pagedStore) readPage(tok *pageToken, counted bool) {
+	r, id, page, off, end := tok.r, tok.id, tok.page, tok.off, tok.end
+	x := &r.exts[page%len(r.exts)]
+	defer func() {
+		tok.finish()
+		if counted {
+			r.readers.Done()
+		}
+	}()
 	// Wait for the page's bytes to be durable (its write may still be in the
 	// background writer's queue). A write failure anywhere in the run wakes
 	// and fails this read even if its own bytes are durable: the run is
-	// broken and must not be half-consumed.
+	// broken and must not be half-consumed. A run freed since the token was
+	// issued fails it before its removed files are touched.
 	r.mu.Lock()
 	for x.durable < end && r.werr == nil && !r.closing {
 		r.cond.Wait()
@@ -607,6 +731,10 @@ func (s *pagedStore) readPage(r *pagedRun, x *runExtent, id RunID, page int, off
 		r.mu.Unlock()
 		tok.err = fmt.Errorf("masort: read of freed run %d", id)
 		return
+	}
+	if !counted {
+		r.readers.Add(1) // under mu with closing unset: teardown waits for us
+		counted = true
 	}
 	r.mu.Unlock()
 
@@ -662,6 +790,7 @@ func (s *pagedStore) readPage(r *pagedRun, x *runExtent, id RunID, page int, off
 // frame's buffer, so injected corruption never mutates a device's own view.
 func (s *pagedStore) readOnce(x *runExtent, off int64, n int) (frame, error) {
 	fr := s.frames.get()
+	start := s.now()
 	buf, owned, err := x.dev.fetch(off, n, fr.buf)
 	if owned {
 		fr.buf = buf
@@ -673,6 +802,7 @@ func (s *pagedStore) readOnce(x *runExtent, off int64, n int) (frame, error) {
 		}
 		err = h.AfterRead(off, buf)
 	}
+	x.disk.noteFetch(s.now().Sub(start))
 	if err == nil {
 		var (
 			pg          Page
@@ -689,13 +819,13 @@ func (s *pagedStore) readOnce(x *runExtent, off int64, n int) (frame, error) {
 			if owned && alias == 0 {
 				// No payload bytes escaped into the page: the buffer is dead
 				// and serves the next read now, released page or not.
-				s.frames.put(&frame{buf: fr.buf})
+				s.frames.put(&frame{buf: fr.buf}, true)
 				fr.buf = nil
 			}
 		}
 	}
 	if err != nil {
-		s.frames.put(&fr)
+		s.frames.put(&fr, true)
 	}
 	return fr, err
 }

@@ -68,8 +68,11 @@ func sameRecords(t *testing.T, got, want []masort.Record) {
 	}
 }
 
-// drainClose reads a result to the end — through the store, so through the
-// poison wrapper's never-released drain path — and closes it.
+// drainClose reads a result to the end holding every Record, as masort.Drain
+// does, and closes it. The iterator gives each page's record array back as it
+// leaves the page (ReleaseRecords, which the poison wrapper scribbles over),
+// so what is held here is good only if Record values and the bytes their
+// payloads alias are never reused under the reader.
 func drainClose(t *testing.T, res *masort.Result) []masort.Record {
 	t.Helper()
 	out, err := masort.Drain(res.Iterator())
@@ -81,6 +84,24 @@ func drainClose(t *testing.T, res *masort.Result) []masort.Record {
 	}
 	return out
 }
+
+// drainCopying reads a result to the end one record at a time, keeping a
+// deep copy of each and no reference into the store's memory.
+func drainCopying(t *testing.T, res *masort.Result) []masort.Record {
+	t.Helper()
+	var out []masort.Record
+	for rec, err := range res.All() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, masort.Record{Key: rec.Key, Payload: bytes.Clone(rec.Payload)})
+	}
+	return out
+}
+
+// mergeReleased is how many pages the engine released whole: the wrapper's
+// count less the record arrays the drains gave back.
+func mergeReleased(p *storetest.PoisonStore) int { return p.Released() - p.ReleasedRecords() }
 
 // resizeOnOps moves the budget through a shrinking-and-growing cycle, one
 // step every `every` page operations (pages appended + reads issued), on the
@@ -168,22 +189,22 @@ const (
 	relBudget      = 12
 )
 
-// releaseOps are the four operators, each returning its output and the
-// oracle's. Inputs are about 100 pages against a 12-page budget, so every
-// one of them merges in several steps.
+// releaseOps are the four operators, each returning its result, undrained,
+// and the oracle's output. Inputs are about 100 pages against a 12-page
+// budget, so every one of them merges in several steps.
 var releaseOps = []struct {
 	name string
-	run  func(t *testing.T, store masort.RunStore, opts []masort.Option) (got, want []masort.Record, st masort.Stats)
+	run  func(t *testing.T, store masort.RunStore, opts []masort.Option) (res *masort.Result, want []masort.Record)
 }{
-	{"sort", func(t *testing.T, store masort.RunStore, opts []masort.Option) ([]masort.Record, []masort.Record, masort.Stats) {
+	{"sort", func(t *testing.T, store masort.RunStore, opts []masort.Option) (*masort.Result, []masort.Record) {
 		in := dupRecords(1600, 1)
 		res, err := masort.Sort(context.Background(), masort.NewSliceIterator(in), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return drainClose(t, res), sortedCopy(in), res.Stats
+		return res, sortedCopy(in)
 	}},
-	{"merge", func(t *testing.T, store masort.RunStore, opts []masort.Option) ([]masort.Record, []masort.Record, masort.Stats) {
+	{"merge", func(t *testing.T, store masort.RunStore, opts []masort.Option) (*masort.Result, []masort.Record) {
 		var all []masort.Record
 		var ids []masort.RunID
 		for i := range 20 {
@@ -199,19 +220,17 @@ var releaseOps = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return drainClose(t, res), sortedCopy(all), res.Stats
+		return res, sortedCopy(all)
 	}},
-	{"join", func(t *testing.T, store masort.RunStore, opts []masort.Option) ([]masort.Record, []masort.Record, masort.Stats) {
+	{"join", func(t *testing.T, store masort.RunStore, opts []masort.Option) (*masort.Result, []masort.Record) {
 		left, right := dupRecords(700, 2), dupRecords(700, 3)
 		res, err := masort.Join(context.Background(), masort.NewSliceIterator(left), masort.NewSliceIterator(right), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := drainClose(t, res)
-		slices.SortFunc(got, byKeyPayload) // the join orders by key only
-		return got, joinOracle(left, right), res.Stats
+		return res, joinOracle(left, right) // ordered by key only: compared sorted
 	}},
-	{"groupby", func(t *testing.T, store masort.RunStore, opts []masort.Option) ([]masort.Record, []masort.Record, masort.Stats) {
+	{"groupby", func(t *testing.T, store masort.RunStore, opts []masort.Option) (*masort.Result, []masort.Record) {
 		in := dupRecords(1600, 4)
 		// Count and byte sum per key: a scribbled payload moves the sum.
 		var n, sum int
@@ -239,7 +258,7 @@ var releaseOps = []struct {
 			fold(r)
 			want[len(want)-1].Payload = fmt.Appendf(nil, "%d/%d", n, sum)
 		}
-		return drainClose(t, res), want, res.Stats
+		return res, want
 	}},
 }
 
@@ -261,7 +280,10 @@ func joinOracle(left, right []masort.Record) []masort.Record {
 
 // TestPoisonOnReleaseMatrix is the use-after-release gate: every operator x
 // method x adaptation strategy x worker count x {fixed budget, resize
-// schedule} on every store whose read tokens offer Release.
+// schedule} on every store whose read tokens offer Release. Each result is
+// drained twice, record by record and with every Record held to the end:
+// the second is what pins that the output iterator, which gives its record
+// arrays back, never lets payload bytes be recycled.
 func TestPoisonOnReleaseMatrix(t *testing.T) {
 	methods := []struct {
 		name string
@@ -308,10 +330,20 @@ func TestPoisonOnReleaseMatrix(t *testing.T) {
 										}
 									}),
 								}
-								got, want, st := op.run(t, store, opts)
-								sameRecords(t, got, want)
-								if st.MergePagesReleased != poison.Released() {
-									t.Fatalf("Stats.MergePagesReleased = %d, the store saw %d", st.MergePagesReleased, poison.Released())
+								res, want := op.run(t, store, opts)
+								st := res.Stats
+								for _, got := range [][]masort.Record{drainCopying(t, res), drainClose(t, res)} {
+									if op.name == "join" {
+										slices.SortFunc(got, byKeyPayload)
+									}
+									sameRecords(t, got, want)
+								}
+								if st.MergePagesReleased != mergeReleased(poison) {
+									t.Fatalf("Stats.MergePagesReleased = %d, the store saw %d", st.MergePagesReleased, mergeReleased(poison))
+								}
+								// (GroupBy's aggregation pass drains its sorted run too.)
+								if got := poison.ReleasedRecords(); got < 2*res.Pages || op.name != "groupby" && got != 2*res.Pages {
+									t.Fatalf("two drains of %d pages gave %d record arrays back", res.Pages, got)
 								}
 								if sched == "fixed" && op.name != "join" && st.MergePagesReleased < st.MergePagesRead/2 {
 									t.Fatalf("released %d of %d merge pages at a fixed budget: the matrix is not exercising Release",
@@ -344,8 +376,8 @@ func TestPoisonScribbles(t *testing.T) {
 			}
 			kept := pg[0] // a copied Record, as the engine's workspaces are
 			tok.(interface{ Release() }).Release()
-			if pg[0].Key != ^masort.Key(0) || store.Released() != 1 {
-				t.Fatalf("released page reads %v, %d released", pg, store.Released())
+			if pg[0].Key != ^masort.Key(0) || store.Released() != 1 || store.ReleasedRecords() != 0 {
+				t.Fatalf("released page reads %v, %d released (%d records only)", pg, store.Released(), store.ReleasedRecords())
 			}
 			if be.name == "mmap" {
 				if pg[0].Payload != nil || string(kept.Payload) != "abc" {
@@ -391,8 +423,8 @@ func TestJoinGroupRecordsAreNeverReleased(t *testing.T) {
 	if st.MergeSteps != 1 || st.MergePagesRead == 0 {
 		t.Fatalf("want one joint step reading pages, got %d steps, %d pages read", st.MergeSteps, st.MergePagesRead)
 	}
-	if st.MergePagesReleased != 0 || poison.Released() != 0 {
-		t.Fatalf("the joint step released pages (stats %d, store %d): group records alias them", st.MergePagesReleased, poison.Released())
+	if st.MergePagesReleased != 0 || mergeReleased(poison) != 0 {
+		t.Fatalf("the joint step released pages (stats %d, store %d): group records alias them", st.MergePagesReleased, mergeReleased(poison))
 	}
 }
 
@@ -498,8 +530,8 @@ func TestJoinGroupSurvivesSplitMidGroup(t *testing.T) {
 			}
 			slices.SortFunc(got, byKeyPayload)
 			sameRecords(t, got, joinOracle(left, right))
-			if st.MergePagesReleased == 0 || st.MergePagesReleased != poison.Released() {
-				t.Fatalf("preliminary merges released %d pages, the store saw %d", st.MergePagesReleased, poison.Released())
+			if st.MergePagesReleased == 0 || st.MergePagesReleased != mergeReleased(poison) {
+				t.Fatalf("preliminary merges released %d pages, the store saw %d", st.MergePagesReleased, mergeReleased(poison))
 			}
 		})
 	}

@@ -47,13 +47,14 @@ type Result struct {
 }
 
 // Iterator streams the output records in sorted order, keeping one page of
-// read-ahead in flight against the store. A closed result yields ErrFreed.
+// read-ahead issued to the store. A closed result yields ErrFreed.
 //
 // Records are served from store page buffers (zero-copy for FileStore):
 // they stay valid as long as they are referenced, but callers retaining
 // Record.Payload across many records should copy it — each retained
 // payload pins its whole page buffer (see README.md, "Buffer ownership and
-// zero-copy").
+// zero-copy"). The iterator gives each page's record array — never the
+// buffer — back to a store that takes it (ReleaseRecords) as it moves on.
 func (r *Result) Iterator() Iterator {
 	if r.freed {
 		return FuncIterator(func() (Record, bool, error) {

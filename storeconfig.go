@@ -64,8 +64,9 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 // FaultHooks intercepts a disk-backed store's physical I/O for
 // deterministic fault injection (see internal/faultinject for the
 // scriptable implementation). Implementations must be safe for concurrent
-// use: writes arrive from per-run writer goroutines and reads from the
-// store's readers.
+// use: writes arrive from per-run writer goroutines and reads from whoever
+// runs them — the goroutine waiting for the page, or a reader the store
+// started for it.
 type FaultHooks interface {
 	// BeforeWrite is consulted before each write attempt of an encoded
 	// batch at off. Returning a non-nil error fails the attempt; when

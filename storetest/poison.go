@@ -18,8 +18,16 @@ import (
 // — then produces output no oracle accepts, even when the store has not
 // reused the frame yet. Payloads that are views of read-only memory (a
 // mapping, which Release does not recycle) cannot be scribbled on: the write
-// fault is caught and the record's Payload is set to nil instead. Tokens of
-// a store that offers no Release pass through untouched.
+// fault is caught and the record's Payload is set to nil instead.
+//
+// ReleaseRecords — the records-only hand-back the output iterator makes as
+// it leaves a page — gets the records-only twin: the record array is
+// scribbled (keys ^0, payload headers nil) and the payload bytes are left
+// alone, because the caller may rightly still hold Records it copied out. A
+// reader that goes back to the page after ReleaseRecords produces garbage; a
+// store that recycled payload bytes on ReleaseRecords would too, once the
+// next read lands in them. Tokens of a store that offers neither pass
+// through untouched.
 //
 // The wrapper also holds the engine to its half of the bargain: pages handed
 // to Append, payload bytes included, must not change before the append's
@@ -35,14 +43,19 @@ import (
 // whether the path under test releases at all.
 type PoisonStore struct {
 	masort.RunStore
-	released atomic.Int64
+	released, recordsOnly atomic.Int64
 }
 
 // PoisonOnRelease wraps s; see PoisonStore.
 func PoisonOnRelease(s masort.RunStore) *PoisonStore { return &PoisonStore{RunStore: s} }
 
-// Released reports how many pages have been released through the wrapper.
+// Released reports how many pages have been released through the wrapper,
+// either way.
 func (s *PoisonStore) Released() int { return int(s.released.Load()) }
+
+// ReleasedRecords reports how many of them gave back their record array
+// only (ReleaseRecords).
+func (s *PoisonStore) ReleasedRecords() int { return int(s.recordsOnly.Load()) }
 
 // Append implements masort.RunStore.
 func (s *PoisonStore) Append(id masort.RunID, pages []masort.Page) (masort.Token, error) {
@@ -85,20 +98,33 @@ func (t *poisonWrite) Wait() error {
 // ReadAsync implements masort.RunStore.
 func (s *PoisonStore) ReadAsync(id masort.RunID, page int) masort.PageToken {
 	tok := s.RunStore.ReadAsync(id, page)
-	if rel, ok := tok.(releaser); ok {
-		return &poisonToken{PageToken: tok, rel: rel, s: s}
+	rel, _ := tok.(releaser)
+	rr, _ := tok.(recordsReleaser)
+	if rel == nil && rr == nil {
+		return tok
 	}
-	return tok
+	pt := &poisonToken{PageToken: tok, rr: rr, s: s}
+	if rel != nil {
+		return &releasingPoisonToken{pt, rel}
+	}
+	return pt
 }
 
-// releaser is the optional interface of read tokens (core.PageReleaser).
-type releaser interface{ Release() }
+// releaser and recordsReleaser are the optional interfaces of read tokens
+// (core.PageReleaser, core.RecordsReleaser).
+type (
+	releaser        interface{ Release() }
+	recordsReleaser interface{ ReleaseRecords() }
+)
 
+// poisonToken scribbles on ReleaseRecords. Over a store that offers only
+// Release it still does — the caller has given the array up all the same —
+// and forwards nothing.
 type poisonToken struct {
 	masort.PageToken
-	rel releaser
-	s   *PoisonStore
-	pg  masort.Page // what Wait delivered; nil once released
+	rr recordsReleaser // nil: the store takes no record arrays back
+	s  *PoisonStore
+	pg masort.Page // what Wait delivered; nil once released
 }
 
 func (t *poisonToken) Wait() (masort.Page, error) {
@@ -107,7 +133,27 @@ func (t *poisonToken) Wait() (masort.Page, error) {
 	return pg, err
 }
 
-func (t *poisonToken) Release() {
+func (t *poisonToken) ReleaseRecords() {
+	if t.pg != nil {
+		for i := range t.pg {
+			t.pg[i] = masort.Record{Key: ^masort.Key(0)}
+		}
+		t.s.released.Add(1)
+		t.s.recordsOnly.Add(1)
+	}
+	t.pg = nil
+	if t.rr != nil {
+		t.rr.ReleaseRecords()
+	}
+}
+
+// releasingPoisonToken is the token of a store that offers Release.
+type releasingPoisonToken struct {
+	*poisonToken
+	rel releaser
+}
+
+func (t *releasingPoisonToken) Release() {
 	if t.pg != nil {
 		poison(t.pg)
 		t.s.released.Add(1)

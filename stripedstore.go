@@ -45,8 +45,8 @@ func (s *StripedStore) Devices() int { return len(s.disks) }
 // Dirs returns the directory of each device, in device order.
 func (s *StripedStore) Dirs() []string {
 	dirs := make([]string, len(s.disks))
-	for i, d := range s.disks {
-		dirs[i] = d.dir
+	for i := range s.disks {
+		dirs[i] = s.disks[i].dir
 	}
 	return dirs
 }
