@@ -144,13 +144,14 @@
 //
 //   - MemStore (NewMemStore, the default): runs held in memory. Fastest;
 //     run data is bounded by RAM. Tests and small sorts.
-//   - FileStore (StoreConfig.File): one directory, checksummed frames, a
-//     background writer per run, bounded read concurrency, retry and
-//     rollback on write failure. The workhorse single-disk store.
+//   - FileStore (StoreConfig.File): one directory, checksummed frames,
+//     buffered writes where Append is called, bounded read concurrency,
+//     retry and rollback on write failure. The workhorse single-disk
+//     store.
 //   - StripedStore (StoreConfig.Striped): pages striped round-robin over
-//     N directories — one per physical device — with per-device writers
-//     and a merged durability token, so one run's write bandwidth is the
-//     sum of its devices'. The real-engine twin of the paper's Disks
+//     N directories — one per physical device — and indexed once every
+//     device has its share of a batch, so one run's bandwidth is the sum
+//     of its devices'. The real-engine twin of the paper's Disks
 //     experiment.
 //   - MmapStore (StoreConfig.Mmap): file-backed runs read zero-copy
 //     through a memory mapping; falls back with ErrMmapUnsupported where
@@ -166,9 +167,10 @@
 //
 // Store architecture: FileStore, StripedStore and MmapStore are one
 // implementation — an unexported paged-run layer — over thin devices. The
-// layer owns the checksummed page frame, the per-run page index, the
-// per-device background writer with its durability watermark and
-// rollback, the bounded read path with its single re-read on corruption,
+// layer owns the checksummed page frame, the per-run page index — which
+// describes written pages only: Append writes where it is called and
+// indexes afterwards, cutting a failed batch back off the file — the
+// bounded read path with its single re-read on corruption,
 // the retry taxonomy, FaultHooks, store trace events, the buffer pool and
 // the token types. A read token is a request that whoever reaches it first
 // executes: the first Wait runs the read on its own goroutine, unless the

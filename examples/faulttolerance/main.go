@@ -38,10 +38,10 @@ func main() {
 		Fault: faultinject.Fault{Err: faultinject.Transient("simulated cable wiggle")},
 	})
 
-	// The flight recorder keeps the store's own events — retry-layer
-	// retries and give-ups plus queue-depth samples. It gets its own ring
-	// (rather than sharing the operator's) so the high-volume per-read
-	// events can't evict the interesting ones.
+	// The flight recorder keeps the store's own events — the retry layer's
+	// retries and give-ups. It gets its own ring (rather than sharing the
+	// operator's) so the high-volume per-read events can't evict the
+	// interesting ones.
 	ring := trace.NewRing(4096)
 
 	store, err := masort.NewStoreConfig().

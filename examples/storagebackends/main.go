@@ -2,7 +2,7 @@
 // stores behind the StoreConfig builder. The same shuffled input is sorted
 // over every disk-backed store the library ships:
 //
-//   - FileStore: one directory, checksummed frames, a background writer
+//   - FileStore: one directory, checksummed frames, buffered writes
 //   - StripedStore: the paper's Disks experiment for the real engine —
 //     pages striped round-robin over N directories, write bandwidth
 //     scaling with devices

@@ -8,19 +8,26 @@ import (
 // FileStore is a disk-backed RunStore: each run is one file of checksummed
 // page frames in a directory, with an in-memory page index per run.
 //
-// Both paths are asynchronous. Append encodes the pages on the caller's
-// goroutine and hands the bytes to a per-run background writer; the
-// returned Token completes when the batch is durable, after which the page
-// slices may be reused (the store never retains them). ReadAsync returns
-// immediately with a token for the exact page extent; the positional read
-// runs on the goroutine that first waits for the token — a cached file
-// answers in less time than handing the read to somebody else takes — or,
-// once the device's recent reads have taken longer than a hand-off costs
-// (tens of microseconds), on a reader goroutine started at issue, so
-// read-ahead and batched reads overlap a slow device. Either way at most
-// DefaultReadConcurrency reads run at once, each waiting first for the
-// page's write if it is still queued. Decoding is zero-copy, so
-// Record.Payload sub-slices the read buffer (see the package's
+// Append encodes the pages and writes them where it is called, one
+// positional write a batch, and returns a completed Token: the pages are
+// readable and the page slices may be reused (the store never retains them).
+// The file is opened buffered and never synced, so a write returns once the
+// kernel has the bytes — a copy into the page cache — and the kernel's
+// write-back is what overlaps the disk with the sort; a write could wait for
+// nothing the store can reach without fsync or O_DIRECT, so the store keeps
+// no writer goroutine to wait for it. What a device whose buffered writes
+// block would show (dirty-page throttling under memory pressure, a
+// synchronous network mount) is unverified: there Append takes as long as
+// the write does, and the kernel's queue is all the overlap there is.
+//
+// ReadAsync returns immediately with a token for the exact page extent; the
+// positional read runs on the goroutine that first waits for the token — a
+// cached file answers in less time than handing the read to somebody else
+// takes — or, once the device's recent reads have taken longer than a
+// hand-off costs (tens of microseconds), on a reader goroutine started at
+// issue, so read-ahead and batched reads overlap a slow device. Either way
+// at most DefaultReadConcurrency reads run at once. Decoding is zero-copy,
+// so Record.Payload sub-slices the read buffer (see the package's
 // buffer-ownership notes); a token's Release gives the whole frame back for
 // the next read, ReleaseRecords the record array only.
 //
@@ -29,9 +36,9 @@ import (
 // ErrCorruptPage in the chain, StoreConfig.WithRetry turns transient I/O
 // errors into bounded retries with backoff, and errors that survive retry —
 // or are permanent up front, like ENOSPC — wrap ErrStoreFailed. A write that
-// fails terminally breaks the whole run: it is rolled back to its durable
-// prefix and every subsequent Append, Wait and read on it reports the
-// failure.
+// fails terminally breaks the whole run: the file is cut back to where the
+// batch began, Pages stays where it was, and the batch's token and every
+// subsequent Append and read of the run report the failure.
 //
 // Build one with StoreConfig.File, or NewFileStore for the default
 // configuration.

@@ -173,8 +173,8 @@ func TestRunIteratorPropagatesStoreError(t *testing.T) {
 
 // TestFileStoreAppendRollbackOnWriteFailure exercises the mid-run write
 // failure path: the failed batch (and everything after it) must be rolled
-// back — index trimmed, file truncated — and the whole run sticky-broken:
-// appends and reads (even of the durable prefix) report the failure, Free
+// back — never indexed, file truncated — and the whole run sticky-broken:
+// appends and reads (even of the written prefix) report the failure, Free
 // still works.
 func TestFileStoreAppendRollbackOnWriteFailure(t *testing.T) {
 	var fail atomic.Bool
@@ -206,16 +206,16 @@ func TestFileStoreAppendRollbackOnWriteFailure(t *testing.T) {
 		t.Fatalf("token error = %v, want injected cause and ErrStoreFailed in the chain", err)
 	}
 
-	// Index rolled back to the durable prefix.
+	// The index holds the written prefix.
 	if got := store.Pages(id); got != 2 {
 		t.Fatalf("Pages = %d after rollback, want 2", got)
 	}
-	// The broken run refuses reads even of its durable prefix: a consumer
+	// The broken run refuses reads even of its written prefix: a consumer
 	// must learn about the failure before consuming half a run.
 	if _, err := store.ReadAsync(id, 0).Wait(); !errors.Is(err, ErrStoreFailed) {
 		t.Fatalf("read of broken run = %v, want ErrStoreFailed chain", err)
 	}
-	// File truncated to match: no torn bytes past the last durable page.
+	// File truncated to match: no torn bytes past the last indexed page.
 	fi, err := os.Stat(filepath.Join(store.Dir(), fmt.Sprintf("run-%06d.bin", id)))
 	if err != nil {
 		t.Fatal(err)
@@ -240,45 +240,9 @@ func TestFileStoreAppendRollbackOnWriteFailure(t *testing.T) {
 	}
 }
 
-// TestFileStoreReadWaitsForBackgroundWrite issues reads before waiting the
-// append token: the read path must wait for the page's durability rather
-// than reading torn or missing bytes.
-func TestFileStoreReadWaitsForBackgroundWrite(t *testing.T) {
-	store, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	id, _ := store.Create()
-	var pages []Page
-	for i := 0; i < 50; i++ {
-		pages = append(pages, Page{{Key: uint64(i), Payload: []byte{byte(i)}}})
-	}
-	tok, err := store.Append(id, pages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reads race the background writer.
-	var toks []PageToken
-	for i := range pages {
-		toks = append(toks, store.ReadAsync(id, i))
-	}
-	for i, pt := range toks {
-		pg, err := pt.Wait()
-		if err != nil {
-			t.Fatalf("page %d: %v", i, err)
-		}
-		if len(pg) != 1 || pg[0].Key != uint64(i) || pg[0].Payload[0] != byte(i) {
-			t.Fatalf("page %d corrupted: %+v", i, pg)
-		}
-	}
-	if err := tok.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFileStoreConcurrentAccess drives many runs from many goroutines —
-// appends, reads racing the background writer, and frees — under -race.
+// appends, reads before and after the append's token is waited for, and
+// frees — under -race.
 // Calls for any single run stay on one goroutine (the RunStore contract);
 // the store itself must tolerate everything else happening at once.
 func TestFileStoreConcurrentAccess(t *testing.T) {
@@ -312,8 +276,8 @@ func TestFileStoreConcurrentAccess(t *testing.T) {
 					errs <- err
 					return
 				}
-				// Half the time read before the token completes (racing the
-				// writer), half after.
+				// Half the time read before the token is waited for, half
+				// after.
 				if rng.IntN(2) == 0 {
 					if err := tok.Wait(); err != nil {
 						errs <- err

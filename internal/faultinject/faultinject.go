@@ -31,7 +31,7 @@ type Op uint8
 const (
 	// Read is a positional page read (FileStore's ReadAt path).
 	Read Op = iota
-	// Write is a positional batch write (FileStore's background writer).
+	// Write is a positional batch write (FileStore's Append, on its caller).
 	Write
 )
 

@@ -35,7 +35,8 @@ type PageToken = core.PageToken
 //
 //   - Create opens a new empty run; Append adds pages to its end and
 //     returns a durability Token; ReadAsync asks for one page and returns
-//     a PageToken; Pages reports pages appended so far (durable or not);
+//     a PageToken; Pages reports pages appended so far (durable or not —
+//     the bundled stores count written pages only);
 //     Free releases the run and everything queued for it.
 //   - Who runs a read is the store's business: all that is asked is that
 //     the page is there when Wait returns. A store may read inside
@@ -50,6 +51,10 @@ type PageToken = core.PageToken
 //   - Append may queue: the write is durable only once its Token.Wait
 //     returns nil. The engine issues at most one batch per run before
 //     waiting, but tokens may be waited late or never (Free must cope).
+//     The bundled stores do not queue — their Append writes (or copies)
+//     before it returns, so its token is complete and the pages are
+//     readable at once — but a custom store may, and the engine assumes
+//     no more than this line.
 //   - Buffer ownership: the caller may reuse the page slices passed to
 //     Append once the token completes, so the store must either finish
 //     with them by then or copy. Payload bytes are immutable and shared.

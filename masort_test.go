@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -275,6 +276,23 @@ func TestMemStoreErrors(t *testing.T) {
 	}
 	if _, err := s.Append(id, []Page{{}}); err == nil {
 		t.Fatal("append to freed run must fail")
+	}
+	// Freed, never created and freed twice stay three different answers, told
+	// apart by the id alone: the store keeps nothing for a freed run.
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{s.Free(id), "double free of run"},
+		{s.Free(id + 99), "free of unknown run"},
+		{s.Free(-1), "free of unknown run"},
+		{func() error { _, err := s.Append(id, nil); return err }(), "append to freed run"},
+		{func() error { _, err := s.ReadAsync(id, 0).Wait(); return err }(), "read of freed run"},
+		{func() error { _, err := s.ReadAsync(id+99, 0).Wait(); return err }(), "has no page"},
+	} {
+		if tc.err == nil || !strings.Contains(tc.err.Error(), tc.want) {
+			t.Errorf("got %v, want %q", tc.err, tc.want)
+		}
 	}
 }
 

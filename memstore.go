@@ -17,16 +17,20 @@ import (
 // must never offer Release (see RunStore): the merge's input frames would be
 // recycled under the runs written from them.
 type MemStore struct {
-	mu    sync.Mutex
-	runs  map[RunID][]Page
-	freed map[RunID]bool
-	next  RunID
+	mu   sync.Mutex
+	runs map[RunID][]Page
+	next RunID // ids are handed out in order: one below next and not in runs was freed
 }
 
 // NewMemStore creates an empty in-memory run store.
 func NewMemStore() *MemStore {
-	return &MemStore{runs: map[RunID][]Page{}, freed: map[RunID]bool{}}
+	return &MemStore{runs: map[RunID][]Page{}}
 }
+
+// freed tells, of an id that is not in s.runs, whether it was ever handed
+// out — and so has been freed since — or never was; the store holds nothing
+// for a freed run. Callers hold s.mu.
+func (s *MemStore) freed(id RunID) bool { return id >= 0 && id < s.next }
 
 type readyToken struct{ err error }
 
@@ -53,17 +57,19 @@ func (s *MemStore) Create() (RunID, error) {
 func (s *MemStore) Append(id RunID, pages []Page) (Token, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.freed[id] {
-		return nil, fmt.Errorf("masort: append to freed run %d", id)
-	}
-	if _, ok := s.runs[id]; !ok {
+	run, ok := s.runs[id]
+	if !ok {
+		if s.freed(id) {
+			return nil, fmt.Errorf("masort: append to freed run %d", id)
+		}
 		return nil, fmt.Errorf("masort: append to unknown run %d", id)
 	}
 	for _, p := range pages {
 		cp := make(Page, len(p))
 		copy(cp, p)
-		s.runs[id] = append(s.runs[id], cp)
+		run = append(run, cp)
 	}
+	s.runs[id] = run
 	return readyToken{}, nil
 }
 
@@ -71,10 +77,10 @@ func (s *MemStore) Append(id RunID, pages []Page) (Token, error) {
 func (s *MemStore) ReadAsync(id RunID, page int) PageToken {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.freed[id] {
+	pages, ok := s.runs[id]
+	if !ok && s.freed(id) {
 		return readyPage{err: fmt.Errorf("masort: read of freed run %d", id)}
 	}
-	pages, ok := s.runs[id]
 	if !ok || page < 0 || page >= len(pages) {
 		return readyPage{err: fmt.Errorf("masort: run %d has no page %d", id, page)}
 	}
@@ -92,13 +98,12 @@ func (s *MemStore) Pages(id RunID) int {
 func (s *MemStore) Free(id RunID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.freed[id] {
-		return fmt.Errorf("masort: double free of run %d", id)
-	}
 	if _, ok := s.runs[id]; !ok {
+		if s.freed(id) {
+			return fmt.Errorf("masort: double free of run %d", id)
+		}
 		return fmt.Errorf("masort: free of unknown run %d", id)
 	}
-	s.freed[id] = true
 	delete(s.runs, id)
 	return nil
 }

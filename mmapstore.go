@@ -23,7 +23,7 @@ var ErrMmapUnsupported = errors.New("masort: mmap-backed store unsupported on th
 // memory access, a cold one a major fault instead of an explicit read
 // syscall.
 //
-// Everything else — the write pipeline through the file descriptor (the
+// Everything else — writes, which go through the file descriptor (the
 // mapping is read-only), checksums, retries, fault hooks, failure
 // semantics — is FileStore's. Injected read faults are applied to a private
 // copy of the extent, so a transient bit flip heals on the mandatory

@@ -32,16 +32,11 @@ const DefaultReadConcurrency = 8
 // file's occasional slow fetch (a preempted reader) from flipping the rule.
 const dispatchFetchTime = 50 * time.Microsecond
 
-// writeQueueDepth bounds how many encoded write batches may be queued per
-// run and device before Append blocks (back-pressure against a slow disk).
-const writeQueueDepth = 4
-
 // device is one run's bytes on one disk: a growable extent addressed by
 // offset. It is everything a disk-backed store backend has to supply; pages,
-// checksums, retries, fault injection, tracing and the write pipeline all
-// live above it in pagedStore, which calls a device's WriteAt and Truncate
-// from the run's single writer goroutine and fetch from any number of
-// readers concurrently.
+// checksums, retries, fault injection and tracing all live above it in
+// pagedStore, which calls a device's WriteAt and Truncate from one Append of
+// the run at a time and fetch from any number of readers concurrently.
 type device interface {
 	// WriteAt writes b at off, as io.WriterAt.
 	WriteAt(b []byte, off int64) (int, error)
@@ -174,45 +169,47 @@ func (d *disk) noteFetch(took time.Duration) {
 // round-robin over the store's N disks — page i lives on disk i mod N — with
 // one in-memory page index per run; a single directory is simply N = 1.
 //
-// Both paths are asynchronous:
+// A write is synchronous and a read runs where it is waited for:
 //
-//   - Append encodes the pages into one pooled buffer per participating
-//     disk on the caller's goroutine, advances the page index, and hands
-//     each buffer to that disk's per-run background writer. The returned
-//     Token is the merged durability watermark: it completes when every
-//     disk has landed its share. The store never retains the page slices.
+//   - Append encodes each participating disk's share of the pages into a
+//     pooled buffer and writes it with one positional write, on the caller's
+//     goroutine, and only then publishes the pages in the run's index — so
+//     the index describes written pages and nothing else, and the returned
+//     Token is complete. The store opens its files buffered and never syncs
+//     them: a write returns when the kernel has the bytes, which is a copy
+//     into the page cache, and the kernel's write-back is the asynchronous
+//     half. The store never retains the page slices.
 //   - ReadAsync validates the request, records the page's exact extent in
-//     the token and returns; the read itself — readPage: durability wait,
-//     a slot of the disk's read concurrency, fetch, checksum, decode, retry —
-//     runs where it is waited for. The first Wait claims the token and runs
-//     the read on its own goroutine: the paper's merge holds one buffer per
-//     input and waits on the line after it asks, so on a device the page
-//     cache hides a hand-off would cost more than the read. Only when the
-//     disk's recent fetches have been slow (dispatchFetchTime) does ReadAsync
-//     start a reader goroutine for the token at once, so read-ahead and a
-//     batch of N merge inputs overlap the device and each other, at most
-//     DefaultReadConcurrency per disk. A token nobody waits for
-//     costs no I/O and holds nothing but its own few words. Reads never
-//     contend with the writers for a file offset, and a read of a page
-//     whose write is still queued waits for that disk's durability
-//     watermark first. Decoding is zero-copy: Record.Payload sub-slices the
-//     fetched bytes (see the package's buffer-ownership notes). The read
-//     token offers Release — a reader that is done with the page hands its
-//     frame back for the next read, which is how a merge reads without
-//     allocating — and ReleaseRecords, for a reader that has copied the
-//     Records out and may still hold their payloads: the record array comes
-//     back, the bytes stay the collector's. Pages never released are the
-//     collector's whole, as ever.
+//     the token and returns; the read itself — readPage: a slot of the disk's
+//     read concurrency, fetch, checksum, decode, retry — runs where it is
+//     waited for. The first Wait claims the token and runs the read on its
+//     own goroutine: the paper's merge holds one buffer per input and waits
+//     on the line after it asks, so on a device the page cache hides a
+//     hand-off would cost more than the read. Only when the disk's recent
+//     fetches have been slow (dispatchFetchTime) does ReadAsync start a
+//     reader goroutine for the token at once, so read-ahead and a batch of N
+//     merge inputs overlap the device and each other, at most
+//     DefaultReadConcurrency per disk. A token nobody waits for costs no I/O
+//     and holds nothing but its own few words. Reads never contend with an
+//     Append for a file offset: a page can be asked for only once it is in
+//     the index, and by then its bytes are in the file. Decoding is
+//     zero-copy: Record.Payload sub-slices the fetched bytes (see the
+//     package's buffer-ownership notes). The read token offers Release — a
+//     reader that is done with the page hands its frame back for the next
+//     read, which is how a merge reads without allocating — and
+//     ReleaseRecords, for a reader that has copied the Records out and may
+//     still hold their payloads: the record array comes back, the bytes stay
+//     the collector's. Pages never released are the collector's whole, as
+//     ever.
 //
 // The store does not assume a perfect disk. A page that fails its checksum
 // is re-read once before the read fails with ErrCorruptPage in the chain;
 // transient I/O errors are retried per the RetryPolicy; errors that survive
 // retry — or are permanent up front, like ENOSPC — wrap ErrStoreFailed. A
-// write that fails terminally breaks the whole run: the index and the
-// failing disk roll back to the durable prefix, and every subsequent
-// Append, Wait and read on the run reports the failure. Reads already in
-// flight on healthy disks may still deliver their pages; a merge consuming
-// the run learns of the failure no later than the broken page.
+// write that fails terminally breaks the whole run: the failing disk is cut
+// back to where the batch began, none of the batch's pages enters the index,
+// and the batch's token and every subsequent Append, ReadAsync and running
+// read on the run report the failure — a broken run is never half-consumed.
 type pagedStore struct {
 	disks  []disk // fixed at construction: runs point into it
 	open   func(path string) (device, error)
@@ -220,11 +217,9 @@ type pagedStore struct {
 	bufs   bufPool
 	frames frameList
 
-	// tr, when set, receives a queue-depth sample (KindStoreQueue) on every
-	// enqueue/dequeue of the write pipeline, summed across runs and disks,
-	// plus KindStoreRetry / KindStoreGaveUp events from the retry loops.
-	tr     trace.Tracer
-	qdepth atomic.Int64
+	// tr, when set, receives KindStoreRetry / KindStoreGaveUp events from the
+	// retry loops.
+	tr trace.Tracer
 
 	// Reads by who ran them: a waiter, or a goroutine started at issue.
 	inlineReads, dispatchedReads atomic.Int64
@@ -278,57 +273,42 @@ func (s *pagedStore) removeOwnedDirs() error {
 	return first
 }
 
-// pagedRun is one run: its page index and, per disk, an extent with its
-// write pipeline. offsets and the extents' end are updated synchronously by
-// Append (so Pages and read extents are immediately consistent); durable
-// trails end, advanced by the background writers as batches land.
+// pagedRun is one run: its page index and, per disk, an extent. wmu
+// serializes the run's Appends — each holds it from its first check to the
+// publication of its pages, through every write, hook and backoff — and mu
+// guards what readers see: offsets and the extents' end move together, once
+// per batch, after the batch's bytes are in the files.
 type pagedRun struct {
+	wmu sync.Mutex // held by Append; teardown takes it to wait one out
+
 	mu      sync.Mutex
-	cond    sync.Cond // signaled when a durable watermark, werr or closing change
-	offsets []int64   // page i is on exts[i%len(exts)] at byte offsets[i]
+	offsets []int64 // page i is on exts[i%len(exts)] at byte offsets[i]
 	exts    []runExtent
-	werr    error // sticky background-write error (run is broken)
+	werr    error // sticky write error (run is broken)
 	closing bool  // Free/Close in progress: reject new work
 
 	readers sync.WaitGroup // page reads that are running (counted under mu while !closing)
-	appends sync.WaitGroup // Append calls between index update and enqueue
 }
 
 // runExtent is one run's share of one disk.
 type runExtent struct {
-	dev     device
-	disk    *disk
-	end     int64 // offset past the last indexed page
-	durable int64 // bytes confirmed on disk
-
-	wq    chan writeJob
-	wdone chan struct{} // writer goroutine exited
+	dev  device
+	disk *disk
+	end  int64 // offset past the last indexed page
 }
 
-// writeJob is one disk's share of an Append batch.
-type writeJob struct {
-	x     *runExtent
-	first int // index of the batch's first page: the rollback point
-	off   int64
-	buf   []byte
-	tok   *writeToken
-}
-
-// writeToken is an asynchronous write completion handle, shared by the
-// per-disk jobs of one batch. Its fields are written under the run's mu
-// before done closes; Wait's channel receive orders the reads after them.
+// writeToken is the completed token of a batch that was retried or failed;
+// one that went through at the first attempt gets a readyToken.
 type writeToken struct {
-	done    chan struct{}
-	pending int // jobs not yet settled
 	err     error
 	retries int
 }
 
-func (t *writeToken) Wait() error { <-t.done; return t.err }
+func (t writeToken) Wait() error { return t.err }
 
 // Retries reports how many failed write attempts were retried, across all
-// disks, before the batch settled. Valid after Wait returns.
-func (t *writeToken) Retries() int { return t.retries }
+// disks, before the batch settled.
+func (t writeToken) Retries() int { return t.retries }
 
 // pageToken is one page read: a request that whoever reaches it first
 // executes. state moves unclaimed → running → done, once each way. ReadAsync
@@ -444,15 +424,6 @@ func permanentIOErr(err error) bool {
 	return errors.As(err, &t) && !t.Temporary()
 }
 
-// noteQueue moves the sampled write-queue depth by delta and emits it.
-func (s *pagedStore) noteQueue(delta int64) {
-	if s.tr == nil {
-		return
-	}
-	d := s.qdepth.Add(delta)
-	emitSafe(s.tr, trace.Event{Kind: trace.KindStoreQueue, Time: time.Now(), Pages: int(d)}, nil)
-}
-
 // noteFault emits one retry-loop event (KindStoreRetry / KindStoreGaveUp):
 // name is "read" or "write", attempt the 1-based attempt that failed,
 // bytes the extent size.
@@ -466,15 +437,13 @@ func (s *pagedStore) noteFault(kind trace.Kind, name string, attempt int, bytes 
 	}, nil)
 }
 
-// Create opens a new empty run — one extent per disk — and starts its
-// background writers.
+// Create opens a new empty run: one extent per disk.
 func (s *pagedStore) Create() (RunID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	id := s.next
 	s.next++
 	r := &pagedRun{exts: make([]runExtent, len(s.disks))}
-	r.cond.L = &r.mu
 	name := fmt.Sprintf("run-%06d.bin", id)
 	for i := range s.disks {
 		dev, err := s.open(filepath.Join(s.disks[i].dir, name))
@@ -484,17 +453,9 @@ func (s *pagedStore) Create() (RunID, error) {
 			}
 			return 0, err
 		}
-		r.exts[i] = runExtent{
-			dev:   dev,
-			disk:  &s.disks[i],
-			wq:    make(chan writeJob, writeQueueDepth),
-			wdone: make(chan struct{}),
-		}
+		r.exts[i] = runExtent{dev: dev, disk: &s.disks[i]}
 	}
 	s.runs[id] = r
-	for i := range r.exts {
-		go s.runWriter(r, &r.exts[i])
-	}
 	return id, nil
 }
 
@@ -504,10 +465,13 @@ func (s *pagedStore) run(id RunID) *pagedRun {
 	return s.runs[id]
 }
 
-// Append encodes pages and queues them for the run's background writers.
-// The page index advances immediately; the returned token completes once
-// every disk's share is durable. The caller may reuse the page slices after
-// the token completes — the store keeps only the encoded bytes.
+// Append encodes pages and writes them, on the caller's goroutine, and then
+// enters them in the page index: when it returns the pages are readable and
+// the token is complete. A write that fails terminally comes back in that
+// token (with the retries spent on the batch), not as Append's error: the
+// failing extent is cut back to where the batch began, the index is left as
+// it was and the run is broken. The store keeps only the encoded bytes, and
+// those only until it returns.
 func (s *pagedStore) Append(id RunID, pages []Page) (Token, error) {
 	r := s.run(id)
 	if r == nil {
@@ -516,90 +480,60 @@ func (s *pagedStore) Append(id RunID, pages []Page) (Token, error) {
 	if len(pages) == 0 {
 		return readyToken{}, nil
 	}
+	r.wmu.Lock()
+	defer r.wmu.Unlock()
 	r.mu.Lock()
-	if r.werr != nil {
-		err := r.werr
-		r.mu.Unlock()
-		return nil, fmt.Errorf("masort: append to broken run %d: %w", id, err)
+	werr, closing := r.werr, r.closing
+	n, first := len(r.exts), len(r.offsets)
+	// The batch's index entries are filled in beyond len(r.offsets), where
+	// no reader looks, and published by the reslice below.
+	r.offsets = slices.Grow(r.offsets, len(pages))
+	offsets := r.offsets[first : first+len(pages)]
+	r.mu.Unlock()
+	if werr != nil {
+		return nil, fmt.Errorf("masort: append to broken run %d: %w", id, werr)
 	}
-	if r.closing {
-		r.mu.Unlock()
+	if closing {
 		return nil, fmt.Errorf("masort: append to freed run %d", id)
 	}
-	n, first := len(r.exts), len(r.offsets)
-	tok := &writeToken{done: make(chan struct{})}
-	var stack [4]writeJob // keeps the common narrow stripe off the heap
-	jobs := stack[:0]
-	r.offsets = slices.Grow(r.offsets, len(pages))[:first+len(pages)]
+	var stack [4]int64 // keeps the common narrow stripe off the heap
+	ends := stack[:0]  // of the participating extents, in batch order
+	buf := s.bufs.getBuf()
+	retries := 0
 	// One pass per participating disk: its pages are every n-th of the
 	// batch, encoded back to back into one buffer for one positional write.
 	for k := 0; k < n && k < len(pages); k++ {
 		x := &r.exts[(first+k)%n]
-		buf := s.bufs.getBuf()
+		buf = buf[:0]
 		for i := k; i < len(pages); i += n {
-			r.offsets[first+i] = x.end + int64(len(buf))
+			offsets[i] = x.end + int64(len(buf))
 			buf = pagecodec.AppendPageSum(buf, pages[i])
 		}
-		jobs = append(jobs, writeJob{x: x, first: first, off: x.end, buf: buf, tok: tok})
-		x.end += int64(len(buf))
+		tries, err := s.writeBatch(r, x, x.end, buf)
+		retries += tries
+		if err != nil {
+			s.bufs.putBuf(buf)
+			// What earlier disks took of this batch stays past their end,
+			// unindexed; the failing one may hold a torn write.
+			_ = x.dev.Truncate(x.end)
+			r.mu.Lock()
+			r.werr = err
+			r.mu.Unlock()
+			return writeToken{err: err, retries: retries}, nil
+		}
+		ends = append(ends, x.end+int64(len(buf)))
 	}
-	tok.pending = len(jobs)
-	// Registered under the lock so teardownRun cannot close the queues
-	// between the closing check above and the sends below.
-	r.appends.Add(1)
+	s.bufs.putBuf(buf)
+	r.mu.Lock()
+	r.offsets = r.offsets[:first+len(pages)]
+	for k, end := range ends {
+		r.exts[(first+k)%n].end = end
+	}
 	r.mu.Unlock()
-	for _, job := range jobs {
-		s.noteQueue(1) // before the send: the depth must never read negative
-		job.x.wq <- job
+	if retries > 0 {
+		return writeToken{retries: retries}, nil
 	}
-	r.appends.Done()
-	return tok, nil
-}
-
-// runWriter is one extent's background writer: it lands encoded batches with
-// positional writes (retried per the store's policy) and advances the
-// durability watermark. When a batch fails terminally — or the run is
-// already broken, so the batch is not attempted — it rolls back to the last
-// durable page boundary: index entries at or beyond the batch are dropped,
-// the extent is truncated to match, and the batch's token (and every later
-// one) fails with the ErrStoreFailed chain.
-func (s *pagedStore) runWriter(r *pagedRun, x *runExtent) {
-	defer close(x.wdone)
-	for job := range x.wq {
-		r.mu.Lock()
-		err := r.werr
-		r.mu.Unlock()
-		retries := 0
-		if err == nil {
-			retries, err = s.writeBatch(r, x, job.off, job.buf)
-		}
-		r.mu.Lock()
-		if err == nil {
-			x.durable = job.off + int64(len(job.buf))
-		} else {
-			if r.werr == nil {
-				r.werr = err
-			}
-			// Roll back: the index must only describe durable pages.
-			r.offsets = r.offsets[:min(len(r.offsets), job.first)]
-			if job.off < x.end {
-				x.end = job.off
-				_ = x.dev.Truncate(job.off)
-			}
-		}
-		tok := job.tok
-		tok.retries += retries
-		if err != nil && tok.err == nil {
-			tok.err = err
-		}
-		if tok.pending--; tok.pending == 0 {
-			close(tok.done)
-		}
-		r.cond.Broadcast()
-		r.mu.Unlock()
-		s.bufs.putBuf(job.buf)
-		s.noteQueue(-1)
-	}
+	return readyToken{}, nil
 }
 
 // writeBatch lands one encoded batch at off, retrying transient failures
@@ -656,9 +590,8 @@ func (r *pagedRun) isClosing() bool {
 // immediately. The read runs when the token is first waited for, on the
 // waiter's goroutine — or, when the page's disk has been slow of late, on a
 // goroutine started here, so that the caller's other work overlaps it.
-// Either way it is bounded by that disk's read concurrency and waits for the
-// page's write to be durable first, so reads may overlap the background
-// writers freely.
+// Either way it is bounded by that disk's read concurrency. Only pages in the
+// index can be asked for, and those are written.
 func (s *pagedStore) ReadAsync(id RunID, page int) PageToken {
 	r := s.run(id)
 	if r == nil {
@@ -670,7 +603,7 @@ func (s *pagedStore) ReadAsync(id RunID, page int) PageToken {
 		return readyPage{err: fmt.Errorf("masort: read of freed run %d", id)}
 	}
 	if werr := r.werr; werr != nil {
-		// The run is broken: even its durable prefix must not be served, or
+		// The run is broken: even its written prefix must not be served, or
 		// a merge would consume half a run and only then learn it failed.
 		r.mu.Unlock()
 		return readyPage{err: fmt.Errorf("masort: read of run %d page %d after write failure: %w", id, page, werr)}
@@ -712,15 +645,11 @@ func (s *pagedStore) readPage(tok *pageToken, counted bool) {
 			r.readers.Done()
 		}
 	}()
-	// Wait for the page's bytes to be durable (its write may still be in the
-	// background writer's queue). A write failure anywhere in the run wakes
-	// and fails this read even if its own bytes are durable: the run is
-	// broken and must not be half-consumed. A run freed since the token was
-	// issued fails it before its removed files are touched.
+	// The page's bytes are in the file: it was in the index when the token
+	// was issued. A write failure anywhere in the run since then fails this
+	// read all the same — the run is broken and must not be half-consumed —
+	// and a run freed since fails it before its removed files are touched.
 	r.mu.Lock()
-	for x.durable < end && r.werr == nil && !r.closing {
-		r.cond.Wait()
-	}
 	switch {
 	case r.werr != nil:
 		err := r.werr
@@ -830,7 +759,7 @@ func (s *pagedStore) readOnce(x *runExtent, off int64, n int) (frame, error) {
 	return fr, err
 }
 
-// Pages returns the number of pages appended so far (durable or queued).
+// Pages returns the number of pages written so far.
 func (s *pagedStore) Pages(id RunID) int {
 	r := s.run(id)
 	if r == nil {
@@ -841,7 +770,8 @@ func (s *pagedStore) Pages(id RunID) int {
 	return len(r.offsets)
 }
 
-// Free removes a run and its files, draining its write pipelines first.
+// Free removes a run and its files, after any Append and reads of it that
+// are running.
 func (s *pagedStore) Free(id RunID) error {
 	s.mu.Lock()
 	r, ok := s.runs[id]
@@ -854,23 +784,17 @@ func (s *pagedStore) Free(id RunID) error {
 	return s.teardownRun(r)
 }
 
-// teardownRun quiesces a run's pipelines and deletes its files: in-flight
-// Append enqueues finish, queued writes are drained (their tokens resolve
-// normally), waiting readers are woken with an error, and only then are the
-// extents removed — every one of them even if an earlier removal fails, so
-// an owned store directory can still be emptied.
+// teardownRun quiesces a run and deletes its files: new work is refused, an
+// Append in progress finishes (its retry loop sees closing and gives up),
+// running reads finish, and only then are the extents removed — every one of
+// them even if an earlier removal fails, so an owned store directory can
+// still be emptied.
 func (s *pagedStore) teardownRun(r *pagedRun) error {
 	r.mu.Lock()
 	r.closing = true
-	r.cond.Broadcast()
 	r.mu.Unlock()
-	r.appends.Wait() // the writers keep draining until wq closes, so this cannot hang
-	for i := range r.exts {
-		close(r.exts[i].wq)
-	}
-	for i := range r.exts {
-		<-r.exts[i].wdone
-	}
+	r.wmu.Lock() // an Append that got in before closing was set
+	r.wmu.Unlock()
 	r.readers.Wait()
 	var first error
 	for i := range r.exts {

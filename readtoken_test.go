@@ -66,16 +66,24 @@ var tokenBackends = []struct {
 	}},
 }
 
-// forTokenBackends runs fn on each store, built with the given read hook,
-// and closes the store afterwards unless fn did.
-func forTokenBackends(t *testing.T, afterRead func(off int64, b []byte) error, retry RetryPolicy, fn func(t *testing.T, s tokenStore)) {
+// forPagedBackends runs fn on each disk-backed store, built from a fresh
+// mkcfg(), and closes the store afterwards unless fn did.
+func forPagedBackends(t *testing.T, mkcfg func() *StoreConfig, fn func(t *testing.T, s tokenStore)) {
 	for _, be := range tokenBackends {
 		t.Run(be.name, func(t *testing.T) {
-			s := be.open(t, NewStoreConfig().WithRetry(retry).WithFaults(hookFuncs{afterRead: afterRead}))
+			s := be.open(t, mkcfg())
 			t.Cleanup(func() { _ = s.close() })
 			fn(t, s)
 		})
 	}
+}
+
+// forTokenBackends is forPagedBackends with the given read hook and retry
+// policy.
+func forTokenBackends(t *testing.T, afterRead func(off int64, b []byte) error, retry RetryPolicy, fn func(t *testing.T, s tokenStore)) {
+	forPagedBackends(t, func() *StoreConfig {
+		return NewStoreConfig().WithRetry(retry).WithFaults(hookFuncs{afterRead: afterRead})
+	}, fn)
 }
 
 func eightPages() []Page {
@@ -98,7 +106,7 @@ func returnsPromptly(t *testing.T, what string, fn func() error) {
 			t.Fatalf("%s: %v", what, err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatalf("%s did not return: it waits for a read nobody is running", what)
+		t.Fatalf("%s did not return: it waits for something nobody is running", what)
 	}
 }
 

@@ -63,10 +63,12 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 
 // FaultHooks intercepts a disk-backed store's physical I/O for
 // deterministic fault injection (see internal/faultinject for the
-// scriptable implementation). Implementations must be safe for concurrent
-// use: writes arrive from per-run writer goroutines and reads from whoever
-// runs them — the goroutine waiting for the page, or a reader the store
-// started for it.
+// scriptable implementation). The hooks run where the I/O does: BeforeWrite
+// on the goroutine that called Append — a hook that blocks blocks that
+// Append, and with it Free and Close of the run — and AfterRead on whoever
+// runs the read, the goroutine waiting for the page or a reader the store
+// started for it. Implementations must be safe for concurrent use: appends
+// to different runs and any number of reads overlap.
 type FaultHooks interface {
 	// BeforeWrite is consulted before each write attempt of an encoded
 	// batch at off. Returning a non-nil error fails the attempt; when
@@ -108,9 +110,8 @@ func (c *StoreConfig) WithDeviceFaults(fn func(device int) FaultHooks) *StoreCon
 	return c
 }
 
-// WithTracer attaches a tracer to the built store: the async write
-// pipeline's queue depth is sampled as KindStoreQueue events, the retry
-// loops emit KindStoreRetry / KindStoreGaveUp, and a TieredStore emits
+// WithTracer attaches a tracer to the built store: the retry loops emit
+// KindStoreRetry / KindStoreGaveUp, and a TieredStore emits
 // KindStoreDemote / KindStorePromote as runs spill and pages come back hot.
 // Per-read and per-write latency events are emitted by the operator's
 // WithTracer layer, not here, so they can be attributed to the operator.

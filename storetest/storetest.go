@@ -2,7 +2,8 @@
 // implementations. It machine-checks the parts of the store contract the
 // engine relies on but the type system cannot express: Append-token
 // durability, buffer ownership, lifecycle errors, free-with-reads-in-flight
-// safety, corruption surfacing and terminal write-failure surfacing.
+// safety, nothing held per freed run, corruption surfacing and terminal
+// write-failure surfacing.
 //
 // Every built-in backend (MemStore, FileStore, StripedStore, MmapStore,
 // TieredStore) passes this suite; run it against a custom store with:
@@ -33,6 +34,7 @@ package storetest
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -67,6 +69,7 @@ func Run(t *testing.T, cfg Config) {
 	t.Run("ConcurrentRuns", func(t *testing.T) { testConcurrentRuns(t, cfg) })
 	t.Run("ConcurrentReadersOneRun", func(t *testing.T) { testConcurrentReaders(t, cfg) })
 	t.Run("AbortLeakFree", func(t *testing.T) { testAbortLeakFree(t, cfg) })
+	t.Run("FreedRunsCostNothing", func(t *testing.T) { testFreedRunsCostNothing(t, cfg) })
 	if cfg.NewFaulty == nil {
 		t.Run("Faults", func(t *testing.T) {
 			t.Skip("storetest: Config.NewFaulty not set; fault subtests skipped")
@@ -486,6 +489,56 @@ func testAbortLeakFree(t *testing.T, cfg Config) {
 	if lv, ok := s.(interface{ Live() int }); ok {
 		if n := lv.Live(); n != 0 {
 			t.Fatalf("Live() = %d after freeing every run, want 0", n)
+		}
+	}
+}
+
+// testFreedRunsCostNothing creates and frees ten thousand runs: a store
+// shared by a long-lived process sees any number of them, so what it holds
+// must follow the runs that are live, not the runs it has ever seen — while
+// a freed run stays freed, whatever the store remembers it by.
+func testFreedRunsCostNothing(t *testing.T, cfg Config) {
+	const (
+		runs        = 10000
+		bytesPerRun = 4 // a map entry is 16 and more
+	)
+	s := cfg.New(t)
+	ids := make([]masort.RunID, 0, runs)
+	cycle := func(n int) {
+		for i := 0; i < n; i++ {
+			id, err := s.Create()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Free(id); err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+	}
+	liveHeap := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	cycle(100) // whatever the store builds on first use is no part of the bill
+	ids = ids[:0]
+	before := liveHeap()
+	cycle(runs)
+	if grown := liveHeap() - before; grown > runs*bytesPerRun {
+		t.Errorf("live heap grew by %d bytes over %d created-and-freed runs (%d a run): the store keeps something per freed run",
+			grown, runs, grown/runs)
+	}
+	for _, id := range []masort.RunID{ids[0], ids[runs/2], ids[runs-1]} {
+		if err := s.Free(id); err == nil {
+			t.Errorf("double free of run %d succeeded", id)
+		}
+		if _, err := s.ReadAsync(id, 0).Wait(); err == nil {
+			t.Errorf("read of freed run %d succeeded", id)
+		}
+		if _, err := s.Append(id, mkPages(0, 1, 1)); err == nil {
+			t.Errorf("append to freed run %d succeeded", id)
 		}
 	}
 }

@@ -7,18 +7,17 @@ package masort
 // consecutive pages sit on different disks and one run's write bandwidth is
 // the sum of its devices'.
 //
-// Each device has its own per-run background writer, read concurrency bound
-// and fault hooks. The Token returned by Append is the merged durability
-// watermark: it completes when every device has landed its share of the
-// batch; a read waits on its page's own device only.
+// Each device has its own read concurrency bound and fault hooks. Append
+// writes each device's share of the batch in turn, one positional write a
+// device, and enters the batch in the page index once every device has its
+// share: Pages never counts a page some device has yet to write.
 //
 // Failure semantics are FileStore's at run granularity: when any device's
 // write fails terminally, the whole striped run is broken — the failing
-// device rolls back to its durable prefix, the batch's token (and every
-// later one) reports the ErrStoreFailed chain, and subsequent Appends and
-// ReadAsyncs on the run are refused. Reads already in flight on healthy
-// devices may still deliver their pages; a merge consuming the run learns
-// of the failure no later than the broken page.
+// device is cut back to where the batch began, what healthy devices already
+// took of the batch stays unindexed and unreachable, the batch's token
+// reports the ErrStoreFailed chain, and subsequent Appends and reads of the
+// run, on any device, are refused.
 //
 // Build one with StoreConfig.Striped (or NewStripedStore for the default
 // config). Per-device fault injection for tests goes through

@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
+	"strings"
 	"testing"
-	"time"
 
 	"github.com/memadapt/masort/internal/faultinject"
 	"github.com/memadapt/masort/internal/pagecodec"
@@ -69,49 +68,53 @@ func TestStripedStoreDistribution(t *testing.T) {
 	}
 }
 
-// TestStripedStoreMergedDurabilityToken pins the merged watermark: the
-// batch token must not complete while any device still holds back its
-// share of the writes.
+// TestStripedStoreMergedDurabilityToken (the name is the parent's, when the
+// token merged per-device watermarks): a batch is in the index once every
+// device has its share and not before. While device 1 holds its write back
+// Append has not returned, Pages reads the old count and no page of the batch
+// can be asked for, device 0's included, whose bytes are in its file already.
 func TestStripedStoreMergedDurabilityToken(t *testing.T) {
-	gate := make(chan struct{})
-	var gated atomic.Bool
-	gated.Store(true)
+	gate := newWriteGate()
+	gate.shut.Store(false)
 	store, err := NewStoreConfig().WithDeviceFaults(func(dev int) FaultHooks {
 		if dev != 1 {
 			return nil
 		}
-		return hookFuncs{beforeWrite: func(off int64, b []byte) (int, error) {
-			if gated.Load() {
-				<-gate
-			}
-			return -1, nil
-		}}
+		return gate
 	}).Striped(t.TempDir(), t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
 	id, _ := store.Create()
-	tok, err := store.Append(id, []Page{{{Key: 1}}, {{Key: 2}}})
-	if err != nil {
-		t.Fatal(err)
+	mustAppend(t, store, id, []Page{{{Key: 1}}, {{Key: 2}}})
+
+	gate.shut.Store(true)
+	appended := goAppend(store, id, []Page{{{Key: 3}}, {{Key: 4}}, {{Key: 5}}})
+	gate.awaitHeld(t, 1)
+	stillRunning(t, "Append", appended)
+	if got := store.Pages(id); got != 2 {
+		t.Fatalf("Pages = %d while device 1's write is held, want 2", got)
 	}
-	done := make(chan error, 1)
-	go func() { done <- tok.Wait() }()
-	select {
-	case <-done:
-		t.Fatal("token completed while device 1's write was gated")
-	case <-time.After(30 * time.Millisecond):
-	}
-	gated.Store(false)
-	close(gate)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("token failed after gate opened: %v", err)
+	for p := 2; p < 5; p++ {
+		if _, err := store.ReadAsync(id, p).Wait(); err == nil || !strings.Contains(err.Error(), "no page") {
+			t.Fatalf("page %d while device 1's write is held: %v, want \"no page\"", p, err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("token never completed")
+	}
+	gate.release()
+	res := <-appended
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	returnsPromptly(t, "the token of an Append that has returned", res.tok.Wait)
+	if got := store.Pages(id); got != 5 {
+		t.Fatalf("Pages = %d, want 5", got)
+	}
+	for p := 0; p < 5; p++ {
+		pg, err := store.ReadAsync(id, p).Wait()
+		if err != nil || len(pg) != 1 || pg[0].Key != uint64(p+1) {
+			t.Fatalf("page %d: %+v, %v", p, pg, err)
+		}
 	}
 }
 

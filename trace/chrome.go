@@ -150,9 +150,6 @@ func (c *Chrome) Emit(e Event) {
 	case KindPoolGrant, KindPoolResize, KindPoolReject:
 		c.write(chromeEvent{Name: e.Kind.String(), Cat: "pool", Ph: "i", Ts: ts, Pid: 1, Tid: e.Op,
 			S: "g", Args: map[string]any{"pages": e.Pages}})
-	case KindStoreQueue:
-		c.write(chromeEvent{Name: "write_queue_depth", Cat: "io", Ph: "C", Ts: ts, Pid: 1, Tid: e.Op,
-			Args: map[string]any{"depth": e.Pages}})
 	case KindStoreRetry, KindStoreGaveUp:
 		c.write(chromeEvent{Name: e.Kind.String(), Cat: "io", Ph: "i", Ts: ts, Pid: 1, Tid: e.Op,
 			S: "g", Args: map[string]any{"op": e.Name, "attempt": e.Pages, "bytes": e.Bytes, "error": e.Err}})

@@ -28,8 +28,6 @@ type Metrics struct {
 	hists      []*hist
 	histByName map[string]*hist
 
-	queueDepth atomic.Int64
-
 	opsBegun sync.Map // op name -> *atomic.Int64
 	opsDone  sync.Map
 }
@@ -176,8 +174,6 @@ func (m *Metrics) Emit(e Event) {
 		m.add("masort_store_writes_total", 1)
 		m.add("masort_store_write_bytes_total", e.Bytes)
 		m.observe("masort_store_write_seconds", e.Dur)
-	case KindStoreQueue:
-		m.queueDepth.Store(int64(e.Pages))
 	case KindStoreRetry:
 		m.add("masort_store_retries_total", 1)
 	case KindStoreGaveUp:
@@ -235,8 +231,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	for _, ct := range m.counters {
 		p("# HELP %s %s\n# TYPE %s counter\n%s %d\n", ct.name, ct.help, ct.name, ct.name, ct.v.Load())
 	}
-	p("# HELP masort_store_write_queue_depth Async writer queue depth (last sample).\n")
-	p("# TYPE masort_store_write_queue_depth gauge\nmasort_store_write_queue_depth %d\n", m.queueDepth.Load())
 	for _, ht := range m.hists {
 		p("# HELP %s %s\n# TYPE %s histogram\n", ht.name, ht.help, ht.name)
 		cum := uint64(0)

@@ -16,8 +16,8 @@
 // and ignored — observability must never corrupt a merge step.
 //
 // All Emit implementations in this package are safe for concurrent use; the
-// engine calls Emit from operator goroutines, pool waiters and the file
-// store's background writers at the same time.
+// engine calls Emit from operator goroutines, pool waiters and the
+// disk-backed stores' slow-device readers at the same time.
 package trace
 
 import "time"
@@ -61,11 +61,9 @@ const (
 	KindPoolWait
 	KindPoolResize
 	// Store I/O: one page read / append batch completed (Dur = latency from
-	// issue to completion, Bytes = encoded size); KindStoreQueue samples the
-	// async writer queue depth (Pages) after an enqueue or dequeue.
+	// issue to completion, Bytes = encoded size).
 	KindStoreRead
 	KindStoreWrite
-	KindStoreQueue
 	// Store fault handling: KindStoreRetry is one failed attempt the store
 	// is about to retry (Name is "read" or "write", Pages the attempt
 	// number, Bytes the extent size, Err the failure); KindStoreGaveUp is
@@ -79,6 +77,8 @@ const (
 	// tier-resident pages after the promotion).
 	KindStoreDemote
 	KindStorePromote
+
+	kindCount // one past the last Kind: new kinds go above this line
 )
 
 // String returns the kind's stable snake-case name (used as the event label
@@ -123,8 +123,6 @@ func (k Kind) String() string {
 		return "store_read"
 	case KindStoreWrite:
 		return "store_write"
-	case KindStoreQueue:
-		return "store_queue"
 	case KindStoreRetry:
 		return "store_retry"
 	case KindStoreGaveUp:
@@ -163,7 +161,7 @@ type Event struct {
 	Bytes int64
 
 	// Pages is the page count the event is about: run length, grant size,
-	// step fan-in, queue depth, or new pool total.
+	// step fan-in, retry attempt, or new pool total.
 	Pages int
 
 	// Target and Granted are the operator's memory state (pages entitled /
