@@ -171,8 +171,8 @@
 // describes written pages only: Append writes where it is called and
 // indexes afterwards, cutting a failed batch back off the file — the
 // bounded read path with its single re-read on corruption,
-// the retry taxonomy, FaultHooks, store trace events, the buffer pool and
-// the token types. A read token is a request that whoever reaches it first
+// the retry taxonomy, FaultHooks, store trace events, the raw-buffer pool,
+// the free list of read frames and the token types. A read token is a request that whoever reaches it first
 // executes: the first Wait runs the read on its own goroutine, unless the
 // device's recent fetches were slow enough (tens of microseconds) for
 // ReadAsync to have started a reader goroutine for it — so nothing is
@@ -181,7 +181,9 @@
 // DefaultReadConcurrency bounds the reads running per device either way. A
 // device owns one run file and four methods:
 // positional write, fetch an extent, truncate, close-and-remove. The file
-// device fetches with ReadAt into a pooled buffer; the mmap device
+// device fetches with ReadAt into a pooled raw buffer that is back in the
+// pool before the read returns — the page is decoded out of it by copy, so
+// no encoded byte ever leaves the store; the mmap device
 // returns a slice of a mapping that stays valid until the store closes;
 // striping is the N > 1 case of the same index (page i on device i mod
 // N), so File(dir) is simply N = 1. A new backend is a new device plus a
@@ -194,10 +196,15 @@
 // read in place (do not mutate them until the operator returns). Pages
 // passed to RunStore.Append belong to the store only until the returned
 // token completes. Pages returned by RunStore.ReadAsync are read-only.
-// FileStore decodes pages zero-copy: every Record.Payload of a page
-// aliases one read buffer, which lives exactly as long as records
-// referencing it — callers retaining payloads from many pages should copy
-// them (append([]byte(nil), rec.Payload...)), and must never mutate them.
+// FileStore and StripedStore decode a page by copy: its payloads are laid
+// back to back in one arena of exactly their total size — the keys,
+// lengths and checksum that framed them on disk stay in the store's pooled
+// raw buffer — and every Record.Payload of the page is a slice of that
+// arena, which lives exactly as long as records referencing it. MmapStore
+// is the zero-copy path: there payloads alias the run's mapping, valid
+// until the store closes. Either way callers retaining payloads from many
+// pages should copy them (append([]byte(nil), rec.Payload...)), and must
+// never mutate them.
 //
 // A store's read tokens may additionally offer Release(), an optional
 // method found by type assertion: it ends the token's life and gives the
@@ -214,7 +221,8 @@
 // page's record array back and nothing else. Result.Iterator, which hands
 // out Record values and cannot know who keeps them, calls it on each page
 // it leaves; the bytes the payloads alias are never reused, so records
-// stay valid while referenced and a retained Payload pins its page buffer.
+// stay valid while referenced and a retained Payload pins its page's
+// payload arena — the payload bytes, not the page's encoding.
 // See README.md ("Buffer ownership and zero-copy") for the full rules.
 //
 // See README.md for a tour of the repository, and cmd/masim for the full

@@ -26,10 +26,15 @@ import (
 // takes — or, once the device's recent reads have taken longer than a
 // hand-off costs (tens of microseconds), on a reader goroutine started at
 // issue, so read-ahead and batched reads overlap a slow device. Either way
-// at most DefaultReadConcurrency reads run at once. Decoding is zero-copy,
-// so Record.Payload sub-slices the read buffer (see the package's
-// buffer-ownership notes); a token's Release gives the whole frame back for
-// the next read, ReleaseRecords the record array only.
+// at most DefaultReadConcurrency reads run at once. The extent is read into
+// a pooled raw buffer and decoded out of it by copy: the page's payloads
+// land back to back in an arena of exactly their size, Record.Payload
+// sub-slices that arena, and the raw buffer is back in the pool before the
+// read returns — one copy of the payload bytes buys a read path whose
+// encoded bytes never leave the store (see the package's buffer-ownership
+// notes; MmapStore is the zero-copy store). A token's Release gives the
+// whole frame, record array and arena, back for the next read;
+// ReleaseRecords the record array only.
 //
 // The store does not assume a perfect disk: a page failing its
 // CRC32-Castagnoli checksum is re-read once before the read fails with
@@ -54,7 +59,7 @@ func NewFileStore(dir string) (*FileStore, error) {
 // Dir returns the directory holding run files.
 func (s *FileStore) Dir() string { return s.disks[0].dir }
 
-// fileDevice is a run file read with positional reads into the frame's buffer.
+// fileDevice is a run file read with positional reads into a pooled raw buffer.
 type fileDevice struct{ *os.File }
 
 func openFileDevice(path string) (device, error) {
@@ -65,10 +70,11 @@ func openFileDevice(path string) (device, error) {
 	return fileDevice{f}, nil
 }
 
-func (d fileDevice) fetch(off int64, n int, buf []byte) ([]byte, bool, error) {
-	b := slices.Grow(buf[:0], n)[:n]
-	_, err := d.ReadAt(b, off)
-	return b, true, err
+func (d fileDevice) fetch(off int64, n int, bufs *bufPool) ([]byte, *rawBuf, error) {
+	raw := bufs.getBuf()
+	raw.b = slices.Grow(raw.b[:0], n)[:n]
+	_, err := d.ReadAt(raw.b, off)
+	return raw.b, raw, err
 }
 
 func (d fileDevice) remove() error { return removeFile(d.File) }

@@ -67,7 +67,8 @@ func (f *FuncAggregator) Finish(k Key) []byte { return f.OnFinish(k) }
 // on the memory-adaptive external sort, so the budget may be resized while
 // it executes; the aggregation pass that follows holds two pages (the sorted
 // run's read-ahead and one output page), taken from the operator's own
-// memory contract while it is still attached — under WithPool the operator
+// memory contract while it is still attached, and the run writer's output
+// block beside them (mergeBlockPages) — under WithPool the operator
 // leaves the pool, and its trace span closes, only once the result run is
 // durable. Cancellation is observed both by the underlying sort and between
 // aggregation pages.
@@ -86,7 +87,7 @@ func GroupBy(ctx context.Context, input Iterator, agg Aggregator, opts ...Option
 			defer env.Mem.Yield(got)
 		}
 		env.In = &pageInput{it: &groupIterator{in: sorted.Iterator(), agg: agg}, size: o.pageRecords}
-		out, err := sortResult(core.WriteRun(env))
+		out, err := sortResult(core.WriteRun(env, cfg.MergeBlockPages))
 		if err != nil {
 			return nil, err
 		}

@@ -13,14 +13,19 @@
 //     moment — which is why the shallow-copying MemStore must never offer
 //     Release. (Retained payload aliases are beyond this intra-procedural
 //     check; storetest.PoisonStore catches them at run time.)
-//   - Pooled buffers (the paged-run layer's bufPool.getBuf/putBuf for
-//     encode buffers; sync.Pool) must not be used after being returned to
-//     the pool. Read frames need no such rule: frameList.put empties the
-//     holder it is given, and Release ends its token's life.
+//   - Pooled buffers (the paged-run layer's bufPool.getBuf/putBuf for raw
+//     buffers — a batch's encoded bytes on the way out, a page's on the way
+//     in; sync.Pool) must not be used after being returned to the pool. Read
+//     frames need no such rule: frameList.put empties the holder it is
+//     given, and Release ends its token's life.
 //   - The aliasBytes result of pagecodec.DecodePageInto (and of its
 //     nil-frame form DecodePageSum) says whether the decoded records still
 //     alias the input buffer; discarding it while recycling the buffer in
-//     the same function is a latent aliasing bug.
+//     the same function is a latent aliasing bug. The disk-backed stores no
+//     longer have the question: bytes read into a pooled buffer are decoded
+//     with DecodePageCopy, which leaves no alias behind and reports none,
+//     and DecodePageInto is kept for a device's view, which is never
+//     recycled — the rule stands for whoever decodes in place next.
 //
 // The analysis is intra-procedural and heuristic: it tracks taint through
 // local assignments, range statements and append calls, and treats

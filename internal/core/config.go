@@ -60,10 +60,20 @@ type SortConfig struct {
 	// output). The broker's floor should be at least this.
 	MinPages int
 
-	// AdaptiveBlockIO enables the paper's future-work extension: surplus
-	// pages beyond a merge step's requirement are spent on multi-page
-	// read-ahead and larger output write blocks.
+	// AdaptiveBlockIO enables the paper's future-work extension on the read
+	// side: surplus pages beyond a merge step's requirement are spent on
+	// multi-page read-ahead. (Output blocks do not depend on it, see
+	// MergeBlockPages.)
 	AdaptiveBlockIO bool
+
+	// MergeBlockPages is how many full output pages a merge step gathers
+	// before it appends them to its output run as one block; a step's last
+	// pages, and whatever is pending when it adapts, go out as they are. 0
+	// and 1 both mean a page an append: the paper's merge with its one output
+	// buffer, which is what the simulator runs — it never sets this. The
+	// block is outside the budget: at most this many page buffers pending
+	// and as many in flight, whatever the budget, fan-in or input size.
+	MergeBlockPages int
 
 	// NoShortestFirst disables shortest-runs-first input selection
 	// (ablation; the paper argues shortest-first is always right).

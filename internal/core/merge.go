@@ -48,7 +48,7 @@ type mergeEngine struct {
 	active  *mergeStep
 	curStep *mergeStep // step whose buffers the reclaimer may take
 
-	w        runWriter // the output page under construction and in flight
+	w        runWriter // the output block under construction and in flight
 	mruClock int64
 	cmp      int64 // comparison charges accumulated between flushes
 
@@ -443,7 +443,7 @@ func (m *mergeEngine) adaptDynamic() error {
 			// preliminary step (its state is untouched — it simply resumes).
 			prelim := st.drainOf
 			st.drainOf = nil
-			if err := m.w.wait(); err != nil {
+			if err := m.drainOut(st); err != nil {
 				return err
 			}
 			m.dropStepBufs(st)
@@ -462,7 +462,7 @@ func (m *mergeEngine) adaptDynamic() error {
 	if !m.cfg.NoCombine && st.parent != nil {
 		combinedNeed := len(st.parent.inputs) - 1 + len(st.inputs) + 1
 		if combinedNeed <= target {
-			if err := m.w.wait(); err != nil {
+			if err := m.drainOut(st); err != nil {
 				return err
 			}
 			m.dropStepBufs(st)
@@ -481,7 +481,7 @@ func (m *mergeEngine) adaptDynamic() error {
 // where k follows the configured merging strategy.
 func (m *mergeEngine) splitActive(target int) error {
 	st := m.active
-	if err := m.w.wait(); err != nil {
+	if err := m.drainOut(st); err != nil {
 		return err
 	}
 	for st.need() > target {
@@ -737,8 +737,12 @@ func (m *mergeEngine) load(st *mergeStep, r *runInfo, ahead int) (bool, error) {
 	return true, nil
 }
 
-// flushOut appends the (possibly partial) output page to the step's output
-// run asynchronously, waiting for the previous flush first.
+// flushOut appends the writer's pending block — its full pages and the
+// (possibly partial) page under construction — to the step's output run
+// asynchronously, waiting for the previous flush first. The block belongs to
+// st: every path that turns the engine to another step drains it first
+// (finishStep, suspend, and adaptDynamic's and splitActive's step switches),
+// because a combine reads st.out and a split writes somebody else's.
 func (m *mergeEngine) flushOut(st *mergeStep) error {
 	n := m.w.n
 	pages, err := m.w.flush(st.out)
@@ -752,7 +756,7 @@ func (m *mergeEngine) flushOut(st *mergeStep) error {
 	return nil
 }
 
-// drainOut flushes the partial output page and waits until it is durable.
+// drainOut flushes the pending block and waits until it is durable.
 func (m *mergeEngine) drainOut(st *mergeStep) error {
 	if err := m.flushOut(st); err != nil {
 		return err
@@ -986,17 +990,18 @@ func (m *mergeEngine) advanceRun(st *mergeStep, r *runInfo) (advResult, error) {
 	return advDry, nil
 }
 
-// produceOnePage merges tuples from the step's inputs until one output page
-// is filled and flushed. It returns early with drainEmpty when the drained
-// run empties (correctness requires absorbing before emitting more) or
-// needAdapt when a buffer cannot be loaded under the current memory.
+// produceOnePage merges tuples from the step's inputs until the output page
+// under construction is full, and flushes once the writer holds
+// cfg.MergeBlockPages full pages — at 0 and 1, every page. It returns early,
+// flushing whatever is pending, with drainEmpty when the drained run empties
+// (correctness requires absorbing before emitting more) or needAdapt when a
+// buffer cannot be loaded under the current memory.
 //
 // The selection structure persists across calls: it is rebuilt only when the
 // step changed or something invalidated it. Run workspaces survive buffer
 // drops (suspension, paging eviction, reclaim), so its order stays correct
 // across those events without a rebuild.
 func (m *mergeEngine) produceOnePage(st *mergeStep) (stepResult, error) {
-	R := m.cfg.PageRecords
 	var drainRun *runInfo
 	if st.drainOf != nil {
 		drainRun = st.drainOf.out
@@ -1034,7 +1039,8 @@ func (m *mergeEngine) produceOnePage(st *mergeStep) (stepResult, error) {
 		m.invalidateHeap()
 		return stepDone, nil
 	}
-	for ; m.w.n < R && r != nil; r = hh.min() {
+	// Until the page under construction fills up and joins the block.
+	for full := len(m.w.block); len(m.w.block) == full && r != nil; r = hh.min() {
 		m.w.add(r.ws)
 		if r.spent != nil {
 			// That was the last record of a page the run has left, and this
@@ -1070,8 +1076,12 @@ func (m *mergeEngine) produceOnePage(st *mergeStep) (stepResult, error) {
 			}
 		}
 	}
-	if err := m.flushOut(st); err != nil {
-		return 0, err
+	// Inputs exhausted: flush now, so that one page a block is the very
+	// sequence of calls the merge made before it knew of blocks.
+	if r == nil || len(m.w.block) >= m.cfg.MergeBlockPages {
+		if err := m.flushOut(st); err != nil {
+			return 0, err
+		}
 	}
 	return pageProduced, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -323,6 +324,145 @@ func TestNotationCoversAll18(t *testing.T) {
 					t.Fatalf("missing %s,%s,%s", m, ms, ad)
 				}
 			}
+		}
+	}
+}
+
+// appendLog is a memStore that keeps one line per Append and per adaptation
+// event, in order, and checks every run as it grows: a page appended to the
+// run of a step that did not produce it breaks that run's order.
+type appendLog struct {
+	*memStore
+	t      *testing.T
+	lines  []logLine
+	last   map[RunID]Key // last key appended to each run (mkRuns makes them unique)
+	onRead func()
+}
+
+// logLine is an adaptation event, or an Append: to which run, how many
+// pages, starting at which key, and whether every page was full.
+type logLine struct {
+	event string
+	run   RunID
+	pages int
+	first Key
+	full  bool
+}
+
+func (s *appendLog) ReadAsync(id RunID, page int) PageToken {
+	s.onRead()
+	return s.memStore.ReadAsync(id, page)
+}
+
+func (s *appendLog) Append(id RunID, pages []Page) (Token, error) {
+	full := true
+	for _, pg := range pages {
+		for _, rec := range pg {
+			if prev, ok := s.last[id]; ok && rec.Key < prev {
+				s.t.Errorf("run %d: key %d appended after key %d — a page went to the wrong step's run", id, rec.Key, prev)
+			}
+			s.last[id] = rec.Key
+		}
+		full = full && len(pg) == cap(pg)
+	}
+	s.lines = append(s.lines, logLine{run: id, pages: len(pages), first: pages[0][0].Key, full: full})
+	return s.memStore.Append(id, pages)
+}
+
+// TestMergeBlocksFollowTheirStep: the writer's pending block belongs to the
+// step it was produced for. Under every adaptation strategy and at block
+// sizes 1, 2 and 6 the merge equals the oracle and every run — intermediate
+// ones included — grows in order, while the target moves at moments chosen
+// so that the merge learns of it with a block one page short of full. Under
+// dynamic splitting the step is then split, combined, its combine aborted
+// and absorbed with full pages pending: the writer is empty at each of those
+// switches, and the pending pages went out — to the step that was active —
+// just before. At one page a block the merge issues the very sequence of
+// Appends it issues at zero, the value the simulator runs with and the one
+// that takes the flush decision out of the code path.
+func TestMergeBlocksFollowTheirStep(t *testing.T) {
+	for _, adapt := range []Adapt{Suspend, Paging, DynSplit} {
+		logs := map[int][]logLine{}
+		for _, block := range []int{0, 1, 2, 6} {
+			store := &appendLog{memStore: newMemStore(), t: t, last: map[RunID]Key{}}
+			runs, all := mkRuns(t, store.memStore, 4, []int{9, 14, 11, 16, 9, 12, 15, 10, 13, 9, 16, 12})
+			broker := newScriptedBroker(t, 13, 3)
+			broker.limit = 1 << 20
+			st := &SortStats{}
+			env := &Env{Store: store, Mem: broker, Meter: newCountingMeter()}
+			cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: adapt, PageRecords: 4, MinPages: 3, BlockPages: 1, MergeBlockPages: block}
+			m := newMergeEngine(env, cfg, st)
+			// The target moves at a read in the middle of the page that leaves
+			// the block one short: the adaptation that follows that page finds
+			// block-1 full pages pending (none at one page a block).
+			targets, reads := []int{5, 13, 6, 13, 4, 13, 9, 3, 13, 7, 13}, 0
+			store.onRead = func() {
+				if reads++; reads >= 20 && len(targets) > 0 && len(m.w.block) == max(block-2, 0) && m.w.fill != nil {
+					broker.target, targets, reads = targets[0], targets[1:], 0
+				}
+			}
+			events := map[EventKind]int{}
+			env.OnEvent = func(ev Event) {
+				switch ev.Kind {
+				case EvSplitStep, EvCombineStart, EvCombineAbort:
+					if m.w.n != 0 || m.w.tok != nil {
+						t.Errorf("%s, block %d: %v with %d records pending in the writer (write in flight: %v)", cfg.Notation(), block, ev.Kind, m.w.n, m.w.tok != nil)
+					}
+				case EvCombineDone:
+				default:
+					return
+				}
+				events[ev.Kind]++
+				store.lines = append(store.lines, logLine{event: ev.Kind.String()})
+			}
+			out, err := m.mergeRuns(runs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFenced(t, store.memStore, out)
+			got := runRecords(t, store.memStore, out.id)
+			checkSorted(t, got)
+			checkPermutation(t, all, got)
+			if store.liveRuns() != 1 {
+				t.Errorf("%s, block %d: %d runs live after the merge, want the result only", cfg.Notation(), block, store.liveRuns())
+			}
+			logs[block] = store.lines
+
+			drained, blocks := 0, 0 // switches that found full pages pending; appends of a whole block
+			for i, line := range store.lines {
+				if line.event != "" {
+					continue
+				}
+				if line.pages > max(block, 1) {
+					t.Errorf("%s, block %d: %+v", cfg.Notation(), block, line)
+				}
+				if line.pages == block {
+					blocks++
+				}
+				if line.pages < block && line.full && i+1 < len(store.lines) && store.lines[i+1].event != "" {
+					drained++
+				}
+			}
+			switch adapt {
+			case DynSplit:
+				if events[EvSplitStep] == 0 || events[EvCombineStart] == 0 || events[EvCombineAbort] == 0 || events[EvCombineDone] == 0 {
+					t.Errorf("block %d: the targets did not make the merge split, combine, abort a combine and absorb: %v", block, events)
+				}
+				if block > 1 && (drained < 3 || blocks == 0) {
+					t.Errorf("block %d: %d whole blocks appended and %d step switches that drained a pending block; want both", block, blocks, drained)
+				}
+			case Suspend:
+				if st.Suspensions == 0 {
+					t.Errorf("block %d: no suspension", block)
+				}
+			case Paging:
+				if st.ExtraMergeReads == 0 {
+					t.Errorf("block %d: paging never faulted", block)
+				}
+			}
+		}
+		if !slices.Equal(logs[0], logs[1]) {
+			t.Errorf("adaptation %d: one page a block is not the Append sequence of no blocks at all:\n%+v\nvs\n%+v", adapt, logs[1], logs[0])
 		}
 	}
 }

@@ -608,7 +608,7 @@ func fencelessRuns(t *testing.T, env *Env, n, size int) (ids []RunID, all []Reco
 	for i := range n {
 		recs := makeRecords(size, uint64(100+i))
 		sortRecords(recs)
-		res, err := WriteRun(&Env{Store: env.Store, In: &sliceInput{pages: pagesOf(recs, 32)}})
+		res, err := WriteRun(&Env{Store: env.Store, In: &sliceInput{pages: pagesOf(recs, 32)}}, 6)
 		if err != nil {
 			t.Fatalf("WriteRun: %v", err)
 		}

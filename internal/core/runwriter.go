@@ -8,10 +8,15 @@ package core
 // successive (or, under dynamic splitting, interleaved) output runs of its
 // client with the same buffers.
 //
-// Buffers rotate through fill → in-flight → free: a flushed block's pages
-// are recycled once its token completes (every store has its own copy of
-// the bytes by then), so steady-state writing allocates no pages. CPU
-// charges, events and statistics stay with the callers.
+// Buffers rotate through fill → block → in-flight → free: a page that fills
+// up joins the block of full pages waiting for the next flush, a flushed
+// block's pages are recycled once its token completes (every store has its
+// own copy of the bytes by then), so steady-state writing allocates no
+// pages. How many pages a block gathers before it is flushed is the client's
+// decision (SortConfig.BlockPages for run generation, MergeBlockPages for the
+// merge); what is buffered belongs to the run it was produced for, so a
+// client flushes before it turns the writer to another run. CPU charges,
+// events and statistics stay with the callers.
 //
 // The merge's consumed input pages ride the same rotation: a page whose last
 // record was just buffered is retired here, moves with the block at flush,
@@ -22,7 +27,7 @@ package core
 type runWriter struct {
 	store RunStore
 	recs  int    // records per page, for add's pagination
-	fill  Page   // page under construction, cap == recs
+	fill  Page   // page under construction: nil, or 0 < len < cap == recs
 	block []Page // full pages waiting for the next flush
 	n     int    // records buffered in block and fill
 	sent  []Page // block handed to the store, recycled once tok completes
@@ -46,13 +51,22 @@ func newRun(s RunStore) (*runInfo, error) {
 	return &runInfo{id: id}, nil
 }
 
-// add buffers one record for the next flush, paginating as it goes.
+// add buffers one record for the next flush, paginating as it goes: a page
+// joins the block the moment it is full.
 func (w *runWriter) add(rec Record) {
-	if len(w.fill) == cap(w.fill) {
-		w.nextPage()
+	if w.fill == nil {
+		if k := len(w.free) - 1; k >= 0 {
+			w.fill, w.free = w.free[k], w.free[:k]
+		} else {
+			w.fill = make(Page, 0, w.recs)
+		}
 	}
 	w.fill = append(w.fill, rec)
 	w.n++
+	if len(w.fill) == cap(w.fill) {
+		w.block = append(w.block, w.fill)
+		w.fill = nil
+	}
 }
 
 // retire takes over an input page whose records have all been buffered by
@@ -61,23 +75,10 @@ func (w *runWriter) retire(pg PageReleaser) {
 	w.retired[0] = append(w.retired[0], pg)
 }
 
-// nextPage retires the full fill page into the block and starts another,
-// recycled when one is free.
-func (w *runWriter) nextPage() {
-	if w.fill != nil {
-		w.block = append(w.block, w.fill)
-	}
-	if k := len(w.free) - 1; k >= 0 {
-		w.fill, w.free = w.free[k], w.free[:k]
-	} else {
-		w.fill = make(Page, 0, w.recs)
-	}
-}
-
 // flush appends everything buffered by add (the last page possibly partial)
 // to r as one block and reports how many pages that was.
 func (w *runWriter) flush(r *runInfo) (int, error) {
-	if len(w.fill) > 0 {
+	if w.fill != nil {
 		w.block = append(w.block, w.fill)
 		w.fill = nil
 	}
@@ -160,27 +161,32 @@ func (r *runInfo) free(s RunStore) error {
 	return s.Free(r.id)
 }
 
-// WriteRun writes e.In to e.Store as one new run, a page per append with
-// one write in flight, observing e.Ctx at page boundaries — the ingest path
-// behind the public WriteRun and GroupBy's aggregation pass. The input must
-// already be sorted. A failed write leaves no run behind.
-func WriteRun(e *Env) (*SortResult, error) {
+// WriteRun writes e.In to e.Store as one new run, blockPages pages per
+// append (fewer than one counts as one) with one write in flight, observing
+// e.Ctx at page boundaries — the ingest path behind the public WriteRun and
+// GroupBy's aggregation pass. The input must already be sorted. A failed
+// write leaves no run behind.
+func WriteRun(e *Env, blockPages int) (*SortResult, error) {
 	w := runWriter{store: e.Store}
 	r, err := newRun(e.Store)
 	if err != nil {
 		return nil, err
 	}
-	if err := w.copyIn(e, r); err != nil {
+	if err := w.copyIn(e, r, blockPages); err != nil {
 		w.abort(r)
 		return nil, err
 	}
 	return &SortResult{Result: r.id, Segments: []RunID{r.id}, Pages: r.pages, Tuples: r.tuples}, nil
 }
 
-// copyIn appends e.In to r page by page until the input ends, then waits
-// for the last write.
-func (w *runWriter) copyIn(e *Env, r *runInfo) error {
-	for {
+// copyIn appends e.In to r in blocks of blockPages pages until the input
+// ends, then waits for the last write. The input's pages — sub-slices of a
+// slice input, fresh pages of a streamed one — are the writer's until their
+// block's token completes, and so is the list that names them: two lists
+// alternate, and append waits the one before out.
+func (w *runWriter) copyIn(e *Env, r *runInfo, blockPages int) error {
+	var blocks [2][]Page
+	for k := 0; ; {
 		if err := e.ctxErr(); err != nil {
 			return err
 		}
@@ -188,11 +194,19 @@ func (w *runWriter) copyIn(e *Env, r *runInfo) error {
 		if err != nil {
 			return err
 		}
+		if ok {
+			blocks[k] = append(blocks[k], pg)
+		}
+		if n := len(blocks[k]); n > 0 && (!ok || n >= blockPages) {
+			if err := w.append(r, blocks[k]); err != nil {
+				return err
+			}
+			k ^= 1
+			clear(blocks[k]) // written: append waited for it
+			blocks[k] = blocks[k][:0]
+		}
 		if !ok {
 			return w.wait()
-		}
-		if err := w.append(r, []Page{pg}); err != nil {
-			return err
 		}
 	}
 }

@@ -14,6 +14,8 @@ type strictStore struct {
 	pending *strictToken
 	frees   map[RunID]int
 	failAt  int // fail the failAt-th Append (1-based; 0 = never)
+
+	pagesTaken int // by the appends that succeeded
 }
 
 type strictToken struct{ waited bool }
@@ -35,6 +37,7 @@ func (s *strictStore) Append(id RunID, pages []Page) (Token, error) {
 	if _, err := s.memStore.Append(id, pages); err != nil {
 		return nil, err
 	}
+	s.pagesTaken += len(pages)
 	s.pending = &strictToken{}
 	return s.pending, nil
 }
@@ -109,7 +112,7 @@ func TestRunWriterClients(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w.copyIn(e, r); err != nil {
+			if err := w.copyIn(e, r, 6); err != nil {
 				t.Fatal(err)
 			}
 			return []*runInfo{r}
@@ -192,22 +195,34 @@ func TestRunWriterAbortFreesOnce(t *testing.T) {
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
+	// 40 records are five 8-record pages: five appends a page at a time,
+	// three in blocks of two (2 + 2 + 1), one in a block of six.
+	fivePages := func() Input { return &sliceInput{pages: pagesOf(makeRecords(40, 1), 8)} }
 	for name, tc := range map[string]struct {
 		in     Input
 		ctx    context.Context
-		failAt int
+		block  int
+		failAt int // the append that fails, counted from 1
+		pages  int // pages the store had taken when it failed
 	}{
-		"input error":    {in: &errInput{after: 3}},
-		"append failure": {in: &sliceInput{pages: pagesOf(makeRecords(40, 1), 8)}, failAt: 3},
-		"canceled":       {in: &sliceInput{pages: pagesOf(makeRecords(40, 1), 8)}, ctx: canceled},
+		"input error":                {in: &errInput{after: 3}, block: 2},
+		"canceled":                   {in: fivePages(), ctx: canceled, block: 6},
+		"page 3 of 5 fails":          {in: fivePages(), block: 1, failAt: 3, pages: 2},
+		"block 2 of 3 fails":         {in: fivePages(), block: 2, failAt: 2, pages: 2},
+		"the short last block fails": {in: fivePages(), block: 2, failAt: 3, pages: 4},
+		"the only block fails":       {in: fivePages(), block: 6, failAt: 1, pages: 0},
 	} {
 		store := newStrictStore()
 		store.failAt = tc.failAt
-		if _, err := WriteRun(&Env{Store: store, In: tc.in, Ctx: tc.ctx}); err == nil {
+		if _, err := WriteRun(&Env{Store: store, In: tc.in, Ctx: tc.ctx}, tc.block); err == nil {
 			t.Fatalf("%s: WriteRun succeeded", name)
 		}
 		if store.liveRuns() != 0 || store.frees[0] != 1 {
 			t.Fatalf("%s: %d live runs, run freed %d times; want 0, 1", name, store.liveRuns(), store.frees[0])
+		}
+		if tc.failAt > 0 && (store.appends != tc.failAt || store.pagesTaken != tc.pages) {
+			t.Fatalf("%s: append %d failed with %d pages written before it; want append %d after %d pages",
+				name, store.appends, store.pagesTaken, tc.failAt, tc.pages)
 		}
 	}
 }

@@ -3,17 +3,22 @@
 // 8-byte little-endian key, a varint payload length and the payload bytes.
 //
 // The codec is allocation-conscious by design. Encoding appends to a
-// caller-provided buffer (so write buffers can be pooled), and decoding is
-// zero-copy into a caller-provided record array (so read frames can be
-// recycled): payloads are sub-slices of the encoded buffer, so a page
-// decodes with at most one record-slice allocation — none when the array is
-// large enough — no matter how many records carry payloads. Callers
-// therefore must not mutate the encoded buffer while decoded records are
-// live, and must copy Record.Payload if they retain it past the buffer's
-// lifetime.
+// caller-provided buffer (so write buffers can be pooled). Decoding writes
+// over a caller-provided record array (so read frames can be recycled) and
+// comes in two forms. DecodePageInto is zero-copy: payloads are sub-slices
+// of the encoded buffer, so a page decodes with at most one record-slice
+// allocation — none when the array is large enough — and the encoded buffer
+// belongs to the decoded page from then on: it must not be mutated while the
+// records are live. That is the form for bytes that stay put (a memory
+// mapping). DecodePageCopy decodes the same frame and then moves the
+// payloads, back to back, into a caller-provided arena — allocated at
+// exactly the payload total when the one handed in is too small — so the
+// encoded buffer is dead when it returns and can serve the next read, and
+// what a reader may keep is the payloads, not keys, varints and a CRC around
+// them. That is the form for bytes read into memory.
 //
 // On the wire the body described above never travels bare: the frame
-// (AppendPageSum/DecodePageInto) prefixes it with a one-byte version marker
+// (AppendPageSum/DecodePageInto/DecodePageCopy) prefixes it with a one-byte version marker
 // and a CRC32-Castagnoli of the body, so silent corruption (bit rot, torn
 // reads) is detected instead of decoded.
 package pagecodec
@@ -27,7 +32,7 @@ import (
 	"github.com/memadapt/masort/internal/core"
 )
 
-// ErrChecksum is returned (wrapped) by DecodePageInto when the frame is
+// ErrChecksum is returned (wrapped) by the decoders when the frame is
 // structurally broken or the body fails CRC verification — the page bytes
 // are corrupt and must not be trusted.
 var ErrChecksum = errors.New("pagecodec: page checksum mismatch")
@@ -170,4 +175,33 @@ func DecodePageInto(into core.Page, buf []byte) (pg core.Page, aliasBytes int, r
 		return nil, 0, 0, fmt.Errorf("pagecodec: crc %08x != stored %08x: %w", got, want, ErrChecksum)
 	}
 	return pg, aliasBytes, sumOverhead + read, nil
+}
+
+// DecodePageCopy is DecodePageInto for a buffer the caller wants back: it
+// decodes and verifies exactly as DecodePageInto does — the same records,
+// the same read, an error on exactly the same frames — and then copies the
+// payloads back to back into the array behind arena (contents dead, like
+// into's), which is replaced by a fresh one of exactly the payload total
+// when its capacity is too small. Each payload is a three-index slice of
+// the arena, so appending to one cannot reach its neighbour, and no record
+// aliases buf when the call returns. The arena comes back sliced to the
+// bytes in use; after a failed decode it comes back as it was handed in,
+// with nothing live in it.
+func DecodePageCopy(into core.Page, arena, buf []byte) (pg core.Page, _ []byte, read int, err error) {
+	pg, total, read, err := DecodePageInto(into, buf)
+	if err != nil {
+		return nil, arena, 0, err
+	}
+	if cap(arena) < total {
+		arena = make([]byte, 0, total)
+	}
+	arena = arena[:0]
+	for i := range pg {
+		if p := pg[i].Payload; p != nil {
+			at := len(arena)
+			arena = append(arena, p...)
+			pg[i].Payload = arena[at:len(arena):len(arena)]
+		}
+	}
+	return pg, arena, read, nil
 }

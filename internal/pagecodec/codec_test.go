@@ -165,6 +165,9 @@ func TestSumDetectsEveryBitFlip(t *testing.T) {
 			} else if !errors.Is(err, ErrChecksum) {
 				t.Fatalf("flip of byte %d bit %d: error %v does not wrap ErrChecksum", byteIdx, bit, err)
 			}
+			if _, _, _, err := DecodePageCopy(nil, nil, bad); !errors.Is(err, ErrChecksum) {
+				t.Fatalf("flip of byte %d bit %d, copying decoder: err = %v, want ErrChecksum chain", byteIdx, bit, err)
+			}
 		}
 	}
 	// The untouched frame still decodes (the flips above copied it).
@@ -179,6 +182,88 @@ func TestSumTruncation(t *testing.T) {
 		if _, _, _, err := DecodePageSum(good[:i]); !errors.Is(err, ErrChecksum) {
 			t.Fatalf("truncation at %d bytes: err = %v, want ErrChecksum chain", i, err)
 		}
+		arena := dirtyArena()
+		if pg, kept, read, err := DecodePageCopy(dirtyFrame(), arena, good[:i]); !errors.Is(err, ErrChecksum) || pg != nil || read != 0 {
+			t.Fatalf("truncation at %d bytes, copying decoder: %v, read %d, err = %v, want ErrChecksum chain", i, pg, read, err)
+		} else if len(kept) != len(arena) || &kept[0] != &arena[0] {
+			t.Fatalf("truncation at %d bytes: the failed decode did not hand the arena back as it was", i)
+		}
+	}
+}
+
+// dirtyArena is a recycled payload arena: stale bytes within its length and
+// beyond it.
+func dirtyArena() []byte {
+	return bytes.Repeat([]byte("stale!"), 8)[:29]
+}
+
+// sameCopy reports whether cp — what the copying decoder made of a frame — is
+// the page pg with its payloads laid out back to back in arena and nowhere
+// else: each a three-index slice, nil where pg has none.
+func sameCopy(cp core.Page, arena []byte, pg core.Page) bool {
+	at := 0
+	for i := range cp {
+		p := cp[i].Payload
+		if len(p) == 0 {
+			if p != nil {
+				return false
+			}
+			continue
+		}
+		if cap(p) != len(p) || at+len(p) > len(arena) || &p[0] != &arena[at] {
+			return false
+		}
+		at += len(p)
+	}
+	return at == len(arena) && samePage(cp, pg)
+}
+
+// TestDecodePageCopyOwnsItsPayloads: the copying decoder leaves nothing
+// behind in the encoded buffer — scribbling over it after a successful
+// decode changes no record — and what it allocates is the payload total to
+// the byte, or nothing when the arena handed in is large enough.
+func TestDecodePageCopyOwnsItsPayloads(t *testing.T) {
+	pg := core.Page{
+		{Key: 1, Payload: []byte("first")},
+		{Key: 2},
+		{Key: 3, Payload: []byte{}},
+		{Key: 4, Payload: []byte("the fourth")},
+	}
+	frame := AppendPageSum(nil, pg)
+	got, arena, read, err := DecodePageCopy(nil, nil, frame)
+	if err != nil || read != len(frame) {
+		t.Fatalf("decode: read %d of %d, %v", read, len(frame), err)
+	}
+	if len(arena) != 15 || cap(arena) != 15 {
+		t.Fatalf("fresh arena has len %d, cap %d; want exactly the 15 payload bytes", len(arena), cap(arena))
+	}
+	for i := range frame {
+		frame[i] = 0xEE
+	}
+	if !sameCopy(got, arena, pg) {
+		t.Fatalf("after the encoded buffer was overwritten the page reads %v", got)
+	}
+	if grown := append(got[0].Payload, '!'); string(got[3].Payload) != "the fourth" || &grown[0] == &got[0].Payload[0] {
+		t.Fatal("appending to one payload reached into its neighbour")
+	}
+
+	// A recycled arena that is large enough is used as it is, whatever it
+	// holds; one that is too small is replaced, not grown.
+	frame = AppendPageSum(frame[:0], pg)
+	big := dirtyArena()
+	got, arena, _, err = DecodePageCopy(dirtyFrame(), big, frame)
+	if err != nil || !sameCopy(got, arena, pg) || &arena[0] != &big[0] {
+		t.Fatalf("decode into a dirty arena of %d bytes: %v, %v (reused: %v)", cap(big), got, err, &arena[0] == &big[0])
+	}
+	small := make([]byte, 3, 14)
+	got, arena, _, err = DecodePageCopy(nil, small, frame)
+	if err != nil || !sameCopy(got, arena, pg) || cap(arena) != 15 {
+		t.Fatalf("decode into an arena one byte short: %v, %v, arena cap %d", got, err, cap(arena))
+	}
+
+	// No payloads, no arena.
+	if _, arena, _, err := DecodePageCopy(nil, nil, AppendPageSum(nil, core.Page{{Key: 7}, {Key: 8}})); err != nil || arena != nil {
+		t.Fatalf("a page without payloads allocated an arena of %d bytes (%v)", cap(arena), err)
 	}
 }
 
@@ -228,11 +313,15 @@ func samePage(a, b core.Page) bool {
 	})
 }
 
-// FuzzPageCodec holds the frame codec to four properties: arbitrary bytes
-// never panic the decoder; decoding into a dirty recycled record array gives
-// exactly what decoding into nil gives; a page round-trips; and every
-// single-bit flip of a frame is detected — as an error or as a frame that no
-// longer fills its extent, the two things the store checks.
+// FuzzPageCodec holds the frame codec to five properties: arbitrary bytes
+// never panic the decoders; decoding into a dirty recycled record array gives
+// exactly what decoding into nil gives; the copying decoder, into a dirty
+// record array and a dirty arena, fails on exactly the frames the in-place
+// one fails on and otherwise yields the same records and the same read, with
+// the payloads back to back in its arena and the encoded bytes dead; a page
+// round-trips; and every single-bit flip of a frame is detected — as an
+// error or as a frame that no longer fills its extent, the two things the
+// store checks.
 func FuzzPageCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 'a', 'b', 'c', 0, 9})
@@ -246,6 +335,19 @@ func FuzzPageCodec(f *testing.F) {
 		}
 		if errN != nil && !errors.Is(errN, ErrChecksum) {
 			t.Fatalf("decode error %v does not wrap ErrChecksum", errN)
+		}
+		// The copy is compared after the source is gone: what it decoded from
+		// is a scratch copy of data, scribbled over before anybody looks.
+		scratch := append([]byte(nil), data...)
+		cp, arena, readC, errC := DecodePageCopy(dirtyFrame(), dirtyArena(), scratch)
+		for i := range scratch {
+			scratch[i] ^= 0xFF
+		}
+		if (errC == nil) != (errN == nil) || readC != readN || errC != nil && (cp != nil || !errors.Is(errC, ErrChecksum)) {
+			t.Fatalf("copying decoder: (%v, read %d, %v) vs in place (%v, read %d, %v)", cp, readC, errC, intoNil, readN, errN)
+		}
+		if errC == nil && (!sameCopy(cp, arena, intoNil) || len(arena) != aliasN) {
+			t.Fatalf("copying decoder: %v in an arena of %d bytes vs in place %v aliasing %d", cp, len(arena), intoNil, aliasN)
 		}
 
 		pg := pageFrom(data)

@@ -53,6 +53,18 @@ const (
 	Suspension
 )
 
+// mergeBlockPages is how many output pages a merge step, and WriteRun,
+// gather for one Append: the paper's repl6 block (its Table 5: per-page disk
+// cost falls with block size), applied to every run the engine writes and
+// not only to run generation's. A buffered positional write of a 6.4 KB page
+// costs about half as much per page at six pages a call as at one. It is a
+// constant, not an option, and the memory it stands for is bounded by it
+// whatever the budget, fan-in or input size: at most six page buffers
+// pending and six in flight per writer, plus the input frames the merge
+// retired into them (released when the block's write completes) — the
+// second constant-bounded holder outside the budget, beside maxFreeFrames.
+const mergeBlockPages = 6
+
 // config is what the functional options fold into. The zero value gives the
 // paper's recommended algorithm (repl6,opt,split) with an in-memory store
 // and a fixed 64-page budget; each field is documented on its With* option.
@@ -112,6 +124,7 @@ func (o config) build() (core.SortConfig, config, error) {
 		return cfg, o, fmt.Errorf("masort: unknown adaptation %d", o.adaptation)
 	}
 	cfg.AdaptiveBlockIO = o.adaptiveBlockIO
+	cfg.MergeBlockPages = mergeBlockPages
 	cfg.Workers = o.workers
 	if o.budget == nil {
 		o.budget = NewBudget(64)

@@ -16,7 +16,7 @@ func WriteRun(store RunStore, it Iterator, pageRecords int) (RunID, int, error) 
 		pageRecords = 256
 	}
 	in := &orderedInput{pageInput: pageInput{it: it, size: pageRecords}}
-	res, err := core.WriteRun(&core.Env{Store: store, In: in})
+	res, err := core.WriteRun(&core.Env{Store: store, In: in}, mergeBlockPages)
 	if err != nil {
 		return 0, 0, err
 	}

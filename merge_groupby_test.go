@@ -132,7 +132,9 @@ func TestWriteRunFreesOnError(t *testing.T) {
 			}
 			return Record{Key: Key(n)}, true, nil
 		})},
-		"append failure": {in: NewSliceIterator(sortedRecords(40, 0, 1)), failNth: 3},
+		// Twenty pages leave in blocks of 6, 6, 6 and 2: the third fails with
+		// twelve pages written.
+		"append failure": {in: NewSliceIterator(sortedRecords(160, 0, 1)), failNth: 3},
 	} {
 		mem := NewMemStore()
 		if _, _, err := WriteRun(&failNthAppend{MemStore: mem, nth: tc.failNth}, tc.in, 8); err == nil {

@@ -27,7 +27,9 @@ var ErrMmapUnsupported = errors.New("masort: mmap-backed store unsupported on th
 // mapping is read-only), checksums, retries, fault hooks, failure
 // semantics — is FileStore's. Injected read faults are applied to a private
 // copy of the extent, so a transient bit flip heals on the mandatory
-// re-read instead of mutating the mapping.
+// re-read instead of mutating the mapping; the copy lives in a pooled raw
+// buffer and is decoded like a file read, so with fault hooks installed
+// payloads are copies, not aliases of the mapping.
 //
 // Buffer-ownership extension: pages returned by ReadAsync stay valid until
 // the STORE is closed, not merely until the run is freed — Free unlinks
@@ -97,7 +99,7 @@ func (s *MmapStore) openDevice(path string) (device, error) {
 	return &mmapDevice{File: f, store: s}, nil
 }
 
-func (d *mmapDevice) fetch(off int64, n int, _ []byte) ([]byte, bool, error) {
+func (d *mmapDevice) fetch(off int64, n int, _ *bufPool) ([]byte, *rawBuf, error) {
 	end := off + int64(n)
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -105,19 +107,19 @@ func (d *mmapDevice) fetch(off int64, n int, _ []byte) ([]byte, bool, error) {
 		// The file grew past the mapping: map all of it as it stands now.
 		fi, err := d.Stat()
 		if err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
 		if fi.Size() < end {
-			return nil, false, fmt.Errorf("run file is %d bytes, extent ends at %d", fi.Size(), end)
+			return nil, nil, fmt.Errorf("run file is %d bytes, extent ends at %d", fi.Size(), end)
 		}
 		m, err := mmapFile(d.File, fi.Size())
 		if err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
 		d.store.retire(d.data)
 		d.data = m
 	}
-	return d.data[off:end:end], false, nil
+	return d.data[off:end:end], nil, nil
 }
 
 // remove deletes the file; its mapping outlives it. No fetch is in flight

@@ -58,7 +58,9 @@ func WithStore(s RunStore) Option {
 }
 
 // WithAdaptiveBlockIO spends budget beyond a merge step's requirement on
-// multi-page read-ahead (the paper's §7 future-work extension).
+// multi-page read-ahead (the read side of the paper's §7 future-work
+// extension). Output blocks do not depend on it: every merge writes its
+// output a fixed few pages at a time.
 func WithAdaptiveBlockIO(on bool) Option {
 	return func(o *config) { o.adaptiveBlockIO = on }
 }

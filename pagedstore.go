@@ -41,12 +41,12 @@ type device interface {
 	// WriteAt writes b at off, as io.WriterAt.
 	WriteAt(b []byte, off int64) (int, error)
 
-	// fetch returns the n bytes at off. A device that reads into memory
-	// reads into buf — the caller's, contents dead, grown when too small —
-	// and returns it with owned set, also when err is non-nil; otherwise the
-	// bytes are a read-only view the device keeps valid until the store is
-	// closed, and buf is untouched.
-	fetch(off int64, n int, buf []byte) (b []byte, owned bool, err error)
+	// fetch returns the n bytes at off. A device that reads into memory takes
+	// a raw buffer from bufs, reads into it — grown when too small — and
+	// returns it as raw with b its bytes, also when err is non-nil: the caller
+	// puts it back. Otherwise raw is nil and b is a read-only view the device
+	// keeps valid until the store is closed.
+	fetch(off int64, n int, bufs *bufPool) (b []byte, raw *rawBuf, err error)
 
 	// Truncate cuts the extent back to size bytes.
 	Truncate(size int64) error
@@ -55,51 +55,54 @@ type device interface {
 	remove() error
 }
 
-// bufPool recycles encode buffers. (Read buffers travel with their page's
-// frame, see frameList.)
-type bufPool struct{ p sync.Pool } // of *[]byte
+// bufPool recycles the store's raw buffers: the encoded bytes of a batch
+// between Append's encode and its write, and of a page between a read's
+// fetch and its decode. Either way the buffer is back before the call that
+// took it returns, so no encoded byte ever leaves the store. What is pooled
+// is the rawBuf, not the slice: a put boxes nothing.
+type bufPool struct{ p sync.Pool } // of *rawBuf
 
-// getBuf returns an empty buffer for appending to; a pooled one is used
-// whatever its capacity — append grows it — never discarded as too small.
-func (bp *bufPool) getBuf() []byte {
+// rawBuf owns one pooled buffer; b keeps its capacity from use to use.
+type rawBuf struct{ b []byte }
+
+// getBuf returns a buffer whose contents are dead; a pooled one is used
+// whatever its capacity — its user grows it — never discarded as too small.
+func (bp *bufPool) getBuf() *rawBuf {
 	if v := bp.p.Get(); v != nil {
-		return *(v.(*[]byte))
+		return v.(*rawBuf)
 	}
-	return nil
+	return new(rawBuf)
 }
 
-func (bp *bufPool) putBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	bp.p.Put(&b)
-}
+func (bp *bufPool) putBuf(rb *rawBuf) { bp.p.Put(rb) }
 
 // maxFreeFrames bounds a store's free list of read frames. A frame is as
 // large as the page it last held, so the list holds at most 64 pages of the
-// caller's geometry — ≈ 0.9 MB per store at the default 256-record page with
-// 16-byte payloads (8 KB of records + 6.4 KB of encoded bytes a frame) —
-// whatever the budget, the number of runs or the input size. A steady merge
-// keeps only a few frames here (it takes one per read and gives one back per
-// page consumed); the bound matters when a wide merge step ends and returns
-// its whole fan-in at once.
+// caller's geometry — ≈ 0.8 MB per store at the default 256-record page with
+// 16-byte payloads (8 KB of records + 4 KB of payloads a frame) — whatever
+// the budget, the number of runs or the input size. A steady merge keeps
+// only a few frames here (it takes one per read and gives one back per page
+// consumed); the bound matters when a wide merge step ends and returns its
+// whole fan-in at once. (The other constant-bounded holder on this path is
+// the merge's pending output block, see mergeBlockPages.)
 const maxFreeFrames = 64
 
-// frame is the memory of one decoded page: the record array and, on devices
-// that read into memory, the bytes its payloads alias.
+// frame is the memory of one decoded page: the record array and, for a page
+// whose bytes were read into memory, the arena its payloads were copied
+// into, back to back — payload bytes and nothing else. A page decoded in
+// place from a device's view has no arena: its payloads alias the view.
 type frame struct {
 	recs Page
 	buf  []byte
 }
 
 // frameList is a store's free list of read frames, kept as its two kinds of
-// part (a dead record array and a dead buffer owe each other nothing). What
+// part (a dead record array and a dead arena owe each other nothing). What
 // comes back: whole pages whose reader calls Release — the merge's consumed
 // inputs — the record arrays of pages whose reader calls ReleaseRecords — the
-// output iterator's, page by page — and the buffers of reads that failed or
-// left no payload aliases behind; everything else is garbage-collected, and a
-// read that finds a part missing allocates it.
+// output iterator's, page by page; their arenas are the payloads the caller
+// may keep — and both parts of a read attempt that failed; everything else
+// is garbage-collected, and a read that finds a part missing allocates it.
 type frameList struct {
 	mu   sync.Mutex
 	recs []Page   // at most maxFreeFrames
@@ -125,8 +128,8 @@ func (fl *frameList) get() (fr frame) {
 // put moves *fr's parts onto the list (dropping what a full list cannot
 // take) and empties it, under the list's lock: a frame can be put only once,
 // however many times and from wherever put is called on its holder. With
-// withBuf false the buffer is dropped instead of listed: somebody may still
-// hold payloads that alias it.
+// withBuf false the arena is dropped instead of listed: somebody may still
+// hold payloads in it.
 func (fl *frameList) put(fr *frame, withBuf bool) {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
@@ -192,15 +195,19 @@ func (d *disk) noteFetch(took time.Duration) {
 //     DefaultReadConcurrency per disk. A token nobody waits for costs no I/O
 //     and holds nothing but its own few words. Reads never contend with an
 //     Append for a file offset: a page can be asked for only once it is in
-//     the index, and by then its bytes are in the file. Decoding is
-//     zero-copy: Record.Payload sub-slices the fetched bytes (see the
-//     package's buffer-ownership notes). The read token offers Release — a
-//     reader that is done with the page hands its frame back for the next
-//     read, which is how a merge reads without allocating — and
-//     ReleaseRecords, for a reader that has copied the Records out and may
-//     still hold their payloads: the record array comes back, the bytes stay
-//     the collector's. Pages never released are the collector's whole, as
-//     ever.
+//     the index, and by then its bytes are in the file. Raw page bytes never
+//     leave the store: a device that reads into memory fills a pooled raw
+//     buffer, the page is decoded out of it by copy — payloads back to back
+//     in the frame's arena, which is what Record.Payload sub-slices — and
+//     the raw buffer is back in the pool when the read returns; only a
+//     device that hands out views of memory it keeps valid (the mapping) is
+//     decoded in place (see the package's buffer-ownership notes). The read
+//     token offers Release — a reader that is done with the page hands its
+//     frame back for the next read, which is how a merge reads without
+//     allocating — and ReleaseRecords, for a reader that has copied the
+//     Records out and may still hold their payloads: the record array comes
+//     back, the arena stays the collector's. Pages never released are the
+//     collector's whole, as ever.
 //
 // The store does not assume a perfect disk. A page that fails its checksum
 // is re-read once before the read fails with ErrCorruptPage in the chain;
@@ -383,7 +390,8 @@ func (t *pageToken) Release() { t.release(true) }
 
 // ReleaseRecords is Release for a caller that has copied the page's Records
 // out and may still hold them (see core.RecordsReleaser): the record array
-// goes back to the store, the bytes the payloads alias never do.
+// goes back to the store, the bytes the payloads alias — the page's arena,
+// or a device's view — never do.
 func (t *pageToken) ReleaseRecords() { t.release(false) }
 
 func (t *pageToken) release(withBuf bool) {
@@ -498,21 +506,21 @@ func (s *pagedStore) Append(id RunID, pages []Page) (Token, error) {
 	}
 	var stack [4]int64 // keeps the common narrow stripe off the heap
 	ends := stack[:0]  // of the participating extents, in batch order
-	buf := s.bufs.getBuf()
+	raw := s.bufs.getBuf()
 	retries := 0
 	// One pass per participating disk: its pages are every n-th of the
 	// batch, encoded back to back into one buffer for one positional write.
 	for k := 0; k < n && k < len(pages); k++ {
 		x := &r.exts[(first+k)%n]
-		buf = buf[:0]
+		raw.b = raw.b[:0]
 		for i := k; i < len(pages); i += n {
-			offsets[i] = x.end + int64(len(buf))
-			buf = pagecodec.AppendPageSum(buf, pages[i])
+			offsets[i] = x.end + int64(len(raw.b))
+			raw.b = pagecodec.AppendPageSum(raw.b, pages[i])
 		}
-		tries, err := s.writeBatch(r, x, x.end, buf)
+		tries, err := s.writeBatch(r, x, x.end, raw.b)
 		retries += tries
 		if err != nil {
-			s.bufs.putBuf(buf)
+			s.bufs.putBuf(raw)
 			// What earlier disks took of this batch stays past their end,
 			// unindexed; the failing one may hold a torn write.
 			_ = x.dev.Truncate(x.end)
@@ -521,9 +529,9 @@ func (s *pagedStore) Append(id RunID, pages []Page) (Token, error) {
 			r.mu.Unlock()
 			return writeToken{err: err, retries: retries}, nil
 		}
-		ends = append(ends, x.end+int64(len(buf)))
+		ends = append(ends, x.end+int64(len(raw.b)))
 	}
-	s.bufs.putBuf(buf)
+	s.bufs.putBuf(raw)
 	r.mu.Lock()
 	r.offsets = r.offsets[:first+len(pages)]
 	for k, end := range ends {
@@ -712,46 +720,49 @@ func (s *pagedStore) readPage(tok *pageToken, counted bool) {
 
 // readOnce performs one physical fetch-and-decode attempt of the n-byte
 // page extent at off, into a frame from the free list; the decoded page is
-// the returned frame's recs. A decode or checksum failure returns an error
-// wrapping ErrCorruptPage; a fetch failure returns the raw cause for the
-// caller to classify. Either way the frame of a failed attempt goes back on
-// the list. With fault hooks installed the hooks see a private copy in the
-// frame's buffer, so injected corruption never mutates a device's own view.
+// the returned frame's recs. Bytes read into memory live in a pooled raw
+// buffer for the length of this call and are decoded by copy: the payloads
+// move to the frame's arena and the raw buffer is back in the pool on every
+// path out, so nothing a reader holds aliases it. A device's view is decoded
+// in place — unless fault hooks are installed: they see a private copy, in
+// a raw buffer like any other, so injected corruption never mutates the
+// view. A decode or checksum failure returns an error wrapping
+// ErrCorruptPage; a fetch failure returns the raw cause for the caller to
+// classify. Either way the frame of a failed attempt goes back on the list.
 func (s *pagedStore) readOnce(x *runExtent, off int64, n int) (frame, error) {
 	fr := s.frames.get()
 	start := s.now()
-	buf, owned, err := x.dev.fetch(off, n, fr.buf)
-	if owned {
-		fr.buf = buf
-	}
+	b, raw, err := x.dev.fetch(off, n, &s.bufs)
 	if h := x.disk.faults; h != nil && err == nil {
-		if !owned {
-			fr.buf = append(fr.buf[:0], buf...)
-			buf, owned = fr.buf, true
+		if raw == nil {
+			raw = s.bufs.getBuf()
+			raw.b = append(raw.b[:0], b...)
+			b = raw.b
 		}
-		err = h.AfterRead(off, buf)
+		err = h.AfterRead(off, b)
 	}
 	x.disk.noteFetch(s.now().Sub(start))
 	if err == nil {
 		var (
-			pg          Page
-			alias, read int
+			pg   Page
+			read int
 		)
-		pg, alias, read, err = pagecodec.DecodePageInto(fr.recs, buf)
-		if err == nil && read != len(buf) {
-			err = fmt.Errorf("page extent is %d bytes, decoded %d", len(buf), read)
+		if raw != nil {
+			pg, fr.buf, read, err = pagecodec.DecodePageCopy(fr.recs, fr.buf, b)
+		} else {
+			pg, _, read, err = pagecodec.DecodePageInto(fr.recs, b)
+		}
+		if err == nil && read != len(b) {
+			err = fmt.Errorf("page extent is %d bytes, decoded %d", len(b), read)
 		}
 		if err != nil {
-			err = fmt.Errorf("decode of %d-byte extent: %w: %w", len(buf), ErrCorruptPage, err)
+			err = fmt.Errorf("decode of %d-byte extent: %w: %w", len(b), ErrCorruptPage, err)
 		} else {
 			fr.recs = pg
-			if owned && alias == 0 {
-				// No payload bytes escaped into the page: the buffer is dead
-				// and serves the next read now, released page or not.
-				s.frames.put(&frame{buf: fr.buf}, true)
-				fr.buf = nil
-			}
 		}
+	}
+	if raw != nil {
+		s.bufs.putBuf(raw)
 	}
 	if err != nil {
 		s.frames.put(&fr, true)

@@ -49,12 +49,14 @@ type Result struct {
 // Iterator streams the output records in sorted order, keeping one page of
 // read-ahead issued to the store. A closed result yields ErrFreed.
 //
-// Records are served from store page buffers (zero-copy for FileStore):
-// they stay valid as long as they are referenced, but callers retaining
-// Record.Payload across many records should copy it — each retained
-// payload pins its whole page buffer (see README.md, "Buffer ownership and
-// zero-copy"). The iterator gives each page's record array — never the
-// buffer — back to a store that takes it (ReleaseRecords) as it moves on.
+// Records are served from the store's pages: they stay valid as long as
+// they are referenced, but callers retaining Record.Payload across many
+// records should copy it — a retained payload pins its page's payloads, all
+// of them (the page's payload arena on FileStore and StripedStore, nothing
+// but the payload bytes; the run's mapping on MmapStore, zero-copy; see
+// README.md, "Buffer ownership and zero-copy"). The iterator gives each
+// page's record array — never the payloads — back to a store that takes it
+// (ReleaseRecords) as it moves on.
 func (r *Result) Iterator() Iterator {
 	if r.freed {
 		return FuncIterator(func() (Record, bool, error) {
