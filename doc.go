@@ -183,7 +183,10 @@
 // positional write, fetch an extent, truncate, close-and-remove. The file
 // device fetches with ReadAt into a pooled raw buffer that is back in the
 // pool before the read returns — the page is decoded out of it by copy, so
-// no encoded byte ever leaves the store; the mmap device
+// no encoded byte ever leaves the store. The frame is columnar (the keys at
+// a fixed stride, then the payloads as one column), so that decode is one
+// key loop and one copy a page, after a checksum verified before a record
+// is sized or written; the mmap device
 // returns a slice of a mapping that stays valid until the store closes;
 // striping is the N > 1 case of the same index (page i on device i mod
 // N), so File(dir) is simply N = 1. A new backend is a new device plus a
@@ -196,10 +199,11 @@
 // read in place (do not mutate them until the operator returns). Pages
 // passed to RunStore.Append belong to the store only until the returned
 // token completes. Pages returned by RunStore.ReadAsync are read-only.
-// FileStore and StripedStore decode a page by copy: its payloads are laid
-// back to back in one arena of exactly their total size — the keys,
-// lengths and checksum that framed them on disk stay in the store's pooled
-// raw buffer — and every Record.Payload of the page is a slice of that
+// FileStore and StripedStore decode a page by copy: its payloads, which
+// the frame already stores back to back, are copied in one piece to an
+// arena of exactly their total size — the keys, lengths and checksum that
+// framed them on disk stay in the store's pooled raw buffer — and every
+// Record.Payload of the page is a slice of that
 // arena, which lives exactly as long as records referencing it. MmapStore
 // is the zero-copy path: there payloads alias the run's mapping, valid
 // until the store closes. Either way callers retaining payloads from many

@@ -23,9 +23,12 @@
 //     alias the input buffer; discarding it while recycling the buffer in
 //     the same function is a latent aliasing bug. The disk-backed stores no
 //     longer have the question: bytes read into a pooled buffer are decoded
-//     with DecodePageCopy, which leaves no alias behind and reports none,
+//     with DecodePageCopy, which copies the frame's payload column into the
+//     caller's arena in one piece, leaves no alias behind and reports none,
 //     and DecodePageInto is kept for a device's view, which is never
-//     recycled — the rule stands for whoever decodes in place next.
+//     recycled — the rule stands for whoever decodes in place next. Both
+//     decoders are one routine that verifies the frame before it writes a
+//     record, so a failed decode leaves no alias either.
 //
 // The analysis is intra-procedural and heuristic: it tracks taint through
 // local assignments, range statements and append calls, and treats

@@ -1,21 +1,34 @@
 // Package pagecodec implements the binary page framing shared by the
-// disk-backed run stores: a varint record count followed by, per record, an
-// 8-byte little-endian key, a varint payload length and the payload bytes.
+// disk-backed run stores. A page's body is columnar:
+//
+//	uvarint n · uvarint u · n × 8-byte LE key · [n × uvarint length] · payloads
+//
+// The keys come first because they have a fixed stride: a decoder fills them
+// with one loop that parses nothing. The payloads follow back to back as one
+// column, so a decoder that copies them does one copy a page, not one a
+// record. u says how long each payload is: u = L+1 when every payload of the
+// page is L bytes long, which is then stored once, and u = 0 when they
+// differ, in which case the column of n lengths sits between the keys and
+// the payloads. The encoder picks the form per page. A zero-length payload
+// decodes as nil.
 //
 // The codec is allocation-conscious by design. Encoding appends to a
-// caller-provided buffer (so write buffers can be pooled). Decoding writes
-// over a caller-provided record array (so read frames can be recycled) and
-// comes in two forms. DecodePageInto is zero-copy: payloads are sub-slices
-// of the encoded buffer, so a page decodes with at most one record-slice
+// caller-provided buffer (so write buffers can be pooled). Both decoders are
+// one routine: it reads the header (and the lengths column) to learn the
+// frame's exact length and verifies the checksum over exactly those bytes
+// before it sizes a record array or writes a record, so a corrupt frame costs
+// nothing; then it writes over a caller-provided record array (so read frames
+// can be recycled). DecodePageInto is zero-copy: payloads are sub-slices of
+// the encoded buffer, so a page decodes with at most one record-slice
 // allocation — none when the array is large enough — and the encoded buffer
 // belongs to the decoded page from then on: it must not be mutated while the
 // records are live. That is the form for bytes that stay put (a memory
-// mapping). DecodePageCopy decodes the same frame and then moves the
-// payloads, back to back, into a caller-provided arena — allocated at
-// exactly the payload total when the one handed in is too small — so the
-// encoded buffer is dead when it returns and can serve the next read, and
-// what a reader may keep is the payloads, not keys, varints and a CRC around
-// them. That is the form for bytes read into memory.
+// mapping). DecodePageCopy first copies the payload column into a
+// caller-provided arena — allocated at exactly the payload total when the one
+// handed in is too small — and points the payloads there, so the encoded
+// buffer is dead when it returns and can serve the next read, and what a
+// reader may keep is the payloads, not the keys, lengths and CRC around them.
+// That is the form for bytes read into memory.
 //
 // On the wire the body described above never travels bare: the frame
 // (AppendPageSum/DecodePageInto/DecodePageCopy) prefixes it with a one-byte version marker
@@ -37,9 +50,21 @@ import (
 // are corrupt and must not be trusted.
 var ErrChecksum = errors.New("pagecodec: page checksum mismatch")
 
+// The decoders' failures, made once: a corrupt frame allocates nothing.
+var (
+	errTruncated = fmt.Errorf("pagecodec: truncated frame: %w", ErrChecksum)
+	errMarker    = fmt.Errorf("pagecodec: bad frame marker: %w", ErrChecksum)
+	errHeader    = fmt.Errorf("pagecodec: bad record count or length form: %w", ErrChecksum)
+	errCount     = fmt.Errorf("pagecodec: record count exceeds frame: %w", ErrChecksum)
+	errPayloads  = fmt.Errorf("pagecodec: payloads exceed frame: %w", ErrChecksum)
+	errCRC       = fmt.Errorf("pagecodec: crc mismatch: %w", ErrChecksum)
+)
+
 const (
-	// sumMarker is the version byte opening a checksummed frame.
-	sumMarker = 0xA5
+	// sumMarker is the version byte opening a checksummed frame: 0xA6, the
+	// columnar body. A frame of 0xA5, the record-by-record body before it
+	// ([key][uvarint length][payload] per record), is refused as corrupt.
+	sumMarker = 0xA6
 	// sumOverhead is the framing cost of a checksummed page: the marker
 	// byte plus a 4-byte little-endian CRC32-Castagnoli of the body.
 	sumOverhead = 5
@@ -47,13 +72,40 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// form returns pg's length form: L+1 when every payload is L bytes long, 0
+// when they differ.
+func form(pg core.Page) uint64 {
+	u := uint64(1)
+	if len(pg) > 0 {
+		u += uint64(len(pg[0].Payload))
+	}
+	for _, rec := range pg {
+		if uint64(len(rec.Payload))+1 != u {
+			return 0
+		}
+	}
+	return u
+}
+
 // appendBody appends the frame body of pg to buf and returns the extended
 // buffer. It never fails: the encoding is defined for every page.
 func appendBody(buf []byte, pg core.Page) []byte {
+	u := form(pg)
 	buf = binary.AppendUvarint(buf, uint64(len(pg)))
+	buf = binary.AppendUvarint(buf, u)
 	for _, rec := range pg {
 		buf = binary.LittleEndian.AppendUint64(buf, rec.Key)
-		buf = binary.AppendUvarint(buf, uint64(len(rec.Payload)))
+	}
+	if u == 0 {
+		for _, rec := range pg {
+			if l := len(rec.Payload); l < 0x80 {
+				buf = append(buf, byte(l))
+			} else {
+				buf = binary.AppendUvarint(buf, uint64(l))
+			}
+		}
+	}
+	for _, rec := range pg {
 		buf = append(buf, rec.Payload...)
 	}
 	return buf
@@ -62,9 +114,13 @@ func appendBody(buf []byte, pg core.Page) []byte {
 // EncodedSize returns the exact size of pg's frame body: the bytes that
 // carry records, without the frame overhead.
 func EncodedSize(pg core.Page) int {
-	n := uvarintLen(uint64(len(pg)))
+	u := form(pg)
+	n := uvarintLen(uint64(len(pg))) + uvarintLen(u) + 8*len(pg)
 	for _, rec := range pg {
-		n += 8 + uvarintLen(uint64(len(rec.Payload))) + len(rec.Payload)
+		n += len(rec.Payload)
+		if u == 0 {
+			n += uvarintLen(uint64(len(rec.Payload)))
+		}
 	}
 	return n
 }
@@ -78,44 +134,105 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// decodeBody decodes one frame body from the front of buf into the array
-// behind into; aliasBytes and read are as DecodePageInto documents them.
-func decodeBody(into core.Page, buf []byte) (pg core.Page, aliasBytes int, read int, err error) {
-	cnt, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, 0, 0, fmt.Errorf("pagecodec: bad record count")
+// decode is both decoders: it decodes one checksummed page from the front of
+// buf into the array behind into, pointing the payloads into buf or, when
+// copying, into arena after one copy of the payload column. It returns the
+// page, the arena (as handed in unless copying succeeded), the payload total
+// and the bytes read. Nothing is sized, written or allocated before the CRC
+// over the frame's exact length has matched.
+func decode(into core.Page, arena, buf []byte, copying bool) (core.Page, []byte, int, int, error) {
+	if len(buf) < sumOverhead {
+		return nil, arena, 0, 0, errTruncated
 	}
-	pos := n
-	if cnt > uint64(len(buf)) { // each record takes at least one byte
-		return nil, 0, 0, fmt.Errorf("pagecodec: record count %d exceeds buffer", cnt)
+	if buf[0] != sumMarker {
+		return nil, arena, 0, 0, errMarker
 	}
-	pg = into[:0]
-	if uint64(cap(pg)) < cnt {
-		pg = make(core.Page, 0, cnt)
+	body := buf[sumOverhead:]
+	cnt, a := binary.Uvarint(body)
+	if a <= 0 {
+		return nil, arena, 0, 0, errHeader
 	}
-	for i := uint64(0); i < cnt; i++ {
-		if pos+8 > len(buf) {
-			return nil, 0, 0, fmt.Errorf("pagecodec: truncated key at record %d", i)
-		}
-		key := binary.LittleEndian.Uint64(buf[pos:])
-		pos += 8
-		plen, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return nil, 0, 0, fmt.Errorf("pagecodec: bad payload length at record %d", i)
-		}
-		pos += n
-		if plen > uint64(len(buf)-pos) {
-			return nil, 0, 0, fmt.Errorf("pagecodec: truncated payload at record %d", i)
-		}
-		var payload []byte
-		if plen > 0 {
-			payload = buf[pos : pos+int(plen) : pos+int(plen)]
-			aliasBytes += int(plen)
-			pos += int(plen)
-		}
-		pg = append(pg, core.Record{Key: key, Payload: payload})
+	u, b := binary.Uvarint(body[a:])
+	if b <= 0 {
+		return nil, arena, 0, 0, errHeader
 	}
-	return pg, aliasBytes, pos, nil
+	keys := a + b
+	if cnt > uint64(len(body)-keys)/8 {
+		return nil, arena, 0, 0, errCount
+	}
+	n := int(cnt)
+	lens := keys + 8*n
+	pay, total := lens, uint64(0)
+	if u == 0 {
+		for range n {
+			if pay < len(body) && body[pay] < 0x80 { // a one-byte length
+				total += uint64(body[pay])
+				pay++
+				continue
+			}
+			l, k := binary.Uvarint(body[pay:])
+			if k <= 0 || l > uint64(len(body)-pay) {
+				return nil, arena, 0, 0, errPayloads
+			}
+			pay += k
+			total += l
+		}
+	} else if n > 0 {
+		if u-1 > uint64(len(body)-pay)/uint64(n) {
+			return nil, arena, 0, 0, errPayloads
+		}
+		total = (u - 1) * uint64(n)
+	}
+	if total > uint64(len(body)-pay) {
+		return nil, arena, 0, 0, errPayloads
+	}
+	end := pay + int(total)
+	if crc32.Checksum(body[:end], castagnoli) != binary.LittleEndian.Uint32(buf[1:]) {
+		return nil, arena, 0, 0, errCRC
+	}
+
+	pg := into[:0]
+	if cap(pg) < n {
+		pg = make(core.Page, n)
+	}
+	pg = pg[:n]
+	col := body[pay:end]
+	if copying {
+		if cap(arena) < int(total) {
+			arena = make([]byte, total)
+		}
+		arena = arena[:total]
+		copy(arena, col)
+		col = arena
+	}
+	kb := body[keys:lens]
+	for i := range pg {
+		pg[i] = core.Record{Key: binary.LittleEndian.Uint64(kb[8*i:])}
+	}
+	switch lb, at := body[lens:pay], 0; {
+	case u != 0:
+		if l := int(u - 1); l > 0 {
+			for i := range pg {
+				pg[i].Payload = col[i*l : (i+1)*l : (i+1)*l]
+			}
+		}
+	case len(lb) == n: // every length is one byte
+		for i, l := range lb {
+			if l > 0 {
+				pg[i].Payload = col[at : at+int(l) : at+int(l)]
+				at += int(l)
+			}
+		}
+	default:
+		for i := range pg {
+			l, k := binary.Uvarint(lb)
+			if lb = lb[k:]; l > 0 {
+				pg[i].Payload = col[at : at+int(l) : at+int(l)]
+				at += int(l)
+			}
+		}
+	}
+	return pg, arena, int(total), sumOverhead + end, nil
 }
 
 // AppendPageSum appends the checksummed encoding of pg to buf: the version
@@ -150,8 +267,8 @@ func DecodePageSum(buf []byte) (pg core.Page, aliasBytes int, read int, err erro
 //
 // The records are written over the array behind into (its contents are
 // dead; a recycled, dirty array decodes exactly like nil), which is replaced
-// by a fresh one only when its capacity is too small for the page. After a
-// failed decode the array holds nothing live and may be reused.
+// by a fresh one only when its capacity is too small for the page. A failed
+// decode writes no record and allocates nothing.
 //
 // Payloads are zero-copy sub-slices of buf: the returned aliasBytes is the
 // total number of payload bytes aliasing buf. When aliasBytes is zero the
@@ -159,49 +276,21 @@ func DecodePageSum(buf []byte) (pg core.Page, aliasBytes int, read int, err erro
 // page until every record referencing it is dead. read is the number of
 // bytes consumed from buf, frame overhead included.
 func DecodePageInto(into core.Page, buf []byte) (pg core.Page, aliasBytes int, read int, err error) {
-	if len(buf) < sumOverhead {
-		return nil, 0, 0, fmt.Errorf("pagecodec: frame truncated to %d bytes: %w", len(buf), ErrChecksum)
-	}
-	if buf[0] != sumMarker {
-		return nil, 0, 0, fmt.Errorf("pagecodec: bad frame marker %#02x: %w", buf[0], ErrChecksum)
-	}
-	want := binary.LittleEndian.Uint32(buf[1:])
-	body := buf[sumOverhead:]
-	pg, aliasBytes, read, err = decodeBody(into, body)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("%v: %w", err, ErrChecksum)
-	}
-	if got := crc32.Checksum(body[:read], castagnoli); got != want {
-		return nil, 0, 0, fmt.Errorf("pagecodec: crc %08x != stored %08x: %w", got, want, ErrChecksum)
-	}
-	return pg, aliasBytes, sumOverhead + read, nil
+	pg, _, aliasBytes, read, err = decode(into, nil, buf, false)
+	return pg, aliasBytes, read, err
 }
 
 // DecodePageCopy is DecodePageInto for a buffer the caller wants back: it
 // decodes and verifies exactly as DecodePageInto does — the same records,
-// the same read, an error on exactly the same frames — and then copies the
-// payloads back to back into the array behind arena (contents dead, like
-// into's), which is replaced by a fresh one of exactly the payload total
-// when its capacity is too small. Each payload is a three-index slice of
-// the arena, so appending to one cannot reach its neighbour, and no record
-// aliases buf when the call returns. The arena comes back sliced to the
-// bytes in use; after a failed decode it comes back as it was handed in,
-// with nothing live in it.
+// the same read, an error on exactly the same frames — but copies the
+// payload column into the array behind arena (contents dead, like into's),
+// which is replaced by a fresh one of exactly the payload total when its
+// capacity is too small, and points the payloads there. Each payload is a
+// three-index slice of the arena, so appending to one cannot reach its
+// neighbour, and no record aliases buf when the call returns. The arena
+// comes back sliced to the bytes in use; after a failed decode it comes back
+// as it was handed in, with nothing live in it.
 func DecodePageCopy(into core.Page, arena, buf []byte) (pg core.Page, _ []byte, read int, err error) {
-	pg, total, read, err := DecodePageInto(into, buf)
-	if err != nil {
-		return nil, arena, 0, err
-	}
-	if cap(arena) < total {
-		arena = make([]byte, 0, total)
-	}
-	arena = arena[:0]
-	for i := range pg {
-		if p := pg[i].Payload; p != nil {
-			at := len(arena)
-			arena = append(arena, p...)
-			pg[i].Payload = arena[at:len(arena):len(arena)]
-		}
-	}
-	return pg, arena, read, nil
+	pg, arena, _, read, err = decode(into, arena, buf, true)
+	return pg, arena, read, err
 }
