@@ -114,8 +114,7 @@ func main() {
 		merge     = flag.String("merge", "opt", "merge strategy: opt | naive")
 		script    = flag.String("script", "", "budget changes, e.g. \"25%:-40,50%:+20\" (percent of input records)")
 		tmpDir    = flag.String("tmp", "", "run-file directory or comma-separated directories (default: in-memory store)")
-		storeKind = flag.String("store", "", "run store backend: file | striped | mmap | tiered (default: file when -tmp is set, else in-memory)")
-		tierPages = flag.Int("tier-pages", 256, "with -store tiered: pages held in the memory tier")
+		storeKind = flag.String("store", "", "run store backend: file | striped | mmap (default: file when -tmp is set, else in-memory)")
 		stats     = flag.Bool("stats", false, "print sort statistics to stderr")
 		events    = flag.Bool("events", false, "print adaptation events to stderr")
 		listen    = flag.String("listen", "", "serve Prometheus /metrics and /debug/events on this address (e.g. :9090)")
@@ -234,20 +233,8 @@ func main() {
 			}
 			defer ms.Close()
 			opts = append(opts, masort.WithStore(ms))
-		case "tiered":
-			backing, err := cfg.File(dir())
-			if err != nil {
-				fail(err)
-			}
-			defer backing.Close()
-			ts, err := cfg.Tiered(*tierPages, backing)
-			if err != nil {
-				fail(err)
-			}
-			defer ts.Close()
-			opts = append(opts, masort.WithStore(ts))
 		default:
-			fail(fmt.Errorf("unknown -store %q (want file, striped, mmap or tiered)", kind))
+			fail(fmt.Errorf("unknown -store %q (want file, striped or mmap)", kind))
 		}
 	}
 	if *events {
@@ -369,7 +356,7 @@ func main() {
 			"sorted %d records: %d runs, %d merge steps, %d splits, %d combines, %d suspensions, %d extra reads, %d workers, %v total\n",
 			res.Tuples, s.Runs, s.MergeSteps, s.Splits, s.Combines, s.Suspensions, s.ExtraMergeReads, s.Workers, s.Response)
 		// Whether the store takes merge-read pages back for reuse: close to
-		// all of them on the disk-backed stores, none on mem and tiered.
+		// all of them on the disk-backed stores, none on mem.
 		fmt.Fprintf(os.Stderr, "merge pages released to the store / read: %d / %d\n", s.MergePagesReleased, s.MergePagesRead)
 		if len(tracers) > 0 {
 			fmt.Fprintf(os.Stderr,

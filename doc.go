@@ -140,7 +140,7 @@
 //		WithRetry(masort.RetryPolicy{MaxAttempts: 3}).
 //		Striped("/disk1/tmp", "/disk2/tmp")
 //
-// Five backends cover the spectrum:
+// Four backends cover the spectrum:
 //
 //   - MemStore (NewMemStore, the default): runs held in memory. Fastest;
 //     run data is bounded by RAM. Tests and small sorts.
@@ -156,14 +156,14 @@
 //   - MmapStore (StoreConfig.Mmap): file-backed runs read zero-copy
 //     through a memory mapping; falls back with ErrMmapUnsupported where
 //     mmap is unavailable. Read-heavy merges on large page caches.
-//   - TieredStore (StoreConfig.Tiered): a bounded memory tier over any
-//     backing store; whole runs demote to the backing store when the tier
-//     overflows (LRU), hot pages promote back on read. Keeps small sorts
-//     entirely in memory while big ones spill gracefully.
 //
-// Every backend honors the same RunStore contract (see RunStore), passes
-// the storetest conformance suite, and reports store_demote /
-// store_promote / store_retry events through the trace seam.
+// A disk-backed store's memory tier is the kernel's page cache: Append is
+// a copy into it, and the kernel evicts it, so it costs the process no
+// heap and no budget has to see it.
+//
+// Every backend honors the same RunStore contract (see RunStore) and
+// passes the storetest conformance suite; the disk-backed ones report
+// store_retry / store_gave_up events through the trace seam.
 //
 // Store architecture: FileStore, StripedStore and MmapStore are one
 // implementation — an unexported paged-run layer — over thin devices. The

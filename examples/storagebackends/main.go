@@ -1,18 +1,15 @@
-// Storagebackends: one sort, four disks — a tour of the pluggable run
-// stores behind the StoreConfig builder. The same shuffled input is sorted
-// over every disk-backed store the library ships:
+// Storagebackends: one sort, three disk-backed stores — a tour of the
+// pluggable run stores behind the StoreConfig builder. The same shuffled
+// input is sorted over every disk-backed store the library ships:
 //
 //   - FileStore: one directory, checksummed frames, buffered writes
 //   - StripedStore: the paper's Disks experiment for the real engine —
 //     pages striped round-robin over N directories, write bandwidth
 //     scaling with devices
 //   - MmapStore: zero-copy reads straight out of the page cache
-//   - TieredStore: a bounded memory tier over a FileStore, demoting whole
-//     runs when the budget is exceeded and promoting hot pages back
 //
 // Every store is built from the same StoreConfig, so checksums, retry
-// policy and tracing apply uniformly; a trace.Metrics tracer shows the
-// tiered store's demotions and promotions at the end.
+// policy and tracing apply uniformly.
 package main
 
 import (
@@ -22,7 +19,6 @@ import (
 	"math/rand/v2"
 
 	"github.com/memadapt/masort"
-	"github.com/memadapt/masort/trace"
 )
 
 const nRecords = 200_000
@@ -65,8 +61,7 @@ func runSort(name string, store masort.RunStore) {
 func main() {
 	// One config for every backend: the knobs compose the same way no
 	// matter which store the builder finishes with.
-	metrics := trace.NewMetrics()
-	cfg := masort.NewStoreConfig().WithTracer(metrics)
+	cfg := masort.NewStoreConfig()
 
 	file, err := cfg.File("") // "" = fresh temp dir, removed on Close
 	if err != nil {
@@ -88,20 +83,4 @@ func main() {
 		defer mm.Close()
 		runSort("mmap", mm)
 	}
-
-	backing, err := cfg.File("")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer backing.Close()
-	tiered, err := cfg.Tiered(64, backing) // 64-page memory tier
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer tiered.Close()
-	runSort("tiered", tiered)
-
-	fmt.Printf("tiered store: %d demotions, %d promotions\n",
-		metrics.Counter("masort_store_demotions_total"),
-		metrics.Counter("masort_store_promotions_total"))
 }

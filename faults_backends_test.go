@@ -13,33 +13,40 @@ import (
 
 // The PR 8 fault discipline, re-run against the PR 9 backends: the
 // fault-schedule table and the randomized soak must hold for StripedStore
-// (per-device fault targeting included), MmapStore and TieredStore (faults
-// landing mid-demotion included) exactly as they do for FileStore — correct
-// output or a documented sentinel chain, and nothing leaked either way.
+// (per-device fault targeting included) and MmapStore exactly as they do for
+// FileStore — correct output or a documented sentinel chain, and nothing
+// leaked either way.
 
-// backendCase builds one faulty store for the schedule/soak harnesses. The
-// returned leak func reports still-live runs after the sort is closed.
+// faultStore is a store the schedule/soak harnesses can audit for leaked
+// runs after the sort is closed, and then close.
+type faultStore interface {
+	RunStore
+	Live() int
+	Close() error
+}
+
+// backendCase builds one faulty store for the schedule/soak harnesses.
 type backendCase struct {
 	name  string
-	build func(t *testing.T, h FaultHooks, policy RetryPolicy) (RunStore, func() int, func() error)
+	build func(t *testing.T, h FaultHooks, policy RetryPolicy) faultStore
 }
 
 func faultBackends() []backendCase {
 	return []backendCase{
 		{
 			name: "striped",
-			build: func(t *testing.T, h FaultHooks, policy RetryPolicy) (RunStore, func() int, func() error) {
+			build: func(t *testing.T, h FaultHooks, policy RetryPolicy) faultStore {
 				s, err := NewStoreConfig().WithFaults(h).WithRetry(policy).
 					Striped(t.TempDir(), t.TempDir(), t.TempDir())
 				if err != nil {
 					t.Fatal(err)
 				}
-				return s, s.Live, s.Close
+				return s
 			},
 		},
 		{
 			name: "mmap",
-			build: func(t *testing.T, h FaultHooks, policy RetryPolicy) (RunStore, func() int, func() error) {
+			build: func(t *testing.T, h FaultHooks, policy RetryPolicy) faultStore {
 				s, err := NewStoreConfig().WithFaults(h).WithRetry(policy).Mmap(t.TempDir())
 				if errors.Is(err, ErrMmapUnsupported) {
 					t.Skip("mmap not supported on this platform")
@@ -47,67 +54,37 @@ func faultBackends() []backendCase {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return s, s.Live, s.Close
-			},
-		},
-		{
-			name: "tiered",
-			build: func(t *testing.T, h FaultHooks, policy RetryPolicy) (RunStore, func() int, func() error) {
-				backing, err := NewStoreConfig().WithFaults(h).WithRetry(policy).File(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				// A 4-page tier against a 64-page input: most runs demote, so
-				// the injected faults land mid-demotion and on promote reads.
-				s, err := NewTieredStore(4, backing)
-				if err != nil {
-					t.Fatal(err)
-				}
-				live := func() int { return s.Live() + backing.Live() }
-				closeAll := func() error {
-					err := s.Close()
-					if berr := backing.Close(); err == nil {
-						err = berr
-					}
-					return err
-				}
-				return s, live, closeAll
+				return s
 			},
 		},
 	}
 }
 
 // TestSortFaultSchedulesNewBackends runs the scripted fault-schedule table
-// through pooled sorts over StripedStore, MmapStore and TieredStore.
-// Retry-count assertions exempt tiered: a tiered store consumes its backing
-// tokens inside the demotion path, so backing retries are invisible to
-// Stats.
+// through pooled sorts over StripedStore and MmapStore. Every recoverable
+// schedule must show its healed attempts in Stats.StoreRetries.
 func TestSortFaultSchedulesNewBackends(t *testing.T) {
 	recs := faultSortInput(4096)
 	policy := RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond}
 	cases := []struct {
-		name        string
-		rules       []faultinject.Rule
-		wantErr     []error
-		wantRetries bool // not asserted for tiered
+		name    string
+		rules   []faultinject.Rule
+		wantErr []error // nil: the schedule heals by retrying
 	}{
 		{
 			name: "transient-read",
 			rules: []faultinject.Rule{{Op: faultinject.Read, Nth: 2, Count: 1,
 				Fault: faultinject.Fault{Err: faultinject.Transient("read blip")}}},
-			wantRetries: true,
 		},
 		{
 			name: "transient-write",
 			rules: []faultinject.Rule{{Op: faultinject.Write, Nth: 1, Count: 1,
 				Fault: faultinject.Fault{Err: faultinject.Transient("write blip")}}},
-			wantRetries: true,
 		},
 		{
 			name: "short-write",
 			rules: []faultinject.Rule{{Op: faultinject.Write, Nth: 1, Count: 1,
 				Fault: faultinject.Fault{Err: faultinject.Transient("torn"), Short: 7}}},
-			wantRetries: true,
 		},
 		{
 			name: "permanent-write",
@@ -133,7 +110,7 @@ func TestSortFaultSchedulesNewBackends(t *testing.T) {
 			t.Run(backend.name+"/"+tc.name, func(t *testing.T) {
 				base := runtime.NumGoroutine()
 				inj := faultinject.New(tc.rules...)
-				store, live, closeStore := backend.build(t, inj, policy)
+				store := backend.build(t, inj, policy)
 				pool := NewPool(8)
 				res, err := Sort(context.Background(), NewSliceIterator(recs),
 					WithStore(store), WithPool(pool), WithPageRecords(64), WithEventLog(256))
@@ -166,7 +143,7 @@ func TestSortFaultSchedulesNewBackends(t *testing.T) {
 					if n != len(recs) {
 						t.Fatalf("drained %d records, want %d", n, len(recs))
 					}
-					if backend.name != "tiered" && tc.wantRetries && res.Stats.StoreRetries == 0 {
+					if res.Stats.StoreRetries == 0 {
 						t.Error("Stats.StoreRetries = 0, want > 0")
 					}
 					if err := res.Close(); err != nil {
@@ -176,10 +153,10 @@ func TestSortFaultSchedulesNewBackends(t *testing.T) {
 				if pool.Ops() != 0 || pool.Reserved() != 0 {
 					t.Fatalf("pool leaked: %d ops, %d reserved pages", pool.Ops(), pool.Reserved())
 				}
-				if n := live(); n != 0 {
+				if n := store.Live(); n != 0 {
 					t.Fatalf("%d runs leaked", n)
 				}
-				if err := closeStore(); err != nil {
+				if err := store.Close(); err != nil {
 					t.Fatal(err)
 				}
 				waitGoroutines(t, base)
@@ -210,7 +187,7 @@ func TestSortFaultSoakNewBackends(t *testing.T) {
 			base := runtime.NumGoroutine()
 			for seed := uint64(1); seed <= uint64(seeds); seed++ {
 				inj := faultinject.NewSeeded(seed, prof)
-				store, live, closeStore := backend.build(t, inj,
+				store := backend.build(t, inj,
 					RetryPolicy{MaxAttempts: 3, Backoff: 100 * time.Microsecond})
 				pool := NewPool(8)
 				okErr := func(err error) bool {
@@ -246,10 +223,10 @@ func TestSortFaultSoakNewBackends(t *testing.T) {
 				if pool.Ops() != 0 || pool.Reserved() != 0 {
 					t.Fatalf("seed %d: pool leaked: %d ops, %d reserved", seed, pool.Ops(), pool.Reserved())
 				}
-				if n := live(); n != 0 {
+				if n := store.Live(); n != 0 {
 					t.Fatalf("seed %d: %d runs leaked", seed, n)
 				}
-				if err := closeStore(); err != nil {
+				if err := store.Close(); err != nil {
 					t.Fatalf("seed %d: store close: %v", seed, err)
 				}
 			}

@@ -38,7 +38,7 @@ type SortStats struct {
 	// Against MergePagesRead it tells whether the store participates: close
 	// to all of them on the disk-backed stores at a steady budget, fewer
 	// under adaptation (dropped pages are not released), none on stores
-	// whose read tokens offer no Release (MemStore, TieredStore, custom).
+	// whose read tokens offer no Release (MemStore, custom).
 	MergePagesReleased int
 
 	// Splits / Combines / Suspensions count adaptation actions taken during

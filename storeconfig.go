@@ -8,7 +8,7 @@ import (
 )
 
 // StoreConfig is the one configuration consumed by every run-store backend:
-// FileStore, StripedStore, MmapStore and TieredStore all read the same
+// FileStore, StripedStore and MmapStore all read the same
 // knobs (retry policy, fault hooks, tracer), so adding a backend never
 // re-grows a parallel option set.
 //
@@ -111,10 +111,9 @@ func (c *StoreConfig) WithDeviceFaults(fn func(device int) FaultHooks) *StoreCon
 }
 
 // WithTracer attaches a tracer to the built store: the retry loops emit
-// KindStoreRetry / KindStoreGaveUp, and a TieredStore emits
-// KindStoreDemote / KindStorePromote as runs spill and pages come back hot.
-// Per-read and per-write latency events are emitted by the operator's
-// WithTracer layer, not here, so they can be attributed to the operator.
+// KindStoreRetry / KindStoreGaveUp. Per-read and per-write latency events
+// are emitted by the operator's WithTracer layer, not here, so they can be
+// attributed to the operator.
 func (c *StoreConfig) WithTracer(t Tracer) *StoreConfig {
 	c.tr = t
 	return c
@@ -166,20 +165,4 @@ func (c *StoreConfig) Mmap(dir string) (*MmapStore, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// Tiered builds a TieredStore: a memory tier bounded to memPages pages that
-// demotes whole runs to backing under pressure and promotes hot pages on
-// read. The caller keeps ownership of backing (Close it after the tiered
-// store). See TieredStore.
-func (c *StoreConfig) Tiered(memPages int, backing RunStore) (*TieredStore, error) {
-	if backing == nil {
-		return nil, fmt.Errorf("masort: tiered store needs a backing store")
-	}
-	return &TieredStore{
-		backing: backing,
-		limit:   max(memPages, 0),
-		tr:      c.tr,
-		runs:    map[RunID]*tieredRun{},
-	}, nil
 }

@@ -5,8 +5,8 @@
 // safety, nothing held per freed run, corruption surfacing and terminal
 // write-failure surfacing.
 //
-// Every built-in backend (MemStore, FileStore, StripedStore, MmapStore,
-// TieredStore) passes this suite; run it against a custom store with:
+// Every built-in backend (MemStore, FileStore, StripedStore, MmapStore)
+// passes this suite; run it against a custom store with:
 //
 //	func TestMyStoreConformance(t *testing.T) {
 //		storetest.Run(t, storetest.Config{
@@ -154,7 +154,7 @@ func testRoundTrip(t *testing.T, cfg Config) {
 		}
 		ids[r] = id
 	}
-	// Interleave appends across runs so striped/tiered bookkeeping sees
+	// Interleave appends across runs so striped bookkeeping sees
 	// concurrent run growth, not one run at a time.
 	for b := 0; b < batches; b++ {
 		for r, id := range ids {
@@ -606,7 +606,7 @@ func testCorruption(t *testing.T, cfg Config) {
 
 // testWriteFailure injects a permanent write fault and requires it to
 // surface as masort.ErrStoreFailed — on the Append call, its token, or a
-// subsequent operation on the run (asynchronous and tiered stores may
+// subsequent operation on the run (asynchronous and write-back stores may
 // learn of the failure late), and never as silently dropped pages.
 func testWriteFailure(t *testing.T, cfg Config) {
 	s := cfg.NewFaulty(t, hooks{

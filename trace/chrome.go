@@ -153,9 +153,6 @@ func (c *Chrome) Emit(e Event) {
 	case KindStoreRetry, KindStoreGaveUp:
 		c.write(chromeEvent{Name: e.Kind.String(), Cat: "io", Ph: "i", Ts: ts, Pid: 1, Tid: e.Op,
 			S: "g", Args: map[string]any{"op": e.Name, "attempt": e.Pages, "bytes": e.Bytes, "error": e.Err}})
-	case KindStoreDemote, KindStorePromote:
-		c.write(chromeEvent{Name: e.Kind.String(), Cat: "io", Ph: "i", Ts: ts, Pid: 1, Tid: e.Op,
-			S: "g", Args: map[string]any{"pages": e.Pages}})
 	}
 }
 

@@ -98,8 +98,6 @@ func NewMetrics() *Metrics {
 	c("masort_store_write_bytes_total", "Encoded bytes written to run stores.")
 	c("masort_store_retries_total", "Store I/O attempts retried after a transient failure.")
 	c("masort_store_giveups_total", "Store I/O operations that failed terminally.")
-	c("masort_store_demotions_total", "Runs demoted from a tiered store's memory tier.")
-	c("masort_store_promotions_total", "Pages promoted back into a tiered store's memory tier.")
 	h("masort_op_seconds", "Operator wall time (begin to end).")
 	h("masort_pool_admission_wait_seconds", "Time queued before pool admission.")
 	h("masort_pool_wait_seconds", "Time blocked in pool arbitration waits.")
@@ -178,10 +176,6 @@ func (m *Metrics) Emit(e Event) {
 		m.add("masort_store_retries_total", 1)
 	case KindStoreGaveUp:
 		m.add("masort_store_giveups_total", 1)
-	case KindStoreDemote:
-		m.add("masort_store_demotions_total", 1)
-	case KindStorePromote:
-		m.add("masort_store_promotions_total", 1)
 	}
 }
 

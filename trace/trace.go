@@ -71,12 +71,6 @@ const (
 	// classified permanent.
 	KindStoreRetry
 	KindStoreGaveUp
-	// Tiered-store page movement: KindStoreDemote is one run spilled from
-	// the memory tier to the backing store (Pages = pages spilled);
-	// KindStorePromote is one page promoted back on a hot read (Pages =
-	// tier-resident pages after the promotion).
-	KindStoreDemote
-	KindStorePromote
 
 	kindCount // one past the last Kind: new kinds go above this line
 )
@@ -127,10 +121,6 @@ func (k Kind) String() string {
 		return "store_retry"
 	case KindStoreGaveUp:
 		return "store_gave_up"
-	case KindStoreDemote:
-		return "store_demote"
-	case KindStorePromote:
-		return "store_promote"
 	}
 	return "unknown"
 }
