@@ -7,9 +7,11 @@ import (
 )
 
 // Budget arbitrates memory between a running sort (or join) and the rest of
-// the application, in logical pages. It implements the operator side of the
-// paper's buffer-manager reservation protocol: the operator acquires pages
-// up to the current target and yields them back when the target shrinks.
+// the application, in logical pages. It is the owner's handle on the paper's
+// buffer-manager reservation protocol: the owner sets the target and reads
+// what the operator holds against it. The operator's side — acquiring pages
+// up to the target, yielding them back when it shrinks, waiting for it to
+// return — is the engine's own, through the budget's memarb.Handle.
 //
 // Grow, Shrink and Resize are safe to call from any goroutine while a sort
 // is running; changes take effect at the sort's next adaptation point
@@ -78,32 +80,5 @@ func (b *Budget) Target() int { return b.h.Target() }
 // Granted returns the pages the operator currently holds.
 func (b *Budget) Granted() int { return b.h.Granted() }
 
-// Acquire grants the operator up to n additional pages within the target.
-func (b *Budget) Acquire(n int) int { return b.h.Acquire(n) }
-
-// Yield returns n pages.
-func (b *Budget) Yield(n int) { b.h.Yield(n) }
-
 // Pressure returns how many pages the operator holds above the target.
 func (b *Budget) Pressure() int { return b.h.Pressure() }
-
-// WaitTarget blocks until the target is at least n.
-func (b *Budget) WaitTarget(n int) { b.h.WaitTarget(n) }
-
-// WaitChange blocks until the budget changes: the next change after the
-// call, for every caller waiting.
-func (b *Budget) WaitChange() { _ = b.h.WaitNextChange(context.Background()) }
-
-// WaitTargetCtx blocks until the target is at least n or ctx is canceled,
-// returning ctx's error in the latter case. It makes suspension waits
-// cancelable: a suspended sort whose context is canceled returns promptly
-// instead of sleeping until the budget happens to be restored.
-func (b *Budget) WaitTargetCtx(ctx context.Context, n int) error {
-	return b.h.WaitTargetCtx(ctx, n)
-}
-
-// WaitChangeCtx blocks until the budget changes or ctx is canceled,
-// returning ctx's error in the latter case.
-func (b *Budget) WaitChangeCtx(ctx context.Context) error {
-	return b.h.WaitNextChange(ctx)
-}

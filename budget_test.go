@@ -1,11 +1,6 @@
 package masort
 
-import (
-	"context"
-	"sync"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestBudgetDefaultFloor(t *testing.T) {
 	b := NewBudget(10)
@@ -78,33 +73,4 @@ func TestBudgetHotPathAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Target/Acquire/Pressure/Yield allocate %.1f times per page", allocs)
 	}
-}
-
-// TestBudgetWaitChangeIsTheNextChange: an owner's WaitChange waits for the
-// next change after the call — a Resize before it does not count — and one
-// change releases every goroutine waiting, whatever the engine working
-// through the same handle has or has not seen.
-func TestBudgetWaitChangeIsTheNextChange(t *testing.T) {
-	b := NewBudget(8)
-	b.Resize(9)
-	var wg sync.WaitGroup
-	for i := range 3 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if i == 0 {
-				b.WaitChange()
-			} else if err := b.WaitChangeCtx(context.Background()); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	for i := 0; b.h.Stats().Waits < 3; i++ { // counted as each goes to sleep
-		if i > 5000 {
-			t.Fatalf("%d of 3 waiters asleep: a WaitChange returned on a change made before it", b.h.Stats().Waits)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	b.Resize(10)
-	wg.Wait() // a waiter left asleep hangs the test
 }

@@ -313,9 +313,9 @@ func TestBudgetConcurrentMutation(t *testing.T) {
 	assertPermutation(t, in, out)
 }
 
-// TestWaitCtxWakesBlockedWaiter pins the context-aware waits directly: a
-// goroutine parked in WaitTargetCtx/WaitChangeCtx must return the context
-// error when canceled, with no budget change ever arriving.
+// TestWaitCtxWakesBlockedWaiter pins the waits on a budget's handle
+// directly: a goroutine parked in WaitTarget or WaitChange must return the
+// context error when canceled, with no budget change ever arriving.
 func TestWaitCtxWakesBlockedWaiter(t *testing.T) {
 	for _, mode := range []string{"target", "change"} {
 		t.Run(mode, func(t *testing.T) {
@@ -324,12 +324,14 @@ func TestWaitCtxWakesBlockedWaiter(t *testing.T) {
 			done := make(chan error, 1)
 			go func() {
 				if mode == "target" {
-					done <- b.WaitTargetCtx(ctx, 100)
+					done <- b.h.WaitTarget(ctx, 100)
 				} else {
-					done <- b.WaitChangeCtx(ctx)
+					done <- b.h.WaitChange(ctx)
 				}
 			}()
-			time.Sleep(5 * time.Millisecond) // let it park
+			for b.h.Stats().Waits == 0 { // counted as the waiter goes to sleep
+				time.Sleep(time.Millisecond)
+			}
 			cancel()
 			select {
 			case err := <-done:

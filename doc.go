@@ -19,7 +19,10 @@
 // The memory contract is a *Budget measured in logical pages; Grow and
 // Shrink may be called concurrently from any goroutine and take effect at
 // the sort's adaptation points. (Because Go is garbage-collected, pages are
-// logical accounting units, not RSS guarantees.)
+// logical accounting units, not RSS guarantees.) A Budget is its owner's
+// handle: it sets the target and reads what the operator holds against it.
+// Acquiring, yielding and waiting are the engine's side of the protocol, and
+// its waits end when the operation's context is canceled.
 //
 // Quick start:
 //
@@ -104,9 +107,9 @@
 //     worker merges one disjoint key range into its own output segment,
 //     so a Result holds up to Workers key-ordered segments that
 //     Iterator/All chain transparently. With nothing to cut by (one
-//     worker, a tiny input) the one partition is the runs themselves;
-//     pre-existing runs handed to Merge carry no fences, so their groups
-//     are first merged in parallel and one final merge combines them;
+//     worker, a tiny input, or pre-existing runs handed to Merge, which
+//     carry no fences) the one partition is the runs themselves, merged
+//     on one worker — so Merge reports Stats.Workers = 1;
 //   - memory: the shares come from the operation's own handle on its
 //     *Budget (or *Pool) — the crew is not a second arbiter. The handle
 //     divides its live entitlement into deterministic equal shares,
@@ -213,12 +216,13 @@
 // A store's read tokens may additionally offer Release(), an optional
 // method found by type assertion: it ends the token's life and gives the
 // page's memory back to the store for its next read. The merge releases
-// every input page it has consumed once the output holding its records is
-// durable, which is how merges on the disk-backed stores read without
-// allocating (Stats.MergePagesReleased counts them); dropped pages and the
-// join's final phase never release. A store offering Release promises in
-// return that Append keeps no payload bytes — not only no page slices —
-// past its token; MemStore keeps payload aliases (it copies shallowly) and
+// every input page it has consumed once the Append of the output block
+// holding its last record has returned, which is how merges on the
+// disk-backed stores read without allocating (Stats.MergePagesReleased
+// counts them); dropped pages and the join's final phase never release. A
+// store offering Release promises in return that Append has copied every
+// payload byte by the time it returns and keeps none — not only no page
+// slices; MemStore keeps payload aliases (it copies shallowly) and
 // therefore must never offer it.
 //
 // ReleaseRecords() is the smaller, independent offer: the store gets the

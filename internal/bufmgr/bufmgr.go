@@ -13,6 +13,7 @@
 package bufmgr
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/memadapt/masort/internal/memarb"
@@ -274,14 +275,18 @@ func (h *OpHandle) Yield(n int) {
 
 // WaitTarget parks the operator until its target is at least n (capped at
 // the pool size, so the wait always terminates when it is alone and the
-// requests drain).
-func (h *OpHandle) WaitTarget(n int) {
+// requests drain). A simulated operation is never canceled: ctx is ignored.
+func (h *OpHandle) WaitTarget(_ context.Context, n int) error {
 	n = min(n, h.sp.total)
 	for h.Target() < n {
 		h.sp.changed.Wait(h.proc)
 	}
+	return nil
 }
 
 // WaitChange parks the operator until its entitlement may have changed (a
-// request or a sibling arrived, departed or yielded).
-func (h *OpHandle) WaitChange() { h.sp.changed.Wait(h.proc) }
+// request or a sibling arrived, departed or yielded). ctx is ignored.
+func (h *OpHandle) WaitChange(context.Context) error {
+	h.sp.changed.Wait(h.proc)
+	return nil
+}

@@ -1,6 +1,7 @@
 package bufmgr
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -161,7 +162,7 @@ func TestTargetRisesOnRelease(t *testing.T) {
 		p.Sleep(time.Microsecond)
 		b.Bind(p)
 		b.Yield(b.Pressure())
-		b.WaitTarget(100)
+		b.WaitTarget(context.Background(), 100)
 		targetAfter = b.Target()
 		if got := b.Acquire(100 - b.Granted()); got != 30 {
 			t.Errorf("reacquired %d, want 30", got)
@@ -182,7 +183,7 @@ func TestWaitChangeWakesOnArrival(t *testing.T) {
 	woke := false
 	s.Spawn("op", func(p *sim.Proc) {
 		b.Bind(p)
-		b.WaitChange()
+		b.WaitChange(context.Background())
 		woke = true
 		b.Yield(b.Pressure())
 	})

@@ -1,6 +1,7 @@
 package bufmgr
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -129,7 +130,7 @@ func TestSharedYieldWakesSiblings(t *testing.T) {
 	s.Spawn("h2", func(p *sim.Proc) {
 		h2.Bind(p)
 		for h2.Acquire(5) == 0 {
-			h2.WaitChange()
+			h2.WaitChange(context.Background())
 		}
 		woke = true
 	})

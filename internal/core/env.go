@@ -21,16 +21,17 @@ type PageToken interface {
 }
 
 // PageReleaser is optionally implemented by read tokens (discovered by type
-// assertion, like ContextBroker) whose store wants the page's memory back:
-// Release ends the token's life and hands the page — its record array and
-// whatever its payloads alias — to the store for reuse by a later read. The
-// caller must hold no reference into the page any more, and none may survive
-// anywhere else: the merge releases an input page only once every output
-// page holding one of its records has been appended and that append's token
-// has completed. A store whose tokens offer Release therefore promises more
-// than RunStore asks: its Append retains no payload bytes (not only no page
-// slices) past token completion. A store that keeps payload aliases — the
-// shallow-copying MemStore — must never offer it.
+// assertion) whose store wants the page's memory back: Release ends the
+// token's life and hands the page — its record array and whatever its
+// payloads alias — to the store for reuse by a later read. The caller must
+// hold no reference into the page any more, and none may survive anywhere
+// else: the merge releases an input page once every output page holding one
+// of its records has been appended and that Append has returned. A store
+// whose tokens offer Release therefore promises more than RunStore asks: its
+// Append has copied every payload byte by the time it returns, whenever its
+// token completes, and retains none (not only no page slices). A store that
+// keeps payload aliases — the shallow-copying MemStore — must never offer
+// it.
 //
 // Release is optional for the caller too: a page that is never released is
 // garbage-collected as before. The merge releases what it consumes in steady
@@ -94,7 +95,10 @@ type Input interface {
 // system. Pages are logical 8 KB units; Granted tracks what the sort holds,
 // Target what it is currently entitled to. When Target drops below Granted
 // the sort is under pressure and must Yield pages as fast as its current
-// phase permits — the paper's central adaptation problem.
+// phase permits — the paper's central adaptation problem. Broker is the
+// operator's side of the reservation protocol; whoever moves the target
+// (masort.Budget's owner, a Pool's reservations, the simulated buffer
+// manager) holds the other side.
 type Broker interface {
 	Granted() int
 	Target() int
@@ -105,18 +109,21 @@ type Broker interface {
 	Yield(n int)
 	// Pressure returns max(0, Granted()-Target()).
 	Pressure() int
-	// WaitTarget blocks until Target() >= n. Whether n is bounded is the
-	// broker's policy, not the protocol's: a private budget waits for n
-	// itself, however long its owner takes to restore it; a shared pool
-	// (real or simulated) bounds n by what its total could ever entitle the
-	// caller to, so the wait ends once competing demands drain — possibly
-	// with Target() still below n, which the caller must then make do with.
-	WaitTarget(n int)
-	// WaitChange blocks until the target may have changed. Where other
-	// goroutines change it (the real engine), "changed" counts from the
-	// caller's last WaitChange, not from the moment of the call: check, then
-	// wait must not lose a change that lands in between.
-	WaitChange()
+	// WaitTarget blocks until Target() >= n or ctx is done, whose error it
+	// then returns. Whether n is bounded is the broker's policy, not the
+	// protocol's: a private budget waits for n itself, however long its
+	// owner takes to restore it; a shared pool (real or simulated) bounds n
+	// by what its total could ever entitle the caller to, so the wait ends
+	// once competing demands drain — possibly with Target() still below n,
+	// which the caller must then make do with.
+	WaitTarget(ctx context.Context, n int) error
+	// WaitChange blocks until the target may have changed or ctx is done,
+	// whose error it then returns. Where other goroutines change the target
+	// (the real engine), "changed" counts from the caller's last WaitChange,
+	// not from the moment of the call: check, then wait must not lose a
+	// change that lands in between. A broker whose waits cannot be
+	// interrupted (the simulator's, single-threaded) may ignore ctx.
+	WaitChange(ctx context.Context) error
 }
 
 // Op enumerates CPU operations charged through the Meter. The instruction
@@ -136,16 +143,6 @@ const (
 // simulated CPU; the real engine's implementation just counts.
 type Meter interface {
 	Charge(op Op, n int64)
-}
-
-// ContextBroker is optionally implemented by brokers whose blocking waits
-// can be interrupted by context cancellation. When the Env carries a context
-// and its broker implements ContextBroker, suspension and empty-pool waits
-// return the context's error promptly instead of blocking until the next
-// budget change.
-type ContextBroker interface {
-	WaitTargetCtx(ctx context.Context, n int) error
-	WaitChangeCtx(ctx context.Context) error
 }
 
 // Env bundles the substrate a sort executes against.
@@ -210,13 +207,6 @@ func (e *Env) nextStep() int {
 	return e.stepSeq
 }
 
-// EventPanics reports how many OnEvent callbacks panicked and were
-// recovered during the operation. It is copied into the final stats so
-// callers can tell their observer misbehaved.
-func (e *Env) EventPanics() int {
-	return e.eventPanics
-}
-
 func (e *Env) charge(op Op, n int64) {
 	if n > 0 && e.Meter != nil {
 		e.Meter.Charge(op, n)
@@ -244,41 +234,15 @@ func (e *Env) now() time.Duration {
 }
 
 // ctxErr reports the Env's cancellation state.
-func (e *Env) ctxErr() error {
+func (e *Env) ctxErr() error { return e.ctx().Err() }
+
+// ctx is the context the broker's waits observe: Ctx, or Background for an
+// operation that cannot be canceled.
+func (e *Env) ctx() context.Context {
 	if e.Ctx == nil {
-		return nil
+		return context.Background()
 	}
-	return e.Ctx.Err()
-}
-
-// waitTarget blocks until the broker's target reaches n or the Env's
-// context is canceled.
-func (e *Env) waitTarget(n int) error {
-	if e.Ctx != nil {
-		if cb, ok := e.Mem.(ContextBroker); ok {
-			return cb.WaitTargetCtx(e.Ctx, n)
-		}
-		if err := e.Ctx.Err(); err != nil {
-			return err
-		}
-	}
-	e.Mem.WaitTarget(n)
-	return nil
-}
-
-// waitChange blocks until the budget changes or the Env's context is
-// canceled.
-func (e *Env) waitChange() error {
-	if e.Ctx != nil {
-		if cb, ok := e.Mem.(ContextBroker); ok {
-			return cb.WaitChangeCtx(e.Ctx)
-		}
-		if err := e.Ctx.Err(); err != nil {
-			return err
-		}
-	}
-	e.Mem.WaitChange()
-	return nil
+	return e.Ctx
 }
 
 // yieldAll hands every granted page back to the broker.

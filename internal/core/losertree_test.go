@@ -294,9 +294,9 @@ func TestFenceCutPartitionsWithDuplicateKeys(t *testing.T) {
 				runs = append(runs, r)
 				all = append(all, recs...)
 			}
-			cuts, fenced := fenceCuts(runs, 2)
-			if !fenced || len(cuts) != 1 {
-				t.Fatalf("cuts %v, fenced %v: want one cut", cuts, fenced)
+			cuts := fenceCuts(runs, 2)
+			if len(cuts) != 1 {
+				t.Fatalf("cuts %v: want one cut", cuts)
 			}
 			midPage := 0
 			for _, r := range runs {

@@ -295,7 +295,7 @@ func (m *mergeEngine) suspend(st *mergeStep, until int) error {
 	m.e.Mem.Yield(m.e.Mem.Granted())
 	m.st.Suspensions++
 	m.e.emit(EvSuspend, until, "")
-	if err := m.e.waitTarget(until); err != nil {
+	if err := m.e.Mem.WaitTarget(m.e.ctx(), until); err != nil {
 		return err
 	}
 	m.e.Mem.Acquire(until - m.e.Mem.Granted())
@@ -590,7 +590,7 @@ func (m *mergeEngine) ensureProgress(st *mergeStep) error {
 	if m.e.Mem.Acquire(held+1-g) > 0 {
 		return nil
 	}
-	return m.e.waitChange()
+	return m.e.Mem.WaitChange(m.e.ctx())
 }
 
 // shedReadAhead drops up to n tail read-ahead pages (never a run's current
@@ -1046,7 +1046,8 @@ func (m *mergeEngine) produceOnePage(st *mergeStep) (stepResult, error) {
 			// That was the last record of a page the run has left, and this
 			// step read the page (drop forgets the handle at every step
 			// switch): every record of it now sits in one of this writer's
-			// output pages, so the page goes home once this one is durable.
+			// output pages, so the page goes home once this one's Append
+			// has returned.
 			m.w.retire(r.spent)
 			r.spent = nil
 		}

@@ -31,11 +31,9 @@ package core
 //     fenceCuts derives up to W-1 splitter keys; each worker merges
 //     key-range clones of every run into one output segment. Segments
 //     concatenate in key order, so the output is value-identical at every
-//     W. With no cuts (W = 1, or an input too small to cut) the one
-//     partition merges the runs themselves. Runs without fences
-//     (MergeExisting) cannot be cut by key: treeMerge first reduces
-//     disjoint run groups in parallel, then the one partition merges the
-//     intermediates.
+//     W. With no cuts (W = 1, an input too small to cut, or runs without
+//     fences: MergeExisting's) the one partition merges the runs themselves
+//     on one worker.
 import (
 	"slices"
 	"sort"
@@ -249,13 +247,7 @@ func mergePhase(e *Env, cfg SortConfig, st *SortStats, w int, runs []*runInfo) (
 	case 1:
 		return runs, nil
 	}
-	cuts, fenced := fenceCuts(runs, w)
-	if !fenced && w > 1 && len(runs) >= 4 {
-		var err error
-		if runs, err = treeMerge(e, cfg, st, w, runs); err != nil {
-			return nil, err
-		}
-	}
+	cuts := fenceCuts(runs, w)
 	return runCrew(e, st, len(cuts)+1, cfg.MinPages, runs, func(we *Env, id int, wst *SortStats) ([]*runInfo, error) {
 		return mergePartition(we, cfg, wst, runs, cuts, id)
 	})
@@ -265,43 +257,28 @@ func mergePhase(e *Env, cfg SortConfig, st *SortStats, w int, runs []*runInfo) (
 // up to w workers: the page fences recorded by the split phase, cut at equal
 // cumulative-page intervals. It returns no cuts when w is 1, when the input
 // is too small to give every worker two pages, or when a run has no fences
-// (fenced=false: runs handed to MergeExisting).
-func fenceCuts(runs []*runInfo, w int) (cuts []Key, fenced bool) {
+// (runs handed to MergeExisting).
+func fenceCuts(runs []*runInfo, w int) []Key {
 	total := 0
 	for _, r := range runs {
 		if len(r.fences) != r.pages {
-			return nil, false
+			return nil
 		}
 		total += r.pages
 	}
 	if w = min(w, total/2); w < 2 {
-		return nil, true
+		return nil
 	}
 	fences := make([]Key, 0, total)
 	for _, r := range runs {
 		fences = append(fences, r.fences...)
 	}
 	slices.Sort(fences)
-	cuts = make([]Key, w-1)
+	cuts := make([]Key, w-1)
 	for i := range cuts {
 		cuts[i] = fences[total*(i+1)/w]
 	}
-	return cuts, true
-}
-
-// treeMerge is the fan-in-bound first level for runs that cannot be cut by
-// key: the runs divide round-robin into disjoint groups and each group
-// merges in parallel into one intermediate run. The workers own their runs
-// outright, so the ordinary consume-and-free path applies.
-func treeMerge(e *Env, cfg SortConfig, st *SortStats, w int, runs []*runInfo) ([]*runInfo, error) {
-	w = min(w, len(runs)/2)
-	groups := make([][]*runInfo, w)
-	for i, r := range runs {
-		groups[i%w] = append(groups[i%w], r)
-	}
-	return runCrew(e, st, w, cfg.MinPages, runs, func(we *Env, id int, wst *SortStats) ([]*runInfo, error) {
-		return mergePartition(we, cfg, wst, groups[id], nil, 0)
-	})
+	return cuts
 }
 
 // mergePartition merges partition id of runs into one output run, with the

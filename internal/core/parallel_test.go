@@ -618,10 +618,11 @@ func fencelessRuns(t *testing.T, env *Env, n, size int) (ids []RunID, all []Reco
 	return ids, all
 }
 
-// TestParallelMergeExistingTree drives the fence-less paths of the merge
-// phase at Workers=3: 9 runs go through the merge tree, 3 runs are below its
-// threshold and merge as one partition. Both must equal the one-worker
-// output and leave exactly the result run behind.
+// TestParallelMergeExistingTree drives the fence-less path of the merge
+// phase at Workers=3: with no fences to cut, 3 runs and 9 runs alike merge
+// as one partition. Both must equal the one-worker output, report one
+// worker and the one-worker merge steps, and leave exactly the result run
+// behind.
 func TestParallelMergeExistingTree(t *testing.T) {
 	for _, n := range []int{3, 9} {
 		t.Run(fmt.Sprintf("runs%d", n), func(t *testing.T) {
@@ -636,8 +637,9 @@ func TestParallelMergeExistingTree(t *testing.T) {
 				if err != nil {
 					t.Fatalf("merge at %d workers: %v", workers, err)
 				}
-				if res.Stats.Workers != workers || len(res.Segments) != 1 {
-					t.Fatalf("Stats.Workers = %d, %d segments; want %d, 1", res.Stats.Workers, len(res.Segments), workers)
+				if res.Stats.Workers != 1 || len(res.Segments) != 1 {
+					t.Fatalf("Stats.Workers = %d, %d segments at %d workers; want 1, 1",
+						res.Stats.Workers, len(res.Segments), workers)
 				}
 				if live := store.liveRuns(); live != 1 {
 					t.Fatalf("store has %d live runs at %d workers, want 1", live, workers)
@@ -655,9 +657,9 @@ func TestParallelMergeExistingTree(t *testing.T) {
 			if got := pstore.records(par.Segments); !slices.EqualFunc(got, want, func(a, b Record) bool { return a.Key == b.Key }) {
 				t.Fatalf("output at 3 workers differs from the one-worker output")
 			}
-			if tree := par.Stats.MergeSteps > serial.Stats.MergeSteps; tree != (n >= 4) {
-				t.Fatalf("%d runs: %d steps at 3 workers vs %d at one; merge tree expected: %v",
-					n, par.Stats.MergeSteps, serial.Stats.MergeSteps, n >= 4)
+			if par.Stats.MergeSteps != serial.Stats.MergeSteps {
+				t.Fatalf("%d runs: %d steps at 3 workers vs %d at one; want the one-worker merge",
+					n, par.Stats.MergeSteps, serial.Stats.MergeSteps)
 			}
 		})
 	}
@@ -800,9 +802,9 @@ type leaveInWindow struct {
 	once    sync.Once
 }
 
-func (b *leaveInWindow) WaitChangeCtx(ctx context.Context) error {
+func (b *leaveInWindow) WaitChange(ctx context.Context) error {
 	b.once.Do(b.sibling.Leave)
-	return b.Handle.WaitChangeCtx(ctx)
+	return b.Handle.WaitChange(ctx)
 }
 
 // TestParkedSplitWorkerSeesSiblingLeave: a split worker the crew parked must

@@ -18,12 +18,13 @@ package core
 // client flushes before it turns the writer to another run. CPU charges,
 // events and statistics stay with the callers.
 //
-// The merge's consumed input pages ride the same rotation: a page whose last
-// record was just buffered is retired here, moves with the block at flush,
-// and is released to its store when that write's token succeeds — so a read
+// The merge's consumed input pages ride along: a page whose last record was
+// just buffered is retired here and released to its store as soon as the
+// Append of the block holding that record returns — a store whose read tokens
+// offer Release has copied every payload by then (PageReleaser), so a read
 // frame is reused only after every output page holding one of its records
-// (this block at the latest) is encoded and durable. After a failed write
-// nothing is released; the collector takes the pages.
+// (this block at the latest) is encoded. When Append fails nothing is
+// released; the collector takes the pages.
 type runWriter struct {
 	store RunStore
 	recs  int    // records per page, for add's pagination
@@ -35,10 +36,10 @@ type runWriter struct {
 	tok   Token  // the one write in flight
 
 	// retired holds release handles of input pages whose last record is in
-	// block or fill ([0]) or in the write in flight ([1]). released is where
-	// wait counts the pages it gives back (the client's statistic); a writer
-	// whose client retires pages must set it.
-	retired  [2][]PageReleaser
+	// block or fill. released is where flush counts the pages it gives back
+	// (the client's statistic); a writer whose client retires pages must set
+	// it.
+	retired  []PageReleaser
 	released *int
 }
 
@@ -70,13 +71,15 @@ func (w *runWriter) add(rec Record) {
 }
 
 // retire takes over an input page whose records have all been buffered by
-// add: it is released once the block holding the last of them is durable.
+// add: it is released once the Append of the block holding the last of them
+// has returned.
 func (w *runWriter) retire(pg PageReleaser) {
-	w.retired[0] = append(w.retired[0], pg)
+	w.retired = append(w.retired, pg)
 }
 
 // flush appends everything buffered by add (the last page possibly partial)
-// to r as one block and reports how many pages that was.
+// to r as one block, releases the input pages retired into it, and reports
+// how many pages that was.
 func (w *runWriter) flush(r *runInfo) (int, error) {
 	if w.fill != nil {
 		w.block = append(w.block, w.fill)
@@ -90,7 +93,12 @@ func (w *runWriter) flush(r *runInfo) (int, error) {
 		return 0, err
 	}
 	w.sent, w.block, w.n = w.block, w.sent[:0], 0
-	w.retired[0], w.retired[1] = w.retired[1], w.retired[0] // [1] is empty: append waited
+	for _, pg := range w.retired {
+		pg.Release()
+		*w.released++
+	}
+	clear(w.retired)
+	w.retired = w.retired[:0]
 	return pages, nil
 }
 
@@ -116,8 +124,7 @@ func (w *runWriter) append(r *runInfo, pages []Page) error {
 	return nil
 }
 
-// wait waits for the write in flight, then recycles the flushed block and
-// releases the input pages retired into it.
+// wait waits for the write in flight, then recycles the flushed block.
 func (w *runWriter) wait() error {
 	if w.tok == nil {
 		return nil
@@ -128,14 +135,8 @@ func (w *runWriter) wait() error {
 		for _, pg := range w.sent {
 			w.free = append(w.free, pg[:0])
 		}
-		for _, pg := range w.retired[1] {
-			pg.Release()
-			*w.released++
-		}
 	}
 	w.sent = w.sent[:0]
-	clear(w.retired[1])
-	w.retired[1] = w.retired[1][:0]
 	return err
 }
 

@@ -227,11 +227,12 @@ func TestRunWriterAbortFreesOnce(t *testing.T) {
 	}
 }
 
-// heldStore is a store whose append tokens complete only when the test says
-// so, successfully or not.
+// heldStore is a store whose append tokens fail when the test says so, and
+// whose Append refuses outright while refuse is set.
 type heldStore struct {
 	*memStore
-	toks []*heldToken
+	toks   []*heldToken
+	refuse bool
 }
 
 type heldToken struct{ err error }
@@ -239,6 +240,9 @@ type heldToken struct{ err error }
 func (t *heldToken) Wait() error { return t.err }
 
 func (s *heldStore) Append(id RunID, pages []Page) (Token, error) {
+	if s.refuse {
+		return nil, errors.New("injected append failure")
+	}
 	if _, err := s.memStore.Append(id, pages); err != nil {
 		return nil, err
 	}
@@ -250,11 +254,12 @@ type releaseFlag bool
 
 func (f *releaseFlag) Release() { *f = true }
 
-// TestRunWriterRetireGenerations pins the two-generation rule for retired
-// input pages: a page retired while a block fills is released neither at
-// that block's flush nor by the wait for the previous write, only once the
-// wait for its own block's write succeeds — and never after a failed write.
-func TestRunWriterRetireGenerations(t *testing.T) {
+// TestRunWriterReleasesWhenAppendReturns pins the one generation of retired
+// input pages: a page retired while a block fills comes back as soon as that
+// block's Append returns — before anyone waits for its token, not at the
+// next flush — and nothing comes back from a flush that fails, whether the
+// write before it failed or the store refuses the Append itself.
+func TestRunWriterReleasesWhenAppendReturns(t *testing.T) {
 	s := &heldStore{memStore: newMemStore()}
 	released := 0
 	w := runWriter{store: s, recs: 2, released: &released}
@@ -262,39 +267,28 @@ func TestRunWriterRetireGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b, c releaseFlag
-	flush := func() {
-		t.Helper()
-		if _, err := w.flush(r); err != nil {
-			t.Fatal(err)
-		}
-	}
+	var a, b releaseFlag
 
 	w.add(Record{Key: 1})
 	w.retire(&a)
-	flush() // block 1 in flight, a rides with it
+	if _, err := w.flush(r); err != nil {
+		t.Fatal(err)
+	}
+	if !a || released != 1 {
+		t.Fatalf("block 1's Append returned: a released %v, %d counted; want true, 1", a, released)
+	}
+
 	w.add(Record{Key: 2})
 	w.retire(&b)
-	if a || b {
-		t.Fatal("released at flush, before the write's token was waited for")
-	}
-	flush() // waits for block 1, then sends block 2
-	if !a || b {
-		t.Fatalf("after block 1's write completed: a released %v (want true), b released %v (want false)", a, b)
-	}
-	w.add(Record{Key: 3})
-	w.retire(&c)
-	s.toks[1].err = errors.New("injected write failure")
+	s.toks[0].err = errors.New("injected write failure")
 	if _, err := w.flush(r); err == nil {
 		t.Fatal("flush must report the failed write it waited for")
 	}
-	if err := w.wait(); err != nil {
-		t.Fatalf("nothing in flight after a failed flush, wait said %v", err)
+	s.refuse = true
+	if _, err := w.flush(r); err == nil {
+		t.Fatal("flush must report the refused Append")
 	}
-	if b || c {
-		t.Fatalf("released after a failed write: b %v, c %v", b, c)
-	}
-	if released != 1 {
-		t.Fatalf("counted %d released pages, want 1: retired pages of a failed write are not released", released)
+	if b || released != 1 {
+		t.Fatalf("released after failed flushes: b %v, %d counted; want false, 1", b, released)
 	}
 }

@@ -26,14 +26,14 @@ type SortResult struct {
 // compaction-style workloads). The input runs are consumed: they are freed
 // as the merge retires them, and an aborted merge frees the rest, so nothing
 // leaks (the engine owns them from the moment of the call). With a single
-// input run, that run is returned unchanged. The runs carry no key fences,
-// so on more than one worker disjoint run groups merge in parallel first
-// and one final merge combines them (the result is still a single run).
+// input run, that run is returned unchanged. The runs carry no key fences to
+// cut them by, so they merge on one worker whatever cfg.Workers asks for:
+// Stats.Workers reports 1.
 func MergeExisting(e *Env, cfg SortConfig, ids []RunID) (*SortResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	st := &SortStats{Workers: effectiveWorkers(e, cfg)}
+	st := &SortStats{Workers: 1}
 	t0 := e.now()
 	runs := make([]*runInfo, len(ids))
 	for i, id := range ids {
@@ -45,7 +45,7 @@ func MergeExisting(e *Env, cfg SortConfig, ids []RunID) (*SortResult, error) {
 		freeRuns(e, runs)
 		return nil, err
 	}
-	segs, err := mergePhase(e, cfg, st, st.Workers, runs)
+	segs, err := mergePhase(e, cfg, st, 1, runs)
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,7 @@ func quickSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 				// changes from its last return, so a sibling that yields or
 				// leaves between the check above and the wait is not slept
 				// through. A single-operator pool never reaches this state.
-				if err := e.waitChange(); err != nil {
+				if err := e.Mem.WaitChange(e.ctx()); err != nil {
 					return runs, err
 				}
 				continue
@@ -207,7 +207,7 @@ func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 		if e.Mem.Granted() == 0 && !(inputDone && h.Len() == 0) {
 			// Parked, or entitled while the (shared) pool is empty: wait rather
 			// than spin (see quickSplit).
-			if err := e.waitChange(); err != nil {
+			if err := e.Mem.WaitChange(e.ctx()); err != nil {
 				return fail(err)
 			}
 			continue

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -163,7 +164,9 @@ func (b *scriptedBroker) Pressure() int {
 	return 0
 }
 
-func (b *scriptedBroker) WaitTarget(n int) {
+// The waits never block, they jump to the next scripted change: ctx has
+// nothing to interrupt.
+func (b *scriptedBroker) WaitTarget(_ context.Context, n int) error {
 	if n > b.total {
 		n = b.total
 	}
@@ -171,20 +174,22 @@ func (b *scriptedBroker) WaitTarget(n int) {
 		if len(b.script) == 0 {
 			// Script over: memory returns for good, so waits terminate.
 			b.target = b.total
-			return
+			return nil
 		}
 		b.ticks = b.script[0].tick // jump to the next scripted change
 		b.tick()
 	}
+	return nil
 }
 
-func (b *scriptedBroker) WaitChange() {
+func (b *scriptedBroker) WaitChange(context.Context) error {
 	if len(b.script) == 0 {
 		b.target = b.total
-		return
+		return nil
 	}
 	b.ticks = b.script[0].tick
 	b.tick()
+	return nil
 }
 
 // ---- meters & inputs ----

@@ -121,7 +121,7 @@ func (a *Arbiter) changed() {
 	a.cond.Broadcast()
 }
 
-// wake broadcasts under the lock. Used by the context-aware waits: taking
+// wake broadcasts under the lock. Used by the waits on a context: taking
 // the mutex orders the broadcast against a waiter that is between its
 // cancellation check and cond.Wait, so a cancel can never be missed.
 func (a *Arbiter) wake() {
@@ -253,7 +253,8 @@ type Stats struct {
 }
 
 // Handle is one party's view of an Arbiter, and the real engine's only
-// implementation of core.Broker and core.ContextBroker: an operator
+// implementation of core.Broker — the operator's side of the reservation
+// protocol, where masort.Budget is the owner's: an operator
 // (Register), or one worker of an operator's crew (Divide). A worker's pages
 // are held in its operator's name too — the operator's Granted is its
 // crew's combined holding — and its grants and waits go on the operator's
@@ -425,41 +426,27 @@ func (h *Handle) Stats() Stats {
 	return h.stats
 }
 
-// A wait's page count below zero means a wait for a change of state instead:
-// one since the handle last looked (anyChange), or one from now on.
-const (
-	anyChange  = -1
-	nextChange = -2
-)
+// anyChange, as a wait's page count, makes it a wait for a change of state
+// since the handle last looked instead.
+const anyChange = -1
 
-// WaitTarget blocks until the entitlement reaches n. Under ClampWaits n is
-// bounded, afresh on every wakeup, by the entitlement the handle would have
-// if the whole total were its operator's (never below one page, so a parked
-// worker still sleeps): the wait terminates once reservations drain and
-// siblings finish, even if a Resize took the total below n meanwhile.
-func (h *Handle) WaitTarget(n int) { _ = h.wait(context.Background(), max(n, 0)) }
+// WaitTarget blocks until the entitlement reaches n or ctx is done, whose
+// error it then returns. Under ClampWaits n is bounded, afresh on every
+// wakeup, by the entitlement the handle would have if the whole total were
+// its operator's (never below one page, so a parked worker still sleeps): the
+// wait terminates once reservations drain and siblings finish, even if a
+// Resize took the total below n meanwhile.
+func (h *Handle) WaitTarget(ctx context.Context, n int) error { return h.wait(ctx, max(n, 0)) }
 
 // WaitChange blocks until the arbitration state has changed since the handle
-// was created or last returned from WaitChange — at once if it already has;
-// every WaitChange in progress on the handle returns on the same change. A
-// caller that acquires, gets nothing and waits therefore cannot lose the
-// wakeup of a change that lands in between (a sibling yielding or leaving),
-// even if no other change ever follows; the price is a return, now and then,
-// for a change it had already acted on. This is the engine's wait, for the
-// one goroutine that works through the handle.
-func (h *Handle) WaitChange() { _ = h.wait(context.Background(), anyChange) }
-
-// WaitTargetCtx is WaitTarget interrupted by ctx, whose error it returns.
-func (h *Handle) WaitTargetCtx(ctx context.Context, n int) error { return h.wait(ctx, max(n, 0)) }
-
-// WaitChangeCtx is WaitChange interrupted by ctx, whose error it returns.
-func (h *Handle) WaitChangeCtx(ctx context.Context) error { return h.wait(ctx, anyChange) }
-
-// WaitNextChange blocks until the state changes after the call, or ctx is
-// done. It is the onlooker's wait: it keeps no memory on the handle, so any
-// number of goroutines may use it beside the one the handle works for without
-// taking a change away from that one's WaitChange.
-func (h *Handle) WaitNextChange(ctx context.Context) error { return h.wait(ctx, nextChange) }
+// was created or last returned from WaitChange — at once if it already has —
+// or ctx is done, whose error it then returns; every WaitChange in progress
+// on the handle returns on the same change. A caller that acquires, gets
+// nothing and waits therefore cannot lose the wakeup of a change that lands
+// in between (a sibling yielding or leaving), even if no other change ever
+// follows; the price is a return, now and then, for a change it had already
+// acted on.
+func (h *Handle) WaitChange(ctx context.Context) error { return h.wait(ctx, anyChange) }
 
 // wait is the one blocking wait. A wait that is satisfied on arrival is not
 // a wait: it is neither counted nor observed.
@@ -469,11 +456,8 @@ func (h *Handle) wait(ctx context.Context, n int) error {
 	defer stop()
 	a.mu.Lock()
 	from := h.seen
-	if n == nextChange {
-		from = a.gen
-	}
 	done := func() bool {
-		if n < 0 {
+		if n == anyChange {
 			return a.gen != from
 		}
 		need := n

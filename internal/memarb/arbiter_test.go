@@ -217,10 +217,10 @@ func TestClampedWaitOfParkedWorkerSleeps(t *testing.T) {
 	if got := crew[1].Target(); got != 0 {
 		t.Fatalf("second worker of a 3-page operator has target %d, want 0 (parked)", got)
 	}
-	crew[0].WaitTarget(16) // bounded by its share of the total: returns
+	crew[0].WaitTarget(context.Background(), 16) // bounded by its share of the total: returns
 	woke := make(chan struct{})
 	go func() {
-		crew[1].WaitTarget(16)
+		crew[1].WaitTarget(context.Background(), 16)
 		close(woke)
 	}()
 	for range 100 { // spurious wakeups must put it back to sleep
@@ -252,13 +252,13 @@ func TestWaitChangeCountsFromLastLook(t *testing.T) {
 		t.Fatalf("parked worker acquired %d pages", got)
 	}
 	crew[0].Leave()
-	crew[1].WaitChange() // at the parent of this change: sleeps forever
+	crew[1].WaitChange(context.Background()) // at the parent of this change: sleeps forever
 	if got := crew[1].Target(); got != 8 {
 		t.Fatalf("worker promoted to rank 0 has target %d, want 8", got)
 	}
 	woke := make(chan struct{})
 	go func() {
-		crew[1].WaitChange()
+		crew[1].WaitChange(context.Background())
 		close(woke)
 	}()
 	for range 100 { // nothing changed since: spurious wakeups put it back to sleep
@@ -290,9 +290,9 @@ func sleepers(t *testing.T, op *Handle, n int) {
 // taken when it begins, so the first of several waiters on one handle to wake
 // does not put the others back to sleep by recording the change as seen.
 func TestOneChangeWakesEveryWaiter(t *testing.T) {
-	for name, wait := range map[string]func(*Handle){
-		"WaitChange":     (*Handle).WaitChange,
-		"WaitNextChange": func(h *Handle) { _ = h.WaitNextChange(context.Background()) },
+	for name, wait := range map[string]func(*Handle) error{
+		"WaitChange": func(h *Handle) error { return h.WaitChange(context.Background()) },
+		"WaitTarget": func(h *Handle) error { return h.WaitTarget(context.Background(), 9) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			a := New(Config{Total: 8, Floor: 3})
@@ -302,7 +302,9 @@ func TestOneChangeWakesEveryWaiter(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					wait(h)
+					if err := wait(h); err != nil {
+						t.Error(err)
+					}
 				}()
 			}
 			sleepers(t, h, 3)
@@ -310,22 +312,4 @@ func TestOneChangeWakesEveryWaiter(t *testing.T) {
 			wg.Wait() // a waiter left asleep hangs the test
 		})
 	}
-}
-
-// TestOnlookerLeavesTheChangeToTheWorker: WaitNextChange waits from the call
-// — a change before it does not count — and keeps no memory on the handle,
-// so the change it returns on is still there for the handle's own WaitChange.
-func TestOnlookerLeavesTheChangeToTheWorker(t *testing.T) {
-	a := New(Config{Total: 8, Floor: 3})
-	h, _ := a.Register(context.Background(), 0, false)
-	a.Resize(9) // the worker has not looked since
-	looked := make(chan struct{})
-	go func() {
-		_ = h.WaitNextChange(context.Background())
-		close(looked)
-	}()
-	sleepers(t, h, 1) // the resize above is not "next"
-	a.Resize(10)
-	<-looked
-	h.WaitChange() // both resizes are news to the worker: returns at once
 }

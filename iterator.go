@@ -64,9 +64,10 @@ type PageToken = core.PageToken
 //     found by type assertion): the reader's word that it holds no
 //     reference into the page any more, after which the store may decode
 //     another read into the same memory. The merge releases the input
-//     pages it has consumed, once the output holding their records is
-//     durable; nothing else ever does. A store offering it must keep no
-//     payload bytes of appended pages past their token (they alias the
+//     pages it has consumed, once the Append of the output block holding
+//     their last records has returned; nothing else ever does. A store
+//     offering it must have copied every payload byte of the appended
+//     pages by the time Append returns, and keep none (they alias the
 //     frames being given back) — so MemStore, which copies shallowly, must
 //     never offer it. storetest.PoisonOnRelease checks a store's tokens.
 //   - Optionally, and independently, a read token may offer

@@ -61,7 +61,7 @@ const (
 // constant, not an option, and the memory it stands for is bounded by it
 // whatever the budget, fan-in or input size: at most six page buffers
 // pending and six in flight per writer, plus the input frames the merge
-// retired into them (released when the block's write completes) — the
+// retired into the pending block (released when its Append returns) — the
 // second constant-bounded holder outside the budget, beside maxFreeFrames.
 const mergeBlockPages = 6
 
@@ -69,19 +69,18 @@ const mergeBlockPages = 6
 // paper's recommended algorithm (repl6,opt,split) with an in-memory store
 // and a fixed 64-page budget; each field is documented on its With* option.
 type config struct {
-	method          Method
-	blockPages      int
-	merge           MergeStrategy
-	adaptation      Adaptation
-	pageRecords     int
-	budget          *Budget
-	pool            *Pool
-	store           RunStore
-	adaptiveBlockIO bool
-	workers         int
-	onEvent         func(Event)
-	tracer          Tracer
-	eventLog        int
+	method      Method
+	blockPages  int
+	merge       MergeStrategy
+	adaptation  Adaptation
+	pageRecords int
+	budget      *Budget
+	pool        *Pool
+	store       RunStore
+	workers     int
+	onEvent     func(Event)
+	tracer      Tracer
+	eventLog    int
 }
 
 func (o config) build() (core.SortConfig, config, error) {
@@ -123,7 +122,6 @@ func (o config) build() (core.SortConfig, config, error) {
 	default:
 		return cfg, o, fmt.Errorf("masort: unknown adaptation %d", o.adaptation)
 	}
-	cfg.AdaptiveBlockIO = o.adaptiveBlockIO
 	cfg.MergeBlockPages = mergeBlockPages
 	cfg.Workers = o.workers
 	if o.budget == nil {

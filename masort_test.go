@@ -298,17 +298,17 @@ func TestMemStoreErrors(t *testing.T) {
 
 func TestBudgetSemantics(t *testing.T) {
 	b := NewBudget(10)
-	if got := b.Acquire(4); got != 4 {
+	if got := b.h.Acquire(4); got != 4 {
 		t.Fatalf("acquire = %d", got)
 	}
-	if got := b.Acquire(100); got != 6 {
+	if got := b.h.Acquire(100); got != 6 {
 		t.Fatalf("acquire clamped = %d", got)
 	}
 	b.Shrink(5)
 	if b.Target() != 5 || b.Pressure() != 5 {
 		t.Fatalf("target=%d pressure=%d", b.Target(), b.Pressure())
 	}
-	b.Yield(5)
+	b.h.Yield(5)
 	if b.Pressure() != 0 || b.Granted() != 5 {
 		t.Fatalf("granted=%d", b.Granted())
 	}
@@ -320,15 +320,15 @@ func TestBudgetSemantics(t *testing.T) {
 	if b.Target() != 10 {
 		t.Fatalf("grow = %d", b.Target())
 	}
-	done := make(chan struct{})
-	go func() {
-		b.WaitTarget(20)
-		close(done)
-	}()
+	done := make(chan error)
+	go func() { done <- b.h.WaitTarget(context.Background(), 20) }()
 	time.Sleep(time.Millisecond)
 	b.Resize(25)
 	select {
-	case <-done:
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("WaitTarget: %v", err)
+		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("WaitTarget never woke")
 	}

@@ -60,7 +60,9 @@ func (o *orderedInput) NextPage() (core.Page, bool, error) {
 // 0 (Pages is exact; WriteRun reports the tuple count at write time).
 //
 // The store argument is authoritative — the ids name runs inside it — so a
-// WithStore option is ignored here.
+// WithStore option is ignored here. The runs carry no key fences for a
+// crew to cut them by, so Merge runs on one worker whatever WithWorkers
+// asks, and Stats.Workers reports 1.
 func Merge(ctx context.Context, store RunStore, ids []RunID, opts ...Option) (*Result, error) {
 	opt := applyOptions(opts)
 	opt.store = store

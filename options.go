@@ -57,14 +57,6 @@ func WithStore(s RunStore) Option {
 	return func(o *config) { o.store = s }
 }
 
-// WithAdaptiveBlockIO spends budget beyond a merge step's requirement on
-// multi-page read-ahead (the read side of the paper's §7 future-work
-// extension). Output blocks do not depend on it: every merge writes its
-// output a fixed few pages at a time.
-func WithAdaptiveBlockIO(on bool) Option {
-	return func(o *config) { o.adaptiveBlockIO = on }
-}
-
 // WithWorkers sets how many workers each phase of the operator runs on —
 // the single CPU-parallelism option, and plain data to the engine's one
 // phase driver. n = 0 means "use every core" (runtime.GOMAXPROCS(0),
@@ -82,6 +74,10 @@ func WithAdaptiveBlockIO(on bool) Option {
 // frees them all. Stats.Workers reports the worker count used. The
 // simulator never sets it — simulated sorts are defined to be
 // single-threaded.
+//
+// Merge runs on one worker whatever n is: the workers of a sort's merge cut
+// its runs by the key fences run generation recorded, and runs written
+// before the call carry none.
 func WithWorkers(n int) Option {
 	return func(o *config) {
 		if n == 0 {

@@ -1,9 +1,9 @@
 package storetest
 
 import (
-	"bytes"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync/atomic"
 
 	"github.com/memadapt/masort"
@@ -30,12 +30,15 @@ import (
 // through untouched.
 //
 // The wrapper also holds the engine to its half of the bargain: pages handed
-// to Append, payload bytes included, must not change before the append's
-// token completes — a store may encode them at any moment until then. The
-// wrapper snapshots every batch and its token's Wait fails if the batch no
-// longer matches, which is what releasing an input page at flush time (its
-// payloads still aliased by the block in flight) looks like: without the
-// snapshot that bug shows only once the store reuses the frame in time.
+// to Append — every record's key and payload slice — must not change before
+// the append's token completes, since the engine may recycle its page
+// buffers only then. The wrapper snapshots every batch and its token's Wait
+// fails if the batch no longer matches. The payload bytes are the store's
+// business only until Append returns: a store whose tokens offer Release has
+// copied them by then (core.PageReleaser), so the engine releases an input
+// page once the Append of the block holding its last record has returned.
+// An engine that released one earlier hands Append scribbled payloads, which
+// the store copies and the oracle then sees.
 //
 // Run whatever drives the store (masort.Sort, Merge, Join, GroupBy, or the
 // store's own tests) through the wrapper and compare the output with an
@@ -59,7 +62,10 @@ func (s *PoisonStore) ReleasedRecords() int { return int(s.recordsOnly.Load()) }
 
 // Append implements masort.RunStore.
 func (s *PoisonStore) Append(id masort.RunID, pages []masort.Page) (masort.Token, error) {
-	snap := clonePages(pages)
+	snap := make([]masort.Page, len(pages))
+	for i, pg := range pages {
+		snap[i] = slices.Clone(pg)
+	}
 	tok, err := s.RunStore.Append(id, pages)
 	if err != nil {
 		return tok, err
@@ -86,13 +92,18 @@ func (t *poisonWrite) Wait() error {
 			return fmt.Errorf("storetest: page %d of an append changed length before its token completed", i)
 		}
 		for j, want := range snap[i] {
-			if got := pages[i][j]; got.Key != want.Key || !bytes.Equal(got.Payload, want.Payload) {
-				return fmt.Errorf("storetest: page %d record %d of an append changed from {%d %x} to {%d %x} before its token completed",
+			if got := pages[i][j]; got.Key != want.Key || !samePayload(got.Payload, want.Payload) {
+				return fmt.Errorf("storetest: page %d record %d of an append changed from {%d %p} to {%d %p} before its token completed",
 					i, j, want.Key, want.Payload, got.Key, got.Payload)
 			}
 		}
 	}
 	return nil
+}
+
+// samePayload reports whether a and b are the same slice of the same bytes.
+func samePayload(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // ReadAsync implements masort.RunStore.
