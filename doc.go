@@ -43,16 +43,16 @@
 // recommendation: replacement selection with 6-page block writes, optimized
 // merging, dynamic splitting ("repl6,opt,split").
 //
-// On one worker, Sort and Merge return before their last merge step: the
-// step's output is the operator's output, so the Result keeps the step's
-// input runs and Result.Iterator runs it under the caller's Next instead of
-// the engine writing the output to the store only for the caller to read it
-// back. Each iterator is a user of its own of the same budget — an
-// operator that reads it on that budget shares the budget with it — and
-// holds up to the step's fan-in + 1 pages while it runs the step, adapts to
-// its share and observes ctx as every step does; the step runs afresh for
-// every Iterator, and Stats and Pages are final once a drain has completed
-// (see Result).
+// Sort and Merge return before their last merge step — a Sort on several
+// workers before the last step of each key partition: the step's output is
+// the operator's output, so the Result keeps the step's input runs and
+// Result.Iterator runs it under the caller's Next instead of the engine
+// writing the output to the store only for the caller to read it back. Each
+// iterator is a user of its own of the same budget — an operator that reads
+// it on that budget shares the budget with it — and holds up to the step's
+// fan-in + 1 pages while it runs the step, adapts to its share and observes
+// ctx as every step does; the step runs afresh for every Iterator, and Stats
+// and Pages are final once a drain has completed (see Result).
 //
 // Arbitrary record types flow through the engine via the generic facade:
 // define a Codec[T] (key extraction plus payload encode/decode) and use
@@ -115,12 +115,14 @@
 //   - merge phase: every run the engine writes — split output or merge
 //     intermediate — records each page's first key as a fence (8 bytes a
 //     page); the key space is cut at those fence keys and each
-//     worker merges one disjoint key range into its own output segment,
-//     so a Result holds up to Workers key-ordered segments, written by
-//     the workers' last steps, that Iterator/All chain transparently.
-//     With nothing to cut by (one worker, a tiny input, or pre-existing
-//     runs handed to Merge, which carry no fences) the one partition is
-//     the runs themselves, merged on one worker — so Merge reports
+//     worker merges one disjoint key range down to its last step, which
+//     it holds back: the Result keeps up to Workers last steps in key
+//     order, and Iterator/All run them one after another under the
+//     caller's Next, one step's pages at a time, so no partition's
+//     output is written to the store only to be read back. With nothing
+//     to cut by (one worker, a tiny input, or pre-existing runs handed to
+//     Merge, which carry no fences) the one partition is the runs
+//     themselves, merged on one worker — so Merge reports
 //     Stats.Workers = 1 — and its last step is the Result's to run;
 //   - memory: the shares come from the operation's own handle on its
 //     *Budget (or *Pool) — the crew is not a second arbiter. The handle

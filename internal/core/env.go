@@ -184,8 +184,9 @@ type Env struct {
 	// StreamLast makes a sort or merge that merges on one worker stop
 	// before its last merge step and hand the step back (SortResult.Last)
 	// for its consumer to run, instead of writing the output to the store
-	// only for the consumer to read it back. The simulator leaves it unset:
-	// its sorts write their result, as the paper's do.
+	// only for the consumer to read it back. A merge on more than one worker
+	// always does so, one step a key partition. The simulator leaves it
+	// unset: its sorts write their result, as the paper's do.
 	StreamLast bool
 
 	// Worker tags events emitted through this Env with a 1-based crew

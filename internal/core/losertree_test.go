@@ -271,7 +271,8 @@ func dupRecords(n, keys int, seed uint64) []Record {
 // of runs in which every key fills several pages of every run: the bounded
 // clones run dry in the middle of a page (their leaf turns idle while the run
 // still holds a buffer), the unbounded ones start in the middle of one, and
-// nearly every comparison is a key tie broken on the workspace payloads. The
+// nearly every comparison is a key tie broken on the workspace payloads. Each
+// partition's last step runs as its consumer runs it (a Stream), and the
 // concatenated partitions must be the (key, payload) order exactly.
 func TestFenceCutPartitionsWithDuplicateKeys(t *testing.T) {
 	const pageRecs = 8
@@ -316,13 +317,17 @@ func TestFenceCutPartitionsWithDuplicateKeys(t *testing.T) {
 				broker := newScriptedBroker(t, 5, 3)
 				broker.script = []targetChange{{40, 4}, {90, 5}, {150, 3}, {220, 5}}
 				env := &Env{Store: store, Mem: broker, Meter: newCountingMeter()}
-				outs, err := mergePartition(env, cfg, &SortStats{}, runs, cuts, id)
+				held, err := holdPartition(env, cfg, &SortStats{}, runs, cuts, id)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, out := range outs {
-					got = append(got, runRecords(t, store, out.id)...)
+				l := &LastStep{e: env, cfg: cfg, parts: [][]*runInfo{held}}
+				for _, r := range held {
+					if !r.shared {
+						l.runs = append(l.runs, r)
+					}
 				}
+				got = append(got, streamAll(t, l, broker)...)
 				if len(broker.script) > 0 {
 					t.Fatalf("partition %d ended at tick %d with %d budget changes still to come", id, broker.ticks, len(broker.script))
 				}

@@ -108,8 +108,12 @@ func (m *mergeEngine) mergeRuns(runs []*runInfo) (*runInfo, error) {
 // step's inputs, stored runs every one, instead of executing it: the step
 // belongs to the consumer of the output (LastStep). A dynamic plan's last
 // step is its root; while the root is held, no sub-step combines into it, so
-// the plan reaches it with every preliminary output complete.
+// the plan reaches it with every preliminary output complete. Fewer than two
+// runs are a last step already.
 func (m *mergeEngine) holdLast(runs []*runInfo) ([]*runInfo, error) {
+	if len(runs) < 2 {
+		return runs, nil
+	}
 	m.hold = true
 	_, last, err := m.plan(runs)
 	return last, err
@@ -1043,6 +1047,12 @@ func (m *mergeEngine) advanceRun(st *mergeStep, r *runInfo) (advResult, error) {
 	}
 	if r.refill() {
 		return advOK, nil
+	}
+	if r.spent != nil {
+		// A clone stopped at its bound mid-page: the page goes back as a
+		// consumed one does.
+		m.retire(st, r.spent)
+		r.spent = nil
 	}
 	return advDry, nil
 }

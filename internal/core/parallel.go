@@ -29,9 +29,10 @@ package core
 //     Env view, each appending complete runs through its own store path.
 //   - Merge: the split phase records per-page first-key fences, from which
 //     fenceCuts derives up to W-1 splitter keys; each worker merges
-//     key-range clones of every run into one output segment. Segments
-//     concatenate in key order, so the output is value-identical at every
-//     W. With no cuts (W = 1, an input too small to cut, or runs without
+//     key-range clones of every run down to its partition's last step and
+//     hands that step back (holdLast). The steps run in key order under the
+//     consumer (LastStep), so the output is value-identical at every W.
+//     With no cuts (W = 1, an input too small to cut, or runs without
 //     fences: MergeExisting's) the one partition merges the runs themselves
 //     on one worker.
 import (
@@ -67,16 +68,13 @@ func effectiveWorkers(e *Env, cfg SortConfig) int {
 type phaseFn func(we *Env, id int, st *SortStats) ([]*runInfo, error)
 
 // runCrew runs one phase on w workers and returns their output runs in
-// worker order. The phase consumes its inputs: whatever the workers did not
-// free themselves — runs they only borrowed through key-range clones, and on
-// abort the runs of workers that never got to start — the coordinator frees
-// here, exactly once (freeRuns is idempotent). On error every output is
-// freed too and the whole grant handed back, so an aborted phase leaves
-// nothing behind.
+// worker order. On error every output is freed and the whole grant handed
+// back, so an aborted phase leaves nothing behind of its own; the phase's
+// inputs are its caller's to free.
 //
 // A crew of one is not a crew: fn runs inline with the parent Env and stats
 // — no goroutine, no sub-handles, no share arithmetic.
-func runCrew(e *Env, st *SortStats, w, minNeed int, inputs []*runInfo, fn phaseFn) ([]*runInfo, error) {
+func runCrew(e *Env, st *SortStats, w, minNeed int, fn phaseFn) ([]*runInfo, error) {
 	var outs []*runInfo
 	var err error
 	if w == 1 {
@@ -110,7 +108,6 @@ func runCrew(e *Env, st *SortStats, w, minNeed int, inputs []*runInfo, fn phaseF
 		st.MaxGranted = max(st.MaxGranted, shares[0].Stats().MaxGranted)
 		outs = slices.Concat(wouts...)
 	}
-	freeRuns(e, inputs)
 	if err != nil {
 		freeRuns(e, outs)
 		e.yieldAll()
@@ -220,7 +217,7 @@ func splitPhase(e *Env, cfg SortConfig, st *SortStats, w int) ([]*runInfo, error
 	if w > 1 {
 		shared = &lockedInput{in: e.In}
 	}
-	return runCrew(e, st, w, minNeed, nil, func(we *Env, _ int, wst *SortStats) ([]*runInfo, error) {
+	return runCrew(e, st, w, minNeed, func(we *Env, _ int, wst *SortStats) ([]*runInfo, error) {
 		if shared != nil {
 			we.In = shared
 		}
@@ -232,32 +229,63 @@ func splitPhase(e *Env, cfg SortConfig, st *SortStats, w int) ([]*runInfo, error
 	})
 }
 
-// mergePhase merges runs into the operation's output segments — one, or up
-// to w in key order when the runs can be cut by key — consuming the runs.
-// When the merge runs on one worker and e.StreamLast asks for it, the plan
-// stops before its last step, whose inputs it returns as last instead.
-func mergePhase(e *Env, cfg SortConfig, st *SortStats, w int, runs []*runInfo) (segs, last []*runInfo, err error) {
+// mergePhase merges runs, consuming them, into the operation's stored
+// output run — or, when the plan holds its last steps, up to them. A merge
+// that runs on one worker holds its last step when e.StreamLast asks for it;
+// a merge cut into key partitions always holds one last step a partition,
+// which the crew's workers plan down to and the consumer runs in key order.
+func mergePhase(e *Env, cfg SortConfig, st *SortStats, w int, runs []*runInfo) (*runInfo, *LastStep, error) {
 	e.setPhase("merge")
 	switch len(runs) {
 	case 0:
 		// Empty input still yields a (empty) result run.
 		out, err := newRun(e.Store)
+		return out, nil, err
+	case 1:
+		return runs[0], nil, nil
+	}
+	cuts := fenceCuts(runs, w)
+	if cuts == nil {
+		m := newMergeEngine(e, cfg, st)
+		if !e.StreamLast {
+			out, err := m.mergeRuns(runs)
+			return out, nil, err
+		}
+		held, err := m.holdLast(runs)
 		if err != nil {
 			return nil, nil, err
 		}
-		return []*runInfo{out}, nil, nil
-	case 1:
-		return runs, nil, nil
+		return nil, &LastStep{e: e, cfg: cfg, parts: [][]*runInfo{held}, runs: held, tuples: sumTuples(held)}, nil
 	}
-	cuts := fenceCuts(runs, w)
-	if cuts == nil && e.StreamLast {
-		last, err = newMergeEngine(e, cfg, st).holdLast(runs)
-		return nil, last, err
-	}
-	segs, err = runCrew(e, st, len(cuts)+1, cfg.MinPages, runs, func(we *Env, id int, wst *SortStats) ([]*runInfo, error) {
-		return mergePartition(we, cfg, wst, runs, cuts, id)
+	parts := make([][]*runInfo, len(cuts)+1)
+	held, err := runCrew(e, st, len(parts), cfg.MinPages, func(we *Env, id int, wst *SortStats) ([]*runInfo, error) {
+		var err error
+		parts[id], err = holdPartition(we, cfg, wst, runs, cuts, id)
+		return parts[id], err
 	})
-	return segs, nil, err
+	if err != nil {
+		freeRuns(e, runs)
+		return nil, nil, err
+	}
+	// The clones read the runs, which the step keeps with the runs the
+	// workers wrote; every record of the output is in exactly one run.
+	l := &LastStep{e: e, cfg: cfg, runs: runs, tuples: sumTuples(runs)}
+	for _, r := range held {
+		if !r.shared {
+			l.runs = append(l.runs, r)
+		}
+	}
+	l.parts = slices.DeleteFunc(parts, func(p []*runInfo) bool { return len(p) == 0 })
+	return nil, l, nil
+}
+
+// sumTuples totals the records of runs the engine wrote.
+func sumTuples(runs []*runInfo) int {
+	n := 0
+	for _, r := range runs {
+		n += r.tuples
+	}
+	return n
 }
 
 // fenceCuts derives the splitter keys that partition a merge of runs across
@@ -288,30 +316,17 @@ func fenceCuts(runs []*runInfo, w int) []Key {
 	return cuts
 }
 
-// mergePartition merges partition id of runs into one output run, with the
-// full adaptation machinery (suspension, paging, dynamic splitting, crew
-// parking, cancellation) running against the worker's Env. With no cuts the
-// partition is the runs themselves, freed as the merge retires them; with
-// cuts it is a key-range clone of every run (the coordinator keeps the runs)
-// and may be empty.
-func mergePartition(we *Env, cfg SortConfig, st *SortStats, runs []*runInfo, cuts []Key, id int) ([]*runInfo, error) {
-	if cuts != nil {
-		var err error
-		if runs, err = rangeClones(we, st, runs, cuts, id); err != nil || len(runs) == 0 {
-			return nil, err
-		}
-	}
-	m := newMergeEngine(we, cfg, st)
-	out, err := m.mergeRuns(runs)
-	if err == nil && out.shared {
-		// A single-clone partition under a static plan passes the clone
-		// through unchanged; copy its range into a run of our own.
-		out, err = m.materialize(out)
-	}
+// holdPartition merges partition id of runs — a key-range clone of every
+// run, which the coordinator keeps — down to its last step, with the full
+// adaptation machinery (suspension, paging, dynamic splitting, crew parking,
+// cancellation) running against the worker's Env, and returns that step's
+// inputs: clones, and runs the worker wrote. An empty partition has none.
+func holdPartition(we *Env, cfg SortConfig, st *SortStats, runs []*runInfo, cuts []Key, id int) ([]*runInfo, error) {
+	clones, err := rangeClones(we, st, runs, cuts, id)
 	if err != nil {
 		return nil, err
 	}
-	return []*runInfo{out}, nil
+	return newMergeEngine(we, cfg, st).holdLast(clones)
 }
 
 // rangeClones builds partition id's view of every run: the records with
@@ -404,23 +419,4 @@ func seekClone(we *Env, st *SortStats, c *runInfo, lo Key, hasLo bool) error {
 		c.pos = 0
 	}
 	return nil
-}
-
-// materialize copies a single bounded clone into a fresh run with an
-// ordinary (trivially 1-way) merge step, so the partition's output is a
-// real run the coordinator owns — a clone cannot be returned directly.
-func (m *mergeEngine) materialize(clone *runInfo) (*runInfo, error) {
-	out, err := newRun(m.e.Store)
-	if err != nil {
-		_ = clone.free(m.e.Store)
-		return nil, err
-	}
-	stp := &mergeStep{inputs: []*runInfo{clone}, out: out}
-	out.producer = stp
-	m.startStep(stp)
-	if err := m.executeStep(stp); err != nil {
-		m.releaseStep(stp)
-		return nil, err
-	}
-	return out, nil
 }

@@ -139,6 +139,28 @@ func (s *safeStore) records(ids []RunID) []Record {
 	return out
 }
 
+// sortOutput returns res's records: its stored run's, or what a Stream of
+// its held last steps on mem yields, after which it closes them. The store
+// must hold exactly the runs the result keeps, and after a Stream and Close
+// nothing.
+func sortOutput(t *testing.T, store *safeStore, res *SortResult, mem Broker) []Record {
+	t.Helper()
+	if res.Last == nil {
+		if live := store.liveRuns(); live != 1 {
+			t.Fatalf("store has %d live runs, want the result run", live)
+		}
+		return store.records([]RunID{res.Result})
+	}
+	if live := store.liveRuns(); live != len(res.Last.runs) {
+		t.Fatalf("store has %d live runs, the held steps keep %d", live, len(res.Last.runs))
+	}
+	out := streamAll(t, res.Last, mem)
+	if live := store.liveRuns(); live != 0 {
+		t.Fatalf("store has %d live runs after the held steps closed", live)
+	}
+	return out
+}
+
 // ---- tests ----
 
 // payloadRecords generates n records over a narrow key range with short
@@ -206,14 +228,11 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 					if res.Stats.Workers != v.want {
 						t.Fatalf("Stats.Workers = %d, want %d", res.Stats.Workers, v.want)
 					}
-					if v.want == 1 && len(res.Segments) != 1 {
-						t.Fatalf("one worker produced %d segments", len(res.Segments))
+					if (res.Last != nil) != (v.want > 1) {
+						t.Fatalf("%d workers held last steps %v, want %v", v.want, res.Last != nil, v.want > 1)
 					}
-					if got := store.records(res.Segments); !slices.EqualFunc(got, want, func(a, b Record) bool { return compareRecords(a, b) == 0 }) {
+					if got := sortOutput(t, store, res, env.Mem); !slices.EqualFunc(got, want, func(a, b Record) bool { return compareRecords(a, b) == 0 }) {
 						t.Fatalf("output (%d records) differs from slices.SortFunc (%d records)", len(got), len(want))
-					}
-					if live := store.liveRuns(); live != len(res.Segments) {
-						t.Fatalf("store has %d live runs, want %d segments", live, len(res.Segments))
 					}
 					if g := env.Mem.Granted(); g != 0 {
 						t.Fatalf("broker still has %d pages granted", g)
@@ -437,9 +456,10 @@ func TestParallelShrinkPropagatesToAllWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sort: %v", err)
 	}
-	if len(res.Segments) < 2 {
-		t.Fatalf("expected a parallel merge with >1 segment, got %d", len(res.Segments))
+	if res.Last == nil || len(res.Last.parts) < 2 {
+		t.Fatal("expected a parallel merge with >1 partition")
 	}
+	sortOutput(t, store, res, budget)
 
 	obsMu.Lock()
 	defer obsMu.Unlock()
@@ -536,7 +556,7 @@ func TestParallelSuspendResumeMidMerge(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sort: %v", err)
 			}
-			got := store.records(res.Segments)
+			got := sortOutput(t, store, res, budget)
 			checkSorted(t, got)
 			checkPermutation(t, recs, got)
 			if res.Stats.Suspensions == 0 {
@@ -638,9 +658,9 @@ func TestParallelMergeExistingTree(t *testing.T) {
 				if err != nil {
 					t.Fatalf("merge at %d workers: %v", workers, err)
 				}
-				if res.Stats.Workers != 1 || len(res.Segments) != 1 {
-					t.Fatalf("Stats.Workers = %d, %d segments at %d workers; want 1, 1",
-						res.Stats.Workers, len(res.Segments), workers)
+				if res.Stats.Workers != 1 || res.Last != nil {
+					t.Fatalf("Stats.Workers = %d, held last step %v at %d workers; want 1, a stored run",
+						res.Stats.Workers, res.Last != nil, workers)
 				}
 				if live := store.liveRuns(); live != 1 {
 					t.Fatalf("store has %d live runs at %d workers, want 1", live, workers)
@@ -651,11 +671,11 @@ func TestParallelMergeExistingTree(t *testing.T) {
 				return res, all, store
 			}
 			serial, all, sstore := merge(1)
-			want := sstore.records(serial.Segments)
+			want := sstore.records([]RunID{serial.Result})
 			checkSorted(t, want)
 			checkPermutation(t, all, want)
 			par, _, pstore := merge(3)
-			if got := pstore.records(par.Segments); !slices.EqualFunc(got, want, func(a, b Record) bool { return a.Key == b.Key }) {
+			if got := pstore.records([]RunID{par.Result}); !slices.EqualFunc(got, want, func(a, b Record) bool { return a.Key == b.Key }) {
 				t.Fatalf("output at 3 workers differs from the one-worker output")
 			}
 			if par.Stats.MergeSteps != serial.Stats.MergeSteps {
@@ -713,10 +733,12 @@ func TestParallelMergeCancelWhileParkedFreesInputs(t *testing.T) {
 // rank down first, however the scheduler orders the two — and the "mid" cut
 // waits for that hold: a worker 1 still short of it would meet the 5 pages at
 // a page boundary of its own and, under the suspension strategy, rightly
-// suspend for want of them.
+// suspend for want of them. The workers append only in preliminary steps —
+// each partition's last step is held for the consumer — so the input is
+// large enough that a partition's clones outnumber its 24-page share.
 func TestParkedWorkerSuspendsOnce(t *testing.T) {
 	const total = 48
-	recs := makeRecords(20000, 17)
+	recs := makeRecords(40000, 17)
 	sorted := slices.Clone(recs)
 	sortRecords(sorted)
 	q25, q40, q75 := sorted[len(sorted)/4].Key, sorted[len(sorted)*2/5].Key, sorted[len(sorted)*3/4].Key
@@ -779,7 +801,7 @@ func TestParkedWorkerSuspendsOnce(t *testing.T) {
 				if err != nil {
 					t.Fatalf("sort: %v", err)
 				}
-				got := store.records(res.Segments)
+				got := sortOutput(t, store, res, budget)
 				checkSorted(t, got)
 				checkPermutation(t, recs, got)
 				if len(events) != 2 || events[0].Kind != EvSuspend || events[1].Kind != EvResume ||

@@ -22,11 +22,13 @@ type runInfo struct {
 	bufs    []inPage // resident pages, consecutive from `page`; nil when dropped
 
 	// spent is the read token of the page that left bufs while ws still
-	// aliases it: ws is that page's last record. Only the merge's emit loop
-	// retires it (produceOnePage); otherwise the next refill or drop forgets
-	// it and the collector takes the page, like every page an adaptation
-	// drops. A token therefore never crosses from one step to another: the
-	// step that retires a page is the one that read it and emitted all of it.
+	// aliases it: ws is that page's last record — or the page a clone
+	// stopped on at its bound. Only the merge retires it (produceOnePage's
+	// emit loop, advanceRun at a bound); otherwise the next refill or drop
+	// forgets it and the collector takes the page, like every page an
+	// adaptation drops. A token therefore never crosses from one step to
+	// another: the step that retires a page is the one that read it and
+	// emitted all of it.
 	spent PageToken
 
 	lastUsed int64      // MRU clock for the paging strategy
@@ -41,11 +43,12 @@ type runInfo struct {
 	// (fenceCuts). Only runs named by id — MergeExisting's inputs — have none.
 	fences []Key
 
-	// shared marks a key-range clone of a run owned by the merge phase's
-	// coordinator (runCrew): the engine must not free the underlying
-	// storage when the clone is consumed (the coordinator frees the run once
-	// every worker is done with it). bounded/hi limit the clone to keys < hi; the lower
-	// bound is applied once, by seeking (page, pos) past keys < lo.
+	// shared marks a view of a run that a LastStep owns — a key-range clone
+	// of one partition, or a Stream's cursor on a step input: the engine
+	// must not free the underlying storage when the view is consumed (the
+	// LastStep frees the run at Close). bounded/hi limit a clone to keys <
+	// hi; the lower bound is applied once, by seeking (page, pos) past keys
+	// < lo.
 	shared  bool
 	bounded bool
 	hi      Key
@@ -104,8 +107,10 @@ func (r *runInfo) refill() bool {
 	if r.bounded && rec.Key >= r.hi {
 		// The clone's key range is exhausted: everything from here on
 		// belongs to the next partition. Discard the residue so the run
-		// reads as consumed (the underlying storage is freed by the
-		// coordinator, not this reader).
+		// reads as consumed (the underlying storage is the LastStep's, not
+		// this reader's). The page it stops on is spent: every record of it
+		// in the range has been emitted, and nothing aliases the rest.
+		r.spent = r.bufs[0].tok
 		r.bufs = nil
 		r.page = r.pages
 		r.pos = 0
@@ -122,6 +127,12 @@ func (r *runInfo) refill() bool {
 		r.pos = 0
 	}
 	return true
+}
+
+// view returns a fresh cursor on r's records from r's own position on, for
+// one run of a step that r is an input of: it shares r's storage and bounds.
+func (r *runInfo) view() *runInfo {
+	return &runInfo{id: r.id, pages: r.pages, page: r.page, pos: r.pos, shared: true, bounded: r.bounded, hi: r.hi}
 }
 
 func (r *runInfo) String() string {

@@ -202,7 +202,7 @@ func WriteRun(e *Env, blockPages int) (*SortResult, error) {
 		w.abort(r)
 		return nil, err
 	}
-	return &SortResult{Result: r.id, Segments: []RunID{r.id}, Pages: r.pages, Tuples: r.tuples}, nil
+	return &SortResult{Result: r.id, Pages: r.pages, Tuples: r.tuples}, nil
 }
 
 // copyIn appends e.In to r in blocks of blockPages pages until the input

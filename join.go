@@ -24,6 +24,6 @@ func Join(ctx context.Context, left, right Iterator, opts ...Option) (*Result, e
 		if err != nil {
 			return nil, err
 		}
-		return &Result{runs: []RunID{res.Result}, Pages: res.Pages, Tuples: res.Tuples, Stats: res.Stats.SortStats, Join: &res.Stats}, nil
+		return &Result{run: res.Result, Pages: res.Pages, Tuples: res.Tuples, Stats: res.Stats.SortStats, Join: &res.Stats}, nil
 	})
 }

@@ -238,8 +238,9 @@ func (m *counterMeter) counters() Counters {
 }
 
 // Sort externally sorts the input under the configured memory budget and
-// returns a handle to the sorted output: on one worker, the last merge step
-// itself, which Result.Iterator runs (see Result).
+// returns a handle to the sorted output: the last merge step itself — on
+// more than one worker, the last step of every key partition, in key order —
+// which Result.Iterator runs (see Result).
 //
 // Canceling ctx aborts the sort at its next adaptation point — split-phase
 // page boundaries, merge output-page and step boundaries, and suspension
@@ -266,7 +267,7 @@ func sortResult(env *core.Env, res *core.SortResult, err error) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{store: env.Store, runs: res.Segments, Pages: res.Pages, Tuples: res.Tuples, Stats: res.Stats}
+	out := &Result{store: env.Store, run: res.Result, Pages: res.Pages, Tuples: res.Tuples, Stats: res.Stats}
 	if res.Last != nil {
 		// newEnv's broker is always memContract's handle.
 		out.last = &lastStep{step: res.Last, ctx: env.Ctx, mem: env.Mem.(*memarb.Handle)}

@@ -82,10 +82,11 @@ func WithStore(s RunStore) Option {
 // hold more than the Budget/Pool target — a Shrink propagates to every
 // worker at its next page boundary, parking (suspending) workers the
 // shrunken budget can no longer sustain (at least one always keeps
-// merging). With n > 1 the output may come back as several key-partitioned
-// segment runs; Result.Iterator chains them transparently and Result.Close
-// frees them all. Stats.Workers reports the worker count used. The
-// simulator never sets it — simulated sorts are defined to be
+// merging). With n > 1 a sort's merge is cut into key partitions, and each
+// worker merges its partition down to its last step; Result.Iterator runs
+// those steps one after another in key order, as it runs a one-worker
+// sort's last step (see Result). Stats.Workers reports the worker count
+// used. The simulator never sets it — simulated sorts are defined to be
 // single-threaded.
 //
 // Merge runs on one worker whatever n is: the workers of a sort's merge cut

@@ -15,28 +15,30 @@ import (
 // output records plus execution statistics. It implements io.Closer; Close
 // releases the result's storage, after which it must not be iterated.
 //
-// The output is stored — one run, or a parallel result's segments — when the
-// operator is a Join or a GroupBy, ran its merge on more than one worker
-// (WithWorkers), or had nothing to merge (the input fit in memory). Otherwise
-// the output is the operator's last merge step itself, held back from the
-// store: Sort and Merge return before it, and Iterator runs it under the
-// caller's Next, page by page, rather than writing every output page only to
-// read it back. Such a result keeps the step's input runs until Close and
-// runs the step afresh for every Iterator. The contract of a held step:
+// The output is one stored run when the operator is a Join or a GroupBy, or
+// had nothing to merge (the input fit in memory). Otherwise the output is the
+// operator's last merge step itself, held back from the store: Sort and
+// Merge return before it, and Iterator runs it under the caller's Next, page
+// by page, rather than writing every output page only to read it back. A
+// Sort that merged on more than one worker (WithWorkers) holds one last step
+// a key partition, and Iterator runs them one after another in key order.
+// Such a result keeps the steps' input runs until Close and runs the steps
+// afresh for every Iterator. The contract of a held step:
 //
 //   - Each iterator is a user of its own of the operator's memory contract
 //     (WithBudget, WithPool) from the Iterator call until it ends — drained,
 //     failed, its range loop broken (All) — or the result is closed: it
 //     shares the Budget with whatever else runs on it meanwhile, each
-//     counting only its own pages. While it runs the step, it holds up to
-//     the step's fan-in + 1 pages, taken at its first Next, and adapts to
-//     its share as every step does: a share that shrank since the operator
-//     returned first merges inputs down to a step that fits, as the merge
-//     plan would have, and a shrink between two Next calls splits, pages or
-//     suspends the step (the runs those merges write belong to the
-//     iterator that made them). An iterator dropped before its end keeps
-//     its share, and its pages, until Close. Between iterations the Result
-//     holds no pages.
+//     counting only its own pages. While it runs a step, it holds up to
+//     the step's fan-in + 1 pages, taken at the step's first Next — one
+//     partition's step at a time, which hands its pages back before the
+//     next one starts — and adapts to its share as every step does: a
+//     share that shrank since the operator returned first merges inputs
+//     down to a step that fits, as the merge plan would have, and a
+//     shrink between two Next calls splits, pages or suspends the step
+//     (the runs those merges write belong to the iterator that made them).
+//     An iterator dropped before its end keeps its share, and its pages,
+//     until Close. Between iterations the Result holds no pages.
 //   - Stats and Pages are final after the first complete drain, and include
 //     the last step's merge work; Tuples is final when the operator returns
 //     (for Merge, which does not know the size of runs it did not write,
@@ -51,11 +53,8 @@ import (
 //     iterators may interleave, but not run on several goroutines at once.
 type Result struct {
 	store RunStore
-	// runs holds a stored output in key order: one run on one worker, up to
-	// Workers key-partitioned segments (WithWorkers) whose concatenation is
-	// the sorted output.
-	// Iterator chains them transparently; Close frees them all.
-	runs []RunID
+	// run is the stored output, when last is nil.
+	run RunID
 
 	// last is the held-back last merge step, nil for a stored output.
 	last *lastStep
@@ -114,36 +113,7 @@ func (r *Result) Iterator() Iterator {
 	if r.last != nil {
 		return r.last.iterator(r)
 	}
-	if len(r.runs) == 1 {
-		return &runIterator{store: r.store, id: r.runs[0], pages: r.Pages}
-	}
-	return &segmentsIterator{store: r.store, runs: r.runs}
-}
-
-// segmentsIterator chains the per-segment run iterators of a parallel
-// result in key order.
-type segmentsIterator struct {
-	store RunStore
-	runs  []RunID
-	cur   *runIterator
-}
-
-func (s *segmentsIterator) Next() (Record, bool, error) {
-	for {
-		if s.cur == nil {
-			if len(s.runs) == 0 {
-				return Record{}, false, nil
-			}
-			id := s.runs[0]
-			s.runs = s.runs[1:]
-			s.cur = &runIterator{store: s.store, id: id, pages: s.store.Pages(id)}
-		}
-		rec, ok, err := s.cur.Next()
-		if err != nil || ok {
-			return rec, ok, err
-		}
-		s.cur = nil
-	}
+	return &runIterator{store: r.store, id: r.run, pages: r.Pages}
 }
 
 // All returns the output records as a range-over-func sequence:
@@ -174,10 +144,10 @@ func (r *Result) All() iter.Seq2[Record, error] {
 // errStopped ends a held step's iteration whose range loop broke early.
 var errStopped = errors.New("masort: iteration stopped")
 
-// Close releases the result's storage (every segment of a parallel result;
-// a held last step's input runs, and the runs, pages and memory shares of
-// any iterator not yet ended). The Result must not be iterated afterwards; a second
-// Close returns ErrFreed.
+// Close releases the result's storage (a stored run; a held last step's
+// input runs, and the runs, pages and memory shares of any iterator not yet
+// ended). The Result must not be iterated afterwards; a second Close
+// returns ErrFreed.
 func (r *Result) Close() error {
 	if r.freed {
 		return ErrFreed
@@ -191,13 +161,7 @@ func (r *Result) Close() error {
 		l.completeOp(r, l.base)
 		return err
 	}
-	var first error
-	for _, id := range r.runs {
-		if err := r.store.Free(id); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return r.store.Free(r.run)
 }
 
 // lastStep is what a Result whose last merge step is held back keeps of its
