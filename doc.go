@@ -43,9 +43,8 @@
 // recommendation: replacement selection with 6-page block writes, optimized
 // merging, dynamic splitting ("repl6,opt,split").
 //
-// Sort and Merge return before their last merge step — a Sort on several
-// workers before the last step of each key partition: the step's output is
-// the operator's output, so the Result keeps the step's input runs and
+// Sort and Merge return before their last merge step, at every worker
+// count: the step's output is the operator's output, so the Result keeps the step's input runs and
 // Result.Iterator runs it under the caller's Next instead of the engine
 // writing the output to the store only for the caller to read it back. Each
 // iterator is a user of its own of the same budget — an operator that reads
@@ -87,7 +86,7 @@
 // comparison sort inside a bucket); and each pop replays one root path of
 // a loser tree over the mini-run heads. Run tags are assigned at push time
 // exactly as in classic replacement selection and the order (run, key,
-// payload) is total, so runs, fences and I/O are identical to the classic
+// payload) is total, so runs and I/O are identical to the classic
 // binary heap's — only Counters.Compares and the CPU time drop.
 //
 // The same loser tree serves run generation, the merge and the join: the
@@ -102,48 +101,38 @@
 //
 // # Parallel execution
 //
-// Worker count is a parameter of the one phase driver, not a second engine:
-// an operator is a split phase and a merge phase, each run on n workers,
-// and WithWorkers(n) sets n (0 resolves to GOMAXPROCS; the default is 1).
-// At n = 1 a phase runs inline on the caller's goroutine against the
-// operator's own budget — no goroutine is started. At n > 1 the same
-// phase body runs on n goroutines, and the output is value-identical at
-// every n. The worker model is
+// Worker count is a parameter of run generation, not a second engine:
+// WithWorkers(n) sets how many workers the split phase runs on (0 resolves
+// to GOMAXPROCS; the default is 1). At n = 1 the split runs inline on the
+// caller's goroutine against the operator's own budget — no goroutine is
+// started. At n > 1 the same split body runs on n goroutines, and the
+// output is value-identical at every n. The worker model is
 //
 //   - split phase: workers consume the shared input in page-sized bites
 //     and each produces sorted runs from its share of the budget;
-//   - merge phase: every run the engine writes — split output or merge
-//     intermediate — records each page's first key as a fence (8 bytes a
-//     page); the key space is cut at those fence keys and each
-//     worker merges one disjoint key range down to its last step, which
-//     it holds back: the Result keeps up to Workers last steps in key
-//     order, and Iterator/All run them one after another under the
-//     caller's Next, one step's pages at a time, so no partition's
-//     output is written to the store only to be read back. With nothing
-//     to cut by (one worker, a tiny input, or pre-existing runs handed to
-//     Merge, which carry no fences) the one partition is the runs
-//     themselves, merged on one worker — so Merge reports
-//     Stats.Workers = 1 — and its last step is the Result's to run;
+//   - merge phase: one merge, on the operator's goroutine under the
+//     whole budget, over the runs of every worker — the plan a one-worker
+//     sort makes, with its last step held for the Result (Merge, which
+//     generates no runs, reports Stats.Workers = 1). Run generation is
+//     CPU work that divides cleanly among workers; a merge under a fixed
+//     budget is I/O that does not: each worker's share of it would merge
+//     on a fraction of the budget, in more steps;
 //   - memory: the shares come from the operation's own handle on its
 //     *Budget (or *Pool) — the crew is not a second arbiter. The handle
 //     divides its live entitlement into deterministic equal shares,
 //     remainder to the lowest ranks, under the lock that serves Resize
 //     and Reserve, so every Shrink propagates to every worker at its
-//     next output-page boundary; when the target cannot sustain the
-//     whole crew the highest ranks are parked — a zero share from the
-//     same arbiter, woken by the same condition — which the merge answers
-//     with the ordinary suspension sequence (flush, drop, yield, wait,
-//     resume — counted in Stats.Suspensions, reported as EvSuspend /
-//     EvResume with the worker's id) whatever the adaptation strategy.
-//     Suspension, MRU paging, dynamic splitting and cancellation run
-//     per worker, unchanged.
+//     next page boundary; when the target cannot sustain the whole crew
+//     the highest ranks are parked — a zero share from the same arbiter,
+//     woken by the same condition — until a sibling finishes or the
+//     target grows. Cancellation runs per worker, unchanged.
 //
 // Buffer ownership is unchanged by the worker count: each page buffer has
-// a single owning worker from fill to Append hand-off, runs are written by
-// exactly one goroutine, and completed runs may be read by several
-// goroutines concurrently (the RunStore contract all backends pass
-// storetest with). Result.Stats.Workers reports the worker count that
-// actually ran. The simulator never sets workers, and its buffer manager
+// a single owning worker from fill to Append hand-off, and runs are written
+// by exactly one goroutine and read by the one merge. Completed runs may
+// still be read by several goroutines concurrently (the RunStore contract
+// all backends pass storetest with). Result.Stats.Workers reports the
+// worker count run generation actually ran on. The simulator never sets workers, and its buffer manager
 // could not divide itself among a crew if it did: its sorts take the
 // inline path, so its tables stay byte-identical.
 //

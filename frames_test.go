@@ -79,7 +79,7 @@ func (s *pagedStore) freeFrames() int {
 }
 
 // TestMergeReadsAllocateNothing is the allocation gate on the merge's read
-// path: merging 80 fenced runs on a FileStore — the sampled reads fall in a
+// path: merging 80 runs on a FileStore — the sampled reads fall in a
 // 40-way preliminary step that writes its output; the last step, which
 // only a drain would run, never runs — a page read in steady state
 // costs its token (144 B: the request itself — no goroutine, no channel, no

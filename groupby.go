@@ -66,8 +66,8 @@ func (f *FuncAggregator) Finish(k Key) []byte { return f.OnFinish(k) }
 // returning one record per distinct key (sorted by key) as a stored run.
 // The grouping runs on the memory-adaptive external sort, so the budget may
 // be resized while it executes; the aggregation folds the groups straight
-// off the sort's last merge step — on several workers, off each key
-// partition's in key order — which runs under the operator's own memory
+// off the sort's last merge step — at every WithWorkers count — which runs
+// under the operator's own memory
 // contract and adapts to it like the steps before it, so the sorted input
 // is never written to the store: only the groups are, through the run
 // writer's output block (mergeBlockPages). Under

@@ -83,8 +83,9 @@ type SortConfig struct {
 	// growth (ablation).
 	NoCombine bool
 
-	// Workers is how many workers each phase runs on (see runCrew); 0 and 1
-	// both mean one — the phase then runs inline on the caller's goroutine.
+	// Workers is how many workers run generation runs on (see runCrew); 0
+	// and 1 both mean one — the split then runs inline on the caller's
+	// goroutine. The merge runs on the caller's goroutine at every count.
 	// More than one additionally requires a broker that can divide itself
 	// among a crew (crewBroker: the real engine's does, the simulator's does
 	// not), else one is used. The simulator never sets this either —

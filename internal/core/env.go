@@ -181,36 +181,28 @@ type Env struct {
 	// move with the real engine's choice of structure.
 	ClassicSelection bool
 
-	// StreamLast makes a sort or merge that merges on one worker stop
-	// before its last merge step and hand the step back (SortResult.Last)
-	// for its consumer to run, instead of writing the output to the store
-	// only for the consumer to read it back. A merge on more than one worker
-	// always does so, one step a key partition. The simulator leaves it
-	// unset: its sorts write their result, as the paper's do.
+	// StreamLast makes a sort or merge stop before its last merge step and
+	// hand the step back (SortResult.Last) for its consumer to run, instead
+	// of writing the output to the store only for the consumer to read it
+	// back. The simulator leaves it unset: its sorts write their result, as
+	// the paper's do.
 	StreamLast bool
 
 	// Worker tags events emitted through this Env with a 1-based crew
 	// worker id; 0 (the default) marks the operator's own goroutine — every
-	// event of an operation running on one worker.
+	// merge event, and every event of an operation running on one worker.
 	Worker int
 
-	// stepSeq numbers merge steps within the operation (1-based); only the
-	// operator goroutine touches it, so no synchronization is needed. The
-	// worker Envs a crew derives (crew.workerEnv: a copy of this Env with a
-	// private Mem view, a Worker tag, serialized OnEvent and no phase or
-	// reclaim hooks) share one operation-wide counter via stepFn instead,
-	// so (Worker, Step) pairs stay unique within the operation.
+	// stepSeq numbers merge steps within the operation (1-based). Every
+	// merge step runs on the operator's goroutine — a crew's workers only
+	// generate runs — so no synchronization is needed.
 	stepSeq int
-	stepFn  func() int
 	// eventPanics counts OnEvent callbacks that panicked and were recovered.
 	eventPanics int
 }
 
 // nextStep hands out the next merge-step id.
 func (e *Env) nextStep() int {
-	if e.stepFn != nil {
-		return e.stepFn()
-	}
 	e.stepSeq++
 	return e.stepSeq
 }

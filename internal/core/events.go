@@ -19,7 +19,8 @@ const (
 	// step.
 	EvCombineAbort
 	// EvSuspend: the merge released everything and is waiting for memory —
-	// the suspension strategy, or any strategy on a worker its crew parked.
+	// the suspension strategy, or any strategy on a zero share (a party of
+	// a Budget that the target cannot sustain beside the older ones).
 	EvSuspend
 	// EvResume: memory returned; input buffers refetched in one batch.
 	EvResume
@@ -72,7 +73,7 @@ type Event struct {
 	// combined fan-in for EvCombineDone, the step's fan-in for
 	// EvStepStart/EvStepDone, the target in pages the operator waits for
 	// for EvSuspend/EvResume (the step's whole requirement under the
-	// suspension strategy, 1 for a worker its crew parked), the run's
+	// suspension strategy, 1 on a zero share), the run's
 	// length in pages for EvRunDone, and 0 otherwise.
 	Detail int
 	// Step numbers the merge step the event belongs to, 1-based within the
@@ -81,8 +82,8 @@ type Event struct {
 	// start/done pairs need the id.
 	Step int
 	// Worker identifies the crew worker that emitted the event, 1-based;
-	// 0 for events from the operator's own goroutine (all events of an
-	// operation on one worker).
+	// 0 for events from the operator's own goroutine (every merge event,
+	// and all events of an operation on one worker).
 	Worker int
 	// Phase carries the phase name for EvPhase events.
 	Phase string

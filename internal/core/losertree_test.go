@@ -267,79 +267,6 @@ func dupRecords(n, keys int, seed uint64) []Record {
 	return recs
 }
 
-// TestFenceCutPartitionsWithDuplicateKeys merges both key-range partitions
-// of runs in which every key fills several pages of every run: the bounded
-// clones run dry in the middle of a page (their leaf turns idle while the run
-// still holds a buffer), the unbounded ones start in the middle of one, and
-// nearly every comparison is a key tie broken on the workspace payloads. Each
-// partition's last step runs as its consumer runs it (a Stream), and the
-// concatenated partitions must be the (key, payload) order exactly.
-func TestFenceCutPartitionsWithDuplicateKeys(t *testing.T) {
-	const pageRecs = 8
-	for _, adapt := range []Adapt{Suspend, Paging, DynSplit} {
-		t.Run(fmt.Sprintf("a%d", adapt), func(t *testing.T) {
-			store := newMemStore()
-			var runs []*runInfo
-			var all []Record
-			for i := range 9 {
-				recs := dupRecords(6*pageRecs, 5, uint64(i))
-				slices.SortFunc(recs, compareRecords)
-				r, err := newRun(store)
-				if err != nil {
-					t.Fatal(err)
-				}
-				w := runWriter{store: store}
-				if err := w.append(r, pagesOf(recs, pageRecs)); err != nil {
-					t.Fatal(err)
-				}
-				runs = append(runs, r)
-				all = append(all, recs...)
-			}
-			cuts := fenceCuts(runs, 2)
-			if len(cuts) != 1 {
-				t.Fatalf("cuts %v: want one cut", cuts)
-			}
-			midPage := 0
-			for _, r := range runs {
-				recs := runRecords(t, store, r.id)
-				if i, _ := slices.BinarySearchFunc(recs, cuts[0], func(r Record, k Key) int { return compareRecords(r, Record{Key: k}) }); i%pageRecs != 0 {
-					midPage++
-				}
-			}
-			if midPage == 0 {
-				t.Fatalf("cut %d falls on a page boundary of every run: nothing runs dry mid-page", cuts[0])
-			}
-			cfg := DefaultConfig()
-			cfg.Adapt, cfg.PageRecords = adapt, pageRecs
-			var got []Record
-			for id := 0; id <= len(cuts); id++ {
-				// 5 pages for up to 9 clones: every partition merges in steps.
-				broker := newScriptedBroker(t, 5, 3)
-				broker.script = []targetChange{{40, 4}, {90, 5}, {150, 3}, {220, 5}}
-				env := &Env{Store: store, Mem: broker, Meter: newCountingMeter()}
-				held, err := holdPartition(env, cfg, &SortStats{}, runs, cuts, id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				l := &LastStep{e: env, cfg: cfg, parts: [][]*runInfo{held}}
-				for _, r := range held {
-					if !r.shared {
-						l.runs = append(l.runs, r)
-					}
-				}
-				got = append(got, streamAll(t, l, broker)...)
-				if len(broker.script) > 0 {
-					t.Fatalf("partition %d ended at tick %d with %d budget changes still to come", id, broker.ticks, len(broker.script))
-				}
-			}
-			slices.SortFunc(all, compareRecords)
-			if !slices.EqualFunc(got, all, func(a, b Record) bool { return compareRecords(a, b) == 0 }) {
-				t.Fatalf("partitions hold %d records, want %d, or differ from the (key, payload) order", len(got), len(all))
-			}
-		})
-	}
-}
-
 // TestJoinDuplicateKeysMatchesOracle joins two relations of a dozen keys
 // under a fluctuating budget and checks the output record for record: within
 // a key the left records arrive in payload order — the tree's tie-break across

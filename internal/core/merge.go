@@ -213,7 +213,7 @@ func (m *mergeEngine) runStatic(runs []*runInfo) (*runInfo, []*runInfo, error) {
 		}
 		t := m.e.Mem.Target()
 		if t == 0 {
-			// Parked by the crew between steps: plan the next step from the
+			// A parked party between steps: plan the next step from the
 			// share that comes back, not from nothing.
 			if err := m.suspend(nil, 1); err != nil {
 				return fail(err)
@@ -316,7 +316,7 @@ func (m *mergeEngine) adaptStatic(st *mergeStep) error {
 		return m.batchLoad(st)
 	}
 	if t == 0 {
-		return m.suspend(st, 1) // parked by the crew
+		return m.suspend(st, 1) // a parked party
 	}
 	// Paging: shrink residency to the budget; page faults handle the rest.
 	budget := m.pagingBudget(st, t)
@@ -332,9 +332,11 @@ func (m *mergeEngine) adaptStatic(st *mergeStep) error {
 // suspend is the one suspension sequence: flush the partial output page,
 // drop every input buffer of st, hand all pages back, and wait — interrupted
 // only by cancellation — until the target reaches `until` pages. The
-// suspension strategy waits for the step's whole requirement; a worker the
-// crew parked (target 0, which no broker reports on its own: they all floor
-// at MinPages or more) waits for any share at all, under every strategy.
+// suspension strategy waits for the step's whole requirement; a parked
+// party — one of the operators and held steps dividing one Budget, whose
+// share is 0 when the target cannot sustain it beside the older ones (an
+// operator's own target never falls below its floor) — waits for any share
+// at all, under every strategy.
 // st is nil between steps, when there is nothing to flush or drop. The run
 // cursors live in workspace records, so merging resumes where it stopped.
 func (m *mergeEngine) suspend(st *mergeStep, until int) error {
@@ -457,7 +459,7 @@ func (m *mergeEngine) adaptDynamic() error {
 	st := m.active
 	m.rebalance(st)
 	t := m.e.Mem.Target()
-	if t == 0 { // parked by the crew
+	if t == 0 { // a parked party
 		if err := m.suspend(st, 1); err != nil {
 			return err
 		}
@@ -1047,12 +1049,6 @@ func (m *mergeEngine) advanceRun(st *mergeStep, r *runInfo) (advResult, error) {
 	}
 	if r.refill() {
 		return advOK, nil
-	}
-	if r.spent != nil {
-		// A clone stopped at its bound mid-page: the page goes back as a
-		// consumed one does.
-		m.retire(st, r.spent)
-		r.spent = nil
 	}
 	return advDry, nil
 }

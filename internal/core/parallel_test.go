@@ -140,7 +140,7 @@ func (s *safeStore) records(ids []RunID) []Record {
 }
 
 // sortOutput returns res's records: its stored run's, or what a Stream of
-// its held last steps on mem yields, after which it closes them. The store
+// its held last step on mem yields, after which it closes it. The store
 // must hold exactly the runs the result keeps, and after a Stream and Close
 // nothing.
 func sortOutput(t *testing.T, store *safeStore, res *SortResult, mem Broker) []Record {
@@ -152,11 +152,11 @@ func sortOutput(t *testing.T, store *safeStore, res *SortResult, mem Broker) []R
 		return store.records([]RunID{res.Result})
 	}
 	if live := store.liveRuns(); live != len(res.Last.runs) {
-		t.Fatalf("store has %d live runs, the held steps keep %d", live, len(res.Last.runs))
+		t.Fatalf("store has %d live runs, the held step keeps %d", live, len(res.Last.runs))
 	}
 	out := streamAll(t, res.Last, mem)
 	if live := store.liveRuns(); live != 0 {
-		t.Fatalf("store has %d live runs after the held steps closed", live)
+		t.Fatalf("store has %d live runs after the held step closed", live)
 	}
 	return out
 }
@@ -186,8 +186,10 @@ func compareRecords(a, b Record) int {
 
 // TestParallelSortMatchesSerial is the determinism contract of the one phase
 // driver: for every worker count × method × adaptation — W = 1 and the
-// no-crewBroker fallback included, all through the same entry — the
-// concatenated segments equal slices.SortFunc on (key, payload).
+// no-crewBroker fallback included, all through the same entry — the output
+// equals slices.SortFunc on (key, payload), stored or streamed. The merge
+// has one plan at every W: it holds its last step exactly when the Env asks
+// for it (StreamLast).
 func TestParallelSortMatchesSerial(t *testing.T) {
 	recs := payloadRecords(20000, 7)
 	want := slices.Clone(recs)
@@ -211,31 +213,34 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 						Method: method, BlockPages: 6, Merge: OptMerge, Workers: v.workers,
 						Adapt: adapt, PageRecords: 32, MinPages: 3,
 					}
-					store := newSafeStore()
-					env := &Env{
-						In:    &sliceInput{pages: pagesOf(recs, 32)},
-						Store: store,
-						Mem:   newTestBudget(48),
-						Ctx:   context.Background(),
-					}
-					if v.noCtx {
-						env.Mem = newScriptedBroker(t, 48, 3)
-					}
-					res, err := ExternalSort(env, cfg)
-					if err != nil {
-						t.Fatalf("sort: %v", err)
-					}
-					if res.Stats.Workers != v.want {
-						t.Fatalf("Stats.Workers = %d, want %d", res.Stats.Workers, v.want)
-					}
-					if (res.Last != nil) != (v.want > 1) {
-						t.Fatalf("%d workers held last steps %v, want %v", v.want, res.Last != nil, v.want > 1)
-					}
-					if got := sortOutput(t, store, res, env.Mem); !slices.EqualFunc(got, want, func(a, b Record) bool { return compareRecords(a, b) == 0 }) {
-						t.Fatalf("output (%d records) differs from slices.SortFunc (%d records)", len(got), len(want))
-					}
-					if g := env.Mem.Granted(); g != 0 {
-						t.Fatalf("broker still has %d pages granted", g)
+					for _, stream := range []bool{false, true} {
+						store := newSafeStore()
+						env := &Env{
+							In:         &sliceInput{pages: pagesOf(recs, 32)},
+							Store:      store,
+							Mem:        newTestBudget(48),
+							Ctx:        context.Background(),
+							StreamLast: stream,
+						}
+						if v.noCtx {
+							env.Mem = newScriptedBroker(t, 48, 3)
+						}
+						res, err := ExternalSort(env, cfg)
+						if err != nil {
+							t.Fatalf("sort: %v", err)
+						}
+						if res.Stats.Workers != v.want {
+							t.Fatalf("Stats.Workers = %d, want %d", res.Stats.Workers, v.want)
+						}
+						if (res.Last != nil) != stream {
+							t.Fatalf("StreamLast %v: %d workers held a last step %v", stream, v.want, res.Last != nil)
+						}
+						if got := sortOutput(t, store, res, env.Mem); !slices.EqualFunc(got, want, func(a, b Record) bool { return compareRecords(a, b) == 0 }) {
+							t.Fatalf("StreamLast %v: output (%d records) differs from slices.SortFunc (%d records)", stream, len(got), len(want))
+						}
+						if g := env.Mem.Granted(); g != 0 {
+							t.Fatalf("broker still has %d pages granted", g)
+						}
 					}
 				})
 			}
@@ -246,14 +251,16 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 // TestOneWorkerSpawnsNoGoroutine pins the property the simulator depends on:
 // at W = 1 both phases run inline on the caller's goroutine, observed from
 // inside the operation's own events — and, at W = 2, that the workers are
-// all a crew costs: each phase runs on exactly W goroutines above the
-// baseline (the store here starts none of its own) and leaves none behind.
+// all a crew costs: the split runs on exactly W goroutines above the
+// baseline (the store here starts none of its own), the merge on none, and
+// the sort leaves none behind.
 func TestOneWorkerSpawnsNoGoroutine(t *testing.T) {
 	recs := makeRecords(8000, 13)
 	for _, workers := range []int{0, 1, 2} {
-		extra := 0 // goroutines a phase may run above the baseline
+		// Goroutines each phase runs above the baseline.
+		extra := map[string]int{"split": 0, "merge": 0}
 		if workers > 1 {
-			extra = workers
+			extra["split"] = workers
 		}
 		// Earlier tests' workers may still be on their way out: take the
 		// baseline once the count has stopped moving.
@@ -276,25 +283,29 @@ func TestOneWorkerSpawnsNoGoroutine(t *testing.T) {
 		store := newSafeStore()
 		if workers > 1 {
 			// Whether an event fires while all W workers are alive must not be
-			// left to the scheduler (on a loaded box one worker can finish a
-			// phase before its sibling has started): each phase's first W
-			// appends — one per worker, a held worker appends no second — wait
-			// for one another. Every worker still owes an event after its first
-			// append (run-done, step-done), so the first of those finds all W
-			// alive. phase is the coordinator's, written between crews.
+			// left to the scheduler (on a loaded box one worker can finish the
+			// split before its sibling has started): the split's first W
+			// appends — one per worker — wait for one another. Every worker
+			// still owes a run-done event after its first append, so the first
+			// of those finds all W alive. phase is the coordinator's, written
+			// before the crew starts and after it ends; the merge's appends
+			// come from the coordinator itself and pass.
 			var mu sync.Mutex
-			arrived := map[string]int{}
-			all := map[string]chan struct{}{"split": make(chan struct{}), "merge": make(chan struct{})}
+			arrived := 0
+			all := make(chan struct{})
 			store.gate = func([]Page) {
+				if phase != "split" {
+					return
+				}
 				mu.Lock()
-				arrived[phase]++
-				n := arrived[phase]
+				arrived++
+				n := arrived
 				mu.Unlock()
 				if n == workers {
-					close(all[phase])
+					close(all)
 				}
 				if n <= workers {
-					<-all[phase]
+					<-all
 				}
 			}
 		}
@@ -311,7 +322,7 @@ func TestOneWorkerSpawnsNoGoroutine(t *testing.T) {
 				seen[phase]++
 				n := runtime.NumGoroutine()
 				peak[phase] = max(peak[phase], n)
-				if n > base+extra {
+				if n > base+extra[phase] {
 					t.Errorf("Workers=%d: %d goroutines during %q (%v), %d before the sort", workers, n, phase, ev.Kind, base)
 				}
 			},
@@ -325,8 +336,8 @@ func TestOneWorkerSpawnsNoGoroutine(t *testing.T) {
 		if seen["split"] < 2 || seen["merge"] < 2 {
 			t.Fatalf("events observed per phase: %v, want some in split and merge", seen)
 		}
-		if peak["split"] != base+extra || peak["merge"] != base+extra {
-			t.Fatalf("Workers=%d: goroutine peaks per phase %v, want %d in split and merge", workers, peak, base+extra)
+		if peak["split"] != base+extra["split"] || peak["merge"] != base {
+			t.Fatalf("Workers=%d: goroutine peaks per phase %v, want %d in split and %d in merge", workers, peak, base+extra["split"], base)
 		}
 		drain()
 		if n := runtime.NumGoroutine(); n > base {
@@ -353,12 +364,10 @@ func TestWorkerEnvInheritsByDefault(t *testing.T) {
 		OnEvent:          func(Event) {},
 		ClassicSelection: true,
 		StreamLast:       true,
-		stepSeq:          7,
 		eventPanics:      2,
 	}
 	shares := parent.Mem.(crewBroker).Divide(2, 3)
 	c := &crew{}
-	c.steps.Store(int64(parent.stepSeq))
 	we := c.workerEnv(parent, shares[1], 1)
 
 	pv, wv := reflect.ValueOf(parent).Elem(), reflect.ValueOf(we).Elem()
@@ -382,20 +391,18 @@ func TestWorkerEnvInheritsByDefault(t *testing.T) {
 	if we.Mem != Broker(shares[1]) || we.Worker != 2 || we.OnEvent == nil {
 		t.Errorf("worker overrides missing: Mem %T, Worker %d, OnEvent set %v", we.Mem, we.Worker, we.OnEvent != nil)
 	}
-	if we.SetPhase != nil || we.SetReclaim != nil || we.stepSeq != 0 || we.eventPanics != 0 || we.stepFn == nil {
+	if we.SetPhase != nil || we.SetReclaim != nil || we.eventPanics != 0 {
 		t.Errorf("worker Env kept coordinator-only state: %+v", we)
-	}
-	if a, b := we.nextStep(), c.workerEnv(parent, shares[0], 0).nextStep(); a != 8 || b != 9 {
-		t.Errorf("workers number steps %d, %d; want the operation-wide 8, 9", a, b)
 	}
 }
 
-// TestParallelShrinkPropagatesToAllWorkers is the satellite-2 regression: a
-// budget shrink arriving mid-parallel-merge must reach every worker at its
-// next output-page boundary, not just one of them. A worker may have one
-// output page already in flight when the shrink lands, so from each
-// worker's second post-shrink append onward the crew must collectively hold
-// no more than the new target.
+// TestParallelShrinkPropagatesToAllWorkers: a budget shrink arriving
+// mid-split must reach every worker at its next page boundary, not just one
+// of them. A worker may close one run before it meets the shrink, so from
+// each worker's second run after the shrink on, it must hold no more than its
+// share — and the shares of the new target sum to it (TestCrewShares).
+// Whose run a run-done event is, and what that worker holds, the event says
+// itself, so the check holds however the scheduler orders the workers.
 func TestParallelShrinkPropagatesToAllWorkers(t *testing.T) {
 	const (
 		total     = 48
@@ -403,149 +410,111 @@ func TestParallelShrinkPropagatesToAllWorkers(t *testing.T) {
 		workers   = 4
 	)
 	recs := makeRecords(40000, 11)
-	budget := newTestBudget(total)
-	store := newSafeStore()
-
-	type obs struct {
-		id      RunID
-		granted int
-	}
-	var (
-		obsMu        sync.Mutex
-		log          []obs
-		shrunk       bool
-		merging      bool
-		mergeAppends int
-	)
-	env := &Env{
-		In:    &sliceInput{pages: pagesOf(recs, 32)},
-		Store: store,
-		Mem:   budget,
-		Ctx:   context.Background(),
-		OnEvent: func(ev Event) {
-			if ev.Kind == EvPhase && ev.Phase == "merge" {
-				obsMu.Lock()
-				merging = true
-				obsMu.Unlock()
-			}
-		},
-	}
-	store.onAppend = func(id RunID, nth, pages int) {
-		obsMu.Lock()
-		defer obsMu.Unlock()
-		if !merging {
-			return
+	for _, method := range []Method{Quick, Repl} {
+		budget := newTestBudget(total)
+		var (
+			mu      sync.Mutex
+			done    int
+			shrunk  bool
+			after   = map[int]int{} // run-done events per worker since the shrink
+			checked int
+		)
+		env := &Env{
+			In:    &sliceInput{pages: pagesOf(recs, 32)},
+			Store: newSafeStore(),
+			Mem:   budget,
+			Ctx:   context.Background(),
+			OnEvent: func(ev Event) {
+				if ev.Kind != EvRunDone {
+					return
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if !shrunk {
+					// Let the crew write a few runs at full budget, then shrink.
+					if done++; done == workers {
+						shrunk = true
+						budget.Resize(newTarget)
+					}
+					return
+				}
+				if after[ev.Worker]++; after[ev.Worker] < 2 {
+					return
+				}
+				checked++
+				if ev.Granted > ev.Target || ev.Target > newTarget {
+					t.Errorf("method %d: worker %d's run %d since the shrink ended holding %d pages on a share of %d (target %d)",
+						method, ev.Worker, after[ev.Worker], ev.Granted, ev.Target, newTarget)
+				}
+			},
 		}
-		mergeAppends++
-		if !shrunk {
-			// Let the parallel merge produce a few output pages at full
-			// budget, then shrink.
-			if mergeAppends > 4 {
-				shrunk = true
-				budget.Resize(newTarget)
-			}
-			return
+		cfg := DefaultConfig()
+		cfg.Method, cfg.PageRecords, cfg.Workers = method, 32, workers
+		res, err := ExternalSort(env, cfg)
+		if err != nil {
+			t.Fatalf("method %d: sort: %v", method, err)
 		}
-		log = append(log, obs{id: id, granted: budget.Granted()})
-	}
-
-	cfg := DefaultConfig()
-	cfg.PageRecords = 32
-	cfg.Workers = workers
-	res, err := ExternalSort(env, cfg)
-	if err != nil {
-		t.Fatalf("sort: %v", err)
-	}
-	if res.Last == nil || len(res.Last.parts) < 2 {
-		t.Fatal("expected a parallel merge with >1 partition")
-	}
-	sortOutput(t, store, res, budget)
-
-	obsMu.Lock()
-	defer obsMu.Unlock()
-	if !shrunk {
-		t.Fatal("shrink never triggered")
-	}
-	// Find each segment's second post-shrink append; after the last of
-	// those, every worker has passed an adaptation point and the crew must
-	// be within the new target for the rest of the merge.
-	seen := map[RunID]int{}
-	settle := -1
-	for i, o := range log {
-		seen[o.id]++
-		if seen[o.id] == 2 {
-			settle = i
+		if res.Stats.Workers != workers {
+			t.Fatalf("method %d: Stats.Workers = %d, want %d", method, res.Stats.Workers, workers)
 		}
-	}
-	if settle < 0 || settle >= len(log)-1 {
-		t.Fatalf("merge finished too fast to observe propagation (%d post-shrink appends)", len(log))
-	}
-	for _, o := range log[settle+1:] {
-		if o.granted > newTarget {
-			t.Fatalf("after every worker's page boundary, crew still holds %d > new target %d", o.granted, newTarget)
+		mu.Lock()
+		if !shrunk || checked == 0 {
+			t.Fatalf("method %d: the split ended too fast to observe the shrink (%d runs checked)", method, checked)
+		}
+		mu.Unlock()
+		if g := budget.Granted(); g != 0 {
+			t.Fatalf("method %d: broker still has %d pages granted", method, g)
 		}
 	}
 }
 
-// TestParallelSuspendResumeMidMerge shrinks the budget mid-merge so far that
-// it sustains two of the four workers, then restores it once a worker has
-// stopped: the merge must resume and complete with suspensions on record.
-//
-// The four key partitions are roughly the quartiles, so an append's keys say
-// whose it is. The cut to 6 pages comes from an append of worker 3 or 4 (keys
-// past the 60th percentile), and workers 1 and 2 are held early in their
-// partitions until the restore — so the cutting worker finds itself parked
-// at its next page boundary however the scheduler orders the four.
+// TestParallelSuspendResumeMidMerge: a four-worker sort's merge runs on the
+// operator's goroutine under its whole share, and adapts as any merge does.
+// The sort is a party of a handle beside an older one that holds nothing;
+// mid-merge the handle shrinks to 5 pages, which sustain one 3-page party
+// only, so the sort's share drops to zero. Its merge must suspend at its
+// next page boundary — once, on the operator's goroutine (Worker 0) — resume
+// when the total is restored and complete exactly.
 func TestParallelSuspendResumeMidMerge(t *testing.T) {
 	const total = 48
 	recs := makeRecords(30000, 3)
-	sorted := slices.Clone(recs)
-	sortRecords(sorted)
-	pct := func(p int) Key { return sorted[len(sorted)*p/100].Key }
 	for _, adapt := range []Adapt{Suspend, DynSplit} {
 		t.Run(fmt.Sprintf("adapt%d", adapt), func(t *testing.T) {
 			budget := newTestBudget(total)
+			older, party := budget.Join(), budget.Join()
+			defer older.Leave()
 			store := newSafeStore()
 			var (
 				mu      sync.Mutex
 				merging bool
 				shrunk  bool
+				events  []Event
 			)
-			restored := make(chan struct{})
 			env := &Env{
 				In:    &sliceInput{pages: pagesOf(recs, 32)},
 				Store: store,
-				Mem:   budget,
+				Mem:   party,
 				Ctx:   context.Background(),
 				OnEvent: func(ev Event) {
 					mu.Lock()
 					defer mu.Unlock()
-					switch {
-					case ev.Kind == EvPhase:
+					switch ev.Kind {
+					case EvPhase:
 						merging = ev.Phase == "merge"
-					case ev.Kind == EvSuspend && shrunk:
-						select {
-						case <-restored:
-						default:
+					case EvSuspend, EvResume:
+						events = append(events, ev)
+						if ev.Kind == EvSuspend {
 							budget.Resize(total)
-							close(restored)
 						}
 					}
 				},
 			}
-			store.gate = func(pages []Page) {
-				k := pages[0][0].Key
+			store.onAppend = func(RunID, int, int) {
 				mu.Lock()
-				if merging && !shrunk && k >= pct(60) {
-					// 6 pages sustain at most two 3-page workers: ranks 2
-					// and 3 must stop until the restore above.
+				defer mu.Unlock()
+				if merging && !shrunk {
 					shrunk = true
-					budget.Resize(6)
-				}
-				hold := merging && (k >= pct(5) && k < pct(10) || k >= pct(30) && k < pct(35))
-				mu.Unlock()
-				if hold {
-					<-restored
+					budget.Resize(5)
 				}
 			}
 			cfg := SortConfig{
@@ -556,11 +525,16 @@ func TestParallelSuspendResumeMidMerge(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sort: %v", err)
 			}
+			party.Leave()
 			got := sortOutput(t, store, res, budget)
 			checkSorted(t, got)
 			checkPermutation(t, recs, got)
-			if res.Stats.Suspensions == 0 {
-				t.Fatal("expected at least one suspension/pause during the shrink window")
+			if !shrunk || len(events) != 2 || events[0].Kind != EvSuspend || events[1].Kind != EvResume ||
+				events[0].Worker != 0 || events[1].Worker != 0 {
+				t.Fatalf("shrunk %v, suspension events %+v: want one suspend/resume pair from the operator's goroutine", shrunk, events)
+			}
+			if res.Stats.Suspensions != 1 || res.Stats.Workers != 4 {
+				t.Fatalf("Stats.Suspensions = %d on %d workers, want the merge's one on 4", res.Stats.Suspensions, res.Stats.Workers)
 			}
 			if g := budget.Granted(); g != 0 {
 				t.Fatalf("broker still has %d pages granted", g)
@@ -569,8 +543,9 @@ func TestParallelSuspendResumeMidMerge(t *testing.T) {
 	}
 }
 
-// TestParallelCancelMidMerge cancels mid-parallel-merge and requires a
-// leak-free abort: every run freed, every page yielded.
+// TestParallelCancelMidMerge cancels a four-worker sort in its merge — the
+// one merge, on the operator's goroutine, over the runs of every worker — and
+// requires a leak-free abort: every run freed, every page yielded.
 func TestParallelCancelMidMerge(t *testing.T) {
 	recs := makeRecords(30000, 5)
 	budget := newTestBudget(48)
@@ -622,9 +597,9 @@ func TestParallelCancelMidMerge(t *testing.T) {
 	}
 }
 
-// fencelessRuns writes n sorted runs the way a MergeExisting caller would:
-// straight into the store, with no fences on record.
-func fencelessRuns(t *testing.T, env *Env, n, size int) (ids []RunID, all []Record) {
+// storedRuns writes n sorted runs the way a MergeExisting caller would:
+// straight into the store.
+func storedRuns(t *testing.T, env *Env, n, size int) (ids []RunID, all []Record) {
 	t.Helper()
 	for i := range n {
 		recs := makeRecords(size, uint64(100+i))
@@ -639,18 +614,17 @@ func fencelessRuns(t *testing.T, env *Env, n, size int) (ids []RunID, all []Reco
 	return ids, all
 }
 
-// TestParallelMergeExistingTree drives the fence-less path of the merge
-// phase at Workers=3: with no fences to cut, 3 runs and 9 runs alike merge
-// as one partition. Both must equal the one-worker output, report one
-// worker and the one-worker merge steps, and leave exactly the result run
-// behind.
+// TestParallelMergeExistingTree: MergeExisting at Workers=3 has no run
+// generation to parallelise, so 3 runs and 9 runs alike merge on one worker.
+// Both must equal the one-worker output, report one worker and the
+// one-worker merge steps, and leave exactly the result run behind.
 func TestParallelMergeExistingTree(t *testing.T) {
 	for _, n := range []int{3, 9} {
 		t.Run(fmt.Sprintf("runs%d", n), func(t *testing.T) {
 			merge := func(workers int) (*SortResult, []Record, *safeStore) {
 				store := newSafeStore()
 				env := &Env{Store: store, Mem: newTestBudget(32), Ctx: context.Background()}
-				ids, all := fencelessRuns(t, env, n, 2000)
+				ids, all := storedRuns(t, env, n, 2000)
 				cfg := DefaultConfig()
 				cfg.PageRecords = 32
 				cfg.Workers = workers
@@ -688,16 +662,16 @@ func TestParallelMergeExistingTree(t *testing.T) {
 
 // TestParallelMergeCancelWhileParkedFreesInputs is the regression for the
 // abort path the three hand-copied launch loops had drifted on: Merge's
-// inputs are consumed even on abort, including the group of a worker the
-// crew parked before it ever started. A 3-page budget sustains one of the
-// two workers; the cancel lands while the other is still parked.
+// inputs are consumed even on abort — at Workers=2 on a 3-page budget, with
+// the cancel landing at the merge's first append, every input run is freed,
+// not only the ones the first step read.
 func TestParallelMergeCancelWhileParkedFreesInputs(t *testing.T) {
 	store := newSafeStore()
 	budget := newTestBudget(32)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	env := &Env{Store: store, Mem: budget, Ctx: ctx}
-	ids, _ := fencelessRuns(t, env, 4, 2000)
+	ids, _ := storedRuns(t, env, 4, 2000)
 	budget.Resize(3)
 	first := store.appends + 1 // the merge's first append
 	store.onAppend = func(_ RunID, nth, _ int) {
@@ -719,97 +693,74 @@ func TestParallelMergeCancelWhileParkedFreesInputs(t *testing.T) {
 	}
 }
 
-// TestParkedWorkerSuspendsOnce: a worker the crew parks — before its first
-// step or in the middle of one, under every adaptation strategy — goes
-// through the one suspension sequence: exactly one suspension on record and
-// one EvSuspend/EvResume pair carrying its Worker id. The budget is cut to 5
-// pages (one 3-page worker) and restored when worker 2 reports parked.
-//
-// Which worker an append belongs to is read off its keys: the two partitions
-// meet near the median key. "start" cuts the budget before the crew exists;
-// "mid" cuts it from worker 2's own append three quarters through the key
-// space, so its very next page boundary finds it parked. Either way worker 1
-// is held at the first quartile until then — it may not finish and hand its
-// rank down first, however the scheduler orders the two — and the "mid" cut
-// waits for that hold: a worker 1 still short of it would meet the 5 pages at
-// a page boundary of its own and, under the suspension strategy, rightly
-// suspend for want of them. The workers append only in preliminary steps —
-// each partition's last step is held for the consumer — so the input is
-// large enough that a partition's clones outnumber its 24-page share.
+// TestParkedWorkerSuspendsOnce: a merge whose share drops to zero — a party
+// of a handle that the total no longer sustains beside an older one —
+// before its first step or in the middle of one, under every adaptation
+// strategy, goes through the one suspension sequence: exactly one
+// suspension on record and one EvSuspend/EvResume pair. The total is cut
+// from 48 pages to 5 (one 3-page party) and restored when the merge
+// reports the suspension. "start" cuts it as the merge phase begins, "mid"
+// from the merge's first append, so its very next page boundary finds it
+// parked.
 func TestParkedWorkerSuspendsOnce(t *testing.T) {
 	const total = 48
-	recs := makeRecords(40000, 17)
-	sorted := slices.Clone(recs)
-	sortRecords(sorted)
-	q25, q40, q75 := sorted[len(sorted)/4].Key, sorted[len(sorted)*2/5].Key, sorted[len(sorted)*3/4].Key
+	recs := makeRecords(8000, 17)
 	for _, adapt := range []Adapt{Suspend, Paging, DynSplit} {
 		for _, when := range []string{"start", "mid"} {
 			t.Run(fmt.Sprintf("a%d_%s", adapt, when), func(t *testing.T) {
 				budget := newTestBudget(total)
+				older, party := budget.Join(), budget.Join()
+				defer older.Leave()
 				store := newSafeStore()
 				var (
-					mu      sync.Mutex
-					merging bool
-					shrunk  bool
-					events  []Event
+					merging, shrunk bool
+					events          []Event
 				)
-				parked, held := make(chan struct{}), make(chan struct{})
-				var holdOnce sync.Once
+				shrink := func() {
+					shrunk = true
+					budget.Resize(5)
+				}
 				env := &Env{
-					In: &sliceInput{pages: pagesOf(recs, 32)}, Store: store, Mem: budget, Ctx: context.Background(),
+					In: &sliceInput{pages: pagesOf(recs, 32)}, Store: store, Mem: party, Ctx: context.Background(),
 					OnEvent: func(ev Event) {
-						mu.Lock()
-						defer mu.Unlock()
 						switch ev.Kind {
 						case EvPhase:
 							if merging = ev.Phase == "merge"; merging && when == "start" {
-								shrunk = true
-								budget.Resize(5)
+								shrink()
 							}
 						case EvSuspend, EvResume:
 							events = append(events, ev)
-							if ev.Kind == EvSuspend && ev.Worker == 2 {
+							if ev.Kind == EvSuspend {
 								budget.Resize(total)
-								close(parked)
 							}
 						}
 					},
 				}
-				store.gate = func(pages []Page) {
-					k := pages[0][0].Key
-					mu.Lock()
-					cut := merging && !shrunk && k >= q75
-					hold := merging && k >= q25 && k < q40
-					mu.Unlock()
-					if cut {
-						<-held
-						mu.Lock()
-						shrunk = true
-						budget.Resize(5)
-						mu.Unlock()
-					}
-					if hold {
-						holdOnce.Do(func() { close(held) })
-						<-parked
+				store.onAppend = func(RunID, int, int) {
+					if merging && !shrunk {
+						shrink()
 					}
 				}
 				cfg := SortConfig{
 					Method: Repl, BlockPages: 6, Merge: OptMerge,
-					Adapt: adapt, PageRecords: 32, MinPages: 3, Workers: 2,
+					Adapt: adapt, PageRecords: 32, MinPages: 3,
 				}
 				res, err := ExternalSort(env, cfg)
 				if err != nil {
 					t.Fatalf("sort: %v", err)
 				}
+				party.Leave()
 				got := sortOutput(t, store, res, budget)
 				checkSorted(t, got)
 				checkPermutation(t, recs, got)
-				if len(events) != 2 || events[0].Kind != EvSuspend || events[1].Kind != EvResume ||
-					events[0].Worker != 2 || events[1].Worker != 2 {
-					t.Fatalf("suspension events %+v, want one suspend/resume pair from worker 2", events)
+				if len(events) != 2 || events[0].Kind != EvSuspend || events[1].Kind != EvResume {
+					t.Fatalf("suspension events %+v, want one suspend/resume pair", events)
 				}
 				if res.Stats.Suspensions != 1 {
-					t.Fatalf("Stats.Suspensions = %d, want exactly the parked worker's one", res.Stats.Suspensions)
+					t.Fatalf("Stats.Suspensions = %d, want exactly the parked merge's one", res.Stats.Suspensions)
+				}
+				if g := budget.Granted(); g != 0 {
+					t.Fatalf("broker still has %d pages granted", g)
 				}
 			})
 		}

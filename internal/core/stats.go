@@ -50,9 +50,9 @@ type SortStats struct {
 	// MaxGranted tracks the high-water mark of pages held.
 	MaxGranted int
 
-	// Workers is the number of workers each phase ran on (1 means inline on
-	// the caller's goroutine: every simulated sort and the real engine's
-	// default).
+	// Workers is the number of workers run generation ran on; the merge
+	// runs on one (1 means inline on the caller's goroutine: every
+	// simulated sort and the real engine's default).
 	Workers int
 
 	// Store I/O aggregates, filled by the host: completed read requests and

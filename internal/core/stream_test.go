@@ -232,11 +232,11 @@ func (in streamInput) NextPage() (Page, bool, error) {
 	return slices.Clone(pg), ok, err
 }
 
-// TestStreamFeedsASortThroughOneBroker: a two-worker sort's held partition
-// steps feed a second sort, on one 8-page handle shared by parties — the
-// first sort, the Stream of its steps, the second sort — each a Broker
-// wrapper that checks at every grant that the parties together stay within
-// the handle. Both hold pages at once, and the output is exact.
+// TestStreamFeedsASortThroughOneBroker: a two-worker sort's held last step
+// feeds a second sort, on one 8-page handle shared by parties — the first
+// sort, the Stream of its step, the second sort — each a Broker wrapper that
+// checks at every grant that the parties together stay within the handle.
+// Both hold pages at once, and the output is exact.
 func TestStreamFeedsASortThroughOneBroker(t *testing.T) {
 	recs := makeRecords(6400, 67)
 	want := slices.Clone(recs)
@@ -253,8 +253,8 @@ func TestStreamFeedsASortThroughOneBroker(t *testing.T) {
 		t.Fatal(err)
 	}
 	inner.Leave()
-	if res.Stats.Workers != 2 || res.Last == nil || len(res.Last.parts) != 2 {
-		t.Fatalf("%d workers, held steps %v: want two partitions held", res.Stats.Workers, res.Last != nil)
+	if res.Stats.Workers != 2 || res.Last == nil {
+		t.Fatalf("%d workers, held step %v: want 2 and a held step", res.Stats.Workers, res.Last != nil)
 	}
 	s := res.Last.Stream(&partyBroker{Handle: stream, t: t, whole: whole, rival: outer, both: &both})
 	cfg.Method, cfg.Workers = Quick, 1 // the sorted stream cut into memory-sized runs: a merge
@@ -276,117 +276,5 @@ func TestStreamFeedsASortThroughOneBroker(t *testing.T) {
 	}
 	if whole.Granted() != 0 {
 		t.Fatalf("%d pages granted at the end", whole.Granted())
-	}
-}
-
-// TestStreamRunsOnePartitionAtATime is the memory contract of a two-worker
-// sort's drain under a fixed budget: each partition's step starts holding
-// nothing — the step before it has handed every page back — and no more
-// than the Stream's broker allows is ever held.
-func TestStreamRunsOnePartitionAtATime(t *testing.T) {
-	recs := makeRecords(30000, 5)
-	want := slices.Clone(recs)
-	slices.SortFunc(want, cmpRecords)
-	for _, ad := range []Adapt{Suspend, Paging, DynSplit} {
-		budget := newTestBudget(48)
-		store := newSafeStore()
-		var starts []Event // the Stream's step starts
-		returned := false
-		env := &Env{In: &sliceInput{pages: pagesOf(recs, 32)}, Store: store, Mem: budget, Ctx: context.Background(), StreamLast: true,
-			OnEvent: func(ev Event) {
-				if returned && ev.Kind == EvStepStart {
-					starts = append(starts, ev)
-				}
-			}}
-		cfg := SortConfig{Method: Repl, BlockPages: 6, Merge: OptMerge, Adapt: ad, PageRecords: 32, MinPages: 3, MergeBlockPages: 6, Workers: 4}
-		res, err := ExternalSort(env, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		returned = true
-		if res.Last == nil || len(res.Last.parts) != 4 {
-			t.Fatalf("%s: held steps %v: want four partitions held", cfg.Notation(), res.Last != nil)
-		}
-		peak := &peakBroker{Broker: budget}
-		got := sortOutput(t, store, res, peak)
-		if !slices.EqualFunc(got, want, func(a, b Record) bool { return cmpRecords(a, b) == 0 }) {
-			t.Fatalf("%s: %d records out, want the sorted %d", cfg.Notation(), len(got), len(want))
-		}
-		if len(starts) != 4 || peak.over != 0 || peak.max == 0 || budget.Granted() != 0 {
-			t.Fatalf("%s: %d step starts in the drain (want 4), %d grants over the target, %d pages at most, %d left granted",
-				cfg.Notation(), len(starts), peak.over, peak.max, budget.Granted())
-		}
-		for _, ev := range starts {
-			if ev.Granted != 0 {
-				t.Fatalf("%s: a partition's step started with %d pages held", cfg.Notation(), ev.Granted)
-			}
-		}
-	}
-}
-
-// peakBroker records the most pages its broker granted, and how many
-// grants left more than the target held.
-type peakBroker struct {
-	Broker
-	max, over int
-}
-
-func (b *peakBroker) Acquire(n int) int {
-	got := b.Broker.Acquire(n)
-	g := b.Granted()
-	b.max = max(b.max, g)
-	if g > b.Target() {
-		b.over++
-	}
-	return got
-}
-
-// TestStreamOneClonePartition: a key partition that only one run reaches
-// into is a last step of one input — no merge step runs for it in the crew,
-// and the Stream copies the clone's range — under every adaptation
-// strategy. Run a holds keys 0–99 and run b keys 0–19, so the cut falls at
-// 40 and the upper partition is a's alone.
-func TestStreamOneClonePartition(t *testing.T) {
-	var inputs [][]Record
-	for _, n := range []int{100, 20} {
-		recs := make([]Record, n)
-		for i := range recs {
-			recs[i] = Record{Key: Key(i), Payload: []byte{byte(n)}}
-		}
-		inputs = append(inputs, recs)
-	}
-	want := slices.Concat(inputs...)
-	slices.SortFunc(want, cmpRecords)
-	for _, ad := range []Adapt{Suspend, Paging, DynSplit} {
-		store := newSafeStore()
-		var runs []*runInfo
-		for _, recs := range inputs {
-			r, err := newRun(store)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w := runWriter{store: store}
-			if err := w.append(r, pagesOf(recs, 10)); err != nil {
-				t.Fatal(err)
-			}
-			runs = append(runs, r)
-		}
-		budget := newTestBudget(12)
-		cfg := DefaultConfig()
-		cfg.Adapt, cfg.PageRecords, cfg.Workers = ad, 10, 2
-		env := &Env{Store: store, Mem: budget, Ctx: context.Background()}
-		out, l, err := mergePhase(env, cfg, &SortStats{}, 2, runs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out != nil || l == nil || len(l.parts) != 2 || len(l.parts[1]) != 1 {
-			t.Fatalf("%s: stored output %v, held steps %v: want two partitions, the second of one clone", cfg.Notation(), out != nil, l != nil)
-		}
-		if got := streamAll(t, l, budget); !slices.EqualFunc(got, want, func(a, b Record) bool { return cmpRecords(a, b) == 0 }) {
-			t.Fatalf("%s: %d records out, want the sorted %d", cfg.Notation(), len(got), len(want))
-		}
-		if live := store.liveRuns(); live != 0 || budget.Granted() != 0 {
-			t.Fatalf("%s: %d runs live, %d pages granted after Close", cfg.Notation(), live, budget.Granted())
-		}
 	}
 }

@@ -87,11 +87,9 @@ type PageToken = core.PageToken
 //   - Writes to one run (Create/Append and the appends' token waits) come
 //     from one goroutine at a time; different runs are written
 //     concurrently. Reads are more permissive: a run that is no longer
-//     being appended to may be read by several goroutines at once — a
-//     parallel merge (WithWorkers) hands key-range clones of the same
-//     completed run to different workers. Free may race with in-flight
-//     reads of the same run (they may then fail, but must not deliver
-//     wrong data, panic or deadlock).
+//     being appended to may be read by several goroutines at once. Free
+//     may race with in-flight reads of the same run (they may then fail,
+//     but must not deliver wrong data, panic or deadlock).
 type RunStore = core.RunStore
 
 // Event is an adaptation event (see WithEvents).

@@ -145,8 +145,8 @@ func (o config) build() (core.SortConfig, config, error) {
 //
 // Phase boundaries label the operator's goroutine for CPU profiles (op,
 // phase), so a profile splits run generation from merging without reading
-// symbol names; crew workers inherit the labels of the goroutine that
-// starts them. "idle" hands the caller's own labels back — callers defer
+// symbol names; the split's crew workers inherit the labels of the
+// goroutine that starts them. "idle" hands the caller's own labels back — callers defer
 // env.SetPhase("idle") so aborted operators do too.
 func newEnv(ctx context.Context, o config, mem core.Broker, meter *counterMeter, ot *opTrace, op string) (*core.Env, *tracedStore) {
 	start := time.Now()
@@ -238,9 +238,8 @@ func (m *counterMeter) counters() Counters {
 }
 
 // Sort externally sorts the input under the configured memory budget and
-// returns a handle to the sorted output: the last merge step itself — on
-// more than one worker, the last step of every key partition, in key order —
-// which Result.Iterator runs (see Result).
+// returns a handle to the sorted output: the last merge step itself, which
+// Result.Iterator runs (see Result).
 //
 // Canceling ctx aborts the sort at its next adaptation point — split-phase
 // page boundaries, merge output-page and step boundaries, and suspension

@@ -70,28 +70,25 @@ func WithStore(s RunStore) Option {
 	return func(o *config) { o.store = s }
 }
 
-// WithWorkers sets how many workers each phase of the operator runs on —
-// the single CPU-parallelism option, and plain data to the engine's one
+// WithWorkers sets how many workers the operator's run generation runs on —
+// the single CPU-parallelism option, and plain data to the engine's split
 // phase driver. n = 0 means "use every core" (runtime.GOMAXPROCS(0),
 // resolved when the option is applied); n <= 1 means one worker, the
-// default: the phases then run inline on the caller's goroutine and no
+// default: the split then runs inline on the caller's goroutine and no
 // goroutine is started.
 //
 // The worker count changes neither the output nor the memory contract: the
 // result is value-identical at every n, and the workers collectively never
 // hold more than the Budget/Pool target — a Shrink propagates to every
-// worker at its next page boundary, parking (suspending) workers the
-// shrunken budget can no longer sustain (at least one always keeps
-// merging). With n > 1 a sort's merge is cut into key partitions, and each
-// worker merges its partition down to its last step; Result.Iterator runs
-// those steps one after another in key order, as it runs a one-worker
-// sort's last step (see Result). Stats.Workers reports the worker count
-// used. The simulator never sets it — simulated sorts are defined to be
-// single-threaded.
+// worker at its next page boundary, parking workers the shrunken budget can
+// no longer sustain (at least one always keeps generating runs). n workers
+// generate runs; the merge runs on the operator's goroutine under the whole
+// target, with the plan it has at one worker, and Result.Iterator runs its
+// last step (see Result). Stats.Workers reports the worker count run
+// generation used. The simulator never sets it — simulated sorts are
+// defined to be single-threaded.
 //
-// Merge runs on one worker whatever n is: the workers of a sort's merge cut
-// its runs by the key fences run generation recorded, and runs written
-// before the call carry none.
+// Merge runs on one worker whatever n is: it has no runs to generate.
 func WithWorkers(n int) Option {
 	return func(o *config) {
 		if n == 0 {
@@ -111,8 +108,8 @@ func WithWorkers(n int) Option {
 // never concurrently with itself for one operator. On one worker it is
 // called on the operator's own goroutine — and for a held last merge step
 // (see Result), on the goroutine draining it; more workers (WithWorkers)
-// serialize their events through a mutex, so calls may arrive on worker
-// goroutines (Event.Worker says which). A callback shared across operators (a pooled
+// serialize their run-generation events through a mutex, so those calls
+// may arrive on worker goroutines (Event.Worker says which). A callback shared across operators (a pooled
 // workload) must be safe for concurrent use, since each operator invokes
 // its own copy of the stream. The callback must be fast — it runs inside the sort's adaptation
 // path. A panicking callback is recovered and counted in

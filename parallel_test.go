@@ -45,8 +45,8 @@ func TestSortParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSortParallelStatsAndClose: worker count lands in Stats, the segmented
-// result iterates fully, and Close frees every segment.
+// TestSortParallelStatsAndClose: worker count lands in Stats, the result
+// iterates fully, and Close frees every run it kept.
 func TestSortParallelStatsAndClose(t *testing.T) {
 	in := randomRecords(40_000, 4, 0)
 	store := NewMemStore()
@@ -140,39 +140,31 @@ func TestSortParallelUnderPoolChurn(t *testing.T) {
 	}
 }
 
-// TestSortParallelSuspendResume shrinks the budget mid-parallel-merge to a
-// level that cannot sustain every worker, then restores it once workers
-// have parked: the sort must resume and complete, with the suspensions on
-// record.
+// TestSortParallelSuspendResume: a four-worker sort's merge is one merge,
+// run under the drain's Next. The budget shrinks to 6 pages as its held step
+// starts — below the step's requirement — and is restored once the step has
+// suspended: the sort must resume and complete, with exactly that one
+// suspension on record.
 func TestSortParallelSuspendResume(t *testing.T) {
 	in := randomRecords(50_000, 33, 0)
 	budget := NewBudget(48)
 	var (
 		mu       sync.Mutex
-		merging  bool
-		events   int
+		returned bool
 		shrunk   bool
 		suspends int
-		restored bool
 	)
-	out, err := SortSlice(context.Background(), in,
-		WithWorkers(4), WithPageRecords(64), WithBudget(budget),
+	res, err := Sort(context.Background(), NewSliceIterator(in),
+		WithWorkers(4), WithPageRecords(64), WithBudget(budget), WithAdaptation(Suspension),
 		WithEvents(func(ev Event) {
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
-			case ev.Kind == EvPhase && ev.Phase == "merge":
-				merging = true
-			case merging && !shrunk:
-				events++
-				if events > 4 {
-					shrunk = true
-					budget.Resize(6)
-				}
-			case ev.Kind == EvSuspend && shrunk && !restored:
-				suspends++
-				if suspends >= 2 {
-					restored = true
+			case ev.Kind == EvStepStart && returned && !shrunk:
+				shrunk = true
+				budget.Resize(6)
+			case ev.Kind == EvSuspend && shrunk:
+				if suspends++; suspends == 1 {
 					budget.Resize(48)
 				}
 			}
@@ -180,17 +172,27 @@ func TestSortParallelSuspendResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer res.Close()
+	mu.Lock()
+	returned = true
+	mu.Unlock()
+	out, err := Drain(res.Iterator())
+	if err != nil {
+		t.Fatal(err)
+	}
 	assertSorted(t, out)
 	assertPermutation(t, in, out)
 	mu.Lock()
 	defer mu.Unlock()
-	if !shrunk || suspends == 0 {
-		t.Fatalf("shrink window never exercised (shrunk=%v suspends=%d)", shrunk, suspends)
+	if !shrunk || suspends != 1 || res.Stats.Suspensions != 1 || res.Stats.Workers != 4 {
+		t.Fatalf("shrunk %v, %d suspensions seen, Stats %d on %d workers: want the one merge's one suspension on 4 workers",
+			shrunk, suspends, res.Stats.Suspensions, res.Stats.Workers)
 	}
 }
 
-// TestSortParallelCancelLeakFree cancels mid-parallel-merge: the abort must
-// leave no runs in the store and no pages or operators in the pool.
+// TestSortParallelCancelLeakFree cancels a four-worker sort while its split
+// crew runs: the abort must leave no runs in the store — the crew's runs
+// written so far included — and no pages or operators in the pool.
 func TestSortParallelCancelLeakFree(t *testing.T) {
 	in := randomRecords(50_000, 9, 0)
 	pool := NewPool(48)
@@ -199,8 +201,7 @@ func TestSortParallelCancelLeakFree(t *testing.T) {
 	defer cancel()
 	var (
 		mu       sync.Mutex
-		merging  bool
-		events   int
+		runs     int
 		canceled bool
 	)
 	_, err := Sort(ctx, NewSliceIterator(in),
@@ -208,13 +209,8 @@ func TestSortParallelCancelLeakFree(t *testing.T) {
 		WithEvents(func(ev Event) {
 			mu.Lock()
 			defer mu.Unlock()
-			if ev.Kind == EvPhase && ev.Phase == "merge" {
-				merging = true
-				return
-			}
-			if merging && !canceled {
-				events++
-				if events > 4 {
+			if ev.Kind == EvRunDone && ev.Worker > 0 && !canceled {
+				if runs++; runs > 4 {
 					canceled = true
 					cancel()
 				}
@@ -226,7 +222,7 @@ func TestSortParallelCancelLeakFree(t *testing.T) {
 	mu.Lock()
 	if !canceled {
 		mu.Unlock()
-		t.Fatal("cancellation never triggered mid-merge")
+		t.Fatal("cancellation never triggered in the split crew")
 	}
 	mu.Unlock()
 	if live := store.Live(); live != 0 {
@@ -240,11 +236,11 @@ func TestSortParallelCancelLeakFree(t *testing.T) {
 	}
 }
 
-// TestMergeParallel: runs written before the call carry no key fences to cut
-// them by, so Merge at three workers is the one-worker merge — the same
-// output record for record, the same steps — and Stats.Workers says 1. Three
-// runs and nine, each all one step can merge: the parent of this test merged
-// nine on three workers in a tree of four steps.
+// TestMergeParallel: a Merge has no run generation to parallelise, so Merge
+// at three workers is the one-worker merge — the same output record for
+// record, the same steps — and Stats.Workers says 1. Three runs and nine,
+// each all one step can merge: the parent of this test merged nine on three
+// workers in a tree of four steps.
 func TestMergeParallel(t *testing.T) {
 	for _, n := range []int{3, 9} {
 		t.Run(fmt.Sprintf("runs%d", n), func(t *testing.T) {
@@ -319,9 +315,9 @@ func (s *cancelOnAppend) Append(id RunID, pages []Page) (Token, error) {
 }
 
 // TestMergeParallelCancelWhileWorkerParked: Merge consumes its inputs even
-// on abort — also the run group of a worker that was still parked (a 3-page
-// budget sustains one of the two) when the cancel landed. The parent of this
-// test left two of the four input runs live.
+// on abort — at two workers on a 3-page budget, with the cancel landing at
+// its first append, all four input runs, not only the ones its first step
+// read. The parent of this test left two of the four input runs live.
 func TestMergeParallelCancelWhileWorkerParked(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -384,13 +384,13 @@ func TestPoisonOnReleaseMatrix(t *testing.T) {
 									}),
 								}
 								res, want := op.run(t, store, opts)
-								// A Sort or Merge result is its last merge step — a
-								// two-worker Sort's, one a key partition — which each
-								// drain runs afresh; the others are stored runs. A
-								// drain gives every page it consumes back at most once
-								// — the pages live when the operator returned, and
-								// those its splits write — and, with no adaptation
-								// dropping a page it had read, exactly once. The
+								// A Sort or Merge result is its last merge step — at
+								// one worker or two — which each drain runs afresh;
+								// the others are stored runs. A drain gives every
+								// page it consumes back at most once — the pages live
+								// when the operator returned, and those its splits
+								// write — and, with no adaptation dropping a page it
+								// had read, exactly once: every live page. The
 								// result's own pages (a stored run's, or the step's
 								// inputs) go back record arrays only, a split's inputs
 								// whole once written (MergePagesReleased).
@@ -419,16 +419,9 @@ func TestPoisonOnReleaseMatrix(t *testing.T) {
 								if want := op.name == "merge" || op.name == "sort"; streamed != want {
 									t.Fatalf("the drains ran a merge step: %v, want %v", streamed, want)
 								}
-								// One worker's step consumes every live page; two
-								// workers' steps start their clones where the crew
-								// left them, and consume every page they read.
-								consumed := held
-								if op.name == "sort" && workers == 2 {
-									consumed = st.MergePagesRead - before.MergePagesRead
-								}
 								for i := range 2 {
 									d := count{counts[i+1].recs - counts[i].recs, counts[i+1].whole - counts[i].whole, counts[i+1].written - counts[i].written}
-									exact := !streamed && d == (count{recs: res.Pages}) || streamed && d == (count{recs: consumed})
+									exact := !streamed && d == (count{recs: res.Pages}) || streamed && d == (count{recs: held})
 									if !exact && (!streamed || sched == "fixed" || d.recs == 0 || d.recs+d.whole-d.written > held ||
 										i == 0 && d.recs > st.MergePagesRead-before.MergePagesRead) {
 										t.Fatalf("drain %d (streamed %v) of %d live pages (%d out) gave back %d record arrays and %d pages, and wrote %d",

@@ -19,20 +19,18 @@ import (
 // had nothing to merge (the input fit in memory). Otherwise the output is the
 // operator's last merge step itself, held back from the store: Sort and
 // Merge return before it, and Iterator runs it under the caller's Next, page
-// by page, rather than writing every output page only to read it back. A
-// Sort that merged on more than one worker (WithWorkers) holds one last step
-// a key partition, and Iterator runs them one after another in key order.
-// Such a result keeps the steps' input runs until Close and runs the steps
-// afresh for every Iterator. The contract of a held step:
+// by page, rather than writing every output page only to read it back, at
+// every WithWorkers count. Such a result keeps the step's input runs until
+// Close and runs the step afresh for every Iterator. The contract of a held
+// step:
 //
 //   - Each iterator is a user of its own of the operator's memory contract
 //     (WithBudget, WithPool) from the Iterator call until it ends — drained,
 //     failed, its range loop broken (All) — or the result is closed: it
 //     shares the Budget with whatever else runs on it meanwhile, each
 //     counting only its own pages. While it runs a step, it holds up to
-//     the step's fan-in + 1 pages, taken at the step's first Next — one
-//     partition's step at a time, which hands its pages back before the
-//     next one starts — and adapts to its share as every step does: a
+//     the step's fan-in + 1 pages, taken at the step's first Next, and
+//     adapts to its share as every step does: a
 //     share that shrank since the operator returned first merges inputs
 //     down to a step that fits, as the merge plan would have, and a
 //     shrink between two Next calls splits, pages or suspends the step

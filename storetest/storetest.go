@@ -341,9 +341,7 @@ func testFreeInFlight(t *testing.T, cfg Config) {
 // once).
 // testConcurrentReaders checks the read side of the concurrency contract: a
 // run that is no longer being appended to may be read by several goroutines
-// at once, each scanning its own (overlapping) page range — exactly how a
-// parallel merge (masort.WithWorkers) hands key-range clones of one
-// completed run to different workers.
+// at once, each scanning its own (overlapping) page range.
 func testConcurrentReaders(t *testing.T, cfg Config) {
 	s := cfg.New(t)
 	const npages = 24

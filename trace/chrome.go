@@ -91,9 +91,9 @@ func memArgs(e Event) map[string]any {
 }
 
 // lane picks the timeline row for an engine event: the operator's own row
-// for serial events, a per-worker sub-row for events emitted by a parallel
-// worker goroutine (WithWorkers). Serial operators always emit Worker 0, so
-// their traces are unchanged.
+// for the operator's goroutine, a per-worker sub-row for events emitted by
+// a run-generation worker (WithWorkers). Serial operators and every merge
+// emit Worker 0, so their rows are the operator's.
 func lane(e Event) uint64 {
 	if e.Worker == 0 {
 		return e.Op
