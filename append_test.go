@@ -323,72 +323,90 @@ func TestAppendsToDifferentRunsOverlap(t *testing.T) {
 }
 
 // TestFileStoreSortStartsNoGoroutine: a sort and the drain of its result on a
-// disk-backed store, one worker, a device the page cache hides, run on the
-// caller's goroutine from the first page to the last — the store starts none
-// for a write, ever, and none for a read on such a device. (The stores' clock
-// is pinned, as in TestFastDeviceDispatchesNothing: a descheduled reader must
-// not look like a slow disk.)
+// disk-backed store, a device the page cache hides, run on the caller's
+// goroutine from the first page to the last — the store starts none for a
+// write, ever, and none for a read on such a device — at every worker
+// count: WithWorkers starts no goroutine either. (The stores' clock is
+// pinned, as in
+// TestFastDeviceDispatchesNothing: a descheduled reader must not look like
+// a slow disk.)
 func TestFileStoreSortStartsNoGoroutine(t *testing.T) {
 	in := randomRecords(20000, 23, 16)
 	for _, be := range tokenBackends[:2] { // file, striped
 		t.Run(be.name, func(t *testing.T) {
-			s := be.open(t, NewStoreConfig())
-			epoch := time.Now()
-			s.ps.now = func() time.Time { return epoch }
-			// Earlier tests' goroutines may still be on their way out: take the
-			// baseline once the count has stopped moving.
-			base := runtime.NumGoroutine()
-			for still := 0; still < 5; still++ {
-				time.Sleep(time.Millisecond)
-				if n := runtime.NumGoroutine(); n != base {
-					base, still = n, 0
-				}
-			}
-			samples := 0
-			sample := func(when string) {
-				samples++
-				if n := runtime.NumGoroutine(); n > base {
-					t.Errorf("%d goroutines %s, %d before the sort", n, when, base)
-				}
-			}
-			res, err := Sort(context.Background(), NewSliceIterator(in),
-				WithPageRecords(32), WithBudget(NewBudget(8)), WithStore(s),
-				WithEvents(func(ev Event) {
-					if ev.Kind == EvRunDone || ev.Kind == EvStepDone {
-						sample(fmt.Sprintf("at %v", ev.Kind))
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+					s := be.open(t, NewStoreConfig())
+					epoch := time.Now()
+					s.ps.now = func() time.Time { return epoch }
+					base := settledGoroutines()
+					samples := 0
+					phase := ""
+					sample := func(when string) {
+						samples++
+						if n := runtime.NumGoroutine(); n != base {
+							t.Errorf("%d goroutines %s, %d before the sort", n, when, base)
+						}
 					}
-				}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The last merge step runs under the drain: sample it too.
-			var out []Record
-			for rec, err := range res.All() {
-				if err != nil {
-					t.Fatal(err)
-				}
-				if out = append(out, rec); len(out)%4096 == 0 {
-					sample("during the drain")
-				}
-			}
-			if len(out) != len(in) {
-				t.Fatalf("drained %d of %d records", len(out), len(in))
-			}
-			sample("after the drain")
-			if res.Stats.Runs < 20 || res.Stats.MergeSteps < 2 || samples < res.Stats.Runs+res.Stats.MergeSteps {
-				t.Fatalf("%d runs, %d merge steps, %d samples: the shape this test is about has many live runs",
-					res.Stats.Runs, res.Stats.MergeSteps, samples)
-			}
-			if err := res.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.close(); err != nil {
-				t.Fatal(err)
-			}
-			sample("after Close")
-			if inline, dispatched := s.readsRun(); dispatched != 0 || inline == 0 {
-				t.Fatalf("%d reads run inline, %d dispatched", inline, dispatched)
+					res, err := Sort(context.Background(), NewSliceIterator(in),
+						WithPageRecords(32), WithBudget(NewBudget(8)), WithStore(s), WithWorkers(workers),
+						WithEvents(func(ev Event) {
+							switch ev.Kind {
+							case EvPhase:
+								phase = ev.Phase
+							case EvRunDone, EvStepDone:
+								sample(fmt.Sprintf("at %v in %s", ev.Kind, phase))
+							}
+						}))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Stats.Workers != workers {
+						t.Fatalf("Stats.Workers = %d, want %d", res.Stats.Workers, workers)
+					}
+					// The last merge step runs under the drain: sample it too.
+					var out []Record
+					for rec, err := range res.All() {
+						if err != nil {
+							t.Fatal(err)
+						}
+						if out = append(out, rec); len(out)%4096 == 0 {
+							sample("during the drain")
+						}
+					}
+					if len(out) != len(in) {
+						t.Fatalf("drained %d of %d records", len(out), len(in))
+					}
+					sample("after the drain")
+					if res.Stats.Runs < 20 || res.Stats.MergeSteps < 2 || samples < res.Stats.Runs+res.Stats.MergeSteps {
+						t.Fatalf("%d runs, %d merge steps, %d samples: the shape this test is about has many live runs",
+							res.Stats.Runs, res.Stats.MergeSteps, samples)
+					}
+					if err := res.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.close(); err != nil {
+						t.Fatal(err)
+					}
+					sample("after Close")
+					if inline, dispatched := s.readsRun(); dispatched != 0 || inline == 0 {
+						t.Fatalf("%d reads run inline, %d dispatched", inline, dispatched)
+					}
+				})
 			}
 		})
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has stopped
+// moving: earlier tests' goroutines may still be on their way out.
+func settledGoroutines() int {
+	base := runtime.NumGoroutine()
+	for still := 0; still < 5; still++ {
+		time.Sleep(time.Millisecond)
+		if n := runtime.NumGoroutine(); n != base {
+			base, still = n, 0
+		}
+	}
+	return base
 }

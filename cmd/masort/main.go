@@ -120,7 +120,7 @@ func main() {
 		listen    = flag.String("listen", "", "serve Prometheus /metrics and /debug/events on this address (e.g. :9090)")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON file (load in chrome://tracing)")
 		hold      = flag.Bool("hold", false, "with -listen: keep serving after the sort completes, until interrupted")
-		workers   = flag.Int("workers", 1, "run-generation workers; the merge runs on one (0 = all cores, 1 = serial)")
+		workers   = flag.Int("workers", 1, "workers reported in the stats, at most 2; every sort runs on one goroutine (0 = all cores)")
 	)
 	flag.Parse()
 

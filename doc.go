@@ -80,14 +80,15 @@
 //
 // The default split method is replacement selection with 6-page block
 // writes, the paper's recommendation. Because the split loop pops a block
-// and then pushes a block, the engine selects in batches: a pushed record
-// is only staged; the first pop after a burst seals the staged records
-// into one sorted mini-run (bucket scatter on the key's top bits, a
-// comparison sort inside a bucket); and each pop replays one root path of
-// a loser tree over the mini-run heads. Run tags are assigned at push time
-// exactly as in classic replacement selection and the order (run, key,
-// payload) is total, so runs and I/O are identical to the classic
-// binary heap's — only Counters.Compares and the CPU time drop.
+// and then reads the pages it freed, the engine selects in batches: the
+// records read are copied into a burst and sorted by (key, payload)
+// (bucket scatter on the key's top bits, a comparison sort inside a
+// bucket); before the next pop the burst is cut at the current run's last
+// record into two mini-runs, one per run tag; and each pop replays one
+// root path of a loser tree over the mini-run heads. The tags are the ones
+// classic replacement selection assigns and the order (run, key, payload)
+// is total, so runs and I/O are identical to the classic binary heap's —
+// only Counters.Compares and the CPU time drop.
 //
 // The same loser tree serves run generation, the merge and the join: the
 // merge and each side of the join select among their runs' one-record
@@ -101,40 +102,22 @@
 //
 // # Parallel execution
 //
-// Worker count is a parameter of run generation, not a second engine:
-// WithWorkers(n) sets how many workers the split phase runs on (0 resolves
-// to GOMAXPROCS; the default is 1). At n = 1 the split runs inline on the
-// caller's goroutine against the operator's own budget — no goroutine is
-// started. At n > 1 the same split body runs on n goroutines, and the
-// output is value-identical at every n. The worker model is
+// WithWorkers(n) sets the worker count a sort reports in Stats.Workers (0
+// resolves to GOMAXPROCS, the default is 1, any n >= 2 resolves to two),
+// and nothing else: every sort runs on the caller's goroutine and starts
+// none. Replacement selection keeps one heap over the operator's whole
+// target, so its runs are about twice the memory long at every n — the
+// paper's run length; dividing the target among per-worker heaps halves
+// the runs and adds a merge pass. One merge follows on the same goroutine,
+// with its last step held for the Result; every event fires there (or on
+// the goroutine draining the held step). Merge, which generates no runs,
+// reports Stats.Workers = 1.
 //
-//   - split phase: workers consume the shared input in page-sized bites
-//     and each produces sorted runs from its share of the budget;
-//   - merge phase: one merge, on the operator's goroutine under the
-//     whole budget, over the runs of every worker — the plan a one-worker
-//     sort makes, with its last step held for the Result (Merge, which
-//     generates no runs, reports Stats.Workers = 1). Run generation is
-//     CPU work that divides cleanly among workers; a merge under a fixed
-//     budget is I/O that does not: each worker's share of it would merge
-//     on a fraction of the budget, in more steps;
-//   - memory: the shares come from the operation's own handle on its
-//     *Budget (or *Pool) — the crew is not a second arbiter. The handle
-//     divides its live entitlement into deterministic equal shares,
-//     remainder to the lowest ranks, under the lock that serves Resize
-//     and Reserve, so every Shrink propagates to every worker at its
-//     next page boundary; when the target cannot sustain the whole crew
-//     the highest ranks are parked — a zero share from the same arbiter,
-//     woken by the same condition — until a sibling finishes or the
-//     target grows. Cancellation runs per worker, unchanged.
-//
-// Buffer ownership is unchanged by the worker count: each page buffer has
-// a single owning worker from fill to Append hand-off, and runs are written
-// by exactly one goroutine and read by the one merge. Completed runs may
-// still be read by several goroutines concurrently (the RunStore contract
-// all backends pass storetest with). Result.Stats.Workers reports the
-// worker count run generation actually ran on. The simulator never sets workers, and its buffer manager
-// could not divide itself among a crew if it did: its sorts take the
-// inline path, so its tables stay byte-identical.
+// Buffer ownership: each page buffer has a single owner from fill to
+// Append hand-off, runs are written by the operator's goroutine and read by
+// its one merge. Completed runs may still be read by several goroutines
+// concurrently (the RunStore contract all backends pass storetest with).
+// The simulator never sets workers, so its tables stay byte-identical.
 //
 // # Choosing a run store
 //

@@ -140,9 +140,8 @@ func TestEventsSuspension(t *testing.T) {
 // starts (fan-in 4 or more: it needs at least 5), from that step's own
 // start event, so its worker's next page boundary finds the target short.
 //
-// Under a Budget the owner will restore the target, so the step sleeps: each
-// worker emits one EvSuspend (suspended for want of pages, or parked on a
-// zero share) and no further one until Grow gives its need back. Under a
+// Under a Budget the owner will restore the target, so the step sleeps: it
+// emits one EvSuspend and no further one until Grow gives its need back. Under a
 // Pool nobody will, so the wait is bounded by the pool's total: the step
 // gets through on the 3 pages, suspending again and again, and the sort
 // finishes with the pool never restored.
@@ -161,7 +160,7 @@ func TestSuspensionWaitContract(t *testing.T) {
 					mu       sync.Mutex
 					shrunk   bool
 					restored bool
-					suspends = map[int]int{} // per worker, squeeze to restore
+					suspends int // squeeze to restore
 				)
 				restore := func() {
 					// Long enough for a spinning wait to show: the thrashing
@@ -185,7 +184,7 @@ func TestSuspensionWaitContract(t *testing.T) {
 							budget.Resize(squeezed)
 							pool.Resize(squeezed)
 						case ev.Kind == EvSuspend && shrunk && !restored:
-							if suspends[ev.Worker]++; !pooled && len(suspends) == 1 && suspends[ev.Worker] == 1 {
+							if suspends++; !pooled && suspends == 1 {
 								go restore()
 							}
 						}
@@ -202,7 +201,7 @@ func TestSuspensionWaitContract(t *testing.T) {
 				assertPermutation(t, in, out)
 				mu.Lock()
 				defer mu.Unlock()
-				if len(suspends) == 0 {
+				if suspends == 0 {
 					t.Fatal("the squeeze never suspended a step")
 				}
 				if pooled {
@@ -211,10 +210,8 @@ func TestSuspensionWaitContract(t *testing.T) {
 					}
 					return
 				}
-				for w, n := range suspends {
-					if n != 1 {
-						t.Fatalf("worker %d suspended %d times before the budget was restored: it spun instead of sleeping", w, n)
-					}
+				if suspends != 1 {
+					t.Fatalf("suspended %d times before the budget was restored: the step spun instead of sleeping", suspends)
 				}
 			})
 		}

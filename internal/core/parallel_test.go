@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -185,11 +184,11 @@ func compareRecords(a, b Record) int {
 }
 
 // TestParallelSortMatchesSerial is the determinism contract of the one phase
-// driver: for every worker count × method × adaptation — W = 1 and the
-// no-crewBroker fallback included, all through the same entry — the output
-// equals slices.SortFunc on (key, payload), stored or streamed. The merge
-// has one plan at every W: it holds its last step exactly when the Env asks
-// for it (StreamLast).
+// driver: for every worker count × method × adaptation — W = 1 and a broker
+// that is not the arbiter included, all through the same entry — the output
+// equals slices.SortFunc on (key, payload), stored or streamed, and
+// Stats.Workers reports W. The merge has one plan at every W: it holds its
+// last step exactly when the Env asks for it (StreamLast).
 func TestParallelSortMatchesSerial(t *testing.T) {
 	recs := payloadRecords(20000, 7)
 	want := slices.Clone(recs)
@@ -198,12 +197,11 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 		name    string
 		workers int // cfg.Workers
 		noCtx   bool
-		want    int // Stats.Workers
 	}
 	variants := []variant{
-		{"w1", 1, false, 1}, {"w2", 2, false, 2}, {"w4", 4, false, 4},
-		// A broker that cannot divide itself cannot host a crew: one worker.
-		{"w4nocb", 4, true, 1},
+		{"w1", 1, false}, {"w2", 2, false}, {"w4", 4, false},
+		// A broker that is not the arbiter's handle (nocb).
+		{"w4nocb", 4, true},
 	}
 	for _, method := range []Method{Quick, Repl} {
 		for _, adapt := range []Adapt{Suspend, Paging, DynSplit} {
@@ -229,11 +227,12 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 						if err != nil {
 							t.Fatalf("sort: %v", err)
 						}
-						if res.Stats.Workers != v.want {
-							t.Fatalf("Stats.Workers = %d, want %d", res.Stats.Workers, v.want)
+						workers := v.workers
+						if res.Stats.Workers != workers {
+							t.Fatalf("Stats.Workers = %d, want %d", res.Stats.Workers, workers)
 						}
 						if (res.Last != nil) != stream {
-							t.Fatalf("StreamLast %v: %d workers held a last step %v", stream, v.want, res.Last != nil)
+							t.Fatalf("StreamLast %v: %d workers held a last step %v", stream, workers, res.Last != nil)
 						}
 						if got := sortOutput(t, store, res, env.Mem); !slices.EqualFunc(got, want, func(a, b Record) bool { return compareRecords(a, b) == 0 }) {
 							t.Fatalf("StreamLast %v: output (%d records) differs from slices.SortFunc (%d records)", stream, len(got), len(want))
@@ -249,80 +248,27 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 }
 
 // TestOneWorkerSpawnsNoGoroutine pins the property the simulator depends on:
-// at W = 1 both phases run inline on the caller's goroutine, observed from
-// inside the operation's own events — and, at W = 2, that the workers are
-// all a crew costs: the split runs on exactly W goroutines above the
-// baseline (the store here starts none of its own), the merge on none, and
-// the sort leaves none behind.
+// both phases run inline on the caller's goroutine, observed from inside the
+// operation's own events, at every worker count: WithWorkers starts no
+// goroutine (the store here starts none of its own), and the sort leaves
+// none behind.
 func TestOneWorkerSpawnsNoGoroutine(t *testing.T) {
 	recs := makeRecords(8000, 13)
 	for _, workers := range []int{0, 1, 2} {
-		// Goroutines each phase runs above the baseline.
-		extra := map[string]int{"split": 0, "merge": 0}
-		if workers > 1 {
-			extra["split"] = workers
-		}
-		// Earlier tests' workers may still be on their way out: take the
-		// baseline once the count has stopped moving.
-		base := runtime.NumGoroutine()
-		for still := 0; still < 5; still++ {
-			time.Sleep(time.Millisecond)
-			if n := runtime.NumGoroutine(); n != base {
-				base, still = n, 0
-			}
-		}
-		// A worker's goroutine may still be on its way out when the phase
-		// driver's WaitGroup lets go of it.
-		drain := func() {
-			for i := 0; runtime.NumGoroutine() > base && i < 1000; i++ {
-				time.Sleep(time.Millisecond)
-			}
-		}
-		seen, peak := map[string]int{}, map[string]int{}
+		base := settledGoroutines()
+		seen := map[string]int{}
 		phase := ""
-		store := newSafeStore()
-		if workers > 1 {
-			// Whether an event fires while all W workers are alive must not be
-			// left to the scheduler (on a loaded box one worker can finish the
-			// split before its sibling has started): the split's first W
-			// appends — one per worker — wait for one another. Every worker
-			// still owes a run-done event after its first append, so the first
-			// of those finds all W alive. phase is the coordinator's, written
-			// before the crew starts and after it ends; the merge's appends
-			// come from the coordinator itself and pass.
-			var mu sync.Mutex
-			arrived := 0
-			all := make(chan struct{})
-			store.gate = func([]Page) {
-				if phase != "split" {
-					return
-				}
-				mu.Lock()
-				arrived++
-				n := arrived
-				mu.Unlock()
-				if n == workers {
-					close(all)
-				}
-				if n <= workers {
-					<-all
-				}
-			}
-		}
 		env := &Env{
 			In:    &sliceInput{pages: pagesOf(recs, 32)},
-			Store: store,
+			Store: newSafeStore(),
 			Mem:   newTestBudget(16),
 			Ctx:   context.Background(),
 			OnEvent: func(ev Event) {
 				if ev.Kind == EvPhase {
 					phase = ev.Phase
-					drain() // the last phase's crew is no part of this one
 				}
 				seen[phase]++
-				n := runtime.NumGoroutine()
-				peak[phase] = max(peak[phase], n)
-				if n > base+extra[phase] {
+				if n := runtime.NumGoroutine(); n > base {
 					t.Errorf("Workers=%d: %d goroutines during %q (%v), %d before the sort", workers, n, phase, ev.Kind, base)
 				}
 			},
@@ -336,135 +282,87 @@ func TestOneWorkerSpawnsNoGoroutine(t *testing.T) {
 		if seen["split"] < 2 || seen["merge"] < 2 {
 			t.Fatalf("events observed per phase: %v, want some in split and merge", seen)
 		}
-		if peak["split"] != base+extra["split"] || peak["merge"] != base {
-			t.Fatalf("Workers=%d: goroutine peaks per phase %v, want %d in split and %d in merge", workers, peak, base+extra["split"], base)
-		}
-		drain()
 		if n := runtime.NumGoroutine(); n > base {
 			t.Fatalf("Workers=%d: %d goroutines after the sort, %d before it", workers, n, base)
 		}
 	}
 }
 
-// TestWorkerEnvInheritsByDefault: a worker Env is a copy of the parent with a
-// fixed override list, so a field added to Env reaches the workers without
-// anyone remembering to copy it. Every other exported field must be equal
-// (funcs by identity), and the unexported per-operation state must be reset.
-func TestWorkerEnvInheritsByDefault(t *testing.T) {
-	overridden := map[string]bool{"Mem": true, "Worker": true, "OnEvent": true, "SetPhase": true, "SetReclaim": true}
-	parent := &Env{
-		In:               &sliceInput{},
-		Store:            newSafeStore(),
-		Mem:              newTestBudget(12),
-		Meter:            newCountingMeter(),
-		Ctx:              context.Background(),
-		Now:              func() time.Duration { return 0 },
-		SetPhase:         func(string) {},
-		SetReclaim:       func(func(int) int) {},
-		OnEvent:          func(Event) {},
-		ClassicSelection: true,
-		StreamLast:       true,
-		eventPanics:      2,
-	}
-	shares := parent.Mem.(crewBroker).Divide(2, 3)
-	c := &crew{}
-	we := c.workerEnv(parent, shares[1], 1)
-
-	pv, wv := reflect.ValueOf(parent).Elem(), reflect.ValueOf(we).Elem()
-	for i := range pv.NumField() {
-		f := pv.Type().Field(i)
-		if !f.IsExported() || overridden[f.Name] {
-			continue
-		}
-		if pv.Field(i).IsZero() {
-			t.Errorf("test does not set Env.%s, so it cannot tell whether workers inherit it", f.Name)
-		}
-		a, b := pv.Field(i), wv.Field(i)
-		if f.Type.Kind() == reflect.Func {
-			if a.Pointer() != b.Pointer() {
-				t.Errorf("worker Env.%s is not the parent's func", f.Name)
-			}
-		} else if !reflect.DeepEqual(a.Interface(), b.Interface()) {
-			t.Errorf("worker Env.%s = %v, parent has %v", f.Name, b.Interface(), a.Interface())
+// settledGoroutines returns the goroutine count once it has stopped
+// moving: earlier tests' goroutines may still be on their way out.
+func settledGoroutines() int {
+	base := runtime.NumGoroutine()
+	for still := 0; still < 5; still++ {
+		time.Sleep(time.Millisecond)
+		if n := runtime.NumGoroutine(); n != base {
+			base, still = n, 0
 		}
 	}
-	if we.Mem != Broker(shares[1]) || we.Worker != 2 || we.OnEvent == nil {
-		t.Errorf("worker overrides missing: Mem %T, Worker %d, OnEvent set %v", we.Mem, we.Worker, we.OnEvent != nil)
-	}
-	if we.SetPhase != nil || we.SetReclaim != nil || we.eventPanics != 0 {
-		t.Errorf("worker Env kept coordinator-only state: %+v", we)
-	}
+	return base
 }
 
-// TestParallelShrinkPropagatesToAllWorkers: a budget shrink arriving
-// mid-split must reach every worker at its next page boundary, not just one
-// of them. A worker may close one run before it meets the shrink, so from
-// each worker's second run after the shrink on, it must hold no more than its
-// share — and the shares of the new target sum to it (TestCrewShares).
-// Whose run a run-done event is, and what that worker holds, the event says
-// itself, so the check holds however the scheduler orders the workers.
-func TestParallelShrinkPropagatesToAllWorkers(t *testing.T) {
-	const (
-		total     = 48
-		newTarget = 24
-		workers   = 4
-	)
-	recs := makeRecords(40000, 11)
-	for _, method := range []Method{Quick, Repl} {
-		budget := newTestBudget(total)
-		var (
-			mu      sync.Mutex
-			done    int
-			shrunk  bool
-			after   = map[int]int{} // run-done events per worker since the shrink
-			checked int
-		)
-		env := &Env{
-			In:    &sliceInput{pages: pagesOf(recs, 32)},
-			Store: newSafeStore(),
-			Mem:   budget,
-			Ctx:   context.Background(),
-			OnEvent: func(ev Event) {
-				if ev.Kind != EvRunDone {
+// TestSplitFollowsGrowAndShrink: the split's one selection adapts to its
+// whole target at every worker count. A script
+// keyed on the split's own appends grows and shrinks the budget; from the
+// third append after a change on, the split holds no more than the target
+// (the appends in between are the blocks a shrink writes out before it
+// yields, and the one already under way). The output equals the oracle,
+// and the budget and the store end at zero.
+func TestSplitFollowsGrowAndShrink(t *testing.T) {
+	const delay = 3 // appends a change may take to be honoured
+	recs := payloadRecords(40000, 29)
+	want := slices.Clone(recs)
+	slices.SortFunc(want, compareRecords)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			budget := newTestBudget(48)
+			store := newSafeStore()
+			script := map[int]int{12: 12, 30: 40, 48: 6, 66: 48, 84: 9, 102: 30}
+			var (
+				splitting = true
+				changed   = -delay
+				changes   int
+			)
+			store.onAppend = func(_ RunID, nth, _ int) {
+				if !splitting {
 					return
 				}
-				mu.Lock()
-				defer mu.Unlock()
-				if !shrunk {
-					// Let the crew write a few runs at full budget, then shrink.
-					if done++; done == workers {
-						shrunk = true
-						budget.Resize(newTarget)
+				if g, tg := budget.Granted(), budget.Target(); g > tg && nth > changed+delay {
+					t.Errorf("append %d, %d after the last change: %d pages held on a target of %d", nth, nth-changed, g, tg)
+				}
+				if target, ok := script[nth]; ok {
+					budget.Resize(target)
+					changed = nth
+					changes++
+				}
+			}
+			env := &Env{
+				In: &sliceInput{pages: pagesOf(recs, 32)}, Store: store, Mem: budget, Ctx: context.Background(),
+				StreamLast: true,
+				OnEvent: func(ev Event) {
+					if ev.Kind == EvPhase && ev.Phase != "split" {
+						splitting = false
 					}
-					return
-				}
-				if after[ev.Worker]++; after[ev.Worker] < 2 {
-					return
-				}
-				checked++
-				if ev.Granted > ev.Target || ev.Target > newTarget {
-					t.Errorf("method %d: worker %d's run %d since the shrink ended holding %d pages on a share of %d (target %d)",
-						method, ev.Worker, after[ev.Worker], ev.Granted, ev.Target, newTarget)
-				}
-			},
-		}
-		cfg := DefaultConfig()
-		cfg.Method, cfg.PageRecords, cfg.Workers = method, 32, workers
-		res, err := ExternalSort(env, cfg)
-		if err != nil {
-			t.Fatalf("method %d: sort: %v", method, err)
-		}
-		if res.Stats.Workers != workers {
-			t.Fatalf("method %d: Stats.Workers = %d, want %d", method, res.Stats.Workers, workers)
-		}
-		mu.Lock()
-		if !shrunk || checked == 0 {
-			t.Fatalf("method %d: the split ended too fast to observe the shrink (%d runs checked)", method, checked)
-		}
-		mu.Unlock()
-		if g := budget.Granted(); g != 0 {
-			t.Fatalf("method %d: broker still has %d pages granted", method, g)
-		}
+				},
+			}
+			cfg := DefaultConfig()
+			cfg.PageRecords, cfg.Workers = 32, workers
+			res, err := ExternalSort(env, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Workers != workers || changes != len(script) {
+				t.Fatalf("Stats.Workers = %d, %d of %d budget changes made: want %d workers through the whole script",
+					res.Stats.Workers, changes, len(script), workers)
+			}
+			budget.Resize(48)
+			if got := sortOutput(t, store, res, budget); !slices.EqualFunc(got, want, func(a, b Record) bool { return compareRecords(a, b) == 0 }) {
+				t.Fatalf("output (%d records) differs from slices.SortFunc (%d records)", len(got), len(want))
+			}
+			if g := budget.Granted(); g != 0 {
+				t.Fatalf("budget still has %d pages granted", g)
+			}
+		})
 	}
 }
 
@@ -473,8 +371,8 @@ func TestParallelShrinkPropagatesToAllWorkers(t *testing.T) {
 // The sort is a party of a handle beside an older one that holds nothing;
 // mid-merge the handle shrinks to 5 pages, which sustain one 3-page party
 // only, so the sort's share drops to zero. Its merge must suspend at its
-// next page boundary — once, on the operator's goroutine (Worker 0) — resume
-// when the total is restored and complete exactly.
+// next page boundary — once — resume when the total is restored and
+// complete exactly.
 func TestParallelSuspendResumeMidMerge(t *testing.T) {
 	const total = 48
 	recs := makeRecords(30000, 3)
@@ -529,9 +427,8 @@ func TestParallelSuspendResumeMidMerge(t *testing.T) {
 			got := sortOutput(t, store, res, budget)
 			checkSorted(t, got)
 			checkPermutation(t, recs, got)
-			if !shrunk || len(events) != 2 || events[0].Kind != EvSuspend || events[1].Kind != EvResume ||
-				events[0].Worker != 0 || events[1].Worker != 0 {
-				t.Fatalf("shrunk %v, suspension events %+v: want one suspend/resume pair from the operator's goroutine", shrunk, events)
+			if !shrunk || len(events) != 2 || events[0].Kind != EvSuspend || events[1].Kind != EvResume {
+				t.Fatalf("shrunk %v, suspension events %+v: want one suspend/resume pair", shrunk, events)
 			}
 			if res.Stats.Suspensions != 1 || res.Stats.Workers != 4 {
 				t.Fatalf("Stats.Suspensions = %d on %d workers, want the merge's one on 4", res.Stats.Suspensions, res.Stats.Workers)
@@ -767,9 +664,9 @@ func TestParkedWorkerSuspendsOnce(t *testing.T) {
 	}
 }
 
-// leaveInWindow is a parked worker's broker on which the lower-ranked sibling
-// finishes and leaves exactly between the worker's "no page" check and its
-// wait — the window a loaded box opens by descheduling the worker there.
+// leaveInWindow is a parked party's broker on which the lower-ranked
+// sibling finishes and leaves exactly between the party's "no page" check
+// and its wait — the window a loaded box opens by descheduling it there.
 type leaveInWindow struct {
 	*memarb.Handle
 	sibling *memarb.Handle
@@ -781,11 +678,12 @@ func (b *leaveInWindow) WaitChange(ctx context.Context) error {
 	return b.Handle.WaitChange(ctx)
 }
 
-// TestParkedSplitWorkerSeesSiblingLeave: a split worker the crew parked must
-// not lose the wakeup of its sibling's departure when that lands between its
-// check and its wait — under a budget nobody resizes again there is no other.
-// (At the parent of the change that added it this test hangs: the wait was
-// "until the next change", and the one change had already happened.)
+// TestParkedSplitWorkerSeesSiblingLeave: a split on a Budget's party that
+// the total parks must not lose the wakeup of its sibling's departure when
+// that lands between its check and its wait — under a budget nobody
+// resizes again there is no other. (At the parent of the change that added
+// it this test hangs: the wait was "until the next change", and the one
+// change had already happened.)
 func TestParkedSplitWorkerSeesSiblingLeave(t *testing.T) {
 	for _, method := range []Method{Quick, Repl} {
 		t.Run(fmt.Sprintf("m%d", method), func(t *testing.T) {
@@ -795,16 +693,16 @@ func TestParkedSplitWorkerSeesSiblingLeave(t *testing.T) {
 			if method == Quick {
 				split = quickSplit
 			}
-			budget := newTestBudget(8)
-			shares := budget.Divide(2, 6) // 8 pages sustain one worker of 6: rank 1 is parked
-			if got := shares[1].Target(); got != 0 {
-				t.Fatalf("second worker has target %d, want 0 (parked)", got)
+			budget := newTestBudget(5) // sustains one 3-page party of the two: the younger is parked
+			older, party := budget.Join(), budget.Join()
+			if got := party.Target(); got != 0 {
+				t.Fatalf("younger party has target %d, want 0 (parked)", got)
 			}
 			recs := makeRecords(1000, 23)
 			store := newSafeStore()
 			env := &Env{
 				In: &sliceInput{pages: pagesOf(recs, cfg.PageRecords)}, Store: store,
-				Mem: &leaveInWindow{Handle: shares[1], sibling: shares[0]}, Ctx: context.Background(),
+				Mem: &leaveInWindow{Handle: party, sibling: older}, Ctx: context.Background(),
 			}
 			var runs []*runInfo
 			var err error
@@ -816,12 +714,12 @@ func TestParkedSplitWorkerSeesSiblingLeave(t *testing.T) {
 			select {
 			case <-done:
 			case <-time.After(30 * time.Second):
-				t.Fatal("parked worker slept through its sibling's departure")
+				t.Fatal("parked split slept through its sibling's departure")
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			shares[1].Leave()
+			party.Leave()
 			var got []Record
 			for _, r := range runs {
 				run := store.records([]RunID{r.id})
@@ -833,13 +731,13 @@ func TestParkedSplitWorkerSeesSiblingLeave(t *testing.T) {
 	}
 }
 
-// TestCrewShares pins the deterministic share arithmetic of the sub-handles
-// a crew works through: the target divides among the lowest-ranked live
-// workers that can each hold minNeed pages, remainder to the lowest ranks,
-// recomputed from the live target on every call.
+// TestCrewShares pins the deterministic share arithmetic of the parties
+// sharing a Budget's handle: the target divides among the oldest parties
+// that can each hold the floor, remainder to the oldest, recomputed from the
+// live target on every call.
 func TestCrewShares(t *testing.T) {
 	budget := newTestBudget(32)
-	shares := budget.Divide(4, 3)
+	shares := []*memarb.Handle{budget.Join(), budget.Join(), budget.Join(), budget.Join()}
 	check := func(when string, want ...int) {
 		t.Helper()
 		for id, w := range want {
@@ -849,30 +747,32 @@ func TestCrewShares(t *testing.T) {
 		}
 	}
 	check("at target 32", 8, 8, 8, 8)
-	budget.Resize(34) // remainder 2 goes to the two lowest ranks
+	budget.Resize(34) // remainder 2 goes to the two oldest
 	check("at target 34", 9, 9, 8, 8)
-	budget.Resize(7) // only two workers can hold minNeed=3: ranks 2,3 pause
+	budget.Resize(7) // only two parties can hold the 3-page floor: the others pause
 	check("at target 7", 4, 3, 0, 0)
-	shares[0].Leave() // rank improves: worker 1 becomes rank 0, worker 2 resumes
-	check("after worker 0 left", 0, 4, 3, 0)
+	shares[0].Leave() // ranks improve: party 1 becomes rank 0, party 2 resumes
+	check("after party 0 left", 0, 4, 3, 0)
 }
 
-// TestCrewSharePartitionGrid pins the partition over a (target, live set,
-// minNeed) grid against the rule written out longhand: the lowest-ranked
-// live workers that can each hold minNeed pages (at least one of them) are
-// active and split the target exactly, base share plus one remainder page to
-// each of the lowest ranks; everyone else — parked or gone — gets 0. The
-// arbiter has no floor here, so the grid reaches the targets below MinPages
-// that no real operator is ever entitled to.
+// TestCrewSharePartitionGrid pins the partition of a handle among its
+// parties over a (target, live set, floor) grid against the rule written
+// out longhand: the oldest live parties that can each hold the floor (at
+// least one of them) are active and split the handle's target exactly,
+// base share plus one remainder page to each of the oldest; everyone else
+// — parked or gone — gets 0.
 func TestCrewSharePartitionGrid(t *testing.T) {
-	const workers = 4
-	for _, minNeed := range []int{0, 1, 3, 5} {
-		for liveSet := 1; liveSet < 1<<workers; liveSet++ {
-			arb := memarb.New(memarb.Config{Total: 41})
+	const parties = 4
+	for _, floor := range []int{0, 1, 3, 5} {
+		for liveSet := 1; liveSet < 1<<parties; liveSet++ {
+			arb := memarb.New(memarb.Config{Total: 41, Floor: floor})
 			op, _ := arb.Register(context.Background(), 0, false)
-			shares := op.Divide(workers, minNeed)
-			live := make([]bool, workers)
+			shares := make([]*memarb.Handle, parties)
+			live := make([]bool, parties)
 			nlive := 0
+			for id := range shares {
+				shares[id] = op.Join()
+			}
 			for id := range live {
 				if live[id] = liveSet&(1<<id) != 0; live[id] {
 					nlive++
@@ -880,15 +780,16 @@ func TestCrewSharePartitionGrid(t *testing.T) {
 					shares[id].Leave()
 				}
 			}
-			for target := 0; target <= 41; target++ {
-				arb.Resize(target)
+			for total := 0; total <= 41; total++ {
+				arb.Resize(total)
+				target := op.Target()
 				active := nlive
-				if minNeed > 0 {
-					active = min(active, target/minNeed)
+				if floor > 0 {
+					active = min(active, target/floor)
 				}
 				active = max(active, 1)
 				sum, rank := 0, 0
-				for id := range workers {
+				for id := range parties {
 					want := 0
 					if live[id] {
 						if rank < active {
@@ -901,18 +802,18 @@ func TestCrewSharePartitionGrid(t *testing.T) {
 					}
 					got := shares[id].Target()
 					if got != want {
-						t.Fatalf("minNeed %d live %04b target %d: share(%d) = %d, want %d",
-							minNeed, liveSet, target, id, got, want)
+						t.Fatalf("floor %d live %04b target %d: share(%d) = %d, want %d",
+							floor, liveSet, target, id, got, want)
 					}
-					if got > 0 && got < minNeed && target >= minNeed {
-						t.Fatalf("minNeed %d live %04b target %d: active worker %d holds only %d",
-							minNeed, liveSet, target, id, got)
+					if got > 0 && got < floor && target >= floor {
+						t.Fatalf("floor %d live %04b target %d: active party %d holds only %d",
+							floor, liveSet, target, id, got)
 					}
 					sum += got
 				}
 				if sum != target {
-					t.Fatalf("minNeed %d live %04b target %d: shares sum to %d",
-						minNeed, liveSet, target, sum)
+					t.Fatalf("floor %d live %04b target %d: shares sum to %d",
+						floor, liveSet, target, sum)
 				}
 			}
 		}

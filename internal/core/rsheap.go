@@ -71,6 +71,26 @@ func (h *rsHeap) Push(it rsItem) {
 	h.compares += cmp
 }
 
+// add pushes pg's records at once, each tagged by f.
+func (h *rsHeap) add(pg Page, f frontier) {
+	for _, rec := range pg {
+		h.Push(rsItem{run: f.tagOf(rec), rec: rec})
+	}
+}
+
+// enter has nothing to do: add has pushed every record.
+func (h *rsHeap) enter(frontier) {}
+
+// PopRun pops a record at a time while the minimum belongs to run: the
+// classic loop, so the comparison counts the simulator charges stay those
+// of one Pop per record.
+func (h *rsHeap) PopRun(run int, dst Page) Page {
+	for len(dst) < cap(dst) && h.Len() > 0 && h.PeekRun() == run {
+		dst = append(dst, h.Pop().rec)
+	}
+	return dst
+}
+
 // PeekRun returns the minimum's run tag without touching the record side
 // table — the block-emission loop checks the tag once per record, and this
 // keeps that check to a single 16-byte entry load.

@@ -58,16 +58,47 @@ func newRun(s RunStore) (*runInfo, error) {
 // joins the block the moment it is full.
 func (w *runWriter) add(rec Record) {
 	if w.fill == nil {
-		if k := len(w.free) - 1; k >= 0 {
-			w.fill, w.free = w.free[k], w.free[:k]
-		} else {
-			w.fill = make(Page, 0, w.recs)
-		}
+		w.fill = w.newPage()
 	}
 	w.fill = append(w.fill, rec)
 	w.n++
 	if len(w.fill) == cap(w.fill) {
 		w.block = append(w.block, w.fill)
+		w.fill = nil
+	}
+}
+
+// newPage returns an empty page buffer: a recycled one if any.
+func (w *runWriter) newPage() Page {
+	if k := len(w.free) - 1; k >= 0 {
+		pg := w.free[k]
+		w.free = w.free[:k]
+		return pg
+	}
+	return make(Page, 0, w.recs)
+}
+
+// page returns the page under construction, for its client to append to
+// in place (len < cap == recs); put hands it back.
+func (w *runWriter) page() Page {
+	if w.fill == nil {
+		w.fill = w.newPage()
+	}
+	return w.fill
+}
+
+// put takes back the page under construction, extended by its client: it
+// joins the block the moment it is full, and an empty one goes back to the
+// free buffers.
+func (w *runWriter) put(pg Page) {
+	w.n += len(pg) - len(w.fill)
+	w.fill = pg
+	switch len(pg) {
+	case 0:
+		w.free = append(w.free, pg)
+		w.fill = nil
+	case cap(pg):
+		w.block = append(w.block, pg)
 		w.fill = nil
 	}
 }

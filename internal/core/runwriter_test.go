@@ -69,7 +69,7 @@ func TestRunWriterClients(t *testing.T) {
 	split := func(method Method, block int) func(*testing.T, *Env) []*runInfo {
 		return func(t *testing.T, e *Env) []*runInfo {
 			cfg := SortConfig{Method: method, BlockPages: block, PageRecords: 8, MinPages: 3}
-			runs, err := splitPhase(e, cfg, &SortStats{}, 1)
+			runs, err := splitPhase(e, cfg, &SortStats{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/bits"
 	"slices"
+	"sort"
 )
 
 // selector is the replacement-selection structure behind replSplit: a
@@ -11,14 +12,44 @@ import (
 // on values, every implementation pops the same record sequence for the
 // same sequence of calls — which structure a host gets changes CPU cost
 // only, never a run, a page or an I/O.
+//
+// Records come in by input page (add) and are poppable once entered
+// (enter): replSplit enters what it added at the block boundary, before it
+// pops, and between a block's last pop and the next block's first pop the
+// current run's last record — the frontier — does not move, so a record's
+// run tag is the same whenever within that window it is decided.
 type selector interface {
+	// add takes one input page's records, tagged by f.
+	add(pg Page, f frontier)
+	// enter makes every added record poppable, tagged by f.
+	enter(f frontier)
+	// Len counts the records added and not yet popped.
 	Len() int
-	Push(it rsItem)
-	// PeekRun returns the minimum's run tag.
+	// PeekRun returns the minimum's run tag. Only entered records count.
 	PeekRun() int
-	Pop() rsItem
+	// PopRun appends to dst, up to its capacity, the smallest records as
+	// long as their run tag is run, and returns the extended slice.
+	PopRun(run int, dst Page) Page
 	// TakeCompares returns comparisons performed since the last call.
 	TakeCompares() int64
+}
+
+// frontier is where replacement selection stands in its output: the run
+// being written (tag), its last record and whether it has one yet (open).
+// An input record that sorts before last can no longer join the current
+// run, so it is tagged for the next.
+type frontier struct {
+	tag  int
+	last Record
+	open bool
+}
+
+// tagOf returns rec's run tag.
+func (f frontier) tagOf(rec Record) int {
+	if f.open && Less(rec, f.last) {
+		return f.tag + 1
+	}
+	return f.tag
 }
 
 // newSelector returns the host's selection structure: the batched selector
@@ -33,10 +64,10 @@ func (e *Env) newSelector() selector {
 
 const (
 	chunkRecs     = 64   // records per storage chunk (power of two)
-	maxStage      = 2048 // Push seals a burst at this size, bounding seal scratch
-	maxBucketBits = 10   // scatter buckets per run tag ≤ 1 << maxBucketBits
+	maxStage      = 2048 // a burst seals a segment at this size, bounding sort scratch
+	maxBucketBits = 10   // scatter buckets per segment ≤ 1 << maxBucketBits
 	smallBucket   = 16   // insertion sort up to this many entries, pdqsort above
-	freeSlack     = 8    // chunks the free list may hold across a seal
+	freeSlack     = 16   // chunks the free list may hold across an entry
 )
 
 // rsChunk is the unit of record storage: a mini-run is a chain of chunks
@@ -46,99 +77,115 @@ const (
 type rsChunk struct {
 	next *rsChunk
 	n    int
-	tags [chunkRecs]int32
 	recs [chunkRecs]Record
 }
 
-// miniRun is the unread remainder of one sealed burst.
+// chunkPool is a free list of chunks.
+type chunkPool struct {
+	free *rsChunk
+	n    int
+}
+
+// get takes a chunk from the free list, allocating only when the selector
+// is growing.
+func (p *chunkPool) get() *rsChunk {
+	c := p.free
+	if c == nil {
+		return &rsChunk{}
+	}
+	p.free, c.next = c.next, nil
+	p.n--
+	return c
+}
+
+// put recycles a fully popped chunk.
+func (p *chunkPool) put(c *rsChunk) {
+	c.next, c.n = p.free, 0
+	p.free = c
+	p.n++
+}
+
+// miniRun is the unread remainder of one entered segment, all of one run
+// tag.
 type miniRun struct {
 	c   *rsChunk
 	pos int
+	tag int32
 }
 
 // batchSelector is replacement selection shaped like its caller: replSplit
-// pushes a block's worth of records, then pops a block's worth, so Push
-// only stages the record; the first PeekRun/Pop after a burst seals the
-// staged records into one sorted mini-run (bucket scatter on the key's top
-// bits, comparison sort inside a bucket), and Pop replays one root path of
-// the loser tree over the mini-run heads — a handful of comparisons over a
-// few hundred bytes where the binary heap sifts through its whole array.
+// adds a block's worth of input pages, then pops a block's worth. Adding
+// only copies the records into a burst, which sorts them by (key, payload)
+// in segments of up to maxStage records (bucket scatter on the key's top
+// bits, comparison sort inside a bucket) — work that needs no run tag, so it
+// is done before the frontier is known. Entering
+// splits each sorted segment at the frontier by one binary search into at
+// most two mini-runs — the records below it for the next run, the rest for
+// the current one — and each pop replays one root path of the loser tree over
+// the mini-run heads: a handful of comparisons over a few hundred bytes
+// where the binary heap sifts through its whole array.
 type batchSelector struct {
-	n        int // live entries, staged and sealed
+	n        int // entered records not yet popped
 	compares int64
 
-	stage  []rsEntry  // staged entries in arrival order; idx is the position
-	staged []*rsChunk // their records, position p at staged[p/chunkRecs]
-	sorted []rsEntry  // scatter destination, reused from seal to seal
+	next burst // records added since the last enter
 
 	// lt orders the mini-runs by their heads — (run tag, key) of the next
 	// record — and runs holds the mini-run behind each of its leaves.
 	lt   loserTree
 	runs []miniRun
 
-	free  *rsChunk // recycled chunks
-	nfree int
+	pool chunkPool // recycled chunks, shared with next
 }
 
 func newBatchSelector() *batchSelector {
 	s := &batchSelector{}
+	s.next.pool = &s.pool
 	s.lt.tie, s.lt.cmp = s.payloadLess, &s.compares
 	return s
 }
 
-func (s *batchSelector) Len() int { return s.n }
+func (s *batchSelector) Len() int { return s.n + s.next.n }
 
 func (s *batchSelector) TakeCompares() int64 {
-	c := s.compares
-	s.compares = 0
+	c := s.compares + s.next.compares
+	s.compares, s.next.compares = 0, 0
 	return c
 }
 
-func (s *batchSelector) Push(it rsItem) {
-	p := len(s.stage)
-	if p == maxStage {
-		s.seal()
-		p = 0
-	}
-	if p%chunkRecs == 0 {
-		s.staged = append(s.staged, s.newChunk())
-	}
-	s.staged[p/chunkRecs].recs[p%chunkRecs] = it.rec
-	s.stage = append(s.stage, rsEntry{run: int32(it.run), idx: int32(p), key: it.rec.Key})
-	s.n++
-}
+// add copies pg into the burst; the tag is decided when it is entered.
+func (s *batchSelector) add(pg Page, _ frontier) { s.next.add(pg) }
 
 func (s *batchSelector) PeekRun() int {
-	if len(s.stage) > 0 {
-		s.seal()
-	}
 	return int(s.lt.heads[s.lt.min()].tag)
 }
 
-func (s *batchSelector) Pop() rsItem {
-	if len(s.stage) > 0 {
-		s.seal()
+func (s *batchSelector) PopRun(run int, dst Page) Page {
+	for len(dst) < cap(dst) && s.n > 0 {
+		leaf := s.lt.min()
+		m := &s.runs[leaf]
+		if int(m.tag) != run {
+			break
+		}
+		c := m.c
+		dst = append(dst, c.recs[m.pos])
+		if c.recs[m.pos].Payload != nil {
+			c.recs[m.pos].Payload = nil // release the payload reference
+		}
+		m.pos++
+		s.n--
+		if m.pos == c.n {
+			m.c, m.pos = c.next, 0
+			s.pool.put(c)
+		}
+		if m.c != nil {
+			s.lt.heads[leaf] = ltHead{key: m.c.recs[m.pos].Key, tag: m.tag}
+		} else {
+			s.lt.kill(leaf)
+		}
+		s.lt.replay(leaf)
 	}
-	leaf := s.lt.min()
-	m := &s.runs[leaf]
-	c := m.c
-	it := rsItem{run: int(c.tags[m.pos]), rec: c.recs[m.pos]}
-	if it.rec.Payload != nil {
-		c.recs[m.pos].Payload = nil // release the payload reference
-	}
-	m.pos++
-	s.n--
-	if m.pos == c.n {
-		m.c, m.pos = c.next, 0
-		s.release(c)
-	}
-	if m.c != nil {
-		s.lt.heads[leaf] = ltHead{key: m.c.recs[m.pos].Key, tag: m.c.tags[m.pos]}
-	} else {
-		s.lt.kill(leaf)
-	}
-	s.lt.replay(leaf)
-	return it
+	return dst
 }
 
 // payloadLess breaks a (run, key) tie between two live leaves.
@@ -147,34 +194,127 @@ func (s *batchSelector) payloadLess(a, b int32) bool {
 	return bytes.Compare(ma.c.recs[ma.pos].Payload, mb.c.recs[mb.pos].Payload) < 0
 }
 
-// newChunk takes a chunk from the free list, allocating only when the
-// selector is growing.
-func (s *batchSelector) newChunk() *rsChunk {
-	c := s.free
-	if c == nil {
-		return &rsChunk{}
+// enter seals the burst and enters each of its segments, split at the
+// frontier: records that sort before f.last go to run f.tag+1, the rest
+// to f.tag. A segment is sorted in the same (key, payload) order, so the
+// two parts are a prefix and a suffix of it.
+func (s *batchSelector) enter(f frontier) {
+	b := &s.next
+	b.seal()
+	for _, sg := range b.segs {
+		cs := b.chunks[sg.c0 : sg.c0+(sg.n+chunkRecs-1)/chunkRecs]
+		for i := 1; i < len(cs); i++ {
+			cs[i-1].next = cs[i]
+		}
+		cs[len(cs)-1].next = nil
+		split := 0
+		if f.open {
+			split = sort.Search(sg.n, func(i int) bool {
+				s.compares++
+				return !Less(cs[i/chunkRecs].recs[i%chunkRecs], f.last)
+			})
+		}
+		switch {
+		case split == 0:
+			s.addRun(cs[0], 0, f.tag)
+		case split == sg.n:
+			s.addRun(cs[0], 0, f.tag+1)
+		default:
+			k, o := split/chunkRecs, split%chunkRecs
+			s.addRun(cs[k], o, f.tag)
+			// The prefix ends where the suffix starts: at a chunk boundary it
+			// is cut there, inside chunk k it ends in a copy of k's head.
+			last := cs[k]
+			if o > 0 {
+				last = s.pool.get()
+				last.n = copy(last.recs[:], cs[k].recs[:o])
+				clear(cs[k].recs[:o])
+			} else {
+				last, k = cs[k-1], k-1
+			}
+			last.next = nil
+			first := last
+			if k > 0 {
+				cs[k-1].next, first = last, cs[0]
+			}
+			s.addRun(first, 0, f.tag+1)
+		}
 	}
-	s.free, c.next = c.next, nil
-	s.nfree--
-	return c
+	s.n += b.n
+	b.reset()
+	// Right now every chunk the selector needs is in use: the pops that
+	// follow refill the free list before the next burst draws on it. So
+	// what is free beyond a little slack is surplus — the grant shrank and
+	// pops outnumbered adds — and goes back to the garbage collector: the
+	// footprint follows the grant down instead of pinning its peak.
+	for ; s.pool.n > freeSlack; s.pool.n-- {
+		s.pool.free = s.pool.free.next
+	}
 }
 
-// release recycles a fully popped chunk.
-func (s *batchSelector) release(c *rsChunk) {
-	c.next, c.n = s.free, 0
-	s.free = c
-	s.nfree++
+// addRun enters a mini-run at an idle leaf: O(log K) comparisons. Only when
+// every leaf is taken does the tree double and rebuild.
+func (s *batchSelector) addRun(first *rsChunk, pos, tag int) {
+	leaf := s.lt.take()
+	s.runs = leafSlots(s.runs, &s.lt)
+	s.runs[leaf] = miniRun{c: first, pos: pos, tag: int32(tag)}
+	s.lt.heads[leaf] = ltHead{key: first.recs[pos].Key, tag: int32(tag)}
+	s.lt.enter(leaf)
 }
 
-// seal turns the staged burst into one sorted mini-run and enters it in the
-// loser tree.
-func (s *batchSelector) seal() {
-	ents := s.sortBurst(s.stage)
+// burst is what a batchSelector holds between two entries: input records
+// in chunks, sorted by (key, payload) in segments. Filling and sorting it
+// touch nothing else of the selector but the chunk pool.
+type burst struct {
+	n        int        // records in segs and stage
+	compares int64      // comparisons sorting them
+	chunks   []*rsChunk // the sealed segments' chunks, then the open one's
+	segs     []segment  // sealed segments
+	open     int        // first chunk of the open segment
+	stage    []rsEntry  // the open segment's entries; idx is the position
+	sorted   []rsEntry  // scatter destination, reused from seal to seal
+	pool     *chunkPool
+}
+
+// segment is one sorted run of a burst's records: n records in the chunks
+// from c0 on.
+type segment struct{ c0, n int }
+
+// add copies pg's records into the open segment, sealing it when full.
+func (b *burst) add(pg Page) {
+	for _, rec := range pg {
+		p := len(b.stage)
+		if p == maxStage {
+			b.seal()
+			p = 0
+		}
+		if p%chunkRecs == 0 {
+			b.chunks = append(b.chunks, b.pool.get())
+		}
+		b.chunks[b.open+p/chunkRecs].recs[p%chunkRecs] = rec
+		b.stage = append(b.stage, rsEntry{idx: int32(p), key: rec.Key})
+	}
+	b.n += len(pg)
+}
+
+// reset empties a burst whose chunks the selector has taken over.
+func (b *burst) reset() {
+	clear(b.chunks)
+	b.chunks, b.segs, b.open, b.n = b.chunks[:0], b.segs[:0], 0, 0
+}
+
+// seal sorts the open segment in place.
+func (b *burst) seal() {
+	if len(b.stage) == 0 {
+		return
+	}
+	cs := b.chunks[b.open:]
+	ents := b.sortStage()
 	// Apply the sorted order to the records where they were staged, one
 	// cycle of the permutation at a time: ents[i].idx is the staged
 	// position of the record that belongs at position i. No second record
 	// buffer, and each record moves once.
-	rec := func(p int) *Record { return &s.staged[p/chunkRecs].recs[p%chunkRecs] }
+	rec := func(p int) *Record { return &cs[p/chunkRecs].recs[p%chunkRecs] }
 	for i := range ents {
 		src := int(ents[i].idx)
 		if src == i {
@@ -189,94 +329,68 @@ func (s *batchSelector) seal() {
 		*rec(j) = first
 		ents[j].idx = int32(j)
 	}
-	for ci, c := range s.staged {
-		lo := ci * chunkRecs
-		c.n = min(chunkRecs, len(ents)-lo)
-		for i, e := range ents[lo : lo+c.n] {
-			c.tags[i] = e.run
-		}
-		if ci > 0 {
-			s.staged[ci-1].next = c
-		}
+	for ci, c := range cs {
+		c.n = min(chunkRecs, len(ents)-ci*chunkRecs)
 	}
-	s.addRun(s.staged[0])
-	// Right now every chunk the selector needs is in use: the pops that
-	// follow refill the free list before the next burst draws on it. So
-	// what is free beyond a little slack is surplus — the grant shrank and
-	// pops outnumbered pushes — and goes back to the garbage collector:
-	// the footprint follows the grant down instead of pinning its peak.
-	for ; s.nfree > freeSlack; s.nfree-- {
-		s.free = s.free.next
-	}
-	clear(s.staged)
-	s.staged = s.staged[:0]
-	s.stage = s.stage[:0]
+	b.segs = append(b.segs, segment{c0: b.open, n: len(ents)})
+	b.open = len(b.chunks)
+	b.stage = b.stage[:0]
 }
 
-// sortBurst sorts the staged entries and returns them (in s.sorted, or in
-// place). A burst whose tags take at most two adjacent values — all
-// replSplit ever pushes — is sorted by distribution: one counting pass over
-// (tag, top bits of key − min) buckets, one pass moving each entry to its
-// bucket, then a comparison sort inside every bucket that holds more than
-// one entry. Tiny bursts and wider tag ranges go straight to the
-// comparison sort.
-func (s *batchSelector) sortBurst(ents []rsEntry) []rsEntry {
+// sortStage sorts the open segment's entries and returns them (in b.sorted,
+// or in place) by distribution: one counting pass over buckets of the top
+// bits of key − min, one pass moving each entry to its bucket, then a
+// comparison sort inside every bucket that holds more than one entry. Tiny
+// segments go straight to the comparison sort.
+func (b *burst) sortStage() []rsEntry {
+	ents := b.stage
 	if len(ents) <= smallBucket {
-		s.sortEntries(ents)
+		b.sortEntries(ents)
 		return ents
 	}
-	minRun, maxRun := ents[0].run, ents[0].run
 	minKey, maxKey := ents[0].key, ents[0].key
 	for _, e := range ents[1:] {
-		minRun, maxRun = min(minRun, e.run), max(maxRun, e.run)
 		minKey, maxKey = min(minKey, e.key), max(maxKey, e.key)
 	}
-	if maxRun-minRun > 1 {
-		s.sortEntries(ents)
-		return ents
-	}
-	// About one bucket per entry of either tag, so most buckets need no
-	// sorting at all.
+	// About one bucket per entry, so most buckets need no sorting at all.
 	bb := min(bits.Len(uint(len(ents)))-1, maxBucketBits)
 	shift := max(bits.Len64(maxKey-minKey)-bb, 0)
-	bucket := func(e rsEntry) int {
-		return int(e.run-minRun)<<bb | int((e.key-minKey)>>shift)
-	}
-	var ends [2 << maxBucketBits]int32
-	end := ends[:2<<bb] // counts, then start offsets, then end offsets
+	bucket := func(e rsEntry) int { return int((e.key - minKey) >> shift) }
+	var ends [1 << maxBucketBits]int32
+	end := ends[:1<<bb] // counts, then start offsets, then end offsets
 	for _, e := range ents {
 		end[bucket(e)]++
 	}
 	var sum int32
-	for b, c := range end {
-		end[b] = sum
+	for i, c := range end {
+		end[i] = sum
 		sum += c
 	}
-	if cap(s.sorted) < len(ents) {
-		s.sorted = make([]rsEntry, len(ents), max(len(ents), cap(s.stage)))
+	if cap(b.sorted) < len(ents) {
+		b.sorted = make([]rsEntry, len(ents), max(len(ents), cap(b.stage)))
 	}
-	dst := s.sorted[:len(ents)]
+	dst := b.sorted[:len(ents)]
 	for _, e := range ents {
-		b := bucket(e)
-		dst[end[b]] = e
-		end[b]++
+		i := bucket(e)
+		dst[end[i]] = e
+		end[i]++
 	}
 	lo := 0
 	for _, e := range end {
 		if hi := int(e); hi-lo > 1 {
-			s.sortEntries(dst[lo:hi])
+			b.sortEntries(dst[lo:hi])
 		}
 		lo = int(e)
 	}
 	return dst
 }
 
-// sortEntries is the comparison sort on staged entries, in the full (run,
-// key, payload) order.
-func (s *batchSelector) sortEntries(es []rsEntry) {
+// sortEntries is the comparison sort on staged entries, in the full (key,
+// payload) order.
+func (b *burst) sortEntries(es []rsEntry) {
 	if len(es) > smallBucket {
-		slices.SortFunc(es, func(a, b rsEntry) int {
-			if s.stagedLess(a, b) {
+		slices.SortFunc(es, func(x, y rsEntry) int {
+			if b.stagedLess(x, y) {
 				return -1
 			}
 			return 1
@@ -285,32 +399,20 @@ func (s *batchSelector) sortEntries(es []rsEntry) {
 	}
 	for i := 1; i < len(es); i++ {
 		e, j := es[i], i
-		for ; j > 0 && s.stagedLess(e, es[j-1]); j-- {
+		for ; j > 0 && b.stagedLess(e, es[j-1]); j-- {
 			es[j] = es[j-1]
 		}
 		es[j] = e
 	}
 }
 
-func (s *batchSelector) stagedLess(a, b rsEntry) bool {
-	s.compares++
-	if a.run != b.run {
-		return a.run < b.run
+func (b *burst) stagedLess(x, y rsEntry) bool {
+	b.compares++
+	if x.key != y.key {
+		return x.key < y.key
 	}
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	pa := s.staged[a.idx/chunkRecs].recs[a.idx%chunkRecs].Payload
-	pb := s.staged[b.idx/chunkRecs].recs[b.idx%chunkRecs].Payload
-	return bytes.Compare(pa, pb) < 0
-}
-
-// addRun enters a sealed mini-run at an idle leaf: O(log K) comparisons.
-// Only when every leaf is taken does the tree double and rebuild.
-func (s *batchSelector) addRun(first *rsChunk) {
-	leaf := s.lt.take()
-	s.runs = leafSlots(s.runs, &s.lt)
-	s.runs[leaf] = miniRun{c: first}
-	s.lt.heads[leaf] = ltHead{key: first.recs[0].Key, tag: first.tags[0]}
-	s.lt.enter(leaf)
+	cs := b.chunks[b.open:]
+	px := cs[x.idx/chunkRecs].recs[x.idx%chunkRecs].Payload
+	py := cs[y.idx/chunkRecs].recs[y.idx%chunkRecs].Payload
+	return bytes.Compare(px, py) < 0
 }

@@ -13,9 +13,10 @@ import (
 
 var fuzzPayloads = [][]byte{nil, {}, []byte("a"), []byte("a"), []byte("ab"), []byte("b")}
 
-// burst builds one push burst: n records shaped by the shape byte. The low
-// three bits pick the key pattern, the next two the payload pattern.
-func burst(n int, shape byte, serial uint64) []Record {
+// burstRecords builds one push burst: n records shaped by the shape byte.
+// The low three bits pick the key pattern, the next two the payload
+// pattern.
+func burstRecords(n int, shape byte, serial uint64) []Record {
 	rng := randx.New(uint64(shape)<<32|serial, "fuzz-burst")
 	recs := make([]Record, n)
 	base := rng.Uint64() >> 1
@@ -55,10 +56,24 @@ func burst(n int, shape byte, serial uint64) []Record {
 	return recs
 }
 
-// runSelectionScript decodes data into an interleaving of push bursts (two
-// bytes: size, shape) and pop bursts (one byte), drives both selectors with
-// the same calls and fails on the first divergence. Keys and payloads come
-// from a generator seeded by the shape byte, so a corpus entry stays a few
+// runSelectionScript decodes data into an interleaving of add bursts (two
+// bytes: size, shape) and pop bursts (one byte), drives both selectors the
+// way replSplit does and fails on the first divergence. The classic heap
+// tags a record when it is added, the batched selector when the burst is
+// entered at a split point, so a burst's shape byte also picks the frontier
+// it is tagged by (its top three bits):
+//
+//	0    the current run's last popped record, entered with the bursts
+//	     after it at the next pop (a one-worker fill of several pages)
+//	1    none: the current run has no record yet, all of it is the suffix
+//	2    above every record: all of it is the prefix, for the next run
+//	3    the burst's middle record: a split inside it, whose key ties
+//	     break on the payload
+//	4    the middle record's key with the smallest payload: a split at a
+//	     key tie
+//
+// and bursts other than 0 are entered at once. Keys and payloads come from
+// a generator seeded by the shape byte, so a corpus entry stays a few
 // bytes however long its bursts are.
 func runSelectionScript(t *testing.T, data []byte) {
 	t.Helper()
@@ -70,21 +85,36 @@ func runSelectionScript(t *testing.T, data []byte) {
 		return b, true
 	}
 	batched, classic := selector(newBatchSelector()), selector(&rsHeap{})
-	cur := 0 // tag of the last popped record: pushes are tagged cur or cur+1
+	var f frontier // the current run and its last popped record
+	pending := false
 	var serial uint64
-	pop := func() {
-		if br, cr := batched.PeekRun(), classic.PeekRun(); br != cr {
-			t.Fatalf("PeekRun: batched %d, classic %d", br, cr)
+	pop := func(n int) {
+		if pending {
+			batched.enter(f)
+			pending = false
 		}
-		b, c := batched.Pop(), classic.Pop()
-		if b.run != c.run || b.rec.Key != c.rec.Key || !bytes.Equal(b.rec.Payload, c.rec.Payload) {
-			t.Fatalf("pop diverged: batched (%d,%d,%q), classic (%d,%d,%q)",
-				b.run, b.rec.Key, b.rec.Payload, c.run, c.rec.Key, c.rec.Payload)
+		for n > 0 && classic.Len() > 0 {
+			if br, cr := batched.PeekRun(), classic.PeekRun(); br != cr {
+				t.Fatalf("PeekRun: batched %d, classic %d", br, cr)
+			}
+			if tag := classic.PeekRun(); tag != f.tag {
+				if tag != f.tag+1 {
+					t.Fatalf("next tag %d after run %d", tag, f.tag)
+				}
+				f = frontier{tag: tag}
+			}
+			room := min(n, 7)
+			b := batched.PopRun(f.tag, make(Page, 0, room))
+			c := classic.PopRun(f.tag, make(Page, 0, room))
+			if !slices.EqualFunc(b, c, func(x, y Record) bool { return x.Key == y.Key && bytes.Equal(x.Payload, y.Payload) }) {
+				t.Fatalf("pops diverged: batched %v, classic %v", b, c)
+			}
+			if len(c) == 0 {
+				t.Fatalf("PopRun(%d) popped nothing from %d records", f.tag, classic.Len())
+			}
+			f.last, f.open = c[len(c)-1], true
+			n -= len(c)
 		}
-		if b.run < cur {
-			t.Fatalf("popped tag %d after tag %d", b.run, cur)
-		}
-		cur = b.run
 	}
 	for {
 		op, ok := next()
@@ -95,38 +125,51 @@ func runSelectionScript(t *testing.T, data []byte) {
 			shape, _ := next()
 			n := int(op&0x3f) + 1
 			if op&0x40 != 0 {
-				n *= 40 // up to 2560: past scatterMin and past maxStage
+				n *= 40 // up to 2560: past the scatter threshold and past maxStage
 			}
 			serial++
-			for i, rec := range burst(n, shape, serial) {
-				tag := cur + i&1
-				if shape>>5 == 7 && i%5 == 0 {
-					tag = cur + 2 // a third tag: the scatter must fall back
-				}
-				if shape>>5 == 1 {
-					tag = cur
-				}
-				batched.Push(rsItem{run: tag, rec: rec})
-				classic.Push(rsItem{run: tag, rec: rec})
+			recs := burstRecords(n, shape, serial)
+			bf, mode := f, shape>>5
+			switch mode {
+			case 1:
+				bf.open = false
+			case 2:
+				bf.last, bf.open = Record{Key: ^Key(0), Payload: []byte{0xff, 0xff, 0xff}}, true
+			case 3:
+				bf.last, bf.open = recs[n/2], true
+			case 4:
+				bf.last, bf.open = Record{Key: recs[n/2].Key}, true
+			}
+			split := mode >= 1 && mode <= 4
+			if split && pending {
+				batched.enter(f)
+				pending = false
+			}
+			for len(recs) > 0 {
+				pg := Page(recs[:min(len(recs), 5)])
+				recs = recs[len(pg):]
+				batched.add(pg, bf)
+				classic.add(pg, bf)
+			}
+			if split {
+				batched.enter(bf)
+			} else {
+				pending = true
 			}
 		} else {
 			n := int(op&0x3f) + 1
 			if op&0x40 != 0 {
 				n *= 40
 			}
-			for ; n > 0 && classic.Len() > 0; n-- {
-				pop()
-			}
+			pop(n)
 		}
 		if batched.Len() != classic.Len() {
 			t.Fatalf("Len: batched %d, classic %d", batched.Len(), classic.Len())
 		}
 	}
-	for classic.Len() > 0 {
-		pop()
-		if batched.Len() != classic.Len() {
-			t.Fatalf("Len while draining: batched %d, classic %d", batched.Len(), classic.Len())
-		}
+	pop(classic.Len())
+	if batched.Len() != 0 {
+		t.Fatalf("batched selector holds %d records after the drain", batched.Len())
 	}
 	for _, s := range []selector{batched, classic} {
 		s.TakeCompares()
@@ -160,6 +203,14 @@ func FuzzSelection(f *testing.F) {
 		tiny = append(tiny, 0x03, byte(i), 0x81)
 	}
 	f.Add(tiny)
+	// one burst per split point — none, all suffix, all prefix, middle, key
+	// tie — between pops, at small and large sizes
+	for mode := byte(0); mode <= 4; mode++ {
+		for _, sh := range []byte{0x00, 0x0b, 0x14, 0x1c} {
+			sh |= mode << 5
+			f.Add([]byte{0x3f, sh &^ 0xe0, 0x90, 0x20, sh, 0x85, 0x47, sh, 0xc2, 0x05, sh, 0xff, 0xff})
+		}
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0x80, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -195,8 +246,9 @@ func shapedRecords(shape string, n int, seed uint64) []Record {
 	return recs
 }
 
-// splitWith runs replSplit under one selector and returns everything the
-// rest of the engine can observe of it.
+// splitWith runs replSplit on one selector — the classic heap or the
+// batched one — and returns everything the rest of the engine can observe
+// of it.
 func splitWith(t *testing.T, classic bool, recs []Record, cfg SortConfig, total int, script []targetChange) (runs []*runInfo, store *memStore, st *SortStats, compares int64) {
 	t.Helper()
 	env, store, broker, meter := testEnv(t, recs, cfg.PageRecords, total, 3)
@@ -214,8 +266,8 @@ func splitWith(t *testing.T, classic bool, recs []Record, cfg SortConfig, total 
 }
 
 // TestReplSplitSelectorIdentity: the batched selector and the classic heap
-// must produce the same runs — count, pages, records — and the
-// batched one must never charge more comparisons.
+// must produce the same runs — count, pages, records — and the batched one
+// must never charge more comparisons.
 func TestReplSplitSelectorIdentity(t *testing.T) {
 	const total = 24
 	schedules := map[string][]targetChange{
@@ -250,6 +302,9 @@ func TestReplSplitSelectorIdentity(t *testing.T) {
 								t.Fatalf("run %d: record sequences differ", i)
 							}
 						}
+						if bStore.appends != cStore.appends {
+							t.Fatalf("batched selector: %d appends, classic %d", bStore.appends, cStore.appends)
+						}
 						if bCmp > cCmp {
 							t.Fatalf("batched selector charged %d comparisons, classic heap %d", bCmp, cCmp)
 						}
@@ -264,9 +319,9 @@ func TestReplSplitSelectorIdentity(t *testing.T) {
 // ---- memory contract ----
 
 // chunkSlots counts the record slots the selector retains: live mini-run
-// chunks, the staged burst's chunks and the free list.
+// chunks, the burst's chunks and the free list.
 func (s *batchSelector) chunkSlots() int {
-	n := s.nfree + len(s.staged)
+	n := s.pool.n + len(s.next.chunks)
 	for _, m := range s.runs {
 		for c := m.c; c != nil; c = c.next {
 			n++
@@ -283,22 +338,25 @@ func TestBatchSelectorFootprintFollowsGrant(t *testing.T) {
 	const R, block = 256, 6
 	s := newBatchSelector()
 	rng := randx.New(5, "footprint")
-	cur, curOpen := 0, false
-	var last Record
+	var f frontier
 	push := func(n int) {
+		pg := make(Page, 0, R)
 		for ; n > 0; n-- {
-			rec := Record{Key: rng.Uint64()}
-			tag := cur
-			if curOpen && Less(rec, last) {
-				tag = cur + 1
+			if pg = append(pg, Record{Key: rng.Uint64()}); len(pg) == R || n == 1 {
+				s.add(pg, f)
+				pg = make(Page, 0, R)
 			}
-			s.Push(rsItem{run: tag, rec: rec})
 		}
 	}
 	pop := func(n int) {
-		for ; n > 0 && s.Len() > 0; n-- {
-			it := s.Pop()
-			cur, last, curOpen = it.run, it.rec, true
+		s.enter(f)
+		for n > 0 && s.Len() > 0 {
+			if tag := s.PeekRun(); tag != f.tag {
+				f = frontier{tag: tag}
+			}
+			got := s.PopRun(f.tag, make(Page, 0, min(n, R)))
+			f.last, f.open = got[len(got)-1], true
+			n -= len(got)
 		}
 	}
 	peak, live, slots := 0, 0, 0
@@ -308,22 +366,22 @@ func TestBatchSelectorFootprintFollowsGrant(t *testing.T) {
 				pop(over)
 			}
 			push(pages*R - s.Len())
-			s.PeekRun() // seal: the grant is full, the fullest point of a round
+			s.enter(f) // the grant is full, the fullest point of a round
 			live, slots = s.Len(), s.chunkSlots()
 			peak = max(peak, slots)
 			pop(block * R)
 		}
 	}
 	t.Logf("settled at 16 pages: %d live entries, %d chunk slots (peak %d), scratch %d+%d entries",
-		live, slots, peak, cap(s.stage), cap(s.sorted))
+		live, slots, peak, cap(s.next.stage), cap(s.next.sorted))
 	if peak < 64*R {
 		t.Fatalf("peak %d slots: the schedule never filled 64 pages", peak)
 	}
 	if slots > 2*live {
 		t.Fatalf("retained %d record slots for %d live entries (> 2x)", slots, live)
 	}
-	if scratch := cap(s.stage) + cap(s.sorted); scratch > 2*2*maxStage {
-		t.Fatalf("seal scratch grew to %d entries; it is bounded by maxStage", scratch)
+	if scratch := cap(s.next.stage) + cap(s.next.sorted); scratch > 2*2*maxStage {
+		t.Fatalf("sort scratch grew to %d entries; it is bounded by maxStage", scratch)
 	}
 }
 
@@ -347,32 +405,26 @@ func BenchmarkSelection(b *testing.B) {
 		classic, block := tc.classic, tc.block
 		b.Run(tc.name, func(b *testing.B) {
 			s := (&Env{ClassicSelection: classic}).newSelector()
-			cur, curOpen, next := 0, false, 0
-			var last Record
+			var f frontier
+			next := 0
 			out := make(Page, 0, R)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for done := 0; done < b.N; {
 				for s.Len() < pages*R {
-					rec := recs[next%len(recs)]
-					next++
-					tag := cur
-					if curOpen && Less(rec, last) {
-						tag = cur + 1
-					}
-					s.Push(rsItem{run: tag, rec: rec})
+					pg := recs[next%len(recs):][:R]
+					next += R
+					s.add(pg, f)
 				}
-				for n := block * R; n > 0; n-- {
-					if s.PeekRun() != cur {
-						cur++
+				s.enter(f)
+				for n := block * R; n > 0; {
+					if s.PeekRun() != f.tag {
+						f = frontier{tag: f.tag + 1}
 					}
-					it := s.Pop()
-					if len(out) == R {
-						out = out[:0]
-					}
-					out = append(out, it.rec)
-					last, curOpen = it.rec, true
-					done++
+					got := s.PopRun(f.tag, out[:0:min(n, R)])
+					f.last, f.open = got[len(got)-1], true
+					n -= len(got)
+					done += len(got)
 				}
 			}
 			b.ReportMetric(float64(s.TakeCompares())/float64(b.N), "compares/op")

@@ -54,21 +54,20 @@ func MergeExisting(e *Env, cfg SortConfig, ids []RunID) (*SortResult, error) {
 
 // ExternalSort sorts e.In under cfg, writing the final sorted output into
 // e.Store. It adapts its memory usage to e.Mem throughout — the paper's
-// memory-adaptive external sort: a split phase on cfg.Workers workers (see
-// runCrew; one unless the real engine asks for more), then a merge phase on
-// the caller's goroutine. The output is one stored run or the held last
+// memory-adaptive external sort: a split phase, then a merge phase, both on
+// the caller's goroutine at every cfg.Workers. The output is one stored run or the held last
 // step of the merge (SortResult.Last). An aborted sort leaves no storage and
 // no granted page behind.
 func ExternalSort(e *Env, cfg SortConfig) (*SortResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	st := &SortStats{Workers: effectiveWorkers(e, cfg)}
+	st := &SortStats{Workers: max(cfg.Workers, 1)}
 	t0 := e.now()
 	if err := e.ctxErr(); err != nil {
 		return nil, err
 	}
-	runs, err := splitPhase(e, cfg, st, st.Workers)
+	runs, err := splitPhase(e, cfg, st)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,25 @@ import (
 	"sort"
 )
 
+// splitPhase runs the configured in-memory sorting method over e.In and
+// produces the initial set of sorted runs (paper §2.1, §3.1). An aborted
+// split frees the runs it had produced and hands the whole grant back —
+// cancellation must not leak run storage.
+func splitPhase(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
+	e.setPhase("split")
+	split := replSplit
+	if cfg.Method == Quick {
+		split = quickSplit
+	}
+	runs, err := split(e, cfg, st)
+	if err != nil {
+		freeRuns(e, runs)
+		e.yieldAll()
+		return nil, err
+	}
+	return runs, nil
+}
+
 // quickSplit implements the Quicksort split phase: fill all granted memory
 // with input pages, sort a (key,pointer) list, write the result out as one
 // run. It reacts to memory growth while filling; under pressure it must
@@ -27,11 +46,12 @@ func quickSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 				e.Mem.Acquire(g)
 			}
 			if e.Mem.Granted() == 0 {
-				// Parked by the crew, or entitled while the (shared) pool is
-				// empty: wait rather than spin. The real broker's wait counts
-				// changes from its last return, so a sibling that yields or
-				// leaves between the check above and the wait is not slept
-				// through. A single-operator pool never reaches this state.
+				// A party parked on a zero share, or entitled while the
+				// (shared) pool is empty: wait rather than spin. The real
+				// broker's wait counts changes from its last return, so a
+				// sibling that yields or leaves between the check above and
+				// the wait is not slept through. A single-operator pool
+				// never reaches this state.
 				if err := e.Mem.WaitChange(e.ctx()); err != nil {
 					return runs, err
 				}
@@ -121,12 +141,10 @@ func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 	// The output block lives in the writer, whose buffers serve every run of
 	// this split in turn.
 	w := runWriter{store: e.Store, recs: R}
-	var runs []*runInfo
 	var (
+		runs      []*runInfo
 		cur       *runInfo
-		curTag    int
-		curLast   Record
-		curOpen   bool
+		f         frontier
 		inputDone bool
 	)
 	heapPages := func() int { return PagesForTuples(h.Len(), R) }
@@ -161,25 +179,34 @@ func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 			e.emit(EvRunDone, cur.pages, "")
 			cur = nil
 		}
-		curTag++
-		curOpen = false
+		f = frontier{tag: f.tag + 1}
 		return nil
 	}
 	// emitBlock extracts up to maxPages pages of current-run tuples and
 	// appends them to the current run; reports whether the run ended.
 	emitBlock := func(maxPages int) (ended bool, err error) {
+		h.enter(f)
 		if h.Len() == 0 {
 			return inputDone, nil
 		}
-		if h.PeekRun() != curTag {
+		if h.PeekRun() != f.tag {
 			return true, nil
 		}
 		n := 0
-		for ; n < maxPages*R && h.Len() > 0 && h.PeekRun() == curTag; n++ {
-			curLast = h.Pop().rec
-			w.add(curLast)
+		for limit := maxPages * R; n < limit; {
+			pg := w.page()
+			room := min(cap(pg)-len(pg), limit-n)
+			got := h.PopRun(f.tag, pg[:len(pg):len(pg)+room])
+			k := len(got) - len(pg)
+			if k > 0 {
+				f.last = got[len(got)-1]
+			}
+			w.put(pg[:len(got)])
+			if n += k; k < room {
+				break
+			}
 		}
-		curOpen = true
+		f.open = true
 		e.charge(OpCompare, h.TakeCompares())
 		e.charge(OpCopyTuple, int64(n))
 		if cur == nil {
@@ -192,7 +219,7 @@ func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 			return false, err
 		}
 		st.RunPagesWritten += pages
-		ended = (h.Len() == 0 && inputDone) || (h.Len() > 0 && h.PeekRun() != curTag)
+		ended = (h.Len() == 0 && inputDone) || (h.Len() > 0 && h.PeekRun() != f.tag)
 		return ended, nil
 	}
 
@@ -205,8 +232,8 @@ func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 			e.Mem.Acquire(g)
 		}
 		if e.Mem.Granted() == 0 && !(inputDone && h.Len() == 0) {
-			// Parked, or entitled while the (shared) pool is empty: wait rather
-			// than spin (see quickSplit).
+			// Entitled to nothing while the (shared) pool is empty: wait
+			// rather than spin (see quickSplit).
 			if err := e.Mem.WaitChange(e.ctx()); err != nil {
 				return fail(err)
 			}
@@ -254,13 +281,7 @@ func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 			}
 			st.PagesIn++
 			st.TuplesIn += len(pg)
-			for _, rec := range pg {
-				tag := curTag
-				if curOpen && Less(rec, curLast) {
-					tag = curTag + 1
-				}
-				h.Push(rsItem{run: tag, rec: rec})
-			}
+			h.add(pg, f)
 			e.charge(OpCompare, h.TakeCompares())
 			e.charge(OpCopyTuple, int64(len(pg)))
 			continue

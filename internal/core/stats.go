@@ -50,9 +50,9 @@ type SortStats struct {
 	// MaxGranted tracks the high-water mark of pages held.
 	MaxGranted int
 
-	// Workers is the number of workers run generation ran on; the merge
-	// runs on one (1 means inline on the caller's goroutine: every
-	// simulated sort and the real engine's default).
+	// Workers is the worker count the sort was asked for (SortConfig.Workers,
+	// at least 1); 1 for a merge of existing runs. Every sort runs on the
+	// caller's goroutine whatever the count.
 	Workers int
 
 	// Store I/O aggregates, filled by the host: completed read requests and

@@ -34,9 +34,9 @@ type Config struct {
 // Arbiter divides Total pages among the operators registered with it and
 // the reservations made against it, by Policy. It is the real engine's only
 // arbiter: a masort.Budget is an Arbiter with one permanently registered
-// operator, a masort.Pool is one with many, and the workers of a parallel
-// phase hold sub-handles of their operator's Handle (Handle.Divide) — all
-// under this one mutex, woken by this one condition variable. All methods
+// operator, a masort.Pool is one with many, and the operators sharing a
+// Budget hold parties of its Handle (Handle.Join) — all under this one
+// mutex, woken by this one condition variable. All methods
 // are safe for concurrent use.
 type Arbiter struct {
 	mu   sync.Mutex
@@ -254,51 +254,32 @@ type Stats struct {
 
 // Handle is one party's view of an Arbiter, and the real engine's only
 // implementation of core.Broker — the operator's side of the reservation
-// protocol, where masort.Budget is the owner's: an operator (Register), one
-// worker of an operator's crew (Divide), or one party to a handle (Join). A
-// worker's or a party's pages are held in the name of every handle above it
-// too — an operator's Granted is its crew's combined holding — and its
-// grants and waits go on the operator's account.
+// protocol, where masort.Budget is the owner's: an operator (Register) or
+// one party to a handle (Join). A party's pages are held in the name of
+// every handle above it too — an operator's Granted is its parties'
+// combined holding — and its grants and waits go on the operator's
+// account.
 type Handle struct {
 	a       *Arbiter
 	op      uint64
 	granted int
 	seen    uint64    // a.gen at creation or when the last WaitChange returned
-	stats   Stats     // an operator's account; a worker's stays zero
-	crew    *division // non-nil on a worker's or a party's sub-handle
+	stats   Stats     // an operator's account; a party's stays zero
+	div     *division // non-nil on a party's handle
 	parties *division // the parties Join has added, nil before the first
 }
 
-// division is one Divide of an operator's entitlement among a crew, or a
-// handle's parties (Join).
+// division is a handle's entitlement divided among its parties (Join).
 type division struct {
 	parent  *Handle
-	minNeed int       // pages a worker needs to be active
-	live    []*Handle // workers still running, in rank order
-	peak    int       // high-water mark of parent.granted since Divide
-}
-
-// Divide returns sub-handles for a crew of workers sharing this handle's
-// entitlement by CrewShare: a worker's Target is its share of the handle's
-// live target, recomputed under the arbiter's lock on every call, so a
-// resize, a reservation or a sibling operator's churn reaches every worker
-// at its next page boundary. Workers whose share is zero are parked — their
-// waits sleep on the arbiter's condition like any other — until the target
-// grows or a lower-ranked sibling leaves. Each worker must Leave when done.
-func (h *Handle) Divide(workers, minNeed int) []*Handle {
-	h.a.mu.Lock()
-	defer h.a.mu.Unlock()
-	d := &division{parent: h, minNeed: minNeed, live: make([]*Handle, workers)}
-	for i := range d.live {
-		d.live[i] = &Handle{a: h.a, crew: d, seen: h.a.gen}
-	}
-	return slices.Clone(d.live)
+	minNeed int       // pages a party needs to be active
+	live    []*Handle // parties that have not left, in rank order
 }
 
 // Join adds a party to h: one more user of h's entitlement — an operator
 // sharing a Budget, an iterator running a held merge step — alongside the
 // ones Join added before that have not left. The parties divide h's
-// entitlement as a crew does (CrewShare, oldest first, the arbiter's floor
+// entitlement by CrewShare (oldest first, the arbiter's floor
 // as the need), and each one's Granted counts its own pages only: no party
 // takes another's pages for its own, and together they never hold more than
 // h may. The party must Leave.
@@ -309,7 +290,7 @@ func (h *Handle) Join() *Handle {
 	if h.parties == nil {
 		h.parties = &division{parent: h, minNeed: a.pol.Floor}
 	}
-	p := &Handle{a: a, crew: h.parties}
+	p := &Handle{a: a, div: h.parties}
 	h.parties.live = append(h.parties.live, p)
 	a.changed() // the other parties' shares just shrank
 	p.seen = a.gen
@@ -318,17 +299,17 @@ func (h *Handle) Join() *Handle {
 
 // parent returns the handle whose entitlement h divides, nil for an operator.
 func (h *Handle) parent() *Handle {
-	if h.crew == nil {
+	if h.div == nil {
 		return nil
 	}
-	return h.crew.parent
+	return h.div.parent
 }
 
 // operator returns the registered handle h acts for (h itself unless h is a
-// worker's sub-handle).
+// party).
 func (h *Handle) operator() *Handle {
-	for h.crew != nil {
-		h = h.crew.parent
+	for h.div != nil {
+		h = h.div.parent
 	}
 	return h
 }
@@ -338,7 +319,7 @@ func (h *Handle) operator() *Handle {
 // may hold out for. Callers hold a.mu.
 func (h *Handle) entitled(atTotal bool) int {
 	a := h.a
-	if d := h.crew; d != nil {
+	if d := h.div; d != nil {
 		return CrewShare(d.parent.entitled(atTotal), slices.Index(d.live, h), len(d.live), d.minNeed)
 	}
 	if atTotal {
@@ -382,7 +363,7 @@ func (h *Handle) Pressure() int {
 }
 
 // Acquire grants up to n additional pages, bounded by the entitlement — the
-// worker's own and its operator's — and by the free pool.
+// party's own and its operator's — and by the free pool.
 func (h *Handle) Acquire(n int) int {
 	a := h.a
 	a.mu.Lock()
@@ -396,9 +377,6 @@ func (h *Handle) Acquire(n int) int {
 		op.stats.Grants++
 		op.stats.PagesGranted += n
 		op.stats.MaxGranted = max(op.stats.MaxGranted, op.granted)
-		if h.crew != nil {
-			h.crew.peak = max(h.crew.peak, h.crew.parent.granted)
-		}
 	}
 	a.mu.Unlock()
 	if n > 0 && a.cfg.OnGrant != nil {
@@ -421,9 +399,9 @@ func (h *Handle) Yield(n int) {
 // Leave retires the handle: whatever it still holds goes back (the engine
 // yields everything on success and on abort; this is belt-and-braces) and
 // the survivors' shares grow — an operator's siblings re-equalize, a
-// worker's parked siblings move down a rank. That is what guarantees
-// progress when the target sustains only part of a crew: the rank-0 worker
-// always has a target of at least the floor, finishes, and hands its slot
+// party's parked siblings move down a rank. That is what guarantees
+// progress when the target sustains only some of a handle's parties: the
+// rank-0 party always has a target of at least the floor, finishes, and hands its slot
 // down. Leaving twice is harmless.
 func (h *Handle) Leave() {
 	a := h.a
@@ -431,21 +409,17 @@ func (h *Handle) Leave() {
 	defer a.mu.Unlock()
 	h.hold(-h.granted)
 	set := &a.ops
-	if h.crew != nil {
-		set = &h.crew.live
+	if h.div != nil {
+		set = &h.div.live
 	}
 	*set = slices.DeleteFunc(*set, func(x *Handle) bool { return x == h })
 	a.changed()
 }
 
-// Stats returns the operator's account; for a worker's sub-handle, only
-// MaxGranted is set: the high-water mark of its whole crew's holding.
+// Stats returns the operator's account; a party's is zero.
 func (h *Handle) Stats() Stats {
 	h.a.mu.Lock()
 	defer h.a.mu.Unlock()
-	if h.crew != nil {
-		return Stats{MaxGranted: h.crew.peak}
-	}
 	return h.stats
 }
 
@@ -456,7 +430,7 @@ const anyChange = -1
 // WaitTarget blocks until the entitlement reaches n or ctx is done, whose
 // error it then returns. Under ClampWaits n is bounded, afresh on every
 // wakeup, by the entitlement the handle would have if the whole total were
-// its operator's (never below one page, so a parked worker still sleeps): the
+// its operator's (never below one page, so a parked party still sleeps): the
 // wait terminates once reservations drain and siblings finish, even if a
 // Resize took the total below n meanwhile.
 func (h *Handle) WaitTarget(ctx context.Context, n int) error { return h.wait(ctx, max(n, 0)) }

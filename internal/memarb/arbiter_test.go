@@ -11,19 +11,19 @@ import (
 )
 
 // modelOp is one registered operator of the conservation model with the
-// sub-handles of its latest division, left or not.
+// parties of its latest division, left or not.
 type modelOp struct {
-	h       *Handle
-	crew    []*Handle
-	minNeed int
+	h     *Handle
+	crew  []*Handle
+	floor int
 }
 
-// live counts the workers still working for the operator.
+// live counts the parties still working for the operator.
 func (o *modelOp) live() int {
 	if o.crew == nil {
 		return 0
 	}
-	return len(o.crew[0].crew.live)
+	return len(o.crew[0].div.live)
 }
 
 // asyncReserve is a Reserve running on its own goroutine, so that the
@@ -48,13 +48,13 @@ func startReserve(a *Arbiter, want int) *asyncReserve {
 // walk over everything that moves pages or entitlements — resizes,
 // reservations (granted at once, queued behind operators' holdings, and
 // canceled in the queue), admissions and departures, divisions of an
-// operator among a crew, and acquires, yields and departures at both levels
+// operator among parties (Join), and acquires, yields and departures at both levels
 // — and checks the nested accounts after every step:
 //
 //   - Σ operators' granted + reserved + free == total;
-//   - a divided operator's granted is the sum of its workers';
-//   - its workers' targets sum to its own whenever that covers minNeed
-//     (they do below it too — the lowest-ranked worker takes what there is
+//   - a divided operator's granted is the sum of its parties';
+//   - its parties' targets sum to its own whenever that covers the floor
+//     (they do below it too — the lowest-ranked party takes what there is
 //     — but that is the grid test's to pin, not this one's);
 //   - an Acquire never takes a handle past its target, nor its operator.
 //
@@ -91,10 +91,10 @@ func TestArbiterNestedConservation(t *testing.T) {
 					targets += w.entitled(false)
 				}
 				if granted != o.h.granted {
-					t.Fatalf("seed %d step %d (%s): workers hold %d, their operator %d", seed, step, what, granted, o.h.granted)
+					t.Fatalf("seed %d step %d (%s): parties hold %d, their operator %d", seed, step, what, granted, o.h.granted)
 				}
-				if pt := o.h.entitled(false); pt >= o.minNeed && targets != pt {
-					t.Fatalf("seed %d step %d (%s): workers' targets sum to %d, their operator's is %d", seed, step, what, targets, pt)
+				if pt := o.h.entitled(false); pt >= a.pol.Floor && targets != pt {
+					t.Fatalf("seed %d step %d (%s): parties' targets sum to %d, their operator's is %d", seed, step, what, targets, pt)
 				}
 			}
 		}
@@ -160,11 +160,13 @@ func TestArbiterNestedConservation(t *testing.T) {
 				ops = slices.DeleteFunc(ops, func(x *modelOp) bool { return x == o })
 			case k == 7 && o.live() == 0:
 				what = "divide"
-				o.h.Yield(o.h.Granted()) // a crew starts with its operator holding nothing
-				o.minNeed = []int{0, 1, 3, 5}[rng.IntN(4)]
-				o.crew = o.h.Divide(2+rng.IntN(3), o.minNeed)
+				o.h.Yield(o.h.Granted()) // parties start with their operator holding nothing
+				o.crew = o.crew[:0]
+				for range 2 + rng.IntN(3) {
+					o.crew = append(o.crew, o.h.Join())
+				}
 			case k == 8 && o.live() > 0:
-				what = "worker leaves"
+				what = "party leaves"
 				o.crew[rng.IntN(len(o.crew))].Leave() // again, if it left before
 			case k <= 9: // acquire, twice as likely as the rest
 				what = "acquire"
@@ -206,16 +208,16 @@ func TestArbiterNestedConservation(t *testing.T) {
 }
 
 // TestClampedWaitOfParkedWorkerSleeps: under ClampWaits a wait's bound is
-// what the total could entitle the waiter to — for a worker, its share of
-// the total. A parked worker's share is zero, and a bound of zero would be
+// what the total could entitle the waiter to — for a party, its share of
+// the total. A parked party's share is zero, and a bound of zero would be
 // met at once: it must still sleep until a sibling's departure hands it a
 // rank with pages.
 func TestClampedWaitOfParkedWorkerSleeps(t *testing.T) {
 	a := New(Config{Total: 3, Floor: 3, ClampWaits: true})
 	op, _ := a.Register(context.Background(), 0, false)
-	crew := op.Divide(2, 3)
+	crew := []*Handle{op.Join(), op.Join()}
 	if got := crew[1].Target(); got != 0 {
-		t.Fatalf("second worker of a 3-page operator has target %d, want 0 (parked)", got)
+		t.Fatalf("second party of a 3-page operator has target %d, want 0 (parked)", got)
 	}
 	crew[0].WaitTarget(context.Background(), 16) // bounded by its share of the total: returns
 	woke := make(chan struct{})
@@ -229,32 +231,32 @@ func TestClampedWaitOfParkedWorkerSleeps(t *testing.T) {
 	}
 	select {
 	case <-woke:
-		t.Fatal("parked worker's clamped wait returned on a zero share")
+		t.Fatal("parked party's clamped wait returned on a zero share")
 	default:
 	}
 	crew[0].Leave()
 	<-woke
 	if got := crew[1].Target(); got != 3 {
-		t.Fatalf("worker promoted to rank 0 has target %d, want 3", got)
+		t.Fatalf("party promoted to rank 0 has target %d, want 3", got)
 	}
 }
 
 // TestWaitChangeCountsFromLastLook: a WaitChange is a wait for a change
-// since the handle last looked, not since the wait began. A worker that
+// since the handle last looked, not since the wait began. A party that
 // acquires nothing, then loses the processor while its sibling leaves — the
 // only change there will ever be — must not sleep through it; and once it
 // has returned, the next wait is for the next change.
 func TestWaitChangeCountsFromLastLook(t *testing.T) {
-	a := New(Config{Total: 8, Floor: 3})
+	a := New(Config{Total: 5, Floor: 3}) // sustains one party of the two
 	op, _ := a.Register(context.Background(), 0, false)
-	crew := op.Divide(2, 6)
+	crew := []*Handle{op.Join(), op.Join()}
 	if got := crew[1].Acquire(1); got != 0 {
-		t.Fatalf("parked worker acquired %d pages", got)
+		t.Fatalf("parked party acquired %d pages", got)
 	}
 	crew[0].Leave()
 	crew[1].WaitChange(context.Background()) // at the parent of this change: sleeps forever
-	if got := crew[1].Target(); got != 8 {
-		t.Fatalf("worker promoted to rank 0 has target %d, want 8", got)
+	if got := crew[1].Target(); got != 5 {
+		t.Fatalf("party promoted to rank 0 has target %d, want 5", got)
 	}
 	woke := make(chan struct{})
 	go func() {

@@ -1,6 +1,6 @@
 // Package memarb holds the memory arbitration shared by the simulator's
 // buffer manager (internal/bufmgr.SharedPool) and the real engine
-// (masort.Budget, masort.Pool, and the crew of a parallel phase): how a
+// (masort.Budget, masort.Pool, and the parties sharing one): how a
 // fixed total of buffer pages is divided between N adaptive operators and a
 // stream of competing reservations made on behalf of higher-priority work.
 //
@@ -98,15 +98,15 @@ func (p Policy) Headroom(ops, reserved, pending int) int {
 	return p.Total - ops*p.Floor - reserved - pending
 }
 
-// CrewShare returns the entitlement of the rank-th of live workers dividing
-// one operator's target between them (rank 0 is the lowest-numbered worker
-// still running). The target divides among the lowest-ranked workers that
+// CrewShare returns the entitlement of the rank-th of live parties dividing
+// one handle's target between them (rank 0 is the oldest party still
+// there). The target divides among the lowest-ranked parties that
 // can each get at least minNeed pages — always at least one, so the
 // operation progresses on any target — with the remainder going to the
-// lowest ranks (the ShareAt rule); the other workers are parked on a zero
-// share, as is a negative rank (a worker that left). A pure function of its
-// arguments: every worker computes the same partition, the shares of the
-// active workers sum to the target exactly, and a shrink parks workers
+// lowest ranks (the ShareAt rule); the other parties are parked on a zero
+// share, as is a negative rank (a party that left). A pure function of its
+// arguments: every party computes the same partition, the shares of the
+// active parties sum to the target exactly, and a shrink parks parties
 // deterministically instead of racing them.
 func CrewShare(target, rank, live, minNeed int) int {
 	active := live

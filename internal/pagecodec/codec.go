@@ -199,10 +199,12 @@ func decode(into core.Page, arena, buf []byte, copying bool) (core.Page, []byte,
 	col := body[pay:end]
 	if copying {
 		if cap(arena) < int(total) {
-			arena = make([]byte, total)
+			// append, not make and copy: a fresh arena is not zeroed first
+			// only to be overwritten.
+			arena = append([]byte(nil), col...)[:total:total]
+		} else {
+			arena = append(arena[:0], col...)
 		}
-		arena = arena[:total]
-		copy(arena, col)
 		col = arena
 	}
 	kb := body[keys:lens]

@@ -145,8 +145,7 @@ func (o config) build() (core.SortConfig, config, error) {
 //
 // Phase boundaries label the operator's goroutine for CPU profiles (op,
 // phase), so a profile splits run generation from merging without reading
-// symbol names; the split's crew workers inherit the labels of the
-// goroutine that starts them. "idle" hands the caller's own labels back — callers defer
+// symbol names. "idle" hands the caller's own labels back — callers defer
 // env.SetPhase("idle") so aborted operators do too.
 func newEnv(ctx context.Context, o config, mem core.Broker, meter *counterMeter, ot *opTrace, op string) (*core.Env, *tracedStore) {
 	start := time.Now()

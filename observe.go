@@ -121,7 +121,6 @@ func (t *opTrace) convert(ev core.Event) trace.Event {
 		Step:    ev.Step,
 		Target:  ev.Target,
 		Granted: ev.Granted,
-		Worker:  ev.Worker,
 	}
 	switch ev.Kind {
 	case core.EvPhase:

@@ -70,49 +70,38 @@ func WithStore(s RunStore) Option {
 	return func(o *config) { o.store = s }
 }
 
-// WithWorkers sets how many workers the operator's run generation runs on —
-// the single CPU-parallelism option, and plain data to the engine's split
-// phase driver. n = 0 means "use every core" (runtime.GOMAXPROCS(0),
-// resolved when the option is applied); n <= 1 means one worker, the
-// default: the split then runs inline on the caller's goroutine and no
-// goroutine is started.
+// WithWorkers sets the worker count a sort reports in Stats.Workers. n = 0
+// means "use every core" (runtime.GOMAXPROCS(0), resolved when the option
+// is applied); n <= 1 means one, the default; any n >= 2 resolves to two.
 //
-// The worker count changes neither the output nor the memory contract: the
-// result is value-identical at every n, and the workers collectively never
-// hold more than the Budget/Pool target — a Shrink propagates to every
-// worker at its next page boundary, parking workers the shrunken budget can
-// no longer sustain (at least one always keeps generating runs). n workers
-// generate runs; the merge runs on the operator's goroutine under the whole
-// target, with the plan it has at one worker, and Result.Iterator runs its
-// last step (see Result). Stats.Workers reports the worker count run
-// generation used. The simulator never sets it — simulated sorts are
-// defined to be single-threaded.
+// The count changes nothing else: at every n the sort runs on the caller's
+// goroutine and starts none — replacement selection keeps one heap over
+// the operator's whole target, then one merge runs there too (its last
+// step under Result.Iterator, see Result) — so the output, the runs, the
+// I/O and the memory contract are the one-worker sort's: dividing the
+// target among several heaps would halve the runs and add merge I/O. The
+// simulator never sets it.
 //
-// Merge runs on one worker whatever n is: it has no runs to generate.
+// Merge reports one worker whatever n is: it has no runs to generate.
 func WithWorkers(n int) Option {
 	return func(o *config) {
 		if n == 0 {
 			n = runtime.GOMAXPROCS(0)
 		}
-		if n < 1 {
-			n = 1
-		}
-		o.workers = n
+		o.workers = min(max(n, 1), 2)
 	}
 }
 
 // WithEvents installs a callback receiving adaptation events (phase
 // changes, step splits, combines, suspensions) as they happen.
 //
-// Concurrency contract: the engine invokes the callback sequentially —
-// never concurrently with itself for one operator. On one worker it is
-// called on the operator's own goroutine — and for a held last merge step
-// (see Result), on the goroutine draining it; more workers (WithWorkers)
-// serialize their run-generation events through a mutex, so those calls
-// may arrive on worker goroutines (Event.Worker says which). A callback shared across operators (a pooled
-// workload) must be safe for concurrent use, since each operator invokes
-// its own copy of the stream. The callback must be fast — it runs inside the sort's adaptation
-// path. A panicking callback is recovered and counted in
+// Concurrency contract: the engine invokes the callback sequentially, on
+// the operator's own goroutine — and for a held last merge step (see
+// Result), on the goroutine draining it — at every worker count. A
+// callback shared across operators (a pooled workload) must be safe for
+// concurrent use, since each operator invokes its own copy of the stream.
+// The callback must be fast — it runs inside the sort's adaptation path.
+// A panicking callback is recovered and counted in
 // Stats.EventPanics; it never corrupts the operation.
 func WithEvents(fn func(Event)) Option {
 	return func(o *config) { o.onEvent = fn }

@@ -184,15 +184,15 @@ func TestSortParallelSuspendResume(t *testing.T) {
 	assertPermutation(t, in, out)
 	mu.Lock()
 	defer mu.Unlock()
-	if !shrunk || suspends != 1 || res.Stats.Suspensions != 1 || res.Stats.Workers != 4 {
-		t.Fatalf("shrunk %v, %d suspensions seen, Stats %d on %d workers: want the one merge's one suspension on 4 workers",
+	if !shrunk || suspends != 1 || res.Stats.Suspensions != 1 || res.Stats.Workers != 2 {
+		t.Fatalf("shrunk %v, %d suspensions seen, Stats %d on %d workers: want the one merge's one suspension on 2 workers",
 			shrunk, suspends, res.Stats.Suspensions, res.Stats.Workers)
 	}
 }
 
-// TestSortParallelCancelLeakFree cancels a four-worker sort while its split
-// crew runs: the abort must leave no runs in the store — the crew's runs
-// written so far included — and no pages or operators in the pool.
+// TestSortParallelCancelLeakFree cancels a two-worker sort while its split
+// runs: the abort must leave no runs in the store — the
+// runs written so far included — and no pages or operators in the pool.
 func TestSortParallelCancelLeakFree(t *testing.T) {
 	in := randomRecords(50_000, 9, 0)
 	pool := NewPool(48)
@@ -209,7 +209,7 @@ func TestSortParallelCancelLeakFree(t *testing.T) {
 		WithEvents(func(ev Event) {
 			mu.Lock()
 			defer mu.Unlock()
-			if ev.Kind == EvRunDone && ev.Worker > 0 && !canceled {
+			if ev.Kind == EvRunDone && !canceled {
 				if runs++; runs > 4 {
 					canceled = true
 					cancel()
@@ -222,7 +222,7 @@ func TestSortParallelCancelLeakFree(t *testing.T) {
 	mu.Lock()
 	if !canceled {
 		mu.Unlock()
-		t.Fatal("cancellation never triggered in the split crew")
+		t.Fatal("cancellation never triggered in the split")
 	}
 	mu.Unlock()
 	if live := store.Live(); live != 0 {
@@ -337,12 +337,17 @@ func TestMergeParallelCancelWhileWorkerParked(t *testing.T) {
 }
 
 // TestWithWorkersResolution pins the option semantics: 0 resolves to
-// GOMAXPROCS at option-application time, negatives clamp to serial, and the
+// GOMAXPROCS at option-application time, capped at the two goroutines a
+// sort can use, as is any larger count; negatives clamp to serial, and the
 // zero-value configuration stays serial.
 func TestWithWorkersResolution(t *testing.T) {
 	o := applyOptions([]Option{WithWorkers(0)})
-	if want := runtime.GOMAXPROCS(0); o.workers != want {
-		t.Fatalf("WithWorkers(0): workers = %d, want GOMAXPROCS %d", o.workers, want)
+	if want := min(runtime.GOMAXPROCS(0), 2); o.workers != want {
+		t.Fatalf("WithWorkers(0): workers = %d, want GOMAXPROCS capped at 2, %d", o.workers, want)
+	}
+	o = applyOptions([]Option{WithWorkers(8)})
+	if o.workers != 2 {
+		t.Fatalf("WithWorkers(8): workers = %d, want 2", o.workers)
 	}
 	o = applyOptions([]Option{WithWorkers(-3)})
 	if o.workers != 1 {

@@ -654,29 +654,34 @@ func TestStreamStatsCountEveryPage(t *testing.T) {
 }
 
 // TestStreamTrueIOAtTwoWorkers is the benchmark's sort_file_w2 in pages —
-// 7 813 input pages under a 64-page budget, on two workers — at 16 records
-// a page instead of 256, which leaves every page count alike. The store sees
-// exactly what Stats counts after the drain, and the drain writes nothing.
-// The two workers' runs merge as one worker's do, under the whole budget:
-// per input page that is at most 3.15 page operations, 2.15 of them counted
-// by Stats before the drain, where the benchmark reads them. The plan does
-// not depend on which worker finishes first: two sorts of the same input
-// make the same merge steps.
+// 7 813 input pages under a 64-page budget — at 16 records a page instead
+// of 256, which leaves every page count alike. A two-worker sort is the
+// one-worker sort: the same runs, run-done event for run-done event,
+// and the same Stats, page for page, before the drain and after it. The
+// store sees exactly what Stats counts after the drain, and the drain
+// writes nothing.
 func TestStreamTrueIOAtTwoWorkers(t *testing.T) {
 	const inPages = 7813
 	in := randomRecords(inPages*16, 73, 16)
-	ratio := func(s Stats) float64 {
-		return float64(s.RunPagesWritten+s.MergePagesRead+s.MergePagesWritten) / inPages
+	type outcome struct {
+		before, after Stats
+		runs          []int // EvRunDone pages, in order
 	}
-	var steps []int
-	for range 2 {
+	sort := func(workers int) outcome {
+		var o outcome
 		counter := &pageCounter{RunStore: NewMemStore()}
 		res, err := Sort(context.Background(), NewSliceIterator(in),
-			WithPageRecords(16), WithBudget(NewBudget(64)), WithStore(counter), WithWorkers(2))
+			WithPageRecords(16), WithBudget(NewBudget(64)), WithStore(counter), WithWorkers(workers),
+			WithEvents(func(ev Event) {
+				if ev.Kind == EvRunDone {
+					o.runs = append(o.runs, ev.Detail)
+				}
+			}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		before, written := res.Stats, counter.written.Load()
+		o.before = res.Stats
+		written := counter.written.Load()
 		n := 0
 		for _, err := range res.All() {
 			if err != nil {
@@ -684,22 +689,37 @@ func TestStreamTrueIOAtTwoWorkers(t *testing.T) {
 			}
 			n++
 		}
-		st := res.Stats
+		o.after = res.Stats
+		st := o.after
 		w, r := counter.written.Load(), counter.read.Load()
 		if n != len(in) || w != written || w != int64(st.RunPagesWritten+st.MergePagesWritten) || r != int64(st.MergePagesRead) {
-			t.Fatalf("%d records out of %d; store wrote %d pages (%d before the drain) and read %d; Stats: %d + %d written, %d read",
-				n, len(in), w, written, r, st.RunPagesWritten, st.MergePagesWritten, st.MergePagesRead)
+			t.Fatalf("%d workers: %d records out of %d; store wrote %d pages (%d before the drain) and read %d; Stats: %d + %d written, %d read",
+				workers, n, len(in), w, written, r, st.RunPagesWritten, st.MergePagesWritten, st.MergePagesRead)
 		}
-		if ratio(st) > 3.15 || ratio(before) > 2.15 || st.Workers != 2 {
-			t.Fatalf("%.4f page operations per input page, %.4f of them before the drain, on %d workers: want at most 3.15 and 2.15 on 2",
-				ratio(st), ratio(before), st.Workers)
+		if st.Workers != workers {
+			t.Fatalf("Stats.Workers = %d, want %d", st.Workers, workers)
 		}
-		steps = append(steps, st.MergeSteps)
 		if err := res.Close(); err != nil {
 			t.Fatal(err)
 		}
+		// What may differ: the worker count and the clocks.
+		for _, s := range []*Stats{&o.before, &o.after} {
+			s.Workers, s.SplitDuration, s.MergeDuration, s.Response = 0, 0, 0, 0
+			s.ReadLatency, s.WriteLatency = 0, 0
+		}
+		return o
 	}
-	if steps[0] != steps[1] {
-		t.Fatalf("two sorts of one input made %d and %d merge steps: want one plan", steps[0], steps[1])
+	one, two := sort(1), sort(2)
+	if !slices.Equal(one.runs, two.runs) {
+		t.Fatalf("run-done events: %d runs at one worker, %d at two, or their pages differ", len(one.runs), len(two.runs))
 	}
+	if one.before != two.before || one.after != two.after {
+		t.Fatalf("Stats at two workers differ from one worker's:\nbefore the drain %+v\n            vs %+v\nafter the drain  %+v\n            vs %+v",
+			two.before, one.before, two.after, one.after)
+	}
+	ratio := func(s Stats) float64 {
+		return float64(s.RunPagesWritten+s.MergePagesRead+s.MergePagesWritten) / inPages
+	}
+	t.Logf("%d runs, %d merge steps: %.4f page operations per input page, %.4f of them before the drain",
+		one.after.Runs, one.after.MergeSteps, ratio(one.after), ratio(one.before))
 }

@@ -83,22 +83,7 @@ func (c *Chrome) write(ev chromeEvent) {
 
 // memArgs attaches the memory state to an event.
 func memArgs(e Event) map[string]any {
-	args := map[string]any{"target": e.Target, "granted": e.Granted, "pages": e.Pages}
-	if e.Worker > 0 {
-		args["worker"] = e.Worker
-	}
-	return args
-}
-
-// lane picks the timeline row for an engine event: the operator's own row
-// for the operator's goroutine, a per-worker sub-row for events emitted by
-// a run-generation worker (WithWorkers). Serial operators and every merge
-// emit Worker 0, so their rows are the operator's.
-func lane(e Event) uint64 {
-	if e.Worker == 0 {
-		return e.Op
-	}
-	return e.Op<<8 | uint64(e.Worker&0xff)
+	return map[string]any{"target": e.Target, "granted": e.Granted, "pages": e.Pages}
 }
 
 // Emit implements Tracer.
@@ -131,16 +116,16 @@ func (c *Chrome) Emit(e Event) {
 			c.openPhase[e.Op] = true
 		}
 	case KindStepBegin:
-		c.write(chromeEvent{Name: "merge-step", Cat: "step", Ph: "b", Ts: ts, Pid: 1, Tid: lane(e),
-			ID: stepID(e), Args: map[string]any{"fanin": e.Pages, "worker": e.Worker}})
+		c.write(chromeEvent{Name: "merge-step", Cat: "step", Ph: "b", Ts: ts, Pid: 1, Tid: e.Op,
+			ID: stepID(e), Args: map[string]any{"fanin": e.Pages}})
 	case KindStepEnd:
-		c.write(chromeEvent{Name: "merge-step", Cat: "step", Ph: "e", Ts: ts, Pid: 1, Tid: lane(e),
-			ID: stepID(e), Args: map[string]any{"fanin": e.Pages, "worker": e.Worker}})
+		c.write(chromeEvent{Name: "merge-step", Cat: "step", Ph: "e", Ts: ts, Pid: 1, Tid: e.Op,
+			ID: stepID(e), Args: map[string]any{"fanin": e.Pages}})
 	case KindRun:
-		c.write(chromeEvent{Name: "run", Cat: "adapt", Ph: "i", Ts: ts, Pid: 1, Tid: lane(e), S: "t",
+		c.write(chromeEvent{Name: "run", Cat: "adapt", Ph: "i", Ts: ts, Pid: 1, Tid: e.Op, S: "t",
 			Args: memArgs(e)})
 	case KindSplit, KindCombineBegin, KindCombineEnd, KindCombineAbort, KindSuspend, KindResume:
-		c.write(chromeEvent{Name: e.Kind.String(), Cat: "adapt", Ph: "i", Ts: ts, Pid: 1, Tid: lane(e),
+		c.write(chromeEvent{Name: e.Kind.String(), Cat: "adapt", Ph: "i", Ts: ts, Pid: 1, Tid: e.Op,
 			S: "t", Args: memArgs(e)})
 	case KindStoreRead, KindStoreWrite, KindPoolWait, KindPoolAdmit:
 		// Complete events: ts is the span start.

@@ -159,11 +159,6 @@ type Event struct {
 	Target  int
 	Granted int
 
-	// Worker identifies the parallel worker goroutine that produced an
-	// engine event, 1-based; 0 for the operator's own goroutine (every
-	// event of a serial operator).
-	Worker int
-
 	// Err is the failure message for a KindOpEnd of a failed operator or a
 	// store retry / give-up event.
 	Err string
