@@ -49,7 +49,8 @@
 // writing the output to the store only for the caller to read it back. Each
 // iterator is a user of its own of the same budget — an operator that reads
 // it on that budget shares the budget with it — and holds up to the step's
-// fan-in + 1 pages while it runs the step, adapts to its share and observes
+// fan-in in pages (one per input: records go to Next by value, with no
+// output page) while it runs the step, adapts to its share and observes
 // ctx as every step does; the step runs afresh for every Iterator, and Stats
 // and Pages are final once a drain has completed (see Result).
 //

@@ -147,7 +147,7 @@ func (j *joinEngine) releaseAll() {
 // choosing k by the merging strategy and the relation by the paper's rule.
 func (j *joinEngine) prelimStep(target int) error {
 	n := len(j.left) + len(j.right)
-	k := firstStepFanIn(n, target, j.m.cfg.Merge)
+	k := firstStepFanIn(n, target, j.m.cfg.Merge, false)
 	fromLeft := chooseJoinSide(j.left, j.right, k)
 	side := j.right
 	if fromLeft {
@@ -163,7 +163,7 @@ func (j *joinEngine) prelimStep(target int) error {
 		if fromLeft {
 			side = j.left
 		}
-		k = min(firstStepFanIn(n, target, j.m.cfg.Merge), len(side))
+		k = min(firstStepFanIn(n, target, j.m.cfg.Merge, false), len(side))
 		if k < 2 {
 			return fmt.Errorf("core: join cannot form a preliminary step (%d+%d runs, target %d)",
 				len(j.left), len(j.right), target)

@@ -13,7 +13,7 @@ import (
 // its inputs (paper §3.2.3, Figures 2 and 3).
 type mergeStep struct {
 	inputs []*runInfo
-	out    *runInfo // nil: the step's pages go to the caller (Stream)
+	out    *runInfo // nil: the step's records go to the caller (Stream)
 	parent *mergeStep
 
 	// id numbers the step within the operation (assigned by startStep) for
@@ -25,15 +25,24 @@ type mergeStep struct {
 	drainOf *mergeStep
 }
 
-// need returns the step's buffer requirement: one page per input run plus
-// one output page.
-func (s *mergeStep) need() int { return len(s.inputs) + 1 }
+// need returns the step's buffer requirement: one page per input run, plus
+// an output page when the step writes a run. A step whose records go to its
+// caller one at a time (Stream) has none.
+func (s *mergeStep) need() int { return len(s.inputs) + btoi(s.out != nil) }
 
-// stepResult tells the engine why page production stopped.
+// btoi is 1 for true.
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// stepResult tells the engine why production stopped.
 type stepResult int
 
 const (
-	pageProduced stepResult = iota // one output page flushed; keep going
+	pageProduced stepResult = iota // output produced (emit: a record); keep going
 	stepDone                       // all inputs exhausted; step complete
 	drainEmpty                     // the drained run is empty: absorb now
 	needAdapt                      // memory shortage mid-page: adapt first
@@ -220,7 +229,7 @@ func (m *mergeEngine) runStatic(runs []*runInfo) (*runInfo, []*runInfo, error) {
 			}
 			continue
 		}
-		k := firstStepFanIn(len(pool), max(t, m.cfg.MinPages), m.cfg.Merge)
+		k := firstStepFanIn(len(pool), max(t, m.cfg.MinPages), m.cfg.Merge, m.hold)
 		if m.hold && k == len(pool) {
 			return nil, pool, nil
 		}
@@ -254,23 +263,39 @@ func (m *mergeEngine) executeStep(st *mergeStep) error {
 	}
 }
 
-// turn is one round of the merge loop — the one loop every step runs,
-// whether its pages go to a run or to the caller (Stream). At the output-page
-// boundary cancellation is observed and the active step adapts to the
-// budget; then it produces one output page and the engine acts on why
-// production stopped. turn reports whether the plan's root step completed.
+// turn is one round of the merge loop of a step that writes a run: at the
+// output-page boundary (adaptPoint) cancellation is observed and the active
+// step adapts to the budget; then it produces one output page and the engine
+// acts on why production stopped (stopped). A step whose records go to its
+// caller runs the same rounds a record at a time (Stream.Next). turn reports
+// whether the plan's root step completed.
 func (m *mergeEngine) turn() (bool, error) {
-	if err := m.e.ctxErr(); err != nil {
-		return false, err
-	}
-	if err := m.adapt(); err != nil || m.held {
+	if err := m.adaptPoint(); err != nil || m.held {
 		return false, err
 	}
 	st := m.active
+	if st.out == nil {
+		return false, nil // a combine made the caller's step active
+	}
 	res, err := m.produceOnePage(st)
 	if err != nil {
 		return false, err
 	}
+	return m.stopped(st, res)
+}
+
+// adaptPoint is the adaptation point every output page of records passes:
+// cancellation is observed, then the active step adapts to the budget.
+func (m *mergeEngine) adaptPoint() error {
+	if err := m.e.ctxErr(); err != nil {
+		return err
+	}
+	return m.adapt()
+}
+
+// stopped acts on why st stopped producing, and reports whether the plan's
+// root step completed.
+func (m *mergeEngine) stopped(st *mergeStep, res stepResult) (bool, error) {
 	switch res {
 	case stepDone:
 		if err := m.finishStep(st); err != nil {
@@ -496,7 +521,7 @@ func (m *mergeEngine) adaptDynamic() error {
 	// fits (paper Figure 3 — drain the partial output first). A held root
 	// takes no combine: its consumer starts it from complete runs.
 	if !m.cfg.NoCombine && st.parent != nil && !(m.hold && st.parent.parent == nil) {
-		combinedNeed := len(st.parent.inputs) - 1 + len(st.inputs) + 1
+		combinedNeed := st.parent.need() - 1 + len(st.inputs)
 		if combinedNeed <= target {
 			if err := m.drainOut(st); err != nil {
 				return err
@@ -522,7 +547,7 @@ func (m *mergeEngine) splitActive(target int) error {
 	}
 	for st.need() > target {
 		n := len(st.inputs)
-		k := firstStepFanIn(n, target, m.cfg.Merge)
+		k := firstStepFanIn(n, target, m.cfg.Merge, st.out == nil)
 		if k >= n {
 			break // cannot shrink further (n == 2 and target == MinPages)
 		}
@@ -596,9 +621,10 @@ func (m *mergeEngine) enterAbsorbed(st *mergeStep, runs []*runInfo) bool {
 
 // ---- shared execution ----
 
-// heldPages counts resident buffers: the output page plus loaded inputs.
+// heldPages counts resident buffers: the loaded inputs, plus the output
+// page of a step that writes a run.
 func (m *mergeEngine) heldPages(st *mergeStep) int {
-	h := 1
+	h := btoi(st.out != nil)
 	for _, r := range st.inputs {
 		h += r.loaded()
 	}
@@ -775,28 +801,28 @@ func (m *mergeEngine) load(st *mergeStep, r *runInfo, ahead int) (bool, error) {
 
 // flushOut appends the writer's pending block — its full pages and the
 // (possibly partial) page under construction — to the step's output run
-// asynchronously, waiting for the previous flush first; a step without one
-// lends the block to its caller (Stream). The block belongs to st: every path
-// that turns the engine to another step drains it first (finishStep,
-// suspend, and adaptDynamic's and splitActive's step switches), because a
-// combine reads st.out and a split writes somebody else's.
+// asynchronously, waiting for the previous flush first. The block belongs to
+// st: every path that turns the engine to another step drains it first
+// (finishStep, suspend, and adaptDynamic's and splitActive's step switches),
+// because a combine reads st.out and a split writes somebody else's. A step
+// whose records go to its caller leaves the block empty: nothing to flush.
 func (m *mergeEngine) flushOut(st *mergeStep) error {
 	n := m.w.n
-	if st.out == nil {
-		if m.w.lend() == 0 {
-			return nil
-		}
-	} else {
-		pages, err := m.w.flush(st.out)
-		if err != nil || pages == 0 {
-			return err
-		}
-		m.st.MergePagesWritten += pages
+	pages, err := m.w.flush(st.out)
+	if err != nil || pages == 0 {
+		return err
 	}
+	m.st.MergePagesWritten += pages
+	m.chargeMerge(n)
+	return nil
+}
+
+// chargeMerge charges n records copied out of the merge and the comparisons
+// made since the last charge.
+func (m *mergeEngine) chargeMerge(n int) {
 	m.e.charge(OpCopyTuple, int64(n))
 	m.e.charge(OpCompare, m.cmp)
 	m.cmp = 0
-	return nil
 }
 
 // drainOut flushes the pending block and waits until it is durable.
@@ -1006,9 +1032,9 @@ func (h *headHeap) popMin() {
 // retire gives back an input page of st every record of which is now in an
 // output page. The page goes home whole once the Append of that output page
 // has returned (PageReleaser): the store has copied the payloads by then.
-// A step whose pages go to its caller gives back the record array alone, at
-// once (RecordsReleaser): the records were copied out, and the payloads are
-// the caller's to keep, as they are a drain's.
+// A step whose records go to its caller gives back the record array alone,
+// at once (RecordsReleaser): the records were copied out, and the payloads
+// are the caller's to keep, as they are a drain's.
 func (m *mergeEngine) retire(st *mergeStep, tok PageToken) {
 	if st.out == nil {
 		if rr, ok := tok.(RecordsReleaser); ok {
@@ -1059,12 +1085,43 @@ func (m *mergeEngine) advanceRun(st *mergeStep, r *runInfo) (advResult, error) {
 // flushing whatever is pending, with drainEmpty when the drained run empties
 // (correctness requires absorbing before emitting more) or needAdapt when a
 // buffer cannot be loaded under the current memory.
+func (m *mergeEngine) produceOnePage(st *mergeStep) (stepResult, error) {
+	// Until the page under construction fills up and joins the block.
+	for full, first := len(m.w.block), true; len(m.w.block) == full; first = false {
+		_, ok, res, err := m.emit(st)
+		if err != nil || !ok && first {
+			return res, err
+		}
+		if !ok {
+			break // inputs exhausted mid-page: flushed below, stepDone next
+		}
+		if res != pageProduced {
+			return res, m.flushOut(st)
+		}
+	}
+	// Inputs exhausted: flush now, so that one page a block is the very
+	// sequence of calls the merge made before it knew of blocks.
+	if m.hh.min() == nil || len(m.w.block) >= m.cfg.MergeBlockPages {
+		if err := m.flushOut(st); err != nil {
+			return 0, err
+		}
+	}
+	return pageProduced, nil
+}
+
+// emit takes the smallest record of st's inputs out of the merge — the one
+// place a step's minimum is taken: into the writer's output page when st
+// writes a run (produceOnePage), and returned otherwise, for the caller
+// (Stream.Next). With a record (ok), res is what stops the step after it:
+// pageProduced for nothing, needAdapt when the record's run could not
+// refill under the current memory, drainEmpty when the drained run ran dry.
+// Without one, res is why: stepDone, drainEmpty or needAdapt.
 //
 // The selection structure persists across calls: it is rebuilt only when the
 // step changed or something invalidated it. Run workspaces survive buffer
 // drops (suspension, paging eviction, reclaim), so its order stays correct
 // across those events without a rebuild.
-func (m *mergeEngine) produceOnePage(st *mergeStep) (stepResult, error) {
+func (m *mergeEngine) emit(st *mergeStep) (Record, bool, stepResult, error) {
 	var drainRun *runInfo
 	if st.drainOf != nil {
 		drainRun = st.drainOf.out
@@ -1081,10 +1138,10 @@ func (m *mergeEngine) produceOnePage(st *mergeStep) (stepResult, error) {
 				}
 				res, err := m.advanceRun(st, r)
 				if err != nil {
-					return 0, err
+					return Record{}, false, 0, err
 				}
 				if res == advBlocked {
-					return needAdapt, nil
+					return Record{}, false, needAdapt, nil
 				}
 				if res == advDry {
 					continue
@@ -1095,57 +1152,42 @@ func (m *mergeEngine) produceOnePage(st *mergeStep) (stepResult, error) {
 		m.hhValid = true
 	}
 	if drainRun != nil && drainRun.exhausted() {
-		return drainEmpty, nil
+		return Record{}, false, drainEmpty, nil
 	}
 	r := hh.min()
 	if r == nil {
 		m.invalidateHeap()
-		return stepDone, nil
+		return Record{}, false, stepDone, nil
 	}
-	// Until the page under construction fills up and joins the block.
-	for full := len(m.w.block); len(m.w.block) == full && r != nil; r = hh.min() {
-		m.w.add(r.ws)
-		if r.spent != nil {
-			// That was the last record of a page the run has left, and this
-			// step read the page (drop forgets the token at every step
-			// switch): every record of it now sits in one of this writer's
-			// output pages.
-			m.retire(st, r.spent)
-			r.spent = nil
-		}
-		res, err := m.advanceRun(st, r)
-		if err != nil {
-			m.invalidateHeap()
-			return 0, err
-		}
-		switch res {
-		case advOK:
-			hh.fixMin()
-		case advBlocked:
-			// The minimum consumed its workspace but could not refill: the
-			// structure no longer reflects it. Rebuild after adaptation.
-			m.invalidateHeap()
-			if err := m.flushOut(st); err != nil {
-				return 0, err
-			}
-			return needAdapt, nil
-		case advDry:
-			hh.popMin()
-			if r == drainRun {
-				if err := m.flushOut(st); err != nil {
-					return 0, err
-				}
-				return drainEmpty, nil
-			}
+	rec := r.ws
+	if st.out != nil {
+		m.w.add(rec)
+	}
+	if r.spent != nil {
+		// That was the last record of a page the run has left, and this
+		// step read the page (drop forgets the token at every step switch):
+		// every record of it is now out of the merge.
+		m.retire(st, r.spent)
+		r.spent = nil
+	}
+	res, err := m.advanceRun(st, r)
+	if err != nil {
+		m.invalidateHeap()
+		return Record{}, false, 0, err
+	}
+	switch res {
+	case advOK:
+		hh.fixMin()
+	case advBlocked:
+		// The minimum consumed its workspace but could not refill: the
+		// structure no longer reflects it. Rebuild after adaptation.
+		m.invalidateHeap()
+		return rec, true, needAdapt, nil
+	case advDry:
+		hh.popMin()
+		if r == drainRun {
+			return rec, true, drainEmpty, nil
 		}
 	}
-	// Inputs exhausted: flush now, so that one page a block is the very
-	// sequence of calls the merge made before it knew of blocks. A step
-	// whose pages go to its caller hands each one over as it fills.
-	if r == nil || len(m.w.block) >= m.cfg.MergeBlockPages || st.out == nil {
-		if err := m.flushOut(st); err != nil {
-			return 0, err
-		}
-	}
-	return pageProduced, nil
+	return rec, true, pageProduced, nil
 }

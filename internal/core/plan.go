@@ -8,23 +8,31 @@ import "sort"
 //
 //   - If all runs fit, the (final) step merges them all.
 //   - NaiveMerge combines as many as possible: m-1.
-//   - OptMerge combines just enough that every subsequent step merges
-//     exactly m-1 runs: ((n-2) mod (m-2)) + 2. This keeps preliminary steps
-//     minimal without increasing the number of steps.
+//   - OptMerge combines just enough that every subsequent step merges a
+//     full memory's worth: m-1 runs each, and the last step as many as fit
+//     it. This keeps preliminary steps minimal without increasing the
+//     number of steps.
 //
-// The result is always in [2, m-1] when a preliminary step is required.
-func firstStepFanIn(n, m int, strat MergeStrategy) int {
+// held says the plan's last step hands its records to a consumer (LastStep)
+// instead of writing a run: with no output page it fits m runs, so OptMerge
+// takes ((n-3) mod (m-2)) + 2 where a stored last step needs
+// ((n-2) mod (m-2)) + 2. The result is always in [2, m-1] when a
+// preliminary step is required.
+func firstStepFanIn(n, m int, strat MergeStrategy, held bool) int {
 	if m < 3 {
 		m = 3 // two inputs plus an output page is the smallest possible step
 	}
-	if n <= m-1 {
+	last := m - 1
+	if held {
+		last = m
+	}
+	if n <= last {
 		return n
 	}
 	if strat == NaiveMerge {
 		return m - 1
 	}
-	k := (n-2)%(m-2) + 2
-	return k
+	return (n-last-1)%(m-2) + 2
 }
 
 // mergeStepsNeeded returns the total number of merge steps for n runs with
@@ -42,7 +50,7 @@ func mergeStepsNeeded(n, m int) int {
 	// Each preliminary step turns k runs into 1, reducing the count by k-1.
 	steps := 0
 	for n > m-1 {
-		k := firstStepFanIn(n, m, OptMerge)
+		k := firstStepFanIn(n, m, OptMerge, false)
 		n -= k - 1
 		steps++
 	}

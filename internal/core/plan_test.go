@@ -7,17 +7,17 @@ import (
 
 func TestFirstStepFanInPaperExample(t *testing.T) {
 	// Paper Figure 1: n=10 runs, m=8 buffers.
-	if k := firstStepFanIn(10, 8, NaiveMerge); k != 7 {
+	if k := firstStepFanIn(10, 8, NaiveMerge, false); k != 7 {
 		t.Fatalf("naive fan-in = %d, want 7 (Figure 1a)", k)
 	}
-	if k := firstStepFanIn(10, 8, OptMerge); k != 4 {
+	if k := firstStepFanIn(10, 8, OptMerge, false); k != 4 {
 		t.Fatalf("opt fan-in = %d, want 4 (Figure 1b)", k)
 	}
 }
 
 func TestFirstStepFanInFinalStep(t *testing.T) {
 	for _, s := range []MergeStrategy{NaiveMerge, OptMerge} {
-		if k := firstStepFanIn(5, 8, s); k != 5 {
+		if k := firstStepFanIn(5, 8, s, false); k != 5 {
 			t.Fatalf("all runs fit: fan-in = %d, want 5", k)
 		}
 	}
@@ -25,10 +25,10 @@ func TestFirstStepFanInFinalStep(t *testing.T) {
 
 func TestFirstStepFanInDegenerateMemory(t *testing.T) {
 	// m below 3 is clamped: binary merges.
-	if k := firstStepFanIn(10, 2, OptMerge); k != 2 {
+	if k := firstStepFanIn(10, 2, OptMerge, false); k != 2 {
 		t.Fatalf("fan-in = %d, want 2", k)
 	}
-	if k := firstStepFanIn(10, 3, NaiveMerge); k != 2 {
+	if k := firstStepFanIn(10, 3, NaiveMerge, false); k != 2 {
 		t.Fatalf("fan-in = %d, want 2", k)
 	}
 }
@@ -42,7 +42,7 @@ func TestFirstStepFanInProperty(t *testing.T) {
 		stepsWith := func(strat MergeStrategy) int {
 			cnt, runs := 0, n
 			for runs > 1 {
-				k := firstStepFanIn(runs, m, strat)
+				k := firstStepFanIn(runs, m, strat, false)
 				if k < 2 || k > runs || (runs > m-1 && k > m-1) {
 					t.Logf("invalid k=%d for n=%d m=%d", k, runs, m)
 					return -1
@@ -51,7 +51,7 @@ func TestFirstStepFanInProperty(t *testing.T) {
 				cnt++
 				if strat == OptMerge && runs > 1 && runs > m-1 {
 					// After the first opt step, every step should be full.
-					if kk := firstStepFanIn(runs, m, OptMerge); kk != m-1 {
+					if kk := firstStepFanIn(runs, m, OptMerge, false); kk != m-1 {
 						t.Logf("opt step not full: n=%d m=%d k=%d", runs, m, kk)
 						return -1
 					}

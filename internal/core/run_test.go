@@ -99,9 +99,14 @@ func TestHeadHeapOrdering(t *testing.T) {
 	}
 }
 
+// TestMergeStepNeed: a step needs a page per input, and an output page only
+// when it writes a run; a step whose records go to its caller has none.
 func TestMergeStepNeed(t *testing.T) {
-	st := &mergeStep{inputs: []*runInfo{{}, {}, {}}}
+	st := &mergeStep{inputs: []*runInfo{{}, {}, {}}, out: &runInfo{}}
 	if st.need() != 4 {
-		t.Fatalf("need = %d", st.need())
+		t.Fatalf("need = %d, want 4", st.need())
+	}
+	if st.out = nil; st.need() != 3 {
+		t.Fatalf("need without an output run = %d, want 3", st.need())
 	}
 }

@@ -6,8 +6,8 @@ package core
 // worker's block, a merge engine's output page — and the one write in
 // flight; the run being written is a parameter, so one writer serves the
 // successive (or, under dynamic splitting, interleaved) output runs of its
-// client with the same buffers — and, for a step whose output goes to its
-// caller (Stream), lends the caller the pages instead of appending them.
+// client with the same buffers. A step whose output goes to its caller
+// (Stream) uses none of them: it hands its records over one at a time.
 //
 // Buffers rotate through fill → block → in-flight → free: a page that fills
 // up joins the block of full pages waiting for the next flush, a flushed
@@ -33,7 +33,6 @@ type runWriter struct {
 	block []Page // full pages waiting for the next flush
 	n     int    // records buffered in block and fill
 	sent  []Page // block handed to the store, recycled once tok completes
-	lent  []Page // pages handed to the client itself, recycled by unlend
 	free  []Page // recycled page buffers
 	tok   Token  // the one write in flight
 
@@ -133,29 +132,6 @@ func (w *runWriter) flush(r *runInfo) (int, error) {
 	clear(w.retired)
 	w.retired = w.retired[:0]
 	return pages, nil
-}
-
-// lend hands everything buffered by add (the last page possibly partial) to
-// the client itself instead of a run — the pages of a step whose output goes
-// to its caller — and reports how many pages that was. They stay the
-// client's, out of the rotation, until it gives them back with unlend.
-func (w *runWriter) lend() int {
-	if w.fill != nil {
-		w.block = append(w.block, w.fill)
-		w.fill = nil
-	}
-	pages := len(w.block)
-	w.lent = append(w.lent, w.block...)
-	w.block, w.n = w.block[:0], 0
-	return pages
-}
-
-// unlend takes the lent pages back for reuse: the client has read them.
-func (w *runWriter) unlend() {
-	for _, pg := range w.lent {
-		w.free = append(w.free, pg[:0])
-	}
-	w.lent = w.lent[:0]
 }
 
 // append writes caller-owned pages to the end of r asynchronously. At most

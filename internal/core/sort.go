@@ -147,9 +147,10 @@ type LastStep struct {
 
 // Stream starts one run of the step against mem — the operation's broker,
 // or any other — merging the step's inputs afresh from their first records.
-// The run takes its pages from mem as it loads inputs (fan-in + 1 at most,
-// as any step) and adapts to it exactly as the operation's other steps did.
-// It starts at the first NextPage by continuing the operation's merge plan
+// The run takes its pages from mem as it loads inputs — its fan-in at most:
+// one page per input, and no output page, since it hands its records to its
+// caller — and adapts to it exactly as the operation's other steps did.
+// It starts at the first Next by continuing the operation's merge plan
 // under mem's target then: a target that shrank since the operation
 // returned first merges inputs down to a last step that fits it, as the
 // plan would have. The runs those steps and later splits write are the
@@ -169,7 +170,7 @@ func (l *LastStep) Stream(mem Broker) *Stream {
 }
 
 // start plans the Stream's merge down to its last step and makes that step
-// the active one, its pages lent to the caller.
+// the active one, its records handed to the caller.
 func (s *Stream) start() error {
 	m := s.m
 	m.e.emit(EvPhase, 0, "merge") // the operation's phase, not the caller's labels
@@ -197,48 +198,70 @@ func (l *LastStep) Close() error {
 	return first
 }
 
-// Stream is one run of a LastStep: the step's output, page by page, under
-// the caller's NextPage.
+// Stream is one run of a LastStep: the step's output, record by record,
+// under the caller's Next, straight from the step's selection — no output
+// page between them.
 type Stream struct {
 	m      *mergeEngine
 	st     SortStats
 	inputs []*runInfo // the step's inputs until the Stream starts
-	next   int        // pages of m.w.lent already handed out
-	tuples int        // records lent
+	left   int        // records to hand out before the next adaptation point
+	then   stepResult // what stopped the step: emit's, acted on at the next round
+	tuples int        // records handed out
+	billed int        // of them, charged to the meter
 	err    error
 }
 
-// NextPage returns the step's next output page, or ok=false once the step
-// is done (or has failed: err). The page is the Stream's: it may be read up
-// to the next call, and its records copied out and kept, payloads included.
-// A Stream that ends — done, failed or closed — holds no page and no run.
-// A sort's Stream fails unless it produced every record the split read.
-func (s *Stream) NextPage() (Page, bool, error) {
+// Next returns the step's next record, or ok=false once the step is done
+// (or has failed: err). The record's payload is the caller's to keep. Every
+// cfg.PageRecords records — the page boundary of a step that writes a run —
+// cancellation is observed and the step adapts to its broker; a preliminary
+// step a shrink splits off runs to its end inside one Next. A Stream that
+// ends — done, failed or closed — holds no page and no run. A sort's Stream
+// fails unless it produced every record the split read.
+func (s *Stream) Next() (Record, bool, error) {
 	m := s.m
 	if s.inputs != nil {
 		if err := s.start(); err != nil {
 			s.err = err
 			m.e.emit(EvPhase, 0, "idle")
-			return nil, false, err
+			return Record{}, false, err
 		}
 	}
-	for s.next >= len(m.w.lent) {
-		m.w.unlend()
-		s.next = 0
-		if m.active == nil {
-			return nil, false, s.err
+	for m.active != nil {
+		st := m.active
+		var done bool
+		var err error
+		switch {
+		case st.out != nil:
+			// A preliminary step: it writes its run, page by page. Its
+			// parent adapts before it hands out a record again.
+			done, err = m.turn()
+			s.left = 0
+		case s.then != pageProduced:
+			done, err = m.stopped(st, s.then)
+			s.then, s.left = pageProduced, 0
+		case s.left == 0:
+			s.charge()
+			err = m.adaptPoint()
+			s.left = m.cfg.PageRecords
+		default:
+			var rec Record
+			var ok bool
+			if rec, ok, s.then, err = m.emit(st); ok {
+				s.left--
+				s.tuples++
+				return rec, true, nil
+			}
 		}
-		done, err := m.turn()
 		if err != nil {
 			s.err = err
 			s.Close()
-			return nil, false, err
-		}
-		for _, pg := range m.w.lent {
-			s.tuples += len(pg)
+			return Record{}, false, err
 		}
 		if done {
 			m.active = nil
+			s.charge()
 			m.e.yieldAll()
 			m.e.emit(EvPhase, 0, "idle")
 			s.st.EventPanics = m.e.eventPanics
@@ -248,8 +271,13 @@ func (s *Stream) NextPage() (Page, bool, error) {
 			}
 		}
 	}
-	s.next++
-	return m.w.lent[s.next-1], true, nil
+	return Record{}, false, s.err
+}
+
+// charge charges the records handed out since the last charge.
+func (s *Stream) charge() {
+	s.m.chargeMerge(s.tuples - s.billed)
+	s.billed = s.tuples
 }
 
 // Close ends the Stream early: the runs its splits wrote are freed and its
@@ -261,10 +289,15 @@ func (s *Stream) Close() {
 		s.m.e.emit(EvPhase, 0, "idle")
 	}
 	s.inputs = nil
-	s.m.w.unlend()
-	s.next = 0
+}
+
+// Size returns the records handed out, and the pages they would fill as a
+// stored run: complete once Next has reported the end.
+func (s *Stream) Size() (pages, tuples int) {
+	r := s.m.cfg.PageRecords
+	return (s.tuples + r - 1) / r, s.tuples
 }
 
 // Stats returns the operation's statistics with this Stream's merge work
-// added: complete once NextPage has reported the end.
+// added: complete once Next has reported the end.
 func (s *Stream) Stats() SortStats { return s.st }

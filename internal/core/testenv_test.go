@@ -91,7 +91,7 @@ func (s *memStore) liveRuns() int {
 // scriptedBroker drives target changes deterministically: tick() advances on
 // every broker call, and the script maps tick thresholds to new targets.
 type scriptedBroker struct {
-	t       *testing.T
+	t       testing.TB
 	total   int
 	floor   int
 	granted int
@@ -107,7 +107,7 @@ type targetChange struct {
 	target int
 }
 
-func newScriptedBroker(t *testing.T, total, floor int) *scriptedBroker {
+func newScriptedBroker(t testing.TB, total, floor int) *scriptedBroker {
 	return &scriptedBroker{t: t, total: total, floor: floor, target: total}
 }
 

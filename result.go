@@ -18,18 +18,19 @@ import (
 // The output is one stored run when the operator is a Join or a GroupBy, or
 // had nothing to merge (the input fit in memory). Otherwise the output is the
 // operator's last merge step itself, held back from the store: Sort and
-// Merge return before it, and Iterator runs it under the caller's Next, page
-// by page, rather than writing every output page only to read it back, at
-// every WithWorkers count. Such a result keeps the step's input runs until
-// Close and runs the step afresh for every Iterator. The contract of a held
-// step:
+// Merge return before it, and Iterator runs it under the caller's Next,
+// record by record, rather than writing every output page only to read it
+// back, at every WithWorkers count. Such a result keeps the step's input
+// runs until Close and runs the step afresh for every Iterator. The contract
+// of a held step:
 //
 //   - Each iterator is a user of its own of the operator's memory contract
 //     (WithBudget, WithPool) from the Iterator call until it ends — drained,
 //     failed, its range loop broken (All) — or the result is closed: it
 //     shares the Budget with whatever else runs on it meanwhile, each
 //     counting only its own pages. While it runs a step, it holds up to
-//     the step's fan-in + 1 pages, taken at the step's first Next, and
+//     the step's fan-in in pages, one per input — the records go to Next
+//     by value, with no output page — taken at the step's first Next, and
 //     adapts to its share as every step does: a
 //     share that shrank since the operator returned first merges inputs
 //     down to a step that fits, as the merge plan would have, and a
@@ -227,47 +228,31 @@ func (l *lastStep) settle() {
 	}
 }
 
-// stepIterator runs a held last merge step under its caller's Next: the
-// step's output pages are the Stream's own buffers, reused page after page,
-// and records are handed out by value.
+// stepIterator runs a held last merge step under its caller's Next: each
+// record comes straight from the step's selection, by value.
 type stepIterator struct {
 	r     *Result
 	mem   *memarb.Handle // the memory the step runs under, left at the end
 	party bool           // mem is a party to the operator's contract
 	s     *core.Stream
-	page  Page
-	pos   int
-	pages int
-	recs  int
 	done  bool
 	err   error
 }
 
+// Next starts the step on the first call and hands out its next record.
 func (it *stepIterator) Next() (Record, bool, error) {
-	for it.pos >= len(it.page) {
-		if it.done {
-			return Record{}, false, it.err
-		}
-		it.nextPage()
+	if it.done {
+		return Record{}, false, it.err
 	}
-	rec := it.page[it.pos]
-	it.pos++
-	return rec, true, nil
-}
-
-// nextPage starts the step on the first call and fetches its next page.
-func (it *stepIterator) nextPage() {
 	if it.s == nil {
 		it.s = it.r.last.step.Stream(it.mem)
 	}
-	pg, ok, err := it.s.NextPage()
+	rec, ok, err := it.s.Next()
 	if !ok {
 		it.end(err)
-		return
+		return Record{}, false, it.err
 	}
-	it.page, it.pos = pg, 0
-	it.pages++
-	it.recs += len(pg)
+	return rec, true, nil
 }
 
 // end ends the iteration with err (nil: the step is done), handing back
@@ -275,7 +260,7 @@ func (it *stepIterator) nextPage() {
 // contract makes the Result's numbers final and completes the operator.
 func (it *stepIterator) end(err error) {
 	l := it.r.last
-	it.done, it.page, it.pos = true, nil, 0
+	it.done = true
 	l.open = slices.DeleteFunc(l.open, func(x *stepIterator) bool { return x == it })
 	if it.s != nil {
 		it.s.Close()
@@ -285,7 +270,8 @@ func (it *stepIterator) end(err error) {
 		it.err = wrapCtxErr(l.ctx, err)
 	} else if it.party && !l.drained {
 		l.drained = true
-		it.r.Stats, it.r.Pages, it.r.Tuples = it.s.Stats(), it.pages, it.recs
+		it.r.Stats = it.s.Stats()
+		it.r.Pages, it.r.Tuples = it.s.Size()
 		l.completeOp(it.r, it.r.Stats)
 	}
 	if it.party {

@@ -188,6 +188,73 @@ func TestStreamAdaptsAfterSortReturns(t *testing.T) {
 	}
 }
 
+// TestStreamHoldsNoOutputPage is the memory contract of a step that hands
+// its records out one at a time: the Budget shrinks from 64 pages to 3
+// between two Next calls and grows back later. Once the step has passed its
+// next adaptation point — at most a page of records on — its pages never
+// exceed the target: it splits down to a root of exactly 3 inputs, a page
+// each and no output page. The output is exact, the Budget and the store end
+// empty, and Pages counts the records in whole pages as a stored output
+// would.
+func TestStreamHoldsNoOutputPage(t *testing.T) {
+	const records, shrinkAt, growAt, target = 32, 1000, 8000, 3
+	in := streamInput()
+	want := oracle(in)
+	for _, be := range streamBackends {
+		t.Run(be.name, func(t *testing.T) {
+			store := be.open(t)
+			budget := NewBudget(64)
+			returned := false
+			var splits, rootFanIn int // the drain's splits, and its last step's fan-in
+			res, err := Sort(context.Background(), NewSliceIterator(in),
+				WithPageRecords(records), WithBudget(budget), WithStore(store),
+				WithEvents(func(ev Event) {
+					switch {
+					case !returned:
+					case ev.Kind == EvSplitStep:
+						splits++
+						if ev.Target != target {
+							t.Errorf("the drain split under a %d-page target, want %d", ev.Target, target)
+						}
+					case ev.Kind == EvStepDone:
+						rootFanIn = ev.Detail
+					}
+				}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			returned = true
+			if res.last == nil || res.Stats.Runs <= target {
+				t.Fatalf("held step %v over %d runs: want a held step over more than %d", res.last != nil, res.Stats.Runs, target)
+			}
+			got := drainHeld(t, res, func(n int) {
+				switch n {
+				case shrinkAt:
+					budget.Resize(target)
+				case growAt:
+					budget.Resize(64)
+				}
+				if (n < shrinkAt || n >= shrinkAt+records) && budget.Granted() > budget.Target() {
+					t.Fatalf("before record %d: %d pages granted on a %d-page budget", n, budget.Granted(), budget.Target())
+				}
+			})
+			sameOutput(t, got, want)
+			if splits == 0 || rootFanIn != target {
+				t.Fatalf("the drain split %d times down to a last step of %d inputs, want a root of %d", splits, rootFanIn, target)
+			}
+			if res.Tuples != len(in) || res.Pages != (len(in)+records-1)/records {
+				t.Fatalf("Tuples %d, Pages %d: want %d records in %d pages", res.Tuples, res.Pages, len(in), (len(in)+records-1)/records)
+			}
+			if err := res.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if budget.Granted() != 0 || store.Live() != 0 {
+				t.Fatalf("after Close: %d pages granted, %d runs live", budget.Granted(), store.Live())
+			}
+		})
+	}
+}
+
 // countKind counts the events of kind k.
 func countKind(evs []EventKind, k EventKind) int {
 	n := 0
