@@ -132,8 +132,11 @@
 //
 // Four backends cover the spectrum:
 //
-//   - MemStore (NewMemStore, the default): runs held in memory. Fastest;
-//     run data is bounded by RAM. Tests and small sorts.
+//   - MemStore (NewMemStore, the default): runs held in memory, each Append
+//     batch in the smaller of two forms — the checksummed frames a file
+//     holds, one chunk a batch, decoded in place on read (short payloads),
+//     or copied record headers sharing the caller's payloads. Fastest; run
+//     data is bounded by RAM. Tests and small sorts.
 //   - FileStore (StoreConfig.File): one directory, checksummed frames,
 //     buffered writes where Append is called, bounded read concurrency,
 //     retry and rollback on write failure. The workhorse single-disk
@@ -155,8 +158,8 @@
 // passes the storetest conformance suite; the disk-backed ones report
 // store_retry / store_gave_up events through the trace seam.
 //
-// Store architecture: FileStore, StripedStore and MmapStore are one
-// implementation — an unexported paged-run layer — over thin devices. The
+// Store architecture: MemStore, FileStore, StripedStore and MmapStore are
+// one implementation — an unexported paged-run layer — over thin devices. The
 // layer owns the checksummed page frame, the per-run page index — which
 // describes written pages only: Append writes where it is called and
 // indexes afterwards, cutting a failed batch back off the file — the
@@ -169,18 +172,21 @@
 // spawned, signalled or woken per page on a device the page cache hides,
 // read-ahead and batched reads still overlap a slow one, and
 // DefaultReadConcurrency bounds the reads running per device either way. A
-// device owns one run file and four methods:
-// positional write, fetch an extent, truncate, close-and-remove. The file
+// device owns one run's bytes and four methods: positional write, fetch an
+// extent, truncate, close-and-remove. The file
 // device fetches with ReadAt into a pooled raw buffer that is back in the
 // pool before the read returns — the page is decoded out of it by copy, so
 // no encoded byte ever leaves the store. The frame is columnar (the keys at
 // a fixed stride, then the payloads as one column), so that decode is one
 // key loop and one copy a page, after a checksum verified before a record
-// is sized or written; the mmap device
-// returns a slice of a mapping that stays valid until the store closes;
-// striping is the N > 1 case of the same index (page i on device i mod
-// N), so File(dir) is simply N = 1. A new backend is a new device plus a
-// StoreConfig terminal, verified by running storetest.Run on it.
+// is sized or written; the mmap device returns a slice of a mapping that
+// stays valid until the store closes, and the memory device a slice of the
+// chunk an Append copied the batch into, which nothing writes again and the
+// collector alone frees (a MemStore batch whose encoding would outweigh its
+// record headers is held as those instead and writes nothing); striping is the N > 1 case of the same index (page
+// i on device i mod N), so File(dir) is simply N = 1. A new backend is a new
+// device plus a StoreConfig terminal, verified by running storetest.Run on
+// it.
 //
 // # Buffer ownership
 //
@@ -195,10 +201,13 @@
 // framed them on disk stay in the store's pooled raw buffer — and every
 // Record.Payload of the page is a slice of that
 // arena, which lives exactly as long as records referencing it. MmapStore
-// is the zero-copy path: there payloads alias the run's mapping, valid
-// until the store closes. Either way callers retaining payloads from many
-// pages should copy them (append([]byte(nil), rec.Payload...)), and must
-// never mutate them.
+// and MemStore are the zero-copy paths: there payloads alias the run's
+// mapping, valid until the store closes, or what the MemStore keeps — the
+// chunk of a batch's encoded bytes, whole, as long as one payload of it is
+// referenced, or the caller's own payload bytes, for a batch it holds as
+// records. Either way callers retaining payloads from many pages should
+// copy them (append([]byte(nil), rec.Payload...)), and must never mutate
+// them.
 //
 // A store's read tokens may additionally offer Release(), an optional
 // method found by type assertion: it ends the token's life and gives the
@@ -209,8 +218,11 @@
 // counts them); dropped pages and the join's final phase never release. A
 // store offering Release promises in return that Append has copied every
 // payload byte by the time it returns and keeps none — not only no page
-// slices; MemStore keeps payload aliases (it copies shallowly) and
-// therefore must never offer it.
+// slices. MemStore hands out what it keeps — payloads that are views of a
+// stored chunk, which later reads of the page decode again, or the
+// caller's own payloads, for a batch held as records — so its tokens never
+// offer it: an encoded page's offer ReleaseRecords alone, and the merge
+// gives such a page back that way, at once.
 //
 // ReleaseRecords() is the smaller, independent offer: the store gets the
 // page's record array back and nothing else. Result.Iterator, which hands

@@ -11,11 +11,12 @@ import (
 	"github.com/memadapt/masort/internal/faultinject"
 )
 
-// The PR 8 fault discipline, re-run against the PR 9 backends: the
-// fault-schedule table and the randomized soak must hold for StripedStore
-// (per-device fault targeting included) and MmapStore exactly as they do for
-// FileStore — correct output or a documented sentinel chain, and nothing
-// leaked either way.
+// The fault discipline of faults_test.go, re-run against the other
+// backends: the fault-schedule table and the randomized soak must hold for
+// MemStore, StripedStore (per-device fault targeting included) and MmapStore
+// exactly as they do for FileStore — correct output or a documented sentinel
+// chain, and nothing leaked either way. On MemStore a torn write leaves a
+// chunk the retry must replace, not follow.
 
 // faultStore is a store the schedule/soak harnesses can audit for leaked
 // runs after the sort is closed, and then close.
@@ -33,6 +34,12 @@ type backendCase struct {
 
 func faultBackends() []backendCase {
 	return []backendCase{
+		{
+			name: "mem",
+			build: func(t *testing.T, h FaultHooks, policy RetryPolicy) faultStore {
+				return newMemStore(NewStoreConfig().WithFaults(h).WithRetry(policy))
+			},
+		},
 		{
 			name: "striped",
 			build: func(t *testing.T, h FaultHooks, policy RetryPolicy) faultStore {
@@ -61,8 +68,8 @@ func faultBackends() []backendCase {
 }
 
 // TestSortFaultSchedulesNewBackends runs the scripted fault-schedule table
-// through pooled sorts over StripedStore and MmapStore. Every recoverable
-// schedule must show its healed attempts in Stats.StoreRetries.
+// through pooled sorts over MemStore, StripedStore and MmapStore. Every
+// recoverable schedule must show its healed attempts in Stats.StoreRetries.
 func TestSortFaultSchedulesNewBackends(t *testing.T) {
 	recs := faultSortInput(4096)
 	policy := RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond}

@@ -10,9 +10,11 @@
 //     whose read tokens offer Release (core.PageReleaser) promises more: no
 //     payload bytes of those pages survive the token either, because the
 //     merge hands the input frames they alias back to the store at that
-//     moment — which is why the shallow-copying MemStore must never offer
-//     Release. (Retained payload aliases are beyond this intra-procedural
-//     check; storetest.PoisonStore catches them at run time.)
+//     moment — which is why a store that keeps payload bytes and hands
+//     them out again (MemStore's stored chunks, decoded in place on every
+//     read, or the caller's payloads it shares) must never offer Release. (Retained payload aliases are beyond
+//     this intra-procedural check; storetest.PoisonStore catches them at
+//     run time.)
 //   - Pooled buffers (the paged-run layer's bufPool.getBuf/putBuf for raw
 //     buffers — a batch's encoded bytes on the way out, a page's on the way
 //     in; sync.Pool) must not be used after being returned to the pool. Read

@@ -11,9 +11,9 @@ import (
 	"pagecodec"
 )
 
-// goodStore is the MemStore idiom: Append deep-copies every page before
-// retaining anything, so the caller may recycle its buffers the moment
-// the token completes.
+// goodStore is the copying idiom, MemStore's for a batch it holds as
+// records: Append deep-copies every page before retaining anything, so the
+// caller may recycle its buffers the moment the token completes.
 type goodStore struct {
 	runs map[int][]core.Page
 }

@@ -29,9 +29,12 @@ type PageToken interface {
 // of its records has been appended and that Append has returned. A store
 // whose tokens offer Release therefore promises more than RunStore asks: its
 // Append has copied every payload byte by the time it returns, whenever its
-// token completes, and retains none (not only no page slices). A store that
-// keeps payload aliases — the shallow-copying MemStore — must never offer
-// it.
+// token completes, and retains none (not only no page slices). A store whose
+// payloads are views of bytes it keeps — MemStore's stored chunks, which
+// later reads of the page decode again, or the caller's payloads it shares
+// — must never offer it: MemStore's encoded pages offer RecordsReleaser
+// alone, and the merge gives them back that way as soon as it has copied
+// the records out.
 //
 // Release is optional for the caller too: a page that is never released is
 // garbage-collected as before. The merge releases what it consumes in steady

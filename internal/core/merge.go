@@ -1032,18 +1032,19 @@ func (h *headHeap) popMin() {
 // retire gives back an input page of st every record of which is now in an
 // output page. The page goes home whole once the Append of that output page
 // has returned (PageReleaser): the store has copied the payloads by then.
-// A step whose records go to its caller gives back the record array alone,
-// at once (RecordsReleaser): the records were copied out, and the payloads
-// are the caller's to keep, as they are a drain's.
+// Otherwise — a step whose records go to its caller, or a store whose tokens
+// offer no Release — the record array alone goes back, at once
+// (RecordsReleaser): the records were copied out, into the writer's page or
+// to the caller, and the payloads they alias are never reused.
 func (m *mergeEngine) retire(st *mergeStep, tok PageToken) {
-	if st.out == nil {
-		if rr, ok := tok.(RecordsReleaser); ok {
-			rr.ReleaseRecords()
+	if st.out != nil {
+		if rel, ok := tok.(PageReleaser); ok {
+			m.w.retire(rel)
+			return
 		}
-		return
 	}
-	if rel, ok := tok.(PageReleaser); ok {
-		m.w.retire(rel)
+	if rr, ok := tok.(RecordsReleaser); ok {
+		rr.ReleaseRecords()
 	}
 }
 

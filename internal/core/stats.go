@@ -38,7 +38,8 @@ type SortStats struct {
 	// Against MergePagesRead it tells whether the store participates: close
 	// to all of them on the disk-backed stores at a steady budget, fewer
 	// under adaptation (dropped pages are not released), none on stores
-	// whose read tokens offer no Release (MemStore, custom).
+	// whose read tokens offer no Release (MemStore, whose encoded pages come
+	// back as record arrays instead, uncounted; custom).
 	MergePagesReleased int
 
 	// Splits / Combines / Suspensions count adaptation actions taken during

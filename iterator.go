@@ -68,8 +68,11 @@ type PageToken = core.PageToken
 //     their last records has returned; nothing else ever does. A store
 //     offering it must have copied every payload byte of the appended
 //     pages by the time Append returns, and keep none (they alias the
-//     frames being given back) — so MemStore, which copies shallowly, must
-//     never offer it. storetest.PoisonOnRelease checks a store's tokens.
+//     frames being given back) — so a store whose payloads are views of
+//     bytes it keeps, as MemStore's are of its stored chunks or of the
+//     caller's payloads it shares, must never offer it; MemStore's encoded
+//     pages offer ReleaseRecords alone.
+//     storetest.PoisonOnRelease checks a store's tokens.
 //   - Optionally, and independently, a read token may offer
 //     ReleaseRecords() (core.RecordsReleaser): the reader has copied the
 //     Records out and will not read the Page slice again, so the store

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -293,6 +295,167 @@ func TestMemStoreErrors(t *testing.T) {
 		if tc.err == nil || !strings.Contains(tc.err.Error(), tc.want) {
 			t.Errorf("got %v, want %q", tc.err, tc.want)
 		}
+	}
+}
+
+// TestMemStoreKeepsTheSmallerForm appends to one run a batch of short
+// payloads, one of long payloads and a short one again: the first and last
+// are encoded (a read decodes a copy and offers ReleaseRecords), the middle
+// one is held as record headers (a read returns them, sharing the caller's
+// payloads, and offers no release), and each page reads back as appended.
+func TestMemStoreKeepsTheSmallerForm(t *testing.T) {
+	page := func(key uint64, payload int) Page {
+		pg := make(Page, 8)
+		for i := range pg {
+			pg[i] = Record{Key: key + uint64(i), Payload: make([]byte, payload)}
+			binary.LittleEndian.PutUint64(pg[i].Payload, key+uint64(i))
+		}
+		return pg
+	}
+	s := NewMemStore()
+	defer s.Close()
+	id, _ := s.Create()
+	batches := []Page{page(0, 8), page(100, 64), page(200, 16)}
+	want := make([]Page, len(batches))
+	for i, pg := range batches {
+		want[i] = slices.Clone(pg)
+		if _, err := s.Append(id, []Page{pg}); err != nil {
+			t.Fatal(err)
+		}
+		clear(pg) // the caller reuses its page at once
+	}
+	if n := s.Pages(id); n != len(batches) {
+		t.Fatalf("%d pages, want %d", n, len(batches))
+	}
+	for i, w := range want {
+		tok := s.ReadAsync(id, i)
+		got, err := tok.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameOutput(t, got, w)
+		_, records := tok.(interface{ ReleaseRecords() })
+		_, whole := tok.(interface{ Release() })
+		shared := &got[0].Payload[0] == &w[0].Payload[0]
+		if held := i == 1; whole || records == held || shared != held {
+			t.Errorf("page %d: Release %v, ReleaseRecords %v, payload shared %v; want held = %v", i, whole, records, shared, held)
+		}
+	}
+}
+
+// TestMemStoreSortsMixedForms sorts payloads of 0 to 48 bytes through a
+// MemStore, so runs mix encoded batches with batches held as records, and
+// checks the output against the oracle and that both forms were read.
+func TestMemStoreSortsMixedForms(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 5))
+	in := make([]Record, 6000)
+	for i := range in {
+		p := make([]byte, rng.IntN(49))
+		for j := range p {
+			p[j] = byte(rng.Uint32())
+		}
+		in[i] = Record{Key: rng.Uint64N(1000), Payload: p}
+	}
+	store := &formCounter{MemStore: NewMemStore()}
+	res, err := Sort(context.Background(), NewSliceIterator(in), WithStore(store), WithPageRecords(16), WithBudget(NewBudget(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Record
+	it := res.Iterator()
+	for {
+		r, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		got = append(got, Record{Key: r.Key, Payload: slices.Clone(r.Payload)})
+	}
+	res.Close()
+	sameOutput(t, got, oracle(in))
+	if store.encoded.Load() == 0 || store.held.Load() == 0 {
+		t.Fatalf("read %d encoded and %d held pages: the sort did not mix the forms", store.encoded.Load(), store.held.Load())
+	}
+}
+
+// formCounter counts a MemStore's reads by the form of the page.
+type formCounter struct {
+	*MemStore
+	encoded, held atomic.Int64
+}
+
+func (s *formCounter) ReadAsync(id RunID, page int) PageToken {
+	tok := s.MemStore.ReadAsync(id, page)
+	if _, ok := tok.(interface{ ReleaseRecords() }); ok {
+		s.encoded.Add(1)
+	} else {
+		s.held.Add(1)
+	}
+	return tok
+}
+
+// TestStoresTellFreedRunsApart puts TestMemStoreErrors' table to the
+// disk-backed stores: they are MemStore's paged store over other devices,
+// and a freed run, a run never created and a run freed twice get three
+// different answers on each, told apart by the id alone.
+func TestStoresTellFreedRunsApart(t *testing.T) {
+	type store interface {
+		RunStore
+		Close() error
+	}
+	stores := []struct {
+		name string
+		open func(dir string) (store, error)
+	}{
+		{"file", func(dir string) (store, error) {
+			return NewFileStore(dir)
+		}},
+		{"striped", func(dir string) (store, error) {
+			return NewStripedStore(dir+"/a", dir+"/b")
+		}},
+		{"mmap", func(dir string) (store, error) {
+			return NewMmapStore(dir)
+		}},
+	}
+	for _, st := range stores {
+		t.Run(st.name, func(t *testing.T) {
+			s, err := st.open(t.TempDir())
+			if errors.Is(err, ErrMmapUnsupported) {
+				t.Skip("mmap not supported on this platform")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			id, _ := s.Create()
+			if _, err := s.Append(id, []Page{{{Key: 1}}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Free(id); err != nil {
+				t.Fatal(err)
+			}
+			for _, tc := range []struct {
+				err  error
+				want string
+			}{
+				{s.Free(id), "double free of run"},
+				{s.Free(id + 99), "free of unknown run"},
+				{s.Free(-1), "free of unknown run"},
+				{func() error { _, err := s.Append(id, []Page{{{Key: 2}}}); return err }(), "append to freed run"},
+				{func() error { _, err := s.Append(id+99, []Page{{{Key: 2}}}); return err }(), "append to unknown run"},
+				{func() error { _, err := s.ReadAsync(id, 0).Wait(); return err }(), "read of freed run"},
+				{func() error { _, err := s.ReadAsync(id+99, 0).Wait(); return err }(), "has no page"},
+			} {
+				if tc.err == nil || !strings.Contains(tc.err.Error(), tc.want) {
+					t.Errorf("got %v, want %q", tc.err, tc.want)
+				}
+			}
+			if n := s.Pages(id); n != 0 {
+				t.Errorf("Pages of a freed run = %d", n)
+			}
+		})
 	}
 }
 

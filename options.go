@@ -64,8 +64,10 @@ func WithPool(p *Pool) Option {
 	return func(o *config) { o.pool = p }
 }
 
-// WithStore sets the run store (default NewMemStore; use NewFileStore, or
-// another StoreConfig backend, for datasets larger than memory).
+// WithStore sets the run store (default NewMemStore, which holds the runs
+// in memory, encoded or as record headers, whichever is smaller; use
+// NewFileStore, or another StoreConfig backend, for datasets larger than
+// memory).
 func WithStore(s RunStore) Option {
 	return func(o *config) { o.store = s }
 }

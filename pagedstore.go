@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unsafe"
 
 	"github.com/memadapt/masort/internal/pagecodec"
 	"github.com/memadapt/masort/trace"
@@ -33,9 +34,9 @@ const DefaultReadConcurrency = 8
 const dispatchFetchTime = 50 * time.Microsecond
 
 // device is one run's bytes on one disk: a growable extent addressed by
-// offset. It is everything a disk-backed store backend has to supply; pages,
-// checksums, retries, fault injection and tracing all live above it in
-// pagedStore, which calls a device's WriteAt and Truncate from one Append of
+// offset — a file, or memory (memDevice). It is everything a store backend
+// has to supply; pages, checksums, retries, fault injection and tracing all
+// live above it in pagedStore, which calls a device's WriteAt and Truncate from one Append of
 // the run at a time and fetch from any number of readers concurrently.
 type device interface {
 	// WriteAt writes b at off, as io.WriterAt.
@@ -143,7 +144,8 @@ func (fl *frameList) put(fr *frame, withBuf bool) {
 }
 
 // disk is one directory of a store — one device of the paper's Disks
-// experiment — with the per-device policy the store applies to it.
+// experiment — with the per-device policy the store applies to it. A
+// MemStore's one disk has no directory.
 type disk struct {
 	dir     string
 	own     bool          // remove dir on Close
@@ -166,7 +168,7 @@ func (d *disk) noteFetch(took time.Duration) {
 	d.fetchNanos.Store(avg + (int64(took)-avg)/8)
 }
 
-// pagedStore is the one disk-backed RunStore implementation; FileStore,
+// pagedStore is the one RunStore implementation; MemStore, FileStore,
 // StripedStore and MmapStore are this type over different devices and
 // directory counts. A run is a sequence of checksummed page frames spread
 // round-robin over the store's N disks — page i lives on disk i mod N — with
@@ -200,14 +202,15 @@ func (d *disk) noteFetch(took time.Duration) {
 //     buffer, the page is decoded out of it by copy — payloads back to back
 //     in the frame's arena, which is what Record.Payload sub-slices — and
 //     the raw buffer is back in the pool when the read returns; only a
-//     device that hands out views of memory it keeps valid (the mapping) is
-//     decoded in place (see the package's buffer-ownership notes). The read
-//     token offers Release — a reader that is done with the page hands its
-//     frame back for the next read, which is how a merge reads without
-//     allocating — and ReleaseRecords, for a reader that has copied the
-//     Records out and may still hold their payloads: the record array comes
-//     back, the arena stays the collector's. Pages never released are the
-//     collector's whole, as ever.
+//     device that hands out views of memory it keeps valid (the mapping, a
+//     MemStore's chunks) is decoded in place (see the package's
+//     buffer-ownership notes). The read token offers Release — a reader
+//     that is done with the page hands its frame back for the next read,
+//     which is how a merge reads without allocating — and ReleaseRecords,
+//     for a reader that has copied the Records out and may still hold their
+//     payloads: the record array comes back, the arena stays the
+//     collector's. (MemStore's token offers ReleaseRecords alone: see
+//     MemStore.) Pages never released are the collector's whole, as ever.
 //
 // The store does not assume a perfect disk. A page that fails its checksum
 // is re-read once before the read fails with ErrCorruptPage in the chain;
@@ -228,27 +231,24 @@ type pagedStore struct {
 	// retry loops.
 	tr trace.Tracer
 
+	// holdRecords keeps a batch whose encoding would be larger than its
+	// record headers as a copy of those headers instead (MemStore).
+	holdRecords bool
+
 	// Reads by who ran them: a waiter, or a goroutine started at issue.
 	inlineReads, dispatchedReads atomic.Int64
 	now                          func() time.Time // times the fetches; time.Now outside tests
 
 	mu   sync.Mutex
 	runs map[RunID]*pagedRun
-	next RunID
+	next RunID // ids are handed out in order: one below next and not in runs was freed
 }
 
 // newPagedStore builds a store over one disk per entry of dirs, creating
 // missing directories; an empty entry becomes a fresh temporary directory
 // that Close removes.
 func newPagedStore(cfg *StoreConfig, dirs []string, open func(string) (device, error)) (*pagedStore, error) {
-	s := &pagedStore{
-		disks: make([]disk, len(dirs)),
-		open:  open,
-		retry: cfg.retry,
-		tr:    cfg.tr,
-		now:   time.Now,
-		runs:  map[RunID]*pagedRun{},
-	}
+	s := newStore(cfg, len(dirs), open)
 	for i, dir := range dirs {
 		own := dir == ""
 		var err error
@@ -261,11 +261,28 @@ func newPagedStore(cfg *StoreConfig, dirs []string, open func(string) (device, e
 			_ = s.removeOwnedDirs()
 			return nil, err
 		}
-		d := &s.disks[i]
-		d.dir, d.own, d.faults = dir, own, cfg.faultsAt(i)
-		d.readSem = make(chan struct{}, DefaultReadConcurrency)
+		s.disks[i].dir, s.disks[i].own = dir, own
 	}
 	return s, nil
+}
+
+// newStore builds a store over n disks with no directory: open is handed
+// the bare file name of a run, which a device that keeps its bytes in
+// memory ignores.
+func newStore(cfg *StoreConfig, n int, open func(string) (device, error)) *pagedStore {
+	s := &pagedStore{
+		disks: make([]disk, n),
+		open:  open,
+		retry: cfg.retry,
+		tr:    cfg.tr,
+		now:   time.Now,
+		runs:  map[RunID]*pagedRun{},
+	}
+	for i := range s.disks {
+		s.disks[i].faults = cfg.faultsAt(i)
+		s.disks[i].readSem = make(chan struct{}, DefaultReadConcurrency)
+	}
+	return s
 }
 
 func (s *pagedStore) removeOwnedDirs() error {
@@ -290,6 +307,7 @@ type pagedRun struct {
 
 	mu      sync.Mutex
 	offsets []int64 // page i is on exts[i%len(exts)] at byte offsets[i]
+	held    []Page  // page i is held[i] when that is not nil (holdRecords)
 	exts    []runExtent
 	werr    error // sticky write error (run is broken)
 	closing bool  // Free/Close in progress: reject new work
@@ -303,6 +321,20 @@ type runExtent struct {
 	disk *disk
 	end  int64 // offset past the last indexed page
 }
+
+// readyToken is the completed token of a batch that went through at the
+// first attempt, was held or had no pages; readyPage is a read of a held
+// page, or one refused before it began.
+type readyToken struct{}
+
+func (readyToken) Wait() error { return nil }
+
+type readyPage struct {
+	pg  Page
+	err error
+}
+
+func (t readyPage) Wait() (Page, error) { return t.pg, t.err }
 
 // writeToken is the completed token of a batch that was retried or failed;
 // one that went through at the first attempt gets a readyToken.
@@ -467,22 +499,34 @@ func (s *pagedStore) Create() (RunID, error) {
 	return id, nil
 }
 
-func (s *pagedStore) run(id RunID) *pagedRun {
+// run returns the run id names, or nil and whether it was freed — handed
+// out and freed since — rather than never created; the store holds nothing
+// for a freed run.
+func (s *pagedStore) run(id RunID) (*pagedRun, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.runs[id]
+	r := s.runs[id]
+	return r, r == nil && s.freed(id)
 }
+
+// freed tells, of an id that is not in s.runs, whether it was ever handed
+// out. Callers hold s.mu.
+func (s *pagedStore) freed(id RunID) bool { return id >= 0 && id < s.next }
 
 // Append encodes pages and writes them, on the caller's goroutine, and then
 // enters them in the page index: when it returns the pages are readable and
 // the token is complete. A write that fails terminally comes back in that
 // token (with the retries spent on the batch), not as Append's error: the
 // failing extent is cut back to where the batch began, the index is left as
-// it was and the run is broken. The store keeps only the encoded bytes, and
-// those only until it returns.
+// it was and the run is broken. The store keeps none of the pages: what
+// outlives the call is their encoding, on the device — or, on a store that
+// holds records, a copy of their record headers, when that is the smaller.
 func (s *pagedStore) Append(id RunID, pages []Page) (Token, error) {
-	r := s.run(id)
+	r, freed := s.run(id)
 	if r == nil {
+		if freed {
+			return nil, fmt.Errorf("masort: append to freed run %d", id)
+		}
 		return nil, fmt.Errorf("masort: append to unknown run %d", id)
 	}
 	if len(pages) == 0 {
@@ -503,6 +547,10 @@ func (s *pagedStore) Append(id RunID, pages []Page) (Token, error) {
 	}
 	if closing {
 		return nil, fmt.Errorf("masort: append to freed run %d", id)
+	}
+	if s.holdRecords && encodingLarger(pages) {
+		r.hold(first, offsets, pages)
+		return readyToken{}, nil
 	}
 	var stack [4]int64 // keeps the common narrow stripe off the heap
 	ends := stack[:0]  // of the participating extents, in batch order
@@ -542,6 +590,43 @@ func (s *pagedStore) Append(id RunID, pages []Page) (Token, error) {
 		return writeToken{retries: retries}, nil
 	}
 	return readyToken{}, nil
+}
+
+// encodingLarger reports whether pages would take more bytes encoded — a
+// key and a payload a record, give or take a length byte and the frame —
+// than as record headers.
+func encodingLarger(pages []Page) bool {
+	payload, recs := 0, 0
+	for _, pg := range pages {
+		for _, rec := range pg {
+			payload += len(rec.Payload)
+		}
+		recs += len(pg)
+	}
+	return recs > 0 && 8*recs+payload > recs*int(unsafe.Sizeof(Record{}))
+}
+
+// hold enters a batch in the index as copies of its record headers, which
+// go on sharing the payloads: the batch writes no byte, so each page's
+// offset is where its disk's bytes end, which is also where the encoded
+// page before it on that disk ends. The caller holds r.wmu, and offsets is
+// the batch's share of r.offsets' spare capacity.
+func (r *pagedRun) hold(first int, offsets []int64, pages []Page) {
+	total := 0
+	for _, pg := range pages {
+		total += len(pg)
+	}
+	recs := make([]Record, 0, total)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.held = append(r.held, make([]Page, first-len(r.held))...)
+	for i, pg := range pages {
+		offsets[i] = r.exts[(first+i)%len(r.exts)].end
+		at := len(recs)
+		recs = append(recs, pg...)
+		r.held = append(r.held, recs[at:len(recs):len(recs)])
+	}
+	r.offsets = r.offsets[:first+len(pages)]
 }
 
 // writeBatch lands one encoded batch at off, retrying transient failures
@@ -601,9 +686,12 @@ func (r *pagedRun) isClosing() bool {
 // Either way it is bounded by that disk's read concurrency. Only pages in the
 // index can be asked for, and those are written.
 func (s *pagedStore) ReadAsync(id RunID, page int) PageToken {
-	r := s.run(id)
+	r, freed := s.run(id)
 	if r == nil {
-		return readyPage{err: fmt.Errorf("masort: read of unknown run %d", id)}
+		if freed {
+			return readyPage{err: fmt.Errorf("masort: read of freed run %d", id)}
+		}
+		return readyPage{err: fmt.Errorf("masort: run %d has no page %d", id, page)}
 	}
 	r.mu.Lock()
 	if r.closing {
@@ -619,6 +707,11 @@ func (s *pagedStore) ReadAsync(id RunID, page int) PageToken {
 	if page < 0 || page >= len(r.offsets) {
 		r.mu.Unlock()
 		return readyPage{err: fmt.Errorf("masort: run %d has no page %d", id, page)}
+	}
+	if page < len(r.held) && r.held[page] != nil {
+		pg := r.held[page]
+		r.mu.Unlock()
+		return readyPage{pg: pg}
 	}
 	// The page's extent ends where the disk's next page begins.
 	n := len(r.exts)
@@ -772,7 +865,7 @@ func (s *pagedStore) readOnce(x *runExtent, off int64, n int) (frame, error) {
 
 // Pages returns the number of pages written so far.
 func (s *pagedStore) Pages(id RunID) int {
-	r := s.run(id)
+	r, _ := s.run(id)
 	if r == nil {
 		return 0
 	}
@@ -787,7 +880,11 @@ func (s *pagedStore) Free(id RunID) error {
 	s.mu.Lock()
 	r, ok := s.runs[id]
 	if !ok {
+		freed := s.freed(id)
 		s.mu.Unlock()
+		if freed {
+			return fmt.Errorf("masort: double free of run %d", id)
+		}
 		return fmt.Errorf("masort: free of unknown run %d", id)
 	}
 	delete(s.runs, id)

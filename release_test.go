@@ -17,11 +17,12 @@ import (
 )
 
 // The merge hands consumed input pages back to the store (read tokens'
-// Release). These tests run every operator through storetest.PoisonStore,
-// which scribbles over a page the moment it is released, and compare the
-// output with an oracle that never saw the store: a page released while a
-// workspace record, an output page not yet durable, the heap's payload
-// tie-break or a join group still reads it cannot go unnoticed.
+// Release, or ReleaseRecords where a store offers only that). These tests
+// run every operator through storetest.PoisonStore, which scribbles over a
+// page the moment it is released, and compare the output with an oracle
+// that never saw the store: a page released while a workspace record, an
+// output page not yet durable, the heap's payload tie-break or a join group
+// still reads it cannot go unnoticed.
 
 // dupRecords draws n records whose keys collide heavily (n/8 distinct keys),
 // so ordering leans on the payload tie-break, which reads the workspace
@@ -199,6 +200,9 @@ func (s *livePages) written() int {
 type releaseBackend struct {
 	name string
 	open func(t *testing.T) masort.RunStore
+	// recordsOnly: the store's read tokens offer ReleaseRecords and not
+	// Release, so every page comes back as a record array.
+	recordsOnly bool
 }
 
 func releaseBackends() []releaseBackend {
@@ -206,6 +210,9 @@ func releaseBackends() []releaseBackend {
 		t.Cleanup(func() { _ = s.Close() })
 	}
 	return []releaseBackend{
+		{"mem", func(*testing.T) masort.RunStore {
+			return masort.NewMemStore() // payloads are views of the stored chunks
+		}, true},
 		{"file", func(t *testing.T) masort.RunStore {
 			s, err := masort.NewFileStore(t.TempDir())
 			if err != nil {
@@ -213,7 +220,7 @@ func releaseBackends() []releaseBackend {
 			}
 			closeLater(t, s)
 			return s
-		}},
+		}, false},
 		{"striped", func(t *testing.T) masort.RunStore {
 			s, err := masort.NewStripedStore(t.TempDir(), t.TempDir(), t.TempDir())
 			if err != nil {
@@ -221,7 +228,7 @@ func releaseBackends() []releaseBackend {
 			}
 			closeLater(t, s)
 			return s
-		}},
+		}, false},
 		{"mmap", func(t *testing.T) masort.RunStore {
 			s, err := masort.NewMmapStore(t.TempDir())
 			if errors.Is(err, masort.ErrMmapUnsupported) {
@@ -232,7 +239,7 @@ func releaseBackends() []releaseBackend {
 			}
 			closeLater(t, s)
 			return s // payloads are views of a read-only mapping
-		}},
+		}, false},
 	}
 }
 
@@ -332,7 +339,9 @@ func joinOracle(left, right []masort.Record) []masort.Record {
 
 // TestPoisonOnReleaseMatrix is the use-after-release gate: every operator x
 // method x adaptation strategy x worker count x {fixed budget, resize
-// schedule} on every store whose read tokens offer Release. Each result is
+// schedule} on every built-in store — MemStore's under its records-only
+// release (every payload here is short enough to be encoded), the others'
+// under Release. Each result is
 // drained twice, record by record and with every Record held to the end:
 // the second is what pins that the output iterator, which gives its record
 // arrays back, never lets payload bytes be recycled.
@@ -434,6 +443,15 @@ func TestPoisonOnReleaseMatrix(t *testing.T) {
 								if streamed {
 									released += counts[1].recs - counts[0].recs
 								}
+								// A step before the result returned released what it
+								// read: whole, or as record arrays on a store that
+								// takes nothing else back.
+								if streamed && before.MergeSteps > 0 && counts[0].recs+counts[0].whole == 0 {
+									t.Fatalf("%d merge steps before the result gave nothing back", before.MergeSteps)
+								}
+								if be.recordsOnly && counts[2].whole != 0 {
+									t.Fatalf("%d pages released whole by a store whose tokens offer no Release", counts[2].whole)
+								}
 								if sched == "fixed" && op.name != "join" && released < st.MergePagesRead/2 {
 									t.Fatalf("released %d of %d merge pages at a fixed budget: the matrix is not exercising Release",
 										released, st.MergePagesRead)
@@ -449,7 +467,10 @@ func TestPoisonOnReleaseMatrix(t *testing.T) {
 
 // TestPoisonScribbles pins what the wrapper does to a released page on every
 // backend: keys become ^0; payload bytes become 0xDB where they are writable
-// and are cut loose (nil) where they are views of a read-only mapping.
+// and are cut loose (nil) where they are views of a read-only mapping. On
+// MemStore, whose tokens offer ReleaseRecords only, the record array is
+// scribbled and the payload bytes — the stored chunk — are left alone, so a
+// copied record and a second read of the page still see them.
 func TestPoisonScribbles(t *testing.T) {
 	for _, be := range releaseBackends() {
 		t.Run(be.name, func(t *testing.T) {
@@ -464,6 +485,20 @@ func TestPoisonScribbles(t *testing.T) {
 				t.Fatal(err)
 			}
 			kept := pg[0] // a copied Record, as the engine's workspaces are
+			if be.recordsOnly {
+				if _, ok := tok.(interface{ Release() }); ok {
+					t.Fatal("the token offers Release")
+				}
+				tok.(interface{ ReleaseRecords() }).ReleaseRecords()
+				if pg[0].Key != ^masort.Key(0) || pg[0].Payload != nil || store.ReleasedRecords() != 1 || string(kept.Payload) != "abc" {
+					t.Fatalf("released page reads %v, the copy %q, %d records-only releases", pg, kept.Payload, store.ReleasedRecords())
+				}
+				again, err := store.ReadAsync(id, 0).Wait()
+				if err != nil || len(again) != 1 || again[0].Key != 1 || string(again[0].Payload) != "abc" {
+					t.Fatalf("second read: %v, %v", again, err)
+				}
+				return
+			}
 			tok.(interface{ Release() }).Release()
 			if pg[0].Key != ^masort.Key(0) || store.Released() != 1 || store.ReleasedRecords() != 0 {
 				t.Fatalf("released page reads %v, %d released (%d records only)", pg, store.Released(), store.ReleasedRecords())
@@ -575,8 +610,9 @@ func (s *resizeOnRead) ReadAsync(id masort.RunID, page int) masort.PageToken {
 //     mid-group. The 2 shortest right runs merge next: A (a page shorter)
 //     and B.
 //
-// (MmapStore cannot fail this way — payloads are views of the mapping, which
-// Release does not recycle — but runs the same schedule.)
+// (MmapStore and MemStore cannot fail this way — payloads are views of the
+// mapping or of the stored chunks, which no release recycles — but run the
+// same schedule.)
 func TestJoinGroupSurvivesSplitMidGroup(t *testing.T) {
 	run := func(tag string, keys ...int) []masort.Record {
 		recs := make([]masort.Record, 32)
@@ -619,6 +655,12 @@ func TestJoinGroupSurvivesSplitMidGroup(t *testing.T) {
 			}
 			slices.SortFunc(got, byKeyPayload)
 			sameRecords(t, got, joinOracle(left, right))
+			if be.recordsOnly {
+				if st.MergePagesReleased != 0 || mergeReleased(poison) != 0 || poison.ReleasedRecords() == 0 {
+					t.Fatalf("%d pages released whole (%d by Stats), %d record arrays", mergeReleased(poison), st.MergePagesReleased, poison.ReleasedRecords())
+				}
+				return
+			}
 			if st.MergePagesReleased == 0 || st.MergePagesReleased != mergeReleased(poison) {
 				t.Fatalf("preliminary merges released %d pages, the store saw %d", st.MergePagesReleased, mergeReleased(poison))
 			}

@@ -26,7 +26,9 @@ func TestMemStoreConformance(t *testing.T) {
 		New: func(tb testing.TB) masort.RunStore {
 			return masort.NewMemStore()
 		},
-		// MemStore has no physical I/O seam; fault subtests are skipped.
+		NewFaulty: func(tb testing.TB, h masort.FaultHooks) masort.RunStore {
+			return masort.NewMemStoreWith(faultyCfg(h))
+		},
 	})
 }
 

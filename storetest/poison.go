@@ -20,6 +20,15 @@ import (
 // mapping, which Release does not recycle) cannot be scribbled on: the write
 // fault is caught and the record's Payload is set to nil instead.
 //
+// That scribble is also why a store whose payloads are views of writable
+// bytes it keeps — MemStore's stored chunks, which every later read of the
+// page decodes in place — must not offer Release: Release hands the page,
+// payload bytes included, to whoever reuses its memory, and here that would
+// be the stored run itself. Over such a store the wrapper's Release would
+// scribble the run, and the next read of the page would fail its checksum.
+// Such a store offers ReleaseRecords alone, and the merge gives its pages
+// back that way.
+//
 // ReleaseRecords — the records-only hand-back the output iterator makes as
 // it leaves a page — gets the records-only twin: the record array is
 // scribbled (keys ^0, payload headers nil) and the payload bytes are left

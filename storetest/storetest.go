@@ -23,12 +23,12 @@
 // hooks into the store's physical I/O path exactly as
 // masort.StoreConfig.WithFaults would.
 //
-// The built-in disk-backed stores are one paged-run layer over thin
-// byte-extent devices, so a new device inside the module gets framing,
-// retries, fault hooks and this suite's fault subtests for free: give
-// StoreConfig a terminal for it and pass that terminal's stores to Run
-// (with NewFaulty built through WithFaults), as storeconformance_test.go
-// does for the five built-ins.
+// The built-in stores are one paged-run layer over thin byte-extent
+// devices, so a new device inside the module gets framing, retries, fault
+// hooks and this suite's fault subtests for free: give StoreConfig a
+// terminal for it and pass that terminal's stores to Run (with NewFaulty
+// built through WithFaults), as storeconformance_test.go does for the
+// built-ins.
 package storetest
 
 import (
@@ -52,7 +52,8 @@ type Config struct {
 	// writes are routed through hooks (as masort.StoreConfig.WithFaults
 	// does), with checksummed page framing and a retry policy of at least
 	// three attempts. Leave nil for stores without a physical I/O seam
-	// (e.g. MemStore); the fault subtests are skipped.
+	// (e.g. one that keeps pages as copied records); the fault subtests are
+	// skipped.
 	NewFaulty func(tb testing.TB, hooks masort.FaultHooks) masort.RunStore
 }
 
