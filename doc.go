@@ -133,10 +133,12 @@
 // Four backends cover the spectrum:
 //
 //   - MemStore (NewMemStore, the default): runs held in memory, each Append
-//     batch in the smaller of two forms — the checksummed frames a file
-//     holds, one chunk a batch, decoded in place on read (short payloads),
-//     or copied record headers sharing the caller's payloads. Fastest; run
-//     data is bounded by RAM. Tests and small sorts.
+//     batch in the smaller of two forms — by reference, a key and a pointer
+//     to the caller's payload a record, sharing the payload bytes for as
+//     long as the run lives (payloads longer than 8 bytes), or the
+//     checksummed frames a file holds, one chunk a batch, decoded in place
+//     on read (8 bytes or less). Fastest; run data is bounded by RAM. Tests
+//     and small sorts.
 //   - FileStore (StoreConfig.File): one directory, checksummed frames,
 //     buffered writes where Append is called, bounded read concurrency,
 //     retry and rollback on write failure. The workhorse single-disk
@@ -183,7 +185,8 @@
 // stays valid until the store closes, and the memory device a slice of the
 // chunk an Append copied the batch into, which nothing writes again and the
 // collector alone frees (a MemStore batch whose encoding would outweigh its
-// record headers is held as those instead and writes nothing); striping is the N > 1 case of the same index (page
+// reference form — its keys and payload pointers — is held so instead and
+// writes nothing); striping is the N > 1 case of the same index (page
 // i on device i mod N), so File(dir) is simply N = 1. A new backend is a new
 // device plus a StoreConfig terminal, verified by running storetest.Run on
 // it.
@@ -204,8 +207,9 @@
 // and MemStore are the zero-copy paths: there payloads alias the run's
 // mapping, valid until the store closes, or what the MemStore keeps — the
 // chunk of a batch's encoded bytes, whole, as long as one payload of it is
-// referenced, or the caller's own payload bytes, for a batch it holds as
-// records. Either way callers retaining payloads from many pages should
+// referenced, or the caller's own payload bytes, for a batch it holds by
+// reference — each capped at its length, so an append to one cannot reach
+// the caller's next bytes. Either way callers retaining payloads from many pages should
 // copy them (append([]byte(nil), rec.Payload...)), and must never mutate
 // them.
 //
@@ -220,9 +224,9 @@
 // payload byte by the time it returns and keeps none — not only no page
 // slices. MemStore hands out what it keeps — payloads that are views of a
 // stored chunk, which later reads of the page decode again, or the
-// caller's own payloads, for a batch held as records — so its tokens never
-// offer it: an encoded page's offer ReleaseRecords alone, and the merge
-// gives such a page back that way, at once.
+// caller's own payloads, for a batch held by reference — so its tokens
+// never offer it: they offer ReleaseRecords alone, and the merge gives
+// such a page back that way, at once.
 //
 // ReleaseRecords() is the smaller, independent offer: the store gets the
 // page's record array back and nothing else. Result.Iterator, which hands

@@ -57,9 +57,13 @@ type PageToken = core.PageToken
 //     no more than this line.
 //   - Buffer ownership: the caller may reuse the page slices passed to
 //     Append once the token completes, so the store must either finish
-//     with them by then or copy. Payload bytes are immutable and shared.
-//     Pages delivered by ReadAsync belong to the store; callers must not
-//     modify them, and they stay valid until the run is freed.
+//     with them by then or copy. Payload bytes are immutable and shared:
+//     a store may keep references to them instead of a copy, for as long
+//     as the run lives — MemStore keeps a key and a payload pointer a
+//     record for payloads longer than 8 bytes, and hands those same bytes
+//     back on read, each capped at its length. Pages delivered by
+//     ReadAsync belong to the store; callers must not modify them, and
+//     they stay valid until the run is freed.
 //   - Optionally, a read token may offer Release() (core.PageReleaser,
 //     found by type assertion): the reader's word that it holds no
 //     reference into the page any more, after which the store may decode
@@ -70,8 +74,8 @@ type PageToken = core.PageToken
 //     pages by the time Append returns, and keep none (they alias the
 //     frames being given back) — so a store whose payloads are views of
 //     bytes it keeps, as MemStore's are of its stored chunks or of the
-//     caller's payloads it shares, must never offer it; MemStore's encoded
-//     pages offer ReleaseRecords alone.
+//     caller's payloads it shares, must never offer it; MemStore's pages
+//     offer ReleaseRecords alone.
 //     storetest.PoisonOnRelease checks a store's tokens.
 //   - Optionally, and independently, a read token may offer
 //     ReleaseRecords() (core.RecordsReleaser): the reader has copied the

@@ -298,31 +298,51 @@ func TestMemStoreErrors(t *testing.T) {
 	}
 }
 
-// TestMemStoreKeepsTheSmallerForm appends to one run a batch of short
-// payloads, one of long payloads and a short one again: the first and last
-// are encoded (a read decodes a copy and offers ReleaseRecords), the middle
-// one is held as record headers (a read returns them, sharing the caller's
-// payloads, and offers no release), and each page reads back as appended.
+// TestMemStoreKeepsTheSmallerForm appends to one run a batch each of
+// key-only records, 8-byte, 9-byte, 16-byte and 64-byte payloads, and of
+// mixed lengths averaging 4.5, 22, 10 and 12 bytes. Payloads of 8 bytes or
+// less — 11 on average at mixed lengths, which cost a length column — are
+// encoded (a read decodes a copy), longer ones held by reference (a read
+// shares the caller's payloads); every page reads back as appended, its
+// payloads without spare capacity, and its token offers ReleaseRecords and
+// never Release.
 func TestMemStoreKeepsTheSmallerForm(t *testing.T) {
-	page := func(key uint64, payload int) Page {
+	page := func(key uint64, payload func(i int) int) Page {
 		pg := make(Page, 8)
 		for i := range pg {
-			pg[i] = Record{Key: key + uint64(i), Payload: make([]byte, payload)}
-			binary.LittleEndian.PutUint64(pg[i].Payload, key+uint64(i))
+			pg[i] = Record{Key: key + uint64(i)}
+			if n := payload(i); n > 0 {
+				pg[i].Payload = make([]byte, n)
+				pg[i].Payload[0] = byte(key + uint64(i))
+			}
 		}
 		return pg
+	}
+	same := func(n int) func(int) int { return func(int) int { return n } }
+	batches := []struct {
+		pg   Page
+		held bool
+	}{
+		{page(0, same(0)), false},
+		{page(100, same(8)), false},
+		{page(200, same(9)), true},
+		{page(300, same(16)), true},
+		{page(400, same(64)), true},
+		{page(500, func(i int) int { return i + 1 }), false},       // 1 to 8 bytes
+		{page(600, func(i int) int { return 8 + 4*i }), true},      // 8 to 36 bytes
+		{page(700, func(i int) int { return 8 + 4*(i%2) }), false}, // 10 on average
+		{page(800, func(i int) int { return 10 + 4*(i%2) }), true}, // 12 on average
 	}
 	s := NewMemStore()
 	defer s.Close()
 	id, _ := s.Create()
-	batches := []Page{page(0, 8), page(100, 64), page(200, 16)}
 	want := make([]Page, len(batches))
-	for i, pg := range batches {
-		want[i] = slices.Clone(pg)
-		if _, err := s.Append(id, []Page{pg}); err != nil {
+	for i, b := range batches {
+		want[i] = slices.Clone(b.pg)
+		if _, err := s.Append(id, []Page{b.pg}); err != nil {
 			t.Fatal(err)
 		}
-		clear(pg) // the caller reuses its page at once
+		clear(b.pg) // the caller reuses its page at once
 	}
 	if n := s.Pages(id); n != len(batches) {
 		t.Fatalf("%d pages, want %d", n, len(batches))
@@ -336,27 +356,177 @@ func TestMemStoreKeepsTheSmallerForm(t *testing.T) {
 		sameOutput(t, got, w)
 		_, records := tok.(interface{ ReleaseRecords() })
 		_, whole := tok.(interface{ Release() })
-		shared := &got[0].Payload[0] == &w[0].Payload[0]
-		if held := i == 1; whole || records == held || shared != held {
-			t.Errorf("page %d: Release %v, ReleaseRecords %v, payload shared %v; want held = %v", i, whole, records, shared, held)
+		if whole || !records {
+			t.Errorf("page %d: Release %v, ReleaseRecords %v; want ReleaseRecords only", i, whole, records)
+		}
+		for j, rec := range got {
+			if cap(rec.Payload) != len(rec.Payload) {
+				t.Fatalf("page %d record %d: payload cap %d, len %d", i, j, cap(rec.Payload), len(rec.Payload))
+			}
+			if len(rec.Payload) == 0 {
+				continue
+			}
+			if shared := &rec.Payload[0] == &w[j].Payload[0]; shared != batches[i].held {
+				t.Fatalf("page %d record %d: payload shared %v, want held = %v", i, j, shared, batches[i].held)
+			}
 		}
 	}
 }
 
-// TestMemStoreSortsMixedForms sorts payloads of 0 to 48 bytes through a
-// MemStore, so runs mix encoded batches with batches held as records, and
-// checks the output against the oracle and that both forms were read.
+// TestMemStoreReferenceForm reads back a held batch of mixed lengths —
+// nil, empty and zero-capacity payloads among them, so the length column is
+// in use — whose payloads sit back to back in one caller buffer: each
+// payload shares the caller's bytes but has no spare capacity, so an append
+// to it leaves the caller's next payload alone, an empty payload pins
+// nothing, and ReleaseRecords gives the record array to the next read.
+func TestMemStoreReferenceForm(t *testing.T) {
+	buf := make([]byte, 0, 1024)
+	var pg Page
+	for i := range 12 {
+		var p []byte
+		switch i % 4 {
+		case 0: // nil
+		case 1:
+			p = []byte{}
+		case 2:
+			p = buf[len(buf):len(buf):len(buf)] // zero capacity
+		default:
+			at := len(buf)
+			for j := range 60 + i {
+				buf = append(buf, byte(i+j))
+			}
+			p = buf[at:len(buf)] // capacity runs on into the next payload
+		}
+		pg = append(pg, Record{Key: uint64(i), Payload: p})
+	}
+	if larger, size := encodingLarger([]Page{pg}); !larger || size != -1 {
+		t.Fatalf("encodingLarger = %v, %d; want a held batch of mixed lengths", larger, size)
+	}
+	before := slices.Clone(buf)
+	s := NewMemStore()
+	defer s.Close()
+	id, _ := s.Create()
+	if _, err := s.Append(id, []Page{pg, pg[:5]}); err != nil {
+		t.Fatal(err)
+	}
+	tok := s.ReadAsync(id, 0)
+	got, err := tok.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameOutput(t, got, pg)
+	for i, rec := range got {
+		switch {
+		case len(pg[i].Payload) == 0:
+			if rec.Payload != nil {
+				t.Fatalf("record %d: empty payload read back as %#v, want nil", i, rec.Payload)
+			}
+		case &rec.Payload[0] != &pg[i].Payload[0]:
+			t.Fatalf("record %d: payload is a copy, want the caller's bytes", i)
+		case cap(rec.Payload) != len(rec.Payload):
+			t.Fatalf("record %d: payload cap %d, len %d", i, cap(rec.Payload), len(rec.Payload))
+		default:
+			_ = append(rec.Payload, 0xFF)
+		}
+	}
+	if !slices.Equal(buf, before) || !slices.Equal(buf[:cap(buf)][len(buf):], make([]byte, cap(buf)-len(buf))) {
+		t.Fatal("an append to a read payload wrote into the caller's buffer")
+	}
+	if _, whole := tok.(interface{ Release() }); whole {
+		t.Fatal("a held page's token offers Release")
+	}
+	array := &got[0]
+	tok.(interface{ ReleaseRecords() }).ReleaseRecords()
+	again, err := s.ReadAsync(id, 1).Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameOutput(t, again, pg[:5])
+	if &again[0] != array {
+		t.Fatal("the next read did not reuse the released record array")
+	}
+}
+
+// TestFaultyMemStoreEncodesEveryBatch appends batches a MemStore without
+// hooks would hold by reference to one built with fault hooks: every Append
+// reaches BeforeWrite and every read AfterRead, and the pages read back
+// as copies.
+func TestFaultyMemStoreEncodesEveryBatch(t *testing.T) {
+	var writes, reads atomic.Int64
+	h := countingHooks{writes: &writes, reads: &reads}
+	s := NewMemStoreWith(NewStoreConfig().WithFaults(h))
+	defer s.Close()
+	id, _ := s.Create()
+	in := randomRecords(64, 3, 64)
+	const batches = 4
+	for b := range batches {
+		part := in[b*16 : (b+1)*16]
+		if _, err := s.Append(id, []Page{part[:8], part[8:]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := writes.Load(); n != batches {
+		t.Fatalf("hooks saw %d writes, want one per Append: %d", n, batches)
+	}
+	for i := range s.Pages(id) {
+		got, err := s.ReadAsync(id, i).Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameOutput(t, got, in[i*8:(i+1)*8])
+		if &got[0].Payload[0] == &in[i*8].Payload[0] {
+			t.Fatalf("page %d shares the caller's payloads: it was not encoded", i)
+		}
+	}
+	if n := reads.Load(); n != 2*batches {
+		t.Fatalf("hooks saw %d reads, want %d", n, 2*batches)
+	}
+}
+
+// countingHooks counts the writes and reads it sees and injects nothing.
+type countingHooks struct{ writes, reads *atomic.Int64 }
+
+func (h countingHooks) BeforeWrite(int64, []byte) (int, error) {
+	h.writes.Add(1)
+	return 0, nil
+}
+
+func (h countingHooks) AfterRead(int64, []byte) error {
+	h.reads.Add(1)
+	return nil
+}
+
+// TestMemStoreSortsMixedForms sorts payloads of 0 to 8 bytes, of 16 bytes
+// and of 9 to 40 bytes (by key range) through a MemStore, so runs mix
+// encoded batches with batches held by reference, uniform and of mixed
+// lengths; it checks the output against the oracle, that every form was
+// read, and that every read token offers ReleaseRecords and never Release.
 func TestMemStoreSortsMixedForms(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	in := make([]Record, 6000)
 	for i := range in {
-		p := make([]byte, rng.IntN(49))
+		k := rng.Uint64N(1000)
+		var n int
+		switch {
+		case k < 400:
+			n = rng.IntN(9)
+		case k < 700:
+			n = 16
+		default:
+			n = 9 + rng.IntN(32)
+		}
+		p := make([]byte, n)
 		for j := range p {
 			p[j] = byte(rng.Uint32())
 		}
-		in[i] = Record{Key: rng.Uint64N(1000), Payload: p}
+		in[i] = Record{Key: k, Payload: p}
 	}
-	store := &formCounter{MemStore: NewMemStore()}
+	store := &formCounter{MemStore: NewMemStore(), caller: map[*byte]bool{}}
+	for _, r := range in {
+		if len(r.Payload) > 0 {
+			store.caller[&r.Payload[0]] = true
+		}
+	}
 	res, err := Sort(context.Background(), NewSliceIterator(in), WithStore(store), WithPageRecords(16), WithBudget(NewBudget(6)))
 	if err != nil {
 		t.Fatal(err)
@@ -375,23 +545,49 @@ func TestMemStoreSortsMixedForms(t *testing.T) {
 	}
 	res.Close()
 	sameOutput(t, got, oracle(in))
-	if store.encoded.Load() == 0 || store.held.Load() == 0 {
-		t.Fatalf("read %d encoded and %d held pages: the sort did not mix the forms", store.encoded.Load(), store.held.Load())
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	if store.encoded == 0 || store.uniform == 0 || store.mixed == 0 || store.badToken != 0 {
+		t.Fatalf("read %d encoded pages, %d held of one length, %d held of mixed lengths, %d tokens without ReleaseRecords or with Release: the sort did not mix the forms",
+			store.encoded, store.uniform, store.mixed, store.badToken)
 	}
 }
 
-// formCounter counts a MemStore's reads by the form of the page.
+// formCounter counts a MemStore's reads by the form of the page: held
+// pages' payloads are the caller's own bytes, encoded pages' are not.
 type formCounter struct {
 	*MemStore
-	encoded, held atomic.Int64
+	caller map[*byte]bool // the first byte of every input payload
+
+	mu                                sync.Mutex
+	encoded, uniform, mixed, badToken int
 }
 
 func (s *formCounter) ReadAsync(id RunID, page int) PageToken {
 	tok := s.MemStore.ReadAsync(id, page)
-	if _, ok := tok.(interface{ ReleaseRecords() }); ok {
-		s.encoded.Add(1)
-	} else {
-		s.held.Add(1)
+	_, records := tok.(interface{ ReleaseRecords() })
+	_, whole := tok.(interface{ Release() })
+	pg, err := tok.Wait()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !records || whole {
+		s.badToken++
+	}
+	if err != nil || len(pg) == 0 {
+		return tok
+	}
+	held, lengths := false, map[int]bool{}
+	for _, r := range pg {
+		held = held || len(r.Payload) > 0 && s.caller[&r.Payload[0]]
+		lengths[len(r.Payload)] = true
+	}
+	switch {
+	case !held:
+		s.encoded++
+	case len(lengths) == 1:
+		s.uniform++
+	default:
+		s.mixed++
 	}
 	return tok
 }

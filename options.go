@@ -65,7 +65,7 @@ func WithPool(p *Pool) Option {
 }
 
 // WithStore sets the run store (default NewMemStore, which holds the runs
-// in memory, encoded or as record headers, whichever is smaller; use
+// in memory, encoded or by reference to the payloads, whichever is smaller; use
 // NewFileStore, or another StoreConfig backend, for datasets larger than
 // memory).
 func WithStore(s RunStore) Option {

@@ -3,6 +3,7 @@ package masort
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -211,6 +212,11 @@ func (d *disk) noteFetch(took time.Duration) {
 //     payloads: the record array comes back, the arena stays the
 //     collector's. (MemStore's token offers ReleaseRecords alone: see
 //     MemStore.) Pages never released are the collector's whole, as ever.
+//   - A batch a store that holds records keeps in reference form
+//     (holdRecords: its keys and pointers to the caller's payloads, as
+//     columns in the run's index) writes nothing and reads nothing: Append
+//     enters it in the index, and ReadAsync rebuilds a page's records into
+//     a record array from the free list and returns the token complete.
 //
 // The store does not assume a perfect disk. A page that fails its checksum
 // is re-read once before the read fails with ErrCorruptPage in the chain;
@@ -232,7 +238,8 @@ type pagedStore struct {
 	tr trace.Tracer
 
 	// holdRecords keeps a batch whose encoding would be larger than its
-	// record headers as a copy of those headers instead (MemStore).
+	// reference form — a key and a pointer to the caller's payload a record
+	// — in that form instead (MemStore without fault hooks).
 	holdRecords bool
 
 	// Reads by who ran them: a waiter, or a goroutine started at issue.
@@ -306,8 +313,8 @@ type pagedRun struct {
 	wmu sync.Mutex // held by Append; teardown takes it to wait one out
 
 	mu      sync.Mutex
-	offsets []int64 // page i is on exts[i%len(exts)] at byte offsets[i]
-	held    []Page  // page i is held[i] when that is not nil (holdRecords)
+	offsets []int64    // page i is on exts[i%len(exts)] at byte offsets[i]
+	held    []heldPage // page i is held[i] when that has a batch (holdRecords)
 	exts    []runExtent
 	werr    error // sticky write error (run is broken)
 	closing bool  // Free/Close in progress: reject new work
@@ -323,18 +330,15 @@ type runExtent struct {
 }
 
 // readyToken is the completed token of a batch that went through at the
-// first attempt, was held or had no pages; readyPage is a read of a held
-// page, or one refused before it began.
+// first attempt, was held or had no pages; refusedRead is a read refused
+// before it began.
 type readyToken struct{}
 
 func (readyToken) Wait() error { return nil }
 
-type readyPage struct {
-	pg  Page
-	err error
-}
+type refusedRead struct{ err error }
 
-func (t readyPage) Wait() (Page, error) { return t.pg, t.err }
+func (t refusedRead) Wait() (Page, error) { return nil, t.err }
 
 // writeToken is the completed token of a batch that was retried or failed;
 // one that went through at the first attempt gets a readyToken.
@@ -520,7 +524,8 @@ func (s *pagedStore) freed(id RunID) bool { return id >= 0 && id < s.next }
 // failing extent is cut back to where the batch began, the index is left as
 // it was and the run is broken. The store keeps none of the pages: what
 // outlives the call is their encoding, on the device — or, on a store that
-// holds records, a copy of their record headers, when that is the smaller.
+// holds records, their keys and payload references, when those are the
+// smaller.
 func (s *pagedStore) Append(id RunID, pages []Page) (Token, error) {
 	r, freed := s.run(id)
 	if r == nil {
@@ -548,9 +553,11 @@ func (s *pagedStore) Append(id RunID, pages []Page) (Token, error) {
 	if closing {
 		return nil, fmt.Errorf("masort: append to freed run %d", id)
 	}
-	if s.holdRecords && encodingLarger(pages) {
-		r.hold(first, offsets, pages)
-		return readyToken{}, nil
+	if s.holdRecords {
+		if larger, size := encodingLarger(pages); larger {
+			r.hold(first, offsets, pages, size)
+			return readyToken{}, nil
+		}
 	}
 	var stack [4]int64 // keeps the common narrow stripe off the heap
 	ends := stack[:0]  // of the participating extents, in batch order
@@ -593,40 +600,107 @@ func (s *pagedStore) Append(id RunID, pages []Page) (Token, error) {
 }
 
 // encodingLarger reports whether pages would take more bytes encoded — a
-// key and a payload a record, give or take a length byte and the frame —
-// than as record headers.
-func encodingLarger(pages []Page) bool {
-	payload, recs := 0, 0
+// key and a payload a record, and a length byte or more when the lengths
+// differ, give or take the frame — than in reference form: a key and a
+// payload pointer a record, and a 4-byte length when the lengths differ.
+// size is the length of every payload, or -1 when they differ. A batch with
+// a payload too long for the length column is never the larger encoded.
+func encodingLarger(pages []Page) (larger bool, size int) {
+	payload, recs, size := 0, 0, -1
 	for _, pg := range pages {
 		for _, rec := range pg {
-			payload += len(rec.Payload)
+			n := len(rec.Payload)
+			switch {
+			case uint64(n) > math.MaxUint32:
+				return false, 0
+			case recs == 0:
+				size = n
+			case n != size:
+				size = -1
+			}
+			payload += n
+			recs++
 		}
-		recs += len(pg)
 	}
-	return recs > 0 && 8*recs+payload > recs*int(unsafe.Sizeof(Record{}))
+	encoded, refs := 8*recs+payload, 16*recs
+	if size < 0 {
+		encoded, refs = encoded+recs, refs+4*recs
+	}
+	return recs > 0 && encoded > refs, size
 }
 
-// hold enters a batch in the index as copies of its record headers, which
-// go on sharing the payloads: the batch writes no byte, so each page's
+// heldPage is one page of a batch held in reference form: records lo to hi
+// of the batch.
+type heldPage struct {
+	b      *heldBatch
+	lo, hi int
+}
+
+// heldBatch is a batch in reference form, as columns: record i has key
+// keys[i] and the payload of lens[i] bytes — size bytes when lens is nil —
+// that ptrs[i] points to, which is the caller's, shared. An empty payload
+// has a nil pointer and pins nothing.
+type heldBatch struct {
+	keys []Key
+	ptrs []*byte
+	lens []uint32
+	size int
+}
+
+// hold enters a batch in the index in reference form, size being the
+// length of every payload or -1: the batch writes no byte, so each page's
 // offset is where its disk's bytes end, which is also where the encoded
 // page before it on that disk ends. The caller holds r.wmu, and offsets is
 // the batch's share of r.offsets' spare capacity.
-func (r *pagedRun) hold(first int, offsets []int64, pages []Page) {
+func (r *pagedRun) hold(first int, offsets []int64, pages []Page, size int) {
 	total := 0
 	for _, pg := range pages {
 		total += len(pg)
 	}
-	recs := make([]Record, 0, total)
+	keys, ptrs := make([]Key, total), make([]*byte, total)
+	var lens []uint32
+	if size < 0 {
+		lens = make([]uint32, total)
+	}
+	i := 0
+	for _, pg := range pages {
+		for _, rec := range pg {
+			keys[i] = rec.Key
+			if len(rec.Payload) > 0 {
+				ptrs[i] = unsafe.SliceData(rec.Payload)
+			}
+			if lens != nil {
+				lens[i] = uint32(len(rec.Payload))
+			}
+			i++
+		}
+	}
+	b := &heldBatch{keys: keys, ptrs: ptrs, lens: lens, size: size}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.held = append(r.held, make([]Page, first-len(r.held))...)
+	r.held = append(r.held, make([]heldPage, first-len(r.held))...)
+	at := 0
 	for i, pg := range pages {
 		offsets[i] = r.exts[(first+i)%len(r.exts)].end
-		at := len(recs)
-		recs = append(recs, pg...)
-		r.held = append(r.held, recs[at:len(recs):len(recs)])
+		r.held = append(r.held, heldPage{b: b, lo: at, hi: at + len(pg)})
+		at += len(pg)
 	}
 	r.offsets = r.offsets[:first+len(pages)]
+}
+
+// records rebuilds the page into dst's array, each payload capped at its
+// length so that an append to it cannot reach the caller's next bytes.
+func (h heldPage) records(dst Page) Page {
+	b := h.b
+	dst = slices.Grow(dst[:0], h.hi-h.lo)
+	for i := h.lo; i < h.hi; i++ {
+		n := b.size
+		if b.lens != nil {
+			n = int(b.lens[i])
+		}
+		dst = append(dst, Record{Key: b.keys[i], Payload: unsafe.Slice(b.ptrs[i], n)})
+	}
+	return dst
 }
 
 // writeBatch lands one encoded batch at off, retrying transient failures
@@ -689,29 +763,35 @@ func (s *pagedStore) ReadAsync(id RunID, page int) PageToken {
 	r, freed := s.run(id)
 	if r == nil {
 		if freed {
-			return readyPage{err: fmt.Errorf("masort: read of freed run %d", id)}
+			return refusedRead{err: fmt.Errorf("masort: read of freed run %d", id)}
 		}
-		return readyPage{err: fmt.Errorf("masort: run %d has no page %d", id, page)}
+		return refusedRead{err: fmt.Errorf("masort: run %d has no page %d", id, page)}
 	}
 	r.mu.Lock()
 	if r.closing {
 		r.mu.Unlock()
-		return readyPage{err: fmt.Errorf("masort: read of freed run %d", id)}
+		return refusedRead{err: fmt.Errorf("masort: read of freed run %d", id)}
 	}
 	if werr := r.werr; werr != nil {
 		// The run is broken: even its written prefix must not be served, or
 		// a merge would consume half a run and only then learn it failed.
 		r.mu.Unlock()
-		return readyPage{err: fmt.Errorf("masort: read of run %d page %d after write failure: %w", id, page, werr)}
+		return refusedRead{err: fmt.Errorf("masort: read of run %d page %d after write failure: %w", id, page, werr)}
 	}
 	if page < 0 || page >= len(r.offsets) {
 		r.mu.Unlock()
-		return readyPage{err: fmt.Errorf("masort: run %d has no page %d", id, page)}
+		return refusedRead{err: fmt.Errorf("masort: run %d has no page %d", id, page)}
 	}
-	if page < len(r.held) && r.held[page] != nil {
-		pg := r.held[page]
+	if page < len(r.held) && r.held[page].b != nil {
+		h := r.held[page]
 		r.mu.Unlock()
-		return readyPage{pg: pg}
+		// A read that is complete at issue: its frame goes back to the store
+		// like any other's.
+		fr := s.frames.get()
+		fr.recs = h.records(fr.recs)
+		tok := &pageToken{s: s, r: r, id: id, page: page, fr: fr}
+		tok.state.Store(readDone)
+		return tok
 	}
 	// The page's extent ends where the disk's next page begins.
 	n := len(r.exts)
