@@ -453,7 +453,10 @@ func TestMemStoreReferenceForm(t *testing.T) {
 // as copies.
 func TestFaultyMemStoreEncodesEveryBatch(t *testing.T) {
 	var writes, reads atomic.Int64
-	h := countingHooks{writes: &writes, reads: &reads}
+	h := hookFuncs{
+		beforeWrite: func(int64, []byte) (int, error) { writes.Add(1); return 0, nil },
+		afterRead:   func(int64, []byte) error { reads.Add(1); return nil },
+	}
 	s := NewMemStoreWith(NewStoreConfig().WithFaults(h))
 	defer s.Close()
 	id, _ := s.Create()
@@ -481,19 +484,6 @@ func TestFaultyMemStoreEncodesEveryBatch(t *testing.T) {
 	if n := reads.Load(); n != 2*batches {
 		t.Fatalf("hooks saw %d reads, want %d", n, 2*batches)
 	}
-}
-
-// countingHooks counts the writes and reads it sees and injects nothing.
-type countingHooks struct{ writes, reads *atomic.Int64 }
-
-func (h countingHooks) BeforeWrite(int64, []byte) (int, error) {
-	h.writes.Add(1)
-	return 0, nil
-}
-
-func (h countingHooks) AfterRead(int64, []byte) error {
-	h.reads.Add(1)
-	return nil
 }
 
 // TestMemStoreSortsMixedForms sorts payloads of 0 to 8 bytes, of 16 bytes
