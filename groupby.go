@@ -84,6 +84,10 @@ func GroupBy(ctx context.Context, input Iterator, agg Aggregator, opts ...Option
 		}
 		defer sorted.Close()
 		env.In = &pageInput{it: &groupIterator{in: sorted.Iterator(), agg: agg}, size: o.pageRecords}
+		if env.Owned != nil {
+			// Each group's payload is made by Finish for the output alone.
+			env.Store = env.Owned
+		}
 		res, err = core.WriteRun(env, cfg.MergeBlockPages)
 		out, err := sortResult(env, res, err)
 		if err != nil {

@@ -191,12 +191,27 @@ type Env struct {
 	// the paper's do.
 	StreamLast bool
 
+	// Owned, when non-nil, is Store as seen by a run of records whose
+	// payloads the engine makes for it — a join's output tuples — and keeps
+	// no other reference to: a run created through it has its payloads
+	// copied where Store may share them. Nil means Store.
+	Owned RunStore
+
 	// stepSeq numbers merge steps within the operation (1-based). Every
 	// merge step runs on the operator's goroutine, so no synchronization is
 	// needed.
 	stepSeq int
 	// eventPanics counts OnEvent callbacks that panicked and were recovered.
 	eventPanics int
+}
+
+// owned is the store to create a run of records whose payloads the engine
+// made in: Owned, or Store.
+func (e *Env) owned() RunStore {
+	if e.Owned != nil {
+		return e.Owned
+	}
+	return e.Store
 }
 
 // nextStep hands out the next merge-step id.

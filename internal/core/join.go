@@ -96,7 +96,7 @@ type joinEngine struct {
 }
 
 func (j *joinEngine) run() (*runInfo, error) {
-	out, err := newRun(j.m.e.Store)
+	out, err := newRun(j.m.e.owned())
 	if err != nil {
 		j.releaseAll()
 		return nil, err

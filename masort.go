@@ -82,6 +82,9 @@ type config struct {
 	onEvent     func(Event)
 	tracer      Tracer
 	eventLog    int
+	// ownPayloads says the input's payloads are made for the sort, one a
+	// record, and dropped by their maker (SortT): no run shares them.
+	ownPayloads bool
 }
 
 func (o config) build() (core.SortConfig, config, error) {
@@ -171,6 +174,12 @@ func newEnv(ctx context.Context, o config, mem core.Broker, meter *counterMeter,
 		if ot.tr != nil {
 			ts = &tracedStore{RunStore: o.store, ot: ot}
 			env.Store = ts
+		}
+	}
+	if ms, ok := o.store.(*MemStore); ok && ms.holdRecords != nil {
+		env.Owned = ownedStore{env.Store, ms.pagedStore}
+		if o.ownPayloads {
+			env.Store = env.Owned
 		}
 	}
 	return env, ts

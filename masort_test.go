@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"weak"
 )
 
 func randomRecords(n int, seed uint64, payload int) []Record {
@@ -580,6 +582,164 @@ func (s *formCounter) ReadAsync(id RunID, page int) PageToken {
 		s.mixed++
 	}
 	return tok
+}
+
+// TestMemStoreCopiesViewsOfItsChunks appends a merge step's output over
+// an encoded input run (4-byte payloads, views of the run's chunk) and a
+// held one (the caller's 64-byte payloads, held although the store has a
+// chunk by then): at 34 bytes on average the batch is one a
+// MemStore holds by reference, but held, its short payloads would keep the
+// encoded run's whole chunk alive after that run is freed. The batch is
+// encoded instead: the chunk is collected once its run is freed, and the
+// output reads back as appended.
+func TestMemStoreCopiesViewsOfItsChunks(t *testing.T) {
+	s := NewMemStore()
+	defer s.Close()
+	appendRun := func(pg Page) RunID {
+		id, _ := s.Create()
+		if _, err := s.Append(id, []Page{pg}); err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	caller := randomRecords(256, 64, 64)
+	short, long := appendRun(randomRecords(256, 4, 4)), appendRun(caller)
+	r, _ := s.run(short)
+	chunk := weak.Make(&r.exts[0].dev.(*memDevice).chunks[0].b[0])
+	out, _ := s.Create()
+	var want Page
+	func() {
+		a, err := s.ReadAsync(short, 0).Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := s.ReadAsync(long, 0).Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &b[0].Payload[0] != &caller[0].Payload[0] {
+			t.Fatal("a batch of the caller's 64-byte payloads was not held")
+		}
+		var merged Page
+		for i := range a {
+			merged = append(merged, a[i], b[i])
+		}
+		if larger, _ := encodingLarger([]Page{merged}); !larger {
+			t.Fatal("the merged batch is not one the store would hold")
+		}
+		for _, rec := range merged {
+			want = append(want, Record{Key: rec.Key, Payload: slices.Clone(rec.Payload)})
+		}
+		if _, err := s.Append(out, []Page{merged[:256], merged[256:]}); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for _, id := range []RunID{short, long} {
+		if err := s.Free(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	if chunk.Value() != nil {
+		t.Fatal("the freed run's chunk is still alive: the output holds views of it")
+	}
+	var got Page
+	for i := range s.Pages(out) {
+		pg, err := s.ReadAsync(out, i).Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, pg...)
+	}
+	sameOutput(t, got, want)
+}
+
+// TestMemStoreCopiesOwnedPayloads runs, on a MemStore, the operators whose
+// output payloads are made for the output alone — a join's tuples,
+// GroupBy's folds, SortT's encodings — with 16-byte payloads, which a
+// MemStore holds by reference when they are its caller's: their runs hold
+// no page, since holding would keep one allocation a record alive. A Sort
+// of a slice of the same records, whose payloads are the caller's, holds
+// its runs' pages.
+func TestMemStoreCopiesOwnedPayloads(t *testing.T) {
+	ctx := context.Background()
+	in := randomRecords(3000, 9, 8)
+	for i := range in {
+		in[i].Key %= 500
+	}
+	opts := func(s *MemStore) []Option {
+		return []Option{WithStore(s), WithPageRecords(16), WithBudget(NewBudget(8))}
+	}
+	pair := &FuncAggregator{
+		OnStart:  func(Record) {},
+		OnAdd:    func(Record) {},
+		OnFinish: func(k Key) []byte { return binary.LittleEndian.AppendUint64(make([]byte, 8, 16), uint64(k)) },
+	}
+	codec := FuncCodec[Record]{
+		KeyFunc:    func(r Record) Key { return r.Key },
+		EncodeFunc: func(dst []byte, r Record) []byte { return append(append(dst, r.Payload...), r.Payload...) },
+		DecodeFunc: func(k Key, p []byte) (Record, error) { return Record{Key: k, Payload: p}, nil },
+	}
+	long := slices.Clone(in)
+	for i := range long {
+		long[i].Payload = append(slices.Clone(in[i].Payload), in[i].Payload...)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(s *MemStore) (*Result, error)
+		held bool
+	}{
+		{"join", func(s *MemStore) (*Result, error) {
+			return Join(ctx, NewSliceIterator(in), NewSliceIterator(in[:500]), opts(s)...)
+		}, false},
+		{"groupby", func(s *MemStore) (*Result, error) {
+			return GroupBy(ctx, NewSliceIterator(in), pair, opts(s)...)
+		}, false},
+		{"sortt", func(s *MemStore) (*Result, error) {
+			seq := func(yield func(Record, error) bool) {
+				for _, r := range in {
+					if !yield(r, nil) {
+						return
+					}
+				}
+			}
+			res, err := SortT(ctx, seq, Codec[Record](codec), opts(s)...)
+			if err != nil {
+				return nil, err
+			}
+			return res.Result, nil
+		}, false},
+		{"sort", func(s *MemStore) (*Result, error) {
+			return Sort(ctx, NewSliceIterator(long), opts(s)...)
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewMemStore()
+			defer s.Close()
+			res, err := tc.run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer res.Close()
+			pages, held := 0, 0
+			s.mu.Lock()
+			for _, r := range s.runs {
+				r.mu.Lock()
+				pages += len(r.offsets)
+				for _, h := range r.held {
+					if h.b != nil {
+						held++
+					}
+				}
+				r.mu.Unlock()
+			}
+			s.mu.Unlock()
+			if pages == 0 || (held > 0) != tc.held {
+				t.Fatalf("%d of %d stored pages held, want held = %v", held, pages, tc.held)
+			}
+		})
+	}
 }
 
 // TestStoresTellFreedRunsApart puts TestMemStoreErrors' table to the

@@ -2,9 +2,12 @@ package masort
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // MemStore is an in-memory RunStore. It is the default store and is also
@@ -35,17 +38,27 @@ import (
 //     batch's encoded pages, alive: copy the payloads you keep (see the
 //     package's buffer-ownership notes).
 //
-// A store built with fault hooks encodes every batch, since the hooks act
-// on bytes.
+// Three kinds of batch are encoded whatever their payloads' length: every
+// batch of a store built with fault hooks, since the hooks act on bytes; a
+// batch with a payload that lies in one of the store's own chunks — a merge
+// step's output over an encoded run — since holding it would keep that
+// chunk alive after its run is freed; and a batch an operator writes of
+// payloads it made itself, one allocation a record that nothing else refers
+// to — a Join's output tuples, GroupBy's folds, SortT's encodings, on a
+// MemStore the operator is given itself rather than wrapped — since
+// holding those would keep every allocation alive where the encoded form
+// keeps the bytes alone (a Join's result, 16–24-byte tuples: 35 bytes a
+// tuple, 46 if they were held).
 //
 // A shared payload lives as long as the run that refers to it, and so do
 // the buffers it sits in. When the caller's payloads stay resident anyway —
 // a slice of records it sorts, lines it read into memory — the store adds
 // 16 bytes a record to them; when its input iterator makes a fresh payload
 // for each record and drops it, the runs keep those payloads alive, where
-// an encoded run would have copied them and let them go. Live heap a record
-// at the start of the merge (a million records, 100 000 at 1 KiB; after a
-// collection; resident payloads not counted):
+// an encoded run would have copied them and let them go: such a caller
+// spends less by appending its payloads to buffers it keeps. Live heap a
+// record at the start of the merge (a million records, 100 000 at 1 KiB;
+// after a collection; resident payloads not counted):
 //
 //	payload   resident payloads       streamed payloads
 //	          encoded  by reference   encoded  by reference
@@ -68,8 +81,12 @@ func NewMemStore() *MemStore { return newMemStore(NewStoreConfig()) }
 // before it is copied and each page before it is decoded; without, it keeps
 // the smaller form.
 func newMemStore(c *StoreConfig) *MemStore {
-	s := newStore(c, 1, openMemDevice)
-	s.holdRecords = s.disks[0].faults == nil
+	var chunks *chunkIndex
+	if c.faultsAt(0) == nil {
+		chunks = new(chunkIndex)
+	}
+	s := newStore(c, 1, func(string) (device, error) { return &memDevice{index: chunks}, nil })
+	s.holdRecords = chunks
 	return &MemStore{s}
 }
 
@@ -82,6 +99,17 @@ func (s *MemStore) ReadAsync(id RunID, page int) PageToken {
 	}
 	return tok
 }
+
+// ownedStore is the MemStore as seen by an operator writing payloads it
+// made itself — a join's output tuples, GroupBy's folds, SortT's encodings
+// (core.Env.Owned): the runs it creates copy their payloads rather than
+// share them.
+type ownedStore struct {
+	RunStore // the operator's view of the store: the MemStore, maybe traced
+	s        *pagedStore
+}
+
+func (o ownedStore) Create() (RunID, error) { return o.s.createOwned() }
 
 // recordsToken is the read of a MemStore page: a pageToken without
 // Release.
@@ -101,15 +129,14 @@ func (t recordsToken) Retries() int { return t.t.Retries() }
 // it — the collector, not Free or Close, takes a chunk back.
 type memDevice struct {
 	mu     sync.Mutex
-	chunks []memChunk // back to back: chunk i+1 begins where chunk i ends
+	chunks []memChunk  // back to back: chunk i+1 begins where chunk i ends
+	index  *chunkIndex // the store's, which lists the chunks while they are the run's; or nil
 }
 
 type memChunk struct {
 	off int64
 	b   []byte
 }
-
-func openMemDevice(string) (device, error) { return new(memDevice), nil }
 
 // WriteAt replaces everything from off on with a copy of b. The store writes
 // a batch at the run's end and retries it at the same offset, over whatever
@@ -122,7 +149,9 @@ func (d *memDevice) WriteAt(b []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("write at %d past the end of a %d-byte run", off, size)
 	}
 	d.truncate(off)
-	d.chunks = append(d.chunks, memChunk{off: off, b: bytes.Clone(b)})
+	c := bytes.Clone(b)
+	d.chunks = append(d.chunks, memChunk{off: off, b: c})
+	d.index.add(c)
 	return len(b), nil
 }
 
@@ -157,6 +186,9 @@ func (d *memDevice) truncate(size int64) {
 	for k > 0 && d.chunks[k-1].off >= size {
 		k--
 	}
+	for _, c := range d.chunks[k:] {
+		d.index.remove(c.b)
+	}
 	clear(d.chunks[k:])
 	d.chunks = d.chunks[:k]
 	if k > 0 {
@@ -178,6 +210,78 @@ func (d *memDevice) size() int64 {
 func (d *memDevice) remove() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.chunks = nil
+	d.truncate(0)
 	return nil
+}
+
+// chunkIndex lists where the chunks of a MemStore's runs lie in memory. A
+// merge step's output records share their payloads with its input pages,
+// and the payloads of a page read from an encoded batch lie in that batch's
+// chunk: held by reference, one such payload would keep its whole chunk
+// alive after the input run is freed, so Append encodes a batch that has
+// one (views).
+type chunkIndex struct {
+	mu    sync.Mutex
+	spans []span // disjoint, by address
+}
+
+// span is the address range [lo, hi) of one chunk's bytes.
+type span struct{ lo, hi uintptr }
+
+func spanOf(b []byte) span {
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return span{lo, lo + uintptr(cap(b))}
+}
+
+// find returns the index of the span at or after lo. Callers hold x.mu.
+func (x *chunkIndex) find(lo uintptr) (int, bool) {
+	return slices.BinarySearchFunc(x.spans, lo, func(s span, lo uintptr) int { return cmp.Compare(s.lo, lo) })
+}
+
+func (x *chunkIndex) add(b []byte) {
+	if x == nil || cap(b) == 0 {
+		return
+	}
+	s := spanOf(b)
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	i, _ := x.find(s.lo)
+	x.spans = slices.Insert(x.spans, i, s)
+}
+
+func (x *chunkIndex) remove(b []byte) {
+	if x == nil || cap(b) == 0 {
+		return
+	}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if i, ok := x.find(spanOf(b).lo); ok {
+		x.spans = slices.Delete(x.spans, i, i+1)
+	}
+}
+
+// views reports whether a payload of pages lies in a chunk of the index.
+func (x *chunkIndex) views(pages []Page) bool {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if len(x.spans) == 0 {
+		return false
+	}
+	for _, pg := range pages {
+		for _, rec := range pg {
+			if len(rec.Payload) == 0 {
+				continue
+			}
+			p := uintptr(unsafe.Pointer(unsafe.SliceData(rec.Payload)))
+			// The span that begins at p, or else the last before it.
+			i, ok := x.find(p)
+			if !ok {
+				i--
+			}
+			if i >= 0 && p < x.spans[i].hi {
+				return true
+			}
+		}
+	}
+	return false
 }

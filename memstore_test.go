@@ -2,17 +2,16 @@ package masort
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 )
 
 // BenchmarkMemStoreForms times a MemStore's path for one 256-record page —
 // Append, ReadAsync, Wait and ReleaseRecords — at payloads of 0, 8, 16, 64
 // and 1 024 bytes: the first two are encoded, the others held by reference.
-// It reports the bytes the store allocates a record (the run's index and
-// its occasional re-creation included: a run is freed every 64 pages, which
-// keeps the store's memory bounded however long the benchmark runs) and the
-// time a page.
+// An op is a page, so ns/op is the time a page and B/op ÷ 256 the bytes
+// the store allocates a record (the run's index and its occasional
+// re-creation included: a run is freed every 64 pages, which keeps the
+// store's memory bounded however long the benchmark runs).
 func BenchmarkMemStoreForms(b *testing.B) {
 	const perPage, runPages = 256, 64
 	for _, size := range []int{0, 8, 16, 64, 1024} {
@@ -24,12 +23,8 @@ func BenchmarkMemStoreForms(b *testing.B) {
 			}
 			s := NewMemStore()
 			defer s.Close()
-			var (
-				id     RunID
-				before runtime.MemStats
-				after  runtime.MemStats
-			)
-			runtime.ReadMemStats(&before)
+			var id RunID
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := range b.N {
 				if i%runPages == 0 {
@@ -52,10 +47,6 @@ func BenchmarkMemStoreForms(b *testing.B) {
 				}
 				tok.(interface{ ReleaseRecords() }).ReleaseRecords()
 			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*perPage), "B/record")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/page")
 		})
 	}
 }

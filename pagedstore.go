@@ -217,6 +217,8 @@ func (d *disk) noteFetch(took time.Duration) {
 //     columns in the run's index) writes nothing and reads nothing: Append
 //     enters it in the index, and ReadAsync rebuilds a page's records into
 //     a record array from the free list and returns the token complete.
+//     A run created by createOwned, and a batch with a payload in one of
+//     the store's chunks (a view a read decoded in place), are encoded.
 //
 // The store does not assume a perfect disk. A page that fails its checksum
 // is re-read once before the read fails with ErrCorruptPage in the chain;
@@ -237,10 +239,12 @@ type pagedStore struct {
 	// retry loops.
 	tr trace.Tracer
 
-	// holdRecords keeps a batch whose encoding would be larger than its
-	// reference form — a key and a pointer to the caller's payload a record
-	// — in that form instead (MemStore without fault hooks).
-	holdRecords bool
+	// holdRecords, when set, keeps a batch whose encoding would be larger
+	// than its reference form — a key and a pointer to the caller's payload
+	// a record — in that form instead (MemStore without fault hooks), unless
+	// its run copies its payloads (createOwned) or a payload lies in one of
+	// the store's own chunks, which it lists.
+	holdRecords *chunkIndex
 
 	// Reads by who ran them: a waiter, or a goroutine started at issue.
 	inlineReads, dispatchedReads atomic.Int64
@@ -318,6 +322,7 @@ type pagedRun struct {
 	exts    []runExtent
 	werr    error // sticky write error (run is broken)
 	closing bool  // Free/Close in progress: reject new work
+	owned   bool  // its payloads are its writer's own: never held (createOwned)
 
 	readers sync.WaitGroup // page reads that are running (counted under mu while !closing)
 }
@@ -482,12 +487,20 @@ func (s *pagedStore) noteFault(kind trace.Kind, name string, attempt int, bytes 
 }
 
 // Create opens a new empty run: one extent per disk.
-func (s *pagedStore) Create() (RunID, error) {
+func (s *pagedStore) Create() (RunID, error) { return s.create(false) }
+
+// createOwned creates a run for records whose payloads its writer made for
+// it and keeps no other reference to — a join's output tuples: a store that
+// holds records copies these, since sharing them would keep one allocation
+// a record alive where the encoded form keeps the bytes alone.
+func (s *pagedStore) createOwned() (RunID, error) { return s.create(true) }
+
+func (s *pagedStore) create(owned bool) (RunID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	id := s.next
 	s.next++
-	r := &pagedRun{exts: make([]runExtent, len(s.disks))}
+	r := &pagedRun{exts: make([]runExtent, len(s.disks)), owned: owned}
 	name := fmt.Sprintf("run-%06d.bin", id)
 	for i := range s.disks {
 		dev, err := s.open(filepath.Join(s.disks[i].dir, name))
@@ -553,8 +566,8 @@ func (s *pagedStore) Append(id RunID, pages []Page) (Token, error) {
 	if closing {
 		return nil, fmt.Errorf("masort: append to freed run %d", id)
 	}
-	if s.holdRecords {
-		if larger, size := encodingLarger(pages); larger {
+	if s.holdRecords != nil && !r.owned {
+		if larger, size := encodingLarger(pages); larger && !s.holdRecords.views(pages) {
 			r.hold(first, offsets, pages, size)
 			return readyToken{}, nil
 		}

@@ -96,7 +96,9 @@ func SortT[T any](ctx context.Context, input iter.Seq2[T, error], c Codec[T], op
 			}
 		}
 	})
-	res, err := Sort(ctx, encoded, opts...)
+	o := applyOptions(opts)
+	o.ownPayloads = true
+	res, err := sortNamed(ctx, encoded, o, "sort")
 	if err != nil {
 		// An aborted sort (cancellation, bad option, store failure) leaves
 		// the input mid-stream; release the pull coroutine holding it.
