@@ -137,7 +137,8 @@
 //     to the caller's payload a record, sharing the payload bytes for as
 //     long as the run lives (payloads longer than 8 bytes), or the
 //     checksummed frames a file holds, one chunk a batch, decoded in place
-//     on read (8 bytes or less). Fastest; run data is bounded by RAM. Tests
+//     on read (8 bytes or less; also payloads an operator made itself, and
+//     views of the store's own chunks). Fastest; run data is bounded by RAM. Tests
 //     and small sorts.
 //   - FileStore (StoreConfig.File): one directory, checksummed frames,
 //     buffered writes where Append is called, bounded read concurrency,

@@ -101,8 +101,9 @@ type Result struct {
 // of them (the page's payload arena on FileStore and StripedStore, nothing
 // but the payload bytes; the run's mapping on MmapStore, zero-copy; on the
 // default MemStore, the batch's encoded chunk for payloads of 8 bytes or
-// less, and otherwise the input's own payload, capped at its length; see
-// README.md, "Buffer ownership and zero-copy"). The iterator gives each
+// less and for payloads the operator made (a Join's tuples, GroupBy's
+// folds, SortT's encodings), and otherwise the input's own payload, capped
+// at its length; see README.md, "Buffer ownership and zero-copy"). The iterator gives each
 // page's record array — never the payloads — back to a store that takes it
 // (ReleaseRecords) as it moves on; a held step does so with its input pages.
 func (r *Result) Iterator() Iterator {
