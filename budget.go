@@ -1,17 +1,14 @@
 package masort
 
-import (
-	"context"
-
-	"github.com/memadapt/masort/internal/memarb"
-)
+import "github.com/memadapt/masort/internal/memarb"
 
 // Budget arbitrates memory between a running sort (or join) and the rest of
 // the application, in logical pages. It is the owner's handle on the paper's
 // buffer-manager reservation protocol: the owner sets the target and reads
-// what the operator holds against it. The operator's side — acquiring pages
-// up to the target, yielding them back when it shrinks, waiting for it to
-// return — is the engine's own, through the budget's memarb.Handle.
+// what the operators hold against it. The operators' side — acquiring pages
+// up to their shares, yielding them back when the target shrinks, waiting
+// for it to return — is the engine's own, each operator through a
+// memarb.Handle of its own.
 //
 // Grow, Shrink and Resize are safe to call from any goroutine while a sort
 // is running; changes take effect at the sort's next adaptation point
@@ -21,19 +18,19 @@ import (
 // minimum is higher (a wide Join's final step, a shared Pool's
 // per-operator floor).
 //
-// A Budget is a private arbiter of one: the same memarb.Arbiter a Pool
-// shares between many operators, holding a single permanently registered
-// operator whose handle every WithBudget user acquires through, as a party
-// of its own (memarb.Handle.Join): the operators and held last merge steps
-// running on one Budget at once divide its target among them and each
-// counts only its own pages, so together they never hold more than the
-// target. The one thing that differs from a Pool is who stands behind the
-// target: a Budget has an owner who will restore it, so a suspended
-// operator waits for its full need however long that takes, where a Pool
-// bounds the wait by its total.
+// A Budget is the same memarb.Arbiter a Pool is, and shares its target the
+// same way: every operator and held-step iterator running on it is an
+// operator of its arbiter, entitled to an equal share of at least the
+// floor, and counts only its own pages, so together they never hold more
+// than the target. What differs from a Pool is who stands behind the
+// target: a Budget has an owner. So it admits every operator at once,
+// raising the target to floor × operators when it must (as Resize never
+// sets it below that; it stays raised until the owner sets it again), and
+// a suspended operator waits for its full need
+// however long the owner takes to restore it, where a Pool queues or
+// refuses an operator that does not fit and bounds a wait by its total.
 type Budget struct {
 	arb *memarb.Arbiter
-	h   *memarb.Handle
 }
 
 // NewBudget creates a budget of the given number of pages with the default
@@ -49,17 +46,15 @@ func NewBudget(pages int) *Budget {
 // of a Pool the budget must coexist with, or a Join's final-step fan-in —
 // so that Shrink and Resize cannot strand the operator below it.
 func NewBudgetWithFloor(pages, floor int) *Budget {
-	arb := memarb.New(memarb.Config{Total: pages, Floor: max(floor, minFloor)})
-	// The first operator of a fresh arbiter always fits: total ≥ floor.
-	h, _ := arb.Register(context.Background(), 0, false)
-	return &Budget{arb: arb, h: h}
+	return &Budget{arb: memarb.New(memarb.Config{Total: pages, Floor: max(floor, minFloor)})}
 }
 
 // Floor returns the guaranteed minimum below which the target never drops.
 func (b *Budget) Floor() int { return b.arb.Floor() }
 
-// Resize sets the target to pages (raised to the floor if below it — so
-// negative or zero values mean "shrink to minimum") and wakes the operator.
+// Resize sets the target to pages (raised to a floor for each operator
+// running on it, and to one floor at least — so negative or zero values
+// mean "shrink to minimum") and wakes the operators.
 func (b *Budget) Resize(pages int) { b.arb.Resize(pages) }
 
 // Grow adds n pages to the target. Non-positive n is ignored — use Shrink
@@ -79,12 +74,15 @@ func (b *Budget) Shrink(n int) {
 }
 
 // Target returns the pages the operators running on the budget are
-// currently entitled to, together.
-func (b *Budget) Target() int { return b.h.Target() }
+// currently entitled to, together: its total.
+func (b *Budget) Target() int { return b.arb.Snapshot().Total }
 
 // Granted returns the pages the operators running on the budget currently
-// hold, together.
-func (b *Budget) Granted() int { return b.h.Granted() }
+// hold, together: what is not free (a Budget takes no reservations).
+func (b *Budget) Granted() int {
+	s := b.arb.Snapshot()
+	return s.Total - s.Free
+}
 
 // Pressure returns how many pages the operators hold above the target.
-func (b *Budget) Pressure() int { return b.h.Pressure() }
+func (b *Budget) Pressure() int { return max(0, -b.arb.Snapshot().Free) }

@@ -1,6 +1,11 @@
 package masort
 
-import "testing"
+import (
+	"context"
+	"testing"
+
+	"github.com/memadapt/masort/internal/memarb"
+)
 
 func TestBudgetDefaultFloor(t *testing.T) {
 	b := NewBudget(10)
@@ -57,18 +62,30 @@ func TestBudgetInputValidation(t *testing.T) {
 	}
 }
 
+// register registers an operator on the budget, as every operator that
+// runs on it does.
+func register(t testing.TB, b *Budget) *memarb.Handle {
+	t.Helper()
+	h, err := b.arb.Register(context.Background(), 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 // TestBudgetHotPathAllocFree: Target, Acquire, Pressure and Yield run once
-// per page of every sort, through the budget's one handle. On an arbiter of
+// per page of every sort, through the operator's handle. On an arbiter of
 // one operator with no reservations they must not allocate (and, a share of
 // one being the whole, the handle does not search for its rank either: see
 // memarb.Handle's entitled).
 func TestBudgetHotPathAllocFree(t *testing.T) {
 	b := NewBudget(64)
+	h := register(t, b)
 	allocs := testing.AllocsPerRun(1000, func() {
-		if b.h.Target() != 64 || b.h.Acquire(8) != 8 || b.h.Pressure() != 0 {
+		if h.Target() != 64 || h.Acquire(8) != 8 || h.Pressure() != 0 {
 			t.Fatal("a budget's operator is not entitled to all of it")
 		}
-		b.h.Yield(8)
+		h.Yield(8)
 	})
 	if allocs != 0 {
 		t.Fatalf("Target/Acquire/Pressure/Yield allocate %.1f times per page", allocs)

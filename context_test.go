@@ -313,23 +313,23 @@ func TestBudgetConcurrentMutation(t *testing.T) {
 	assertPermutation(t, in, out)
 }
 
-// TestWaitCtxWakesBlockedWaiter pins the waits on a budget's handle
+// TestWaitCtxWakesBlockedWaiter pins the waits of a budget's operator
 // directly: a goroutine parked in WaitTarget or WaitChange must return the
 // context error when canceled, with no budget change ever arriving.
 func TestWaitCtxWakesBlockedWaiter(t *testing.T) {
 	for _, mode := range []string{"target", "change"} {
 		t.Run(mode, func(t *testing.T) {
-			b := NewBudget(5)
+			h := register(t, NewBudget(5))
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)
 			go func() {
 				if mode == "target" {
-					done <- b.h.WaitTarget(ctx, 100)
+					done <- h.WaitTarget(ctx, 100)
 				} else {
-					done <- b.h.WaitChange(ctx)
+					done <- h.WaitChange(ctx)
 				}
 			}()
-			for b.h.Stats().Waits == 0 { // counted as the waiter goes to sleep
+			for h.Stats().Waits == 0 { // counted as the waiter goes to sleep
 				time.Sleep(time.Millisecond)
 			}
 			cancel()

@@ -75,7 +75,7 @@ func (f *FuncAggregator) Finish(k Key) []byte { return f.OnFinish(k) }
 // once the result run is durable. Cancellation is observed both by the
 // underlying sort and between aggregation pages.
 func GroupBy(ctx context.Context, input Iterator, agg Aggregator, opts ...Option) (*Result, error) {
-	return runOp(ctx, applyOptions(opts), "groupby", func(env *core.Env, cfg core.SortConfig, o config) (*Result, error) {
+	return runOp(ctx, applyOptions(opts), "groupby", []Iterator{input}, func(env *core.Env, cfg core.SortConfig, o config) (*Result, error) {
 		env.In = &pageInput{it: input, size: o.pageRecords}
 		res, err := core.ExternalSort(env, cfg)
 		sorted, err := sortResult(env, res, err)

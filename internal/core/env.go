@@ -96,9 +96,11 @@ type Input interface {
 
 // Broker arbitrates buffer pages between the sort and the rest of the
 // system. Pages are logical 8 KB units; Granted tracks what the sort holds,
-// Target what it is currently entitled to. When Target drops below Granted
-// the sort is under pressure and must Yield pages as fast as its current
-// phase permits — the paper's central adaptation problem. Broker is the
+// Target what it is currently entitled to — never below the floor, never 0.
+// When Target drops below Granted the sort is under pressure and must Yield
+// pages as fast as its current phase permits — the paper's central
+// adaptation problem. Granted may be 0 with Target above it, while siblings
+// on a shared pool have not yet yielded their surplus. Broker is the
 // operator's side of the reservation protocol; whoever moves the target
 // (masort.Budget's owner, a Pool's reservations, the simulated buffer
 // manager) holds the other side.

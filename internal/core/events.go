@@ -18,9 +18,8 @@ const (
 	// EvCombineAbort: memory shrank mid-drain; fell back to the preliminary
 	// step.
 	EvCombineAbort
-	// EvSuspend: the merge released everything and is waiting for memory —
-	// the suspension strategy, or any strategy on a zero share (a party of
-	// a Budget that the target cannot sustain beside the older ones).
+	// EvSuspend: the merge released everything and is waiting for memory
+	// (the suspension strategy).
 	EvSuspend
 	// EvResume: memory returned; input buffers refetched in one batch.
 	EvResume
@@ -72,8 +71,7 @@ type Event struct {
 	// Detail depends on the kind: fan-in of the new step for EvSplitStep,
 	// combined fan-in for EvCombineDone, the step's fan-in for
 	// EvStepStart/EvStepDone, the target in pages the operator waits for
-	// for EvSuspend/EvResume (the step's whole requirement under the
-	// suspension strategy, 1 on a zero share), the run's
+	// for EvSuspend/EvResume (the step's whole requirement), the run's
 	// length in pages for EvRunDone, and 0 otherwise.
 	Detail int
 	// Step numbers the merge step the event belongs to, 1-based within the

@@ -220,16 +220,7 @@ func (m *mergeEngine) runStatic(runs []*runInfo) (*runInfo, []*runInfo, error) {
 		if p := m.e.Mem.Pressure(); p > 0 {
 			m.e.Mem.Yield(min(p, m.e.Mem.Granted()))
 		}
-		t := m.e.Mem.Target()
-		if t == 0 {
-			// A parked party between steps: plan the next step from the
-			// share that comes back, not from nothing.
-			if err := m.suspend(nil, 1); err != nil {
-				return fail(err)
-			}
-			continue
-		}
-		k := firstStepFanIn(len(pool), max(t, m.cfg.MinPages), m.cfg.Merge, m.hold)
+		k := firstStepFanIn(len(pool), max(m.e.Mem.Target(), m.cfg.MinPages), m.cfg.Merge, m.hold)
 		if m.hold && k == len(pool) {
 			return nil, pool, nil
 		}
@@ -340,9 +331,6 @@ func (m *mergeEngine) adaptStatic(st *mergeStep) error {
 		// Resume: refetch all input buffers together (one elevator sweep).
 		return m.batchLoad(st)
 	}
-	if t == 0 {
-		return m.suspend(st, 1) // a parked party
-	}
 	// Paging: shrink residency to the budget; page faults handle the rest.
 	budget := m.pagingBudget(st, t)
 	for m.heldPages(st) > budget {
@@ -354,24 +342,17 @@ func (m *mergeEngine) adaptStatic(st *mergeStep) error {
 	return nil
 }
 
-// suspend is the one suspension sequence: flush the partial output page,
-// drop every input buffer of st, hand all pages back, and wait — interrupted
-// only by cancellation — until the target reaches `until` pages. The
-// suspension strategy waits for the step's whole requirement; a parked
-// party — one of the operators and held steps dividing one Budget, whose
-// share is 0 when the target cannot sustain it beside the older ones (an
-// operator's own target never falls below its floor) — waits for any share
-// at all, under every strategy.
-// st is nil between steps, when there is nothing to flush or drop. The run
-// cursors live in workspace records, so merging resumes where it stopped.
+// suspend is the suspension strategy's sequence: flush the partial output
+// page, drop every input buffer of st, hand all pages back, and wait —
+// interrupted only by cancellation — until the target reaches `until`
+// pages, the step's whole requirement. The run cursors live in workspace
+// records, so merging resumes where it stopped.
 func (m *mergeEngine) suspend(st *mergeStep, until int) error {
-	if st != nil {
-		if err := m.drainOut(st); err != nil {
-			return err
-		}
-		for _, r := range st.inputs {
-			r.drop()
-		}
+	if err := m.drainOut(st); err != nil {
+		return err
+	}
+	for _, r := range st.inputs {
+		r.drop()
 	}
 	m.e.Mem.Yield(m.e.Mem.Granted())
 	m.st.Suspensions++
@@ -483,14 +464,7 @@ func (m *mergeEngine) runDynamic(runs []*runInfo) (*runInfo, []*runInfo, error) 
 func (m *mergeEngine) adaptDynamic() error {
 	st := m.active
 	m.rebalance(st)
-	t := m.e.Mem.Target()
-	if t == 0 { // a parked party
-		if err := m.suspend(st, 1); err != nil {
-			return err
-		}
-		t = m.e.Mem.Target()
-	}
-	target := max(t, m.cfg.MinPages)
+	target := max(m.e.Mem.Target(), m.cfg.MinPages)
 	if m.hold && st.out == nil && st.need() <= target {
 		// The held root fits the very target the step would run under: it
 		// is the consumer's (holdLast). Only the root lacks an output run.

@@ -19,8 +19,8 @@ import (
 // deliberately unsynchronized; parallel tests need their own) ----
 
 // testBudget is the real arbiter set up the way masort.NewBudget sets it up
-// — one permanently registered operator, 3-page floor, unclamped waits — so
-// the crew tests exercise the broker that ships.
+// — 3-page floor, unclamped waits — with one operator registered on it, so
+// the tests exercise the broker that ships.
 type testBudget struct {
 	*memarb.Handle
 	arb *memarb.Arbiter
@@ -368,19 +368,17 @@ func TestSplitFollowsGrowAndShrink(t *testing.T) {
 
 // TestParallelSuspendResumeMidMerge: a four-worker sort's merge runs on the
 // operator's goroutine under its whole share, and adapts as any merge does.
-// The sort is a party of a handle beside an older one that holds nothing;
-// mid-merge the handle shrinks to 5 pages, which sustain one 3-page party
-// only, so the sort's share drops to zero. Its merge must suspend at its
-// next page boundary — once — resume when the total is restored and
-// complete exactly.
+// Mid-merge the budget shrinks to 5 pages, below the running step's need.
+// Under the suspension strategy the merge must suspend at its next page
+// boundary — once — resume when the total is restored and complete
+// exactly; dynamic splitting splits the step instead and never suspends.
 func TestParallelSuspendResumeMidMerge(t *testing.T) {
 	const total = 48
 	recs := makeRecords(30000, 3)
 	for _, adapt := range []Adapt{Suspend, DynSplit} {
 		t.Run(fmt.Sprintf("adapt%d", adapt), func(t *testing.T) {
 			budget := newTestBudget(total)
-			older, party := budget.Join(), budget.Join()
-			defer older.Leave()
+			party := budget.Handle
 			store := newSafeStore()
 			var (
 				mu      sync.Mutex
@@ -423,10 +421,15 @@ func TestParallelSuspendResumeMidMerge(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sort: %v", err)
 			}
-			party.Leave()
 			got := sortOutput(t, store, res, budget)
 			checkSorted(t, got)
 			checkPermutation(t, recs, got)
+			if adapt == DynSplit {
+				if !shrunk || len(events) != 0 || res.Stats.Splits == 0 {
+					t.Fatalf("shrunk %v, suspension events %+v, %d splits: want splits and no suspension", shrunk, events, res.Stats.Splits)
+				}
+				return
+			}
 			if !shrunk || len(events) != 2 || events[0].Kind != EvSuspend || events[1].Kind != EvResume {
 				t.Fatalf("shrunk %v, suspension events %+v: want one suspend/resume pair", shrunk, events)
 			}
@@ -590,15 +593,15 @@ func TestParallelMergeCancelWhileParkedFreesInputs(t *testing.T) {
 	}
 }
 
-// TestParkedWorkerSuspendsOnce: a merge whose share drops to zero — a party
-// of a handle that the total no longer sustains beside an older one —
-// before its first step or in the middle of one, under every adaptation
-// strategy, goes through the one suspension sequence: exactly one
-// suspension on record and one EvSuspend/EvResume pair. The total is cut
-// from 48 pages to 5 (one 3-page party) and restored when the merge
-// reports the suspension. "start" cuts it as the merge phase begins, "mid"
-// from the merge's first append, so its very next page boundary finds it
-// parked.
+// TestParkedWorkerSuspendsOnce: a merge suspends once per shrink below the
+// running step's need, and for nothing else. The total is cut from 48 pages
+// to the 3-page floor and restored when the merge reports a suspension. "mid" cuts it at
+// the merge's first append, so the running step's very next page boundary
+// finds it short: the suspension strategy goes through the one suspension
+// sequence — exactly one suspension on record and one EvSuspend/EvResume
+// pair. "start" cuts it as the merge phase begins, before any step runs:
+// the first step is planned to fit the 3 pages, and nothing suspends. Paging
+// and dynamic splitting adapt in place and never suspend.
 func TestParkedWorkerSuspendsOnce(t *testing.T) {
 	const total = 48
 	recs := makeRecords(8000, 17)
@@ -606,8 +609,7 @@ func TestParkedWorkerSuspendsOnce(t *testing.T) {
 		for _, when := range []string{"start", "mid"} {
 			t.Run(fmt.Sprintf("a%d_%s", adapt, when), func(t *testing.T) {
 				budget := newTestBudget(total)
-				older, party := budget.Join(), budget.Join()
-				defer older.Leave()
+				party := budget.Handle
 				store := newSafeStore()
 				var (
 					merging, shrunk bool
@@ -615,7 +617,7 @@ func TestParkedWorkerSuspendsOnce(t *testing.T) {
 				)
 				shrink := func() {
 					shrunk = true
-					budget.Resize(5)
+					budget.Resize(3)
 				}
 				env := &Env{
 					In: &sliceInput{pages: pagesOf(recs, 32)}, Store: store, Mem: party, Ctx: context.Background(),
@@ -646,15 +648,18 @@ func TestParkedWorkerSuspendsOnce(t *testing.T) {
 				if err != nil {
 					t.Fatalf("sort: %v", err)
 				}
-				party.Leave()
 				got := sortOutput(t, store, res, budget)
 				checkSorted(t, got)
 				checkPermutation(t, recs, got)
-				if len(events) != 2 || events[0].Kind != EvSuspend || events[1].Kind != EvResume {
-					t.Fatalf("suspension events %+v, want one suspend/resume pair", events)
+				want := 0
+				if adapt == Suspend && when == "mid" {
+					want = 1
 				}
-				if res.Stats.Suspensions != 1 {
-					t.Fatalf("Stats.Suspensions = %d, want exactly the parked merge's one", res.Stats.Suspensions)
+				if !shrunk || len(events) != 2*want || want == 1 && (events[0].Kind != EvSuspend || events[1].Kind != EvResume) {
+					t.Fatalf("shrunk %v, suspension events %+v, want %d suspend/resume pair", shrunk, events, want)
+				}
+				if res.Stats.Suspensions != want {
+					t.Fatalf("Stats.Suspensions = %d, want %d", res.Stats.Suspensions, want)
 				}
 				if g := budget.Granted(); g != 0 {
 					t.Fatalf("broker still has %d pages granted", g)
@@ -664,9 +669,10 @@ func TestParkedWorkerSuspendsOnce(t *testing.T) {
 	}
 }
 
-// leaveInWindow is a parked party's broker on which the lower-ranked
-// sibling finishes and leaves exactly between the party's "no page" check
-// and its wait — the window a loaded box opens by descheduling it there.
+// leaveInWindow is the broker of an operator whose sibling holds the whole
+// pool, on which that sibling finishes and leaves exactly between the
+// operator's "no page" check and its wait — the window a loaded box opens
+// by descheduling it there.
 type leaveInWindow struct {
 	*memarb.Handle
 	sibling *memarb.Handle
@@ -678,12 +684,11 @@ func (b *leaveInWindow) WaitChange(ctx context.Context) error {
 	return b.Handle.WaitChange(ctx)
 }
 
-// TestParkedSplitWorkerSeesSiblingLeave: a split on a Budget's party that
-// the total parks must not lose the wakeup of its sibling's departure when
-// that lands between its check and its wait — under a budget nobody
-// resizes again there is no other. (At the parent of the change that added
-// it this test hangs: the wait was "until the next change", and the one
-// change had already happened.)
+// TestParkedSplitWorkerSeesSiblingLeave: a split on a Pool whose registered
+// sibling holds every free page must not lose the wakeup of that sibling's
+// departure when it lands between the split's check and its wait — under a
+// pool nobody resizes again there is no other. (With a wait "until the next
+// change" this test hangs: the one change had already happened.)
 func TestParkedSplitWorkerSeesSiblingLeave(t *testing.T) {
 	for _, method := range []Method{Quick, Repl} {
 		t.Run(fmt.Sprintf("m%d", method), func(t *testing.T) {
@@ -693,10 +698,12 @@ func TestParkedSplitWorkerSeesSiblingLeave(t *testing.T) {
 			if method == Quick {
 				split = quickSplit
 			}
-			budget := newTestBudget(5) // sustains one 3-page party of the two: the younger is parked
-			older, party := budget.Join(), budget.Join()
-			if got := party.Target(); got != 0 {
-				t.Fatalf("younger party has target %d, want 0 (parked)", got)
+			pool := memarb.New(memarb.Config{Total: 6, Floor: 3, Shared: true})
+			older, _ := pool.Register(context.Background(), 0, false)
+			older.Acquire(6) // all of it: the pool was its alone
+			party, _ := pool.Register(context.Background(), 1, false)
+			if got := party.Target(); got != 3 || party.Acquire(3) != 0 {
+				t.Fatalf("the younger operator has target %d and pages to take, want 3 and none", got)
 			}
 			recs := makeRecords(1000, 23)
 			store := newSafeStore()
@@ -714,7 +721,7 @@ func TestParkedSplitWorkerSeesSiblingLeave(t *testing.T) {
 			select {
 			case <-done:
 			case <-time.After(30 * time.Second):
-				t.Fatal("parked split slept through its sibling's departure")
+				t.Fatal("the split slept through its sibling's departure")
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -728,95 +735,6 @@ func TestParkedSplitWorkerSeesSiblingLeave(t *testing.T) {
 			}
 			checkPermutation(t, recs, got)
 		})
-	}
-}
-
-// TestCrewShares pins the deterministic share arithmetic of the parties
-// sharing a Budget's handle: the target divides among the oldest parties
-// that can each hold the floor, remainder to the oldest, recomputed from the
-// live target on every call.
-func TestCrewShares(t *testing.T) {
-	budget := newTestBudget(32)
-	shares := []*memarb.Handle{budget.Join(), budget.Join(), budget.Join(), budget.Join()}
-	check := func(when string, want ...int) {
-		t.Helper()
-		for id, w := range want {
-			if got := shares[id].Target(); got != w {
-				t.Fatalf("share(%d) = %d, want %d %s", id, got, w, when)
-			}
-		}
-	}
-	check("at target 32", 8, 8, 8, 8)
-	budget.Resize(34) // remainder 2 goes to the two oldest
-	check("at target 34", 9, 9, 8, 8)
-	budget.Resize(7) // only two parties can hold the 3-page floor: the others pause
-	check("at target 7", 4, 3, 0, 0)
-	shares[0].Leave() // ranks improve: party 1 becomes rank 0, party 2 resumes
-	check("after party 0 left", 0, 4, 3, 0)
-}
-
-// TestCrewSharePartitionGrid pins the partition of a handle among its
-// parties over a (target, live set, floor) grid against the rule written
-// out longhand: the oldest live parties that can each hold the floor (at
-// least one of them) are active and split the handle's target exactly,
-// base share plus one remainder page to each of the oldest; everyone else
-// — parked or gone — gets 0.
-func TestCrewSharePartitionGrid(t *testing.T) {
-	const parties = 4
-	for _, floor := range []int{0, 1, 3, 5} {
-		for liveSet := 1; liveSet < 1<<parties; liveSet++ {
-			arb := memarb.New(memarb.Config{Total: 41, Floor: floor})
-			op, _ := arb.Register(context.Background(), 0, false)
-			shares := make([]*memarb.Handle, parties)
-			live := make([]bool, parties)
-			nlive := 0
-			for id := range shares {
-				shares[id] = op.Join()
-			}
-			for id := range live {
-				if live[id] = liveSet&(1<<id) != 0; live[id] {
-					nlive++
-				} else {
-					shares[id].Leave()
-				}
-			}
-			for total := 0; total <= 41; total++ {
-				arb.Resize(total)
-				target := op.Target()
-				active := nlive
-				if floor > 0 {
-					active = min(active, target/floor)
-				}
-				active = max(active, 1)
-				sum, rank := 0, 0
-				for id := range parties {
-					want := 0
-					if live[id] {
-						if rank < active {
-							want = target / active
-							if rank < target%active {
-								want++
-							}
-						}
-						rank++
-					}
-					got := shares[id].Target()
-					if got != want {
-						t.Fatalf("floor %d live %04b target %d: share(%d) = %d, want %d",
-							floor, liveSet, target, id, got, want)
-					}
-					if got > 0 && got < floor && target >= floor {
-						t.Fatalf("floor %d live %04b target %d: active party %d holds only %d",
-							floor, liveSet, target, id, got)
-					}
-					sum += got
-				}
-				if sum != target {
-					t.Fatalf("floor %d live %04b target %d: shares sum to %d",
-						floor, liveSet, target, sum)
-				}
-			}
-		}
 	}
 }
 

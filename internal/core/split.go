@@ -46,8 +46,8 @@ func quickSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 				e.Mem.Acquire(g)
 			}
 			if e.Mem.Granted() == 0 {
-				// A party parked on a zero share, or entitled while the
-				// (shared) pool is empty: wait rather than spin. The real
+				// Entitled while the pool is empty — a sibling has not yet
+				// yielded its surplus: wait rather than spin. The real
 				// broker's wait counts changes from its last return, so a
 				// sibling that yields or leaves between the check above and
 				// the wait is not slept through. A single-operator pool
@@ -232,8 +232,8 @@ func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 			e.Mem.Acquire(g)
 		}
 		if e.Mem.Granted() == 0 && !(inputDone && h.Len() == 0) {
-			// Entitled to nothing while the (shared) pool is empty: wait
-			// rather than spin (see quickSplit).
+			// Entitled while the pool is empty: wait rather than spin
+			// (see quickSplit).
 			if err := e.Mem.WaitChange(e.ctx()); err != nil {
 				return fail(err)
 			}

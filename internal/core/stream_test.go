@@ -397,20 +397,21 @@ func TestHeldRootDecidedOnOneTarget(t *testing.T) {
 	}
 }
 
-// partyBroker is one party to a shared handle that checks, at each grant,
-// that the parties together hold no more than the handle's target, and
-// counts the grants made while its rival held pages too.
+// partyBroker is one operator of a shared arbiter that checks, at each
+// grant, that the operators together hold no more than the arbiter's total,
+// and counts the grants made while its rival held pages too.
 type partyBroker struct {
 	*memarb.Handle
-	t            *testing.T
-	whole, rival *memarb.Handle
-	both         *int
+	t     *testing.T
+	arb   *memarb.Arbiter
+	rival *memarb.Handle
+	both  *int
 }
 
 func (b *partyBroker) Acquire(n int) int {
 	got := b.Handle.Acquire(n)
-	if g, tg := b.whole.Granted(), b.whole.Target(); g > tg {
-		b.t.Errorf("the parties hold %d pages on a %d-page handle", g, tg)
+	if s := b.arb.Snapshot(); s.Free < 0 {
+		b.t.Errorf("the operators hold %d pages on a %d-page arbiter", s.Total-s.Free, s.Total)
 	}
 	if b.Granted() > 0 && b.rival.Granted() > 0 {
 		*b.both++
@@ -441,49 +442,51 @@ func (in streamInput) NextPage() (Page, bool, error) {
 }
 
 // TestStreamFeedsASortThroughOneBroker: a two-worker sort's held last step
-// feeds a second sort, on one 8-page handle shared by parties — the first
-// sort, the Stream of its step, the second sort — each a Broker wrapper that
-// checks at every grant that the parties together stay within the handle.
-// Both hold pages at once, and the output is exact.
+// feeds a second sort on one 8-page budget, each sort an operator of its
+// arbiter — the first sort's Stream runs on the first sort's handle — and
+// each a Broker wrapper that checks at every grant that the operators
+// together stay within the total. Both hold pages at once, and the output
+// is exact.
 func TestStreamFeedsASortThroughOneBroker(t *testing.T) {
 	recs := makeRecords(6400, 67)
 	want := slices.Clone(recs)
 	slices.SortFunc(want, cmpRecords)
-	whole := newTestBudget(8).Handle
-	inner, stream, outer := whole.Join(), whole.Join(), whole.Join()
+	budget := newTestBudget(8)
+	inner := budget.Handle
 	both := 0
 	store := newSafeStore()
 	cfg := SortConfig{Method: Repl, BlockPages: 6, Merge: OptMerge, Adapt: DynSplit, PageRecords: 32, MinPages: 3, MergeBlockPages: 6, Workers: 2}
-	env := &Env{In: &sliceInput{pages: pagesOf(recs, 32)}, Store: store, Ctx: context.Background(), StreamLast: true,
-		Mem: &partyBroker{Handle: inner, t: t, whole: whole, rival: outer, both: &both}}
+	outer, _ := budget.arb.Register(context.Background(), 1, false)
+	mem := &partyBroker{Handle: inner, t: t, arb: budget.arb, rival: outer, both: &both}
+	env := &Env{In: &sliceInput{pages: pagesOf(recs, 32)}, Store: store, Ctx: context.Background(), StreamLast: true, Mem: mem}
 	res, err := ExternalSort(env, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner.Leave()
 	if res.Stats.Workers != 2 || res.Last == nil {
 		t.Fatalf("%d workers, held step %v: want 2 and a held step", res.Stats.Workers, res.Last != nil)
 	}
-	s := res.Last.Stream(&partyBroker{Handle: stream, t: t, whole: whole, rival: outer, both: &both})
+	s := res.Last.Stream(mem)
 	cfg.Method, cfg.Workers = Quick, 1 // the sorted stream cut into memory-sized runs: a merge
 	out, err := ExternalSort(&Env{In: streamInput{s, 32}, Store: store, Ctx: context.Background(), StreamLast: true,
-		Mem: &partyBroker{Handle: outer, t: t, whole: whole, rival: stream, both: &both}}, cfg)
+		Mem: &partyBroker{Handle: outer, t: t, arb: budget.arb, rival: inner, both: &both}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream.Leave()
+	inner.Leave()
 	if err := res.Last.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if out.Stats.Runs < 2 || both == 0 {
-		t.Fatalf("the second sort wrote %d runs, and %d grants found both parties holding pages: want a merge, and some", out.Stats.Runs, both)
+		t.Fatalf("the second sort wrote %d runs, and %d grants found both operators holding pages: want a merge, and some", out.Stats.Runs, both)
 	}
 	got := sortOutput(t, store, out, outer)
 	if !slices.EqualFunc(got, want, func(a, b Record) bool { return cmpRecords(a, b) == 0 }) {
 		t.Fatalf("%d records out, want the sorted %d", len(got), len(want))
 	}
-	if whole.Granted() != 0 {
-		t.Fatalf("%d pages granted at the end", whole.Granted())
+	outer.Leave()
+	if s := budget.arb.Snapshot(); s.Free != s.Total {
+		t.Fatalf("%d pages granted at the end", s.Total-s.Free)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// ErrSaturated is returned by Register when admission does not queue and one
-// more floor does not fit.
+// ErrSaturated is returned by a shared arbiter's Register when admission
+// does not queue and one more floor does not fit.
 var ErrSaturated = errors.New("memarb: arbiter saturated, operator not admitted")
 
 // Config fixes an Arbiter at construction.
@@ -17,12 +17,16 @@ type Config struct {
 	Total int // pages; raised to Floor if below it
 	Floor int // per-operator guaranteed minimum
 
-	// ClampWaits bounds every WaitTarget by what the current total could ever
-	// entitle the waiter to (see Handle.WaitTarget). A shared pool sets it: no
-	// owner stands behind an operator's entitlement, so waiting for more than
-	// the pool holds would never end. A private budget leaves it unset and
-	// sleeps until its owner restores the target.
-	ClampWaits bool
+	// Shared marks a pool that no owner stands behind. Its Register admits
+	// an operator only while one more floor fits (queueing or failing
+	// otherwise), and every WaitTarget is bounded by what the current total
+	// could ever entitle the waiter to (see Handle.WaitTarget): waiting for
+	// more than the pool holds would never end. A private budget leaves it
+	// unset: its owner stands behind the total, so Register never waits or
+	// fails — it raises the total to one more floor when it must, as Resize
+	// keeps the floors — and a wait holds out until the owner restores the
+	// target.
+	Shared bool
 
 	// OnGrant and OnWait, when set, observe every page grant and every
 	// completed blocking wait of an operator (op is the id it registered
@@ -33,11 +37,10 @@ type Config struct {
 
 // Arbiter divides Total pages among the operators registered with it and
 // the reservations made against it, by Policy. It is the real engine's only
-// arbiter: a masort.Budget is an Arbiter with one permanently registered
-// operator, a masort.Pool is one with many, and the operators sharing a
-// Budget hold parties of its Handle (Handle.Join) — all under this one
-// mutex, woken by this one condition variable. All methods
-// are safe for concurrent use.
+// arbiter: a masort.Budget and a masort.Pool are each one Arbiter, every
+// operator and held-step iterator running on it a registered operator with
+// a Handle of its own — all under this one mutex, woken by this one
+// condition variable. All methods are safe for concurrent use.
 type Arbiter struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -100,7 +103,7 @@ func (a *Arbiter) Snapshot() Snapshot {
 		Targets: make([]int, 0, len(a.ops)),
 	}
 	for _, h := range a.ops {
-		s.Targets = append(s.Targets, h.entitled(false))
+		s.Targets = append(s.Targets, h.entitled())
 	}
 	return s
 }
@@ -204,19 +207,20 @@ func (a *Arbiter) Release(n int) {
 	}
 }
 
-// Register admits a new operator, waiting (queue) or failing with
-// ErrSaturated (!queue) while one more floor does not fit in what
+// Register admits a new operator. A Shared arbiter waits (queue) or fails
+// with ErrSaturated (!queue) while one more floor does not fit in what
 // reservations have not taken — an admitted operator's floor must be
-// genuinely acquirable, not promised away. The wait is cancelable through
-// ctx. op is an id of the caller's choosing, handed back to the observer
-// hooks.
+// genuinely acquirable, not promised away; the wait is cancelable through
+// ctx. An owned one admits at once, raising the total to cover the new
+// floor if it must. op is an id of the caller's choosing, handed back to
+// the observer hooks.
 func (a *Arbiter) Register(ctx context.Context, op uint64, queue bool) (*Handle, error) {
 	start := time.Now()
 	stop := context.AfterFunc(ctx, a.wake)
 	defer stop()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for !a.pol.CanAdmitWith(len(a.ops), a.reserved, a.pending) {
+	for a.cfg.Shared && !a.pol.CanAdmitWith(len(a.ops), a.reserved, a.pending) {
 		if !queue {
 			a.rejectedOps++
 			return nil, ErrSaturated
@@ -229,7 +233,7 @@ func (a *Arbiter) Register(ctx context.Context, op uint64, queue bool) (*Handle,
 	h := &Handle{a: a, op: op}
 	h.stats.AdmissionWait = time.Since(start)
 	a.ops = append(a.ops, h)
-	a.changed() // every sibling's entitlement just shrank
+	a.resize(a.pol.Total) // keeps the floors; every sibling's entitlement just shrank
 	h.seen = a.gen
 	return h, nil
 }
@@ -252,93 +256,25 @@ type Stats struct {
 	WaitTime time.Duration
 }
 
-// Handle is one party's view of an Arbiter, and the real engine's only
+// Handle is one operator's view of an Arbiter, and the real engine's only
 // implementation of core.Broker — the operator's side of the reservation
-// protocol, where masort.Budget is the owner's: an operator (Register) or
-// one party to a handle (Join). A party's pages are held in the name of
-// every handle above it too — an operator's Granted is its parties'
-// combined holding — and its grants and waits go on the operator's
-// account.
+// protocol, where masort.Budget and masort.Pool are the owner's.
 type Handle struct {
 	a       *Arbiter
 	op      uint64
 	granted int
-	seen    uint64    // a.gen at creation or when the last WaitChange returned
-	stats   Stats     // an operator's account; a party's stays zero
-	div     *division // non-nil on a party's handle
-	parties *division // the parties Join has added, nil before the first
+	seen    uint64 // a.gen at creation or when the last WaitChange returned
+	stats   Stats
 }
 
-// division is a handle's entitlement divided among its parties (Join).
-type division struct {
-	parent  *Handle
-	minNeed int       // pages a party needs to be active
-	live    []*Handle // parties that have not left, in rank order
-}
-
-// Join adds a party to h: one more user of h's entitlement — an operator
-// sharing a Budget, an iterator running a held merge step — alongside the
-// ones Join added before that have not left. The parties divide h's
-// entitlement by CrewShare (oldest first, the arbiter's floor
-// as the need), and each one's Granted counts its own pages only: no party
-// takes another's pages for its own, and together they never hold more than
-// h may. The party must Leave.
-func (h *Handle) Join() *Handle {
+// entitled computes the handle's entitlement. Callers hold a.mu.
+func (h *Handle) entitled() int {
 	a := h.a
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if h.parties == nil {
-		h.parties = &division{parent: h, minNeed: a.pol.Floor}
-	}
-	p := &Handle{a: a, div: h.parties}
-	h.parties.live = append(h.parties.live, p)
-	a.changed() // the other parties' shares just shrank
-	p.seen = a.gen
-	return p
-}
-
-// parent returns the handle whose entitlement h divides, nil for an operator.
-func (h *Handle) parent() *Handle {
-	if h.div == nil {
-		return nil
-	}
-	return h.div.parent
-}
-
-// operator returns the registered handle h acts for (h itself unless h is a
-// party).
-func (h *Handle) operator() *Handle {
-	for h.div != nil {
-		h = h.div.parent
-	}
-	return h
-}
-
-// entitled computes the handle's entitlement — or, with atTotal, what it
-// would be were the whole arbiter its operator's: the most a clamped wait
-// may hold out for. Callers hold a.mu.
-func (h *Handle) entitled(atTotal bool) int {
-	a := h.a
-	if d := h.div; d != nil {
-		return CrewShare(d.parent.entitled(atTotal), slices.Index(d.live, h), len(d.live), d.minNeed)
-	}
-	if atTotal {
-		return a.pol.Total
-	}
 	rank := 0
 	if len(a.ops) > 1 { // a lone operator's share does not depend on its rank
 		rank = slices.Index(a.ops, h)
 	}
 	return a.pol.ShareAt(rank, len(a.ops), a.reserved, a.pending)
-}
-
-// hold moves n pages (negative: back) between the free pool and h, booking
-// them to every handle up to the operator. Callers hold a.mu.
-func (h *Handle) hold(n int) {
-	for x := h; x != nil; x = x.parent() {
-		x.granted += n
-	}
-	h.a.free -= n
 }
 
 // Granted returns the pages the handle holds.
@@ -352,35 +288,32 @@ func (h *Handle) Granted() int {
 func (h *Handle) Target() int {
 	h.a.mu.Lock()
 	defer h.a.mu.Unlock()
-	return h.entitled(false)
+	return h.entitled()
 }
 
 // Pressure returns max(0, Granted-Target).
 func (h *Handle) Pressure() int {
 	h.a.mu.Lock()
 	defer h.a.mu.Unlock()
-	return max(0, h.granted-h.entitled(false))
+	return max(0, h.granted-h.entitled())
 }
 
-// Acquire grants up to n additional pages, bounded by the entitlement — the
-// party's own and its operator's — and by the free pool.
+// Acquire grants up to n additional pages, bounded by the entitlement and
+// by the free pool.
 func (h *Handle) Acquire(n int) int {
 	a := h.a
 	a.mu.Lock()
-	for x := h; x != nil; x = x.parent() {
-		n = min(n, x.entitled(false)-x.granted)
-	}
-	n = max(min(n, a.free), 0)
+	n = max(min(n, h.entitled()-h.granted, a.free), 0)
 	if n > 0 {
-		h.hold(n)
-		op := h.operator()
-		op.stats.Grants++
-		op.stats.PagesGranted += n
-		op.stats.MaxGranted = max(op.stats.MaxGranted, op.granted)
+		h.granted += n
+		a.free -= n
+		h.stats.Grants++
+		h.stats.PagesGranted += n
+		h.stats.MaxGranted = max(h.stats.MaxGranted, h.granted)
 	}
 	a.mu.Unlock()
 	if n > 0 && a.cfg.OnGrant != nil {
-		a.cfg.OnGrant(h.operator().op, n)
+		a.cfg.OnGrant(h.op, n)
 	}
 	return n
 }
@@ -391,32 +324,26 @@ func (h *Handle) Yield(n int) {
 	h.a.mu.Lock()
 	defer h.a.mu.Unlock()
 	if n = min(n, h.granted); n > 0 {
-		h.hold(-n)
+		h.granted -= n
+		h.a.free += n
 		h.a.changed()
 	}
 }
 
 // Leave retires the handle: whatever it still holds goes back (the engine
 // yields everything on success and on abort; this is belt-and-braces) and
-// the survivors' shares grow — an operator's siblings re-equalize, a
-// party's parked siblings move down a rank. That is what guarantees
-// progress when the target sustains only some of a handle's parties: the
-// rank-0 party always has a target of at least the floor, finishes, and hands its slot
-// down. Leaving twice is harmless.
+// the survivors' shares grow. Leaving twice is harmless.
 func (h *Handle) Leave() {
 	a := h.a
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	h.hold(-h.granted)
-	set := &a.ops
-	if h.div != nil {
-		set = &h.div.live
-	}
-	*set = slices.DeleteFunc(*set, func(x *Handle) bool { return x == h })
+	a.free += h.granted
+	h.granted = 0
+	a.ops = slices.DeleteFunc(a.ops, func(x *Handle) bool { return x == h })
 	a.changed()
 }
 
-// Stats returns the operator's account; a party's is zero.
+// Stats returns the operator's account.
 func (h *Handle) Stats() Stats {
 	h.a.mu.Lock()
 	defer h.a.mu.Unlock()
@@ -428,11 +355,9 @@ func (h *Handle) Stats() Stats {
 const anyChange = -1
 
 // WaitTarget blocks until the entitlement reaches n or ctx is done, whose
-// error it then returns. Under ClampWaits n is bounded, afresh on every
-// wakeup, by the entitlement the handle would have if the whole total were
-// its operator's (never below one page, so a parked party still sleeps): the
-// wait terminates once reservations drain and siblings finish, even if a
-// Resize took the total below n meanwhile.
+// error it then returns. On a Shared arbiter n is bounded, afresh on every
+// wakeup, by the total: the wait terminates once reservations drain and
+// siblings finish, even if a Resize took the total below n meanwhile.
 func (h *Handle) WaitTarget(ctx context.Context, n int) error { return h.wait(ctx, max(n, 0)) }
 
 // WaitChange blocks until the arbitration state has changed since the handle
@@ -458,17 +383,17 @@ func (h *Handle) wait(ctx context.Context, n int) error {
 			return a.gen != from
 		}
 		need := n
-		if a.cfg.ClampWaits {
-			need = min(n, max(h.entitled(true), 1))
+		if a.cfg.Shared {
+			need = min(n, a.pol.Total)
 		}
-		return h.entitled(false) >= need
+		return h.entitled() >= need
 	}
 	var waited time.Duration
 	var err error
 	if !done() {
 		if err = ctx.Err(); err == nil {
 			// Counted on the way in: a sleeper shows in Stats while it sleeps.
-			st, start := &h.operator().stats, time.Now()
+			st, start := &h.stats, time.Now()
 			st.Waits++
 			for err == nil && !done() {
 				a.cond.Wait()
@@ -483,7 +408,7 @@ func (h *Handle) wait(ctx context.Context, n int) error {
 	}
 	a.mu.Unlock()
 	if waited > 0 && a.cfg.OnWait != nil {
-		a.cfg.OnWait(h.operator().op, waited)
+		a.cfg.OnWait(h.op, waited)
 	}
 	return err
 }

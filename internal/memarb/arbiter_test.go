@@ -10,22 +10,6 @@ import (
 	"time"
 )
 
-// modelOp is one registered operator of the conservation model with the
-// parties of its latest division, left or not.
-type modelOp struct {
-	h     *Handle
-	crew  []*Handle
-	floor int
-}
-
-// live counts the parties still working for the operator.
-func (o *modelOp) live() int {
-	if o.crew == nil {
-		return 0
-	}
-	return len(o.crew[0].div.live)
-}
-
 // asyncReserve is a Reserve running on its own goroutine, so that the
 // single-goroutine walk below can have one waiting in the queue.
 type asyncReserve struct {
@@ -44,19 +28,19 @@ func startReserve(a *Arbiter, want int) *asyncReserve {
 	return r
 }
 
-// TestArbiterNestedConservation drives one arbiter through a seeded random
-// walk over everything that moves pages or entitlements — resizes,
-// reservations (granted at once, queued behind operators' holdings, and
-// canceled in the queue), admissions and departures, divisions of an
-// operator among parties (Join), and acquires, yields and departures at both levels
-// — and checks the nested accounts after every step:
+// TestArbiterNestedConservation drives one arbiter, shared or owned,
+// through a seeded random walk over everything that moves pages or
+// entitlements — resizes, reservations (granted at once, queued behind
+// operators' holdings, and canceled in the queue), admissions and
+// departures, acquires and yields — and checks the accounts after every
+// step:
 //
 //   - Σ operators' granted + reserved + free == total;
-//   - a divided operator's granted is the sum of its parties';
-//   - its parties' targets sum to its own whenever that covers the floor
-//     (they do below it too — the lowest-ranked party takes what there is
-//     — but that is the grid test's to pin, not this one's);
-//   - an Acquire never takes a handle past its target, nor its operator.
+//   - the floors stay coverable: total ≥ operators × floor + reserved +
+//     pending, and so every operator's target is at least the floor;
+//   - an owned arbiter admits every operator (raising its total), a shared
+//     one only while one more floor fits;
+//   - an Acquire never takes a handle past its target.
 //
 // One goroutine makes every move. The one exception is a reservation that
 // has to queue: Reserve blocks, so it waits on a goroutine of its own, which
@@ -64,8 +48,9 @@ func startReserve(a *Arbiter, want int) *asyncReserve {
 func TestArbiterNestedConservation(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0x5eed))
-		a := New(Config{Total: 40 + rng.IntN(40), Floor: 3, ClampWaits: seed%2 == 0})
-		var ops []*modelOp
+		shared := seed%2 == 0
+		a := New(Config{Total: 40 + rng.IntN(40), Floor: 3, Shared: shared})
+		var ops []*Handle
 		var queued *asyncReserve // the one Reserve that may be waiting in the queue
 		held := 0                // reserved pages the walk has to release
 
@@ -76,45 +61,27 @@ func TestArbiterNestedConservation(t *testing.T) {
 			sum := 0
 			for _, o := range a.ops {
 				sum += o.granted
+				if tg := o.entitled(); tg < a.pol.Floor {
+					t.Fatalf("seed %d step %d (%s): an operator's target %d is below the floor", seed, step, what, tg)
+				}
 			}
 			if sum+a.reserved+a.free != a.pol.Total {
 				t.Fatalf("seed %d step %d (%s): granted %d + reserved %d + free %d != total %d",
 					seed, step, what, sum, a.reserved, a.free, a.pol.Total)
 			}
-			for _, o := range ops {
-				if o.live() == 0 {
-					continue
-				}
-				granted, targets := 0, 0
-				for _, w := range o.crew {
-					granted += w.granted
-					targets += w.entitled(false)
-				}
-				if granted != o.h.granted {
-					t.Fatalf("seed %d step %d (%s): parties hold %d, their operator %d", seed, step, what, granted, o.h.granted)
-				}
-				if pt := o.h.entitled(false); pt >= a.pol.Floor && targets != pt {
-					t.Fatalf("seed %d step %d (%s): parties' targets sum to %d, their operator's is %d", seed, step, what, targets, pt)
-				}
-			}
-		}
-		acquire := func(step int, h *Handle) {
-			t.Helper()
-			got := h.Acquire(1 + rng.IntN(12))
-			for x := h; got > 0 && x != nil; x = x.parent() {
-				if g, tg := x.Granted(), x.Target(); g > tg {
-					t.Fatalf("seed %d step %d: Acquire granted %d pages, leaving %d held against a target of %d", seed, step, got, g, tg)
-				}
+			if floors := len(a.ops)*a.pol.Floor + a.reserved + a.pending; a.pol.Total < floors {
+				t.Fatalf("seed %d step %d (%s): total %d does not cover %d floors, %d reserved and %d pending",
+					seed, step, what, a.pol.Total, len(a.ops), a.reserved, a.pending)
 			}
 		}
 
 		for step := 0; step < 4000; step++ {
 			what := ""
-			var o *modelOp
+			var h *Handle
 			if len(ops) > 0 {
-				o = ops[rng.IntN(len(ops))]
+				h = ops[rng.IntN(len(ops))]
 			}
-			switch k := rng.IntN(12); {
+			switch k := rng.IntN(10); {
 			case k == 0:
 				what = "resize"
 				a.Resize(10 + rng.IntN(90))
@@ -149,38 +116,28 @@ func TestArbiterNestedConservation(t *testing.T) {
 				held -= n
 			case k == 5:
 				what = "admit"
-				if h, err := a.Register(context.Background(), uint64(step), false); err == nil {
-					ops = append(ops, &modelOp{h: h})
+				s := a.Snapshot()
+				fits := (len(s.Targets)+1)*3 <= s.Total-s.Reserved-s.Pending
+				nh, err := a.Register(context.Background(), uint64(step), false)
+				if (err == nil) != (fits || !shared) {
+					t.Fatalf("seed %d step %d: Register with %d operators on %+v: %v", seed, step, len(s.Targets), s, err)
 				}
-			case o == nil:
+				if err == nil {
+					ops = append(ops, nh)
+				}
+			case h == nil:
 				continue
-			case k == 6 && o.live() == 0:
+			case k == 6:
 				what = "unregister"
-				o.h.Leave()
-				ops = slices.DeleteFunc(ops, func(x *modelOp) bool { return x == o })
-			case k == 7 && o.live() == 0:
-				what = "divide"
-				o.h.Yield(o.h.Granted()) // parties start with their operator holding nothing
-				o.crew = o.crew[:0]
-				for range 2 + rng.IntN(3) {
-					o.crew = append(o.crew, o.h.Join())
-				}
-			case k == 8 && o.live() > 0:
-				what = "party leaves"
-				o.crew[rng.IntN(len(o.crew))].Leave() // again, if it left before
-			case k <= 9: // acquire, twice as likely as the rest
+				h.Leave()
+				ops = slices.DeleteFunc(ops, func(x *Handle) bool { return x == h })
+			case k <= 8: // acquire, twice as likely as the rest
 				what = "acquire"
-				if o.live() > 0 {
-					acquire(step, o.crew[rng.IntN(len(o.crew))])
-				} else {
-					acquire(step, o.h)
+				if got := h.Acquire(1 + rng.IntN(12)); got > 0 && h.Granted() > h.Target() {
+					t.Fatalf("seed %d step %d: Acquire granted %d pages, leaving %d held against a target of %d", seed, step, got, h.Granted(), h.Target())
 				}
 			default:
 				what = "yield"
-				h := o.h
-				if o.live() > 0 {
-					h = o.crew[rng.IntN(len(o.crew))]
-				}
 				// Shedding pressure first is what lets queued reservations in.
 				h.Yield(max(h.Pressure(), rng.IntN(6)))
 			}
@@ -195,11 +152,8 @@ func TestArbiterNestedConservation(t *testing.T) {
 			held += <-queued.got
 		}
 		a.Release(held)
-		for _, o := range ops {
-			for _, w := range o.crew {
-				w.Leave()
-			}
-			o.h.Leave()
+		for _, h := range ops {
+			h.Leave()
 		}
 		if s := a.Snapshot(); s.Free != s.Total || s.Reserved != 0 || s.Pending != 0 || len(s.Targets) != 0 {
 			t.Fatalf("seed %d: arbiter not empty after everyone left: %+v", seed, s)
@@ -207,60 +161,28 @@ func TestArbiterNestedConservation(t *testing.T) {
 	}
 }
 
-// TestClampedWaitOfParkedWorkerSleeps: under ClampWaits a wait's bound is
-// what the total could entitle the waiter to — for a party, its share of
-// the total. A parked party's share is zero, and a bound of zero would be
-// met at once: it must still sleep until a sibling's departure hands it a
-// rank with pages.
-func TestClampedWaitOfParkedWorkerSleeps(t *testing.T) {
-	a := New(Config{Total: 3, Floor: 3, ClampWaits: true})
-	op, _ := a.Register(context.Background(), 0, false)
-	crew := []*Handle{op.Join(), op.Join()}
-	if got := crew[1].Target(); got != 0 {
-		t.Fatalf("second party of a 3-page operator has target %d, want 0 (parked)", got)
-	}
-	crew[0].WaitTarget(context.Background(), 16) // bounded by its share of the total: returns
-	woke := make(chan struct{})
-	go func() {
-		crew[1].WaitTarget(context.Background(), 16)
-		close(woke)
-	}()
-	for range 100 { // spurious wakeups must put it back to sleep
-		a.wake()
-		runtime.Gosched()
-	}
-	select {
-	case <-woke:
-		t.Fatal("parked party's clamped wait returned on a zero share")
-	default:
-	}
-	crew[0].Leave()
-	<-woke
-	if got := crew[1].Target(); got != 3 {
-		t.Fatalf("party promoted to rank 0 has target %d, want 3", got)
-	}
-}
-
 // TestWaitChangeCountsFromLastLook: a WaitChange is a wait for a change
-// since the handle last looked, not since the wait began. A party that
-// acquires nothing, then loses the processor while its sibling leaves — the
-// only change there will ever be — must not sleep through it; and once it
-// has returned, the next wait is for the next change.
+// since the handle last looked, not since the wait began. An operator that
+// acquires nothing — its sibling holds the whole pool — then loses the
+// processor while the sibling leaves — the only change there will ever be —
+// must not sleep through it; and once it has returned, the next wait is for
+// the next change.
 func TestWaitChangeCountsFromLastLook(t *testing.T) {
-	a := New(Config{Total: 5, Floor: 3}) // sustains one party of the two
-	op, _ := a.Register(context.Background(), 0, false)
-	crew := []*Handle{op.Join(), op.Join()}
-	if got := crew[1].Acquire(1); got != 0 {
-		t.Fatalf("parked party acquired %d pages", got)
+	a := New(Config{Total: 6, Floor: 3, Shared: true})
+	older, _ := a.Register(context.Background(), 0, false)
+	older.Acquire(6)
+	h, _ := a.Register(context.Background(), 1, false)
+	if got := h.Acquire(1); got != 0 {
+		t.Fatalf("acquired %d pages of a pool its sibling holds", got)
 	}
-	crew[0].Leave()
-	crew[1].WaitChange(context.Background()) // at the parent of this change: sleeps forever
-	if got := crew[1].Target(); got != 5 {
-		t.Fatalf("party promoted to rank 0 has target %d, want 5", got)
+	older.Leave()
+	h.WaitChange(context.Background()) // a wait from its start would sleep forever
+	if got := h.Target(); got != 6 {
+		t.Fatalf("the operator left alone has target %d, want 6", got)
 	}
 	woke := make(chan struct{})
 	go func() {
-		crew[1].WaitChange(context.Background())
+		h.WaitChange(context.Background())
 		close(woke)
 	}()
 	for range 100 { // nothing changed since: spurious wakeups put it back to sleep
@@ -313,42 +235,5 @@ func TestOneChangeWakesEveryWaiter(t *testing.T) {
 			a.Resize(9)
 			wg.Wait() // a waiter left asleep hangs the test
 		})
-	}
-}
-
-// TestJoinPartiesShareTheHandle: the parties to one handle divide its
-// entitlement, each counts only its own pages, and together they never
-// hold more than the handle may; a party that leaves hands its share on.
-func TestJoinPartiesShareTheHandle(t *testing.T) {
-	a := New(Config{Total: 8, Floor: 3})
-	h, err := a.Register(context.Background(), 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1 := h.Join()
-	if got := p1.Acquire(8); got != 8 || p1.Target() != 8 {
-		t.Fatalf("a lone party got %d of target %d, want 8 of 8", got, p1.Target())
-	}
-	p2 := h.Join()
-	if p1.Target() != 4 || p2.Target() != 4 || p1.Pressure() != 4 {
-		t.Fatalf("two parties: targets %d and %d, first under pressure %d; want 4, 4, 4", p1.Target(), p2.Target(), p1.Pressure())
-	}
-	if got := p2.Acquire(4); got != 0 {
-		t.Fatalf("the second party took %d pages the first still holds", got)
-	}
-	p1.Yield(p1.Pressure())
-	if got := p2.Acquire(8); got != 4 || p1.Granted() != 4 || p2.Granted() != 4 || h.Granted() != 8 {
-		t.Fatalf("after the first yields: second got %d; parties hold %d and %d, the handle %d", got, p1.Granted(), p2.Granted(), h.Granted())
-	}
-	p2.Leave()
-	if h.Granted() != 4 || p1.Target() != 8 {
-		t.Fatalf("after the second leaves: handle holds %d, first's target %d; want 4, 8", h.Granted(), p1.Target())
-	}
-	if got := p1.Acquire(8); got != 4 {
-		t.Fatalf("the remaining party grew by %d, want 4", got)
-	}
-	p1.Leave()
-	if h.Granted() != 0 || a.Snapshot().Free != 8 {
-		t.Fatalf("after both leave: handle holds %d, %d free", h.Granted(), a.Snapshot().Free)
 	}
 }

@@ -1,20 +1,21 @@
 // Package memarb holds the memory arbitration shared by the simulator's
 // buffer manager (internal/bufmgr.SharedPool) and the real engine
-// (masort.Budget, masort.Pool, and the parties sharing one): how a
-// fixed total of buffer pages is divided between N adaptive operators and a
-// stream of competing reservations made on behalf of higher-priority work.
+// (masort.Budget and masort.Pool): how a fixed total of buffer pages is
+// divided between N adaptive operators and a stream of competing
+// reservations made on behalf of higher-priority work.
 //
 // The policy is the paper's reservation protocol (Pang, Carey, Livny §4.2)
 // generalized to multiprogramming: every registered operator is entitled to
 // an equal share of whatever the competing reservations have not taken or
 // been promised, floored at a per-operator guaranteed minimum. Competing
 // reservations are capped so the floors always remain coverable, which is
-// also the admission rule for new operators.
+// also the admission rule for new operators of a shared pool; an owned
+// budget raises its total to cover one more floor instead.
 //
-// The package has two layers. Policy and CrewShare (this file) are pure
-// arithmetic — no clocks, locks or simulator types — so the discrete-event
-// simulation and the wall-clock engine compute identical entitlements from
-// identical states; the simulator uses nothing else. Arbiter and Handle
+// The package has two layers. Policy (this file) is pure arithmetic — no
+// clocks, locks or simulator types — so the discrete-event simulation and
+// the wall-clock engine compute identical entitlements from identical
+// states; the simulator uses nothing else. Arbiter and Handle
 // (arbiter.go) are the real engine's one concurrent arbiter over that
 // arithmetic: one mutex, one condition variable, blocking waits. The
 // arbiter may block its callers and reads the wall clock to time admission
@@ -96,26 +97,4 @@ func (p Policy) CanAdmitWith(ops, reserved, pending int) bool {
 // never be satisfied.
 func (p Policy) Headroom(ops, reserved, pending int) int {
 	return p.Total - ops*p.Floor - reserved - pending
-}
-
-// CrewShare returns the entitlement of the rank-th of live parties dividing
-// one handle's target between them (rank 0 is the oldest party still
-// there). The target divides among the lowest-ranked parties that
-// can each get at least minNeed pages — always at least one, so the
-// operation progresses on any target — with the remainder going to the
-// lowest ranks (the ShareAt rule); the other parties are parked on a zero
-// share, as is a negative rank (a party that left). A pure function of its
-// arguments: every party computes the same partition, the shares of the
-// active parties sum to the target exactly, and a shrink parks parties
-// deterministically instead of racing them.
-func CrewShare(target, rank, live, minNeed int) int {
-	active := live
-	if minNeed > 0 {
-		active = min(active, target/minNeed)
-	}
-	active = max(active, 1)
-	if rank < 0 || rank >= active {
-		return 0
-	}
-	return Policy{Total: target}.ShareAt(rank, active, 0, 0)
 }

@@ -17,7 +17,7 @@ import (
 // behaves as for Sort: the join aborts at its next adaptation point,
 // freeing every run of both relations.
 func Join(ctx context.Context, left, right Iterator, opts ...Option) (*Result, error) {
-	return runOp(ctx, applyOptions(opts), "join", func(env *core.Env, cfg core.SortConfig, o config) (*Result, error) {
+	return runOp(ctx, applyOptions(opts), "join", []Iterator{left, right}, func(env *core.Env, cfg core.SortConfig, o config) (*Result, error) {
 		res, err := core.SortMergeJoin(env,
 			&pageInput{it: left, size: o.pageRecords},
 			&pageInput{it: right, size: o.pageRecords}, cfg)

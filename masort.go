@@ -185,24 +185,23 @@ func newEnv(ctx context.Context, o config, mem core.Broker, meter *counterMeter,
 	return env, ts
 }
 
-// memContract resolves the operator's memory contract: a party of its own
-// to the Budget's one handle (memarb.Handle.Join — the Budget's target is
-// divided among the operators and held merge steps running on it at once,
-// and each counts only its own pages), or a handle of its own on the Pool.
-// Under a Pool the operator is admitted first (which may queue until
-// capacity frees, or fail — ErrPoolSaturated under RejectWhenFull, the
-// context's error if canceled while queued). The handle must Leave exactly
-// once when the operator is done. report attaches the operator's PoolStats
-// so far to a Result.
-func memContract(ctx context.Context, o *config, ot *opTrace) (mem *memarb.Handle, report func(*Result), err error) {
-	if o.pool == nil {
-		return o.budget.h.Join(), func(*Result) {}, nil
-	}
+// memContract registers the operator with the arbiter of its memory
+// contract. A Budget's admits it at once, raising the target to a floor per
+// operator if it must; a Pool's may queue (queue, under QueueWhenFull)
+// until capacity frees, or fail — ErrPoolSaturated, the context's error if
+// canceled while queued. The handle must Leave exactly once when the
+// operator is done. report attaches the operator's PoolStats so far to a
+// Result.
+func memContract(ctx context.Context, o *config, ot *opTrace, queue bool) (mem *memarb.Handle, report func(*Result), err error) {
 	var opID uint64
 	if ot != nil {
 		opID = ot.id
 	}
-	h, err := o.pool.admit(ctx, opID)
+	if o.pool == nil {
+		h, err := o.budget.arb.Register(ctx, opID, false)
+		return h, func(*Result) {}, err
+	}
+	h, err := o.pool.admit(ctx, opID, queue)
 	if err != nil {
 		return nil, nil, wrapCtxErr(ctx, err)
 	}
@@ -210,6 +209,28 @@ func memContract(ctx context.Context, o *config, ot *opTrace) (mem *memarb.Handl
 		st := PoolStats(h.Stats())
 		res.Pool = &st
 	}, nil
+}
+
+// arbiter returns the arbiter of the operator's memory contract.
+func (o *config) arbiter() *memarb.Arbiter {
+	if o.pool != nil {
+		return o.pool.arb
+	}
+	return o.budget.arb
+}
+
+// pipedSteps returns the inputs that are iterators of a held last step
+// (Result.Iterator) running on the arbiter arb: a pipeline whose producer
+// runs only when the consumer reads it, on the consumer's goroutine. An
+// input wrapped in another Iterator (FuncIterator, say) is not seen.
+func pipedSteps(arb *memarb.Arbiter, inputs []Iterator) []*stepIterator {
+	var piped []*stepIterator
+	for _, in := range inputs {
+		if it, ok := in.(*stepIterator); ok && it.r.last.arb == arb {
+			piped = append(piped, it)
+		}
+	}
+	return piped
 }
 
 // Stats reports what a sort or join did.
@@ -260,7 +281,7 @@ func Sort(ctx context.Context, input Iterator, opts ...Option) (*Result, error) 
 // sortNamed is Sort with the operator name used for trace attribution
 // (GroupBy runs on the sort engine but announces itself as "groupby").
 func sortNamed(ctx context.Context, input Iterator, opt config, opName string) (*Result, error) {
-	return runOp(ctx, opt, opName, func(env *core.Env, cfg core.SortConfig, o config) (*Result, error) {
+	return runOp(ctx, opt, opName, []Iterator{input}, func(env *core.Env, cfg core.SortConfig, o config) (*Result, error) {
 		env.In = &pageInput{it: input, size: o.pageRecords}
 		res, err := core.ExternalSort(env, cfg)
 		return sortResult(env, res, err)
@@ -291,7 +312,14 @@ func sortResult(env *core.Env, res *core.SortResult, err error) (*Result, error)
 // cancellation and closes the span with the error. A Result whose last
 // merge step is held is completed by its first complete drain or Close
 // instead, when the step has run (lastStep).
-func runOp(ctx context.Context, opt config, name string, run func(*core.Env, core.SortConfig, config) (*Result, error)) (*Result, error) {
+//
+// inputs are the operator's Iterator inputs. One that is a held step's
+// iterator on the same Budget or Pool (pipedSteps) runs only when this
+// operator reads it, so the operator must not wait for it: its Pool
+// admission does not queue (a full pool fails it with ErrPoolSaturated),
+// and a step already started sheds down to its share before this operator
+// asks for its first page (stepIterator.shed).
+func runOp(ctx context.Context, opt config, name string, inputs []Iterator, run func(*core.Env, core.SortConfig, config) (*Result, error)) (*Result, error) {
 	cfg, o, err := opt.build()
 	if err != nil {
 		return nil, err
@@ -301,10 +329,14 @@ func runOp(ctx context.Context, opt config, name string, run func(*core.Env, cor
 	}
 	ot := newOpTrace(&o, name)
 	ot.begin()
-	mem, report, err := memContract(ctx, &o, ot)
+	piped := pipedSteps(o.arbiter(), inputs)
+	mem, report, err := memContract(ctx, &o, ot, len(piped) == 0)
 	if err != nil {
 		ot.end(err)
 		return nil, err
+	}
+	for _, it := range piped {
+		it.shed()
 	}
 	meter := &counterMeter{}
 	env, ts := newEnv(ctx, o, mem, meter, ot, name)
@@ -335,12 +367,12 @@ func runOp(ctx context.Context, opt config, name string, run func(*core.Env, cor
 	if l := out.last; l != nil {
 		// The held step completes the operator; until it does, the
 		// Result shows the numbers so far.
-		l.base, l.complete, l.leave = out.Stats, complete, leave
+		l.base, l.complete, l.leave, l.arb = out.Stats, complete, leave, o.arbiter()
 		out.Counters = meter.counters()
 		ot.finishStats(&out.Stats, ts)
 		report(out)
 		l.admit = func() (*memarb.Handle, error) {
-			mem, _, err := memContract(ctx, &o, ot)
+			mem, _, err := memContract(ctx, &o, ot, true)
 			return mem, err
 		}
 		return out, nil

@@ -655,6 +655,41 @@ func TestMemStoreCopiesViewsOfItsChunks(t *testing.T) {
 	sameOutput(t, got, want)
 }
 
+// TestReleasedRecordArraysPinNoPayloads: a record array handed back with
+// ReleaseRecords waits on the store's free list for the next read, and must
+// not keep alive the payloads its records last pointed at — here a freed
+// run's encoded chunk, which the page's 4-byte payloads were decoded in.
+func TestReleasedRecordArraysPinNoPayloads(t *testing.T) {
+	s := NewMemStore()
+	defer s.Close()
+	id, _ := s.Create()
+	if _, err := s.Append(id, []Page{randomRecords(256, 4, 4)}); err != nil {
+		t.Fatal(err)
+	}
+	r, _ := s.run(id)
+	chunk := weak.Make(&r.exts[0].dev.(*memDevice).chunks[0].b[0])
+	func() {
+		tok := s.ReadAsync(id, 0)
+		pg, err := tok.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pg) != 256 {
+			t.Fatalf("%d records read, want 256", len(pg))
+		}
+		tok.(interface{ ReleaseRecords() }).ReleaseRecords()
+	}()
+	r = nil
+	if err := s.Free(id); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	if chunk.Value() != nil {
+		t.Fatal("the freed run's chunk is still alive: a listed record array points into it")
+	}
+}
+
 // TestMemStoreCopiesOwnedPayloads runs, on a MemStore, the operators whose
 // output payloads are made for the output alone — a join's tuples,
 // GroupBy's folds, SortT's encodings — with 16-byte payloads, which a
@@ -807,17 +842,18 @@ func TestStoresTellFreedRunsApart(t *testing.T) {
 
 func TestBudgetSemantics(t *testing.T) {
 	b := NewBudget(10)
-	if got := b.h.Acquire(4); got != 4 {
+	h := register(t, b)
+	if got := h.Acquire(4); got != 4 {
 		t.Fatalf("acquire = %d", got)
 	}
-	if got := b.h.Acquire(100); got != 6 {
+	if got := h.Acquire(100); got != 6 {
 		t.Fatalf("acquire clamped = %d", got)
 	}
 	b.Shrink(5)
 	if b.Target() != 5 || b.Pressure() != 5 {
 		t.Fatalf("target=%d pressure=%d", b.Target(), b.Pressure())
 	}
-	b.h.Yield(5)
+	h.Yield(5)
 	if b.Pressure() != 0 || b.Granted() != 5 {
 		t.Fatalf("granted=%d", b.Granted())
 	}
@@ -830,7 +866,7 @@ func TestBudgetSemantics(t *testing.T) {
 		t.Fatalf("grow = %d", b.Target())
 	}
 	done := make(chan error)
-	go func() { done <- b.h.WaitTarget(context.Background(), 20) }()
+	go func() { done <- h.WaitTarget(context.Background(), 20) }()
 	time.Sleep(time.Millisecond)
 	b.Resize(25)
 	select {

@@ -68,7 +68,7 @@ func (o *orderedInput) NextPage() (core.Page, bool, error) {
 func Merge(ctx context.Context, store RunStore, ids []RunID, opts ...Option) (*Result, error) {
 	opt := applyOptions(opts)
 	opt.store = store
-	return runOp(ctx, opt, "merge", func(env *core.Env, cfg core.SortConfig, _ config) (*Result, error) {
+	return runOp(ctx, opt, "merge", nil, func(env *core.Env, cfg core.SortConfig, _ config) (*Result, error) {
 		res, err := core.MergeExisting(env, cfg, ids)
 		return sortResult(env, res, err)
 	})

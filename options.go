@@ -36,15 +36,13 @@ func WithPageRecords(n int) Option {
 // WithBudget sets the adjustable memory contract the operator runs under
 // (default: a private, fixed 64 pages). The same *Budget may be shared by
 // several operators (a query plan) and resized from any goroutine while
-// they run: the users running on it at once divide its target, oldest
-// first, each getting at least its floor while the target allows (the
-// others wait for a share), and each counting only its own pages. A
+// they run: the operators running on it at once get equal shares of its
+// target, of at least the floor each, and each counts only its own pages;
+// the target rises to floor × operators when it must (see Budget). A
 // Result whose last merge step is held (see Result) runs that step under
-// the same Budget, each iterator a user of its own from the Iterator call
-// until it ends — so one Sort may read another's Result on one Budget, the
-// two sharing it, given a target of at least twice the floor (on one
-// goroutine, neither can wait for the other) — and holds none of it in
-// between.
+// the same Budget, from the Iterator call until the iterator ends, and
+// holds none of it in between — so one Sort may read another's Result on
+// one Budget, at any target.
 func WithBudget(b *Budget) Option {
 	return func(o *config) { o.budget = b }
 }
@@ -55,9 +53,13 @@ func WithBudget(b *Budget) Option {
 // arbitrated against all concurrently running operators and application
 // reservations, and detaches when it finishes — for a Result whose last
 // merge step is held (see Result), once its first drain has completed (or
-// it is closed) and no iterator started before that still runs; an
-// iterator started later is admitted afresh, at the Iterator call, for its
-// own duration. The
+// it is closed) and the iterator running on its admission has ended. Any
+// other iterator of the Result is admitted afresh, at the Iterator call,
+// for its own duration. An operator whose input is such an iterator of the
+// same Pool is admitted without queueing, whatever the AdmissionPolicy: its
+// input runs only when it reads it, so it fails with ErrPoolSaturated when
+// the pool cannot cover both floors rather than wait on itself (an input
+// wrapped in another Iterator, a FuncIterator say, is not recognised). The
 // operator's view of the arbitration is reported in Result.Pool, final
 // once the operator has detached. WithPool overrides WithBudget.
 func WithPool(p *Pool) Option {

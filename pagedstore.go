@@ -129,14 +129,20 @@ func (fl *frameList) get() (fr frame) {
 
 // put moves *fr's parts onto the list (dropping what a full list cannot
 // take) and empties it, under the list's lock: a frame can be put only once,
-// however many times and from wherever put is called on its holder. With
-// withBuf false the arena is dropped instead of listed: somebody may still
-// hold payloads in it.
+// however many times and from wherever put is called on its holder. A
+// listed record array drops its records' payloads first, to its capacity,
+// so that it keeps alive none of the bytes they pointed at. With withBuf
+// false the arena is dropped instead of listed: somebody may still hold
+// payloads in it.
 func (fl *frameList) put(fr *frame, withBuf bool) {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
 	if fr.recs != nil && len(fl.recs) < maxFreeFrames {
-		fl.recs = append(fl.recs, fr.recs[:0])
+		recs := fr.recs[:cap(fr.recs)]
+		for i := range recs {
+			recs[i].Payload = nil
+		}
+		fl.recs = append(fl.recs, recs[:0])
 	}
 	if withBuf && fr.buf != nil && len(fl.bufs) < maxFreeFrames {
 		fl.bufs = append(fl.bufs, fr.buf[:0])

@@ -104,7 +104,7 @@ func NewPool(total int, opts ...PoolOption) *Pool {
 			fn(p)
 		}
 	}
-	cfg := memarb.Config{Total: total, Floor: p.floor, ClampWaits: true}
+	cfg := memarb.Config{Total: total, Floor: p.floor, Shared: true}
 	if p.tr != nil {
 		cfg.OnGrant = func(op uint64, pages int) {
 			emitSafe(p.tr, trace.Event{Kind: trace.KindPoolGrant, Time: time.Now(), Op: op, Pages: pages}, nil)
@@ -172,14 +172,14 @@ func (p *Pool) Reserve(ctx context.Context, want int) (int, error) {
 func (p *Pool) Release(n int) { p.arb.Release(n) }
 
 // admit registers a new operator with the pool's arbiter, waiting
-// (QueueWhenFull) or failing (RejectWhenFull) while one more floor does not
+// (QueueWhenFull, unless !queue) or failing while one more floor does not
 // fit in what application reservations have not taken. The handle is the
 // operator's core.Broker, so the engine adapts to pool arbitration exactly
 // as it adapts to a resized Budget; the operator detaches with Leave. op is
 // the operator's trace id (0 when untraced), attributed to the pool's
 // events.
-func (p *Pool) admit(ctx context.Context, op uint64) (*memarb.Handle, error) {
-	h, err := p.arb.Register(ctx, op, p.admission == QueueWhenFull)
+func (p *Pool) admit(ctx context.Context, op uint64, queue bool) (*memarb.Handle, error) {
+	h, err := p.arb.Register(ctx, op, queue && p.admission == QueueWhenFull)
 	saturated := errors.Is(err, memarb.ErrSaturated)
 	if saturated {
 		err = ErrPoolSaturated

@@ -24,11 +24,13 @@ import (
 // runs until Close and runs the step afresh for every Iterator. The contract
 // of a held step:
 //
-//   - Each iterator is a user of its own of the operator's memory contract
-//     (WithBudget, WithPool) from the Iterator call until it ends — drained,
-//     failed, its range loop broken (All) — or the result is closed: it
-//     shares the Budget with whatever else runs on it meanwhile, each
-//     counting only its own pages. While it runs a step, it holds up to
+//   - Each iterator runs under the operator's memory contract (WithBudget,
+//     WithPool) from the Iterator call until it ends — drained, failed, its
+//     range loop broken (All) — or the result is closed. The first one
+//     started while the operator is live runs on the operator's own
+//     registration; any other registers for itself, an operator of the
+//     Budget or Pool like any other, and each counts only its own pages.
+//     While it runs a step, it holds up to
 //     the step's fan-in in pages, one per input — the records go to Next
 //     by value, with no output page — taken at the step's first Next, and
 //     adapts to its share as every step does: a
@@ -38,14 +40,13 @@ import (
 //     (the runs those merges write belong to the iterator that made them).
 //     An iterator dropped before its end keeps its share, and its pages,
 //     until Close. Between iterations the Result holds no pages.
-//   - Stats and Pages are final after the first complete drain, and include
-//     the last step's merge work; Tuples is final when the operator returns
-//     (for Merge, which does not know the size of runs it did not write,
-//     after the first complete drain). Later drains change none of them.
+//   - Stats and Pages are final once an iterator on the operator's
+//     registration has drained the step, and include the last step's merge
+//     work; Tuples is final when the operator returns (for Merge, which
+//     does not know the size of runs it did not write, after that drain).
+//     Later drains change none of them.
 //   - Under WithPool the operator stays admitted — and its trace span open —
-//     until its first drain completes, or Close, and no iterator started
-//     before that still runs; Pool is final then. An iterator started
-//     later is admitted afresh, at the Iterator call, for its own duration.
+//     until that drain completes, or Close; Pool is final then.
 //   - The step observes the operator's context: canceling it ends a drain
 //     with ErrCanceled.
 //   - Like the operator, a held step belongs to one goroutine at a time: its
@@ -91,9 +92,9 @@ type Result struct {
 // yields ErrFreed. A stored output is read with one page of read-ahead
 // issued to the store; a held last step runs under Next (see Result), and
 // may be iterated again: each Iterator merges its inputs afresh, and takes
-// its share of the memory contract at once — under a Pool whose operator
-// has completed, by an admission that may queue or fail, which then is the
-// iterator's error.
+// its share of the memory contract at once — under a Pool, unless it runs
+// on the operator's admission, by an admission of its own that may queue or
+// fail, which then is the iterator's error.
 //
 // Records are served from the store's pages: they stay valid as long as
 // they are referenced, but callers retaining Record.Payload across many
@@ -171,36 +172,35 @@ func (r *Result) Close() error {
 type lastStep struct {
 	step *core.LastStep
 	ctx  context.Context
+	arb  *memarb.Arbiter // the contract's arbiter; nil inside GroupBy
 
-	// mem is the operator's memory contract — its party to a Budget, or its
-	// Pool admission — until the operator completes: at its first complete
-	// drain or Close. Every iterator started meanwhile runs as a party of
-	// its own to it (memarb.Handle.Join); one started after that has a
-	// contract of its own (admit).
-	mem     *memarb.Handle
-	parties int // iterators running as parties to mem
-	admit   func() (*memarb.Handle, error)
+	// mem is the operator's registration with its memory contract until
+	// the operator completes: at its first complete drain or Close. The
+	// first iterator started meanwhile runs on it (lent) and gives its
+	// pages back when it ends; any other registers for itself (admit).
+	mem   *memarb.Handle
+	lent  bool
+	admit func() (*memarb.Handle, error)
 
 	// complete makes the operator's numbers final; leave ends the operator
-	// once it is complete and no iterator runs on its contract any more.
-	// Both are nil inside GroupBy, whose operator ends with the groups.
+	// once it is complete and no iterator runs on its registration any
+	// more. Both are nil inside GroupBy, whose operator ends with the
+	// groups.
 	complete func(*Result, Stats)
 	leave    func()
 	base     Stats // the operator's stats as it returned
-	drained  bool  // a drain under mem has completed: the numbers are final
 
 	open []*stepIterator // not ended
 }
 
-// iterator starts an iteration of the step. It becomes a party to the
-// memory contract at once, before its first Next: a consumer that starts on
-// the same Budget after it — Sort(res.Iterator()) — then shares the Budget
-// with it instead of taking the pages the step will need.
+// iterator starts an iteration of the step. It takes its registration at
+// once, before its first Next: a consumer that starts on the same Budget
+// after it — Sort(res.Iterator()) — then shares the Budget with it instead
+// of taking the pages the step will need.
 func (l *lastStep) iterator(r *Result) *stepIterator {
 	it := &stepIterator{r: r}
-	if l.mem != nil {
-		it.mem, it.party = l.mem.Join(), true
-		l.parties++
+	if l.mem != nil && !l.lent {
+		it.mem, l.lent = l.mem, true
 	} else if mem, err := l.admit(); err != nil {
 		it.done, it.err = true, err
 		return it
@@ -211,21 +211,22 @@ func (l *lastStep) iterator(r *Result) *stepIterator {
 	return it
 }
 
-// completeOp completes the operator, once, with its stats st.
+// completeOp completes the operator, once, with its stats st: no iterator
+// starts on its registration any more.
 func (l *lastStep) completeOp(r *Result, st Stats) {
+	l.mem = nil
 	if l.complete == nil {
 		return
 	}
 	l.complete(r, st)
 	l.complete = nil
-	l.mem = nil
 	l.settle()
 }
 
-// settle ends the operator once it is complete and its contract has no
-// party left.
+// settle ends the operator once it is complete and no iterator runs on its
+// registration.
 func (l *lastStep) settle() {
-	if l.complete == nil && l.parties == 0 && l.leave != nil {
+	if l.complete == nil && !l.lent && l.leave != nil {
 		l.leave()
 		l.leave = nil
 	}
@@ -235,15 +236,20 @@ func (l *lastStep) settle() {
 // record comes straight from the step's selection, by value.
 type stepIterator struct {
 	r     *Result
-	mem   *memarb.Handle // the memory the step runs under, left at the end
-	party bool           // mem is a party to the operator's contract
+	mem   *memarb.Handle // the memory the step runs under: l.mem while lent
 	s     *core.Stream
+	ahead []Record // records shed read ahead of Next
 	done  bool
 	err   error
 }
 
 // Next starts the step on the first call and hands out its next record.
 func (it *stepIterator) Next() (Record, bool, error) {
+	if len(it.ahead) > 0 {
+		rec := it.ahead[0]
+		it.ahead = it.ahead[1:]
+		return rec, true, nil
+	}
 	if it.done {
 		return Record{}, false, it.err
 	}
@@ -258,27 +264,48 @@ func (it *stepIterator) Next() (Record, bool, error) {
 	return rec, true, nil
 }
 
+// shed runs a started step to the adaptation point at which it gives back
+// what it holds above its share — an operator reading it has just
+// registered on the same arbiter, and asks for pages before it reads —
+// keeping the records it passes for Next. The step adapts every page of
+// records, so at most a page is read ahead.
+func (it *stepIterator) shed() {
+	for it.s != nil && !it.done && it.mem.Pressure() > 0 {
+		rec, ok, err := it.s.Next()
+		if !ok {
+			it.end(err) // Next reports it after the records read ahead
+			return
+		}
+		it.ahead = append(it.ahead, rec)
+	}
+}
+
 // end ends the iteration with err (nil: the step is done), handing back
-// whatever it holds. The first iteration to complete under the operator's
-// contract makes the Result's numbers final and completes the operator.
+// whatever it holds. An iteration that completes on the operator's
+// registration makes the Result's numbers final and completes the
+// operator.
 func (it *stepIterator) end(err error) {
 	l := it.r.last
+	// Only the lent iterator's drain, or Close after ending it, completes
+	// the operator: l.mem is still set while the lent iterator runs.
+	lent := it.mem == l.mem
 	it.done = true
 	l.open = slices.DeleteFunc(l.open, func(x *stepIterator) bool { return x == it })
 	if it.s != nil {
 		it.s.Close()
 	}
-	it.mem.Leave()
+	if lent {
+		it.mem.Yield(it.mem.Granted())
+		l.lent = false
+	} else {
+		it.mem.Leave()
+	}
 	if err != nil {
 		it.err = wrapCtxErr(l.ctx, err)
-	} else if it.party && !l.drained {
-		l.drained = true
+	} else if lent {
 		it.r.Stats = it.s.Stats()
 		it.r.Pages, it.r.Tuples = it.s.Size()
 		l.completeOp(it.r, it.r.Stats)
 	}
-	if it.party {
-		l.parties--
-		l.settle()
-	}
+	l.settle()
 }

@@ -418,8 +418,8 @@ func TestStreamDrainsTwiceAlike(t *testing.T) {
 // TestStreamFeedsASortOnTheSameBudget: one Sort's held last step — on one
 // worker or two — is the input of another on the same
 // 8-page Budget and FileStore — the query plan WithBudget promises — and
-// both finish, exactly, with nothing granted. The two are parties of their
-// own to the Budget: the pages each one's events report as its own never
+// both finish, exactly, with nothing granted. The two are operators of the
+// Budget's arbiter: the pages each one's events report as its own never
 // sum to more than the Budget, although both hold pages at once.
 func TestStreamFeedsASortOnTheSameBudget(t *testing.T) {
 	in := randomRecords(200*32, 67, 8)
@@ -573,9 +573,10 @@ func TestStreamCanceledMidDrain(t *testing.T) {
 // TestStreamIteratorsInterleave: two iterators of one held result, advanced
 // in turn on one goroutine, each run the step on their own and yield the
 // whole output; neither holds a page or a run once both are done. Under a
-// Pool the operator stays admitted while either runs — the first to finish
-// completes it, the second keeps running on its admission — and leaves once
-// both are done.
+// Pool the first runs on the operator's admission and the second on one of
+// its own, so two operators are admitted while both run; the first to
+// finish completes the operator, and nothing is admitted once both are
+// done.
 func TestStreamIteratorsInterleave(t *testing.T) {
 	in := streamInput()
 	want := oracle(in)
@@ -606,8 +607,8 @@ func TestStreamIteratorsInterleave(t *testing.T) {
 					done++
 				}
 			}
-			if pooled && done < 2 && pool.Ops() != 1 {
-				t.Fatalf("%d operators admitted while an iterator runs, want 1", pool.Ops())
+			if pooled && done == 0 && pool.Ops() != 2 {
+				t.Fatalf("%d operators admitted while two iterators run, want 2", pool.Ops())
 			}
 		}
 		sameOutput(t, outs[0], want)
