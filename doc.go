@@ -43,16 +43,20 @@
 // recommendation: replacement selection with 6-page block writes, optimized
 // merging, dynamic splitting ("repl6,opt,split").
 //
-// Sort and Merge return before their last merge step, at every worker
-// count: the step's output is the operator's output, so the Result keeps the step's input runs and
-// Result.Iterator runs it under the caller's Next instead of the engine
-// writing the output to the store only for the caller to read it back. Each
+// Every operator returns before its last step, at every worker count: the
+// step's output is the operator's output, so the Result keeps the step's
+// input runs and Result.Iterator runs it under the caller's Next instead of
+// the engine writing the output to the store only for the caller to read it
+// back. Sort and Merge hold their last merge step (a step of one input when
+// there was one run), GroupBy folds its groups off its sort's last step
+// inside Next, and a Join reads the output run its joint step wrote through
+// a step of one input. Each
 // iterator is a user of its own of the same budget — an operator that reads
 // it on that budget shares the budget with it — and holds up to the step's
 // fan-in in pages (one per input: records go to Next by value, with no
 // output page) while it runs the step, adapts to its share and observes
 // ctx as every step does; the step runs afresh for every Iterator, and Stats
-// and Pages are final once a drain has completed (see Result).
+// Pages and Tuples are final once a drain has completed (see Result).
 //
 // Arbitrary record types flow through the engine via the generic facade:
 // define a Codec[T] (key extraction plus payload encode/decode) and use
@@ -232,8 +236,7 @@
 // ReleaseRecords() is the smaller, independent offer: the store gets the
 // page's record array back and nothing else. Result.Iterator, which hands
 // out Record values and cannot know who keeps them, calls it on each page
-// it leaves — a stored run's pages, or the input pages of the last merge
-// step it runs; the bytes the payloads alias are never reused, so records
+// it leaves — the input pages of the last step it runs; the bytes the payloads alias are never reused, so records
 // stay valid while referenced and a retained Payload pins its page's
 // payload arena — the payload bytes, not the page's encoding.
 // See README.md ("Buffer ownership and zero-copy") for the full rules.

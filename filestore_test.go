@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -142,32 +143,82 @@ func TestFileStoreRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestRunIteratorAcrossPages(t *testing.T) {
-	store := NewMemStore()
-	id, _ := store.Create()
-	_, _ = store.Append(id, []Page{
-		{{Key: 1}, {Key: 2}},
-		{}, // empty page must be skipped gracefully
-		{{Key: 3}},
-	})
-	it := &runIterator{store: store, id: id, pages: 3}
-	recs, err := Drain(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 || recs[2].Key != 3 {
-		t.Fatalf("iterated %+v", recs)
+// TestMergeSkipsEmptyPages: a caller's run may hold empty pages — a
+// MemStore takes them — and Merge steps over them, first, inside and last,
+// whether the last step reads one run or merges two. Either is one merge
+// step, counted with its reads and its fan-in.
+func TestMergeSkipsEmptyPages(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("inputs=%d", n), func(t *testing.T) {
+			store := NewMemStore()
+			var ids []RunID
+			for i := range n {
+				k := Key(i + 1)
+				id, _ := store.Create()
+				tok, err := store.Append(id, []Page{{}, {{Key: k}, {Key: k + 2}}, {}, {{Key: k + 4}}, {}})
+				if err != nil || tok.Wait() != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			}
+			var fanIn []int
+			res, err := Merge(context.Background(), store, ids, WithEvents(func(ev Event) {
+				if ev.Kind == EvStepDone {
+					fanIn = append(fanIn, ev.Detail)
+				}
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer res.Close()
+			recs, err := Drain(res.Iterator())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) != 3*n || res.Tuples != 3*n {
+				t.Fatalf("drained %+v, Tuples %d: want %d records", recs, res.Tuples, 3*n)
+			}
+			if st := res.Stats; st.MergeSteps != 1 || st.MergePagesRead != 5*n || !slices.Equal(fanIn, []int{n}) {
+				t.Fatalf("%d merge steps reading %d pages, fan-in %v: want 1, %d and [%d]", st.MergeSteps, st.MergePagesRead, fanIn, 5*n, n)
+			}
+			for i, rec := range recs {
+				if want := Key(i*(3-n) + 1); rec.Key != want {
+					t.Fatalf("record %d has key %d, want %d: %+v", i, rec.Key, want, recs)
+				}
+			}
+		})
 	}
 }
 
-func TestRunIteratorPropagatesStoreError(t *testing.T) {
-	store := NewMemStore()
-	id, _ := store.Create()
-	_, _ = store.Append(id, []Page{{{Key: 1}}})
-	it := &runIterator{store: store, id: id, pages: 5} // lies about page count
-	_, err := Drain(it)
-	if err == nil {
-		t.Fatal("read past end must surface an error")
+// TestDrainPropagatesStoreError: a read that fails under the drain ends it
+// with the store's error.
+func TestDrainPropagatesStoreError(t *testing.T) {
+	errRead := errors.New("injected: read failed")
+	var fail atomic.Bool
+	store := newMemStore(NewStoreConfig().WithFaults(hookFuncs{afterRead: func(int64, []byte) error {
+		if fail.Load() {
+			return errRead
+		}
+		return nil
+	}}))
+	id, _, err := WriteRun(store, NewSliceIterator(sortedRecords(64, 0, 1)), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Merge(context.Background(), store, []RunID{id}, WithPageRecords(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	it := res.Iterator()
+	for range 20 { // into the third page
+		if _, _, err := it.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fail.Store(true)
+	if _, err := Drain(it); !errors.Is(err, errRead) {
+		t.Fatalf("drain after a failed read: %v, want the store's error", err)
 	}
 }
 

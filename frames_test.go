@@ -155,7 +155,8 @@ func TestMergeReadsAllocateNothing(t *testing.T) {
 
 // TestDrainReturnsItsRecordArrays: the output iterator gives each page's
 // record array back as it leaves the page, and the encoded bytes never left
-// the store, so draining a run from a file-backed store allocates, per page,
+// the store, so draining a run from a file-backed store — the last step of
+// a Merge of that one run — allocates, per page,
 // the arena holding its payloads — the caller's to keep — and the read
 // token: the payload bytes plus a little, not the page's encoding (6.4 KB at
 // this geometry, what a drained page cost while its payloads aliased the
@@ -171,7 +172,12 @@ func TestDrainReturnsItsRecordArrays(t *testing.T) {
 		}
 		var allocFrom, allocTo uint64
 		var sum Key
-		it := &runIterator{store: fs, id: id, pages: pages}
+		res, err := Merge(context.Background(), fs, []RunID{id}, WithPageRecords(pageRecords))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Close()
+		it := res.Iterator()
 		for n := 0; ; n++ {
 			switch n {
 			case from * pageRecords:

@@ -3,8 +3,6 @@ package masort
 import (
 	"context"
 	"fmt"
-
-	"github.com/memadapt/masort/internal/core"
 )
 
 // Aggregator folds the records of one key group into a single output
@@ -63,69 +61,23 @@ func (f *FuncAggregator) Add(rec Record) { f.OnAdd(rec) }
 func (f *FuncAggregator) Finish(k Key) []byte { return f.OnFinish(k) }
 
 // GroupBy groups the input by Record.Key and folds each group with agg,
-// returning one record per distinct key (sorted by key) as a stored run.
-// The grouping runs on the memory-adaptive external sort, so the budget may
-// be resized while it executes; the aggregation folds the groups straight
-// off the sort's last merge step — at every WithWorkers count — which runs
-// under the operator's own memory
-// contract and adapts to it like the steps before it, so the sorted input
-// is never written to the store: only the groups are, through the run
-// writer's output block (mergeBlockPages). Under
-// WithPool the operator leaves the pool, and its trace span closes, only
-// once the result run is durable. Cancellation is observed both by the
-// underlying sort and between aggregation pages.
+// returning one record per distinct key, sorted by key. The grouping runs on
+// the memory-adaptive external sort, so the budget may be resized while it
+// executes, and the Result is the sort's last merge step (see Result):
+// Iterator folds the groups straight off it, under the caller's Next —
+// Start, Add and Finish run inside Next — at every WithWorkers count. So
+// neither the sorted input nor the groups are written to the store, and
+// Finish runs while the operator holds its memory contract, the last one
+// before the drain that completes the operator ends. Tuples, the number of
+// groups, is 0 until that drain. Every Iterator folds afresh with agg, so
+// the iterators of one GroupBy result must not interleave. Cancellation is
+// observed by the sort and by the drain.
 func GroupBy(ctx context.Context, input Iterator, agg Aggregator, opts ...Option) (*Result, error) {
-	return runOp(ctx, applyOptions(opts), "groupby", []Iterator{input}, func(env *core.Env, cfg core.SortConfig, o config) (*Result, error) {
-		env.In = &pageInput{it: input, size: o.pageRecords}
-		res, err := core.ExternalSort(env, cfg)
-		sorted, err := sortResult(env, res, err)
-		if err != nil {
-			return nil, err
-		}
-		defer sorted.Close()
-		env.In = &pageInput{it: &groupIterator{in: sorted.Iterator(), agg: agg}, size: o.pageRecords}
-		if env.Owned != nil {
-			// Each group's payload is made by Finish for the output alone.
-			env.Store = env.Owned
-		}
-		res, err = core.WriteRun(env, cfg.MergeBlockPages)
-		out, err := sortResult(env, res, err)
-		if err != nil {
-			return nil, err
-		}
-		out.Stats = sorted.Stats
-		return out, nil
-	})
-}
-
-// groupIterator folds each run of equal keys of a sorted iterator into one
-// record. Only one group is open at a time; head is the first record of the
-// next one.
-type groupIterator struct {
-	in   Iterator
-	agg  Aggregator
-	head Record
-	open bool
-}
-
-func (g *groupIterator) Next() (Record, bool, error) {
-	if !g.open {
-		rec, ok, err := g.in.Next()
-		if err != nil || !ok {
-			return Record{}, false, err
-		}
-		g.head = rec
+	res, err := sortNamed(ctx, input, applyOptions(opts), "groupby")
+	if err != nil {
+		return nil, err
 	}
-	key := g.head.Key
-	g.agg.Start(g.head)
-	for {
-		rec, ok, err := g.in.Next()
-		if err != nil {
-			return Record{}, false, err
-		}
-		if g.head, g.open = rec, ok; !ok || rec.Key != key {
-			return Record{Key: key, Payload: g.agg.Finish(key)}, true, nil
-		}
-		g.agg.Add(rec)
-	}
+	res.Tuples = 0
+	res.last.agg = agg
+	return res, nil
 }

@@ -8,6 +8,10 @@ import (
 // holding the joined tuples plus statistics.
 type JoinResult struct {
 	Result RunID
+	// Last reads Result back as a one-input last step, when the Env asks
+	// for a held last step (StreamLast): the run is then its input, freed by
+	// its Close.
+	Last   *LastStep
 	Pages  int
 	Tuples int
 	Stats  JoinStats
@@ -70,7 +74,11 @@ func SortMergeJoin(e *Env, left, right Input, cfg SortConfig) (*JoinResult, erro
 	if g := e.Mem.Granted(); g > 0 {
 		e.Mem.Yield(g)
 	}
-	return &JoinResult{Result: out.id, Pages: out.pages, Tuples: out.tuples, Stats: *st}, nil
+	res := &JoinResult{Result: out.id, Pages: out.pages, Tuples: out.tuples, Stats: *st}
+	if e.StreamLast {
+		res.Last = &LastStep{e: e, cfg: cfg, runs: []*runInfo{out}, stats: st.SortStats, tuples: out.tuples}
+	}
+	return res, nil
 }
 
 // joinEngine drives the merge phase of a sort-merge join.

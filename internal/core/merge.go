@@ -411,7 +411,7 @@ func (m *mergeEngine) batchLoad(st *mergeStep) error {
 		if err != nil {
 			return err
 		}
-		p.r.bufs = append(p.r.bufs, pg)
+		p.r.enter(pg)
 	}
 	return nil
 }
@@ -766,7 +766,7 @@ func (m *mergeEngine) load(st *mergeStep, r *runInfo, ahead int) (bool, error) {
 				return false, err
 			}
 			if pr.idx == r.page+len(r.bufs) {
-				r.bufs = append(r.bufs, pg)
+				r.enter(pg)
 			}
 		}
 	}

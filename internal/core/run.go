@@ -81,6 +81,18 @@ func (r *runInfo) needsLoad() bool {
 	return len(r.bufs) == 0 && r.page < r.pages
 }
 
+// enter makes pg, the read of page r.page+len(r.bufs), resident. An empty
+// page — a caller's run may hold one — is passed over here, once, when it
+// would be the current page, so refill never finds one at the head of bufs;
+// further along, refill steps over it as over every page it has finished.
+func (r *runInfo) enter(pg inPage) {
+	if len(pg.recs) == 0 && len(r.bufs) == 0 {
+		r.page++
+		return
+	}
+	r.bufs = append(r.bufs, pg)
+}
+
 // refill copies the next stored record into the workspace. It requires the
 // current page to be resident; returns false (and invalidates the
 // workspace) when no stored records remain resident.

@@ -192,9 +192,8 @@ func (r *runInfo) free(s RunStore) error {
 
 // WriteRun writes e.In to e.Store as one new run, blockPages pages per
 // append (fewer than one counts as one) with one write in flight, observing
-// e.Ctx at page boundaries — the ingest path behind the public WriteRun and
-// GroupBy's aggregation pass. The input must already be sorted. A failed
-// write leaves no run behind.
+// e.Ctx at page boundaries — the ingest path behind the public WriteRun.
+// The input must already be sorted. A failed write leaves no run behind.
 func WriteRun(e *Env, blockPages int) (*SortResult, error) {
 	w := runWriter{store: e.Store}
 	r, err := newRun(e.Store)

@@ -26,7 +26,8 @@ type SortResult struct {
 // compaction-style workloads). The input runs are consumed: they are freed
 // as the merge retires them, and an aborted merge frees the rest, so nothing
 // leaks (the engine owns them from the moment of the call). With a single
-// input run, that run is returned unchanged. There is no run generation
+// input run, that run is returned unchanged — or, under a held last step,
+// is that step's one input. There is no run generation
 // to parallelise, so Stats.Workers reports 1 whatever cfg.Workers asks for.
 func MergeExisting(e *Env, cfg SortConfig, ids []RunID) (*SortResult, error) {
 	if err := cfg.Validate(); err != nil {
@@ -56,7 +57,7 @@ func MergeExisting(e *Env, cfg SortConfig, ids []RunID) (*SortResult, error) {
 // e.Store. It adapts its memory usage to e.Mem throughout — the paper's
 // memory-adaptive external sort: a split phase, then a merge phase, both on
 // the caller's goroutine at every cfg.Workers. The output is one stored run or the held last
-// step of the merge (SortResult.Last). An aborted sort leaves no storage and
+// step of the merge (SortResult.Last, under Env.StreamLast). An aborted sort leaves no storage and
 // no granted page behind.
 func ExternalSort(e *Env, cfg SortConfig) (*SortResult, error) {
 	if err := cfg.Validate(); err != nil {
@@ -107,11 +108,19 @@ func finishSort(e *Env, st *SortStats, t0 time.Duration, out *runInfo, last *Las
 
 // mergePhase merges runs, consuming them, into the operation's stored
 // output run — or, when e.StreamLast asks for it, up to its last step,
-// which it holds for the consumer. The merge has one plan whatever the
-// split's worker count: it runs on the caller's goroutine under the
-// operation's whole target.
+// which it holds for the consumer whatever the number of runs: over one run
+// the step reads it, over none it hands out nothing. The merge has one plan
+// whatever the split's worker count: it runs on the caller's goroutine
+// under the operation's whole target.
 func mergePhase(e *Env, cfg SortConfig, st *SortStats, runs []*runInfo) (*runInfo, *LastStep, error) {
 	e.setPhase("merge")
+	if e.StreamLast {
+		held, err := newMergeEngine(e, cfg, st).holdLast(runs)
+		if err != nil {
+			return nil, nil, err
+		}
+		return nil, &LastStep{e: e, cfg: cfg, runs: held, tuples: st.TuplesIn}, nil
+	}
 	switch len(runs) {
 	case 0:
 		// Empty input still yields a (empty) result run.
@@ -120,21 +129,14 @@ func mergePhase(e *Env, cfg SortConfig, st *SortStats, runs []*runInfo) (*runInf
 	case 1:
 		return runs[0], nil, nil
 	}
-	m := newMergeEngine(e, cfg, st)
-	if !e.StreamLast {
-		out, err := m.mergeRuns(runs)
-		return out, nil, err
-	}
-	held, err := m.holdLast(runs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return nil, &LastStep{e: e, cfg: cfg, runs: held}, nil
+	out, err := newMergeEngine(e, cfg, st).mergeRuns(runs)
+	return out, nil, err
 }
 
-// LastStep is the last merge step of a sort or merge, held back from the
-// store when the Env asks for it (StreamLast): the paper's final merge step
-// handing its output to the sort's consumer instead of writing it. Its
+// LastStep is the last merge step of a sort or merge — or the read of a
+// join's output run, a step of one input — held back from the store when
+// the Env asks for it (StreamLast): the paper's final merge step handing
+// its output to the operation's consumer instead of writing it. Its
 // inputs are stored runs, kept until Close; its output is whatever a Stream
 // of it produces. A LastStep, like its operation, belongs to one goroutine
 // at a time.
@@ -143,6 +145,9 @@ type LastStep struct {
 	cfg   SortConfig
 	runs  []*runInfo // the step's inputs, freed by Close
 	stats SortStats  // the operation's, as it returned
+	// tuples is what a complete Stream must hand out: a sort's input, a
+	// join's output; 0 when unknown (a merge of runs it did not write).
+	tuples int
 }
 
 // Stream starts one run of the step against mem — the operation's broker,
@@ -158,7 +163,7 @@ type LastStep struct {
 func (l *LastStep) Stream(mem Broker) *Stream {
 	e := *l.e
 	e.Mem = mem
-	s := &Stream{st: l.stats}
+	s := &Stream{st: l.stats, want: l.tuples}
 	s.m = newMergeEngine(&e, l.cfg, &s.st)
 	s.inputs = make([]*runInfo, len(l.runs))
 	for i, r := range l.runs {
@@ -208,6 +213,7 @@ type Stream struct {
 	left   int        // records to hand out before the next adaptation point
 	then   stepResult // what stopped the step: emit's, acted on at the next round
 	tuples int        // records handed out
+	want   int        // records a complete Stream hands out; 0: unknown
 	billed int        // of them, charged to the meter
 	err    error
 }
@@ -217,8 +223,8 @@ type Stream struct {
 // cfg.PageRecords records — the page boundary of a step that writes a run —
 // cancellation is observed and the step adapts to its broker; a preliminary
 // step a shrink splits off runs to its end inside one Next. A Stream that
-// ends — done, failed or closed — holds no page and no run. A sort's Stream
-// fails unless it produced every record the split read.
+// ends — done, failed or closed — holds no page and no run. A Stream fails
+// unless it produced every record its step is known to hold (LastStep).
 func (s *Stream) Next() (Record, bool, error) {
 	m := s.m
 	if s.inputs != nil {
@@ -265,9 +271,8 @@ func (s *Stream) Next() (Record, bool, error) {
 			m.e.yieldAll()
 			m.e.emit(EvPhase, 0, "idle")
 			s.st.EventPanics = m.e.eventPanics
-			if s.st.TuplesIn != 0 && s.tuples != s.st.TuplesIn {
-				// A sort's output is every record its split read.
-				s.err = fmt.Errorf("core: sort lost tuples: in %d, out %d", s.st.TuplesIn, s.tuples)
+			if s.want != 0 && s.tuples != s.want {
+				s.err = fmt.Errorf("core: last step lost tuples: want %d, out %d", s.want, s.tuples)
 			}
 		}
 	}
@@ -289,13 +294,6 @@ func (s *Stream) Close() {
 		s.m.e.emit(EvPhase, 0, "idle")
 	}
 	s.inputs = nil
-}
-
-// Size returns the records handed out, and the pages they would fill as a
-// stored run: complete once Next has reported the end.
-func (s *Stream) Size() (pages, tuples int) {
-	r := s.m.cfg.PageRecords
-	return (s.tuples + r - 1) / r, s.tuples
 }
 
 // Stats returns the operation's statistics with this Stream's merge work

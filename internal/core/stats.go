@@ -14,6 +14,11 @@ type SortStats struct {
 	Runs int
 
 	// MergeSteps counts completed merge steps, including the final one.
+	// Under a held last step (Env.StreamLast) that final step is there
+	// whatever merged before it: over one run — an input that fit in
+	// memory, a Merge of one run, a join's output — it is a step of one
+	// input, counted like any other, here, in MergePagesRead and in its
+	// step events (fan-in 1).
 	MergeSteps int
 
 	// SplitDuration and MergeDuration are the phase times; Response is the

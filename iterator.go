@@ -264,52 +264,3 @@ func (p *pageInput) NextPage() (core.Page, bool, error) {
 	}
 	return pg, true, nil
 }
-
-// runIterator streams a stored run back as records, keeping one page of
-// read-ahead issued: while page i is being consumed the read of page i+1 is
-// already with the store, which overlaps it with the consumer where that
-// pays (a disk-backed store on a slow device) and otherwise runs it when
-// the iterator gets there. It hands out Record values, never the page, so
-// it gives each page's record array back to a store that wants it
-// (core.RecordsReleaser) as it leaves the page; payloads stay the caller's.
-type runIterator struct {
-	store RunStore
-	id    RunID
-	pages int
-	page  int
-	buf   Page
-	pos   int
-	cur   core.RecordsReleaser // buf's token, when it takes the array back
-	ahead PageToken            // issued read of page `page`, if any
-}
-
-func (r *runIterator) Next() (Record, bool, error) {
-	for r.pos >= len(r.buf) {
-		if r.cur != nil {
-			r.buf, r.pos = nil, 0
-			r.cur.ReleaseRecords()
-			r.cur = nil
-		}
-		if r.page >= r.pages {
-			return Record{}, false, nil
-		}
-		tok := r.ahead
-		r.ahead = nil
-		if tok == nil {
-			tok = r.store.ReadAsync(r.id, r.page)
-		}
-		pg, err := tok.Wait()
-		if err != nil {
-			return Record{}, false, err
-		}
-		r.page++
-		if r.page < r.pages {
-			r.ahead = r.store.ReadAsync(r.id, r.page)
-		}
-		r.buf, r.pos = pg, 0
-		r.cur, _ = tok.(core.RecordsReleaser)
-	}
-	rec := r.buf[r.pos]
-	r.pos++
-	return rec, true, nil
-}

@@ -13,9 +13,12 @@ import (
 // the join runs, exactly as for Sort. Each output record carries the join
 // key and the concatenation of the left and right payloads.
 //
-// The result's Join field holds the join-specific statistics. Cancellation
-// behaves as for Sort: the join aborts at its next adaptation point,
-// freeing every run of both relations.
+// The joined records are written once, to one output run, which the
+// Result reads back as a last step of one input (see Result): under
+// WithPool the operator stays admitted until that result is drained or
+// closed. The result's Join field holds the join-specific statistics.
+// Cancellation behaves as for Sort: the join aborts at its next adaptation
+// point, freeing every run of both relations.
 func Join(ctx context.Context, left, right Iterator, opts ...Option) (*Result, error) {
 	return runOp(ctx, applyOptions(opts), "join", []Iterator{left, right}, func(env *core.Env, cfg core.SortConfig, o config) (*Result, error) {
 		res, err := core.SortMergeJoin(env,
@@ -24,6 +27,8 @@ func Join(ctx context.Context, left, right Iterator, opts ...Option) (*Result, e
 		if err != nil {
 			return nil, err
 		}
-		return &Result{run: res.Result, Pages: res.Pages, Tuples: res.Tuples, Stats: res.Stats.SortStats, Join: &res.Stats}, nil
+		out := heldResult(env, res.Last, res.Tuples, res.Stats.SortStats)
+		out.Join = &res.Stats
+		return out, nil
 	})
 }

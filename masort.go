@@ -289,29 +289,31 @@ func sortNamed(ctx context.Context, input Iterator, opt config, opName string) (
 }
 
 // sortResult maps the core's sort (or merge) outcome onto the part of a
-// Result the core knows, a held last step running under env's contract;
-// runOp completes it.
+// Result the core knows; runOp completes it.
 func sortResult(env *core.Env, res *core.SortResult, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{store: env.Store, run: res.Result, Pages: res.Pages, Tuples: res.Tuples, Stats: res.Stats}
-	if res.Last != nil {
-		// newEnv's broker is always memContract's handle.
-		out.last = &lastStep{step: res.Last, ctx: env.Ctx, mem: env.Mem.(*memarb.Handle)}
-	}
-	return out, nil
+	return heldResult(env, res.Last, res.Tuples, res.Stats), nil
+}
+
+// heldResult is a Result whose output is the held last step last, running
+// under env's contract.
+func heldResult(env *core.Env, last *core.LastStep, tuples int, st Stats) *Result {
+	// newEnv's broker is always memContract's handle.
+	l := &lastStep{step: last, ctx: env.Ctx, mem: env.Mem.(*memarb.Handle)}
+	return &Result{last: l, Tuples: tuples, Stats: st}
 }
 
 // runOp is the scaffold every operator entry point runs inside: it resolves
 // the options, opens the trace span, takes the memory contract (pool
 // admission included), builds the core Env and hands it to run, which makes
-// the core call and maps its outcome onto a Result (output runs, sizes,
-// stats). runOp completes that Result — store, counters, measured store
-// I/O, event log, pool stats — or, on error, releases the contract, wraps a
-// cancellation and closes the span with the error. A Result whose last
-// merge step is held is completed by its first complete drain or Close
-// instead, when the step has run (lastStep).
+// the core call and maps its outcome onto a Result (its held last step,
+// sizes, stats). runOp gives that Result the numbers so far — counters,
+// measured store I/O, event log, pool stats — and what completes the
+// operator at its first complete drain or Close, when the last step has run
+// (lastStep); on error it releases the contract, wraps a cancellation and
+// closes the span with the error.
 //
 // inputs are the operator's Iterator inputs. One that is a held step's
 // iterator on the same Budget or Pool (pipedSteps) runs only when this
@@ -348,37 +350,32 @@ func runOp(ctx context.Context, opt config, name string, inputs []Iterator, run 
 		ot.end(err)
 		return nil, err
 	}
-	out.store = o.store
 	ot.attach(out)
+	l := out.last
+	l.base, l.arb, l.pageRecords = out.Stats, o.arbiter(), o.pageRecords
 	// complete takes the operator's final stats as the core counted them;
 	// leave ends the operator.
-	complete := func(out *Result, st Stats) {
+	l.complete = func(out *Result, st Stats) {
 		out.Stats, out.Counters = st, meter.counters()
 		ot.finishStats(&out.Stats, ts)
 		if out.Join != nil {
 			out.Join.SortStats = out.Stats
 		}
 	}
-	leave := func() {
+	l.leave = func() {
 		mem.Leave()
 		report(out)
 		ot.end(nil)
 	}
-	if l := out.last; l != nil {
-		// The held step completes the operator; until it does, the
-		// Result shows the numbers so far.
-		l.base, l.complete, l.leave, l.arb = out.Stats, complete, leave, o.arbiter()
-		out.Counters = meter.counters()
-		ot.finishStats(&out.Stats, ts)
-		report(out)
-		l.admit = func() (*memarb.Handle, error) {
-			mem, _, err := memContract(ctx, &o, ot, true)
-			return mem, err
-		}
-		return out, nil
+	l.admit = func() (*memarb.Handle, error) {
+		mem, _, err := memContract(ctx, &o, ot, true)
+		return mem, err
 	}
-	complete(out, out.Stats)
-	leave()
+	// Until the held step completes the operator, the Result shows the
+	// numbers so far.
+	out.Counters = meter.counters()
+	ot.finishStats(&out.Stats, ts)
+	report(out)
 	return out, nil
 }
 

@@ -691,8 +691,8 @@ func TestReleasedRecordArraysPinNoPayloads(t *testing.T) {
 }
 
 // TestMemStoreCopiesOwnedPayloads runs, on a MemStore, the operators whose
-// output payloads are made for the output alone — a join's tuples,
-// GroupBy's folds, SortT's encodings — with 16-byte payloads, which a
+// stored payloads are made for the output alone — a join's tuples, SortT's
+// encodings — with 16-byte payloads, which a
 // MemStore holds by reference when they are its caller's: their runs hold
 // no page, since holding would keep one allocation a record alive. A Sort
 // of a slice of the same records, whose payloads are the caller's, holds
@@ -705,11 +705,6 @@ func TestMemStoreCopiesOwnedPayloads(t *testing.T) {
 	}
 	opts := func(s *MemStore) []Option {
 		return []Option{WithStore(s), WithPageRecords(16), WithBudget(NewBudget(8))}
-	}
-	pair := &FuncAggregator{
-		OnStart:  func(Record) {},
-		OnAdd:    func(Record) {},
-		OnFinish: func(k Key) []byte { return binary.LittleEndian.AppendUint64(make([]byte, 8, 16), uint64(k)) },
 	}
 	codec := FuncCodec[Record]{
 		KeyFunc:    func(r Record) Key { return r.Key },
@@ -727,9 +722,6 @@ func TestMemStoreCopiesOwnedPayloads(t *testing.T) {
 	}{
 		{"join", func(s *MemStore) (*Result, error) {
 			return Join(ctx, NewSliceIterator(in), NewSliceIterator(in[:500]), opts(s)...)
-		}, false},
-		{"groupby", func(s *MemStore) (*Result, error) {
-			return GroupBy(ctx, NewSliceIterator(in), pair, opts(s)...)
 		}, false},
 		{"sortt", func(s *MemStore) (*Result, error) {
 			seq := func(yield func(Record, error) bool) {

@@ -44,7 +44,7 @@ import (
 // step's output over an encoded run — since holding it would keep that
 // chunk alive after its run is freed; and a batch an operator writes of
 // payloads it made itself, one allocation a record that nothing else refers
-// to — a Join's output tuples, GroupBy's folds, SortT's encodings, on a
+// to — a Join's output tuples, SortT's encodings, on a
 // MemStore the operator is given itself rather than wrapped — since
 // holding those would keep every allocation alive where the encoded form
 // keeps the bytes alone (a Join's result, 16–24-byte tuples: 35 bytes a
@@ -101,7 +101,7 @@ func (s *MemStore) ReadAsync(id RunID, page int) PageToken {
 }
 
 // ownedStore is the MemStore as seen by an operator writing payloads it
-// made itself — a join's output tuples, GroupBy's folds, SortT's encodings
+// made itself — a join's output tuples, SortT's encodings
 // (core.Env.Owned): the runs it creates copy their payloads rather than
 // share them.
 type ownedStore struct {

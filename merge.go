@@ -56,10 +56,11 @@ func (o *orderedInput) NextPage() (core.Page, bool, error) {
 //
 // The input runs are CONSUMED: Merge frees them from the store as they are
 // retired — the last step's inputs when the Result is closed — and a
-// canceled merge frees the not-yet-retired ones too. With zero inputs an
-// empty result is returned; with one input that run becomes the result
-// unchanged — without rescanning it, so that result's Tuples is 0 (Pages is
-// exact; WriteRun reports the tuple count at write time).
+// canceled merge frees the not-yet-retired ones too. With zero inputs the
+// result's last step has none and yields nothing; with one input it reads
+// that run, unchanged — without a scan before it, so that result's Tuples
+// is 0 until a drain has counted it (WriteRun reports the tuple count at
+// write time).
 //
 // The store argument is authoritative — the ids name runs inside it — so a
 // WithStore option is ignored here. WithWorkers parallelises run

@@ -380,10 +380,11 @@ func TestGroupByUnderBudgetChanges(t *testing.T) {
 	}
 }
 
-// TestGroupByAggregatesInsideItsContract pins that the aggregation pass is
-// part of the operator: while Aggregator.Finish runs the operator is still
-// attached to its pool (so its two pages are the pool's to arbitrate), and
-// the trace span closes only after the result run's last write.
+// TestGroupByAggregatesInsideItsContract pins that the aggregation is part
+// of the operator: while Aggregator.Finish runs under the drain, the
+// operator is still attached to its pool (so the step's pages are the
+// pool's to arbitrate), and the trace span closes only after the last
+// Finish.
 func TestGroupByAggregatesInsideItsContract(t *testing.T) {
 	pool := NewPool(24)
 	tr := &collectTracer{}
@@ -392,10 +393,12 @@ func TestGroupByAggregatesInsideItsContract(t *testing.T) {
 		in[i].Key %= 700
 	}
 	count := &CountAggregator{}
+	lastFinish := -1 // trace events emitted before the last Finish
 	agg := &FuncAggregator{OnStart: count.Start, OnAdd: count.Add, OnFinish: func(k Key) []byte {
 		if ops := pool.Ops(); ops != 1 {
 			t.Errorf("Finish(%d) ran with %d operators attached to the pool, want 1", k, ops)
 		}
+		lastFinish = len(tr.events())
 		return count.Finish(k)
 	}}
 	res, err := GroupBy(context.Background(), NewSliceIterator(in), agg,
@@ -404,19 +407,23 @@ func TestGroupByAggregatesInsideItsContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer res.Close()
-	if res.Tuples != 700 || res.Pages != 11 || pool.Ops() != 0 {
-		t.Fatalf("tuples=%d pages=%d ops=%d, want 700, 11, 0", res.Tuples, res.Pages, pool.Ops())
+	if res.Tuples != 0 || lastFinish >= 0 {
+		t.Fatalf("tuples=%d, Finish ran: %v before the drain, want 0 and no", res.Tuples, lastFinish >= 0)
 	}
-	lastWrite, opEnd := -1, -1
+	groups, err := Drain(res.Iterator())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(groups) != 700 || res.Tuples != 700 || res.Pages != 11 || pool.Ops() != 0 {
+		t.Fatalf("groups=%d tuples=%d pages=%d ops=%d, want 700, 700, 11, 0", len(groups), res.Tuples, res.Pages, pool.Ops())
+	}
+	opEnd := -1
 	for i, ev := range tr.events() {
-		switch ev.Kind {
-		case trace.KindStoreWrite:
-			lastWrite = i
-		case trace.KindOpEnd:
+		if ev.Kind == trace.KindOpEnd {
 			opEnd = i
 		}
 	}
-	if lastWrite < 0 || opEnd < lastWrite {
-		t.Fatalf("KindOpEnd at %d, last KindStoreWrite at %d: the span must cover the aggregation pass", opEnd, lastWrite)
+	if opEnd < lastFinish {
+		t.Fatalf("KindOpEnd at %d, the last Finish after %d events: the span must cover the aggregation", opEnd, lastFinish)
 	}
 }

@@ -162,6 +162,9 @@ func TestMetricsMatchStats(t *testing.T) {
 		}
 		res, err := Join(ctx, NewSliceIterator(l), NewSliceIterator(r),
 			WithPageRecords(32), WithBudget(NewBudget(10)), WithTracer(m))
+		if err == nil {
+			_, err = Drain(res.Iterator()) // the output is read here
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

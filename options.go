@@ -51,9 +51,10 @@ func WithBudget(b *Budget) Option {
 // private Budget: the operator is admitted at start (which may queue or
 // fail, see AdmissionPolicy), receives an equal share of the pool
 // arbitrated against all concurrently running operators and application
-// reservations, and detaches when it finishes — for a Result whose last
-// merge step is held (see Result), once its first drain has completed (or
-// it is closed) and the iterator running on its admission has ended. Any
+// reservations, and detaches when it finishes: since every Result is its
+// operator's held last step (see Result), once its first drain has
+// completed (or it is closed) and the iterator running on its admission has
+// ended. Any
 // other iterator of the Result is admitted afresh, at the Iterator call,
 // for its own duration. An operator whose input is such an iterator of the
 // same Pool is admitted without queueing, whatever the AdmissionPolicy: its

@@ -32,6 +32,16 @@ func (s tokenStore) makeSlow() {
 	}
 }
 
+// makeFast marks every disk as one whose reads run inline, and stops the
+// clock that times its fetches, so that no fetch — however long it is
+// descheduled — makes the disk look slow.
+func (s tokenStore) makeFast() {
+	s.ps.now = func() time.Time { return time.Time{} }
+	for i := range s.ps.disks {
+		s.ps.disks[i].fetchNanos.Store(0)
+	}
+}
+
 func (s tokenStore) readsRun() (inline, dispatched int64) {
 	return s.ps.inlineReads.Load(), s.ps.dispatchedReads.Load()
 }
@@ -351,6 +361,8 @@ func TestRetriesCountTheSameInlineAndDispatched(t *testing.T) {
 		for _, slow := range []bool{false, true} {
 			if slow {
 				s.makeSlow()
+			} else {
+				s.makeFast()
 			}
 			read := func(page int, sc ...string) (PageToken, Page, error) {
 				script.Store(&sc)
@@ -399,50 +411,6 @@ func (h *slowReads) afterRead(int64, []byte) error {
 	h.spent.Add(int64(time.Since(start)))
 	h.now.Add(-1)
 	return nil
-}
-
-// TestSlowDeviceReadAheadOverlapsConsumer: on a device that takes 2 ms a
-// read, the output iterator's read-ahead is handed to a goroutine at issue —
-// every read but the first, which found a disk with no history — so a
-// consumer that spends as long on each page finishes in about the larger of
-// the two totals, not their sum.
-func TestSlowDeviceReadAheadOverlapsConsumer(t *testing.T) {
-	const pages = 40
-	h := &slowReads{latency: 2 * time.Millisecond}
-	fs, err := NewStoreConfig().WithFaults(hookFuncs{afterRead: h.afterRead}).File(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	id, _, err := WriteRun(fs, NewSliceIterator(sortedRecords(pages*8, 0, 1)), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := &runIterator{store: fs, id: id, pages: pages}
-	var consumed time.Duration
-	start := time.Now()
-	for n := 0; ; n++ {
-		_, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if n%8 == 0 { // once a page
-			s := time.Now()
-			time.Sleep(h.latency)
-			consumed += time.Since(s)
-		}
-	}
-	elapsed, fetching := time.Since(start), time.Duration(h.spent.Load())
-	t.Logf("%d pages: %v fetching, %v consuming, %v elapsed", pages, fetching, consumed, elapsed)
-	if inline, dispatched := fs.inlineReads.Load(), fs.dispatchedReads.Load(); inline != 1 || dispatched != pages-1 {
-		t.Errorf("reads run inline/dispatched = %d/%d, want 1/%d", inline, dispatched, pages-1)
-	}
-	if sum := fetching + consumed; elapsed > sum*3/4 {
-		t.Errorf("draining took %v of the %v that fetching and consuming take one after the other: the read-ahead does not overlap", elapsed, sum)
-	}
 }
 
 // TestSlowDeviceBatchReadsOverlap is batchLoad's pattern — one read issued

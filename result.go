@@ -15,14 +15,16 @@ import (
 // output records plus execution statistics. It implements io.Closer; Close
 // releases the result's storage, after which it must not be iterated.
 //
-// The output is one stored run when the operator is a Join or a GroupBy, or
-// had nothing to merge (the input fit in memory). Otherwise the output is the
-// operator's last merge step itself, held back from the store: Sort and
-// Merge return before it, and Iterator runs it under the caller's Next,
+// The output is the operator's last step, held back from the store: the
+// operator returns before it, and Iterator runs it under the caller's Next,
 // record by record, rather than writing every output page only to read it
-// back, at every WithWorkers count. Such a result keeps the step's input
-// runs until Close and runs the step afresh for every Iterator. The contract
-// of a held step:
+// back, at every WithWorkers count. For Sort and Merge it is the last merge
+// step — a step of one input when there was one run to merge (the input fit
+// in memory), of none when there was none; GroupBy folds its groups off its
+// sort's last step; a Join's is a step of one input too, reading the output
+// run its joint step wrote. Such a result keeps the step's input runs until
+// Close and runs the step afresh for every Iterator. The contract of a held
+// step:
 //
 //   - Each iterator runs under the operator's memory contract (WithBudget,
 //     WithPool) from the Iterator call until it ends — drained, failed, its
@@ -40,23 +42,23 @@ import (
 //     (the runs those merges write belong to the iterator that made them).
 //     An iterator dropped before its end keeps its share, and its pages,
 //     until Close. Between iterations the Result holds no pages.
-//   - Stats and Pages are final once an iterator on the operator's
-//     registration has drained the step, and include the last step's merge
-//     work; Tuples is final when the operator returns (for Merge, which
-//     does not know the size of runs it did not write, after that drain).
+//   - Stats, Pages and Tuples are final once an iterator on the operator's
+//     registration has drained the step: Stats include the last step's
+//     work, and Pages and Tuples count the records that drain handed out
+//     (Pages as the pages of PageRecords records they fill). Before that,
+//     Pages is 0 and Tuples is what the operator knows when it returns — a
+//     Sort's input, a Join's output, the runs a Merge wrote itself, 0 for a
+//     GroupBy.
 //     Later drains change none of them.
 //   - Under WithPool the operator stays admitted — and its trace span open —
 //     until that drain completes, or Close; Pool is final then.
 //   - The step observes the operator's context: canceling it ends a drain
 //     with ErrCanceled.
 //   - Like the operator, a held step belongs to one goroutine at a time: its
-//     iterators may interleave, but not run on several goroutines at once.
+//     iterators may interleave, but not run on several goroutines at once
+//     (nor, for a GroupBy, whose iterators share its Aggregator, interleave).
 type Result struct {
-	store RunStore
-	// run is the stored output, when last is nil.
-	run RunID
-
-	// last is the held-back last merge step, nil for a stored output.
+	// last is the held-back last step.
 	last *lastStep
 
 	// Pages and Tuples size the output.
@@ -89,12 +91,11 @@ type Result struct {
 }
 
 // Iterator streams the output records in sorted order. A closed result
-// yields ErrFreed. A stored output is read with one page of read-ahead
-// issued to the store; a held last step runs under Next (see Result), and
-// may be iterated again: each Iterator merges its inputs afresh, and takes
-// its share of the memory contract at once — under a Pool, unless it runs
-// on the operator's admission, by an admission of its own that may queue or
-// fail, which then is the iterator's error.
+// yields ErrFreed. Iterator runs the held last step under Next (see
+// Result), and may be called again: each Iterator merges the step's inputs
+// afresh, and takes its share of the memory contract at once — under a
+// Pool, unless it runs on the operator's admission, by an admission of its
+// own that may queue or fail, which then is the iterator's error.
 //
 // Records are served from the store's pages: they stay valid as long as
 // they are referenced, but callers retaining Record.Payload across many
@@ -102,21 +103,19 @@ type Result struct {
 // of them (the page's payload arena on FileStore and StripedStore, nothing
 // but the payload bytes; the run's mapping on MmapStore, zero-copy; on the
 // default MemStore, the batch's encoded chunk for payloads of 8 bytes or
-// less and for payloads the operator made (a Join's tuples, GroupBy's
-// folds, SortT's encodings), and otherwise the input's own payload, capped
-// at its length; see README.md, "Buffer ownership and zero-copy"). The iterator gives each
-// page's record array — never the payloads — back to a store that takes it
-// (ReleaseRecords) as it moves on; a held step does so with its input pages.
+// less and for payloads the operator made (a Join's tuples, SortT's
+// encodings), and otherwise the input's own payload, capped at its length;
+// see README.md, "Buffer ownership and zero-copy"). A GroupBy's payloads
+// are its Aggregator's. The iterator gives each input page's record array
+// — never the payloads — back to a store that takes it (ReleaseRecords) as
+// it moves on.
 func (r *Result) Iterator() Iterator {
 	if r.freed {
 		return FuncIterator(func() (Record, bool, error) {
 			return Record{}, false, ErrFreed
 		})
 	}
-	if r.last != nil {
-		return r.last.iterator(r)
-	}
-	return &runIterator{store: r.store, id: r.run, pages: r.Pages}
+	return r.last.iterator(r)
 }
 
 // All returns the output records as a range-over-func sequence:
@@ -147,32 +146,34 @@ func (r *Result) All() iter.Seq2[Record, error] {
 // errStopped ends a held step's iteration whose range loop broke early.
 var errStopped = errors.New("masort: iteration stopped")
 
-// Close releases the result's storage (a stored run; a held last step's
-// input runs, and the runs, pages and memory shares of any iterator not yet
-// ended). The Result must not be iterated afterwards; a second Close
-// returns ErrFreed.
+// Close releases the result's storage: the held last step's input runs,
+// and the runs, pages and memory shares of any iterator not yet ended. The
+// Result must not be iterated afterwards; a second Close returns ErrFreed.
 func (r *Result) Close() error {
 	if r.freed {
 		return ErrFreed
 	}
 	r.freed = true
-	if l := r.last; l != nil {
-		for _, it := range slices.Clone(l.open) {
-			it.end(ErrFreed)
-		}
-		err := l.step.Close()
-		l.completeOp(r, l.base)
-		return err
+	l := r.last
+	for _, it := range slices.Clone(l.open) {
+		it.end(ErrFreed)
 	}
-	return r.store.Free(r.run)
+	err := l.step.Close()
+	l.completeOp(r, l.base)
+	return err
 }
 
-// lastStep is what a Result whose last merge step is held back keeps of its
-// operator: the step, and the memory contract the step runs under.
+// lastStep is what a Result keeps of its operator: the held last step, and
+// the memory contract the step runs under.
 type lastStep struct {
 	step *core.LastStep
 	ctx  context.Context
-	arb  *memarb.Arbiter // the contract's arbiter; nil inside GroupBy
+	arb  *memarb.Arbiter // the contract's arbiter
+	// agg folds the step's records into GroupBy's groups; nil hands them
+	// out as they are.
+	agg Aggregator
+	// pageRecords sizes Result.Pages.
+	pageRecords int
 
 	// mem is the operator's registration with its memory contract until
 	// the operator completes: at its first complete drain or Close. The
@@ -184,8 +185,7 @@ type lastStep struct {
 
 	// complete makes the operator's numbers final; leave ends the operator
 	// once it is complete and no iterator runs on its registration any
-	// more. Both are nil inside GroupBy, whose operator ends with the
-	// groups.
+	// more. Each runs once, and is nil afterwards.
 	complete func(*Result, Stats)
 	leave    func()
 	base     Stats // the operator's stats as it returned
@@ -216,7 +216,7 @@ func (l *lastStep) iterator(r *Result) *stepIterator {
 func (l *lastStep) completeOp(r *Result, st Stats) {
 	l.mem = nil
 	if l.complete == nil {
-		return
+		return // completed already
 	}
 	l.complete(r, st)
 	l.complete = nil
@@ -232,48 +232,93 @@ func (l *lastStep) settle() {
 	}
 }
 
-// stepIterator runs a held last merge step under its caller's Next: each
-// record comes straight from the step's selection, by value.
+// stepIterator runs a held last step under its caller's Next: each record
+// comes straight from the step's selection, by value, or folds into a group
+// (lastStep.agg).
 type stepIterator struct {
 	r     *Result
 	mem   *memarb.Handle // the memory the step runs under: l.mem while lent
 	s     *core.Stream
-	ahead []Record // records shed read ahead of Next
+	ahead []Record // step records shed read ahead of pull
+	n     int      // records handed out
 	done  bool
 	err   error
+
+	// head is the first record of the next group, when open.
+	head Record
+	open bool
 }
 
 // Next starts the step on the first call and hands out its next record.
 func (it *stepIterator) Next() (Record, bool, error) {
+	if it.done {
+		return Record{}, false, it.err
+	}
+	var rec Record
+	var ok bool
+	var err error
+	if agg := it.r.last.agg; agg != nil {
+		rec, ok, err = it.fold(agg)
+	} else {
+		rec, ok, err = it.pull()
+	}
+	if !ok {
+		it.end(err)
+		return Record{}, false, it.err
+	}
+	it.n++
+	return rec, true, nil
+}
+
+// pull returns the step's next record: one shed ahead, or the Stream's,
+// which it starts on the first call.
+func (it *stepIterator) pull() (Record, bool, error) {
 	if len(it.ahead) > 0 {
 		rec := it.ahead[0]
 		it.ahead = it.ahead[1:]
 		return rec, true, nil
 	}
-	if it.done {
-		return Record{}, false, it.err
-	}
 	if it.s == nil {
 		it.s = it.r.last.step.Stream(it.mem)
 	}
-	rec, ok, err := it.s.Next()
-	if !ok {
-		it.end(err)
-		return Record{}, false, it.err
+	return it.s.Next()
+}
+
+// fold folds the step's next run of equal keys into one record with agg.
+// Only one group is open at a time; head is the first record of the next
+// one. The last group's Finish runs before the step ends.
+func (it *stepIterator) fold(agg Aggregator) (Record, bool, error) {
+	if !it.open {
+		rec, ok, err := it.pull()
+		if !ok {
+			return Record{}, false, err
+		}
+		it.head = rec
 	}
-	return rec, true, nil
+	key := it.head.Key
+	agg.Start(it.head)
+	for {
+		rec, ok, err := it.pull()
+		if err != nil {
+			return Record{}, false, err
+		}
+		if it.head, it.open = rec, ok; !ok || rec.Key != key {
+			return Record{Key: key, Payload: agg.Finish(key)}, true, nil
+		}
+		agg.Add(rec)
+	}
 }
 
 // shed runs a started step to the adaptation point at which it gives back
 // what it holds above its share — an operator reading it has just
 // registered on the same arbiter, and asks for pages before it reads —
-// keeping the records it passes for Next. The step adapts every page of
-// records, so at most a page is read ahead.
+// keeping the records it passes for pull. The step adapts every page of
+// records, so at most a page is read ahead. A step that ends meanwhile
+// reports its end to pull after the records read ahead.
 func (it *stepIterator) shed() {
 	for it.s != nil && !it.done && it.mem.Pressure() > 0 {
-		rec, ok, err := it.s.Next()
+		rec, ok, _ := it.s.Next()
 		if !ok {
-			it.end(err) // Next reports it after the records read ahead
 			return
 		}
 		it.ahead = append(it.ahead, rec)
@@ -290,6 +335,7 @@ func (it *stepIterator) end(err error) {
 	// the operator: l.mem is still set while the lent iterator runs.
 	lent := it.mem == l.mem
 	it.done = true
+	it.ahead = nil
 	l.open = slices.DeleteFunc(l.open, func(x *stepIterator) bool { return x == it })
 	if it.s != nil {
 		it.s.Close()
@@ -304,7 +350,8 @@ func (it *stepIterator) end(err error) {
 		it.err = wrapCtxErr(l.ctx, err)
 	} else if lent {
 		it.r.Stats = it.s.Stats()
-		it.r.Pages, it.r.Tuples = it.s.Size()
+		it.r.Tuples = it.n
+		it.r.Pages = (it.n + l.pageRecords - 1) / l.pageRecords
 		l.completeOp(it.r, it.r.Stats)
 	}
 	l.settle()

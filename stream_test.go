@@ -493,19 +493,17 @@ func (c *pageCounter) ReadAsync(id RunID, page int) PageToken {
 }
 
 // TestGroupByFoldsTheStreamedStep: GroupBy aggregates straight off its
-// sort's last merge step. The store sees the runs and the preliminary steps
-// written, their pages read, and the groups written — nothing else: the
-// sorted input's pages, which the last step used to write and the
-// aggregation pass to read back, are one write and one read less each.
-func TestGroupByFoldsTheStreamedStep(t *testing.T) { groupByWritesOnlyItsGroups(t, 1) }
+// sort's last merge step, under the drain. The store sees the runs and the
+// preliminary steps written, and their pages read — nothing else: neither
+// the sorted input nor the groups are written, or read back.
+func TestGroupByFoldsTheStreamedStep(t *testing.T) { groupByWritesOnlyItsSort(t, 1) }
 
 // TestGroupByFoldsTheStreamedPartitions: on two workers GroupBy folds the
 // groups off the one held step over both workers' runs, and the store again
-// sees only the runs, the preliminary steps and the groups written: the
-// sorted input is neither written nor read back.
-func TestGroupByFoldsTheStreamedPartitions(t *testing.T) { groupByWritesOnlyItsGroups(t, 2) }
+// sees only the runs and the preliminary steps written and read.
+func TestGroupByFoldsTheStreamedPartitions(t *testing.T) { groupByWritesOnlyItsSort(t, 2) }
 
-func groupByWritesOnlyItsGroups(t *testing.T, workers int) {
+func groupByWritesOnlyItsSort(t *testing.T, workers int) {
 	in := randomRecords(600*32, 71, 4)
 	groups := map[Key]bool{}
 	for i := range in {
@@ -519,13 +517,62 @@ func groupByWritesOnlyItsGroups(t *testing.T, workers int) {
 		t.Fatal(err)
 	}
 	defer res.Close()
-	st := res.Stats
-	if st.MergeSteps < 2 || res.Tuples != len(groups) || st.Workers != workers {
-		t.Fatalf("%d merge steps, %d groups, %d workers: want preliminary steps, %d groups and %d workers", st.MergeSteps, res.Tuples, st.Workers, len(groups), workers)
+	out, err := Drain(res.Iterator())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if w, r := store.written.Load(), store.read.Load(); w != int64(st.RunPagesWritten+st.MergePagesWritten+res.Pages) || r != int64(st.MergePagesRead) {
-		t.Fatalf("store wrote %d pages and read %d; runs %d + merge %d + groups %d written, merge %d read",
-			w, r, st.RunPagesWritten, st.MergePagesWritten, res.Pages, st.MergePagesRead)
+	st := res.Stats
+	if st.MergeSteps < 2 || len(out) != len(groups) || res.Tuples != len(groups) || st.Workers != workers {
+		t.Fatalf("%d merge steps, %d groups (Tuples %d), %d workers: want preliminary steps, %d groups and %d workers",
+			st.MergeSteps, len(out), res.Tuples, st.Workers, len(groups), workers)
+	}
+	if w, r := store.written.Load(), store.read.Load(); w != int64(st.RunPagesWritten+st.MergePagesWritten) || r != int64(st.MergePagesRead) {
+		t.Fatalf("store wrote %d pages and read %d; runs %d + merge %d written, merge %d read",
+			w, r, st.RunPagesWritten, st.MergePagesWritten, st.MergePagesRead)
+	}
+}
+
+// TestStatsEqualTheStore: after the drain, a GroupBy's and a Join's Stats
+// count every page the store wrote and read — a Join's output, which its
+// joint step writes and the drain's last step reads back, included
+// (budget 16, pages of 32 records, each key twice).
+func TestStatsEqualTheStore(t *testing.T) {
+	const pages, r = 400, 32
+	twice := func(n int, seed uint64) []Record {
+		in := randomRecords(n, seed, 4)
+		for i := range in {
+			in[i].Key = in[i/2*2].Key
+		}
+		return in
+	}
+	ctx := context.Background()
+	for _, op := range []string{"groupby", "join"} {
+		t.Run(op, func(t *testing.T) {
+			store := &pageCounter{RunStore: NewMemStore()}
+			opts := []Option{WithPageRecords(r), WithBudget(NewBudget(16)), WithStore(store)}
+			var res *Result
+			var err error
+			if op == "groupby" {
+				res, err = GroupBy(ctx, NewSliceIterator(twice(pages*r, 5)), &CountAggregator{}, opts...)
+			} else {
+				res, err = Join(ctx, NewSliceIterator(twice(pages/2*r, 6)), NewSliceIterator(twice(pages/2*r, 6)), opts...)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer res.Close()
+			out, err := Drain(res.Iterator())
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.Stats
+			w, rd := store.written.Load(), store.read.Load()
+			t.Logf("%d records out; store wrote %d pages, read %d; Stats: runs %d + merge %d written, merge %d read",
+				len(out), w, rd, st.RunPagesWritten, st.MergePagesWritten, st.MergePagesRead)
+			if len(out) != res.Tuples || w != int64(st.RunPagesWritten+st.MergePagesWritten) || rd != int64(st.MergePagesRead) {
+				t.Fatalf("%d records, Tuples %d: the store's pages are not the Stats'", len(out), res.Tuples)
+			}
+		})
 	}
 }
 
