@@ -120,7 +120,6 @@ func main() {
 		listen    = flag.String("listen", "", "serve Prometheus /metrics and /debug/events on this address (e.g. :9090)")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON file (load in chrome://tracing)")
 		hold      = flag.Bool("hold", false, "with -listen: keep serving after the sort completes, until interrupted")
-		workers   = flag.Int("workers", 1, "workers reported in the stats, at most 2; every sort runs on one goroutine (0 = all cores)")
 	)
 	flag.Parse()
 
@@ -161,7 +160,6 @@ func main() {
 		masort.WithBlockPages(*block),
 		masort.WithPageRecords(*prec),
 		masort.WithBudget(pages),
-		masort.WithWorkers(*workers),
 	}
 	switch *method {
 	case "repl":
@@ -359,8 +357,8 @@ func main() {
 	if *stats {
 		s := res.Stats
 		fmt.Fprintf(os.Stderr,
-			"sorted %d records: %d runs, %d merge steps, %d splits, %d combines, %d suspensions, %d extra reads, %d workers, %v total\n",
-			res.Tuples, s.Runs, s.MergeSteps, s.Splits, s.Combines, s.Suspensions, s.ExtraMergeReads, s.Workers, s.Response)
+			"sorted %d records: %d runs, %d merge steps, %d splits, %d combines, %d suspensions, %d extra reads, %v total\n",
+			res.Tuples, s.Runs, s.MergeSteps, s.Splits, s.Combines, s.Suspensions, s.ExtraMergeReads, s.Response)
 		// Whether the store takes merge-read pages back for reuse: on the
 		// disk-backed stores, those of every step that writes its output —
 		// the last step, which the drain above ran, gives its input pages

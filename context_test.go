@@ -181,6 +181,86 @@ func TestJoinCanceledMidMerge(t *testing.T) {
 	requireNoLeaks(t, store, budget)
 }
 
+// abortOnRead cancels its context, or fails the read, at the nth page read.
+type abortOnRead struct {
+	RunStore
+	n      int
+	cancel context.CancelFunc
+	err    error
+}
+
+func (s *abortOnRead) ReadAsync(id RunID, page int) PageToken {
+	if s.n--; s.n == 0 {
+		if s.err != nil {
+			return failedRead{s.err}
+		}
+		s.cancel()
+	}
+	return s.RunStore.ReadAsync(id, page)
+}
+
+type failedRead struct{ err error }
+
+func (t failedRead) Wait() (Page, error) { return nil, t.err }
+
+// TestJoinAbortsMidStep stops a join by cancellation and by a read error a
+// quarter, half and three quarters through its merge reads, the last inside
+// its joint step: either way it frees every run and hands back every page.
+func TestJoinAbortsMidStep(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	l := make([]Record, 20_000)
+	r := make([]Record, 20_000)
+	for i := range l {
+		l[i] = Record{Key: rng.Uint64() % 4096}
+		r[i] = Record{Key: rng.Uint64() % 4096}
+	}
+	join := func(ctx context.Context, store RunStore, budget *Budget) (*Result, int, error) {
+		starts := 0
+		res, err := Join(ctx, NewSliceIterator(l), NewSliceIterator(r),
+			WithPageRecords(32), WithStore(store), WithBudget(budget),
+			WithEvents(func(ev Event) {
+				if ev.Kind == EvStepStart {
+					starts++
+				}
+			}))
+		return res, starts, err
+	}
+	res, steps, err := join(context.Background(), NewMemStore(), NewBudget(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := res.Stats.MergePagesRead
+	res.Close()
+	if steps < 2 {
+		t.Fatalf("%d merge steps: no preliminary merge to abort", steps)
+	}
+	fault := errors.New("read fault")
+	for _, how := range []string{"cancel", "fault"} {
+		for q := 1; q <= 3; q++ {
+			n := reads * q / 4
+			t.Run(fmt.Sprintf("%s/q%d", how, q), func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				store, budget := NewMemStore(), NewBudget(8)
+				s := &abortOnRead{RunStore: store, n: n, cancel: cancel}
+				if how == "fault" {
+					s.err = fault
+				}
+				_, started, err := join(ctx, s, budget)
+				if how == "cancel" {
+					requireCanceled(t, err)
+				} else if !errors.Is(err, fault) {
+					t.Fatalf("err = %v, want the read fault", err)
+				}
+				if q == 3 && started != steps {
+					t.Fatalf("stopped after %d of %d step starts: the joint step never ran", started, steps)
+				}
+				requireNoLeaks(t, store, budget)
+			})
+		}
+	}
+}
+
 func TestMergeCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -224,7 +224,8 @@
 // every input page it has consumed once the Append of the output block
 // holding its last record has returned, which is how merges on the
 // disk-backed stores read without allocating (Stats.MergePagesReleased
-// counts them); dropped pages and the join's final phase never release. A
+// counts them); dropped pages never release, and the join's final phase
+// gives back record arrays only (its pending key group may hold payloads). A
 // store offering Release promises in return that Append has copied every
 // payload byte by the time it returns and keeps none — not only no page
 // slices. MemStore hands out what it keeps — payloads that are views of a

@@ -46,6 +46,10 @@ const (
 	DynSplit
 )
 
+// minPages is the fewest pages a sort runs with: two inputs and an output
+// page. A broker's floor should be at least this.
+const minPages = 3
+
 // SortConfig parameterizes one external sort.
 type SortConfig struct {
 	Method     Method
@@ -55,10 +59,6 @@ type SortConfig struct {
 
 	// PageRecords is the page capacity in records (paper: 8 KB / 256 B = 32).
 	PageRecords int
-
-	// MinPages is the fewest pages the sort can run with (2 inputs + 1
-	// output). The broker's floor should be at least this.
-	MinPages int
 
 	// AdaptiveBlockIO enables the paper's future-work extension on the read
 	// side: surplus pages beyond a merge step's requirement are spent on
@@ -99,7 +99,6 @@ func DefaultConfig() SortConfig {
 		Merge:       OptMerge,
 		Adapt:       DynSplit,
 		PageRecords: 32,
-		MinPages:    3,
 	}
 }
 
@@ -110,9 +109,6 @@ func (c *SortConfig) Validate() error {
 	}
 	if c.BlockPages < 1 {
 		c.BlockPages = 1
-	}
-	if c.MinPages < 3 {
-		c.MinPages = 3
 	}
 	if c.Method != Quick && c.Method != Repl {
 		return fmt.Errorf("core: unknown method %d", c.Method)
@@ -156,9 +152,9 @@ func (c SortConfig) Notation() string {
 }
 
 // ParseNotation parses the paper's notation back into a config, e.g.
-// "repl6,opt,split". PageRecords and MinPages get defaults.
+// "repl6,opt,split". PageRecords gets its default.
 func ParseNotation(s string) (SortConfig, error) {
-	c := SortConfig{PageRecords: 32, MinPages: 3, BlockPages: 1}
+	c := SortConfig{PageRecords: 32, BlockPages: 1}
 	parts := strings.Split(s, ",")
 	if len(parts) != 3 {
 		return c, fmt.Errorf("core: notation %q must have 3 comma-separated parts", s)

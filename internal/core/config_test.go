@@ -45,7 +45,7 @@ func TestValidateNormalizes(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.BlockPages != 1 || cfg.MinPages != 3 {
+	if cfg.BlockPages != 1 {
 		t.Fatalf("normalization failed: %+v", cfg)
 	}
 	bad := SortConfig{PageRecords: 0}

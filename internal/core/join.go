@@ -63,7 +63,6 @@ func SortMergeJoin(e *Env, left, right Input, cfg SortConfig) (*JoinResult, erro
 	}
 	out, err := j.run()
 	if err != nil {
-		e.yieldAll()
 		return nil, err
 	}
 	st.MergeDuration = e.now() - tm
@@ -97,33 +96,40 @@ type joinEngine struct {
 	// processed. It persists across adaptation interruptions: the gathered
 	// records' run cursors have already advanced, so the group is the only
 	// copy (it lives in the operator's private workspace, like the per-run
-	// current tuples).
+	// current tuples). Its payloads still lie in the pages they were read
+	// from, so the joint step gives those pages back as record arrays only
+	// (advanceMin).
 	group      []Record
 	groupKey   Key
 	groupValid bool
 }
 
-func (j *joinEngine) run() (*runInfo, error) {
-	out, err := newRun(j.m.e.owned())
-	if err != nil {
-		j.releaseAll()
+// run executes the join's merge phase. It abandons the join on an error
+// through the merge engine's abort on a step spanning both relations' runs
+// and the partial output: every run is freed (one an inner merge freed
+// already is skipped) and every granted page handed back.
+func (j *joinEngine) run() (_ *runInfo, err error) {
+	m := j.m
+	m.e.setReclaimFn(m.reclaim)
+	defer m.e.setReclaimFn(nil)
+	defer func() {
+		if err != nil {
+			m.releaseStep(j.step())
+		}
+	}()
+	if j.out, err = newRun(m.e.owned()); err != nil {
 		return nil, err
 	}
-	j.out = out
-	j.m.e.setReclaimFn(j.m.reclaim)
-	defer j.m.e.setReclaimFn(nil)
 	for {
 		// Merge-step boundary: cancellation is observed here.
-		if err := j.m.e.ctxErr(); err != nil {
-			j.releaseAll()
+		if err := m.e.ctxErr(); err != nil {
 			return nil, err
 		}
-		target := max(j.m.e.Mem.Target(), j.m.cfg.MinPages)
+		target := max(m.e.Mem.Target(), minPages)
 		need := len(j.left) + len(j.right) + 1
 		if need <= target || len(j.left)+len(j.right) <= 2 {
 			done, err := j.jointStep()
 			if err != nil {
-				j.releaseAll()
 				return nil, err
 			}
 			if done {
@@ -132,23 +138,16 @@ func (j *joinEngine) run() (*runInfo, error) {
 			continue // interrupted by a shortage: re-plan
 		}
 		if err := j.prelimStep(target); err != nil {
-			j.releaseAll()
 			return nil, err
 		}
 	}
 }
 
-// releaseAll abandons the join after an error: both relations' remaining
-// runs and the partial output are freed and all granted pages handed back,
-// via the merge engine's abort protocol on a synthetic step spanning both
-// relations. Runs already freed by an inner merge engine are skipped via
-// their freed flag, so double cleanup is harmless.
-func (j *joinEngine) releaseAll() {
-	st := &mergeStep{
-		inputs: append(append([]*runInfo(nil), j.left...), j.right...),
-		out:    j.out,
-	}
-	j.m.releaseStep(st)
+// step is a step over both relations' current runs into the join's output:
+// the joint step, for buffer accounting and the adaptation strategies, and
+// the span of the abort.
+func (j *joinEngine) step() *mergeStep {
+	return &mergeStep{inputs: append(append([]*runInfo(nil), j.left...), j.right...), out: j.out}
 }
 
 // prelimStep merges k shortest runs of one relation into a longer run,
@@ -223,36 +222,10 @@ func (m *mergeEngine) mergeSubset(runs []*runInfo) (*runInfo, error) {
 // under dynamic splitting (the caller then creates a preliminary step).
 func (j *joinEngine) jointStep() (bool, error) {
 	m := j.m
-	// Synthetic step spanning both relations, for buffer accounting and the
-	// static adaptation strategies.
-	st := &mergeStep{inputs: append(append([]*runInfo(nil), j.left...), j.right...), out: j.out}
+	st := j.step()
 	m.startStep(st) // an interrupted attempt leaves its span open; the retry is a new step
 	m.active = st
 	defer func() { m.active = nil }()
-	lh, rh := j.lh, j.rh
-	prime := func(runs []*runInfo, hh runHeads) (stepResult, error) {
-		hh.reset(len(runs))
-		for _, r := range runs {
-			if !r.wsValid {
-				if r.exhausted() {
-					continue
-				}
-				res, err := m.advanceRun(st, r)
-				if err != nil {
-					return 0, err
-				}
-				if res == advBlocked {
-					return needAdapt, nil
-				}
-				if res == advDry {
-					continue
-				}
-			}
-			hh.push(r)
-		}
-		return pageProduced, nil
-	}
-
 	for {
 		// Adaptation point (page granularity); cancellation is observed here.
 		if err := m.e.ctxErr(); err != nil {
@@ -260,7 +233,7 @@ func (j *joinEngine) jointStep() (bool, error) {
 		}
 		if m.cfg.Adapt == DynSplit {
 			m.rebalance(st)
-			target := max(m.e.Mem.Target(), m.cfg.MinPages)
+			target := max(m.e.Mem.Target(), minPages)
 			if st.need() > target && len(st.inputs) > 2 {
 				if err := m.drainOut(st); err != nil {
 					return false, err
@@ -270,56 +243,29 @@ func (j *joinEngine) jointStep() (bool, error) {
 				m.e.emit(EvSplitStep, len(st.inputs), "")
 				return false, nil // caller forms a preliminary step
 			}
-		} else {
-			if err := m.adaptStatic(st); err != nil {
-				return false, err
-			}
+		} else if err := m.adaptStatic(st); err != nil {
+			return false, err
 		}
 
-		// (Re)build both sides' selection — buffers may have moved underneath us.
-		if res, err := prime(j.left, lh); err != nil || res == needAdapt {
-			if err != nil {
-				return false, err
-			}
-			if err := m.ensureProgress(st); err != nil {
-				return false, err
-			}
-			continue
+		// (Re)build both sides' selection — buffers may have moved underneath
+		// us — then merge-join one output page worth and loop back to adapt.
+		res, err := m.rebuild(st, j.left, j.lh)
+		if err == nil && res != needAdapt {
+			res, err = m.rebuild(st, j.right, j.rh)
 		}
-		if res, err := prime(j.right, rh); err != nil || res == needAdapt {
-			if err != nil {
-				return false, err
-			}
-			if err := m.ensureProgress(st); err != nil {
-				return false, err
-			}
-			continue
+		if err == nil && res != needAdapt {
+			res, err = j.joinSome(st, j.lh, j.rh)
 		}
-
-		// Merge-join one output page worth, then loop back to adapt.
-		res, err := j.joinSome(st, lh, rh)
 		if err != nil {
 			return false, err
 		}
 		switch res {
 		case stepDone:
-			if err := m.drainOut(st); err != nil {
-				return false, err
-			}
-			for _, r := range st.inputs {
-				if err := r.free(m.e.Store); err != nil {
-					return false, err
-				}
-			}
-			m.st.MergeSteps++
-			m.e.emitStep(EvStepDone, len(st.inputs), st.id, "")
-			return true, nil
+			return true, m.finishStep(st)
 		case needAdapt:
 			if err := m.ensureProgress(st); err != nil {
 				return false, err
 			}
-		case pageProduced:
-			// loop
 		}
 	}
 }
@@ -360,11 +306,11 @@ func (j *joinEngine) joinSome(st *mergeStep, lh, rh runHeads) (stepResult, error
 		}
 		switch {
 		case l.ws.Key < r.ws.Key:
-			if blocked, err := j.advanceRoot(st, lh); err != nil || blocked {
+			if blocked, err := m.advanceMin(st, lh); err != nil || blocked {
 				return needAdapt, err
 			}
 		case l.ws.Key > r.ws.Key:
-			if blocked, err := j.advanceRoot(st, rh); err != nil || blocked {
+			if blocked, err := m.advanceMin(st, rh); err != nil || blocked {
 				return needAdapt, err
 			}
 		default:
@@ -392,7 +338,7 @@ func (j *joinEngine) processGroup(st *mergeStep, lh, rh runHeads, produced *int)
 	key := j.groupKey
 	for r := rh.min(); r != nil && r.ws.Key == key; r = rh.min() {
 		j.group = append(j.group, r.ws)
-		if blocked, err := j.advanceRoot(st, rh); err != nil || blocked {
+		if blocked, err := m.advanceMin(st, rh); err != nil || blocked {
 			return needAdapt, err
 		}
 	}
@@ -414,7 +360,7 @@ func (j *joinEngine) processGroup(st *mergeStep, lh, rh runHeads, produced *int)
 		// The left record is fully emitted before advancing, and advanceRun
 		// invalidates its workspace first, so a block here cannot double- or
 		// under-emit on retry.
-		if blocked, err := j.advanceRoot(st, lh); err != nil || blocked {
+		if blocked, err := m.advanceMin(st, lh); err != nil || blocked {
 			return needAdapt, err
 		}
 	}
@@ -422,28 +368,11 @@ func (j *joinEngine) processGroup(st *mergeStep, lh, rh runHeads, produced *int)
 	return pageProduced, nil
 }
 
-// advanceRoot moves hh's minimum run past its current record and restores
-// the order: the run is removed when it ran dry, replayed otherwise. blocked
-// reports a memory shortage that kept the run's next page from loading (hh
-// is untouched; the caller goes back to adapt, which rebuilds it).
-func (j *joinEngine) advanceRoot(st *mergeStep, hh runHeads) (blocked bool, err error) {
-	res, err := j.m.advanceRun(st, hh.min())
-	switch {
-	case err != nil || res == advBlocked:
-		return res == advBlocked, err
-	case res == advDry:
-		hh.popMin()
-	default:
-		hh.fixMin()
-	}
-	return false, nil
-}
-
 // drainAll consumes the rest of one side without emitting (no matches
 // remain). Returns done=false if a load blocked on memory.
 func (j *joinEngine) drainAll(st *mergeStep, hh runHeads) (done bool, err error) {
 	for hh.min() != nil {
-		if blocked, err := j.advanceRoot(st, hh); err != nil || blocked {
+		if blocked, err := j.m.advanceMin(st, hh); err != nil || blocked {
 			return false, err
 		}
 	}

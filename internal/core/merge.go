@@ -220,7 +220,7 @@ func (m *mergeEngine) runStatic(runs []*runInfo) (*runInfo, []*runInfo, error) {
 		if p := m.e.Mem.Pressure(); p > 0 {
 			m.e.Mem.Yield(min(p, m.e.Mem.Granted()))
 		}
-		k := firstStepFanIn(len(pool), max(m.e.Mem.Target(), m.cfg.MinPages), m.cfg.Merge, m.hold)
+		k := firstStepFanIn(len(pool), max(m.e.Mem.Target(), minPages), m.cfg.Merge, m.hold)
 		if m.hold && k == len(pool) {
 			return nil, pool, nil
 		}
@@ -368,7 +368,7 @@ func (m *mergeEngine) suspend(st *mergeStep, until int) error {
 // pagingBudget is how many pages the paging strategy may keep resident
 // under the given target.
 func (m *mergeEngine) pagingBudget(st *mergeStep, target int) int {
-	return min(max(target, m.cfg.MinPages), st.need())
+	return min(max(target, minPages), st.need())
 }
 
 // evictMRU drops the most recently used resident input buffer (the paper's
@@ -464,7 +464,7 @@ func (m *mergeEngine) runDynamic(runs []*runInfo) (*runInfo, []*runInfo, error) 
 func (m *mergeEngine) adaptDynamic() error {
 	st := m.active
 	m.rebalance(st)
-	target := max(m.e.Mem.Target(), m.cfg.MinPages)
+	target := max(m.e.Mem.Target(), minPages)
 	if m.hold && st.out == nil && st.need() <= target {
 		// The held root fits the very target the step would run under: it
 		// is the consumer's (holdLast). Only the root lacks an output run.
@@ -523,7 +523,7 @@ func (m *mergeEngine) splitActive(target int) error {
 		n := len(st.inputs)
 		k := firstStepFanIn(n, target, m.cfg.Merge, st.out == nil)
 		if k >= n {
-			break // cannot shrink further (n == 2 and target == MinPages)
+			break // cannot shrink further (n == 2 and target == minPages)
 		}
 		chosen, rest := pickRuns(st.inputs, k, !m.cfg.NoShortestFirst)
 		m.dropStepBufs(st)
@@ -1054,6 +1054,58 @@ func (m *mergeEngine) advanceRun(st *mergeStep, r *runInfo) (advResult, error) {
 	return advDry, nil
 }
 
+// advanceMin moves hh's minimum run past its current record and restores the
+// order: the run is removed when it ran dry, replayed otherwise. When that
+// record was the last of a page, the page's record array goes back first
+// (RecordsReleaser), never the whole page: a caller may keep the record's
+// payload (the join's pending group). blocked reports a memory shortage that
+// kept the run's next page from loading (hh is untouched; the caller goes
+// back to adapt, which rebuilds it). emit, the per-record hot path that may
+// give a page back whole (retire), advances inline.
+func (m *mergeEngine) advanceMin(st *mergeStep, hh runHeads) (blocked bool, err error) {
+	r := hh.min()
+	if rr, ok := r.spent.(RecordsReleaser); ok {
+		rr.ReleaseRecords()
+	}
+	r.spent = nil
+	res, err := m.advanceRun(st, r)
+	switch {
+	case err != nil || res == advBlocked:
+		return res == advBlocked, err
+	case res == advDry:
+		hh.popMin()
+	default:
+		hh.fixMin()
+	}
+	return false, nil
+}
+
+// rebuild empties hh and enters every run of runs that has a record to
+// offer, refilling the workspace of each run that has none. It stops with
+// needAdapt when a run's page cannot load under the current memory.
+func (m *mergeEngine) rebuild(st *mergeStep, runs []*runInfo, hh runHeads) (stepResult, error) {
+	hh.reset(len(runs))
+	for _, r := range runs {
+		if !r.wsValid {
+			if r.exhausted() {
+				continue
+			}
+			res, err := m.advanceRun(st, r)
+			if err != nil {
+				return 0, err
+			}
+			if res == advBlocked {
+				return needAdapt, nil
+			}
+			if res == advDry {
+				continue
+			}
+		}
+		hh.push(r)
+	}
+	return pageProduced, nil
+}
+
 // produceOnePage merges tuples from the step's inputs until the output page
 // under construction is full, and flushes once the writer holds
 // cfg.MergeBlockPages full pages — at 0 and 1, every page. It returns early,
@@ -1103,26 +1155,10 @@ func (m *mergeEngine) emit(st *mergeStep) (Record, bool, stepResult, error) {
 	}
 	hh := m.hh
 	if !m.hhValid || m.hhStep != st {
-		hh.reset(len(st.inputs))
 		m.hhStep = st
 		m.hhValid = false
-		for _, r := range st.inputs {
-			if !r.wsValid {
-				if r.exhausted() {
-					continue
-				}
-				res, err := m.advanceRun(st, r)
-				if err != nil {
-					return Record{}, false, 0, err
-				}
-				if res == advBlocked {
-					return Record{}, false, needAdapt, nil
-				}
-				if res == advDry {
-					continue
-				}
-			}
-			hh.push(r)
+		if res, err := m.rebuild(st, st.inputs, hh); err != nil || res == needAdapt {
+			return Record{}, false, res, err
 		}
 		m.hhValid = true
 	}

@@ -59,7 +59,7 @@ func TestStaticPlanMatchesFigure1(t *testing.T) {
 		store := newMemStore()
 		runs, all := mkRuns(t, store, 4, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
 		broker := newScriptedBroker(t, 8, 3)
-		cfg := SortConfig{Method: Quick, Merge: tc.strat, Adapt: Suspend, PageRecords: 4, MinPages: 3, BlockPages: 1}
+		cfg := SortConfig{Method: Quick, Merge: tc.strat, Adapt: Suspend, PageRecords: 4, BlockPages: 1}
 		out, st := mergeWith(t, cfg, broker, store, runs)
 		if st.MergeSteps != tc.wantSteps {
 			t.Fatalf("strategy %v: steps = %d, want %d", tc.strat, st.MergeSteps, tc.wantSteps)
@@ -78,7 +78,7 @@ func TestDynamicSplitMatchesFigure2(t *testing.T) {
 	runs, all := mkRuns(t, store, 4, []int{2, 2, 2, 2, 2, 2, 2, 2, 2, 2})
 	broker := newScriptedBroker(t, 11, 3)
 	broker.script = []targetChange{{60, 8}} // shrink mid-merge
-	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: DynSplit, PageRecords: 4, MinPages: 3, BlockPages: 1}
+	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: DynSplit, PageRecords: 4, BlockPages: 1}
 	out, st := mergeWith(t, cfg, broker, store, runs)
 	if st.Splits < 1 {
 		t.Fatalf("expected a dynamic split, got %d", st.Splits)
@@ -96,7 +96,7 @@ func TestDynamicCombineMatchesFigure3(t *testing.T) {
 	runs, all := mkRuns(t, store, 4, []int{8, 8, 8, 8, 8, 8, 8, 8, 8, 8})
 	broker := newScriptedBroker(t, 11, 3)
 	broker.script = []targetChange{{40, 8}, {120, 11}}
-	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: DynSplit, PageRecords: 4, MinPages: 3, BlockPages: 1}
+	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: DynSplit, PageRecords: 4, BlockPages: 1}
 	out, st := mergeWith(t, cfg, broker, store, runs)
 	if st.Splits < 1 {
 		t.Fatalf("expected a split, got %d", st.Splits)
@@ -122,7 +122,7 @@ func TestDrainAbortOnShrink(t *testing.T) {
 		{150, 4}, // abort drain
 		{400, 9}, // recover
 	}
-	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: DynSplit, PageRecords: 4, MinPages: 3, BlockPages: 1}
+	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: DynSplit, PageRecords: 4, BlockPages: 1}
 	out, _ := mergeWith(t, cfg, broker, store, runs)
 	got := runRecords(t, store, out.id)
 	checkSorted(t, got)
@@ -136,7 +136,7 @@ func TestRepeatedSplitsToMinimum(t *testing.T) {
 	runs, all := mkRuns(t, store, 4, []int{2, 3, 1, 4, 2, 3, 1, 2, 3, 2, 1, 2})
 	broker := newScriptedBroker(t, 16, 3)
 	broker.script = []targetChange{{10, 3}}
-	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: DynSplit, PageRecords: 4, MinPages: 3, BlockPages: 1}
+	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: DynSplit, PageRecords: 4, BlockPages: 1}
 	out, st := mergeWith(t, cfg, broker, store, runs)
 	if st.Splits < 3 {
 		t.Fatalf("floor target must force repeated splits, got %d", st.Splits)
@@ -153,7 +153,7 @@ func TestSuspensionRefetchesBatch(t *testing.T) {
 	runs, all := mkRuns(t, store, 4, []int{6, 6, 6, 6})
 	broker := newScriptedBroker(t, 5, 3)
 	broker.script = []targetChange{{40, 3}, {80, 5}}
-	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: Suspend, PageRecords: 4, MinPages: 3, BlockPages: 1}
+	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: Suspend, PageRecords: 4, BlockPages: 1}
 	out, st := mergeWith(t, cfg, broker, store, runs)
 	if st.Suspensions == 0 {
 		t.Fatal("expected suspension")
@@ -173,7 +173,7 @@ func TestPagingNeverExceedsBudget(t *testing.T) {
 	runs, all := mkRuns(t, store, 4, []int{5, 5, 5, 5, 5, 5})
 	broker := newScriptedBroker(t, 7, 3)
 	broker.script = []targetChange{{25, 4}, {200, 7}, {300, 3}}
-	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: Paging, PageRecords: 4, MinPages: 3, BlockPages: 1}
+	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: Paging, PageRecords: 4, BlockPages: 1}
 	out, st := mergeWith(t, cfg, broker, store, runs)
 	if st.ExtraMergeReads == 0 {
 		t.Fatal("paging under pressure must fault")
@@ -210,7 +210,7 @@ func TestMergePropagatesReadErrors(t *testing.T) {
 		st := &SortStats{}
 		env := &Env{Store: store, Mem: broker, Meter: newCountingMeter()}
 		m := newMergeEngine(env, SortConfig{
-			Method: Quick, Merge: OptMerge, Adapt: adapt, PageRecords: 4, MinPages: 3, BlockPages: 1,
+			Method: Quick, Merge: OptMerge, Adapt: adapt, PageRecords: 4, BlockPages: 1,
 		}, st)
 		if _, err := m.mergeRuns(runs); err == nil {
 			t.Fatalf("adapt %v: injected read error must propagate", adapt)
@@ -276,7 +276,7 @@ func TestMergeRunsManyTinyRuns(t *testing.T) {
 				rcopies[i].id = id
 			}
 			broker := newScriptedBroker(t, 6, 3)
-			cfg := SortConfig{Method: Quick, Merge: strat, Adapt: adapt, PageRecords: 4, MinPages: 3, BlockPages: 1}
+			cfg := SortConfig{Method: Quick, Merge: strat, Adapt: adapt, PageRecords: 4, BlockPages: 1}
 			out, st := mergeWith(t, cfg, broker, store2, rcopies)
 			got := runRecords(t, store2, out.id)
 			checkSorted(t, got)
@@ -374,7 +374,7 @@ func TestMergeBlocksFollowTheirStep(t *testing.T) {
 			broker.limit = 1 << 20
 			st := &SortStats{}
 			env := &Env{Store: store, Mem: broker, Meter: newCountingMeter()}
-			cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: adapt, PageRecords: 4, MinPages: 3, BlockPages: 1, MergeBlockPages: block}
+			cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: adapt, PageRecords: 4, BlockPages: 1, MergeBlockPages: block}
 			m := newMergeEngine(env, cfg, st)
 			// The target moves at a read in the middle of the page that leaves
 			// the block one short: the adaptation that follows that page finds

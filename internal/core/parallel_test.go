@@ -209,7 +209,7 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 				t.Run(fmt.Sprintf("m%d_a%d_%s", method, adapt, v.name), func(t *testing.T) {
 					cfg := SortConfig{
 						Method: method, BlockPages: 6, Merge: OptMerge, Workers: v.workers,
-						Adapt: adapt, PageRecords: 32, MinPages: 3,
+						Adapt: adapt, PageRecords: 32,
 					}
 					for _, stream := range []bool{false, true} {
 						store := newSafeStore()
@@ -415,7 +415,7 @@ func TestParallelSuspendResumeMidMerge(t *testing.T) {
 			}
 			cfg := SortConfig{
 				Method: Repl, BlockPages: 6, Merge: OptMerge,
-				Adapt: adapt, PageRecords: 32, MinPages: 3, Workers: 4,
+				Adapt: adapt, PageRecords: 32, Workers: 4,
 			}
 			res, err := ExternalSort(env, cfg)
 			if err != nil {
@@ -642,7 +642,7 @@ func TestParkedWorkerSuspendsOnce(t *testing.T) {
 				}
 				cfg := SortConfig{
 					Method: Repl, BlockPages: 6, Merge: OptMerge,
-					Adapt: adapt, PageRecords: 32, MinPages: 3,
+					Adapt: adapt, PageRecords: 32,
 				}
 				res, err := ExternalSort(env, cfg)
 				if err != nil {

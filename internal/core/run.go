@@ -22,12 +22,13 @@ type runInfo struct {
 	bufs    []inPage // resident pages, consecutive from `page`; nil when dropped
 
 	// spent is the read token of the page that left bufs while ws still
-	// aliases it: ws is that page's last record. Only the merge retires it
-	// (produceOnePage's emit loop); otherwise the next refill or drop
-	// forgets it and the collector takes the page, like every page an
-	// adaptation drops. A token therefore never crosses from one step to
-	// another: the step that retires a page is the one that read it and
-	// emitted all of it.
+	// aliases it: ws is that page's last record. The step that takes that
+	// record gives the page back: the merge retires it (emit), the join's
+	// joint step returns its record array (advanceMin); otherwise the next
+	// refill or drop forgets it and the collector takes the page, like every
+	// page an adaptation drops. A token therefore never crosses from one
+	// step to another: the step that gives a page back is the one that read
+	// it and consumed all of it.
 	spent PageToken
 
 	lastUsed int64      // MRU clock for the paging strategy
@@ -58,10 +59,11 @@ func (r *runInfo) loaded() int { return len(r.bufs) }
 
 // drop releases all resident buffers — to the collector: the spent page's
 // handle goes with them, because whoever resumes the run may not be the step
-// that consumed that page (a join's pending group still aliases the pages its
-// joint step read when a split hands the run to a preliminary merge). The
-// workspace record and the refill position survive, so merging can resume
-// after re-reading `page`.
+// that consumed that page (a join's pending group still holds payloads of the
+// pages its joint step read — not their record arrays, which that step gave
+// back — when a split hands the run to a preliminary merge, which would give
+// them back whole). The workspace record and the refill position survive, so
+// merging can resume after re-reading `page`.
 func (r *runInfo) drop() int {
 	n := len(r.bufs)
 	r.bufs = nil

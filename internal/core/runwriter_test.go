@@ -68,7 +68,7 @@ func TestRunWriterClients(t *testing.T) {
 	recs := makeRecords(3000, 21)
 	split := func(method Method, block int) func(*testing.T, *Env) []*runInfo {
 		return func(t *testing.T, e *Env) []*runInfo {
-			cfg := SortConfig{Method: method, BlockPages: block, PageRecords: 8, MinPages: 3}
+			cfg := SortConfig{Method: method, BlockPages: block, PageRecords: 8}
 			runs, err := splitPhase(e, cfg, &SortStats{})
 			if err != nil {
 				t.Fatal(err)
@@ -78,7 +78,7 @@ func TestRunWriterClients(t *testing.T) {
 	}
 	merge := func(adapt Adapt, script []targetChange) func(*testing.T, *Env) []*runInfo {
 		return func(t *testing.T, e *Env) []*runInfo {
-			cfg := SortConfig{Method: Repl, BlockPages: 2, PageRecords: 8, MinPages: 3, Adapt: adapt}
+			cfg := SortConfig{Method: Repl, BlockPages: 2, PageRecords: 8, Adapt: adapt}
 			runs := split(Repl, 2)(t, e)
 			b := e.Mem.(*scriptedBroker)
 			for _, c := range script { // ticks count from the start of the merge

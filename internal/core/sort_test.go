@@ -32,7 +32,7 @@ func allConfigs(pageRecords int) []SortConfig {
 				cfgs = append(cfgs, SortConfig{
 					Method: m.method, BlockPages: m.block,
 					Merge: ms, Adapt: ad,
-					PageRecords: pageRecords, MinPages: 3,
+					PageRecords: pageRecords,
 				})
 			}
 		}
@@ -157,7 +157,7 @@ func TestSortFreesAllIntermediateRuns(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	recs := makeRecords(3000, 23)
-	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: DynSplit, PageRecords: 8, MinPages: 3, BlockPages: 1}
+	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: DynSplit, PageRecords: 8, BlockPages: 1}
 	env, store, broker, meter := testEnv(t, recs, 8, 10, 3)
 	res := sortAndCheck(t, recs, cfg, broker, env, store)
 	if res.Stats.TuplesIn != 3000 {
@@ -218,7 +218,7 @@ func TestPropertySortUnderRandomFluctuations(t *testing.T) {
 // working memory on random input (Knuth's classic result, paper §2.1).
 func TestPropertyReplacementSelectionRunLength(t *testing.T) {
 	recs := makeRecords(20000, 37)
-	cfg := SortConfig{Method: Repl, BlockPages: 1, Merge: OptMerge, Adapt: DynSplit, PageRecords: 8, MinPages: 3}
+	cfg := SortConfig{Method: Repl, BlockPages: 1, Merge: OptMerge, Adapt: DynSplit, PageRecords: 8}
 	env, _, broker, _ := testEnv(t, recs, 8, 12, 3)
 	res, err := ExternalSort(env, cfg)
 	if err != nil {
@@ -237,7 +237,7 @@ func TestPropertyReplacementSelectionRunLength(t *testing.T) {
 func TestQuickProducesMoreRunsThanRepl(t *testing.T) {
 	recs := makeRecords(20000, 41)
 	mkCfg := func(m Method, b int) SortConfig {
-		return SortConfig{Method: m, BlockPages: b, Merge: OptMerge, Adapt: DynSplit, PageRecords: 8, MinPages: 3}
+		return SortConfig{Method: m, BlockPages: b, Merge: OptMerge, Adapt: DynSplit, PageRecords: 8}
 	}
 	envQ, _, _, _ := testEnv(t, recs, 8, 12, 3)
 	resQ, err := ExternalSort(envQ, mkCfg(Quick, 1))
@@ -262,7 +262,7 @@ func TestQuickProducesMoreRunsThanRepl(t *testing.T) {
 func TestReplBlockWritesSlightlyMoreRunsThanRepl1(t *testing.T) {
 	recs := makeRecords(30000, 43)
 	mk := func(b int) int {
-		cfg := SortConfig{Method: Repl, BlockPages: b, Merge: OptMerge, Adapt: DynSplit, PageRecords: 8, MinPages: 3}
+		cfg := SortConfig{Method: Repl, BlockPages: b, Merge: OptMerge, Adapt: DynSplit, PageRecords: 8}
 		env, _, _, _ := testEnv(t, recs, 8, 16, 3)
 		res, err := ExternalSort(env, cfg)
 		if err != nil {
@@ -281,7 +281,7 @@ func TestReplBlockWritesSlightlyMoreRunsThanRepl1(t *testing.T) {
 
 func TestDynamicSplittingCountsSplitsAndCombines(t *testing.T) {
 	recs := makeRecords(6000, 53)
-	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: DynSplit, PageRecords: 8, MinPages: 3, BlockPages: 1}
+	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: DynSplit, PageRecords: 8, BlockPages: 1}
 	env, store, broker, _ := testEnv(t, recs, 8, 24, 3)
 	// Shrink hard mid-merge, then grow back: must split, then combine.
 	broker.script = []targetChange{
@@ -295,7 +295,7 @@ func TestDynamicSplittingCountsSplitsAndCombines(t *testing.T) {
 
 func TestSuspensionCountsSuspensions(t *testing.T) {
 	recs := makeRecords(6000, 59)
-	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: Suspend, PageRecords: 8, MinPages: 3, BlockPages: 1}
+	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: Suspend, PageRecords: 8, BlockPages: 1}
 	env, store, broker, _ := testEnv(t, recs, 8, 24, 3)
 	broker.script = []targetChange{
 		{4000, 3}, {4400, 24}, {9000, 3}, {9500, 24},
@@ -308,7 +308,7 @@ func TestSuspensionCountsSuspensions(t *testing.T) {
 
 func TestPagingCountsExtraReads(t *testing.T) {
 	recs := makeRecords(6000, 61)
-	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: Paging, PageRecords: 8, MinPages: 3, BlockPages: 1}
+	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: Paging, PageRecords: 8, BlockPages: 1}
 	env, store, broker, _ := testEnv(t, recs, 8, 24, 3)
 	broker.script = []targetChange{
 		{4000, 4}, {30000, 24},
@@ -321,7 +321,7 @@ func TestPagingCountsExtraReads(t *testing.T) {
 
 func TestAblationNoCombine(t *testing.T) {
 	recs := makeRecords(6000, 67)
-	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: DynSplit, PageRecords: 8, MinPages: 3, BlockPages: 1, NoCombine: true}
+	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: DynSplit, PageRecords: 8, BlockPages: 1, NoCombine: true}
 	env, store, broker, _ := testEnv(t, recs, 8, 24, 3)
 	broker.script = []targetChange{{4000, 5}, {6000, 24}}
 	res := sortAndCheck(t, recs, cfg, broker, env, store)
@@ -333,7 +333,7 @@ func TestAblationNoCombine(t *testing.T) {
 func TestAdaptiveBlockIOStillSorts(t *testing.T) {
 	recs := makeRecords(6000, 71)
 	for _, ad := range []Adapt{Suspend, DynSplit} {
-		cfg := SortConfig{Method: Repl, BlockPages: 6, Merge: OptMerge, Adapt: ad, PageRecords: 8, MinPages: 3, AdaptiveBlockIO: true}
+		cfg := SortConfig{Method: Repl, BlockPages: 6, Merge: OptMerge, Adapt: ad, PageRecords: 8, AdaptiveBlockIO: true}
 		env, store, broker, _ := testEnv(t, recs, 8, 40, 3)
 		broker.script = []targetChange{{3000, 6}, {6000, 40}}
 		sortAndCheck(t, recs, cfg, broker, env, store)
@@ -347,7 +347,7 @@ func TestAdaptiveBlockIOStillSorts(t *testing.T) {
 func TestAdaptiveBlockIOShedOnShrink(t *testing.T) {
 	recs := makeRecords(20000, 73)
 	cfg := SortConfig{Method: Repl, BlockPages: 6, Merge: OptMerge, Adapt: DynSplit,
-		PageRecords: 8, MinPages: 3, AdaptiveBlockIO: true}
+		PageRecords: 8, AdaptiveBlockIO: true}
 	env, store, broker, _ := testEnv(t, recs, 8, 60, 3)
 	broker.limit = 50_000_000 // fail instead of hanging
 	// Plenty of memory first (read-ahead fills), then shrink hard, grow,

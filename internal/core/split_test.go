@@ -36,7 +36,7 @@ func checkRunsValid(t *testing.T, store *memStore, runs []*runInfo, wantTuples i
 
 func TestQuickSplitRunSizesMatchMemory(t *testing.T) {
 	recs := makeRecords(1000, 3)
-	cfg := SortConfig{Method: Quick, PageRecords: 8, MinPages: 3, BlockPages: 1}
+	cfg := SortConfig{Method: Quick, PageRecords: 8, BlockPages: 1}
 	runs, store, st := splitOnly(t, recs, cfg, 10, nil)
 	checkRunsValid(t, store, runs, 1000)
 	// 125 input pages at 10 pages of memory: 13 runs of <=10 pages.
@@ -55,7 +55,7 @@ func TestQuickSplitRunSizesMatchMemory(t *testing.T) {
 
 func TestReplSplitRunsTwiceMemory(t *testing.T) {
 	recs := makeRecords(8000, 5)
-	cfg := SortConfig{Method: Repl, BlockPages: 1, PageRecords: 8, MinPages: 3}
+	cfg := SortConfig{Method: Repl, BlockPages: 1, PageRecords: 8}
 	runs, store, _ := splitOnly(t, recs, cfg, 10, nil)
 	checkRunsValid(t, store, runs, 8000)
 	// E[run] ≈ 2*10-1 = 19 pages = 152 tuples → ~53 runs; allow slack.
@@ -71,7 +71,7 @@ func TestReplSplitRunsTwiceMemory(t *testing.T) {
 func TestReplSplitBlockShortensRuns(t *testing.T) {
 	recs := makeRecords(12000, 7)
 	mkRuns := func(block int) int {
-		cfg := SortConfig{Method: Repl, BlockPages: block, PageRecords: 8, MinPages: 3}
+		cfg := SortConfig{Method: Repl, BlockPages: block, PageRecords: 8}
 		runs, store, _ := splitOnly(t, recs, cfg, 12, nil)
 		checkRunsValid(t, store, runs, 12000)
 		return len(runs)
@@ -89,7 +89,7 @@ func TestReplSplitBlockShortensRuns(t *testing.T) {
 
 func TestQuickSplitUsesGrowthWhileFilling(t *testing.T) {
 	recs := makeRecords(2000, 9)
-	cfg := SortConfig{Method: Quick, PageRecords: 8, MinPages: 3, BlockPages: 1}
+	cfg := SortConfig{Method: Quick, PageRecords: 8, BlockPages: 1}
 	// Start at 6 pages, grow to 30 early: later runs should be larger.
 	runs, store, _ := splitOnly(t, recs, cfg, 30, nil)
 	checkRunsValid(t, store, runs, 2000)
@@ -104,14 +104,14 @@ func TestQuickSplitUsesGrowthWhileFilling(t *testing.T) {
 
 func TestReplSplitRespondsWithoutLosingTuples(t *testing.T) {
 	recs := makeRecords(5000, 11)
-	cfg := SortConfig{Method: Repl, BlockPages: 6, PageRecords: 8, MinPages: 3}
+	cfg := SortConfig{Method: Repl, BlockPages: 6, PageRecords: 8}
 	script := []targetChange{{50, 4}, {200, 16}, {500, 3}, {900, 16}, {1400, 5}, {2000, 16}}
 	runs, store, _ := splitOnly(t, recs, cfg, 16, script)
 	checkRunsValid(t, store, runs, 5000)
 }
 
 func TestSplitPropagatesInputError(t *testing.T) {
-	cfg := SortConfig{Method: Quick, PageRecords: 8, MinPages: 3, BlockPages: 1}
+	cfg := SortConfig{Method: Quick, PageRecords: 8, BlockPages: 1}
 	env, _, _, _ := testEnv(t, makeRecords(100, 1), 8, 10, 3)
 	env.In = &errInput{after: 3}
 	st := &SortStats{}
@@ -141,8 +141,8 @@ func TestSplitDelaysQuickVsRepl(t *testing.T) {
 	// enough. Measure pages written between pressure arrival and yield by
 	// scripting one pressure event and comparing run page counts.
 	recs := makeRecords(4000, 13)
-	quickCfg := SortConfig{Method: Quick, PageRecords: 8, MinPages: 3, BlockPages: 1}
-	replCfg := SortConfig{Method: Repl, BlockPages: 1, PageRecords: 8, MinPages: 3}
+	quickCfg := SortConfig{Method: Quick, PageRecords: 8, BlockPages: 1}
+	replCfg := SortConfig{Method: Repl, BlockPages: 1, PageRecords: 8}
 	// Shrink by 4 pages early on.
 	script := []targetChange{{40, 12}}
 	qRuns, qStore, _ := splitOnly(t, recs, quickCfg, 16, script)

@@ -105,7 +105,7 @@ func TestHeldLastStepSavesExactlyItsOutput(t *testing.T) {
 	saved := 0 // preliminary pages the held plans saved, over all cases
 	for _, op := range []string{"sort", "merge"} {
 		for _, ad := range []Adapt{Suspend, Paging, DynSplit} {
-			cfg := SortConfig{Method: Quick, BlockPages: 1, Merge: OptMerge, Adapt: ad, PageRecords: r, MinPages: 3, MergeBlockPages: 6}
+			cfg := SortConfig{Method: Quick, BlockPages: 1, Merge: OptMerge, Adapt: ad, PageRecords: r, MergeBlockPages: 6}
 			// run performs the operation and its drain on a fresh store,
 			// counting both, and returns what the drain read, the stats
 			// and the sizes of the runs the merge phase started from.
@@ -290,7 +290,7 @@ func TestHeldPlanIsMinimal(t *testing.T) {
 			}
 			mem := newScriptedBroker(t, m, 3)
 			env := &Env{Store: store, Mem: mem, StreamLast: true}
-			cfg := SortConfig{Merge: OptMerge, Adapt: ad, PageRecords: r, MinPages: 3, MergeBlockPages: 6}
+			cfg := SortConfig{Merge: OptMerge, Adapt: ad, PageRecords: r, MergeBlockPages: 6}
 			res, err := MergeExisting(env, cfg, ids)
 			if err != nil {
 				t.Fatal(err)
@@ -372,7 +372,7 @@ func TestHeldRootDecidedOnOneTarget(t *testing.T) {
 	recs := makeRecords(3000, 11)
 	want := slices.Clone(recs)
 	slices.SortFunc(want, cmpRecords)
-	cfg := SortConfig{Method: Quick, BlockPages: 1, Merge: OptMerge, Adapt: DynSplit, PageRecords: 8, MinPages: 3, MergeBlockPages: 6}
+	cfg := SortConfig{Method: Quick, BlockPages: 1, Merge: OptMerge, Adapt: DynSplit, PageRecords: 8, MergeBlockPages: 6}
 	for phase := range 2 {
 		env, store, sb, _ := testEnv(t, recs, 8, 64, 3)
 		b := &flickerBroker{scriptedBroker: sb, lo: 3, hi: 64, calls: phase}
@@ -452,7 +452,7 @@ func TestStreamFeedsASortThroughOneBroker(t *testing.T) {
 	inner := budget.Handle
 	both := 0
 	store := newSafeStore()
-	cfg := SortConfig{Method: Repl, BlockPages: 6, Merge: OptMerge, Adapt: DynSplit, PageRecords: 32, MinPages: 3, MergeBlockPages: 6, Workers: 2}
+	cfg := SortConfig{Method: Repl, BlockPages: 6, Merge: OptMerge, Adapt: DynSplit, PageRecords: 32, MergeBlockPages: 6, Workers: 2}
 	outer, _ := budget.arb.Register(context.Background(), 1, false)
 	mem := &partyBroker{Handle: inner, t: t, arb: budget.arb, rival: outer, both: &both}
 	env := &Env{In: &sliceInput{pages: pagesOf(recs, 32)}, Store: store, Ctx: context.Background(), StreamLast: true, Mem: mem}
@@ -508,7 +508,7 @@ func BenchmarkStreamDrain(b *testing.B) {
 	// output page.
 	mem := newScriptedBroker(b, runs+1, 3)
 	res, err := MergeExisting(&Env{Store: store, Mem: mem, StreamLast: true},
-		SortConfig{Merge: OptMerge, Adapt: DynSplit, PageRecords: r, MinPages: 3, MergeBlockPages: 6}, ids)
+		SortConfig{Merge: OptMerge, Adapt: DynSplit, PageRecords: r, MergeBlockPages: 6}, ids)
 	if err != nil {
 		b.Fatal(err)
 	}

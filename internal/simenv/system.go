@@ -122,7 +122,7 @@ type system struct {
 // newSystem builds the system for `sources` concurrently executing
 // operators. load prefixes the competing streams' RNG names.
 func newSystem(cfg Config, sources int, load string) (*system, error) {
-	floor := max(cfg.FloorPages, cfg.Algo.MinPages, 3)
+	floor := max(cfg.FloorPages, 3)
 	if sources*floor > cfg.MemoryPages {
 		return nil, fmt.Errorf("simenv: %d operators need %d pages of floor, have M=%d",
 			sources, sources*floor, cfg.MemoryPages)

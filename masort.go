@@ -91,7 +91,6 @@ func (o config) build() (core.SortConfig, config, error) {
 	cfg := core.SortConfig{
 		PageRecords: o.pageRecords,
 		BlockPages:  o.blockPages,
-		MinPages:    3,
 	}
 	if cfg.PageRecords == 0 {
 		cfg.PageRecords = 256
