@@ -220,7 +220,9 @@
 //
 // A store's read tokens may additionally offer Release(), an optional
 // method found by type assertion: it ends the token's life and gives the
-// page's memory back to the store for its next read. The merge releases
+// page's memory back to the store for its next read (the disk-backed stores
+// and MemStore take the token itself back too, with either release, so a
+// handle used after its release does nothing). The merge releases
 // every input page it has consumed once the Append of the output block
 // holding its last record has returned, which is how merges on the
 // disk-backed stores read without allocating (Stats.MergePagesReleased

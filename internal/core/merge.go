@@ -644,7 +644,9 @@ func (m *mergeEngine) shedReadAhead(st *mergeStep, n int) int {
 		if victim == nil {
 			break
 		}
-		victim.bufs = victim.bufs[:len(victim.bufs)-1]
+		k := len(victim.bufs) - 1
+		victim.bufs[k] = inPage{} // the array stays the run's: let the page go
+		victim.bufs = victim.bufs[:k]
 		freed++
 	}
 	return freed

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // runInfo tracks one sorted run from creation through merge consumption.
 //
@@ -97,7 +100,9 @@ func (r *runInfo) enter(pg inPage) {
 
 // refill copies the next stored record into the workspace. It requires the
 // current page to be resident; returns false (and invalidates the
-// workspace) when no stored records remain resident.
+// workspace) when no stored records remain resident. A finished page leaves
+// bufs by a shift down, not by slicing its head off, so the array keeps its
+// capacity for the next enter.
 func (r *runInfo) refill() bool {
 	r.spent = nil // ws moves on: nothing aliases the page it kept alive
 	if len(r.bufs) == 0 {
@@ -109,7 +114,7 @@ func (r *runInfo) refill() bool {
 	r.pos++
 	for len(r.bufs) > 0 && r.pos >= len(r.bufs[0].recs) {
 		r.spent = r.bufs[0].tok
-		r.bufs = r.bufs[1:]
+		r.bufs = slices.Delete(r.bufs, 0, 1)
 		r.page++
 		r.pos = 0
 	}

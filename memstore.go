@@ -93,11 +93,11 @@ func newMemStore(c *StoreConfig) *MemStore {
 // ReadAsync starts reading one page of a run; see MemStore for what the
 // token offers.
 func (s *MemStore) ReadAsync(id RunID, page int) PageToken {
-	tok := s.pagedStore.ReadAsync(id, page)
-	if t, ok := tok.(*pageToken); ok {
-		return recordsToken{t}
+	h, err := s.issue(id, page)
+	if err != nil {
+		return refusedRead{err: err}
 	}
-	return tok
+	return recordsToken{h}
 }
 
 // ownedStore is the MemStore as seen by an operator writing payloads it
@@ -111,17 +111,17 @@ type ownedStore struct {
 
 func (o ownedStore) Create() (RunID, error) { return o.s.createOwned() }
 
-// recordsToken is the read of a MemStore page: a pageToken without
+// recordsToken is the read of a MemStore page: a pagedStore read without
 // Release.
-type recordsToken struct{ t *pageToken }
+type recordsToken struct{ h readHandle }
 
-func (t recordsToken) Wait() (Page, error) { return t.t.Wait() }
+func (t recordsToken) Wait() (Page, error) { return t.h.Wait() }
 
 // ReleaseRecords gives the page's record array back (core.RecordsReleaser);
 // the payloads stay views of the stored chunk, or the caller's bytes.
-func (t recordsToken) ReleaseRecords() { t.t.ReleaseRecords() }
+func (t recordsToken) ReleaseRecords() { t.h.ReleaseRecords() }
 
-func (t recordsToken) Retries() int { return t.t.Retries() }
+func (t recordsToken) Retries() int { return t.h.Retries() }
 
 // memDevice is one run's bytes in memory: each write's bytes are one chunk,
 // copied in once and never written again, so fetch hands out views of them

@@ -60,33 +60,51 @@ type device interface {
 // bufPool recycles the store's raw buffers: the encoded bytes of a batch
 // between Append's encode and its write, and of a page between a read's
 // fetch and its decode. Either way the buffer is back before the call that
-// took it returns, so no encoded byte ever leaves the store. What is pooled
-// is the rawBuf, not the slice: a put boxes nothing.
-type bufPool struct{ p sync.Pool } // of *rawBuf
+// took it returns, so no encoded byte ever leaves the store, and the list
+// holds at most as many buffers as were ever out at once — one per running
+// Append or read — and never more than maxFreeFrames. It is a list rather
+// than a sync.Pool, which empties at every collection: a store's allocation
+// must not depend on when the collector runs.
+type bufPool struct {
+	mu   sync.Mutex
+	free []*rawBuf // at most maxFreeFrames
+}
 
-// rawBuf owns one pooled buffer; b keeps its capacity from use to use.
+// rawBuf owns one listed buffer; b keeps its capacity from use to use.
 type rawBuf struct{ b []byte }
 
-// getBuf returns a buffer whose contents are dead; a pooled one is used
+// getBuf returns a buffer whose contents are dead; a listed one is used
 // whatever its capacity — its user grows it — never discarded as too small.
 func (bp *bufPool) getBuf() *rawBuf {
-	if v := bp.p.Get(); v != nil {
-		return v.(*rawBuf)
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	if k := len(bp.free) - 1; k >= 0 {
+		rb := bp.free[k]
+		bp.free[k] = nil
+		bp.free = bp.free[:k]
+		return rb
 	}
 	return new(rawBuf)
 }
 
-func (bp *bufPool) putBuf(rb *rawBuf) { bp.p.Put(rb) }
+func (bp *bufPool) putBuf(rb *rawBuf) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	if len(bp.free) < maxFreeFrames {
+		bp.free = append(bp.free, rb)
+	}
+}
 
-// maxFreeFrames bounds a store's free list of read frames. A frame is as
-// large as the page it last held, so the list holds at most 64 pages of the
-// caller's geometry — ≈ 0.8 MB per store at the default 256-record page with
-// 16-byte payloads (8 KB of records + 4 KB of payloads a frame) — whatever
-// the budget, the number of runs or the input size. A steady merge keeps
-// only a few frames here (it takes one per read and gives one back per page
-// consumed); the bound matters when a wide merge step ends and returns its
-// whole fan-in at once. (The other constant-bounded holder on this path is
-// the merge's pending output block, see mergeBlockPages.)
+// maxFreeFrames bounds a store's free list of read frames, and of read
+// tokens. A frame is as large as the page it last held, so the list holds at
+// most 64 pages of the caller's geometry — ≈ 0.8 MB per store at the default
+// 256-record page with 16-byte payloads (8 KB of records + 4 KB of payloads a
+// frame) — whatever the budget, the number of runs or the input size; a
+// token is a few words. A steady merge keeps only a few of either here (it
+// takes one per read and gives one back per page consumed); the bound
+// matters when a wide merge step ends and returns its whole fan-in at once.
+// (The other constant-bounded holder on this path is the merge's pending
+// output block, see mergeBlockPages.)
 const maxFreeFrames = 64
 
 // frame is the memory of one decoded page: the record array and, for a page
@@ -99,16 +117,20 @@ type frame struct {
 }
 
 // frameList is a store's free list of read frames, kept as its two kinds of
-// part (a dead record array and a dead arena owe each other nothing). What
-// comes back: whole pages whose reader calls Release — the merge's consumed
-// inputs — the record arrays of pages whose reader calls ReleaseRecords — the
-// output iterator's, page by page; their arenas are the payloads the caller
-// may keep — and both parts of a read attempt that failed; everything else
-// is garbage-collected, and a read that finds a part missing allocates it.
+// part (a dead record array and a dead arena owe each other nothing), and of
+// the read tokens that carried them. What comes back: whole pages whose
+// reader calls Release — the merge's consumed inputs — the record arrays of
+// pages whose reader calls ReleaseRecords — the output iterator's, page by
+// page; their arenas are the payloads the caller may keep — and both parts
+// of a read attempt that failed; everything else is garbage-collected, and a
+// read that finds a part missing allocates it. A token comes back with its
+// page, by either release; one whose read failed, or that nobody releases,
+// is the collector's.
 type frameList struct {
 	mu   sync.Mutex
-	recs []Page   // at most maxFreeFrames
-	bufs [][]byte // at most maxFreeFrames
+	recs []Page       // at most maxFreeFrames
+	bufs [][]byte     // at most maxFreeFrames
+	toks []*pageToken // at most maxFreeFrames; released, so no handle reaches them
 }
 
 func (fl *frameList) get() (fr frame) {
@@ -130,10 +152,10 @@ func (fl *frameList) get() (fr frame) {
 // put moves *fr's parts onto the list (dropping what a full list cannot
 // take) and empties it, under the list's lock: a frame can be put only once,
 // however many times and from wherever put is called on its holder. A
-// listed record array drops its records' payloads first, to its capacity,
-// so that it keeps alive none of the bytes they pointed at. With withBuf
-// false the arena is dropped instead of listed: somebody may still hold
-// payloads in it.
+// listed record array drops its records' payloads first, to its capacity, so
+// that it keeps alive none of the bytes they pointed at. With withBuf false
+// the arena is dropped instead of listed: somebody may still hold payloads
+// in it.
 func (fl *frameList) put(fr *frame, withBuf bool) {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
@@ -148,6 +170,29 @@ func (fl *frameList) put(fr *frame, withBuf bool) {
 		fl.bufs = append(fl.bufs, fr.buf[:0])
 	}
 	*fr = frame{}
+}
+
+// token returns a released read token, or a new one: the one place a
+// pageToken is made. Its generation is the one its last handle went stale
+// at; everything else is the issuer's to set.
+func (fl *frameList) token() *pageToken {
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	if k := len(fl.toks) - 1; k >= 0 {
+		t := fl.toks[k]
+		fl.toks[k] = nil
+		fl.toks = fl.toks[:k]
+		return t
+	}
+	return new(pageToken)
+}
+
+func (fl *frameList) putToken(t *pageToken) {
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	if len(fl.toks) < maxFreeFrames {
+		fl.toks = append(fl.toks, t)
+	}
 }
 
 // disk is one directory of a store — one device of the paper's Disks
@@ -213,7 +258,8 @@ func (d *disk) noteFetch(took time.Duration) {
 //     MemStore's chunks) is decoded in place (see the package's
 //     buffer-ownership notes). The read token offers Release — a reader
 //     that is done with the page hands its frame back for the next read,
-//     which is how a merge reads without allocating — and ReleaseRecords,
+//     and the token with it, which is how a merge reads without allocating
+//     more than the token's 16-byte handle — and ReleaseRecords,
 //     for a reader that has copied the Records out and may still hold their
 //     payloads: the record array comes back, the arena stays the
 //     collector's. (MemStore's token offers ReleaseRecords alone: see
@@ -371,6 +417,13 @@ func (t writeToken) Retries() int { return t.retries }
 // itself. Whoever runs the read writes fr, err and retries and then stores
 // done, which is what lets every later reader of state see them. The token
 // owns the frame its page was decoded into until a release gives it back.
+//
+// A token is recycled: the release that gives a read's page back also puts
+// the token on the store's free list (frameList), for a later read. Callers
+// hold it through a readHandle, which names one read — one generation of the
+// token — so that a handle used after its release, when the token may carry
+// another read, touches nothing. A read that failed keeps its token, and its
+// error, for as long as anybody holds a handle to it.
 type pageToken struct {
 	s        *pagedStore
 	r        *pagedRun
@@ -379,10 +432,14 @@ type pageToken struct {
 	off, end int64 // the page's extent on r.exts[page%len(r.exts)]
 
 	state atomic.Uint32
-	mu    sync.Mutex    // guards done against the done transition
+	mu    sync.Mutex    // guards done against the done transition, and the release
 	done  chan struct{} // made by a Wait that finds somebody else running the read
 
-	fr      frame // fr.recs is the page; empty once released or on error
+	// gen counts the token's releases; it moves under mu, with the release
+	// that ends a read, and a handle whose gen it no longer is is stale.
+	gen atomic.Uint64
+
+	fr      frame // fr.recs is the page; empty on error
 	err     error
 	retries int
 }
@@ -393,9 +450,24 @@ const (
 	readDone
 )
 
+// readHandle is a pagedStore read token as its caller holds it: the token
+// and the generation of it that is this read.
+type readHandle struct {
+	t   *pageToken
+	gen uint64
+}
+
+// stale reports whether the read h names has been released.
+func (h readHandle) stale() bool { return h.t.gen.Load() != h.gen }
+
 // Wait returns the page, running the read on the caller's goroutine unless
-// a reader goroutine or another waiter already has it.
-func (t *pageToken) Wait() (Page, error) {
+// a reader goroutine or another waiter already has it. After a release it
+// yields no page and no error.
+func (h readHandle) Wait() (Page, error) {
+	t := h.t
+	if h.stale() {
+		return nil, nil
+	}
 	switch {
 	case t.state.Load() == readDone:
 	case t.state.CompareAndSwap(readUnclaimed, readRunning):
@@ -418,7 +490,8 @@ func (t *pageToken) Wait() (Page, error) {
 }
 
 // finish publishes the read's outcome and wakes the waiters that found it
-// running.
+// running. It is the last the read does with the token: once state is done,
+// a release may hand the token to another read.
 func (t *pageToken) finish() {
 	t.mu.Lock()
 	t.state.Store(readDone)
@@ -433,24 +506,43 @@ func (t *pageToken) finish() {
 // its records' payloads included. It ends the token's life — Wait yields no
 // page afterwards — and a second call is a no-op, as is a call on a token
 // whose read has not completed or has failed: there is no page to give back.
-func (t *pageToken) Release() { t.release(true) }
+func (h readHandle) Release() { h.release(true) }
 
 // ReleaseRecords is Release for a caller that has copied the page's Records
 // out and may still hold them (see core.RecordsReleaser): the record array
 // goes back to the store, the bytes the payloads alias — the page's arena,
 // or a device's view — never do.
-func (t *pageToken) ReleaseRecords() { t.release(false) }
+func (h readHandle) ReleaseRecords() { h.release(false) }
 
-func (t *pageToken) release(withBuf bool) {
-	if t.state.Load() == readDone {
-		t.s.frames.put(&t.fr, withBuf)
+// release ends the read h names, if it completed without error: the frame
+// and then the token go back on the store's free list, and every handle to
+// this read goes stale.
+func (h readHandle) release(withBuf bool) {
+	t := h.t
+	if t.state.Load() != readDone {
+		return
 	}
+	t.mu.Lock()
+	if h.stale() || t.err != nil {
+		t.mu.Unlock()
+		return
+	}
+	t.gen.Add(1)
+	t.mu.Unlock()
+	t.s.frames.put(&t.fr, withBuf)
+	t.r = nil // a listed token pins no run
+	t.s.frames.putToken(t)
 }
 
 // Retries reports how many failed read attempts (transient errors and
 // corruption re-reads) were retried before the read settled. Valid after
-// Wait returns.
-func (t *pageToken) Retries() int { return t.retries }
+// Wait returns, and 0 after a release.
+func (h readHandle) Retries() int {
+	if h.stale() {
+		return 0
+	}
+	return h.t.retries
+}
 
 // retrier is implemented by store tokens that report how many failed
 // attempts were retried before the operation settled.
@@ -657,10 +749,15 @@ type heldPage struct {
 
 // heldBatch is a batch in reference form, as columns: record i has key
 // keys[i] and the payload of lens[i] bytes — size bytes when lens is nil —
-// that ptrs[i] points to, which is the caller's, shared. An empty payload
-// has a nil pointer and pins nothing.
+// that record i's pointer points to, which is the caller's, shared: ptr0 for
+// record 0, ptrs[i-1] for the others. An empty payload has a nil pointer and
+// pins nothing. Record 0's pointer lives here so that the column fits its
+// size class: an array of pointers over 512 bytes carries an 8-byte header,
+// so the 1 536 pointers of a six-page block of 256-record pages would take a
+// 13 568-byte block, and their 1 535 take the 12 288 the keys take.
 type heldBatch struct {
 	keys []Key
+	ptr0 *byte
 	ptrs []*byte
 	lens []uint32
 	size int
@@ -670,13 +767,14 @@ type heldBatch struct {
 // length of every payload or -1: the batch writes no byte, so each page's
 // offset is where its disk's bytes end, which is also where the encoded
 // page before it on that disk ends. The caller holds r.wmu, and offsets is
-// the batch's share of r.offsets' spare capacity.
+// the batch's share of r.offsets' spare capacity; the batch has a record.
 func (r *pagedRun) hold(first int, offsets []int64, pages []Page, size int) {
 	total := 0
 	for _, pg := range pages {
 		total += len(pg)
 	}
-	keys, ptrs := make([]Key, total), make([]*byte, total)
+	keys, ptrs := make([]Key, total), make([]*byte, total-1)
+	var ptr0 *byte
 	var lens []uint32
 	if size < 0 {
 		lens = make([]uint32, total)
@@ -685,8 +783,12 @@ func (r *pagedRun) hold(first int, offsets []int64, pages []Page, size int) {
 	for _, pg := range pages {
 		for _, rec := range pg {
 			keys[i] = rec.Key
-			if len(rec.Payload) > 0 {
-				ptrs[i] = unsafe.SliceData(rec.Payload)
+			switch {
+			case len(rec.Payload) == 0:
+			case i == 0:
+				ptr0 = unsafe.SliceData(rec.Payload)
+			default:
+				ptrs[i-1] = unsafe.SliceData(rec.Payload)
 			}
 			if lens != nil {
 				lens[i] = uint32(len(rec.Payload))
@@ -694,9 +796,10 @@ func (r *pagedRun) hold(first int, offsets []int64, pages []Page, size int) {
 			i++
 		}
 	}
-	b := &heldBatch{keys: keys, ptrs: ptrs, lens: lens, size: size}
+	b := &heldBatch{keys: keys, ptr0: ptr0, ptrs: ptrs, lens: lens, size: size}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.held = slices.Grow(r.held, first+len(pages)-len(r.held))
 	r.held = append(r.held, make([]heldPage, first-len(r.held))...)
 	at := 0
 	for i, pg := range pages {
@@ -710,14 +813,17 @@ func (r *pagedRun) hold(first int, offsets []int64, pages []Page, size int) {
 // records rebuilds the page into dst's array, each payload capped at its
 // length so that an append to it cannot reach the caller's next bytes.
 func (h heldPage) records(dst Page) Page {
-	b := h.b
+	keys, ptr0, ptrs, lens, size := h.b.keys, h.b.ptr0, h.b.ptrs, h.b.lens, h.b.size
 	dst = slices.Grow(dst[:0], h.hi-h.lo)
 	for i := h.lo; i < h.hi; i++ {
-		n := b.size
-		if b.lens != nil {
-			n = int(b.lens[i])
+		p, n := ptr0, size
+		if i > 0 {
+			p = ptrs[i-1]
 		}
-		dst = append(dst, Record{Key: b.keys[i], Payload: unsafe.Slice(b.ptrs[i], n)})
+		if lens != nil {
+			n = int(lens[i])
+		}
+		dst = append(dst, Record{Key: keys[i], Payload: unsafe.Slice(p, n)})
 	}
 	return dst
 }
@@ -779,38 +885,46 @@ func (r *pagedRun) isClosing() bool {
 // Either way it is bounded by that disk's read concurrency. Only pages in the
 // index can be asked for, and those are written.
 func (s *pagedStore) ReadAsync(id RunID, page int) PageToken {
+	h, err := s.issue(id, page)
+	if err != nil {
+		return refusedRead{err: err}
+	}
+	return h
+}
+
+// issue is ReadAsync without the boxing: the read's handle, or why it is
+// refused.
+func (s *pagedStore) issue(id RunID, page int) (readHandle, error) {
 	r, freed := s.run(id)
 	if r == nil {
 		if freed {
-			return refusedRead{err: fmt.Errorf("masort: read of freed run %d", id)}
+			return readHandle{}, fmt.Errorf("masort: read of freed run %d", id)
 		}
-		return refusedRead{err: fmt.Errorf("masort: run %d has no page %d", id, page)}
+		return readHandle{}, fmt.Errorf("masort: run %d has no page %d", id, page)
 	}
 	r.mu.Lock()
 	if r.closing {
 		r.mu.Unlock()
-		return refusedRead{err: fmt.Errorf("masort: read of freed run %d", id)}
+		return readHandle{}, fmt.Errorf("masort: read of freed run %d", id)
 	}
 	if werr := r.werr; werr != nil {
 		// The run is broken: even its written prefix must not be served, or
 		// a merge would consume half a run and only then learn it failed.
 		r.mu.Unlock()
-		return refusedRead{err: fmt.Errorf("masort: read of run %d page %d after write failure: %w", id, page, werr)}
+		return readHandle{}, fmt.Errorf("masort: read of run %d page %d after write failure: %w", id, page, werr)
 	}
 	if page < 0 || page >= len(r.offsets) {
 		r.mu.Unlock()
-		return refusedRead{err: fmt.Errorf("masort: run %d has no page %d", id, page)}
+		return readHandle{}, fmt.Errorf("masort: run %d has no page %d", id, page)
 	}
 	if page < len(r.held) && r.held[page].b != nil {
-		h := r.held[page]
+		held := r.held[page]
 		r.mu.Unlock()
 		// A read that is complete at issue: its frame goes back to the store
 		// like any other's.
 		fr := s.frames.get()
-		fr.recs = h.records(fr.recs)
-		tok := &pageToken{s: s, r: r, id: id, page: page, fr: fr}
-		tok.state.Store(readDone)
-		return tok
+		fr.recs = held.records(fr.recs)
+		return s.newRead(r, id, page, 0, 0, fr, readDone), nil
 	}
 	// The page's extent ends where the disk's next page begins.
 	n := len(r.exts)
@@ -824,18 +938,31 @@ func (s *pagedStore) ReadAsync(id RunID, page int) PageToken {
 		r.readers.Add(1) // here, so that Free waits for the goroutine
 	}
 	r.mu.Unlock()
-	tok := &pageToken{s: s, r: r, id: id, page: page, off: off, end: end}
-	if dispatch {
-		tok.state.Store(readRunning)
-		s.dispatchedReads.Add(1)
-		go s.readPage(tok, true)
+	if !dispatch {
+		return s.newRead(r, id, page, off, end, frame{}, readUnclaimed), nil
 	}
-	return tok
+	h := s.newRead(r, id, page, off, end, frame{}, readRunning)
+	s.dispatchedReads.Add(1)
+	go s.readPage(h.t, true)
+	return h, nil
+}
+
+// newRead sets a token from the free list up as the read of one page, in
+// the given state, and returns its handle.
+func (s *pagedStore) newRead(r *pagedRun, id RunID, page int, off, end int64, fr frame, state uint32) readHandle {
+	t := s.frames.token()
+	t.s, t.r, t.id, t.page, t.off, t.end = s, r, id, page, off, end
+	t.fr, t.err, t.retries, t.done = fr, nil, 0, nil
+	t.state.Store(state)
+	return readHandle{t, t.gen.Load()}
 }
 
 // readPage is the read: the only code that fetches and decodes a page,
 // called by the Wait that claimed the token or as the reader goroutine
 // ReadAsync started (counted, then, among the run's running reads already).
+// Its deferred finish is the last it does with tok, which may be another
+// read's as soon as it is done: the disk's read slot goes back before it,
+// and the run's count of running reads after it, through readPage's locals.
 func (s *pagedStore) readPage(tok *pageToken, counted bool) {
 	r, id, page, off, end := tok.r, tok.id, tok.page, tok.off, tok.end
 	x := &r.exts[page%len(r.exts)]

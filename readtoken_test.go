@@ -220,7 +220,8 @@ func TestTwoWaitersOneToken(t *testing.T) {
 			if slow {
 				s.makeSlow()
 			}
-			tok := s.ReadAsync(id, 3).(*pageToken)
+			h := s.ReadAsync(id, 3).(readHandle)
+			tok := h.t
 			var wg sync.WaitGroup
 			var pages [2]Page
 			var errs [2]error
@@ -228,7 +229,7 @@ func TestTwoWaitersOneToken(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					pages[i], errs[i] = tok.Wait()
+					pages[i], errs[i] = h.Wait()
 				}()
 			}
 			// The read is held in its fetch; wait until somebody sleeps on it.
@@ -248,7 +249,7 @@ func TestTwoWaitersOneToken(t *testing.T) {
 					t.Fatalf("slow=%v: waiter %d got %v, %v", slow, i, pages[i], errs[i])
 				}
 			}
-			if pg, err := tok.Wait(); err != nil || &pg[0] != &pages[0][0] {
+			if pg, err := h.Wait(); err != nil || &pg[0] != &pages[0][0] {
 				t.Fatalf("slow=%v: a third Wait, after completion, got %v, %v", slow, pg, err)
 			}
 		}
@@ -336,6 +337,105 @@ func TestReleaseOutsideATokensLifeIsNoOp(t *testing.T) {
 			t.Fatalf("failed read, waited again after release = %v, %v", pg, err)
 		}
 	})
+}
+
+// TestStaleHandleTouchesNothing: a read's token goes back to the store with
+// its page, so the handle of a released read names a token that the next
+// read carries. Release, ReleaseRecords, Wait and Retries on that handle do
+// nothing: the next read's page stays its own, through a third read that
+// takes whatever the free list holds.
+func TestStaleHandleTouchesNothing(t *testing.T) {
+	handleOf := func(tok PageToken) readHandle {
+		if rt, ok := tok.(recordsToken); ok {
+			return rt.h
+		}
+		return tok.(readHandle)
+	}
+	check := func(t *testing.T, s RunStore) {
+		id := writePages(t, s, eightPages()...)
+		old := s.ReadAsync(id, 1)
+		if _, err := old.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		old.(interface{ ReleaseRecords() }).ReleaseRecords()
+		next := s.ReadAsync(id, 2)
+		if handleOf(next).t != handleOf(old).t {
+			t.Fatal("the next read did not take the released token")
+		}
+		pg, err := next.Wait()
+		if err != nil || pg[0].Key != 20 {
+			t.Fatalf("next read = %v, %v", pg, err)
+		}
+		if rel, ok := old.(interface{ Release() }); ok {
+			rel.Release()
+		}
+		old.(interface{ ReleaseRecords() }).ReleaseRecords()
+		if got, err := old.Wait(); got != nil || err != nil {
+			t.Fatalf("Wait on a released read's handle = %v, %v", got, err)
+		}
+		if n := tokenRetries(old); n != 0 {
+			t.Fatalf("Retries on a released read's handle = %d", n)
+		}
+		third := s.ReadAsync(id, 5)
+		if got, err := third.Wait(); err != nil || got[0].Key != 50 {
+			t.Fatalf("third read = %v, %v", got, err)
+		}
+		got, err := next.Wait()
+		if err != nil || len(got) != 2 || &got[0] != &pg[0] {
+			t.Fatalf("the next read's page after the stale handle's calls = %v, %v", got, err)
+		}
+		if pg[0].Key != 20 || pg[1].Key != 21 || string(pg[1].Payload) != "ijklmnop" {
+			t.Fatalf("the next read's page now reads %v", pg)
+		}
+	}
+	forPagedBackends(t, NewStoreConfig, func(t *testing.T, s tokenStore) { check(t, s) })
+	t.Run("mem", func(t *testing.T) { check(t, NewMemStore()) })
+}
+
+// TestRecycledTokensAcrossGoroutines: readers on several goroutines share
+// one store's free lists of tokens and frames, each waiting for its pages,
+// releasing them by either method and then using the stale handle, with
+// reads run inline and by reader goroutines. Every page delivered is the
+// one asked for, and a released read's handle yields nothing, whichever
+// read its token carries by then. Run it with -race.
+func TestRecycledTokensAcrossGoroutines(t *testing.T) {
+	const readers, reads = 4, 200
+	check := func(t *testing.T, s RunStore) {
+		id := writePages(t, s, eightPages()...)
+		var wg sync.WaitGroup
+		for g := range readers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range reads {
+					page := (g + 3*i) % 8
+					tok := s.ReadAsync(id, page)
+					pg, err := tok.Wait()
+					if err != nil || len(pg) != 2 || pg[0].Key != Key(10*page) || pg[1].Key != Key(10*page+1) {
+						t.Errorf("reader %d: page %d = %v, %v", g, page, pg, err)
+						return
+					}
+					if rel, ok := tok.(interface{ Release() }); ok && i%2 == 0 {
+						rel.Release()
+					} else {
+						tok.(interface{ ReleaseRecords() }).ReleaseRecords()
+					}
+					if pg, err := tok.Wait(); pg != nil || err != nil {
+						t.Errorf("reader %d: a released read's handle yields %v, %v", g, pg, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	forPagedBackends(t, NewStoreConfig, func(t *testing.T, s tokenStore) {
+		s.makeFast()
+		check(t, s)
+		s.makeSlow()
+		check(t, s)
+	})
+	t.Run("mem", func(t *testing.T) { check(t, NewMemStore()) })
 }
 
 // TestRetriesCountTheSameInlineAndDispatched: one read path — a transient
