@@ -155,6 +155,26 @@ func TestSortFreesAllIntermediateRuns(t *testing.T) {
 	}
 }
 
+// TestPanickingObserverIsCounted: the OnEvent hook runs behind a recover
+// (Env.deliver), so an observer that panics on every event costs the sort
+// nothing but those events: the sort completes and Stats.EventPanics counts
+// them (all but any that come after the stats are final).
+func TestPanickingObserverIsCounted(t *testing.T) {
+	recs := makeRecords(3000, 29)
+	cfg := DefaultConfig()
+	cfg.PageRecords = 8
+	env, store, broker, _ := testEnv(t, recs, 8, 10, 3)
+	calls := 0
+	env.OnEvent = func(Event) {
+		calls++
+		panic("observer bug")
+	}
+	res := sortAndCheck(t, recs, cfg, broker, env, store)
+	if res.Stats.EventPanics == 0 || res.Stats.EventPanics > calls {
+		t.Fatalf("Stats.EventPanics = %d after %d panicking events", res.Stats.EventPanics, calls)
+	}
+}
+
 func TestStatsAccounting(t *testing.T) {
 	recs := makeRecords(3000, 23)
 	cfg := SortConfig{Method: Quick, Merge: OptMerge, Adapt: DynSplit, PageRecords: 8, BlockPages: 1}

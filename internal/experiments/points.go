@@ -69,7 +69,9 @@ func runPoints(o Options, pts []point) (map[string]*simenv.Result, error) {
 	var wg sync.WaitGroup
 	for w := 0; w < o.Workers; w++ {
 		wg.Add(1)
-		//masortlint:allow simdeterminism -- worker-pool parallelism across points: each point's simulation is internally deterministic and results are keyed, so completion order cannot affect output
+		// Worker-pool parallelism across points, deterministic despite the
+		// goroutines: each point's simulation is internally deterministic and
+		// results are keyed, so completion order cannot affect output.
 		go func() {
 			defer wg.Done()
 			for p := range work {
@@ -78,7 +80,8 @@ func runPoints(o Options, pts []point) (map[string]*simenv.Result, error) {
 			}
 		}()
 	}
-	//masortlint:allow simdeterminism -- feeder goroutine only moves keyed work items; simulation state is untouched
+	// The feeder goroutine only moves keyed work items; simulation state is
+	// untouched.
 	go func() {
 		for _, p := range pts {
 			work <- p

@@ -115,7 +115,9 @@ type killSentinel struct{}
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{sim: s, name: name, resume: make(chan struct{})}
 	s.procs[p] = struct{}{}
-	//masortlint:allow simdeterminism -- lock-step coroutine: exactly one process goroutine runs at a time, dispatched by the scheduler's deterministic event order
+	// A lock-step coroutine, deterministic despite the goroutine: exactly one
+	// process goroutine runs at a time, dispatched by the scheduler's
+	// deterministic event order.
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -218,7 +220,9 @@ func (s *Sim) Stop() { s.stopped = true }
 // shutdown kills every remaining process so its goroutine exits.
 func (s *Sim) shutdown() {
 	for len(s.procs) > 0 {
-		//masortlint:allow simdeterminism -- kill-all teardown: every remaining process is killed regardless of order, and killed processes produce no further events
+		// Kill-all teardown, deterministic despite the map order: every
+		// remaining process is killed regardless of order, and killed
+		// processes produce no further events.
 		for p := range s.procs {
 			p.killed = true
 			p.parked = false

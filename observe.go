@@ -218,18 +218,23 @@ func (s *tracedStore) Append(id RunID, pages []Page) (Token, error) {
 }
 
 func (s *tracedStore) ReadAsync(id RunID, page int) PageToken {
-	t := &tracedPageToken{PageToken: s.RunStore.ReadAsync(id, page), s: s, start: time.Now()}
+	t := &releasingTracedPageToken{tracedPageToken: tracedPageToken{
+		PageToken: s.RunStore.ReadAsync(id, page), s: s, start: time.Now(),
+	}}
 	if rel, ok := t.PageToken.(core.PageReleaser); ok {
-		return releasingTracedPageToken{t, rel}
+		t.PageReleaser = rel
+		return t
 	}
-	return t
+	return &t.tracedPageToken
 }
 
 // releasingTracedPageToken is the traced token of a store whose read tokens
 // offer Release: tracing must not cost the store its frames back, nor make a
-// store that offers none look as if it did.
+// store that offers none look as if it did. It holds the traced token by
+// value, and ReadAsync makes one for every read, handing out only the traced
+// token when the store's token offers no Release: one allocation either way.
 type releasingTracedPageToken struct {
-	*tracedPageToken
+	tracedPageToken
 	core.PageReleaser
 }
 

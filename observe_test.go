@@ -2,14 +2,18 @@ package masort
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/memadapt/masort/internal/faultinject"
 	"github.com/memadapt/masort/trace"
 )
 
@@ -418,6 +422,174 @@ func TestObserverPanicsRecovered(t *testing.T) {
 	}
 }
 
+// panicTracer counts every event it is handed, by kind, and then panics.
+type panicTracer struct {
+	mu sync.Mutex
+	n  map[trace.Kind]int
+}
+
+func (p *panicTracer) Emit(e trace.Event) {
+	p.mu.Lock()
+	if p.n == nil {
+		p.n = map[trace.Kind]int{}
+	}
+	p.n[e.Kind]++
+	p.mu.Unlock()
+	panic("tracer bug")
+}
+
+func (p *panicTracer) count(k trace.Kind) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.n[k]
+}
+
+func (p *panicTracer) total() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, c := range p.n {
+		n += c
+	}
+	return n
+}
+
+// TestTracersThatPanicOnEveryEvent holds the tracer-delivery contract on
+// every path an event takes: the operator's tracer (core events, store I/O,
+// the op span), a Pool's and a store's. Each tracer panics on every event,
+// and every operation ends as it would untraced: a plain sort, a pooled sort
+// and a held drain succeed with correct output, and a faultinject FileStore
+// sort that retries a write and then gives up fails with ErrStoreFailed.
+// Stats.EventPanics counts the operator's tracer; it equals the events that
+// tracer was handed before the stats were final, which is all of them but
+// KindOpEnd. Pool and store tracers have no operator to count into.
+//
+// The plain sort's Budget is squeezed as each merge step starts, so a step
+// splits. The scenarios deliver every Kind but KindCombineBegin,
+// KindCombineEnd, KindCombineAbort, KindSuspend and KindResume, which need
+// other memory schedules, and KindPoolReject and KindPoolWait, which need a
+// full pool: those take the path KindSplit (core) or KindPoolAdmit (pool)
+// takes.
+func TestTracersThatPanicOnEveryEvent(t *testing.T) {
+	ctx := context.Background()
+	in := randomRecords(20_000, 7, 8)
+	seen := map[trace.Kind]bool{}
+	note := func(tr *panicTracer) {
+		for k := range trace.KindStoreGaveUp + 1 {
+			if tr.count(k) > 0 {
+				seen[k] = true
+			}
+		}
+	}
+	drained := func(t *testing.T, res *Result, op *panicTracer, want []Record) {
+		t.Helper()
+		out, err := Drain(res.Iterator())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Close(); err != nil {
+			t.Fatal(err)
+		}
+		assertSorted(t, out)
+		assertPermutation(t, want, out)
+		if got, want := res.Stats.EventPanics, op.total()-op.count(trace.KindOpEnd); got != want || want == 0 {
+			t.Errorf("Stats.EventPanics = %d, the tracer was handed %d events before the stats were final", got, want)
+		}
+		note(op)
+	}
+	fileStore := func(t *testing.T, cfg *StoreConfig) *FileStore {
+		s, err := cfg.File(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = s.Close() })
+		return s
+	}
+
+	t.Run("plain", func(t *testing.T) {
+		op := &panicTracer{}
+		b := NewBudget(16)
+		squeeze := func(ev Event) {
+			switch ev.Kind {
+			case EvStepStart:
+				b.Resize(3)
+			case EvSplitStep:
+				b.Resize(16)
+			}
+		}
+		res, err := Sort(ctx, NewSliceIterator(in), WithPageRecords(64), WithBudget(b), WithTracer(op), WithEvents(squeeze))
+		if err != nil {
+			t.Fatal(err)
+		}
+		drained(t, res, op, in)
+	})
+	t.Run("pooled", func(t *testing.T) {
+		op, pt := &panicTracer{}, &panicTracer{}
+		pool := NewPool(8, WithPoolTracer(pt))
+		pool.Resize(12)
+		res, err := Sort(ctx, NewSliceIterator(in), WithPageRecords(64), WithPool(pool), WithTracer(op))
+		if err != nil {
+			t.Fatal(err)
+		}
+		drained(t, res, op, in)
+		note(pt)
+	})
+	t.Run("held-drain", func(t *testing.T) {
+		store := fileStore(t, NewStoreConfig())
+		var ids []RunID
+		var all []Record
+		for i := range 4 {
+			recs := randomRecords(2_000, uint64(30+i), 8)
+			slices.SortFunc(recs, func(a, b Record) int { return cmp.Compare(a.Key, b.Key) })
+			id, _, err := WriteRun(store, NewSliceIterator(recs), 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids, all = append(ids, id), append(all, recs...)
+		}
+		op := &panicTracer{}
+		res, err := Merge(ctx, store, ids, WithPageRecords(64), WithBudget(NewBudget(8)), WithTracer(op))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.MergeSteps != 0 {
+			t.Fatalf("%d merge steps ran before the drain: want the whole merge held", res.Stats.MergeSteps)
+		}
+		drained(t, res, op, all)
+	})
+	t.Run("store-gives-up", func(t *testing.T) {
+		op, st := &panicTracer{}, &panicTracer{}
+		inj := faultinject.New(
+			faultinject.Rule{Op: faultinject.Write, Nth: 1, Fault: faultinject.Fault{Err: faultinject.Transient("write blip")}},
+			faultinject.Rule{Op: faultinject.Write, Nth: 3, Fault: faultinject.Fault{Err: faultinject.Permanent("controller gone")}})
+		cfg := NewStoreConfig().WithFaults(inj).WithRetry(RetryPolicy{MaxAttempts: 3}).WithTracer(st)
+		res, err := Sort(ctx, NewSliceIterator(in), WithPageRecords(64), WithBudget(NewBudget(8)),
+			WithStore(fileStore(t, cfg)), WithTracer(op))
+		if err == nil {
+			_, err = Drain(res.Iterator())
+			res.Close()
+		}
+		if !errors.Is(err, ErrStoreFailed) {
+			t.Fatalf("sort over a store that gives up = %v, want ErrStoreFailed", err)
+		}
+		if st.count(trace.KindStoreRetry) == 0 || st.count(trace.KindStoreGaveUp) == 0 {
+			t.Fatalf("store tracer saw %d retries and %d give-ups, want both", st.count(trace.KindStoreRetry), st.count(trace.KindStoreGaveUp))
+		}
+		note(op)
+		note(st)
+	})
+
+	unreached := map[trace.Kind]bool{
+		trace.KindCombineBegin: true, trace.KindCombineEnd: true, trace.KindCombineAbort: true,
+		trace.KindSuspend: true, trace.KindResume: true, trace.KindPoolReject: true, trace.KindPoolWait: true,
+	}
+	for k := range trace.KindStoreGaveUp + 1 {
+		if !seen[k] && !unreached[k] {
+			t.Errorf("no tracer was handed a %s event", k)
+		}
+	}
+}
+
 type stubToken struct{}
 
 func (stubToken) Wait() error { return nil }
@@ -463,6 +635,36 @@ func TestTracedTokenGuardsNilTracer(t *testing.T) {
 			t.Fatalf("tracer=%v: %d events emitted, want %d", withTracer, got, want)
 		}
 	}
+}
+
+// TestTracedReadAddsOneAllocation: the operator's tracedStore wraps each
+// read token once. A read, its Wait and its ReleaseRecords allocate at most
+// one object more through the wrapper than on the bare store, on every
+// backend — including those whose tokens offer Release, where the wrapper
+// that passes Release on holds the traced token by value.
+func TestTracedReadAddsOneAllocation(t *testing.T) {
+	read := func(s RunStore, id RunID) float64 {
+		return testing.AllocsPerRun(200, func() {
+			tok := s.ReadAsync(id, 3)
+			if pg, err := tok.Wait(); err != nil || pg[0].Key != 30 {
+				t.Fatalf("read = %v, %v", pg, err)
+			}
+			tok.(interface{ ReleaseRecords() }).ReleaseRecords()
+		})
+	}
+	check := func(t *testing.T, s RunStore) {
+		id := writePages(t, s, eightPages()...)
+		traced := &tracedStore{RunStore: s, ot: &opTrace{tr: tracerFunc(func(trace.Event) {})}}
+		bare, withTracer := read(s, id), read(traced, id)
+		if withTracer > bare+1 {
+			t.Errorf("a traced read allocates %.0f objects, an untraced one %.0f: the tracer may add one", withTracer, bare)
+		}
+	}
+	forPagedBackends(t, NewStoreConfig, func(t *testing.T, s tokenStore) {
+		s.makeFast() // every read inline: a dispatched one allocates its goroutine
+		check(t, s.RunStore)
+	})
+	t.Run("mem", func(t *testing.T) { check(t, NewMemStore()) })
 }
 
 // TestChromeTraceFromSort runs a real adaptive sort through the Chrome

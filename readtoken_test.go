@@ -262,7 +262,8 @@ func TestTwoWaitersOneToken(t *testing.T) {
 // TestReleaseOutsideATokensLifeIsNoOp: Release and ReleaseRecords give back
 // a page Wait has delivered, once. Before the Wait, a second time, and after
 // a read that failed there is nothing to give back and they do nothing — no
-// read is run, cancelled or disturbed, and the free list does not move.
+// read is run, cancelled or disturbed, and the free list — record arrays,
+// buffers and tokens — does not move.
 func TestReleaseOutsideATokensLifeIsNoOp(t *testing.T) {
 	var failing atomic.Bool
 	var fetches atomic.Int64
@@ -276,10 +277,10 @@ func TestReleaseOutsideATokensLifeIsNoOp(t *testing.T) {
 		failing.Store(false)
 		fetches.Store(0)
 		id := writePages(t, s, eightPages()...)
-		lists := func() [2]int {
+		lists := func() [3]int {
 			s.ps.frames.mu.Lock()
 			defer s.ps.frames.mu.Unlock()
-			return [2]int{len(s.ps.frames.recs), len(s.ps.frames.bufs)}
+			return [3]int{len(s.ps.frames.recs), len(s.ps.frames.bufs), len(s.ps.frames.toks)}
 		}
 		release := func(tok PageToken) {
 			tok.(interface{ Release() }).Release()
@@ -290,7 +291,7 @@ func TestReleaseOutsideATokensLifeIsNoOp(t *testing.T) {
 		tok := s.ReadAsync(id, 1)
 		release(tok)
 		release(tok)
-		if fetches.Load() != 0 || lists() != [2]int{} {
+		if fetches.Load() != 0 || lists() != [3]int{} {
 			t.Fatalf("releasing an unread token made %d fetches and left %v on the free list", fetches.Load(), lists())
 		}
 		pg, err := tok.Wait()
@@ -302,11 +303,11 @@ func TestReleaseOutsideATokensLifeIsNoOp(t *testing.T) {
 		// the reader copied out stays good while the array is decoded over.
 		held := pg[1]
 		tok.(interface{ ReleaseRecords() }).ReleaseRecords()
-		if got := lists(); got != [2]int{1, 0} {
-			t.Fatalf("free list after ReleaseRecords = %v (record arrays, buffers), want [1 0]", got)
+		if got := lists(); got != [3]int{1, 0, 1} {
+			t.Fatalf("free list after ReleaseRecords = %v (record arrays, buffers, tokens), want [1 0 1]", got)
 		}
 		release(tok) // second time, either kind
-		if got := lists(); got != [2]int{1, 0} {
+		if got := lists(); got != [3]int{1, 0, 1} {
 			t.Fatalf("free list after releasing a released token = %v", got)
 		}
 		if pg, err := tok.Wait(); pg != nil || err != nil {
