@@ -82,13 +82,6 @@ type SortConfig struct {
 	// NoCombine disables dynamic splitting's step-combining on memory
 	// growth (ablation).
 	NoCombine bool
-
-	// Workers is the worker count the caller asked for, reported back in
-	// SortStats.Workers (0 reads as 1). It changes nothing else: run
-	// generation and the merge run on the caller's goroutine at every count,
-	// so the runs, the I/O and the output are the one-worker sort's. The
-	// simulator never sets it.
-	Workers int
 }
 
 // DefaultConfig returns the paper's recommended algorithm, repl6,opt,split.

@@ -34,8 +34,8 @@ func SortMergeJoin(e *Env, left, right Input, cfg SortConfig) (*JoinResult, erro
 	st := &JoinStats{}
 	t0 := e.now()
 
-	// Split phase: both relations, one after the other (a single operator,
-	// one worker). A failed split has already freed its own runs.
+	// Split phase: both relations, one after the other. A failed split has
+	// already freed its own runs.
 	e.In = left
 	lruns, err := splitPhase(e, cfg, &st.SortStats)
 	if err != nil {
@@ -68,8 +68,8 @@ func SortMergeJoin(e *Env, left, right Input, cfg SortConfig) (*JoinResult, erro
 	st.MergeDuration = e.now() - tm
 	st.Response = e.now() - t0
 	st.ResultTuples = out.tuples
-	st.EventPanics = e.eventPanics
 	e.setPhase("idle")
+	st.EventPanics = e.eventPanics // after the last event the operation emits
 	if g := e.Mem.Granted(); g > 0 {
 		e.Mem.Yield(g)
 	}

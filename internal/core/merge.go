@@ -475,11 +475,14 @@ func (m *mergeEngine) adaptDynamic() error {
 		if st.need() > target {
 			// Shrunk mid-combine: abort the drain and fall back to the
 			// preliminary step (its state is untouched — it simply resumes).
+			// The step is unlinked only once the drain is out: a failed
+			// write aborts the chain, and releaseStep reaches the
+			// preliminary step's inputs through st.drainOf alone.
 			prelim := st.drainOf
-			st.drainOf = nil
 			if err := m.drainOut(st); err != nil {
 				return err
 			}
+			st.drainOf = nil
 			m.dropStepBufs(st)
 			m.active = prelim
 			m.st.Combines-- // the combine did not happen after all

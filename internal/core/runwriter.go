@@ -2,8 +2,8 @@ package core
 
 // runWriter is the one place runs are written: every Store.Create and
 // Store.Append of the engine happens here (and every Store.Free in
-// runInfo.free below). It owns its client's output page buffers — a split
-// worker's block, a merge engine's output page — and the one write in
+// runInfo.free below). It owns its client's output page buffers — the
+// split's block, a merge engine's output page — and the one write in
 // flight; the run being written is a parameter, so one writer serves the
 // successive (or, under dynamic splitting, interleaved) output runs of its
 // client with the same buffers. A step whose output goes to its caller

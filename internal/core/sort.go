@@ -27,13 +27,12 @@ type SortResult struct {
 // as the merge retires them, and an aborted merge frees the rest, so nothing
 // leaks (the engine owns them from the moment of the call). With a single
 // input run, that run is returned unchanged — or, under a held last step,
-// is that step's one input. There is no run generation
-// to parallelise, so Stats.Workers reports 1 whatever cfg.Workers asks for.
+// is that step's one input.
 func MergeExisting(e *Env, cfg SortConfig, ids []RunID) (*SortResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	st := &SortStats{Workers: 1}
+	st := &SortStats{}
 	t0 := e.now()
 	runs := make([]*runInfo, len(ids))
 	for i, id := range ids {
@@ -56,14 +55,14 @@ func MergeExisting(e *Env, cfg SortConfig, ids []RunID) (*SortResult, error) {
 // ExternalSort sorts e.In under cfg, writing the final sorted output into
 // e.Store. It adapts its memory usage to e.Mem throughout — the paper's
 // memory-adaptive external sort: a split phase, then a merge phase, both on
-// the caller's goroutine at every cfg.Workers. The output is one stored run or the held last
+// the caller's goroutine. The output is one stored run or the held last
 // step of the merge (SortResult.Last, under Env.StreamLast). An aborted sort leaves no storage and
 // no granted page behind.
 func ExternalSort(e *Env, cfg SortConfig) (*SortResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	st := &SortStats{Workers: max(cfg.Workers, 1)}
+	st := &SortStats{}
 	t0 := e.now()
 	if err := e.ctxErr(); err != nil {
 		return nil, err
@@ -91,8 +90,8 @@ func ExternalSort(e *Env, cfg SortConfig) (*SortResult, error) {
 // result.
 func finishSort(e *Env, st *SortStats, t0 time.Duration, out *runInfo, last *LastStep) *SortResult {
 	st.Response = e.now() - t0
-	st.EventPanics = e.eventPanics
 	e.setPhase("idle")
+	st.EventPanics = e.eventPanics // after the last event the operation emits
 	e.yieldAll()
 	res := &SortResult{Last: last, Stats: *st}
 	if last != nil {
@@ -109,9 +108,8 @@ func finishSort(e *Env, st *SortStats, t0 time.Duration, out *runInfo, last *Las
 // mergePhase merges runs, consuming them, into the operation's stored
 // output run — or, when e.StreamLast asks for it, up to its last step,
 // which it holds for the consumer whatever the number of runs: over one run
-// the step reads it, over none it hands out nothing. The merge has one plan
-// whatever the split's worker count: it runs on the caller's goroutine
-// under the operation's whole target.
+// the step reads it, over none it hands out nothing. The merge runs on the
+// caller's goroutine under the operation's whole target.
 func mergePhase(e *Env, cfg SortConfig, st *SortStats, runs []*runInfo) (*runInfo, *LastStep, error) {
 	e.setPhase("merge")
 	if e.StreamLast {

@@ -56,9 +56,8 @@ type SortStats struct {
 	// MaxGranted tracks the high-water mark of pages held.
 	MaxGranted int
 
-	// Workers is the worker count the sort was asked for (SortConfig.Workers,
-	// at least 1); 1 for a merge of existing runs. Every sort runs on the
-	// caller's goroutine whatever the count.
+	// Workers is filled by the host (the root package reports the count its
+	// WithWorkers option resolved to); the engine never reads or sets it.
 	Workers int
 
 	// Store I/O aggregates, filled by the host: completed read requests and

@@ -126,7 +126,6 @@ func (o config) build() (core.SortConfig, config, error) {
 		return cfg, o, fmt.Errorf("masort: unknown adaptation %d", o.adaptation)
 	}
 	cfg.MergeBlockPages = mergeBlockPages
-	cfg.Workers = o.workers
 	if o.budget == nil {
 		o.budget = NewBudget(64)
 	}
@@ -283,16 +282,18 @@ func sortNamed(ctx context.Context, input Iterator, opt config, opName string) (
 	return runOp(ctx, opt, opName, []Iterator{input}, func(env *core.Env, cfg core.SortConfig, o config) (*Result, error) {
 		env.In = &pageInput{it: input, size: o.pageRecords}
 		res, err := core.ExternalSort(env, cfg)
-		return sortResult(env, res, err)
+		return sortResult(env, res, err, max(o.workers, 1))
 	})
 }
 
 // sortResult maps the core's sort (or merge) outcome onto the part of a
-// Result the core knows; runOp completes it.
-func sortResult(env *core.Env, res *core.SortResult, err error) (*Result, error) {
+// Result the core knows, with the worker count the operator reports; runOp
+// completes it.
+func sortResult(env *core.Env, res *core.SortResult, err error, workers int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	res.Stats.Workers = workers
 	return heldResult(env, res.Last, res.Tuples, res.Stats), nil
 }
 
@@ -352,9 +353,11 @@ func runOp(ctx context.Context, opt config, name string, inputs []Iterator, run 
 	ot.attach(out)
 	l := out.last
 	l.base, l.arb, l.pageRecords = out.Stats, o.arbiter(), o.pageRecords
-	// complete takes the operator's final stats as the core counted them;
-	// leave ends the operator.
+	// complete takes the operator's final stats as the core counted them,
+	// with the worker count it reported as it returned; leave ends the
+	// operator.
 	l.complete = func(out *Result, st Stats) {
+		st.Workers = l.base.Workers
 		out.Stats, out.Counters = st, meter.counters()
 		ot.finishStats(&out.Stats, ts)
 		if out.Join != nil {

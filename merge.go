@@ -63,14 +63,13 @@ func (o *orderedInput) NextPage() (core.Page, bool, error) {
 // write time).
 //
 // The store argument is authoritative — the ids name runs inside it — so a
-// WithStore option is ignored here. WithWorkers parallelises run
-// generation, which a Merge does not do: it runs on one worker whatever
-// WithWorkers asks, and Stats.Workers reports 1.
+// WithStore option is ignored here. A Merge generates no runs, so its
+// Stats.Workers reports 1 whatever WithWorkers asks.
 func Merge(ctx context.Context, store RunStore, ids []RunID, opts ...Option) (*Result, error) {
 	opt := applyOptions(opts)
 	opt.store = store
 	return runOp(ctx, opt, "merge", nil, func(env *core.Env, cfg core.SortConfig, _ config) (*Result, error) {
 		res, err := core.MergeExisting(env, cfg, ids)
-		return sortResult(env, res, err)
+		return sortResult(env, res, err, 1)
 	})
 }
