@@ -49,6 +49,58 @@ func TestSortCanceledBeforeStart(t *testing.T) {
 	requireNoLeaks(t, store, budget)
 }
 
+// TestSortCanceledMidSplit cancels from inside the input stream, so the
+// cancellation lands while the split phase is consuming pages.
+func TestSortCanceledMidSplit(t *testing.T) {
+	for _, m := range []Method{ReplacementSelection, Quicksort} {
+		t.Run([]string{"repl", "quick"}[m], func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			store := NewMemStore()
+			budget := NewBudget(8)
+			recs := randomRecords(50_000, 2, 0)
+			n := 0
+			input := FuncIterator(func() (Record, bool, error) {
+				if n == 20_000 {
+					cancel()
+				}
+				if n >= len(recs) {
+					return Record{}, false, nil
+				}
+				r := recs[n]
+				n++
+				return r, true, nil
+			})
+			_, err := Sort(ctx, input,
+				WithMethod(m), WithPageRecords(32), WithStore(store), WithBudget(budget))
+			requireCanceled(t, err)
+			requireNoLeaks(t, store, budget)
+		})
+	}
+}
+
+// TestSortCanceledMidMerge cancels when the merge phase starts, for every
+// adaptation strategy.
+func TestSortCanceledMidMerge(t *testing.T) {
+	for _, ad := range []Adaptation{DynamicSplitting, MRUPaging, Suspension} {
+		t.Run([]string{"split", "page", "susp"}[ad], func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			store := NewMemStore()
+			budget := NewBudget(8)
+			_, err := Sort(ctx, NewSliceIterator(randomRecords(50_000, 3, 0)),
+				WithAdaptation(ad), WithPageRecords(32), WithStore(store), WithBudget(budget),
+				WithEvents(func(ev Event) {
+					if ev.Kind == EvPhase && ev.Phase == "merge" {
+						cancel()
+					}
+				}))
+			requireCanceled(t, err)
+			requireNoLeaks(t, store, budget)
+		})
+	}
+}
+
 // TestSortCanceledDuringSuspension parks the sort in a suspension wait (the
 // budget is slashed to the floor mid-merge, below any step's requirement)
 // and then cancels from another goroutine: the wait must wake promptly

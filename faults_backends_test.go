@@ -177,6 +177,76 @@ func TestSortFaultSchedulesNewBackends(t *testing.T) {
 	}
 }
 
+// TestSortFaultSoakNewBackends is the randomized seeded soak over the new
+// backends: any mix of transient, permanent and corrupting faults must end
+// in correct output or a documented sentinel — never wrong data, never a
+// leak. Run under -race; seeds are fixed so failures reproduce.
+func TestSortFaultSoakNewBackends(t *testing.T) {
+	seeds := 10
+	if testing.Short() {
+		seeds = 4
+	}
+	recs := faultSortInput(2048)
+	prof := faultinject.Profile{
+		PTransientRead:  0.05,
+		PTransientWrite: 0.05,
+		PPermanentWrite: 0.02,
+		PBitFlip:        0.03,
+		PShortWrite:     0.5,
+	}
+	for _, backend := range faultBackends() {
+		t.Run(backend.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			for seed := uint64(1); seed <= uint64(seeds); seed++ {
+				inj := faultinject.NewSeeded(seed, prof)
+				store := backend.build(t, inj,
+					RetryPolicy{MaxAttempts: 3, Backoff: 100 * time.Microsecond})
+				pool := NewPool(8)
+				okErr := func(err error) bool {
+					return errors.Is(err, ErrStoreFailed) || errors.Is(err, ErrCorruptPage)
+				}
+				res, err := Sort(context.Background(), NewSliceIterator(recs),
+					WithStore(store), WithPool(pool), WithPageRecords(32), WithEventLog(64))
+				switch {
+				case err != nil:
+					if !okErr(err) {
+						t.Fatalf("seed %d: unexpected error class: %v (%v)", seed, err, inj)
+					}
+				default:
+					var prev uint64
+					n := 0
+					for rec, rerr := range res.All() {
+						if rerr != nil {
+							if !okErr(rerr) {
+								t.Fatalf("seed %d: unexpected iteration error: %v", seed, rerr)
+							}
+							break
+						}
+						if n > 0 && rec.Key < prev {
+							t.Fatalf("seed %d: output out of order at record %d", seed, n)
+						}
+						prev = rec.Key
+						n++
+					}
+					if err := res.Close(); err != nil {
+						t.Fatalf("seed %d: close: %v", seed, err)
+					}
+				}
+				if pool.Ops() != 0 || pool.Reserved() != 0 {
+					t.Fatalf("seed %d: pool leaked: %d ops, %d reserved", seed, pool.Ops(), pool.Reserved())
+				}
+				if n := store.Live(); n != 0 {
+					t.Fatalf("seed %d: %d runs leaked", seed, n)
+				}
+				if err := store.Close(); err != nil {
+					t.Fatalf("seed %d: store close: %v", seed, err)
+				}
+			}
+			waitGoroutines(t, base)
+		})
+	}
+}
+
 // TestSortFaultStripedDeviceTargeted scopes a fault to ONE stripe of a
 // pooled sort's striped store: a permanently failing device sinks the sort
 // with the documented chain, while a merely transient device heals
@@ -256,6 +326,114 @@ func TestSortFaultStripedDeviceTargeted(t *testing.T) {
 				}
 				if res.Stats.StoreRetries == 0 {
 					t.Error("Stats.StoreRetries = 0, want > 0 (the flaky device retried)")
+				}
+				if err := res.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if pool.Ops() != 0 || pool.Reserved() != 0 {
+				t.Fatalf("pool leaked: %d ops, %d reserved", pool.Ops(), pool.Reserved())
+			}
+			if store.Live() != 0 {
+				t.Fatalf("%d runs leaked", store.Live())
+			}
+			if err := store.Close(); err != nil {
+				t.Fatal(err)
+			}
+			waitGoroutines(t, base)
+		})
+	}
+}
+
+// TestSortFaultStripedParallel re-runs the PR 8 fault discipline against a
+// PARALLEL sort (WithWorkers) on the striped store: injected device faults
+// now land on I/O issued concurrently by several workers, and the same
+// contract must hold — correct output or a documented sentinel chain, and
+// nothing leaked either way.
+func TestSortFaultStripedParallel(t *testing.T) {
+	recs := faultSortInput(8192)
+	policy := RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond}
+	cases := []struct {
+		name        string
+		hooks       func(dev int) FaultHooks
+		wantErr     []error
+		wantRetries bool
+	}{
+		{
+			name: "transient-blips-two-devices",
+			hooks: func(dev int) FaultHooks {
+				if dev == 0 {
+					return faultinject.New(faultinject.Rule{Op: faultinject.Write, Nth: 1, Count: 2,
+						Fault: faultinject.Fault{Err: faultinject.Transient("dev0 write blip")}})
+				}
+				if dev == 2 {
+					return faultinject.New(faultinject.Rule{Op: faultinject.Read, Nth: 2, Count: 2,
+						Fault: faultinject.Fault{Err: faultinject.Transient("dev2 read blip")}})
+				}
+				return nil
+			},
+			wantRetries: true,
+		},
+		{
+			name: "one-device-dies-mid-sort",
+			hooks: func(dev int) FaultHooks {
+				if dev != 1 {
+					return nil
+				}
+				return faultinject.New(faultinject.Rule{Op: faultinject.Write, Nth: 3,
+					Fault: faultinject.Fault{Err: faultinject.Permanent("device 1 gone")}})
+			},
+			wantErr: []error{ErrStoreFailed},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			store, err := NewStoreConfig().
+				WithDeviceFaults(tc.hooks).
+				WithRetry(policy).
+				Striped(t.TempDir(), t.TempDir(), t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := NewPool(32)
+			res, err := Sort(context.Background(), NewSliceIterator(recs),
+				WithStore(store), WithPool(pool), WithWorkers(4),
+				WithPageRecords(64), WithEventLog(256))
+			if len(tc.wantErr) > 0 {
+				if err == nil {
+					res.Close()
+					t.Fatal("parallel sort survived a permanently failing device")
+				}
+				for _, sentinel := range tc.wantErr {
+					if !errors.Is(err, sentinel) {
+						t.Errorf("error chain %v is missing %v", err, sentinel)
+					}
+				}
+			} else {
+				if err != nil {
+					t.Fatalf("parallel sort failed under a recoverable schedule: %v", err)
+				}
+				if res.Stats.Workers != 2 { // WithWorkers(4) resolves to two
+					t.Errorf("Stats.Workers = %d, want 2", res.Stats.Workers)
+				}
+				var prev uint64
+				n := 0
+				for rec, rerr := range res.All() {
+					if rerr != nil {
+						t.Fatalf("record %d: %v", n, rerr)
+					}
+					if n > 0 && rec.Key < prev {
+						t.Fatalf("output out of order at record %d", n)
+					}
+					prev = rec.Key
+					n++
+				}
+				if n != len(recs) {
+					t.Fatalf("drained %d records, want %d", n, len(recs))
+				}
+				if tc.wantRetries && res.Stats.StoreRetries == 0 {
+					t.Error("Stats.StoreRetries = 0, want > 0")
 				}
 				if err := res.Close(); err != nil {
 					t.Fatal(err)

@@ -192,6 +192,79 @@ func TestSortFaultSchedules(t *testing.T) {
 	}
 }
 
+// TestSortFaultSoak runs randomized seeded fault schedules against pooled
+// sorts: whatever mix of transient, permanent and corrupting faults a seed
+// produces, the sort either completes with correct output or fails with
+// the documented sentinels — and never leaks pool pages, runs, or
+// goroutines. Run it under -race; the seeds are fixed so failures
+// reproduce.
+func TestSortFaultSoak(t *testing.T) {
+	seeds := 18
+	if testing.Short() {
+		seeds = 6
+	}
+	base := runtime.NumGoroutine()
+	recs := faultSortInput(2048)
+	prof := faultinject.Profile{
+		PTransientRead:  0.05,
+		PTransientWrite: 0.05,
+		PPermanentWrite: 0.02,
+		PBitFlip:        0.03,
+		PShortWrite:     0.5,
+	}
+	for seed := uint64(1); seed <= uint64(seeds); seed++ {
+		inj := faultinject.NewSeeded(seed, prof)
+		store, err := NewStoreConfig().WithFaults(inj).
+			WithRetry(RetryPolicy{MaxAttempts: 3, Backoff: 100 * time.Microsecond}).File(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := NewPool(8)
+		okErr := func(err error) bool {
+			return errors.Is(err, ErrStoreFailed) || errors.Is(err, ErrCorruptPage)
+		}
+		res, err := Sort(context.Background(), NewSliceIterator(recs),
+			WithStore(store), WithPool(pool), WithPageRecords(32), WithEventLog(64))
+		switch {
+		case err != nil:
+			if !okErr(err) {
+				t.Fatalf("seed %d: unexpected error class: %v (%v)", seed, err, inj)
+			}
+		default:
+			var prev uint64
+			n := 0
+			for rec, rerr := range res.All() {
+				if rerr != nil {
+					// The final run is read through the same faulty store;
+					// a terminal fault mid-iteration is a legal outcome.
+					if !okErr(rerr) {
+						t.Fatalf("seed %d: unexpected iteration error: %v", seed, rerr)
+					}
+					break
+				}
+				if n > 0 && rec.Key < prev {
+					t.Fatalf("seed %d: output out of order at record %d", seed, n)
+				}
+				prev = rec.Key
+				n++
+			}
+			if err := res.Close(); err != nil {
+				t.Fatalf("seed %d: close: %v", seed, err)
+			}
+		}
+		if pool.Ops() != 0 || pool.Reserved() != 0 {
+			t.Fatalf("seed %d: pool leaked: %d ops, %d reserved", seed, pool.Ops(), pool.Reserved())
+		}
+		if store.Live() != 0 {
+			t.Fatalf("seed %d: %d runs leaked", seed, store.Live())
+		}
+		if err := store.Close(); err != nil {
+			t.Fatalf("seed %d: store close: %v", seed, err)
+		}
+	}
+	waitGoroutines(t, base)
+}
+
 // TestConcurrentReadersDuringWriteFailure injects a torn, permanently
 // failing write while parallel reads of the written prefix are in flight:
 // every read must either return its exact page or the ErrStoreFailed

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -183,6 +184,67 @@ func compareRecords(a, b Record) int {
 	return bytes.Compare(a.Payload, b.Payload)
 }
 
+// TestParallelSortMatchesSerial is the determinism contract of the one phase
+// driver: for every method × adaptation — a broker that is not the arbiter
+// included, all through the same entry — the output equals slices.SortFunc
+// on (key, payload), stored or streamed. The w labels are the worker counts
+// a host may ask for (masort.WithWorkers); the engine never sees them, so
+// each case reruns the one sort, which must come out the same every time.
+// The merge holds its last step exactly when the Env asks for it
+// (StreamLast).
+func TestParallelSortMatchesSerial(t *testing.T) {
+	recs := payloadRecords(20000, 7)
+	want := slices.Clone(recs)
+	slices.SortFunc(want, compareRecords)
+	type variant struct {
+		name  string
+		noCtx bool
+	}
+	variants := []variant{
+		{"w1", false}, {"w2", false}, {"w4", false},
+		// A broker that is not the arbiter's handle (nocb).
+		{"w4nocb", true},
+	}
+	for _, method := range []Method{Quick, Repl} {
+		for _, adapt := range []Adapt{Suspend, Paging, DynSplit} {
+			for _, v := range variants {
+				t.Run(fmt.Sprintf("m%d_a%d_%s", method, adapt, v.name), func(t *testing.T) {
+					cfg := SortConfig{
+						Method: method, BlockPages: 6, Merge: OptMerge,
+						Adapt: adapt, PageRecords: 32,
+					}
+					for _, stream := range []bool{false, true} {
+						store := newSafeStore()
+						env := &Env{
+							In:         &sliceInput{pages: pagesOf(recs, 32)},
+							Store:      store,
+							Mem:        newTestBudget(48),
+							Ctx:        context.Background(),
+							StreamLast: stream,
+						}
+						if v.noCtx {
+							env.Mem = newScriptedBroker(t, 48, 3)
+						}
+						res, err := ExternalSort(env, cfg)
+						if err != nil {
+							t.Fatalf("sort: %v", err)
+						}
+						if (res.Last != nil) != stream {
+							t.Fatalf("StreamLast %v: held a last step %v", stream, res.Last != nil)
+						}
+						if got := sortOutput(t, store, res, env.Mem); !slices.EqualFunc(got, want, func(a, b Record) bool { return compareRecords(a, b) == 0 }) {
+							t.Fatalf("StreamLast %v: output (%d records) differs from slices.SortFunc (%d records)", stream, len(got), len(want))
+						}
+						if g := env.Mem.Granted(); g != 0 {
+							t.Fatalf("broker still has %d pages granted", g)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestOneWorkerSpawnsNoGoroutine pins the property the simulator depends on:
 // both phases run inline on the caller's goroutine, observed from inside the
 // operation's own events (the store here starts no goroutine of its own),
@@ -238,57 +300,286 @@ func settledGoroutines() int {
 // the budget; from the third append after a change on, the split holds no
 // more than the target (the appends in between are the blocks a shrink
 // writes out before it yields, and the one already under way). The output
-// equals the oracle, and the budget and the store end at zero.
+// equals the oracle, and the budget and the store end at zero. The w labels
+// are host worker counts the engine never sees: each case reruns the one
+// sort through the whole script.
 func TestSplitFollowsGrowAndShrink(t *testing.T) {
 	const delay = 3 // appends a change may take to be honoured
 	recs := payloadRecords(40000, 29)
 	want := slices.Clone(recs)
 	slices.SortFunc(want, compareRecords)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			budget := newTestBudget(48)
+			store := newSafeStore()
+			script := map[int]int{12: 12, 30: 40, 48: 6, 66: 48, 84: 9, 102: 30}
+			var (
+				splitting = true
+				changed   = -delay
+				changes   int
+			)
+			store.onAppend = func(_ RunID, nth, _ int) {
+				if !splitting {
+					return
+				}
+				if g, tg := budget.Granted(), budget.Target(); g > tg && nth > changed+delay {
+					t.Errorf("append %d, %d after the last change: %d pages held on a target of %d", nth, nth-changed, g, tg)
+				}
+				if target, ok := script[nth]; ok {
+					budget.Resize(target)
+					changed = nth
+					changes++
+				}
+			}
+			env := &Env{
+				In: &sliceInput{pages: pagesOf(recs, 32)}, Store: store, Mem: budget, Ctx: context.Background(),
+				StreamLast: true,
+				OnEvent: func(ev Event) {
+					if ev.Kind == EvPhase && ev.Phase != "split" {
+						splitting = false
+					}
+				},
+			}
+			cfg := DefaultConfig()
+			cfg.PageRecords = 32
+			res, err := ExternalSort(env, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if changes != len(script) {
+				t.Fatalf("%d of %d budget changes made: want the whole script", changes, len(script))
+			}
+			budget.Resize(48)
+			if got := sortOutput(t, store, res, budget); !slices.EqualFunc(got, want, func(a, b Record) bool { return compareRecords(a, b) == 0 }) {
+				t.Fatalf("output (%d records) differs from slices.SortFunc (%d records)", len(got), len(want))
+			}
+			if g := budget.Granted(); g != 0 {
+				t.Fatalf("budget still has %d pages granted", g)
+			}
+		})
+	}
+}
+
+// TestParallelSuspendResumeMidMerge: a sort's merge runs on the
+// operator's goroutine under its whole share, and adapts as any merge does.
+// Mid-merge the budget shrinks to 5 pages, below the running step's need.
+// Under the suspension strategy the merge must suspend at its next page
+// boundary — once — resume when the total is restored and complete
+// exactly; dynamic splitting splits the step instead and never suspends.
+func TestParallelSuspendResumeMidMerge(t *testing.T) {
+	const total = 48
+	recs := makeRecords(30000, 3)
+	for _, adapt := range []Adapt{Suspend, DynSplit} {
+		t.Run(fmt.Sprintf("adapt%d", adapt), func(t *testing.T) {
+			budget := newTestBudget(total)
+			party := budget.Handle
+			store := newSafeStore()
+			var (
+				mu      sync.Mutex
+				merging bool
+				shrunk  bool
+				events  []Event
+			)
+			env := &Env{
+				In:    &sliceInput{pages: pagesOf(recs, 32)},
+				Store: store,
+				Mem:   party,
+				Ctx:   context.Background(),
+				OnEvent: func(ev Event) {
+					mu.Lock()
+					defer mu.Unlock()
+					switch ev.Kind {
+					case EvPhase:
+						merging = ev.Phase == "merge"
+					case EvSuspend, EvResume:
+						events = append(events, ev)
+						if ev.Kind == EvSuspend {
+							budget.Resize(total)
+						}
+					}
+				},
+			}
+			store.onAppend = func(RunID, int, int) {
+				mu.Lock()
+				defer mu.Unlock()
+				if merging && !shrunk {
+					shrunk = true
+					budget.Resize(5)
+				}
+			}
+			cfg := SortConfig{
+				Method: Repl, BlockPages: 6, Merge: OptMerge,
+				Adapt: adapt, PageRecords: 32,
+			}
+			res, err := ExternalSort(env, cfg)
+			if err != nil {
+				t.Fatalf("sort: %v", err)
+			}
+			got := sortOutput(t, store, res, budget)
+			checkSorted(t, got)
+			checkPermutation(t, recs, got)
+			if adapt == DynSplit {
+				if !shrunk || len(events) != 0 || res.Stats.Splits == 0 {
+					t.Fatalf("shrunk %v, suspension events %+v, %d splits: want splits and no suspension", shrunk, events, res.Stats.Splits)
+				}
+				return
+			}
+			if !shrunk || len(events) != 2 || events[0].Kind != EvSuspend || events[1].Kind != EvResume {
+				t.Fatalf("shrunk %v, suspension events %+v: want one suspend/resume pair", shrunk, events)
+			}
+			if res.Stats.Suspensions != 1 {
+				t.Fatalf("Stats.Suspensions = %d, want the merge's one", res.Stats.Suspensions)
+			}
+			if g := budget.Granted(); g != 0 {
+				t.Fatalf("broker still has %d pages granted", g)
+			}
+		})
+	}
+}
+
+// TestParallelCancelMidMerge cancels a sort in its merge — on the
+// operator's goroutine, over every run the split wrote — and requires a
+// leak-free abort: every run freed, every page yielded.
+func TestParallelCancelMidMerge(t *testing.T) {
+	recs := makeRecords(30000, 5)
 	budget := newTestBudget(48)
 	store := newSafeStore()
-	script := map[int]int{12: 12, 30: 40, 48: 6, 66: 48, 84: 9, 102: 30}
+	ctx, cancel := context.WithCancel(context.Background())
 	var (
-		splitting = true
-		changed   = -delay
-		changes   int
+		mu           sync.Mutex
+		merging      bool
+		mergeAppends int
+		canceled     bool
 	)
-	store.onAppend = func(_ RunID, nth, _ int) {
-		if !splitting {
-			return
-		}
-		if g, tg := budget.Granted(), budget.Target(); g > tg && nth > changed+delay {
-			t.Errorf("append %d, %d after the last change: %d pages held on a target of %d", nth, nth-changed, g, tg)
-		}
-		if target, ok := script[nth]; ok {
-			budget.Resize(target)
-			changed = nth
-			changes++
-		}
-	}
 	env := &Env{
-		In: &sliceInput{pages: pagesOf(recs, 32)}, Store: store, Mem: budget, Ctx: context.Background(),
-		StreamLast: true,
+		In:    &sliceInput{pages: pagesOf(recs, 32)},
+		Store: store,
+		Mem:   budget,
+		Ctx:   ctx,
 		OnEvent: func(ev Event) {
-			if ev.Kind == EvPhase && ev.Phase != "split" {
-				splitting = false
+			if ev.Kind == EvPhase && ev.Phase == "merge" {
+				mu.Lock()
+				merging = true
+				mu.Unlock()
 			}
 		},
 	}
+	store.onAppend = func(id RunID, nth, pages int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if canceled || !merging {
+			return
+		}
+		mergeAppends++
+		if mergeAppends > 6 {
+			canceled = true
+			cancel()
+		}
+	}
 	cfg := DefaultConfig()
 	cfg.PageRecords = 32
-	res, err := ExternalSort(env, cfg)
-	if err != nil {
-		t.Fatal(err)
+	_, err := ExternalSort(env, cfg)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if changes != len(script) {
-		t.Fatalf("%d of %d budget changes made: want the whole script", changes, len(script))
-	}
-	budget.Resize(48)
-	if got := sortOutput(t, store, res, budget); !slices.EqualFunc(got, want, func(a, b Record) bool { return compareRecords(a, b) == 0 }) {
-		t.Fatalf("output (%d records) differs from slices.SortFunc (%d records)", len(got), len(want))
+	if live := store.liveRuns(); live != 0 {
+		t.Fatalf("aborted sort left %d live runs", live)
 	}
 	if g := budget.Granted(); g != 0 {
-		t.Fatalf("budget still has %d pages granted", g)
+		t.Fatalf("aborted sort left %d pages granted", g)
+	}
+}
+
+// storedRuns writes n sorted runs the way a MergeExisting caller would:
+// straight into the store.
+func storedRuns(t *testing.T, env *Env, n, size int) (ids []RunID, all []Record) {
+	t.Helper()
+	for i := range n {
+		recs := makeRecords(size, uint64(100+i))
+		sortRecords(recs)
+		res, err := WriteRun(&Env{Store: env.Store, In: &sliceInput{pages: pagesOf(recs, 32)}}, 6)
+		if err != nil {
+			t.Fatalf("WriteRun: %v", err)
+		}
+		ids = append(ids, res.Result)
+		all = append(all, recs...)
+	}
+	return ids, all
+}
+
+// TestParallelMergeExistingTree: MergeExisting over 3 runs and over 9 runs,
+// each merged twice on fresh stores. Both merges must give the same
+// output and the same merge steps, hand back a stored run, and leave
+// exactly that run behind.
+func TestParallelMergeExistingTree(t *testing.T) {
+	for _, n := range []int{3, 9} {
+		t.Run(fmt.Sprintf("runs%d", n), func(t *testing.T) {
+			merge := func() (*SortResult, []Record, *safeStore) {
+				store := newSafeStore()
+				env := &Env{Store: store, Mem: newTestBudget(32), Ctx: context.Background()}
+				ids, all := storedRuns(t, env, n, 2000)
+				cfg := DefaultConfig()
+				cfg.PageRecords = 32
+				res, err := MergeExisting(env, cfg, ids)
+				if err != nil {
+					t.Fatalf("merge: %v", err)
+				}
+				if res.Last != nil {
+					t.Fatal("held a last step; want a stored run")
+				}
+				if live := store.liveRuns(); live != 1 {
+					t.Fatalf("store has %d live runs, want 1", live)
+				}
+				if g := env.Mem.Granted(); g != 0 {
+					t.Fatalf("broker still has %d pages granted", g)
+				}
+				return res, all, store
+			}
+			first, all, fstore := merge()
+			want := fstore.records([]RunID{first.Result})
+			checkSorted(t, want)
+			checkPermutation(t, all, want)
+			again, _, astore := merge()
+			if got := astore.records([]RunID{again.Result}); !slices.EqualFunc(got, want, func(a, b Record) bool { return a.Key == b.Key }) {
+				t.Fatalf("the second merge's output differs from the first's")
+			}
+			if again.Stats.MergeSteps != first.Stats.MergeSteps {
+				t.Fatalf("%d runs: %d steps, then %d; want one plan",
+					n, first.Stats.MergeSteps, again.Stats.MergeSteps)
+			}
+		})
+	}
+}
+
+// TestParallelMergeCancelWhileParkedFreesInputs is the regression for the
+// abort path the three hand-copied launch loops had drifted on: Merge's
+// inputs are consumed even on abort — on a 3-page budget, with
+// the cancel landing at the merge's first append, every input run is freed,
+// not only the ones the first step read.
+func TestParallelMergeCancelWhileParkedFreesInputs(t *testing.T) {
+	store := newSafeStore()
+	budget := newTestBudget(32)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	env := &Env{Store: store, Mem: budget, Ctx: ctx}
+	ids, _ := storedRuns(t, env, 4, 2000)
+	budget.Resize(3)
+	first := store.appends + 1 // the merge's first append
+	store.onAppend = func(_ RunID, nth, _ int) {
+		if nth == first {
+			cancel()
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.PageRecords = 32
+	if _, err := MergeExisting(env, cfg, ids); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if live := store.liveRuns(); live != 0 {
+		t.Fatalf("canceled merge left %d live runs; its inputs are consumed even on abort", live)
+	}
+	if g := budget.Granted(); g != 0 {
+		t.Fatalf("canceled merge left %d pages granted", g)
 	}
 }
 

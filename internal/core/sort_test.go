@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"testing/quick"
 )
 
 // sortAndCheck runs ExternalSort and validates output order and content.
@@ -39,6 +40,43 @@ func allConfigs(pageRecords int) []SortConfig {
 	return cfgs
 }
 
+func TestAll18AlgorithmsFixedMemory(t *testing.T) {
+	recs := makeRecords(3000, 7)
+	for _, cfg := range allConfigs(8) {
+		cfg := cfg
+		t.Run(cfg.Notation(), func(t *testing.T) {
+			env, store, broker, _ := testEnv(t, recs, 8, 12, 3)
+			res := sortAndCheck(t, recs, cfg, broker, env, store)
+			if res.Stats.Runs < 2 {
+				t.Fatalf("expected multiple runs, got %d", res.Stats.Runs)
+			}
+			if res.Stats.MergeSteps < 1 {
+				t.Fatalf("expected at least one merge step")
+			}
+			if res.Tuples != 3000 {
+				t.Fatalf("tuples = %d", res.Tuples)
+			}
+		})
+	}
+}
+
+func TestAll18AlgorithmsUnderFluctuation(t *testing.T) {
+	recs := makeRecords(4000, 11)
+	for _, cfg := range allConfigs(8) {
+		cfg := cfg
+		t.Run(cfg.Notation(), func(t *testing.T) {
+			env, store, broker, _ := testEnv(t, recs, 8, 20, 3)
+			// Adversarial target schedule: repeated shrinks and growths.
+			broker.script = []targetChange{
+				{100, 8}, {300, 20}, {700, 4}, {1200, 16}, {2000, 3},
+				{2600, 20}, {3300, 6}, {4200, 20}, {5000, 5}, {6000, 20},
+				{7500, 7}, {9000, 20}, {11000, 4}, {14000, 20},
+			}
+			sortAndCheck(t, recs, cfg, broker, env, store)
+		})
+	}
+}
+
 func TestSortSingleRunNoMerge(t *testing.T) {
 	recs := makeRecords(50, 3)
 	cfg := DefaultConfig()
@@ -60,6 +98,48 @@ func TestSortEmptyInput(t *testing.T) {
 		if res.Tuples != 0 || res.Pages != 0 {
 			t.Fatalf("%s: empty input produced %d tuples", cfg.Notation(), res.Tuples)
 		}
+	}
+}
+
+func TestSortAlreadySorted(t *testing.T) {
+	recs := make([]Record, 2000)
+	for i := range recs {
+		recs[i] = Record{Key: uint64(i)}
+	}
+	cfg := DefaultConfig()
+	cfg.PageRecords = 8
+	env, store, broker, _ := testEnv(t, recs, 8, 10, 3)
+	res := sortAndCheck(t, recs, cfg, broker, env, store)
+	// Replacement selection on sorted input yields one giant run.
+	if res.Stats.Runs != 1 {
+		t.Fatalf("sorted input should produce one run, got %d", res.Stats.Runs)
+	}
+}
+
+func TestSortReverseSorted(t *testing.T) {
+	recs := make([]Record, 2000)
+	for i := range recs {
+		recs[i] = Record{Key: uint64(2000 - i)}
+	}
+	cfg := DefaultConfig()
+	cfg.PageRecords = 8
+	env, store, broker, _ := testEnv(t, recs, 8, 10, 3)
+	res := sortAndCheck(t, recs, cfg, broker, env, store)
+	// Reverse input: replacement selection runs collapse to memory size.
+	if res.Stats.Runs < 2000/(10*8) {
+		t.Fatalf("reverse input should produce many runs, got %d", res.Stats.Runs)
+	}
+}
+
+func TestSortWithDuplicateKeys(t *testing.T) {
+	recs := make([]Record, 3000)
+	rng := makeRecords(3000, 13)
+	for i := range recs {
+		recs[i] = Record{Key: rng[i].Key % 17}
+	}
+	for _, cfg := range allConfigs(8)[:6] {
+		env, store, broker, _ := testEnv(t, recs, 8, 10, 3)
+		sortAndCheck(t, recs, cfg, broker, env, store)
 	}
 }
 
@@ -114,6 +194,43 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if res.Stats.Response < 0 {
 		t.Fatal("negative response")
+	}
+}
+
+// Property: every algorithm sorts correctly under arbitrary fluctuation
+// schedules. This is the paper's core correctness requirement.
+func TestPropertySortUnderRandomFluctuations(t *testing.T) {
+	cfgs := allConfigs(4)
+	prop := func(seed uint64, nRecs uint16, schedule []uint16) bool {
+		n := int(nRecs)%1500 + 100
+		recs := makeRecords(n, seed)
+		cfg := cfgs[int(seed%uint64(len(cfgs)))]
+		env, store, broker, _ := testEnv(t, recs, 4, 16, 3)
+		tick := int64(0)
+		for _, s := range schedule {
+			tick += int64(s)%900 + 20
+			broker.script = append(broker.script, targetChange{tick, int(s)%17 + 3})
+		}
+		res, err := ExternalSort(env, cfg)
+		if err != nil {
+			t.Logf("%s failed: %v", cfg.Notation(), err)
+			return false
+		}
+		out := runRecords(t, store, res.Result)
+		if len(out) != n {
+			t.Logf("%s: %d of %d tuples", cfg.Notation(), len(out), n)
+			return false
+		}
+		for i := 1; i < len(out); i++ {
+			if Less(out[i], out[i-1]) {
+				t.Logf("%s: unsorted output", cfg.Notation())
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }
 

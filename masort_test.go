@@ -2,7 +2,9 @@ package masort
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"runtime"
 	"slices"
@@ -11,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/quick"
 	"time"
 	"weak"
 )
@@ -59,6 +62,67 @@ func assertPermutation(t *testing.T, in, out []Record) {
 	}
 }
 
+func TestSortDefaults(t *testing.T) {
+	in := randomRecords(50_000, 1, 0)
+	out, err := SortSlice(context.Background(), in, WithPageRecords(64), WithBudget(NewBudget(16)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSorted(t, out)
+	assertPermutation(t, in, out)
+}
+
+func TestSortAllOptionCombinations(t *testing.T) {
+	in := randomRecords(6000, 2, 8)
+	for _, m := range []Method{ReplacementSelection, Quicksort} {
+		for _, ms := range []MergeStrategy{Optimized, Naive} {
+			for _, ad := range []Adaptation{DynamicSplitting, MRUPaging, Suspension} {
+				name := fmt.Sprintf("m%d-s%d-a%d", m, ms, ad)
+				t.Run(name, func(t *testing.T) {
+					store := NewMemStore()
+					out, err := SortSlice(context.Background(), in,
+						WithMethod(m), WithMergeStrategy(ms), WithAdaptation(ad),
+						WithPageRecords(32), WithBudget(NewBudget(8)), WithStore(store))
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSorted(t, out)
+					assertPermutation(t, in, out)
+					if store.Live() != 0 {
+						t.Fatalf("leaked %d runs", store.Live())
+					}
+				})
+			}
+		}
+	}
+}
+
+func TestSortEmptyAndTiny(t *testing.T) {
+	out, err := SortSlice(context.Background(), nil)
+	if err != nil || len(out) != 0 {
+		t.Fatalf("empty: %v %d", err, len(out))
+	}
+	out, err = SortSlice(context.Background(), []Record{{Key: 2}, {Key: 1}})
+	if err != nil || len(out) != 2 || out[0].Key != 1 {
+		t.Fatalf("tiny: %v %v", err, out)
+	}
+}
+
+func TestSortPayloadsPreserved(t *testing.T) {
+	in := []Record{
+		{Key: 3, Payload: []byte("three")},
+		{Key: 1, Payload: []byte("one")},
+		{Key: 2, Payload: []byte("two")},
+	}
+	out, err := SortSlice(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(out[0].Payload) != "one" || string(out[2].Payload) != "three" {
+		t.Fatalf("payloads scrambled: %v", out)
+	}
+}
+
 func TestSortStatsPopulated(t *testing.T) {
 	in := randomRecords(20_000, 3, 0)
 	res, err := Sort(context.Background(), NewSliceIterator(in), WithPageRecords(64), WithBudget(NewBudget(10)))
@@ -92,6 +156,63 @@ func TestResultDoubleFree(t *testing.T) {
 	// ErrFreed instead.
 	if _, _, err := res.Iterator().Next(); !errors.Is(err, ErrFreed) {
 		t.Fatalf("iterate after close = %v, want ErrFreed", err)
+	}
+}
+
+// TestSortUnderConcurrentBudgetChanges is the library's headline behavior:
+// another goroutine shrinks and grows the budget while the sort runs.
+func TestSortUnderConcurrentBudgetChanges(t *testing.T) {
+	in := randomRecords(120_000, 5, 0)
+	for _, ad := range []Adaptation{DynamicSplitting, MRUPaging, Suspension} {
+		ad := ad
+		t.Run(fmt.Sprintf("adapt%d", ad), func(t *testing.T) {
+			budget := NewBudget(32)
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewPCG(9, uint64(ad)))
+				for {
+					select {
+					case <-stop:
+						budget.Resize(64) // plenty for everyone at the end
+						return
+					default:
+					}
+					budget.Resize(3 + rng.IntN(30))
+					time.Sleep(200 * time.Microsecond)
+				}
+			}()
+			out, err := SortSlice(context.Background(), in,
+				WithAdaptation(ad), WithPageRecords(64), WithBudget(budget))
+			close(stop)
+			wg.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSorted(t, out)
+			assertPermutation(t, in, out)
+		})
+	}
+}
+
+func TestSortWithFileStore(t *testing.T) {
+	store, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	in := randomRecords(30_000, 6, 16)
+	out, err := SortSlice(context.Background(), in,
+		WithPageRecords(64), WithBudget(NewBudget(12)), WithStore(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSorted(t, out)
+	assertPermutation(t, in, out)
+	if store.Live() != 0 {
+		t.Fatalf("leaked %d run files", store.Live())
 	}
 }
 
@@ -777,58 +898,6 @@ func TestOptionComposition(t *testing.T) {
 	}
 }
 
-// TestWithWorkersResolution pins the option semantics: 0 resolves to
-// GOMAXPROCS at option-application time, capped at the two goroutines a
-// sort can use, as is any larger count; negatives clamp to serial, and the
-// zero-value configuration stays serial.
-func TestWithWorkersResolution(t *testing.T) {
-	o := applyOptions([]Option{WithWorkers(0)})
-	if want := min(runtime.GOMAXPROCS(0), 2); o.workers != want {
-		t.Fatalf("WithWorkers(0): workers = %d, want GOMAXPROCS capped at 2, %d", o.workers, want)
-	}
-	o = applyOptions([]Option{WithWorkers(8)})
-	if o.workers != 2 {
-		t.Fatalf("WithWorkers(8): workers = %d, want 2", o.workers)
-	}
-	o = applyOptions([]Option{WithWorkers(-3)})
-	if o.workers != 1 {
-		t.Fatalf("WithWorkers(-3): workers = %d, want 1", o.workers)
-	}
-	o = applyOptions(nil)
-	if o.workers != 0 {
-		t.Fatalf("no options: workers = %d, want 0 (serial)", o.workers)
-	}
-	// A 1-worker request reports serial execution in the stats.
-	res, err := Sort(context.Background(), NewSliceIterator(randomRecords(2000, 1, 0)),
-		WithWorkers(1), WithPageRecords(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Close()
-	if res.Stats.Workers != 1 {
-		t.Fatalf("Stats.Workers = %d, want 1", res.Stats.Workers)
-	}
-	// A Merge generates no runs: it reports one worker whatever it is
-	// asked, as it returns and after its drain.
-	store := NewMemStore()
-	id, _, err := WriteRun(store, NewSliceIterator(sortedRecords(2000, 0, 1)), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Merge(context.Background(), store, []RunID{id}, WithWorkers(2), WithPageRecords(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	before := m.Stats.Workers
-	if _, err := Drain(m.Iterator()); err != nil {
-		t.Fatal(err)
-	}
-	if before != 1 || m.Stats.Workers != 1 {
-		t.Fatalf("Merge at WithWorkers(2): Stats.Workers = %d, then %d after the drain; want 1", before, m.Stats.Workers)
-	}
-}
-
 func TestJoinPublicAPI(t *testing.T) {
 	l := make([]Record, 0, 4000)
 	r := make([]Record, 0, 2000)
@@ -878,6 +947,36 @@ func TestJoinPublicAPI(t *testing.T) {
 	}
 }
 
+// Property-based check over the public API: arbitrary keys, page sizes and
+// budgets always produce a sorted permutation.
+func TestPropertyPublicSort(t *testing.T) {
+	f := func(keys []uint64, budget uint8, prec uint8) bool {
+		recs := make([]Record, len(keys))
+		for i, k := range keys {
+			recs[i] = Record{Key: k}
+		}
+		out, err := SortSlice(context.Background(), recs,
+			WithPageRecords(int(prec)%64+1),
+			WithBudget(NewBudget(int(budget)%32+3)))
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		if len(out) != len(recs) {
+			return false
+		}
+		for i := 1; i < len(out); i++ {
+			if out[i].Key < out[i-1].Key {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFuncIterator(t *testing.T) {
 	i := 0
 	it := FuncIterator(func() (Record, bool, error) {
@@ -890,5 +989,60 @@ func TestFuncIterator(t *testing.T) {
 	recs, err := Drain(it)
 	if err != nil || len(recs) != 3 {
 		t.Fatalf("%v %v", err, recs)
+	}
+}
+
+// TestSortFileStorePayloadIntegrity sorts records whose payload encodes
+// their own key through the zero-copy FileStore path under a small budget,
+// then verifies every output payload still matches its key — the guard for
+// the buffer-recycling and payload-aliasing machinery.
+func TestSortFileStorePayloadIntegrity(t *testing.T) {
+	store, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	rng := rand.New(rand.NewPCG(21, 2))
+	in := make([]Record, 20_000)
+	for i := range in {
+		k := rng.Uint64()
+		p := make([]byte, 8+rng.IntN(24))
+		binary.LittleEndian.PutUint64(p, k)
+		for j := 8; j < len(p); j++ {
+			p[j] = byte(j)
+		}
+		in[i] = Record{Key: k, Payload: p}
+	}
+	res, err := Sort(context.Background(), NewSliceIterator(in),
+		WithPageRecords(64), WithBudget(NewBudget(8)), WithStore(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	n := 0
+	var prev Record
+	for rec, err := range res.All() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := binary.LittleEndian.Uint64(rec.Payload); got != rec.Key {
+			t.Fatalf("record %d: payload encodes key %d, record key %d", n, got, rec.Key)
+		}
+		for j := 8; j < len(rec.Payload); j++ {
+			if rec.Payload[j] != byte(j) {
+				t.Fatalf("record %d: payload byte %d corrupted", n, j)
+			}
+		}
+		if n > 0 && Less(rec, prev) {
+			t.Fatalf("unsorted at %d", n)
+		}
+		// Retaining rec.Payload across iterations requires a copy (the
+		// zero-copy contract); comparing against prev is safe because its
+		// page outlives one step of read-ahead.
+		prev = Record{Key: rec.Key}
+		n++
+	}
+	if n != len(in) {
+		t.Fatalf("iterated %d of %d records", n, len(in))
 	}
 }

@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/memadapt/masort/trace"
 )
@@ -200,6 +203,57 @@ func TestMergeSingleAndZeroRuns(t *testing.T) {
 	}
 }
 
+func TestMergeUnderBudgetChanges(t *testing.T) {
+	store := NewMemStore()
+	var ids []RunID
+	var all []Record
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 30; i++ {
+		n := 200 + rng.IntN(800)
+		recs := make([]Record, n)
+		for j := range recs {
+			recs[j] = Record{Key: rng.Uint64()}
+		}
+		sort.Slice(recs, func(a, b int) bool { return Less(recs[a], recs[b]) })
+		all = append(all, recs...)
+		id, _, err := WriteRun(store, NewSliceIterator(recs), 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	budget := NewBudget(16)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		r := rand.New(rand.NewPCG(3, 4))
+		for {
+			select {
+			case <-stop:
+				budget.Resize(32)
+				return
+			default:
+				budget.Resize(3 + r.IntN(14))
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}()
+	res, err := Merge(context.Background(), store, ids, WithPageRecords(16), WithBudget(budget))
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Drain(res.Iterator())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSorted(t, out)
+	assertPermutation(t, all, out)
+}
+
 func TestGroupByCount(t *testing.T) {
 	var recs []Record
 	want := map[uint64]int{}
@@ -287,6 +341,42 @@ func TestGroupByEmpty(t *testing.T) {
 	out, _ := Drain(res.Iterator())
 	if len(out) != 0 {
 		t.Fatal("empty input must yield no groups")
+	}
+}
+
+func TestGroupByUnderBudgetChanges(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 8))
+	recs := make([]Record, 60000)
+	want := map[uint64]int{}
+	for i := range recs {
+		k := rng.Uint64() % 512
+		recs[i] = Record{Key: k}
+		want[k]++
+	}
+	budget := NewBudget(24)
+	stop := make(chan struct{})
+	go func() {
+		r := rand.New(rand.NewPCG(9, 9))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				budget.Resize(3 + r.IntN(22))
+				time.Sleep(200 * time.Microsecond)
+			}
+		}
+	}()
+	res, err := GroupBy(context.Background(), NewSliceIterator(recs), &CountAggregator{},
+		WithPageRecords(64), WithBudget(budget))
+	close(stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	out, _ := Drain(res.Iterator())
+	if len(out) != len(want) {
+		t.Fatalf("groups = %d, want %d", len(out), len(want))
 	}
 }
 

@@ -347,8 +347,8 @@ func joinOracle(left, right []masort.Record) []masort.Record {
 }
 
 // TestPoisonOnReleaseMatrix is the use-after-release gate: every operator x
-// method x adaptation strategy x {fixed budget, resize schedule} on every
-// built-in store — MemStore's under its records-only
+// method x adaptation strategy x worker count x {fixed budget, resize
+// schedule} on every built-in store — MemStore's under its records-only
 // release (every payload here is short enough to be encoded), the others'
 // under Release. Each result is
 // drained twice, record by record and with every Record held to the end:
@@ -375,93 +375,95 @@ func TestPoisonOnReleaseMatrix(t *testing.T) {
 					continue // Merge generates no runs: one method is all of them
 				}
 				for _, ad := range adapts {
-					for _, sched := range []string{"fixed", "resize"} {
-						name := fmt.Sprintf("%s/%s/%s/%s/%s", be.name, op.name, me.name, ad.name, sched)
-						t.Run(name, func(t *testing.T) {
-							poison := storetest.PoisonOnRelease(be.open(t))
-							live := &livePages{RunStore: poison, pages: map[masort.RunID]int{}}
-							budget := masort.NewBudget(relBudget)
-							var store masort.RunStore = live
-							schedule := &resizeOnOps{RunStore: live, resize: budget.Resize, cycle: resizeCycle, every: 37}
-							if sched == "resize" {
-								store = schedule
-							}
-							opts := []masort.Option{
-								me.opt, masort.WithAdaptation(ad.a),
-								masort.WithPageRecords(relPageRecords), masort.WithBudget(budget), masort.WithStore(store),
-								// A suspended step issues no page operations, so the
-								// schedule cannot wake it: the budget's owner does.
-								masort.WithEvents(func(ev masort.Event) {
-									switch {
-									case ev.Kind == masort.EvPhase && ev.Phase == "merge":
-										schedule.armed.Store(true)
-									case ev.Kind == masort.EvSuspend:
-										go budget.Resize(relBudget)
+					for _, workers := range []int{1, 2} {
+						for _, sched := range []string{"fixed", "resize"} {
+							name := fmt.Sprintf("%s/%s/%s/%s/w%d/%s", be.name, op.name, me.name, ad.name, workers, sched)
+							t.Run(name, func(t *testing.T) {
+								poison := storetest.PoisonOnRelease(be.open(t))
+								live := &livePages{RunStore: poison, pages: map[masort.RunID]int{}}
+								budget := masort.NewBudget(relBudget)
+								var store masort.RunStore = live
+								schedule := &resizeOnOps{RunStore: live, resize: budget.Resize, cycle: resizeCycle, every: 37}
+								if sched == "resize" {
+									store = schedule
+								}
+								opts := []masort.Option{
+									me.opt, masort.WithAdaptation(ad.a), masort.WithWorkers(workers),
+									masort.WithPageRecords(relPageRecords), masort.WithBudget(budget), masort.WithStore(store),
+									// A suspended step issues no page operations, so the
+									// schedule cannot wake it: the budget's owner does.
+									masort.WithEvents(func(ev masort.Event) {
+										switch {
+										case ev.Kind == masort.EvPhase && ev.Phase == "merge":
+											schedule.armed.Store(true)
+										case ev.Kind == masort.EvSuspend:
+											go budget.Resize(relBudget)
+										}
+									}),
+								}
+								res, want := op.run(t, store, opts)
+								// Every result is its operator's last step, which
+								// each drain runs afresh. A drain gives every page
+								// it consumes back at most once — the pages live
+								// when the operator returned, and those its splits
+								// write — and, with no adaptation dropping a page
+								// it had read, exactly once: every live page. The
+								// step's inputs go back record arrays only, a
+								// split's inputs whole once written
+								// (MergePagesReleased).
+								before, held := res.Stats, live.live()
+								type count struct{ recs, whole, written int }
+								at := func() count {
+									return count{poison.ReleasedRecords(), mergeReleased(poison), live.written()}
+								}
+								counts := []count{at()}
+								var st masort.Stats
+								for i, drain := range []func(*testing.T, *masort.Result) []masort.Record{drainCopying, drainClose} {
+									got := drain(t, res)
+									counts = append(counts, at())
+									if i == 0 {
+										st = res.Stats
 									}
-								}),
-							}
-							res, want := op.run(t, store, opts)
-							// Every result is its operator's last step, which
-							// each drain runs afresh. A drain gives every page
-							// it consumes back at most once — the pages live
-							// when the operator returned, and those its splits
-							// write — and, with no adaptation dropping a page
-							// it had read, exactly once: every live page. The
-							// step's inputs go back record arrays only, a
-							// split's inputs whole once written
-							// (MergePagesReleased).
-							before, held := res.Stats, live.live()
-							type count struct{ recs, whole, written int }
-							at := func() count {
-								return count{poison.ReleasedRecords(), mergeReleased(poison), live.written()}
-							}
-							counts := []count{at()}
-							var st masort.Stats
-							for i, drain := range []func(*testing.T, *masort.Result) []masort.Record{drainCopying, drainClose} {
-								got := drain(t, res)
-								counts = append(counts, at())
-								if i == 0 {
-									st = res.Stats
+									if op.name == "join" {
+										slices.SortFunc(got, byKeyPayload)
+									}
+									sameRecords(t, got, want)
 								}
-								if op.name == "join" {
-									slices.SortFunc(got, byKeyPayload)
+								if st.MergePagesReleased != counts[1].whole {
+									t.Fatalf("Stats.MergePagesReleased = %d after the first drain, the store saw %d", st.MergePagesReleased, counts[1].whole)
 								}
-								sameRecords(t, got, want)
-							}
-							if st.MergePagesReleased != counts[1].whole {
-								t.Fatalf("Stats.MergePagesReleased = %d after the first drain, the store saw %d", st.MergePagesReleased, counts[1].whole)
-							}
-							if st.MergeSteps == before.MergeSteps {
-								t.Fatal("the drains ran no merge step")
-							}
-							for i := range 2 {
-								d := count{counts[i+1].recs - counts[i].recs, counts[i+1].whole - counts[i].whole, counts[i+1].written - counts[i].written}
-								if d != (count{recs: held}) && (sched == "fixed" || d.recs == 0 || d.recs+d.whole-d.written > held ||
-									i == 0 && d.recs > st.MergePagesRead-before.MergePagesRead) {
-									t.Fatalf("drain %d of %d live pages gave back %d record arrays and %d pages, and wrote %d",
-										i+1, held, d.recs, d.whole, d.written)
+								if st.MergeSteps == before.MergeSteps {
+									t.Fatal("the drains ran no merge step")
 								}
-							}
-							// The step's pages are merge reads: they count as
-							// given back too.
-							released := st.MergePagesReleased + counts[1].recs
-							// A step before the result returned released what it
-							// read: whole, or as record arrays on a store that
-							// takes nothing else back, and on every store for a
-							// join's joint step, whose pending group may still
-							// hold a page's payloads
-							// (TestJoinGroupPagesComeBackAsRecordArrays).
-							if before.MergeSteps > 0 && counts[0].recs+counts[0].whole == 0 {
-								t.Fatalf("%d merge steps before the result gave nothing back", before.MergeSteps)
-							}
-							if be.recordsOnly && counts[2].whole != 0 {
-								t.Fatalf("%d pages released whole by a store whose tokens offer no Release", counts[2].whole)
-							}
-							if sched == "fixed" && released < st.MergePagesRead/2 {
-								t.Fatalf("released %d of %d merge pages at a fixed budget: the matrix is not exercising Release",
-									released, st.MergePagesRead)
-							}
-						})
+								for i := range 2 {
+									d := count{counts[i+1].recs - counts[i].recs, counts[i+1].whole - counts[i].whole, counts[i+1].written - counts[i].written}
+									if d != (count{recs: held}) && (sched == "fixed" || d.recs == 0 || d.recs+d.whole-d.written > held ||
+										i == 0 && d.recs > st.MergePagesRead-before.MergePagesRead) {
+										t.Fatalf("drain %d of %d live pages gave back %d record arrays and %d pages, and wrote %d",
+											i+1, held, d.recs, d.whole, d.written)
+									}
+								}
+								// The step's pages are merge reads: they count as
+								// given back too.
+								released := st.MergePagesReleased + counts[1].recs
+								// A step before the result returned released what it
+								// read: whole, or as record arrays on a store that
+								// takes nothing else back, and on every store for a
+								// join's joint step, whose pending group may still
+								// hold a page's payloads
+								// (TestJoinGroupPagesComeBackAsRecordArrays).
+								if before.MergeSteps > 0 && counts[0].recs+counts[0].whole == 0 {
+									t.Fatalf("%d merge steps before the result gave nothing back", before.MergeSteps)
+								}
+								if be.recordsOnly && counts[2].whole != 0 {
+									t.Fatalf("%d pages released whole by a store whose tokens offer no Release", counts[2].whole)
+								}
+								if sched == "fixed" && released < st.MergePagesRead/2 {
+									t.Fatalf("released %d of %d merge pages at a fixed budget: the matrix is not exercising Release",
+										released, st.MergePagesRead)
+								}
+							})
+						}
 					}
 				}
 			}
