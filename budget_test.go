@@ -66,7 +66,7 @@ func TestBudgetInputValidation(t *testing.T) {
 // runs on it does.
 func register(t testing.TB, b *Budget) *memarb.Handle {
 	t.Helper()
-	h, err := b.arb.Register(context.Background(), 0, false)
+	h, err := b.arb.Register(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,8 @@
 // The -script flag schedules budget changes at input-progress milestones, so
 // adaptation behavior is reproducible; -stats prints what the sort did.
 //
-// Observability: -listen ADDR serves a Prometheus /metrics endpoint and a
-// /debug/events flight recorder while the sort runs (add -hold to keep
-// serving afterwards, for scraping a finished run); -trace FILE writes a
+// Observability: -stats prints the Result's counts after the sort, -events
+// prints the adaptation events as they happen, and -trace FILE writes a
 // Chrome trace_event JSON timeline loadable in chrome://tracing.
 package main
 
@@ -25,8 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -117,9 +114,7 @@ func main() {
 		storeKind = flag.String("store", "", "run store backend: file | striped | mmap (default: file when -tmp is set, else in-memory)")
 		stats     = flag.Bool("stats", false, "print sort statistics to stderr")
 		events    = flag.Bool("events", false, "print adaptation events to stderr")
-		listen    = flag.String("listen", "", "serve Prometheus /metrics and /debug/events on this address (e.g. :9090)")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON file (load in chrome://tracing)")
-		hold      = flag.Bool("hold", false, "with -listen: keep serving after the sort completes, until interrupted")
 	)
 	flag.Parse()
 
@@ -242,23 +237,7 @@ func main() {
 		}))
 	}
 
-	// Observability: -listen serves live metrics and a flight recorder over
-	// HTTP; -trace captures the whole event stream as a Chrome trace file.
-	var tracers []masort.Tracer
-	if *listen != "" {
-		metrics := trace.NewMetrics()
-		ring := trace.NewRing(512)
-		tracers = append(tracers, metrics, ring)
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", metrics.Handler())
-		mux.Handle("/debug/events", ring.Handler())
-		ln, err := net.Listen("tcp", *listen)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "masort: serving http://%s/metrics and /debug/events\n", ln.Addr())
-		go func() { _ = http.Serve(ln, mux) }()
-	}
+	// -trace captures the whole event stream as a Chrome trace file.
 	finishTrace := func() {}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -267,7 +246,7 @@ func main() {
 		}
 		bw := bufio.NewWriter(f)
 		chrome := trace.NewChrome(bw)
-		tracers = append(tracers, chrome)
+		opts = append(opts, masort.WithTracer(chrome))
 		finishTrace = func() {
 			if err := chrome.Close(); err != nil {
 				fail(err)
@@ -280,10 +259,6 @@ func main() {
 			}
 		}
 	}
-	if t := trace.Multi(tracers...); t != nil {
-		opts = append(opts, masort.WithTracer(t))
-	}
-
 	// Ctrl-C cancels the sort at its next adaptation point; all run
 	// storage is released before exiting.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -364,16 +339,11 @@ func main() {
 		// the last step, which the drain above ran, gives its input pages
 		// back record arrays only — and none on mem.
 		fmt.Fprintf(os.Stderr, "merge pages released to the store / read: %d / %d\n", s.MergePagesReleased, s.MergePagesRead)
-		if len(tracers) > 0 {
+		if *traceOut != "" { // the store I/O is measured only on a traced sort
 			fmt.Fprintf(os.Stderr,
 				"store I/O: %d reads (%d bytes, %v), %d writes (%d bytes, %v)\n",
 				s.StoreReads, s.BytesRead, s.ReadLatency, s.StoreWrites, s.BytesWritten, s.WriteLatency)
 		}
 	}
 	finishTrace()
-
-	if *listen != "" && *hold {
-		fmt.Fprintln(os.Stderr, "masort: sort complete; still serving (interrupt to exit)")
-		<-ctx.Done()
-	}
 }

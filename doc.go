@@ -128,7 +128,7 @@
 //
 // Sorted runs live in a RunStore, chosen with WithStore and built by the
 // NewStoreConfig builder, which applies one set of knobs (retry policy,
-// fault hooks, tracing) to whichever backend it finishes with:
+// fault hooks) to whichever backend it finishes with:
 //
 //	store, err := masort.NewStoreConfig().
 //		WithRetry(masort.RetryPolicy{MaxAttempts: 3}).
@@ -162,8 +162,9 @@
 // heap and no budget has to see it.
 //
 // Every backend honors the same RunStore contract (see RunStore) and
-// passes the storetest conformance suite; the disk-backed ones report
-// store_retry / store_gave_up events through the trace seam.
+// passes the storetest conformance suite; the retries a store spent are
+// counted in Stats.StoreRetries, and a give-up is the ErrStoreFailed or
+// ErrCorruptPage the operation returns.
 //
 // Store architecture: MemStore, FileStore, StripedStore and MmapStore are
 // one implementation — an unexported paged-run layer — over thin devices. The
@@ -171,7 +172,7 @@
 // describes written pages only: Append writes where it is called and
 // indexes afterwards, cutting a failed batch back off the file — the
 // bounded read path with its single re-read on corruption,
-// the retry taxonomy, FaultHooks, store trace events, the raw-buffer pool,
+// the retry taxonomy, FaultHooks, the raw-buffer pool,
 // the free list of read frames and the token types. A read token is a request that whoever reaches it first
 // executes: the first Wait runs the read on its own goroutine, unless the
 // device's recent fetches were slow enough (tens of microseconds) for

@@ -2,12 +2,12 @@
 // fault injector (internal/faultinject) fails every 5th page read with a
 // transient error; the FileStore's retry policy absorbs each failure with
 // a bounded, jitter-free backoff, so the sort completes with correct
-// output — the only trace of the trouble is the retry counter in the
-// stats and the store_retry events in the flight recorder.
+// output — the only trace of the trouble is Stats.StoreRetries, one retry
+// per injected fault.
 //
-// The same wiring — StoreConfig.WithFaults + WithRetry + a trace.Ring on
-// the store — is how the engine's fault-schedule tests reproduce every
-// failure path deterministically.
+// The same wiring — StoreConfig.WithFaults + WithRetry — is how the
+// engine's fault-schedule tests reproduce every failure path
+// deterministically.
 package main
 
 import (
@@ -19,7 +19,6 @@ import (
 
 	"github.com/memadapt/masort"
 	"github.com/memadapt/masort/internal/faultinject"
-	"github.com/memadapt/masort/trace"
 )
 
 const nRecords = 200_000
@@ -38,16 +37,9 @@ func main() {
 		Fault: faultinject.Fault{Err: faultinject.Transient("simulated cable wiggle")},
 	})
 
-	// The flight recorder keeps the store's own events — the retry layer's
-	// retries and give-ups. It gets its own ring (rather than sharing the
-	// operator's) so the high-volume per-read events can't evict the
-	// interesting ones.
-	ring := trace.NewRing(4096)
-
 	store, err := masort.NewStoreConfig().
 		WithFaults(inj).
 		WithRetry(masort.RetryPolicy{MaxAttempts: 4, Backoff: 2 * time.Millisecond}).
-		WithTracer(ring).
 		File("")
 	if err != nil {
 		log.Fatal(err)
@@ -58,7 +50,6 @@ func main() {
 		masort.WithStore(store),
 		masort.WithBudget(masort.NewBudget(16)),
 		masort.WithPageRecords(512),
-		masort.WithEventLog(64), // turns on store measurement → Stats.StoreRetries
 	)
 	if err != nil {
 		log.Fatalf("sort did not survive the faults: %v", err)
@@ -82,19 +73,10 @@ func main() {
 		n, res.Stats.Runs, res.Stats.MergeSteps)
 	fmt.Printf("injected faults: %d over %d reads — absorbed by %d store retries\n",
 		inj.Injected(), inj.Ops(faultinject.Read), res.Stats.StoreRetries)
-
-	fmt.Println("\nretry events from the flight recorder:")
-	shown := 0
-	for _, ev := range ring.Events() {
-		if ev.Kind != trace.KindStoreRetry && ev.Kind != trace.KindStoreGaveUp {
-			continue
-		}
-		fmt.Printf("  %-12s %s attempt %d (%d bytes): %s\n",
-			ev.Kind, ev.Name, ev.Pages, ev.Bytes, ev.Err)
-		shown++
-		if shown == 8 {
-			fmt.Println("  ...")
-			break
-		}
+	// Every 5th read fails, so no retry meets a second fault: one retry
+	// each.
+	if inj.Injected() == 0 || res.Stats.StoreRetries != inj.Injected() {
+		log.Fatalf("%d store retries for %d injected faults, want one each",
+			res.Stats.StoreRetries, inj.Injected())
 	}
 }

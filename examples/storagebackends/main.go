@@ -9,7 +9,7 @@
 //   - MmapStore: zero-copy reads straight out of the page cache
 //
 // Every store is built from the same StoreConfig, so checksums, retry
-// policy and tracing apply uniformly.
+// policy and fault hooks apply uniformly.
 package main
 
 import (

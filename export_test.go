@@ -1,6 +1,6 @@
 package masort
 
-// NewMemStoreWith builds a MemStore with retries, fault hooks or a tracer,
+// NewMemStoreWith builds a MemStore with retries or fault hooks,
 // for the tests that inject faults into its device; the public constructor
 // is NewMemStore, with the default configuration.
 var NewMemStoreWith = newMemStore

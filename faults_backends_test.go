@@ -67,6 +67,57 @@ func faultBackends() []backendCase {
 	}
 }
 
+// TestStoreRetriesWithoutATracer pins that Stats.StoreRetries is the
+// engine's count, not a tracer's: a sort whose reads fail transiently
+// reports one retry per injected fault untraced, and the same count traced
+// (WithEventLog wraps the store in the traced store), on FileStore and on
+// the faulty MemStore.
+func TestStoreRetriesWithoutATracer(t *testing.T) {
+	recs := faultSortInput(4096)
+	for _, backend := range []struct {
+		name string
+		open func(t *testing.T, cfg *StoreConfig) faultStore
+	}{
+		{"file", func(t *testing.T, cfg *StoreConfig) faultStore {
+			s, err := cfg.File(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+		{"mem", func(_ *testing.T, cfg *StoreConfig) faultStore { return NewMemStoreWith(cfg) }},
+	} {
+		t.Run(backend.name, func(t *testing.T) {
+			retries := func(opts ...Option) (retries, injected int) {
+				inj := faultinject.New(faultinject.Rule{Op: faultinject.Read, Every: 7, Count: 5,
+					Fault: faultinject.Fault{Err: faultinject.Transient("read blip")}})
+				store := backend.open(t, NewStoreConfig().WithFaults(inj).WithRetry(RetryPolicy{MaxAttempts: 3}))
+				defer store.Close()
+				res, err := Sort(context.Background(), NewSliceIterator(recs),
+					append(opts, WithStore(store), WithBudget(NewBudget(8)), WithPageRecords(64))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := Drain(res.Iterator())
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSorted(t, out)
+				if err := res.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return res.Stats.StoreRetries, inj.Injected()
+			}
+			untraced, injected := retries()
+			traced, _ := retries(WithEventLog(64))
+			if injected == 0 || untraced != injected || traced != untraced {
+				t.Fatalf("Stats.StoreRetries = %d untraced, %d traced, for %d injected faults; want one retry each",
+					untraced, traced, injected)
+			}
+		})
+	}
+}
+
 // TestSortFaultSchedulesNewBackends runs the scripted fault-schedule table
 // through pooled sorts over MemStore, StripedStore and MmapStore. Every
 // recoverable schedule must show its healed attempts in Stats.StoreRetries.
@@ -291,8 +342,6 @@ func TestSortFaultStripedDeviceTargeted(t *testing.T) {
 				t.Fatal(err)
 			}
 			pool := NewPool(8)
-			// WithEventLog also arms the traced store, which is what folds
-			// token retry counts into Stats.StoreRetries.
 			res, err := Sort(context.Background(), NewSliceIterator(recs),
 				WithStore(store), WithPool(pool), WithPageRecords(64), WithEventLog(256))
 			if len(tc.wantErr) > 0 {

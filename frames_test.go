@@ -467,8 +467,8 @@ func TestFailedDecodeKeepsItsFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.(retrier).Retries() != 1 || corrupt.Load() {
-		t.Fatalf("want exactly one corruption re-read, got %d retries", second.(retrier).Retries())
+	if tokenRetries(second) != 1 || corrupt.Load() {
+		t.Fatalf("want exactly one corruption re-read, got %d retries", tokenRetries(second))
 	}
 	if pg[0].Key != 3 || string(pg[1].Payload) != "ijklmnop" {
 		t.Fatalf("re-read delivered %v", pg)

@@ -101,7 +101,7 @@ func (m *mergeEngine) invalidateHeap() { m.hhValid = false }
 // newMergeEngine builds an engine whose output writer is bound to e's store.
 func newMergeEngine(e *Env, cfg SortConfig, st *SortStats) *mergeEngine {
 	m := &mergeEngine{e: e, cfg: cfg, st: st,
-		w: runWriter{store: e.Store, recs: cfg.PageRecords, released: &st.MergePagesReleased}}
+		w: runWriter{store: e.Store, recs: cfg.PageRecords, released: &st.MergePagesReleased, retries: &st.StoreRetries}}
 	m.hh = e.newRunHeads(&m.cmp)
 	return m
 }
@@ -407,7 +407,7 @@ func (m *mergeEngine) batchLoad(st *mergeStep) error {
 		pends = append(pends, pendingRead{r, r.page, m.e.Store.ReadAsync(r.id, r.page)})
 	}
 	for _, p := range pends {
-		pg, err := waitPage(p.tok)
+		pg, err := m.waitPage(p.tok)
 		if err != nil {
 			return err
 		}
@@ -418,8 +418,9 @@ func (m *mergeEngine) batchLoad(st *mergeStep) error {
 
 // waitPage completes a merge read, keeping the token with the page for its
 // release.
-func waitPage(tok PageToken) (inPage, error) {
+func (m *mergeEngine) waitPage(tok PageToken) (inPage, error) {
 	recs, err := tok.Wait()
+	countRetries(tok, &m.st.StoreRetries)
 	return inPage{recs, tok}, err
 }
 
@@ -766,7 +767,7 @@ func (m *mergeEngine) load(st *mergeStep, r *runInfo, ahead int) (bool, error) {
 			toks = append(toks, pendingRead{r, idx, m.e.Store.ReadAsync(r.id, idx)})
 		}
 		for _, pr := range toks {
-			pg, err := waitPage(pr.tok)
+			pg, err := m.waitPage(pr.tok)
 			if err != nil {
 				return false, err
 			}

@@ -29,7 +29,7 @@ type testBudget struct {
 
 func newTestBudget(total int) *testBudget {
 	arb := memarb.New(memarb.Config{Total: total, Floor: 3})
-	h, _ := arb.Register(context.Background(), 0, false)
+	h, _ := arb.Register(context.Background(), false)
 	return &testBudget{Handle: h, arb: arb}
 }
 
@@ -689,9 +689,9 @@ func TestParkedSplitWorkerSeesSiblingLeave(t *testing.T) {
 				split = quickSplit
 			}
 			pool := memarb.New(memarb.Config{Total: 6, Floor: 3, Shared: true})
-			older, _ := pool.Register(context.Background(), 0, false)
+			older, _ := pool.Register(context.Background(), false)
 			older.Acquire(6) // all of it: the pool was its alone
-			party, _ := pool.Register(context.Background(), 1, false)
+			party, _ := pool.Register(context.Background(), false)
 			if got := party.Target(); got != 3 || party.Acquire(3) != 0 {
 				t.Fatalf("the younger operator has target %d and pages to take, want 3 and none", got)
 			}

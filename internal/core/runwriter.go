@@ -42,6 +42,23 @@ type runWriter struct {
 	// it.
 	retired  []PageReleaser
 	released *int
+
+	// retries is where wait counts the failed attempts the store retried
+	// before a write settled (the client's Stats.StoreRetries); nil counts
+	// nothing.
+	retries *int
+}
+
+// retrier is a completed store token that reports how many failed attempts
+// the store retried before the operation settled. The root package's
+// stores' tokens do; the simulator's do not, and count none.
+type retrier interface{ Retries() int }
+
+// countRetries adds a completed token's retries to *n, when n is set.
+func countRetries(tok any, n *int) {
+	if rt, ok := tok.(retrier); ok && n != nil {
+		*n += rt.Retries()
+	}
 }
 
 // newRun opens a new empty run.
@@ -158,6 +175,7 @@ func (w *runWriter) wait() error {
 		return nil
 	}
 	err := w.tok.Wait()
+	countRetries(w.tok, w.retries)
 	w.tok = nil
 	if err == nil {
 		for _, pg := range w.sent {

@@ -30,7 +30,7 @@ func splitPhase(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 // finish sorting and writing the current contents before freeing anything —
 // the paper's explanation for Quicksort's long split-phase delays.
 func quickSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
-	w := runWriter{store: e.Store}
+	w := runWriter{store: e.Store, retries: &st.StoreRetries}
 	var runs []*runInfo
 	inputDone := false
 	for !inputDone {
@@ -140,7 +140,7 @@ func replSplit(e *Env, cfg SortConfig, st *SortStats) ([]*runInfo, error) {
 	h := e.newSelector()
 	// The output block lives in the writer, whose buffers serve every run of
 	// this split in turn.
-	w := runWriter{store: e.Store, recs: R}
+	w := runWriter{store: e.Store, recs: R, retries: &st.StoreRetries}
 	var (
 		runs      []*runInfo
 		cur       *runInfo

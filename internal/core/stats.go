@@ -75,9 +75,10 @@ type SortStats struct {
 
 	// StoreRetries counts store I/O attempts that failed transiently and
 	// were retried (reads and writes combined, including corruption
-	// re-reads). Like the other store aggregates it is measured at the
-	// store boundary and stays zero when tracing is off or the store has no
-	// retry policy.
+	// re-reads). The engine counts it as each page read and append batch
+	// completes, from store tokens that report their retries (the root
+	// package's stores' do), traced or not; it stays zero on a store with no
+	// retry policy and in the simulator.
 	StoreRetries int
 
 	// EventPanics counts observer callbacks (event hooks, tracers) that

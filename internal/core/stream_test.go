@@ -453,7 +453,7 @@ func TestStreamFeedsASortThroughOneBroker(t *testing.T) {
 	both := 0
 	store := newSafeStore()
 	cfg := SortConfig{Method: Repl, BlockPages: 6, Merge: OptMerge, Adapt: DynSplit, PageRecords: 32, MergeBlockPages: 6}
-	outer, _ := budget.arb.Register(context.Background(), 1, false)
+	outer, _ := budget.arb.Register(context.Background(), false)
 	mem := &partyBroker{Handle: inner, t: t, arb: budget.arb, rival: outer, both: &both}
 	env := &Env{In: &sliceInput{pages: pagesOf(recs, 32)}, Store: store, Ctx: context.Background(), StreamLast: true, Mem: mem}
 	res, err := ExternalSort(env, cfg)

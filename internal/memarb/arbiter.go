@@ -27,12 +27,6 @@ type Config struct {
 	// keeps the floors — and a wait holds out until the owner restores the
 	// target.
 	Shared bool
-
-	// OnGrant and OnWait, when set, observe every page grant and every
-	// completed blocking wait of an operator (op is the id it registered
-	// with). They are called outside the lock, on the operator's goroutine.
-	OnGrant func(op uint64, pages int)
-	OnWait  func(op uint64, d time.Duration)
 }
 
 // Arbiter divides Total pages among the operators registered with it and
@@ -212,9 +206,8 @@ func (a *Arbiter) Release(n int) {
 // reservations have not taken — an admitted operator's floor must be
 // genuinely acquirable, not promised away; the wait is cancelable through
 // ctx. An owned one admits at once, raising the total to cover the new
-// floor if it must. op is an id of the caller's choosing, handed back to
-// the observer hooks.
-func (a *Arbiter) Register(ctx context.Context, op uint64, queue bool) (*Handle, error) {
+// floor if it must.
+func (a *Arbiter) Register(ctx context.Context, queue bool) (*Handle, error) {
 	start := time.Now()
 	stop := context.AfterFunc(ctx, a.wake)
 	defer stop()
@@ -230,7 +223,7 @@ func (a *Arbiter) Register(ctx context.Context, op uint64, queue bool) (*Handle,
 		}
 		a.cond.Wait()
 	}
-	h := &Handle{a: a, op: op}
+	h := &Handle{a: a}
 	h.stats.AdmissionWait = time.Since(start)
 	a.ops = append(a.ops, h)
 	a.resize(a.pol.Total) // keeps the floors; every sibling's entitlement just shrank
@@ -261,7 +254,6 @@ type Stats struct {
 // protocol, where masort.Budget and masort.Pool are the owner's.
 type Handle struct {
 	a       *Arbiter
-	op      uint64
 	granted int
 	seen    uint64 // a.gen at creation or when the last WaitChange returned
 	stats   Stats
@@ -303,6 +295,7 @@ func (h *Handle) Pressure() int {
 func (h *Handle) Acquire(n int) int {
 	a := h.a
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	n = max(min(n, h.entitled()-h.granted, a.free), 0)
 	if n > 0 {
 		h.granted += n
@@ -310,10 +303,6 @@ func (h *Handle) Acquire(n int) int {
 		h.stats.Grants++
 		h.stats.PagesGranted += n
 		h.stats.MaxGranted = max(h.stats.MaxGranted, h.granted)
-	}
-	a.mu.Unlock()
-	if n > 0 && a.cfg.OnGrant != nil {
-		a.cfg.OnGrant(h.op, n)
 	}
 	return n
 }
@@ -371,7 +360,7 @@ func (h *Handle) WaitTarget(ctx context.Context, n int) error { return h.wait(ct
 func (h *Handle) WaitChange(ctx context.Context) error { return h.wait(ctx, anyChange) }
 
 // wait is the one blocking wait. A wait that is satisfied on arrival is not
-// a wait: it is neither counted nor observed.
+// a wait: it is not counted.
 func (h *Handle) wait(ctx context.Context, n int) error {
 	a := h.a
 	stop := context.AfterFunc(ctx, a.wake)
@@ -388,7 +377,6 @@ func (h *Handle) wait(ctx context.Context, n int) error {
 		}
 		return h.entitled() >= need
 	}
-	var waited time.Duration
 	var err error
 	if !done() {
 		if err = ctx.Err(); err == nil {
@@ -399,16 +387,12 @@ func (h *Handle) wait(ctx context.Context, n int) error {
 				a.cond.Wait()
 				err = ctx.Err()
 			}
-			waited = time.Since(start)
-			st.WaitTime += waited
+			st.WaitTime += time.Since(start)
 		}
 	}
 	if n == anyChange {
 		h.seen = a.gen
 	}
 	a.mu.Unlock()
-	if waited > 0 && a.cfg.OnWait != nil {
-		a.cfg.OnWait(h.op, waited)
-	}
 	return err
 }

@@ -118,7 +118,7 @@ func TestArbiterNestedConservation(t *testing.T) {
 				what = "admit"
 				s := a.Snapshot()
 				fits := (len(s.Targets)+1)*3 <= s.Total-s.Reserved-s.Pending
-				nh, err := a.Register(context.Background(), uint64(step), false)
+				nh, err := a.Register(context.Background(), false)
 				if (err == nil) != (fits || !shared) {
 					t.Fatalf("seed %d step %d: Register with %d operators on %+v: %v", seed, step, len(s.Targets), s, err)
 				}
@@ -169,9 +169,9 @@ func TestArbiterNestedConservation(t *testing.T) {
 // the next change.
 func TestWaitChangeCountsFromLastLook(t *testing.T) {
 	a := New(Config{Total: 6, Floor: 3, Shared: true})
-	older, _ := a.Register(context.Background(), 0, false)
+	older, _ := a.Register(context.Background(), false)
 	older.Acquire(6)
-	h, _ := a.Register(context.Background(), 1, false)
+	h, _ := a.Register(context.Background(), false)
 	if got := h.Acquire(1); got != 0 {
 		t.Fatalf("acquired %d pages of a pool its sibling holds", got)
 	}
@@ -220,7 +220,7 @@ func TestOneChangeWakesEveryWaiter(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			a := New(Config{Total: 8, Floor: 3})
-			h, _ := a.Register(context.Background(), 0, false)
+			h, _ := a.Register(context.Background(), false)
 			var wg sync.WaitGroup
 			for range 3 {
 				wg.Add(1)

@@ -20,8 +20,8 @@
 // arithmetic: one mutex, one condition variable, blocking waits. The
 // arbiter may block its callers and reads the wall clock to time admission
 // and waits for its accounts, nothing more: it starts no goroutines, sets
-// no timers, and knows nothing of tracing or of the engine — observers are
-// plain function hooks called outside the lock.
+// no timers, and knows nothing of tracing or of the engine: what it did for
+// an operator is that Handle's Stats.
 package memarb
 
 // Policy fixes the two pool constants: the total page count and the

@@ -190,16 +190,12 @@ func newEnv(ctx context.Context, o config, mem core.Broker, meter *counterMeter,
 // canceled while queued. The handle must Leave exactly once when the
 // operator is done. report attaches the operator's PoolStats so far to a
 // Result.
-func memContract(ctx context.Context, o *config, ot *opTrace, queue bool) (mem *memarb.Handle, report func(*Result), err error) {
-	var opID uint64
-	if ot != nil {
-		opID = ot.id
-	}
+func memContract(ctx context.Context, o *config, queue bool) (mem *memarb.Handle, report func(*Result), err error) {
 	if o.pool == nil {
-		h, err := o.budget.arb.Register(ctx, opID, false)
+		h, err := o.budget.arb.Register(ctx, false)
 		return h, func(*Result) {}, err
 	}
-	h, err := o.pool.admit(ctx, opID, queue)
+	h, err := o.pool.admit(ctx, queue)
 	if err != nil {
 		return nil, nil, wrapCtxErr(ctx, err)
 	}
@@ -332,7 +328,7 @@ func runOp(ctx context.Context, opt config, name string, inputs []Iterator, run 
 	ot := newOpTrace(&o, name)
 	ot.begin()
 	piped := pipedSteps(o.arbiter(), inputs)
-	mem, report, err := memContract(ctx, &o, ot, len(piped) == 0)
+	mem, report, err := memContract(ctx, &o, len(piped) == 0)
 	if err != nil {
 		ot.end(err)
 		return nil, err
@@ -370,7 +366,7 @@ func runOp(ctx context.Context, opt config, name string, inputs []Iterator, run 
 		ot.end(nil)
 	}
 	l.admit = func() (*memarb.Handle, error) {
-		mem, _, err := memContract(ctx, &o, ot, true)
+		mem, _, err := memContract(ctx, &o, true)
 		return mem, err
 	}
 	// Until the held step completes the operator, the Result shows the

@@ -76,7 +76,7 @@ type MemStore struct{ *pagedStore }
 // NewMemStore creates an empty in-memory run store.
 func NewMemStore() *MemStore { return newMemStore(NewStoreConfig()) }
 
-// newMemStore builds a MemStore with c's retries, fault hooks and tracer.
+// newMemStore builds a MemStore with c's retries and fault hooks.
 // With fault hooks it encodes every batch, so that the hooks see each batch
 // before it is copied and each page before it is decoded; without, it keeps
 // the smaller form.

@@ -46,7 +46,7 @@ type MmapStore struct {
 // NewMmapStore creates an mmap-backed run store in dir with the default
 // configuration (see NewStoreConfig); dir is created if missing, and an
 // empty dir means a fresh temporary directory removed on Close. Use
-// StoreConfig.Mmap to configure retries, faults or tracing.
+// StoreConfig.Mmap to configure retries or faults.
 func NewMmapStore(dir string) (*MmapStore, error) {
 	return NewStoreConfig().Mmap(dir)
 }

@@ -17,22 +17,6 @@ type Tracer = trace.Tracer
 // operators (a pooled workload) can be told apart.
 var opSeq atomic.Uint64
 
-// emitSafe delivers one event to a tracer behind a recover guard:
-// observability must never corrupt the operation it is watching. A panicking
-// tracer loses its event and, when a counter is supplied, is counted into
-// Stats.EventPanics.
-func emitSafe(t trace.Tracer, ev trace.Event, panics *atomic.Int64) {
-	if t == nil {
-		return
-	}
-	defer func() {
-		if recover() != nil && panics != nil {
-			panics.Add(1)
-		}
-	}()
-	t.Emit(ev)
-}
-
 // opTrace is one operator's observability context: its process-unique trace
 // id, the composed tracer (user tracer plus the optional WithEventLog ring),
 // the legacy WithEvents callback, and the panic counter feeding
@@ -49,6 +33,21 @@ type opTrace struct {
 	envStart time.Time // core engine start; core event times are offsets from it
 
 	panics atomic.Int64
+}
+
+// emit delivers one event to the operator's tracer behind a recover guard:
+// observability must never corrupt the operation it is watching. A panicking
+// tracer loses its event and is counted into Stats.EventPanics.
+func (t *opTrace) emit(ev trace.Event) {
+	if t.tr == nil {
+		return
+	}
+	defer func() {
+		if recover() != nil {
+			t.panics.Add(1)
+		}
+	}()
+	t.tr.Emit(ev)
 }
 
 // newOpTrace assembles the operator's observability context, or nil when
@@ -69,13 +68,13 @@ func newOpTrace(o *config, name string) *opTrace {
 }
 
 // begin announces the operator. Its timestamp precedes pool admission, so
-// the op span covers time spent queued (KindPoolAdmit reports that wait
-// separately).
+// the op span covers time spent queued (Result.Pool.AdmissionWait reports
+// that wait separately).
 func (t *opTrace) begin() {
 	if t == nil {
 		return
 	}
-	emitSafe(t.tr, trace.Event{Kind: trace.KindOpBegin, Time: t.start, Op: t.id, Name: t.name}, &t.panics)
+	t.emit(trace.Event{Kind: trace.KindOpBegin, Time: t.start, Op: t.id, Name: t.name})
 }
 
 // end closes the operator span, carrying the error of a failed operator.
@@ -87,7 +86,7 @@ func (t *opTrace) end(err error) {
 	if err != nil {
 		ev.Err = err.Error()
 	}
-	emitSafe(t.tr, ev, &t.panics)
+	t.emit(ev)
 }
 
 // onEvent is installed as the core Env's event callback. The engine invokes
@@ -99,7 +98,7 @@ func (t *opTrace) onEvent(ev core.Event) {
 		t.callUser(ev)
 	}
 	if t.tr != nil {
-		emitSafe(t.tr, t.convert(ev), &t.panics)
+		t.emit(t.convert(ev))
 	}
 }
 
@@ -180,7 +179,6 @@ type tracedStore struct {
 	reads, writes           atomic.Int64
 	bytesRead, bytesWritten atomic.Int64
 	readNanos, writeNanos   atomic.Int64
-	retries                 atomic.Int64
 }
 
 func (s *tracedStore) fill(st *Stats) {
@@ -190,15 +188,16 @@ func (s *tracedStore) fill(st *Stats) {
 	st.BytesWritten = s.bytesWritten.Load()
 	st.ReadLatency = time.Duration(s.readNanos.Load())
 	st.WriteLatency = time.Duration(s.writeNanos.Load())
-	st.StoreRetries = int(s.retries.Load())
 }
 
-// noteRetries folds a completed token's retry count into the store
-// aggregates.
-func (s *tracedStore) noteRetries(tok any) {
-	if n := tokenRetries(tok); n > 0 {
-		s.retries.Add(int64(n))
+// tokenRetries returns the retries a store token reports, 0 for a token that
+// reports none. The traced tokens forward it, so the engine counts a traced
+// operator's Stats.StoreRetries as it counts an untraced one's.
+func tokenRetries(tok any) int {
+	if rt, ok := tok.(interface{ Retries() int }); ok {
+		return rt.Retries()
 	}
+	return 0
 }
 
 func (s *tracedStore) Append(id RunID, pages []Page) (Token, error) {
@@ -257,16 +256,17 @@ func (t *tracedToken) Wait() error {
 		t.s.writes.Add(1)
 		t.s.bytesWritten.Add(t.bytes)
 		t.s.writeNanos.Add(int64(d))
-		t.s.noteRetries(t.Token)
 		if ot := t.s.ot; ot.tr != nil {
-			emitSafe(ot.tr, trace.Event{
+			ot.emit(trace.Event{
 				Kind: trace.KindStoreWrite, Time: time.Now(), Op: ot.id,
 				Bytes: t.bytes, Dur: d,
-			}, &ot.panics)
+			})
 		}
 	}
 	return err
 }
+
+func (t *tracedToken) Retries() int { return tokenRetries(t.Token) }
 
 // tracedPageToken observes one page read, completing at the first Wait. It
 // passes ReleaseRecords on to a store that offers it; offering it over one
@@ -298,13 +298,14 @@ func (t *tracedPageToken) Wait() (Page, error) {
 		t.s.reads.Add(1)
 		t.s.bytesRead.Add(bytes)
 		t.s.readNanos.Add(int64(d))
-		t.s.noteRetries(t.PageToken)
 		if ot := t.s.ot; ot.tr != nil {
-			emitSafe(ot.tr, trace.Event{
+			ot.emit(trace.Event{
 				Kind: trace.KindStoreRead, Time: time.Now(), Op: ot.id,
 				Bytes: bytes, Dur: d,
-			}, &ot.panics)
+			})
 		}
 	}
 	return pg, err
 }
+
+func (t *tracedPageToken) Retries() int { return tokenRetries(t.PageToken) }

@@ -186,7 +186,7 @@ func TestMetricsMatchStats(t *testing.T) {
 
 	t.Run("pooled", func(t *testing.T) {
 		m := trace.NewMetrics()
-		pool := NewPool(16, WithPoolTracer(m))
+		pool := NewPool(16)
 		in := randomRecords(30_000, 21, 0)
 		res, err := Sort(ctx, NewSliceIterator(in),
 			WithPageRecords(64), WithPool(pool), WithTracer(m))
@@ -198,14 +198,11 @@ func TestMetricsMatchStats(t *testing.T) {
 		}
 		defer res.Close()
 		checkCountersMatchStats(t, m, res.Stats)
-		if got := m.Counter("masort_pool_admissions_total"); got != 1 {
-			t.Fatalf("pool admissions = %d, want 1", got)
+		if begun, done := m.Ops("sort"); begun != 1 || done != 1 {
+			t.Fatalf("Ops(sort) = %d begun, %d done, want 1/1", begun, done)
 		}
-		if got := m.Counter("masort_pool_grants_total"); int(got) != res.Pool.Grants {
-			t.Fatalf("pool grants = %d, want %d", got, res.Pool.Grants)
-		}
-		if got := m.Counter("masort_pool_pages_granted_total"); int(got) != res.Pool.PagesGranted {
-			t.Fatalf("pool pages granted = %d, want %d", got, res.Pool.PagesGranted)
+		if res.Pool == nil || res.Pool.Grants == 0 || res.Pool.PagesGranted < res.Pool.Grants {
+			t.Fatalf("Result.Pool = %+v, want the operator's grants", res.Pool)
 		}
 	})
 }
@@ -337,24 +334,13 @@ func TestTraceOrderingUnderFluctuation(t *testing.T) {
 
 	t.Run("pooled", func(t *testing.T) {
 		c := &collectTracer{}
-		pool := NewPool(32, WithPoolTracer(c))
+		pool := NewPool(32)
 		done := make(chan struct{})
-		// The churn goroutine must not Resize before the sort has emitted
-		// op_begin, or the pool_resize trace event would be collected first
-		// and checkOpStream's ordering assertion would trip on a race that
-		// is the test's own, not the engine's.
-		started := make(chan struct{})
-		var startOnce sync.Once
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewPCG(5, 5))
-			select {
-			case <-started:
-			case <-done:
-				return
-			}
 			for {
 				select {
 				case <-done:
@@ -368,10 +354,7 @@ func TestTraceOrderingUnderFluctuation(t *testing.T) {
 		}()
 		in := randomRecords(80_000, 43, 0)
 		res, err := Sort(ctx, NewSliceIterator(in),
-			WithPageRecords(64), WithPool(pool), WithTracer(c),
-			WithEvents(func(Event) {
-				startOnce.Do(func() { close(started) })
-			}))
+			WithPageRecords(64), WithPool(pool), WithTracer(c))
 		if err == nil {
 			_, err = Drain(res.Iterator()) // the last merge step runs here
 		}
@@ -381,19 +364,9 @@ func TestTraceOrderingUnderFluctuation(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer res.Close()
-		evs := c.events()
-		checkOpStream(t, evs, res.Stats)
-		grants := 0
-		for _, e := range evs {
-			if e.Kind == trace.KindPoolGrant {
-				grants++
-				if e.Pages <= 0 {
-					t.Fatalf("pool grant of %d pages", e.Pages)
-				}
-			}
-		}
-		if grants == 0 {
-			t.Fatal("no pool grant events for a pooled sort")
+		checkOpStream(t, c.events(), res.Stats)
+		if res.Pool == nil || res.Pool.Grants == 0 {
+			t.Fatalf("Result.Pool = %+v, want the operator's grants", res.Pool)
 		}
 	})
 }
@@ -455,27 +428,24 @@ func (p *panicTracer) total() int {
 }
 
 // TestTracersThatPanicOnEveryEvent holds the tracer-delivery contract on
-// every path an event takes: the operator's tracer (core events, store I/O,
-// the op span), a Pool's and a store's. Each tracer panics on every event,
-// and every operation ends as it would untraced: a plain sort, a pooled sort
-// and a held drain succeed with correct output, and a faultinject FileStore
-// sort that retries a write and then gives up fails with ErrStoreFailed.
-// Stats.EventPanics counts the operator's tracer; it equals the events that
-// tracer was handed before the stats were final, which is all of them but
-// KindOpEnd. Pool and store tracers have no operator to count into.
+// every path an event takes to the operator's tracer: core events, store
+// I/O and the op span. The tracer panics on every event, and every
+// operation ends as it would untraced: a plain sort, a pooled sort and a
+// held drain succeed with correct output, and a faultinject FileStore sort
+// that retries a write and then gives up fails with ErrStoreFailed.
+// Stats.EventPanics equals the events the tracer was handed before the
+// stats were final, which is all of them but KindOpEnd.
 //
 // The plain sort's Budget is squeezed as each merge step starts, so a step
 // splits. The scenarios deliver every Kind but KindCombineBegin,
 // KindCombineEnd, KindCombineAbort, KindSuspend and KindResume, which need
-// other memory schedules, and KindPoolReject and KindPoolWait, which need a
-// full pool: those take the path KindSplit (core) or KindPoolAdmit (pool)
-// takes.
+// other memory schedules: those take the path KindSplit takes.
 func TestTracersThatPanicOnEveryEvent(t *testing.T) {
 	ctx := context.Background()
 	in := randomRecords(20_000, 7, 8)
 	seen := map[trace.Kind]bool{}
 	note := func(tr *panicTracer) {
-		for k := range trace.KindStoreGaveUp + 1 {
+		for k := range trace.KindStoreWrite + 1 {
 			if tr.count(k) > 0 {
 				seen[k] = true
 			}
@@ -524,15 +494,12 @@ func TestTracersThatPanicOnEveryEvent(t *testing.T) {
 		drained(t, res, op, in)
 	})
 	t.Run("pooled", func(t *testing.T) {
-		op, pt := &panicTracer{}, &panicTracer{}
-		pool := NewPool(8, WithPoolTracer(pt))
-		pool.Resize(12)
-		res, err := Sort(ctx, NewSliceIterator(in), WithPageRecords(64), WithPool(pool), WithTracer(op))
+		op := &panicTracer{}
+		res, err := Sort(ctx, NewSliceIterator(in), WithPageRecords(64), WithPool(NewPool(12)), WithTracer(op))
 		if err != nil {
 			t.Fatal(err)
 		}
 		drained(t, res, op, in)
-		note(pt)
 	})
 	t.Run("held-drain", func(t *testing.T) {
 		store := fileStore(t, NewStoreConfig())
@@ -558,11 +525,11 @@ func TestTracersThatPanicOnEveryEvent(t *testing.T) {
 		drained(t, res, op, all)
 	})
 	t.Run("store-gives-up", func(t *testing.T) {
-		op, st := &panicTracer{}, &panicTracer{}
+		op := &panicTracer{}
 		inj := faultinject.New(
 			faultinject.Rule{Op: faultinject.Write, Nth: 1, Fault: faultinject.Fault{Err: faultinject.Transient("write blip")}},
 			faultinject.Rule{Op: faultinject.Write, Nth: 3, Fault: faultinject.Fault{Err: faultinject.Permanent("controller gone")}})
-		cfg := NewStoreConfig().WithFaults(inj).WithRetry(RetryPolicy{MaxAttempts: 3}).WithTracer(st)
+		cfg := NewStoreConfig().WithFaults(inj).WithRetry(RetryPolicy{MaxAttempts: 3})
 		res, err := Sort(ctx, NewSliceIterator(in), WithPageRecords(64), WithBudget(NewBudget(8)),
 			WithStore(fileStore(t, cfg)), WithTracer(op))
 		if err == nil {
@@ -572,18 +539,14 @@ func TestTracersThatPanicOnEveryEvent(t *testing.T) {
 		if !errors.Is(err, ErrStoreFailed) {
 			t.Fatalf("sort over a store that gives up = %v, want ErrStoreFailed", err)
 		}
-		if st.count(trace.KindStoreRetry) == 0 || st.count(trace.KindStoreGaveUp) == 0 {
-			t.Fatalf("store tracer saw %d retries and %d give-ups, want both", st.count(trace.KindStoreRetry), st.count(trace.KindStoreGaveUp))
-		}
 		note(op)
-		note(st)
 	})
 
 	unreached := map[trace.Kind]bool{
 		trace.KindCombineBegin: true, trace.KindCombineEnd: true, trace.KindCombineAbort: true,
-		trace.KindSuspend: true, trace.KindResume: true, trace.KindPoolReject: true, trace.KindPoolWait: true,
+		trace.KindSuspend: true, trace.KindResume: true,
 	}
-	for k := range trace.KindStoreGaveUp + 1 {
+	for k := range trace.KindStoreWrite + 1 {
 		if !seen[k] && !unreached[k] {
 			t.Errorf("no tracer was handed a %s event", k)
 		}

@@ -116,17 +116,19 @@ func WithEvents(fn func(Event)) Option {
 // observability stream — operator begin/end, phase transitions, every
 // sorted run, merge-step spans, adaptation actions (splits, combines,
 // suspensions, resumes) and per-operation store I/O with byte counts and
-// latencies. Combine tracers with trace.Multi; share one trace.Metrics
-// across operators to aggregate a whole workload.
+// latencies. Combine tracers with trace.Multi. It is the one route by which
+// events leave the engine: a Pool or a store emits none.
 //
-// Most events fire on the operator's goroutine, but store I/O completions
-// may fire from other goroutines — tracers must be safe for concurrent use
-// (all implementations in the trace package are). A nil tracer is valid
+// The operator's events reach its tracer on one goroutine at a time — the
+// operator's, or for a held last merge step the one draining the Result —
+// so a tracer needs to be safe for concurrent use only when operators share
+// it (all implementations in the trace package are). A nil tracer is valid
 // and costs nothing; a panicking tracer is recovered and counted in
 // Stats.EventPanics.
 //
 // Tracing also fills the Stats store-I/O aggregates (StoreReads,
-// BytesWritten, ...), which stay zero on the untraced path.
+// BytesWritten, ...), which stay zero on the untraced path;
+// Stats.StoreRetries is counted either way.
 func WithTracer(t Tracer) Option {
 	return func(o *config) { o.tracer = t }
 }
@@ -134,7 +136,8 @@ func WithTracer(t Tracer) Option {
 // WithEventLog attaches a flight-recorder ring retaining the operator's
 // last n trace events to Result.Events — cheap always-on capture of the
 // moments before whatever made the result interesting. It composes with
-// WithTracer (both see the stream).
+// WithTracer (both see the operator's stream) and, like it, fills the Stats
+// store-I/O aggregates.
 func WithEventLog(n int) Option {
 	return func(o *config) { o.eventLog = n }
 }

@@ -14,7 +14,6 @@ import (
 	"unsafe"
 
 	"github.com/memadapt/masort/internal/pagecodec"
-	"github.com/memadapt/masort/trace"
 )
 
 // DefaultReadConcurrency is how many page reads a disk-backed store executes
@@ -36,7 +35,7 @@ const dispatchFetchTime = 50 * time.Microsecond
 
 // device is one run's bytes on one disk: a growable extent addressed by
 // offset — a file, or memory (memDevice). It is everything a store backend
-// has to supply; pages, checksums, retries, fault injection and tracing all
+// has to supply; pages, checksums, retries and fault injection all
 // live above it in pagedStore, which calls a device's WriteAt and Truncate from one Append of
 // the run at a time and fetch from any number of readers concurrently.
 type device interface {
@@ -287,10 +286,6 @@ type pagedStore struct {
 	bufs   bufPool
 	frames frameList
 
-	// tr, when set, receives KindStoreRetry / KindStoreGaveUp events from the
-	// retry loops.
-	tr trace.Tracer
-
 	// holdRecords, when set, keeps a batch whose encoding would be larger
 	// than its reference form — a key and a pointer to the caller's payload
 	// a record — in that form instead (MemStore without fault hooks), unless
@@ -337,7 +332,6 @@ func newStore(cfg *StoreConfig, n int, open func(string) (device, error)) *paged
 		disks: make([]disk, n),
 		open:  open,
 		retry: cfg.retry,
-		tr:    cfg.tr,
 		now:   time.Now,
 		runs:  map[RunID]*pagedRun{},
 	}
@@ -544,19 +538,6 @@ func (h readHandle) Retries() int {
 	return h.t.retries
 }
 
-// retrier is implemented by store tokens that report how many failed
-// attempts were retried before the operation settled.
-type retrier interface{ Retries() int }
-
-// tokenRetries returns a completed token's retry count; tokens without the
-// method count as zero retries.
-func tokenRetries(tok any) int {
-	if rt, ok := tok.(retrier); ok {
-		return rt.Retries()
-	}
-	return 0
-}
-
 // permanentIOErr is the retry loops' error taxonomy: it reports whether err
 // will not improve with retry — out of space, read-only filesystem, or
 // anything self-reporting Temporary() == false (net.Error style, and
@@ -569,19 +550,6 @@ func permanentIOErr(err error) bool {
 	}
 	var t interface{ Temporary() bool }
 	return errors.As(err, &t) && !t.Temporary()
-}
-
-// noteFault emits one retry-loop event (KindStoreRetry / KindStoreGaveUp):
-// name is "read" or "write", attempt the 1-based attempt that failed,
-// bytes the extent size.
-func (s *pagedStore) noteFault(kind trace.Kind, name string, attempt int, bytes int64, err error) {
-	if s.tr == nil {
-		return
-	}
-	emitSafe(s.tr, trace.Event{
-		Kind: kind, Time: time.Now(), Name: name,
-		Pages: attempt, Bytes: bytes, Err: err.Error(),
-	}, nil)
 }
 
 // Create opens a new empty run: one extent per disk.
@@ -841,12 +809,10 @@ func (s *pagedStore) writeBatch(r *pagedRun, x *runExtent, off int64, buf []byte
 			return retries, nil
 		}
 		if permanentIOErr(err) || attempt >= budget || r.isClosing() {
-			s.noteFault(trace.KindStoreGaveUp, "write", attempt, int64(len(buf)), err)
 			return retries, fmt.Errorf("%w: write of %d bytes at %d (attempt %d/%d): %w",
 				ErrStoreFailed, len(buf), off, attempt, budget, err)
 		}
 		retries++
-		s.noteFault(trace.KindStoreRetry, "write", attempt, int64(len(buf)), err)
 		if d := s.retry.backoff(attempt); d > 0 {
 			time.Sleep(d)
 		}
@@ -1005,7 +971,6 @@ func (s *pagedStore) readPage(tok *pageToken, counted bool) {
 			tok.fr = fr
 			return
 		}
-		size := end - off
 		if errors.Is(err, ErrCorruptPage) {
 			// Corruption gets exactly one re-read, whatever the retry
 			// policy: the bytes may have been mangled in transit (bus,
@@ -1014,23 +979,19 @@ func (s *pagedStore) readPage(tok *pageToken, counted bool) {
 			if rereads < 1 && !r.isClosing() {
 				rereads++
 				tok.retries++
-				s.noteFault(trace.KindStoreRetry, "read", rereads, size, err)
 				continue
 			}
-			s.noteFault(trace.KindStoreGaveUp, "read", 1+rereads, size, err)
 			tok.err = fmt.Errorf("masort: read run %d page %d: %w", id, page, err)
 			return
 		}
 		ioAttempt++
 		if !permanentIOErr(err) && ioAttempt < budget && !r.isClosing() {
 			tok.retries++
-			s.noteFault(trace.KindStoreRetry, "read", ioAttempt, size, err)
 			if d := s.retry.backoff(ioAttempt); d > 0 {
 				time.Sleep(d)
 			}
 			continue
 		}
-		s.noteFault(trace.KindStoreGaveUp, "read", ioAttempt, size, err)
 		tok.err = fmt.Errorf("masort: read run %d page %d (attempt %d/%d): %w: %w",
 			id, page, ioAttempt, budget, ErrStoreFailed, err)
 		return

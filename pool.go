@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/memadapt/masort/internal/memarb"
-	"github.com/memadapt/masort/trace"
 )
 
 // ErrPoolSaturated is returned by Sort, Join, GroupBy and Merge when a
@@ -53,15 +52,6 @@ func WithAdmissionPolicy(a AdmissionPolicy) PoolOption {
 	return func(p *Pool) { p.admission = a }
 }
 
-// WithPoolTracer attaches a tracer to the pool: admissions (with queue
-// wait), rejections, page grants, blocking arbitration waits and resizes
-// are emitted as they happen, attributed to the operator involved. The
-// tracer is fixed at construction; share the operators' trace.Metrics here
-// to see arbitration and adaptation in one registry.
-func WithPoolTracer(t Tracer) PoolOption {
-	return func(p *Pool) { p.tr = t }
-}
-
 const minFloor = 3
 
 // Pool is a process-wide shared memory budget: the wall-clock counterpart
@@ -88,11 +78,14 @@ const minFloor = 3
 // only when one more floor fits (see AdmissionPolicy). A Pool must not be
 // nil; the zero value is not usable — construct with NewPool. All methods
 // are safe for concurrent use.
+//
+// A Pool emits no events: how it treated an operator is that operator's
+// Result.Pool, and its own accounts are Ops, Reserved, RejectedOps,
+// RejectedReservations and Total.
 type Pool struct {
 	arb       *memarb.Arbiter
 	floor     int
 	admission AdmissionPolicy
-	tr        Tracer // fixed at construction; emits happen outside the arbiter's lock
 }
 
 // NewPool creates a pool of total pages. The total must cover at least one
@@ -104,16 +97,7 @@ func NewPool(total int, opts ...PoolOption) *Pool {
 			fn(p)
 		}
 	}
-	cfg := memarb.Config{Total: total, Floor: p.floor, Shared: true}
-	if p.tr != nil {
-		cfg.OnGrant = func(op uint64, pages int) {
-			emitSafe(p.tr, trace.Event{Kind: trace.KindPoolGrant, Time: time.Now(), Op: op, Pages: pages}, nil)
-		}
-		cfg.OnWait = func(op uint64, d time.Duration) {
-			emitSafe(p.tr, trace.Event{Kind: trace.KindPoolWait, Time: time.Now(), Op: op, Dur: d}, nil)
-		}
-	}
-	p.arb = memarb.New(cfg)
+	p.arb = memarb.New(memarb.Config{Total: total, Floor: p.floor, Shared: true})
 	return p
 }
 
@@ -143,13 +127,7 @@ func (p *Pool) RejectedReservations() int { return p.arb.Snapshot().RejectedRese
 // reservations — the requested total is raised to that minimum if needed —
 // and takes effect as operators yield down to their reduced entitlements.
 // Resize returns the total actually set.
-func (p *Pool) Resize(total int) int {
-	set := p.arb.Resize(total)
-	if p.tr != nil {
-		emitSafe(p.tr, trace.Event{Kind: trace.KindPoolResize, Time: time.Now(), Pages: set}, nil)
-	}
-	return set
-}
+func (p *Pool) Resize(total int) int { return p.arb.Resize(total) }
 
 // Reserve takes up to want pages away from the pool on behalf of the
 // application — the competing memory request of the paper's reservation
@@ -175,24 +153,11 @@ func (p *Pool) Release(n int) { p.arb.Release(n) }
 // (QueueWhenFull, unless !queue) or failing while one more floor does not
 // fit in what application reservations have not taken. The handle is the
 // operator's core.Broker, so the engine adapts to pool arbitration exactly
-// as it adapts to a resized Budget; the operator detaches with Leave. op is
-// the operator's trace id (0 when untraced), attributed to the pool's
-// events.
-func (p *Pool) admit(ctx context.Context, op uint64, queue bool) (*memarb.Handle, error) {
-	h, err := p.arb.Register(ctx, op, queue && p.admission == QueueWhenFull)
-	saturated := errors.Is(err, memarb.ErrSaturated)
-	if saturated {
+// as it adapts to a resized Budget; the operator detaches with Leave.
+func (p *Pool) admit(ctx context.Context, queue bool) (*memarb.Handle, error) {
+	h, err := p.arb.Register(ctx, queue && p.admission == QueueWhenFull)
+	if errors.Is(err, memarb.ErrSaturated) {
 		err = ErrPoolSaturated
-	}
-	if p.tr != nil {
-		switch {
-		case err == nil:
-			emitSafe(p.tr, trace.Event{Kind: trace.KindPoolAdmit, Time: time.Now(),
-				Op: op, Dur: h.Stats().AdmissionWait}, nil)
-		case saturated:
-			emitSafe(p.tr, trace.Event{Kind: trace.KindPoolReject, Time: time.Now(),
-				Op: op, Err: err.Error()}, nil)
-		}
 	}
 	return h, err
 }

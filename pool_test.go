@@ -151,7 +151,7 @@ func TestPoolFairnessUnderChurn(t *testing.T) {
 			opWG.Add(1)
 			go func() {
 				defer opWG.Done()
-				h, err := pool.admit(ctx, 0, true)
+				h, err := pool.admit(ctx, true)
 				if err != nil {
 					t.Errorf("admit: %v", err)
 					return
@@ -219,7 +219,7 @@ func TestPoolFairnessUnderChurn(t *testing.T) {
 
 func TestPoolAdmissionReject(t *testing.T) {
 	pool := NewPool(5, WithPoolFloor(3), WithAdmissionPolicy(RejectWhenFull))
-	h, err := pool.admit(context.Background(), 0, true)
+	h, err := pool.admit(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestPoolAdmissionReject(t *testing.T) {
 // (promised away to a reservation) is not admissible.
 func TestPoolAdmissionRespectsReservations(t *testing.T) {
 	pool := NewPool(10, WithPoolFloor(3), WithAdmissionPolicy(RejectWhenFull))
-	h1, err := pool.admit(context.Background(), 0, true)
+	h1, err := pool.admit(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,11 +250,11 @@ func TestPoolAdmissionRespectsReservations(t *testing.T) {
 		t.Fatalf("Reserve = (%d, %v), want (7, nil)", got, err)
 	}
 	// 10 total − 7 reserved = 3: one floor fits (h1's), a second does not.
-	if _, err := pool.admit(context.Background(), 0, true); !errors.Is(err, ErrPoolSaturated) {
+	if _, err := pool.admit(context.Background(), true); !errors.Is(err, ErrPoolSaturated) {
 		t.Fatalf("admit with floors promised away: err = %v, want ErrPoolSaturated", err)
 	}
 	pool.Release(7)
-	h2, err := pool.admit(context.Background(), 0, true)
+	h2, err := pool.admit(context.Background(), true)
 	if err != nil {
 		t.Fatalf("admit after Release: %v", err)
 	}
@@ -267,11 +267,11 @@ func TestPoolAdmissionRespectsReservations(t *testing.T) {
 // all its own.
 func TestPoolWaitTargetSurvivesShrink(t *testing.T) {
 	pool := NewPool(64)
-	h1, err := pool.admit(context.Background(), 0, true)
+	h1, err := pool.admit(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := pool.admit(context.Background(), 0, true)
+	h2, err := pool.admit(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestPoolWaitTargetSurvivesShrink(t *testing.T) {
 
 func TestPoolAdmissionQueue(t *testing.T) {
 	pool := NewPool(5, WithPoolFloor(3)) // room for exactly one operator
-	h, err := pool.admit(context.Background(), 0, true)
+	h, err := pool.admit(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestPoolAdmissionQueue(t *testing.T) {
 
 func TestPoolAdmissionCanceled(t *testing.T) {
 	pool := NewPool(5, WithPoolFloor(3))
-	h, err := pool.admit(context.Background(), 0, true)
+	h, err := pool.admit(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestPoolAdmissionCanceled(t *testing.T) {
 
 func TestPoolReserveHeadroomAndRelease(t *testing.T) {
 	pool := NewPool(20, WithPoolFloor(4))
-	h, err := pool.admit(context.Background(), 0, true)
+	h, err := pool.admit(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestPoolReserveHeadroomAndRelease(t *testing.T) {
 
 func TestPoolReserveBlocksUntilYield(t *testing.T) {
 	pool := NewPool(12, WithPoolFloor(3))
-	h, err := pool.admit(context.Background(), 0, true)
+	h, err := pool.admit(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestPoolReserveBlocksUntilYield(t *testing.T) {
 
 func TestPoolReserveCanceled(t *testing.T) {
 	pool := NewPool(12, WithPoolFloor(3))
-	h, err := pool.admit(context.Background(), 0, true)
+	h, err := pool.admit(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,8 +464,8 @@ func TestPoolReserveCanceled(t *testing.T) {
 
 func TestPoolResize(t *testing.T) {
 	pool := NewPool(10, WithPoolFloor(5))
-	h1, _ := pool.admit(context.Background(), 0, true)
-	h2, _ := pool.admit(context.Background(), 0, true)
+	h1, _ := pool.admit(context.Background(), true)
+	h2, _ := pool.admit(context.Background(), true)
 	if got := pool.Resize(6); got != 10 {
 		t.Fatalf("Resize below 2 floors set %d, want clamp at 10", got)
 	}

@@ -473,19 +473,19 @@ func TestRetriesCountTheSameInlineAndDispatched(t *testing.T) {
 				return tok, pg, err
 			}
 			tok, pg, err := read(5, "transient", "rot", "")
-			if err != nil || pg[0].Key != 50 || attempts.Load() != 3 || tok.(retrier).Retries() != 2 {
+			if err != nil || pg[0].Key != 50 || attempts.Load() != 3 || tokenRetries(tok) != 2 {
 				t.Fatalf("slow=%v: healed read = %v, %v after %d attempts, %d retries; want 3 and 2",
-					slow, pg, err, attempts.Load(), tok.(retrier).Retries())
+					slow, pg, err, attempts.Load(), tokenRetries(tok))
 			}
 			tok, pg, err = read(6, "rot")
-			if pg != nil || !errors.Is(err, ErrCorruptPage) || attempts.Load() != 2 || tok.(retrier).Retries() != 1 {
+			if pg != nil || !errors.Is(err, ErrCorruptPage) || attempts.Load() != 2 || tokenRetries(tok) != 1 {
 				t.Fatalf("slow=%v: rotten page = %v, %v after %d attempts, %d retries; want ErrCorruptPage, 2 and 1",
-					slow, pg, err, attempts.Load(), tok.(retrier).Retries())
+					slow, pg, err, attempts.Load(), tokenRetries(tok))
 			}
 			tok, pg, err = read(7, "transient")
-			if pg != nil || !errors.Is(err, ErrStoreFailed) || attempts.Load() != 3 || tok.(retrier).Retries() != 2 {
+			if pg != nil || !errors.Is(err, ErrStoreFailed) || attempts.Load() != 3 || tokenRetries(tok) != 2 {
 				t.Fatalf("slow=%v: dead page = %v, %v after %d attempts, %d retries; want ErrStoreFailed, 3 and 2",
-					slow, pg, err, attempts.Load(), tok.(retrier).Retries())
+					slow, pg, err, attempts.Load(), tokenRetries(tok))
 			}
 		}
 		if inline, dispatched := s.readsRun(); inline != 3 || dispatched != 3 {

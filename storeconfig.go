@@ -3,13 +3,11 @@ package masort
 import (
 	"fmt"
 	"time"
-
-	"github.com/memadapt/masort/trace"
 )
 
 // StoreConfig is the one configuration consumed by every run-store backend:
 // FileStore, StripedStore and MmapStore all read the same
-// knobs (retry policy, fault hooks, tracer), so adding a backend never
+// knobs (retry policy, fault hooks), so adding a backend never
 // re-grows a parallel option set.
 //
 // It is a builder: the With* methods mutate the receiver and return it, so
@@ -17,7 +15,6 @@ import (
 //
 //	store, err := masort.NewStoreConfig().
 //		WithRetry(masort.RetryPolicy{MaxAttempts: 3}).
-//		WithTracer(metrics).
 //		Striped("/mnt/d0/runs", "/mnt/d1/runs")
 //
 // One StoreConfig may build any number of stores (each constructor snapshots
@@ -25,11 +22,10 @@ import (
 type StoreConfig struct {
 	retry  RetryPolicy
 	faults func(device int) FaultHooks
-	tr     trace.Tracer
 }
 
 // NewStoreConfig returns the default store configuration: no retry, no
-// fault hooks, no tracer.
+// fault hooks.
 func NewStoreConfig() *StoreConfig { return &StoreConfig{} }
 
 // RetryPolicy bounds how a disk-backed store retries transiently failing
@@ -107,15 +103,6 @@ func (c *StoreConfig) WithFaults(h FaultHooks) *StoreConfig {
 // healthy.
 func (c *StoreConfig) WithDeviceFaults(fn func(device int) FaultHooks) *StoreConfig {
 	c.faults = fn
-	return c
-}
-
-// WithTracer attaches a tracer to the built store: the retry loops emit
-// KindStoreRetry / KindStoreGaveUp. Per-read and per-write latency events
-// are emitted by the operator's WithTracer layer, not here, so they can be
-// attributed to the operator.
-func (c *StoreConfig) WithTracer(t Tracer) *StoreConfig {
-	c.tr = t
 	return c
 }
 

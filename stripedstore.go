@@ -32,7 +32,7 @@ type StripedStore struct{ *pagedStore }
 // NewStripedStore creates a striped run store over the given directories
 // with the default configuration (see NewStoreConfig); an empty directory
 // string makes that device a fresh temporary directory removed on Close.
-// Use StoreConfig.Striped to configure retries, faults or tracing.
+// Use StoreConfig.Striped to configure retries or faults.
 func NewStripedStore(dirs ...string) (*StripedStore, error) {
 	return NewStoreConfig().Striped(dirs...)
 }

@@ -12,8 +12,8 @@ import (
 // JSON array format. Load the finished file in chrome://tracing or
 // https://ui.perfetto.dev to see the operator's adaptation behavior on a
 // timeline: phases and operators as nested duration events, merge steps as
-// async spans (they interleave under dynamic splitting), store I/O and pool
-// waits as complete events, and splits / combines / suspensions as instants.
+// async spans (they interleave under dynamic splitting), store I/O as
+// complete events, and splits / combines / suspensions as instants.
 //
 // Events are written incrementally, serialized by an internal mutex; Close
 // terminates the JSON array and must be called before the file is loaded
@@ -127,17 +127,11 @@ func (c *Chrome) Emit(e Event) {
 	case KindSplit, KindCombineBegin, KindCombineEnd, KindCombineAbort, KindSuspend, KindResume:
 		c.write(chromeEvent{Name: e.Kind.String(), Cat: "adapt", Ph: "i", Ts: ts, Pid: 1, Tid: e.Op,
 			S: "t", Args: memArgs(e)})
-	case KindStoreRead, KindStoreWrite, KindPoolWait, KindPoolAdmit:
+	case KindStoreRead, KindStoreWrite:
 		// Complete events: ts is the span start.
 		c.write(chromeEvent{Name: e.Kind.String(), Cat: "io", Ph: "X",
 			Ts: c.ts(e.Time.Add(-e.Dur)), Dur: float64(e.Dur) / float64(time.Microsecond),
 			Pid: 1, Tid: e.Op, Args: map[string]any{"bytes": e.Bytes, "pages": e.Pages}})
-	case KindPoolGrant, KindPoolResize, KindPoolReject:
-		c.write(chromeEvent{Name: e.Kind.String(), Cat: "pool", Ph: "i", Ts: ts, Pid: 1, Tid: e.Op,
-			S: "g", Args: map[string]any{"pages": e.Pages}})
-	case KindStoreRetry, KindStoreGaveUp:
-		c.write(chromeEvent{Name: e.Kind.String(), Cat: "io", Ph: "i", Ts: ts, Pid: 1, Tid: e.Op,
-			S: "g", Args: map[string]any{"op": e.Name, "attempt": e.Pages, "bytes": e.Bytes, "error": e.Err}})
 	}
 }
 

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/json"
-	"net/http"
 	"sync"
 	"time"
 )
@@ -11,7 +10,7 @@ import (
 // cheap enough to leave on in production (one mutex'd copy per event, no
 // allocation after construction) so the moments before an incident are
 // always on hand. Attach it per operator via masort's WithEventLog, or
-// share one process-wide and serve it from a debug endpoint.
+// share one among operators through WithTracer.
 type Ring struct {
 	mu    sync.Mutex
 	buf   []Event
@@ -104,13 +103,4 @@ func (r *Ring) WriteJSON(w interface{ Write([]byte) (int, error) }) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(out)
-}
-
-// Handler returns an http.Handler serving the retained events as JSON —
-// wire it to a /debug/events endpoint.
-func (r *Ring) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = r.WriteJSON(w)
-	})
 }

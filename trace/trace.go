@@ -1,11 +1,10 @@
 // Package trace is masort's pluggable observability layer: a single Tracer
-// interface fed by every layer of the engine — operator lifecycles, the
-// run-generation and merge-step event stream of the core sort (the
-// quantities the paper's tables are built from), pool arbitration, and run
-// store I/O — with three stdlib-only implementations:
+// interface, attached to an operator, fed with that operator's events — its
+// lifecycle, the run-generation and merge-step event stream of the core sort
+// (the quantities the paper's tables are built from), and its run store
+// I/O — with three stdlib-only implementations:
 //
-//   - Metrics: a lock-free counter/histogram registry with a Prometheus
-//     text-format exporter (serve it from an HTTP endpoint and scrape it).
+//   - Metrics: a lock-free counter registry.
 //   - Chrome: a Chrome trace_event JSON writer; load the file in
 //     chrome://tracing (or https://ui.perfetto.dev) to see suspensions,
 //     splits and combines on a timeline.
@@ -15,9 +14,9 @@
 // a nil tracer costs nothing, and a panicking tracer is recovered, recorded
 // and ignored — observability must never corrupt a merge step.
 //
-// All Emit implementations in this package are safe for concurrent use; the
-// engine calls Emit from operator goroutines, pool waiters and the
-// disk-backed stores' slow-device readers at the same time.
+// All Emit implementations in this package are safe for concurrent use. The
+// engine hands an operator's tracer that operator's events on one goroutine
+// at a time; Emit is called concurrently only when operators share a tracer.
 package trace
 
 import "time"
@@ -52,25 +51,10 @@ const (
 	KindCombineAbort
 	KindSuspend
 	KindResume
-	// Pool arbitration: an operator was admitted (Dur = admission wait) or
-	// rejected; a grant handed out Pages pages; a blocking wait on the pool
-	// ended (Dur); the pool was resized to Pages.
-	KindPoolAdmit
-	KindPoolReject
-	KindPoolGrant
-	KindPoolWait
-	KindPoolResize
 	// Store I/O: one page read / append batch completed (Dur = latency from
 	// issue to completion, Bytes = encoded size).
 	KindStoreRead
 	KindStoreWrite
-	// Store fault handling: KindStoreRetry is one failed attempt the store
-	// is about to retry (Name is "read" or "write", Pages the attempt
-	// number, Bytes the extent size, Err the failure); KindStoreGaveUp is
-	// the terminal failure after retries were exhausted or the error was
-	// classified permanent.
-	KindStoreRetry
-	KindStoreGaveUp
 
 	kindCount // one past the last Kind: new kinds go above this line
 )
@@ -103,24 +87,10 @@ func (k Kind) String() string {
 		return "suspend"
 	case KindResume:
 		return "resume"
-	case KindPoolAdmit:
-		return "pool_admit"
-	case KindPoolReject:
-		return "pool_reject"
-	case KindPoolGrant:
-		return "pool_grant"
-	case KindPoolWait:
-		return "pool_wait"
-	case KindPoolResize:
-		return "pool_resize"
 	case KindStoreRead:
 		return "store_read"
 	case KindStoreWrite:
 		return "store_write"
-	case KindStoreRetry:
-		return "store_retry"
-	case KindStoreGaveUp:
-		return "store_gave_up"
 	}
 	return "unknown"
 }
@@ -133,8 +103,7 @@ type Event struct {
 	Time time.Time
 
 	// Op identifies the operator the event belongs to (process-unique,
-	// assigned at operator start); 0 for events not scoped to an operator
-	// (pool resizes, store queue samples).
+	// assigned at operator start).
 	Op uint64
 
 	// Name is the operator kind for op events and the phase name for
@@ -144,14 +113,14 @@ type Event struct {
 	// Step numbers a merge step within its operator.
 	Step int
 
-	// Dur is the duration of the completed span (op, step, wait, I/O).
+	// Dur is the duration of the completed span (op, I/O).
 	Dur time.Duration
 
 	// Bytes is the encoded I/O size for store events.
 	Bytes int64
 
-	// Pages is the page count the event is about: run length, grant size,
-	// step fan-in, retry attempt, or new pool total.
+	// Pages is the page count the event is about: run length, step fan-in,
+	// or the pages an adaptation action moved.
 	Pages int
 
 	// Target and Granted are the operator's memory state (pages entitled /
@@ -159,16 +128,15 @@ type Event struct {
 	Target  int
 	Granted int
 
-	// Err is the failure message for a KindOpEnd of a failed operator or a
-	// store retry / give-up event.
+	// Err is the failure message for a KindOpEnd of a failed operator.
 	Err string
 }
 
 // Tracer receives engine events. Implementations must be safe for
-// concurrent use and should be fast: Emit runs on the operator's goroutine
-// (and, for store events, on I/O completion goroutines). A slow tracer
-// slows the sort — never the other way around: panics are recovered by the
-// caller.
+// concurrent use when operators share them, and should be fast: Emit runs on
+// the goroutine running the operator, one of its events at a time. A slow
+// tracer slows the sort — never the other way around: panics are recovered
+// by the caller.
 type Tracer interface {
 	Emit(Event)
 }
