@@ -66,20 +66,22 @@
 //
 // # The shared pool
 //
-// Where a *Budget is one operator's private contract, a *Pool is a
-// process-wide shared memory region — the wall-clock counterpart of the
-// paper's buffer manager, arbitrating a fixed total of pages among every
-// operator started with WithPool(p) plus the application's own
-// reservations (Pool.Reserve / Pool.Release, the paper's competing
-// memory requests). Each of N admitted operators is entitled to an equal
-// share of what reservations have not taken, never below a per-operator
-// floor; admission is controlled (queue or reject) so the floors always
-// remain coverable; entitlements shift as operators come and go and
-// operators adapt at their usual adaptation points. The operator's side
-// of the arbitration — admission wait, grants, blocking waits — is
-// reported in Result.Pool. See the README's "shared pool" section for
-// the full ownership and fairness contract, and examples/concurrentpool
-// for the multiprogramming scenario end to end.
+// One *Budget is also the process-wide pool — the wall-clock counterpart of
+// the paper's buffer manager, arbitrating its pages among every operator
+// started with WithBudget(b) plus the application's own reservations
+// (Budget.Reserve / Budget.Release, the paper's competing memory
+// requests). Each of N running operators is entitled to an equal share of
+// what reservations have not taken, never below the 3-page floor;
+// entitlements shift as operators come and go and operators adapt at
+// their usual adaptation points. The Budget's AdmissionPolicy says who
+// stands behind the target: AdmitAll (the default) admits every operator
+// and raises the target to a floor per operator when it must, while
+// QueueWhenFull and RejectWhenFull admit an operator only when one more
+// floor fits, queueing or failing it otherwise. The operator's side of
+// the arbitration — admission wait, grants, blocking waits — is reported
+// in Result.Pool. See the README's "shared pool" section for the full
+// ownership and fairness contract, and examples/concurrentpool for the
+// multiprogramming scenario end to end.
 //
 // # Run generation
 //

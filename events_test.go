@@ -135,26 +135,25 @@ func TestEventsSuspension(t *testing.T) {
 }
 
 // TestSuspensionWaitContract pins what a suspended step waits for, which
-// depends on who stands behind the target and on nothing else — not on the
-// worker count. 16 pages are squeezed to 3 as the first wide merge step
+// depends on the Budget's admission policy — who stands behind the target
+// — and on nothing else, not on the worker count. 16 pages are squeezed to 3 as the first wide merge step
 // starts (fan-in 4 or more: it needs at least 5), from that step's own
 // start event, so its worker's next page boundary finds the target short.
 //
-// Under a Budget the owner will restore the target, so the step sleeps: it
-// emits one EvSuspend and no further one until Grow gives its need back. Under a
-// Pool nobody will, so the wait is bounded by the pool's total: the step
-// gets through on the 3 pages, suspending again and again, and the sort
-// finishes with the pool never restored.
+// Under AdmitAll the owner will restore the target, so the step sleeps: it
+// emits one EvSuspend and no further one until Grow gives its need back.
+// Under QueueWhenFull (pool=true) nobody will, so the wait is bounded by
+// the budget's total: the step gets through on the 3 pages, suspending
+// again and again, and the sort finishes with the target never restored.
 func TestSuspensionWaitContract(t *testing.T) {
 	const full, squeezed = 16, 3
 	in := randomRecords(60_000, 41, 0)
 	for _, pooled := range []bool{false, true} {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("pool=%v/w%d", pooled, workers), func(t *testing.T) {
-				budget, pool := NewBudget(full), NewPool(full)
-				mem := WithBudget(budget)
+				budget := NewBudget(full)
 				if pooled {
-					mem = WithPool(pool)
+					budget = NewBudget(full, queueing)
 				}
 				var (
 					mu       sync.Mutex
@@ -164,7 +163,7 @@ func TestSuspensionWaitContract(t *testing.T) {
 				)
 				restore := func() {
 					// Long enough for a spinning wait to show: the thrashing
-					// Pool rows run hundreds of cycles in this time.
+					// queueing rows run hundreds of cycles in this time.
 					time.Sleep(100 * time.Millisecond)
 					mu.Lock()
 					defer mu.Unlock()
@@ -174,7 +173,7 @@ func TestSuspensionWaitContract(t *testing.T) {
 				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 				defer cancel()
 				res, err := Sort(ctx, NewSliceIterator(in),
-					WithAdaptation(Suspension), WithPageRecords(32), WithWorkers(workers), mem,
+					WithAdaptation(Suspension), WithPageRecords(32), WithWorkers(workers), WithBudget(budget),
 					WithEvents(func(ev Event) {
 						mu.Lock()
 						defer mu.Unlock()
@@ -182,7 +181,6 @@ func TestSuspensionWaitContract(t *testing.T) {
 						case ev.Kind == EvStepStart && ev.Detail >= 4 && !shrunk:
 							shrunk = true
 							budget.Resize(squeezed)
-							pool.Resize(squeezed)
 						case ev.Kind == EvSuspend && shrunk && !restored:
 							if suspends++; !pooled && suspends == 1 {
 								go restore()
@@ -190,7 +188,7 @@ func TestSuspensionWaitContract(t *testing.T) {
 						}
 					}))
 				if err != nil {
-					t.Fatalf("sort: %v (a Pool's wait must not outlast its total)", err)
+					t.Fatalf("sort: %v (a queueing Budget's wait must not outlast its total)", err)
 				}
 				defer res.Close()
 				out, err := Drain(res.Iterator())

@@ -169,9 +169,9 @@ func TestSortFaultSchedulesNewBackends(t *testing.T) {
 				base := runtime.NumGoroutine()
 				inj := faultinject.New(tc.rules...)
 				store := backend.build(t, inj, policy)
-				pool := NewPool(8)
+				pool := NewBudget(8, queueing)
 				res, err := Sort(context.Background(), NewSliceIterator(recs),
-					WithStore(store), WithPool(pool), WithPageRecords(64), WithEventLog(256))
+					WithStore(store), WithBudget(pool), WithPageRecords(64), WithEventLog(256))
 				if len(tc.wantErr) > 0 {
 					if err == nil {
 						// The last merge step runs under the drain, so a
@@ -213,8 +213,8 @@ func TestSortFaultSchedulesNewBackends(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if pool.Ops() != 0 || pool.Reserved() != 0 {
-					t.Fatalf("pool leaked: %d ops, %d reserved pages", pool.Ops(), pool.Reserved())
+				if l := Leftovers(pool); l != "" {
+					t.Fatalf("pool leaked: %s", l)
 				}
 				if n := store.Live(); n != 0 {
 					t.Fatalf("%d runs leaked", n)
@@ -252,12 +252,12 @@ func TestSortFaultSoakNewBackends(t *testing.T) {
 				inj := faultinject.NewSeeded(seed, prof)
 				store := backend.build(t, inj,
 					RetryPolicy{MaxAttempts: 3, Backoff: 100 * time.Microsecond})
-				pool := NewPool(8)
+				pool := NewBudget(8, queueing)
 				okErr := func(err error) bool {
 					return errors.Is(err, ErrStoreFailed) || errors.Is(err, ErrCorruptPage)
 				}
 				res, err := Sort(context.Background(), NewSliceIterator(recs),
-					WithStore(store), WithPool(pool), WithPageRecords(32), WithEventLog(64))
+					WithStore(store), WithBudget(pool), WithPageRecords(32), WithEventLog(64))
 				switch {
 				case err != nil:
 					if !okErr(err) {
@@ -283,8 +283,8 @@ func TestSortFaultSoakNewBackends(t *testing.T) {
 						t.Fatalf("seed %d: close: %v", seed, err)
 					}
 				}
-				if pool.Ops() != 0 || pool.Reserved() != 0 {
-					t.Fatalf("seed %d: pool leaked: %d ops, %d reserved", seed, pool.Ops(), pool.Reserved())
+				if l := Leftovers(pool); l != "" {
+					t.Fatalf("seed %d: pool leaked: %s", seed, l)
 				}
 				if n := store.Live(); n != 0 {
 					t.Fatalf("seed %d: %d runs leaked", seed, n)
@@ -341,9 +341,9 @@ func TestSortFaultStripedDeviceTargeted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pool := NewPool(8)
+			pool := NewBudget(8, queueing)
 			res, err := Sort(context.Background(), NewSliceIterator(recs),
-				WithStore(store), WithPool(pool), WithPageRecords(64), WithEventLog(256))
+				WithStore(store), WithBudget(pool), WithPageRecords(64), WithEventLog(256))
 			if len(tc.wantErr) > 0 {
 				if err == nil {
 					res.Close()
@@ -380,8 +380,8 @@ func TestSortFaultStripedDeviceTargeted(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if pool.Ops() != 0 || pool.Reserved() != 0 {
-				t.Fatalf("pool leaked: %d ops, %d reserved", pool.Ops(), pool.Reserved())
+			if l := Leftovers(pool); l != "" {
+				t.Fatalf("pool leaked: %s", l)
 			}
 			if store.Live() != 0 {
 				t.Fatalf("%d runs leaked", store.Live())
@@ -445,9 +445,9 @@ func TestSortFaultStripedParallel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pool := NewPool(32)
+			pool := NewBudget(32, queueing)
 			res, err := Sort(context.Background(), NewSliceIterator(recs),
-				WithStore(store), WithPool(pool), WithWorkers(4),
+				WithStore(store), WithBudget(pool), WithWorkers(4),
 				WithPageRecords(64), WithEventLog(256))
 			if len(tc.wantErr) > 0 {
 				if err == nil {
@@ -488,8 +488,8 @@ func TestSortFaultStripedParallel(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if pool.Ops() != 0 || pool.Reserved() != 0 {
-				t.Fatalf("pool leaked: %d ops, %d reserved", pool.Ops(), pool.Reserved())
+			if l := Leftovers(pool); l != "" {
+				t.Fatalf("pool leaked: %s", l)
 			}
 			if store.Live() != 0 {
 				t.Fatalf("%d runs leaked", store.Live())

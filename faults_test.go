@@ -132,9 +132,9 @@ func TestSortFaultSchedules(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pool := NewPool(8)
+			pool := NewBudget(8, queueing)
 			res, err := Sort(context.Background(), NewSliceIterator(recs),
-				WithStore(store), WithPool(pool), WithPageRecords(64), WithEventLog(256))
+				WithStore(store), WithBudget(pool), WithPageRecords(64), WithEventLog(256))
 			if len(tc.wantErr) > 0 {
 				if err == nil {
 					// The last merge step runs under the drain, so a fault
@@ -178,8 +178,8 @@ func TestSortFaultSchedules(t *testing.T) {
 			}
 			// Leak-free abort invariant: every pool grant released, every
 			// run freed, every background goroutine gone.
-			if pool.Ops() != 0 || pool.Reserved() != 0 {
-				t.Fatalf("pool leaked: %d ops, %d reserved pages", pool.Ops(), pool.Reserved())
+			if l := Leftovers(pool); l != "" {
+				t.Fatalf("pool leaked: %s", l)
 			}
 			if store.Live() != 0 {
 				t.Fatalf("%d runs leaked", store.Live())
@@ -219,12 +219,12 @@ func TestSortFaultSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool := NewPool(8)
+		pool := NewBudget(8, queueing)
 		okErr := func(err error) bool {
 			return errors.Is(err, ErrStoreFailed) || errors.Is(err, ErrCorruptPage)
 		}
 		res, err := Sort(context.Background(), NewSliceIterator(recs),
-			WithStore(store), WithPool(pool), WithPageRecords(32), WithEventLog(64))
+			WithStore(store), WithBudget(pool), WithPageRecords(32), WithEventLog(64))
 		switch {
 		case err != nil:
 			if !okErr(err) {
@@ -252,8 +252,8 @@ func TestSortFaultSoak(t *testing.T) {
 				t.Fatalf("seed %d: close: %v", seed, err)
 			}
 		}
-		if pool.Ops() != 0 || pool.Reserved() != 0 {
-			t.Fatalf("seed %d: pool leaked: %d ops, %d reserved", seed, pool.Ops(), pool.Reserved())
+		if l := Leftovers(pool); l != "" {
+			t.Fatalf("seed %d: pool leaked: %s", seed, l)
 		}
 		if store.Live() != 0 {
 			t.Fatalf("seed %d: %d runs leaked", seed, store.Live())

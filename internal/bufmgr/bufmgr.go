@@ -46,7 +46,7 @@ type pending struct {
 // Policy: every registered operator is entitled to an equal share of
 // whatever the competing requests have not taken, floored at the operator
 // minimum (memarb.Policy.Share — the arithmetic is shared with the real
-// engine's masort.Pool). Registration, completion and request arrivals all
+// engine's masort.Budget). Registration, completion and request arrivals all
 // shift the shares; operators observe the change through their handles.
 type SharedPool struct {
 	s       *sim.Sim
@@ -88,7 +88,7 @@ func (sp *SharedPool) ReqGranted() int { return sp.reqHeld }
 // Ops returns the number of registered operators.
 func (sp *SharedPool) Ops() int { return len(sp.ops) }
 
-// policy is the arbitration arithmetic shared with masort.Pool.
+// policy is the arbitration arithmetic shared with masort.Budget.
 func (sp *SharedPool) policy() memarb.Policy {
 	return memarb.Policy{Total: sp.total, Floor: sp.floor}
 }

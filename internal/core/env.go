@@ -102,7 +102,7 @@ type Input interface {
 // adaptation problem. Granted may be 0 with Target above it, while siblings
 // on a shared pool have not yet yielded their surplus. Broker is the
 // operator's side of the reservation protocol; whoever moves the target
-// (masort.Budget's owner, a Pool's reservations, the simulated buffer
+// (masort.Budget's owner and reservations, the simulated buffer
 // manager) holds the other side.
 type Broker interface {
 	Granted() int

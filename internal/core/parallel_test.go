@@ -688,7 +688,7 @@ func TestParkedSplitWorkerSeesSiblingLeave(t *testing.T) {
 			if method == Quick {
 				split = quickSplit
 			}
-			pool := memarb.New(memarb.Config{Total: 6, Floor: 3, Shared: true})
+			pool := memarb.New(memarb.Config{Total: 6, Floor: 3, Admission: memarb.QueueWhenFull})
 			older, _ := pool.Register(context.Background(), false)
 			older.Acquire(6) // all of it: the pool was its alone
 			party, _ := pool.Register(context.Background(), false)

@@ -8,33 +8,41 @@ import (
 	"time"
 )
 
-// ErrSaturated is returned by a shared arbiter's Register when admission
-// does not queue and one more floor does not fit.
+// ErrSaturated is returned by Register when the arbiter does not admit
+// every operator and one more floor does not fit.
 var ErrSaturated = errors.New("memarb: arbiter saturated, operator not admitted")
+
+// Admission is what an arbiter's Register does with an operator whose floor
+// does not fit in what reservations have not taken.
+type Admission int
+
+const (
+	// AdmitAll admits every operator at once, raising the total to cover
+	// the new floor (as Resize keeps the floors): an owner stands behind the
+	// total, so a wait holds out until the owner restores the target.
+	AdmitAll Admission = iota
+	// QueueWhenFull waits until the floor fits. No owner stands behind the
+	// total, so every WaitTarget is bounded by what the current total could
+	// ever entitle the waiter to (see Handle.WaitTarget): waiting for more
+	// than the arbiter holds would never end.
+	QueueWhenFull
+	// RejectWhenFull is QueueWhenFull that fails with ErrSaturated instead
+	// of waiting.
+	RejectWhenFull
+)
 
 // Config fixes an Arbiter at construction.
 type Config struct {
-	Total int // pages; raised to Floor if below it
-	Floor int // per-operator guaranteed minimum
-
-	// Shared marks a pool that no owner stands behind. Its Register admits
-	// an operator only while one more floor fits (queueing or failing
-	// otherwise), and every WaitTarget is bounded by what the current total
-	// could ever entitle the waiter to (see Handle.WaitTarget): waiting for
-	// more than the pool holds would never end. A private budget leaves it
-	// unset: its owner stands behind the total, so Register never waits or
-	// fails — it raises the total to one more floor when it must, as Resize
-	// keeps the floors — and a wait holds out until the owner restores the
-	// target.
-	Shared bool
+	Total     int // pages; raised to Floor if below it
+	Floor     int // per-operator guaranteed minimum
+	Admission Admission
 }
 
 // Arbiter divides Total pages among the operators registered with it and
 // the reservations made against it, by Policy. It is the real engine's only
-// arbiter: a masort.Budget and a masort.Pool are each one Arbiter, every
-// operator and held-step iterator running on it a registered operator with
-// a Handle of its own — all under this one mutex, woken by this one
-// condition variable. All methods are safe for concurrent use.
+// arbiter: a masort.Budget is one Arbiter, every operator and held-step
+// iterator running on it a registered operator with a Handle of its own —
+// all under this one mutex, woken by this one condition variable. All methods are safe for concurrent use.
 type Arbiter struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -74,9 +82,6 @@ func New(cfg Config) *Arbiter {
 	a.cond = sync.NewCond(&a.mu)
 	return a
 }
-
-// Floor returns the per-operator guaranteed minimum.
-func (a *Arbiter) Floor() int { return a.pol.Floor }
 
 // Snapshot is a consistent view of an arbiter's accounts.
 type Snapshot struct {
@@ -201,20 +206,20 @@ func (a *Arbiter) Release(n int) {
 	}
 }
 
-// Register admits a new operator. A Shared arbiter waits (queue) or fails
-// with ErrSaturated (!queue) while one more floor does not fit in what
-// reservations have not taken — an admitted operator's floor must be
-// genuinely acquirable, not promised away; the wait is cancelable through
-// ctx. An owned one admits at once, raising the total to cover the new
-// floor if it must.
+// Register admits a new operator. Unless the arbiter admits all, it waits
+// (QueueWhenFull and queue) or fails with ErrSaturated while one more floor
+// does not fit in what reservations have not taken — an admitted operator's
+// floor must be genuinely acquirable, not promised away; the wait is
+// cancelable through ctx. AdmitAll admits at once, raising the total to
+// cover the new floor if it must.
 func (a *Arbiter) Register(ctx context.Context, queue bool) (*Handle, error) {
 	start := time.Now()
 	stop := context.AfterFunc(ctx, a.wake)
 	defer stop()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for a.cfg.Shared && !a.pol.CanAdmitWith(len(a.ops), a.reserved, a.pending) {
-		if !queue {
+	for a.cfg.Admission != AdmitAll && !a.pol.CanAdmitWith(len(a.ops), a.reserved, a.pending) {
+		if !queue || a.cfg.Admission == RejectWhenFull {
 			a.rejectedOps++
 			return nil, ErrSaturated
 		}
@@ -251,7 +256,7 @@ type Stats struct {
 
 // Handle is one operator's view of an Arbiter, and the real engine's only
 // implementation of core.Broker — the operator's side of the reservation
-// protocol, where masort.Budget and masort.Pool are the owner's.
+// protocol, where masort.Budget is the owner's.
 type Handle struct {
 	a       *Arbiter
 	granted int
@@ -344,9 +349,10 @@ func (h *Handle) Stats() Stats {
 const anyChange = -1
 
 // WaitTarget blocks until the entitlement reaches n or ctx is done, whose
-// error it then returns. On a Shared arbiter n is bounded, afresh on every
-// wakeup, by the total: the wait terminates once reservations drain and
-// siblings finish, even if a Resize took the total below n meanwhile.
+// error it then returns. Unless the arbiter admits all, n is bounded,
+// afresh on every wakeup, by the total: the wait terminates once
+// reservations drain and siblings finish, even if a Resize took the total
+// below n meanwhile.
 func (h *Handle) WaitTarget(ctx context.Context, n int) error { return h.wait(ctx, max(n, 0)) }
 
 // WaitChange blocks until the arbitration state has changed since the handle
@@ -372,7 +378,7 @@ func (h *Handle) wait(ctx context.Context, n int) error {
 			return a.gen != from
 		}
 		need := n
-		if a.cfg.Shared {
+		if a.cfg.Admission != AdmitAll {
 			need = min(n, a.pol.Total)
 		}
 		return h.entitled() >= need

@@ -28,8 +28,8 @@ func startReserve(a *Arbiter, want int) *asyncReserve {
 	return r
 }
 
-// TestArbiterNestedConservation drives one arbiter, shared or owned,
-// through a seeded random walk over everything that moves pages or
+// TestArbiterNestedConservation drives one arbiter of each admission
+// policy through a seeded random walk over everything that moves pages or
 // entitlements — resizes, reservations (granted at once, queued behind
 // operators' holdings, and canceled in the queue), admissions and
 // departures, acquires and yields — and checks the accounts after every
@@ -37,9 +37,10 @@ func startReserve(a *Arbiter, want int) *asyncReserve {
 //
 //   - Σ operators' granted + reserved + free == total;
 //   - the floors stay coverable: total ≥ operators × floor + reserved +
-//     pending, and so every operator's target is at least the floor;
-//   - an owned arbiter admits every operator (raising its total), a shared
-//     one only while one more floor fits;
+//     pending, and at least one floor, and so every operator's target is
+//     at least the floor (a floor of 3 to 6 pages, by seed);
+//   - AdmitAll admits every operator (raising its total), the other
+//     policies only while one more floor fits;
 //   - an Acquire never takes a handle past its target.
 //
 // One goroutine makes every move. The one exception is a reservation that
@@ -48,8 +49,9 @@ func startReserve(a *Arbiter, want int) *asyncReserve {
 func TestArbiterNestedConservation(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0x5eed))
-		shared := seed%2 == 0
-		a := New(Config{Total: 40 + rng.IntN(40), Floor: 3, Shared: shared})
+		admission, floor := Admission(seed%3), 3+int(seed%4)
+		shared := admission != AdmitAll
+		a := New(Config{Total: 40 + rng.IntN(40), Floor: floor, Admission: admission})
 		var ops []*Handle
 		var queued *asyncReserve // the one Reserve that may be waiting in the queue
 		held := 0                // reserved pages the walk has to release
@@ -69,7 +71,7 @@ func TestArbiterNestedConservation(t *testing.T) {
 				t.Fatalf("seed %d step %d (%s): granted %d + reserved %d + free %d != total %d",
 					seed, step, what, sum, a.reserved, a.free, a.pol.Total)
 			}
-			if floors := len(a.ops)*a.pol.Floor + a.reserved + a.pending; a.pol.Total < floors {
+			if floors := len(a.ops)*a.pol.Floor + a.reserved + a.pending; a.pol.Total < max(floors, a.pol.Floor) {
 				t.Fatalf("seed %d step %d (%s): total %d does not cover %d floors, %d reserved and %d pending",
 					seed, step, what, a.pol.Total, len(a.ops), a.reserved, a.pending)
 			}
@@ -117,7 +119,7 @@ func TestArbiterNestedConservation(t *testing.T) {
 			case k == 5:
 				what = "admit"
 				s := a.Snapshot()
-				fits := (len(s.Targets)+1)*3 <= s.Total-s.Reserved-s.Pending
+				fits := (len(s.Targets)+1)*floor <= s.Total-s.Reserved-s.Pending
 				nh, err := a.Register(context.Background(), false)
 				if (err == nil) != (fits || !shared) {
 					t.Fatalf("seed %d step %d: Register with %d operators on %+v: %v", seed, step, len(s.Targets), s, err)
@@ -168,7 +170,7 @@ func TestArbiterNestedConservation(t *testing.T) {
 // must not sleep through it; and once it has returned, the next wait is for
 // the next change.
 func TestWaitChangeCountsFromLastLook(t *testing.T) {
-	a := New(Config{Total: 6, Floor: 3, Shared: true})
+	a := New(Config{Total: 6, Floor: 3, Admission: QueueWhenFull})
 	older, _ := a.Register(context.Background(), false)
 	older.Acquire(6)
 	h, _ := a.Register(context.Background(), false)

@@ -1,16 +1,17 @@
 // Package memarb holds the memory arbitration shared by the simulator's
 // buffer manager (internal/bufmgr.SharedPool) and the real engine
-// (masort.Budget and masort.Pool): how a fixed total of buffer pages is
-// divided between N adaptive operators and a stream of competing
-// reservations made on behalf of higher-priority work.
+// (masort.Budget): how a fixed total of buffer pages is divided between N
+// adaptive operators and a stream of competing reservations made on behalf
+// of higher-priority work.
 //
 // The policy is the paper's reservation protocol (Pang, Carey, Livny §4.2)
 // generalized to multiprogramming: every registered operator is entitled to
 // an equal share of whatever the competing reservations have not taken or
 // been promised, floored at a per-operator guaranteed minimum. Competing
 // reservations are capped so the floors always remain coverable, which is
-// also the admission rule for new operators of a shared pool; an owned
-// budget raises its total to cover one more floor instead.
+// also the admission rule for new operators of an arbiter that queues or
+// rejects; one that admits all raises its total to cover one more floor
+// instead.
 //
 // The package has two layers. Policy (this file) is pure arithmetic — no
 // clocks, locks or simulator types — so the discrete-event simulation and

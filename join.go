@@ -14,9 +14,8 @@ import (
 // key and the concatenation of the left and right payloads.
 //
 // The joined records are written once, to one output run, which the
-// Result reads back as a last step of one input (see Result): under
-// WithPool the operator stays admitted until that result is drained or
-// closed. The result's Join field holds the join-specific statistics.
+// Result reads back as a last step of one input (see Result): the operator
+// stays on its Budget until that result is drained or closed. The result's Join field holds the join-specific statistics.
 // Cancellation behaves as for Sort: the join aborts at its next adaptation
 // point, freeing every run of both relations.
 func Join(ctx context.Context, left, right Iterator, opts ...Option) (*Result, error) {

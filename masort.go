@@ -2,6 +2,7 @@ package masort
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/pprof"
 	"sync/atomic"
@@ -47,9 +48,10 @@ const (
 	// with most-recently-used replacement.
 	MRUPaging
 	// Suspension stops a merge step whose requirement the target no longer
-	// covers and waits. Under a Budget it sleeps until the budget's owner
-	// restores the step's requirement; under a Pool, which has no owner to
-	// wait for, the wait is bounded by the pool's total — below it the step
+	// covers and waits. How long depends on the Budget's AdmissionPolicy:
+	// under AdmitAll it sleeps until the budget's owner restores the step's
+	// requirement; under the other policies, which have no owner to wait
+	// for, the wait is bounded by the budget's target — below it the step
 	// resumes on what there is and suspends again at its next page.
 	Suspension
 )
@@ -76,7 +78,6 @@ type config struct {
 	adaptation  Adaptation
 	pageRecords int
 	budget      *Budget
-	pool        *Pool
 	store       RunStore
 	workers     int
 	onEvent     func(Event)
@@ -183,34 +184,18 @@ func newEnv(ctx context.Context, o config, mem core.Broker, meter *counterMeter,
 	return env, ts
 }
 
-// memContract registers the operator with the arbiter of its memory
-// contract. A Budget's admits it at once, raising the target to a floor per
-// operator if it must; a Pool's may queue (queue, under QueueWhenFull)
-// until capacity frees, or fail — ErrPoolSaturated, the context's error if
-// canceled while queued. The handle must Leave exactly once when the
-// operator is done. report attaches the operator's PoolStats so far to a
-// Result.
-func memContract(ctx context.Context, o *config, queue bool) (mem *memarb.Handle, report func(*Result), err error) {
-	if o.pool == nil {
-		h, err := o.budget.arb.Register(ctx, false)
-		return h, func(*Result) {}, err
+// memContract registers the operator with its Budget's arbiter: at once
+// under AdmitAll, raising the target to a floor per operator if it must;
+// otherwise only while one more floor fits, queueing (under QueueWhenFull,
+// if queue) until it does, or failing — ErrPoolSaturated, the context's
+// error if canceled while queued. The handle must Leave exactly once when
+// the operator is done.
+func memContract(ctx context.Context, o *config, queue bool) (*memarb.Handle, error) {
+	h, err := o.budget.arb.Register(ctx, queue)
+	if errors.Is(err, memarb.ErrSaturated) {
+		err = ErrPoolSaturated
 	}
-	h, err := o.pool.admit(ctx, queue)
-	if err != nil {
-		return nil, nil, wrapCtxErr(ctx, err)
-	}
-	return h, func(res *Result) {
-		st := PoolStats(h.Stats())
-		res.Pool = &st
-	}, nil
-}
-
-// arbiter returns the arbiter of the operator's memory contract.
-func (o *config) arbiter() *memarb.Arbiter {
-	if o.pool != nil {
-		return o.pool.arb
-	}
-	return o.budget.arb
+	return h, wrapCtxErr(ctx, err)
 }
 
 // pipedSteps returns the inputs that are iterators of a held last step
@@ -302,21 +287,21 @@ func heldResult(env *core.Env, last *core.LastStep, tuples int, st Stats) *Resul
 }
 
 // runOp is the scaffold every operator entry point runs inside: it resolves
-// the options, opens the trace span, takes the memory contract (pool
-// admission included), builds the core Env and hands it to run, which makes
+// the options, opens the trace span, takes the memory contract (its
+// admission), builds the core Env and hands it to run, which makes
 // the core call and maps its outcome onto a Result (its held last step,
 // sizes, stats). runOp gives that Result the numbers so far — counters,
-// measured store I/O, event log, pool stats — and what completes the
+// measured store I/O, event log, admission stats — and what completes the
 // operator at its first complete drain or Close, when the last step has run
 // (lastStep); on error it releases the contract, wraps a cancellation and
 // closes the span with the error.
 //
 // inputs are the operator's Iterator inputs. One that is a held step's
-// iterator on the same Budget or Pool (pipedSteps) runs only when this
-// operator reads it, so the operator must not wait for it: its Pool
-// admission does not queue (a full pool fails it with ErrPoolSaturated),
-// and a step already started sheds down to its share before this operator
-// asks for its first page (stepIterator.shed).
+// iterator on the same Budget (pipedSteps) runs only when this operator
+// reads it, so the operator must not wait for it: its admission does not
+// queue (a full budget fails it with ErrPoolSaturated), and a step already
+// started sheds down to its share before this operator asks for its first
+// page (stepIterator.shed).
 func runOp(ctx context.Context, opt config, name string, inputs []Iterator, run func(*core.Env, core.SortConfig, config) (*Result, error)) (*Result, error) {
 	cfg, o, err := opt.build()
 	if err != nil {
@@ -327,8 +312,8 @@ func runOp(ctx context.Context, opt config, name string, inputs []Iterator, run 
 	}
 	ot := newOpTrace(&o, name)
 	ot.begin()
-	piped := pipedSteps(o.arbiter(), inputs)
-	mem, report, err := memContract(ctx, &o, len(piped) == 0)
+	piped := pipedSteps(o.budget.arb, inputs)
+	mem, err := memContract(ctx, &o, len(piped) == 0)
 	if err != nil {
 		ot.end(err)
 		return nil, err
@@ -348,7 +333,7 @@ func runOp(ctx context.Context, opt config, name string, inputs []Iterator, run 
 	}
 	ot.attach(out)
 	l := out.last
-	l.base, l.arb, l.pageRecords = out.Stats, o.arbiter(), o.pageRecords
+	l.base, l.arb, l.pageRecords = out.Stats, o.budget.arb, o.pageRecords
 	// complete takes the operator's final stats as the core counted them,
 	// with the worker count it reported as it returned; leave ends the
 	// operator.
@@ -362,18 +347,16 @@ func runOp(ctx context.Context, opt config, name string, inputs []Iterator, run 
 	}
 	l.leave = func() {
 		mem.Leave()
-		report(out)
+		*out.Pool = PoolStats(mem.Stats())
 		ot.end(nil)
 	}
-	l.admit = func() (*memarb.Handle, error) {
-		mem, _, err := memContract(ctx, &o, true)
-		return mem, err
-	}
+	l.admit = func() (*memarb.Handle, error) { return memContract(ctx, &o, true) }
 	// Until the held step completes the operator, the Result shows the
 	// numbers so far.
 	out.Counters = meter.counters()
 	ot.finishStats(&out.Stats, ts)
-	report(out)
+	st := PoolStats(mem.Stats())
+	out.Pool = &st
 	return out, nil
 }
 

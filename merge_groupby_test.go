@@ -386,7 +386,7 @@ func TestGroupByUnderBudgetChanges(t *testing.T) {
 // pool's to arbitrate), and the trace span closes only after the last
 // Finish.
 func TestGroupByAggregatesInsideItsContract(t *testing.T) {
-	pool := NewPool(24)
+	pool := NewBudget(24, queueing)
 	tr := &collectTracer{}
 	in := randomRecords(8000, 41, 0)
 	for i := range in {
@@ -402,7 +402,7 @@ func TestGroupByAggregatesInsideItsContract(t *testing.T) {
 		return count.Finish(k)
 	}}
 	res, err := GroupBy(context.Background(), NewSliceIterator(in), agg,
-		WithPageRecords(64), WithPool(pool), WithTracer(tr))
+		WithPageRecords(64), WithBudget(pool), WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func newOpTrace(o *config, name string) *opTrace {
 	return ot
 }
 
-// begin announces the operator. Its timestamp precedes pool admission, so
+// begin announces the operator. Its timestamp precedes its admission, so
 // the op span covers time spent queued (Result.Pool.AdmissionWait reports
 // that wait separately).
 func (t *opTrace) begin() {

@@ -186,10 +186,10 @@ func TestMetricsMatchStats(t *testing.T) {
 
 	t.Run("pooled", func(t *testing.T) {
 		m := trace.NewMetrics()
-		pool := NewPool(16)
+		pool := NewBudget(16, queueing)
 		in := randomRecords(30_000, 21, 0)
 		res, err := Sort(ctx, NewSliceIterator(in),
-			WithPageRecords(64), WithPool(pool), WithTracer(m))
+			WithPageRecords(64), WithBudget(pool), WithTracer(m))
 		if err == nil {
 			_, err = Drain(res.Iterator()) // the last merge step runs here
 		}
@@ -334,7 +334,7 @@ func TestTraceOrderingUnderFluctuation(t *testing.T) {
 
 	t.Run("pooled", func(t *testing.T) {
 		c := &collectTracer{}
-		pool := NewPool(32)
+		pool := NewBudget(32, queueing)
 		done := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -354,7 +354,7 @@ func TestTraceOrderingUnderFluctuation(t *testing.T) {
 		}()
 		in := randomRecords(80_000, 43, 0)
 		res, err := Sort(ctx, NewSliceIterator(in),
-			WithPageRecords(64), WithPool(pool), WithTracer(c))
+			WithPageRecords(64), WithBudget(pool), WithTracer(c))
 		if err == nil {
 			_, err = Drain(res.Iterator()) // the last merge step runs here
 		}
@@ -495,7 +495,7 @@ func TestTracersThatPanicOnEveryEvent(t *testing.T) {
 	})
 	t.Run("pooled", func(t *testing.T) {
 		op := &panicTracer{}
-		res, err := Sort(ctx, NewSliceIterator(in), WithPageRecords(64), WithPool(NewPool(12)), WithTracer(op))
+		res, err := Sort(ctx, NewSliceIterator(in), WithPageRecords(64), WithBudget(NewBudget(12, queueing)), WithTracer(op))
 		if err != nil {
 			t.Fatal(err)
 		}

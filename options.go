@@ -33,38 +33,27 @@ func WithPageRecords(n int) Option {
 	return func(o *config) { o.pageRecords = n }
 }
 
-// WithBudget sets the adjustable memory contract the operator runs under
-// (default: a private, fixed 64 pages). The same *Budget may be shared by
-// several operators (a query plan) and resized from any goroutine while
-// they run: the operators running on it at once get equal shares of its
-// target, of at least the floor each, and each counts only its own pages;
-// the target rises to floor × operators when it must (see Budget). A
-// Result whose last merge step is held (see Result) runs that step under
-// the same Budget, from the Iterator call until the iterator ends, and
-// holds none of it in between — so one Sort may read another's Result on
-// one Budget, at any target.
+// WithBudget sets the memory contract the operator runs under (default: a
+// private, fixed 64 pages). The same *Budget may be shared by several
+// operators — a query plan, or a process-wide pool — and resized from any
+// goroutine while they run: the operators running on it at once get equal
+// shares of its target, of at least the floor each, and each counts only
+// its own pages. The operator is admitted at start by the Budget's
+// AdmissionPolicy (which may raise the target, queue or fail) and leaves
+// when it finishes: since every Result is its operator's held last step
+// (see Result), once its first drain has completed (or it is closed) and
+// the iterator running on its admission has ended. That step runs under the
+// same Budget, from the Iterator call until the iterator ends, and holds
+// none of it in between; any other iterator of the Result is admitted
+// afresh, at the Iterator call, for its own duration. Under QueueWhenFull
+// an operator whose input is such an iterator of the same Budget is not
+// queued: its input runs only when it reads it, so it fails with
+// ErrPoolSaturated when the budget cannot cover both floors rather than
+// wait on itself (an input wrapped in another Iterator, a FuncIterator say,
+// is not recognised). The operator's view of the arbitration is reported
+// in Result.Pool, final once the operator has left.
 func WithBudget(b *Budget) Option {
 	return func(o *config) { o.budget = b }
-}
-
-// WithPool runs the operator under a process-wide shared Pool instead of a
-// private Budget: the operator is admitted at start (which may queue or
-// fail, see AdmissionPolicy), receives an equal share of the pool
-// arbitrated against all concurrently running operators and application
-// reservations, and detaches when it finishes: since every Result is its
-// operator's held last step (see Result), once its first drain has
-// completed (or it is closed) and the iterator running on its admission has
-// ended. Any
-// other iterator of the Result is admitted afresh, at the Iterator call,
-// for its own duration. An operator whose input is such an iterator of the
-// same Pool is admitted without queueing, whatever the AdmissionPolicy: its
-// input runs only when it reads it, so it fails with ErrPoolSaturated when
-// the pool cannot cover both floors rather than wait on itself (an input
-// wrapped in another Iterator, a FuncIterator say, is not recognised). The
-// operator's view of the arbitration is reported in Result.Pool, final
-// once the operator has detached. WithPool overrides WithBudget.
-func WithPool(p *Pool) Option {
-	return func(o *config) { o.pool = p }
 }
 
 // WithStore sets the run store (default NewMemStore, which holds the runs
@@ -117,7 +106,7 @@ func WithEvents(fn func(Event)) Option {
 // sorted run, merge-step spans, adaptation actions (splits, combines,
 // suspensions, resumes) and per-operation store I/O with byte counts and
 // latencies. Combine tracers with trace.Multi. It is the one route by which
-// events leave the engine: a Pool or a store emits none.
+// events leave the engine: a Budget or a store emits none.
 //
 // The operator's events reach its tracer on one goroutine at a time — the
 // operator's, or for a held last merge step the one draining the Result —

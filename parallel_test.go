@@ -82,7 +82,7 @@ func TestSortParallelStatsAndClose(t *testing.T) {
 // shared pool whose total is resized the whole time — grants must always
 // settle back to zero and every output stay correct.
 func TestSortParallelUnderPoolChurn(t *testing.T) {
-	pool := NewPool(64)
+	pool := NewBudget(64, queueing)
 	done := make(chan struct{})
 	var churn sync.WaitGroup
 	churn.Add(1)
@@ -109,7 +109,7 @@ func TestSortParallelUnderPoolChurn(t *testing.T) {
 			defer wg.Done()
 			in := randomRecords(30_000, uint64(50+i), 4)
 			out, err := SortSlice(context.Background(), in,
-				WithPool(pool), WithWorkers(4), WithPageRecords(64))
+				WithBudget(pool), WithWorkers(4), WithPageRecords(64))
 			if err != nil {
 				errs <- fmt.Errorf("sort %d: %w", i, err)
 				return
@@ -132,11 +132,8 @@ func TestSortParallelUnderPoolChurn(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if n := pool.Ops(); n != 0 {
-		t.Fatalf("pool still has %d operators registered", n)
-	}
-	if n := pool.Reserved(); n != 0 {
-		t.Fatalf("pool still has %d pages reserved", n)
+	if l := Leftovers(pool); l != "" {
+		t.Fatalf("pool leaked: %s", l)
 	}
 }
 
@@ -195,7 +192,7 @@ func TestSortParallelSuspendResume(t *testing.T) {
 // runs written so far included — and no pages or operators in the pool.
 func TestSortParallelCancelLeakFree(t *testing.T) {
 	in := randomRecords(50_000, 9, 0)
-	pool := NewPool(48)
+	pool := NewBudget(48, queueing)
 	store := NewMemStore()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -205,7 +202,7 @@ func TestSortParallelCancelLeakFree(t *testing.T) {
 		canceled bool
 	)
 	_, err := Sort(ctx, NewSliceIterator(in),
-		WithStore(store), WithPool(pool), WithWorkers(4), WithPageRecords(64),
+		WithStore(store), WithBudget(pool), WithWorkers(4), WithPageRecords(64),
 		WithEvents(func(ev Event) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -228,11 +225,8 @@ func TestSortParallelCancelLeakFree(t *testing.T) {
 	if live := store.Live(); live != 0 {
 		t.Fatalf("aborted sort left %d live runs", live)
 	}
-	if n := pool.Ops(); n != 0 {
-		t.Fatalf("pool still has %d operators registered", n)
-	}
-	if n := pool.Reserved(); n != 0 {
-		t.Fatalf("pool still has %d pages reserved", n)
+	if l := Leftovers(pool); l != "" {
+		t.Fatalf("pool leaked: %s", l)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // waited on itself, which is the failure these tests exist to catch.
 const pipelineDeadline = 10 * time.Second
 
-// pipe runs the query plan WithBudget and WithPool promise: an inner Sort
+// pipe runs the query plan WithBudget promises: an inner Sort
 // of in on contract, whose held Result feeds an outer Quicksort Sort (which
 // cuts the sorted stream into memory-sized runs, so both merge) on the same
 // contract. at, if set, is called at each of the outer Sort's events with
@@ -76,60 +76,61 @@ func noDeadline(t *testing.T, err error) {
 }
 
 // TestPipelineOnOneBudget: an outer Sort reads an inner Sort's held Result
-// on one 8-page Budget, which is resized to t at the outer's 20th event. At
-// every t down to the floor both complete with the oracle's output: each
-// operator keeps a floor of its own, the target rising to two floors when
-// it must, so neither waits for the other on their one goroutine.
-func TestPipelineOnOneBudget(t *testing.T) {
-	in := randomRecords(6400, 67, 8)
-	want := oracle(in)
-	for _, be := range streamBackends {
-		for _, target := range []int{8, 6, 5, 4, 3} {
-			t.Run(fmt.Sprintf("%s/t%d", be.name, target), func(t *testing.T) {
-				store := be.open(t)
-				budget := NewBudget(8)
-				out, _, err := pipe(t, store, in, WithBudget(budget), func(n int) {
-					if n == 20 {
-						budget.Resize(target)
-					}
-				}, nil)
-				noDeadline(t, err)
-				sameOutput(t, out, want)
-				if got := budget.Target(); got != max(target, 2*budget.Floor()) {
-					t.Fatalf("target %d after Resize(%d) under two operators, want two floors at least", got, target)
-				}
-				if budget.Granted() != 0 || store.Live() != 0 {
-					t.Fatalf("%d pages granted, %d runs live", budget.Granted(), store.Live())
-				}
-			})
-		}
-	}
-}
+// on one AdmitAll Budget of 8 pages, which is resized to t at the outer's
+// 20th event. At every t down to the floor both complete with the oracle's
+// output: each operator keeps a floor of its own, the target rising to two
+// floors when it must, so neither waits for the other on their one
+// goroutine.
+func TestPipelineOnOneBudget(t *testing.T) { pipelineMatrix(t, AdmitAll) }
 
-// TestPipelineOnOnePool: the same plan on one Pool of each total and
-// admission policy. The outer Sort must not queue behind its own input: it
-// completes, or fails with ErrPoolSaturated at once when the pool cannot
-// cover both floors.
-func TestPipelineOnOnePool(t *testing.T) {
+// TestPipelineOnOnePool: the same plan on one Budget of each total that
+// queues (policy0) or rejects (policy1) when full. The outer Sort must not
+// queue behind its own input: it completes, or fails with ErrPoolSaturated
+// at once when the budget cannot cover both floors.
+func TestPipelineOnOnePool(t *testing.T) { pipelineMatrix(t, QueueWhenFull, RejectWhenFull) }
+
+// pipelineMatrix runs the pipeline over policy × target × store, the
+// policy named by its index when there are several.
+func pipelineMatrix(t *testing.T, policies ...AdmissionPolicy) {
 	in := randomRecords(6400, 67, 8)
 	want := oracle(in)
 	for _, be := range streamBackends {
-		for _, total := range []int{8, 6, 5} {
-			for _, policy := range []AdmissionPolicy{QueueWhenFull, RejectWhenFull} {
-				t.Run(fmt.Sprintf("%s/t%d/policy%d", be.name, total, policy), func(t *testing.T) {
+		for i, policy := range policies {
+			targets := []int{8, 6, 5}
+			if policy == AdmitAll {
+				targets = []int{8, 6, 5, 4, 3}
+			}
+			for _, target := range targets {
+				name := fmt.Sprintf("%s/t%d", be.name, target)
+				if len(policies) > 1 {
+					name += fmt.Sprintf("/policy%d", i)
+				}
+				t.Run(name, func(t *testing.T) {
 					store := be.open(t)
-					pool := NewPool(total, WithAdmissionPolicy(policy))
-					out, took, err := pipe(t, store, in, WithPool(pool), nil, nil)
+					budget := NewBudget(target, WithAdmissionPolicy(policy))
+					var at func(int)
+					if policy == AdmitAll { // 8 pages, resized to the target at the 20th event
+						budget.Resize(8)
+						at = func(n int) {
+							if n == 20 {
+								budget.Resize(target)
+							}
+						}
+					}
+					out, took, err := pipe(t, store, in, WithBudget(budget), at, nil)
 					if errors.Is(err, ErrPoolSaturated) {
-						if total >= 2*pool.Floor() || took > 100*time.Millisecond {
-							t.Fatalf("ErrPoolSaturated after %v on a %d-page pool", took, total)
+						if policy == AdmitAll || target >= 2*minFloor || took > 100*time.Millisecond {
+							t.Fatalf("ErrPoolSaturated after %v on a %d-page budget", took, target)
 						}
 						return
 					}
 					noDeadline(t, err)
 					sameOutput(t, out, want)
-					if pool.Ops() != 0 || store.Live() != 0 {
-						t.Fatalf("%d operators admitted, %d runs live", pool.Ops(), store.Live())
+					if got := budget.Target(); policy == AdmitAll && got != max(target, 2*minFloor) {
+						t.Fatalf("target %d after Resize(%d) under two operators, want two floors at least", got, target)
+					}
+					if l := Leftovers(budget); l != "" || store.Live() != 0 {
+						t.Fatalf("%s; %d runs live", l, store.Live())
 					}
 				})
 			}
@@ -139,7 +140,7 @@ func TestPipelineOnOnePool(t *testing.T) {
 
 // TestPipelineReadsAStartedStep: the inner iterator has handed out a record
 // — its step has started and holds all 8 pages — before the outer Sort
-// reads it on the same Budget or Pool. The step sheds down to its share
+// reads it on the same Budget, admitting all or queueing (pooled). The step sheds down to its share
 // before the outer Sort asks for its first page, and the outer completes.
 func TestPipelineReadsAStartedStep(t *testing.T) {
 	in := randomRecords(6400, 67, 8)
@@ -150,7 +151,7 @@ func TestPipelineReadsAStartedStep(t *testing.T) {
 				store := be.open(t)
 				contract := WithBudget(NewBudget(8))
 				if pooled {
-					contract = WithPool(NewPool(8))
+					contract = WithBudget(NewBudget(8, WithAdmissionPolicy(QueueWhenFull)))
 				}
 				out, _, err := pipe(t, store, in, contract, nil, func(it Iterator) []Record {
 					rec, ok, err := it.Next()

@@ -26,12 +26,12 @@ import (
 // Close and runs the step afresh for every Iterator. The contract of a held
 // step:
 //
-//   - Each iterator runs under the operator's memory contract (WithBudget,
-//     WithPool) from the Iterator call until it ends — drained, failed, its
+//   - Each iterator runs under the operator's memory contract (WithBudget)
+//     from the Iterator call until it ends — drained, failed, its
 //     range loop broken (All) — or the result is closed. The first one
 //     started while the operator is live runs on the operator's own
 //     registration; any other registers for itself, an operator of the
-//     Budget or Pool like any other, and each counts only its own pages.
+//     Budget like any other, and each counts only its own pages.
 //     While it runs a step, it holds up to
 //     the step's fan-in in pages, one per input — the records go to Next
 //     by value, with no output page — taken at the step's first Next, and
@@ -50,8 +50,8 @@ import (
 //     Sort's input, a Join's output, the runs a Merge wrote itself, 0 for a
 //     GroupBy.
 //     Later drains change none of them.
-//   - Under WithPool the operator stays admitted — and its trace span open —
-//     until that drain completes, or Close; Pool is final then.
+//   - The operator stays on its Budget — and its trace span open — until
+//     that drain completes, or Close; Pool is final then.
 //   - The step observes the operator's context: canceling it ends a drain
 //     with ErrCanceled.
 //   - Like the operator, a held step belongs to one goroutine at a time: its
@@ -74,9 +74,9 @@ type Result struct {
 	// result tuples); nil for results of Sort, GroupBy and Merge.
 	Join *JoinStats
 
-	// Pool reports how shared-pool arbitration treated the operator
-	// (admission wait, grants, blocking waits); nil unless the operator
-	// ran under WithPool, final once the operator has left the pool.
+	// Pool reports how its Budget's arbitration treated the operator
+	// (admission wait, grants, blocking waits), whatever the admission
+	// policy; final once the operator has left the Budget.
 	Pool *PoolStats
 
 	// Counters tallies CPU-relevant operations.
@@ -93,9 +93,10 @@ type Result struct {
 // Iterator streams the output records in sorted order. A closed result
 // yields ErrFreed. Iterator runs the held last step under Next (see
 // Result), and may be called again: each Iterator merges the step's inputs
-// afresh, and takes its share of the memory contract at once — under a
-// Pool, unless it runs on the operator's admission, by an admission of its
-// own that may queue or fail, which then is the iterator's error.
+// afresh, and takes its share of the memory contract at once — unless it
+// runs on the operator's admission, by an admission of its own that may
+// queue or fail under the Budget's AdmissionPolicy, which then is the
+// iterator's error.
 //
 // Records are served from the store's pages: they stay valid as long as
 // they are referenced, but callers retaining Record.Payload across many

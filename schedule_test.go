@@ -26,7 +26,7 @@ type scheduleCase struct {
 	merge   uint8 // optimized, naive
 	adapt   uint8 // split, page, susp
 	store   uint8 // mem, file, striped over 2 directories, mmap
-	pool    uint8 // a Budget, or a Pool the operator is admitted to
+	policy  uint8 // the Budget's AdmissionPolicy: admit all, queue, reject
 	pageRec uint8 // 4, 8 or 16 records a page
 	pages   uint8 // the starting target: 3 (the floor) to 16 pages
 	every   uint8 // page operations between two steps of the schedule
@@ -45,7 +45,7 @@ type scheduleCase struct {
 const scheduleHeader = 13 + 2 + 2 + 8
 
 func (c scheduleCase) encode() []byte {
-	b := []byte{c.op, c.shape, c.payload, c.method, c.merge, c.adapt, c.store, c.pool, c.pageRec, c.pages, c.every, c.fault, c.runs}
+	b := []byte{c.op, c.shape, c.payload, c.method, c.merge, c.adapt, c.store, c.policy, c.pageRec, c.pages, c.every, c.fault, c.runs}
 	b = binary.LittleEndian.AppendUint16(b, c.records)
 	b = binary.LittleEndian.AppendUint16(b, c.cancelAt)
 	b = binary.LittleEndian.AppendUint64(b, c.seed)
@@ -57,7 +57,7 @@ func decodeScheduleCase(b []byte) scheduleCase {
 	copy(h, b)
 	return scheduleCase{
 		op: h[0] % 4, shape: h[1] % 5, payload: h[2] % 6, method: h[3] % 3, merge: h[4] % 2,
-		adapt: h[5] % 3, store: h[6] % 4, pool: h[7] % 2, pageRec: h[8] % 3, pages: h[9] % 14,
+		adapt: h[5] % 3, store: h[6] % 4, policy: h[7] % 3, pageRec: h[8] % 3, pages: h[9] % 14,
 		every: h[10], fault: h[11] % uint8(len(faultRules)+1), runs: h[12],
 		records:  binary.LittleEndian.Uint16(h[13:]) % 1200,
 		cancelAt: binary.LittleEndian.Uint16(h[15:]) % 4000,
@@ -101,22 +101,22 @@ var scheduleSeeds = []scheduleCase{
 	{op: 0, shape: 0, payload: 0, method: 0, merge: 0, adapt: 0, store: 0, pageRec: 1, pages: 5, records: 900, seed: 1},
 	{op: 0, shape: 1, payload: 4, method: 1, merge: 1, adapt: 1, store: 1, pageRec: 0, pages: 3, every: 9, records: 700, seed: 2,
 		schedule: []byte{0, 9, 2, 13, 0, 5}},
-	{op: 0, shape: 2, payload: 3, method: 2, merge: 0, adapt: 2, store: 2, pool: 1, pageRec: 1, pages: 6, every: 11, records: 1100, seed: 3,
+	{op: 0, shape: 2, payload: 3, method: 2, merge: 0, adapt: 2, store: 2, policy: 1, pageRec: 1, pages: 6, every: 11, records: 1100, seed: 3,
 		schedule: []byte{2, 0, 9, 1, 0}},
 	{op: 1, shape: 3, payload: 5, method: 0, merge: 1, adapt: 2, store: 3, pageRec: 0, pages: 4, every: 7, runs: 19, records: 800, seed: 4,
 		schedule: []byte{0, 13, 1}},
 	{op: 2, shape: 4, payload: 1, method: 2, merge: 0, adapt: 0, store: 0, pageRec: 0, pages: 5, every: 13, records: 600, seed: 5,
 		schedule: []byte{5, 0, 11, 2}},
-	{op: 3, shape: 4, payload: 2, method: 1, merge: 1, adapt: 1, store: 1, pool: 1, pageRec: 2, pages: 2, every: 5, records: 1000, seed: 6,
+	{op: 3, shape: 4, payload: 2, method: 1, merge: 1, adapt: 1, store: 1, policy: 1, pageRec: 2, pages: 2, every: 5, records: 1000, seed: 6,
 		schedule: []byte{0, 4, 0, 10}},
 	{op: 0, shape: 0, payload: 5, method: 2, adapt: 0, store: 1, pageRec: 1, pages: 4, fault: 1, records: 700, seed: 7},
 	{op: 0, shape: 3, payload: 4, method: 0, adapt: 1, store: 0, pageRec: 1, pages: 4, fault: 2, records: 700, seed: 8},
 	{op: 3, shape: 0, payload: 3, method: 2, adapt: 2, store: 2, pageRec: 1, pages: 5, fault: 3, records: 700, seed: 9},
 	{op: 1, shape: 0, payload: 2, method: 0, adapt: 0, store: 3, pageRec: 0, pages: 3, fault: 4, runs: 11, records: 600, seed: 10},
-	{op: 2, shape: 1, payload: 1, method: 1, adapt: 1, store: 1, pool: 1, pageRec: 0, pages: 4, fault: 5, records: 500, seed: 11},
+	{op: 2, shape: 1, payload: 1, method: 1, adapt: 1, store: 1, policy: 1, pageRec: 0, pages: 4, fault: 5, records: 500, seed: 11},
 	{op: 0, shape: 2, payload: 0, method: 1, adapt: 2, store: 0, pageRec: 1, pages: 3, fault: 6, records: 800, seed: 12},
 	{op: 0, shape: 0, payload: 1, method: 1, adapt: 0, store: 1, pageRec: 0, pages: 3, cancelAt: 40, records: 1100, seed: 13},
-	{op: 0, shape: 4, payload: 4, method: 2, adapt: 2, store: 0, pool: 1, pageRec: 0, pages: 6, every: 3, cancelAt: 400, records: 1100, seed: 14,
+	{op: 0, shape: 4, payload: 4, method: 2, adapt: 2, store: 0, policy: 1, pageRec: 0, pages: 6, every: 3, cancelAt: 400, records: 1100, seed: 14,
 		schedule: []byte{0, 3}},
 	{op: 1, shape: 2, payload: 5, method: 0, adapt: 0, store: 2, pageRec: 0, pages: 3, cancelAt: 1, runs: 4, records: 500, seed: 15},
 	{op: 2, shape: 3, payload: 0, method: 0, adapt: 2, store: 3, pageRec: 0, pages: 3, cancelAt: 150, records: 700, seed: 16},
@@ -131,6 +131,11 @@ var scheduleSeeds = []scheduleCase{
 	// drained must still be freed with the chain.
 	{op: 1, shape: 3, payload: 5, method: 0, merge: 1, adapt: 0, store: 1, pageRec: 0, pages: 0, every: 32, fault: 6, runs: 66,
 		records: 848, cancelAt: 336, seed: 4840016307391889464, schedule: []byte{48, 48, 48, 55, 56}},
+	// A Budget that rejects when full, shrunk under a suspending merge: no
+	// owner stands behind it, so every suspension's wait is bounded by the
+	// target.
+	{op: 0, shape: 0, payload: 4, method: 2, merge: 0, adapt: 2, store: 0, policy: 2, pageRec: 1, pages: 9, every: 7, records: 1000, seed: 23,
+		schedule: []byte{0, 11, 0, 6}},
 }
 
 // FuzzSortSchedule is the engine's property over the public API: whatever
@@ -143,9 +148,9 @@ var scheduleSeeds = []scheduleCase{
 //     chain under faults, or with ErrCanceled and context.Canceled once
 //     canceled;
 //   - no case reaches its 10 s deadline;
-//   - after Close, the store holds no run, the Budget grants no page, the
-//     Pool has no operator and no reservation, and goroutines settle back
-//     to their count before the case.
+//   - after Close, the store holds no run, the Budget grants no page and
+//     has no operator and no reservation, whatever its policy, and
+//     goroutines settle back to their count before the case.
 //
 // The store is wrapped in storetest.PoisonOnRelease, so a page used after
 // its release shows as wrong output. The schedule is keyed on page
@@ -155,9 +160,9 @@ var scheduleSeeds = []scheduleCase{
 // planned on).
 //
 // Composition — an operator reading another's held Result on the same
-// Budget or Pool — is left out: a pipeline under Suspension on a Budget
-// resized to 6 pages or fewer, and a FuncIterator-wrapped input on a Pool
-// of 4 or 5 pages, still wait on themselves (ROADMAP, "No pipeline waits on
+// Budget — is left out: a pipeline under Suspension on an AdmitAll Budget
+// resized to 6 pages or fewer, and a FuncIterator-wrapped input on a
+// queueing Budget of 4 or 5 pages, still wait on themselves (ROADMAP, "No pipeline waits on
 // itself"), so the dimension joins this target with their fix.
 //
 // Run it with
@@ -252,20 +257,8 @@ func (c scheduleCase) run(t *testing.T) {
 	inner := c.open(t)
 	live := &livePages{RunStore: storetest.PoisonOnRelease(inner), pages: map[masort.RunID]int{}}
 	start := 3 + int(c.pages)
-	var (
-		budget *masort.Budget
-		pool   *masort.Pool
-		resize func(int)
-		mem    masort.Option
-	)
-	if c.pool == 1 {
-		pool = masort.NewPool(start)
-		resize, mem = func(n int) { pool.Resize(n) }, masort.WithPool(pool)
-	} else {
-		budget = masort.NewBudget(start)
-		resize, mem = budget.Resize, masort.WithBudget(budget)
-	}
-	store := &resizeOnOps{RunStore: live, resize: resize, every: 1 + int64(c.every%32), cancelAt: int64(c.cancelAt), cancel: cancel}
+	budget := masort.NewBudget(start, masort.WithAdmissionPolicy(masort.AdmissionPolicy(c.policy)))
+	store := &resizeOnOps{RunStore: live, resize: budget.Resize, every: 1 + int64(c.every%32), cancelAt: int64(c.cancelAt), cancel: cancel}
 	top := start // what the owner restores: no step was planned on more
 	for _, p := range c.schedule {
 		store.cycle = append(store.cycle, 3+int(p%14))
@@ -280,10 +273,10 @@ func (c scheduleCase) run(t *testing.T) {
 	opts := append(methods[c.method],
 		masort.WithMergeStrategy([]masort.MergeStrategy{masort.Optimized, masort.Naive}[c.merge]),
 		masort.WithAdaptation([]masort.Adaptation{masort.DynamicSplitting, masort.MRUPaging, masort.Suspension}[c.adapt]),
-		masort.WithPageRecords(pageRecords), masort.WithStore(store), mem,
+		masort.WithPageRecords(pageRecords), masort.WithStore(store), masort.WithBudget(budget),
 		masort.WithEvents(func(ev masort.Event) {
 			if ev.Kind == masort.EvSuspend {
-				go resize(top)
+				go budget.Resize(top)
 			}
 		}),
 	)
@@ -362,11 +355,8 @@ func (c scheduleCase) run(t *testing.T) {
 	if n := inner.Live(); n != 0 || live.live() != 0 {
 		t.Fatalf("%+v: %d runs (%d pages) live after Close", c, n, live.live())
 	}
-	if budget != nil && budget.Granted() != 0 {
-		t.Fatalf("%+v: %d pages still granted", c, budget.Granted())
-	}
-	if pool != nil && (pool.Ops() != 0 || pool.Reserved() != 0) {
-		t.Fatalf("%+v: %d operators, %d pages reserved on the pool", c, pool.Ops(), pool.Reserved())
+	if l := masort.Leftovers(budget); l != "" {
+		t.Fatalf("%+v: %s after Close", c, l)
 	}
 	if err := inner.Close(); err != nil {
 		t.Fatal(err)

@@ -268,7 +268,8 @@ func countKind(evs []EventKind, k EventKind) int {
 
 // TestStreamCloseMidDrainLeaksNothing: Close in the middle of a drain — with
 // a split's sub-step run written and not yet merged — frees every run and
-// hands every page back, under a Budget and under a Pool; the abandoned
+// hands every page back, on a Budget admitting all and on one that queues
+// (pool); the abandoned
 // iterator then reports ErrFreed. On two workers that is early or late in
 // the same one step, over the runs both workers wrote.
 func TestStreamCloseMidDrainLeaksNothing(t *testing.T) {
@@ -279,11 +280,11 @@ func TestStreamCloseMidDrainLeaksNothing(t *testing.T) {
 			for _, dp := range drainPoints {
 				t.Run(be.name+"/"+contract+dp.name, func(t *testing.T) {
 					store := be.open(t)
-					budget, pool := NewBudget(64), NewPool(64)
-					opts := []Option{WithPageRecords(32), WithStore(store), WithBudget(budget), WithWorkers(dp.workers)}
+					budget := NewBudget(64)
 					if contract == "pool" {
-						opts = append(opts, WithPool(pool))
+						budget = NewBudget(64, WithAdmissionPolicy(QueueWhenFull))
 					}
+					opts := []Option{WithPageRecords(32), WithStore(store), WithBudget(budget), WithWorkers(dp.workers)}
 					res, err := Sort(context.Background(), NewSliceIterator(in), opts...)
 					if err != nil {
 						t.Fatal(err)
@@ -293,7 +294,6 @@ func TestStreamCloseMidDrainLeaksNothing(t *testing.T) {
 					for n := 0; n < dp.at+k; n++ {
 						if n == dp.at {
 							budget.Resize(4)
-							pool.Resize(4)
 						}
 						if _, ok, err := it.Next(); err != nil || !ok {
 							t.Fatalf("record %d: ok %v, %v", n, ok, err)
@@ -305,9 +305,8 @@ func TestStreamCloseMidDrainLeaksNothing(t *testing.T) {
 					if err := res.Close(); err != nil {
 						t.Fatal(err)
 					}
-					if store.Live() != 0 || budget.Granted() != 0 || pool.Ops() != 0 || pool.Reserved() != 0 {
-						t.Fatalf("after Close: %d runs live, %d budget pages granted, %d pool ops, %d pool pages reserved",
-							store.Live(), budget.Granted(), pool.Ops(), pool.Reserved())
+					if l := Leftovers(budget); l != "" || store.Live() != 0 {
+						t.Fatalf("after Close: %s; %d runs live", l, store.Live())
 					}
 					if _, _, err := it.Next(); !errors.Is(err, ErrFreed) {
 						t.Fatalf("Next after Close: %v, want ErrFreed", err)
@@ -340,9 +339,9 @@ func TestStreamReadFaultMidDrain(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer store.Close()
-			pool := NewPool(64)
+			budget := NewBudget(64, WithAdmissionPolicy(QueueWhenFull))
 			res, err := Sort(context.Background(), NewSliceIterator(in),
-				WithPageRecords(32), WithStore(store), WithPool(pool))
+				WithPageRecords(32), WithStore(store), WithBudget(budget))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -370,8 +369,8 @@ func TestStreamReadFaultMidDrain(t *testing.T) {
 			if err := res.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if store.Live() != 0 || pool.Ops() != 0 || pool.Reserved() != 0 {
-				t.Fatalf("after Close: %d runs live, %d pool ops, %d pool pages reserved", store.Live(), pool.Ops(), pool.Reserved())
+			if l := Leftovers(budget); l != "" || store.Live() != 0 {
+				t.Fatalf("after Close: %s; %d runs live", l, store.Live())
 			}
 		})
 	}
@@ -619,22 +618,18 @@ func TestStreamCanceledMidDrain(t *testing.T) {
 
 // TestStreamIteratorsInterleave: two iterators of one held result, advanced
 // in turn on one goroutine, each run the step on their own and yield the
-// whole output; neither holds a page or a run once both are done. Under a
-// Pool the first runs on the operator's admission and the second on one of
-// its own, so two operators are admitted while both run; the first to
-// finish completes the operator, and nothing is admitted once both are
-// done.
+// whole output; neither holds a page or a run once both are done. Under
+// every policy the first runs on the operator's admission and the second
+// on one of its own, so two operators are admitted while both run; the
+// first to finish completes the operator, and nothing is admitted once
+// both are done.
 func TestStreamIteratorsInterleave(t *testing.T) {
 	in := streamInput()
 	want := oracle(in)
-	for _, pooled := range []bool{false, true} {
+	for p := range policyNames {
 		store := NewMemStore()
-		budget, pool := NewBudget(64), NewPool(64)
-		opts := []Option{WithPageRecords(32), WithBudget(budget), WithStore(store)}
-		if pooled {
-			opts = append(opts, WithPool(pool))
-		}
-		res, err := Sort(context.Background(), NewSliceIterator(in), opts...)
+		budget := NewBudget(64, WithAdmissionPolicy(AdmissionPolicy(p)))
+		res, err := Sort(context.Background(), NewSliceIterator(in), WithPageRecords(32), WithBudget(budget), WithStore(store))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -654,15 +649,14 @@ func TestStreamIteratorsInterleave(t *testing.T) {
 					done++
 				}
 			}
-			if pooled && done == 0 && pool.Ops() != 2 {
-				t.Fatalf("%d operators admitted while two iterators run, want 2", pool.Ops())
+			if done == 0 && budget.Ops() != 2 {
+				t.Fatalf("policy %d: %d operators admitted while two iterators run, want 2", p, budget.Ops())
 			}
 		}
 		sameOutput(t, outs[0], want)
 		sameOutput(t, outs[1], want)
-		if budget.Granted() != 0 || pool.Ops() != 0 || pool.Total() != pool.arb.Snapshot().Free || store.Live() != held {
-			t.Fatalf("pooled %v, after both drains: %d budget pages granted, %d pool operators holding %d pages, %d runs live, %d held",
-				pooled, budget.Granted(), pool.Ops(), pool.Total()-pool.arb.Snapshot().Free, store.Live(), held)
+		if l := Leftovers(budget); l != "" || store.Live() != held {
+			t.Fatalf("policy %d, after both drains: %s; %d runs live, %d held", p, l, store.Live(), held)
 		}
 		if err := res.Close(); err != nil {
 			t.Fatal(err)
