@@ -383,7 +383,7 @@ func TestBudgetConcurrentMutation(t *testing.T) {
 			}
 		}(uint64(g) + 1)
 	}
-	out, err := SortSlice(context.Background(), in, WithPageRecords(64), WithBudget(budget))
+	out, err := sortSlice(context.Background(), in, WithPageRecords(64), WithBudget(budget))
 	close(stop)
 	wg.Wait()
 	if err != nil {

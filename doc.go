@@ -58,11 +58,9 @@
 // ctx as every step does; the step runs afresh for every Iterator, and Stats
 // Pages and Tuples are final once a drain has completed (see Result).
 //
-// Arbitrary record types flow through the engine via the generic facade:
-// define a Codec[T] (key extraction plus payload encode/decode) and use
-// SortT or SortSliceT. Sort-merge joins (Join), grouped aggregation
-// (GroupBy) and run compaction (Merge) run on the same adaptive machinery
-// and compose through the shared *Budget.
+// Sort-merge joins (Join), grouped aggregation (GroupBy) and run
+// compaction (Merge) run on the same adaptive machinery and compose through
+// the shared *Budget.
 //
 // # The shared pool
 //
@@ -180,10 +178,10 @@
 // device's recent fetches were slow enough (tens of microseconds) for
 // ReadAsync to have started a reader goroutine for it — so nothing is
 // spawned, signalled or woken per page on a device the page cache hides,
-// read-ahead and batched reads still overlap a slow one, and
-// DefaultReadConcurrency bounds the reads running per device either way. A
-// device owns one run's bytes and four methods: positional write, fetch an
-// extent, truncate, close-and-remove. The file
+// read-ahead and batched reads still overlap a slow one, and at most eight
+// reads run per device either way. A device owns one run's bytes and four
+// methods: positional write, fetch an extent, truncate, close-and-remove.
+// The file
 // device fetches with ReadAt into a pooled raw buffer that is back in the
 // pool before the read returns — the page is decoded out of it by copy, so
 // no encoded byte ever leaves the store. The frame is columnar (the keys at

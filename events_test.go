@@ -51,7 +51,7 @@ func TestEventsEmittedDuringAdaptiveSort(t *testing.T) {
 			}
 		}
 	}()
-	out, err := SortSlice(context.Background(), in, opts...)
+	out, err := sortSlice(context.Background(), in, opts...)
 	close(stop)
 	wg.Wait()
 	if err != nil {
@@ -105,7 +105,7 @@ func TestEventsSuspension(t *testing.T) {
 	store := &shrinkOnRead{MemStore: NewMemStore(), budget: budget, at: 100}
 	var mu sync.Mutex
 	suspends, resumes := 0, 0
-	out, err := SortSlice(context.Background(), in,
+	out, err := sortSlice(context.Background(), in,
 		WithAdaptation(Suspension),
 		WithPageRecords(64),
 		WithBudget(budget),

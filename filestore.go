@@ -26,7 +26,7 @@ import (
 // takes — or, once the device's recent reads have taken longer than a
 // hand-off costs (tens of microseconds), on a reader goroutine started at
 // issue, so read-ahead and batched reads overlap a slow device. Either way
-// at most DefaultReadConcurrency reads run at once. The extent is read into
+// at most eight reads run at once. The extent is read into
 // a pooled raw buffer and decoded out of it by copy: the page's payloads
 // land back to back in an arena of exactly their size, Record.Payload
 // sub-slices that arena, and the raw buffer is back in the pool before the

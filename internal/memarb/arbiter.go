@@ -66,7 +66,6 @@ type Arbiter struct {
 	ops   []*Handle // registration order — oldest first
 	queue []*reservation
 
-	rejectedOps int
 	rejectedRes int
 }
 
@@ -89,7 +88,7 @@ type Snapshot struct {
 	Queued                         int   // reservations waiting for pages
 	Targets                        []int // entitlement per operator, oldest first
 
-	RejectedOps, RejectedReservations int
+	RejectedReservations int
 }
 
 // Snapshot reads the accounts under the lock.
@@ -98,7 +97,7 @@ func (a *Arbiter) Snapshot() Snapshot {
 	defer a.mu.Unlock()
 	s := Snapshot{
 		Total: a.pol.Total, Free: a.free, Reserved: a.reserved, Pending: a.pending,
-		Queued: len(a.queue), RejectedOps: a.rejectedOps, RejectedReservations: a.rejectedRes,
+		Queued: len(a.queue), RejectedReservations: a.rejectedRes,
 		Targets: make([]int, 0, len(a.ops)),
 	}
 	for _, h := range a.ops {
@@ -220,7 +219,6 @@ func (a *Arbiter) Register(ctx context.Context, queue bool) (*Handle, error) {
 	defer a.mu.Unlock()
 	for a.cfg.Admission != AdmitAll && !a.pol.CanAdmitWith(len(a.ops), a.reserved, a.pending) {
 		if !queue || a.cfg.Admission == RejectWhenFull {
-			a.rejectedOps++
 			return nil, ErrSaturated
 		}
 		if err := ctx.Err(); err != nil {

@@ -1,10 +1,6 @@
 package masort
 
-import (
-	"iter"
-
-	"github.com/memadapt/masort/internal/core"
-)
+import "github.com/memadapt/masort/internal/core"
 
 // Record is one tuple: records order by Key, then by Payload bytes.
 type Record = core.Record
@@ -43,8 +39,8 @@ type PageToken = core.PageToken
 //     ReadAsync, start the read there, or leave it to the first Wait — the
 //     disk-backed stores run it on the waiter's own goroutine unless the
 //     device has been slow enough of late for a hand-off to pay, and then
-//     start a reader at issue time (at most DefaultReadConcurrency reads
-//     per device run at once, whoever runs them). So read tokens, like
+//     start a reader at issue time (at most eight reads per device run
+//     at once, whoever runs them). So read tokens, like
 //     write tokens, may be waited late, from any goroutine, by several at
 //     once, or never: a token nobody waits for must cost nothing that
 //     Free or Close would have to wait for.
@@ -154,58 +150,6 @@ type FuncIterator func() (Record, bool, error)
 
 // Next implements Iterator.
 func (f FuncIterator) Next() (Record, bool, error) { return f() }
-
-// All adapts an Iterator to a Go 1.23 range-over-func sequence. The
-// sequence yields at most one non-nil error, as its final pair:
-//
-//	for rec, err := range masort.All(it) {
-//		if err != nil { ... }
-//		...
-//	}
-func All(it Iterator) iter.Seq2[Record, error] {
-	return func(yield func(Record, error) bool) {
-		for {
-			rec, ok, err := it.Next()
-			if err != nil {
-				yield(Record{}, err)
-				return
-			}
-			if !ok {
-				return
-			}
-			if !yield(rec, nil) {
-				return
-			}
-		}
-	}
-}
-
-// FromSeq adapts a range-over-func sequence to an Iterator, so seq-style
-// producers can feed Sort, Join and GroupBy. The sequence's first non-nil
-// error terminates the iterator with that error.
-func FromSeq(seq iter.Seq2[Record, error]) Iterator {
-	next, stop := iter.Pull2(seq)
-	return &seqIterator{next: next, stop: stop}
-}
-
-type seqIterator struct {
-	next func() (Record, error, bool)
-	stop func()
-	done bool
-}
-
-func (s *seqIterator) Next() (Record, bool, error) {
-	if s.done {
-		return Record{}, false, nil
-	}
-	rec, err, ok := s.next()
-	if !ok || err != nil {
-		s.done = true
-		s.stop()
-		return Record{}, false, err
-	}
-	return rec, true, nil
-}
 
 // Drain reads an iterator to completion.
 func Drain(it Iterator) ([]Record, error) {

@@ -83,9 +83,6 @@ type config struct {
 	onEvent     func(Event)
 	tracer      Tracer
 	eventLog    int
-	// ownPayloads says the input's payloads are made for the sort, one a
-	// record, and dropped by their maker (SortT): no run shares them.
-	ownPayloads bool
 }
 
 func (o config) build() (core.SortConfig, config, error) {
@@ -177,9 +174,6 @@ func newEnv(ctx context.Context, o config, mem core.Broker, meter *counterMeter,
 	}
 	if ms, ok := o.store.(*MemStore); ok && ms.holdRecords != nil {
 		env.Owned = ownedStore{env.Store, ms.pagedStore}
-		if o.ownPayloads {
-			env.Store = env.Owned
-		}
 	}
 	return env, ts
 }
@@ -358,15 +352,4 @@ func runOp(ctx context.Context, opt config, name string, inputs []Iterator, run 
 	st := PoolStats(mem.Stats())
 	out.Pool = &st
 	return out, nil
-}
-
-// SortSlice sorts records in external fashion and returns the sorted slice —
-// a convenience wrapper around Sort for small inputs and tests.
-func SortSlice(ctx context.Context, recs []Record, opts ...Option) ([]Record, error) {
-	res, err := Sort(ctx, NewSliceIterator(recs), opts...)
-	if err != nil {
-		return nil, err
-	}
-	defer res.Close()
-	return Drain(res.Iterator())
 }

@@ -34,6 +34,17 @@ func randomRecords(n int, seed uint64, payload int) []Record {
 	return recs
 }
 
+// sortSlice sorts recs with Sort and returns the drained output, closing
+// the Result.
+func sortSlice(ctx context.Context, recs []Record, opts ...Option) ([]Record, error) {
+	res, err := Sort(ctx, NewSliceIterator(recs), opts...)
+	if err != nil {
+		return nil, err
+	}
+	defer res.Close()
+	return Drain(res.Iterator())
+}
+
 func assertSorted(t *testing.T, recs []Record) {
 	t.Helper()
 	for i := 1; i < len(recs); i++ {
@@ -64,7 +75,7 @@ func assertPermutation(t *testing.T, in, out []Record) {
 
 func TestSortDefaults(t *testing.T) {
 	in := randomRecords(50_000, 1, 0)
-	out, err := SortSlice(context.Background(), in, WithPageRecords(64), WithBudget(NewBudget(16)))
+	out, err := sortSlice(context.Background(), in, WithPageRecords(64), WithBudget(NewBudget(16)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +91,7 @@ func TestSortAllOptionCombinations(t *testing.T) {
 				name := fmt.Sprintf("m%d-s%d-a%d", m, ms, ad)
 				t.Run(name, func(t *testing.T) {
 					store := NewMemStore()
-					out, err := SortSlice(context.Background(), in,
+					out, err := sortSlice(context.Background(), in,
 						WithMethod(m), WithMergeStrategy(ms), WithAdaptation(ad),
 						WithPageRecords(32), WithBudget(NewBudget(8)), WithStore(store))
 					if err != nil {
@@ -98,11 +109,11 @@ func TestSortAllOptionCombinations(t *testing.T) {
 }
 
 func TestSortEmptyAndTiny(t *testing.T) {
-	out, err := SortSlice(context.Background(), nil)
+	out, err := sortSlice(context.Background(), nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty: %v %d", err, len(out))
 	}
-	out, err = SortSlice(context.Background(), []Record{{Key: 2}, {Key: 1}})
+	out, err = sortSlice(context.Background(), []Record{{Key: 2}, {Key: 1}})
 	if err != nil || len(out) != 2 || out[0].Key != 1 {
 		t.Fatalf("tiny: %v %v", err, out)
 	}
@@ -114,7 +125,7 @@ func TestSortPayloadsPreserved(t *testing.T) {
 		{Key: 1, Payload: []byte("one")},
 		{Key: 2, Payload: []byte("two")},
 	}
-	out, err := SortSlice(context.Background(), in)
+	out, err := sortSlice(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +195,7 @@ func TestSortUnderConcurrentBudgetChanges(t *testing.T) {
 					time.Sleep(200 * time.Microsecond)
 				}
 			}()
-			out, err := SortSlice(context.Background(), in,
+			out, err := sortSlice(context.Background(), in,
 				WithAdaptation(ad), WithPageRecords(64), WithBudget(budget))
 			close(stop)
 			wg.Wait()
@@ -204,7 +215,7 @@ func TestSortWithFileStore(t *testing.T) {
 	}
 	defer store.Close()
 	in := randomRecords(30_000, 6, 16)
-	out, err := SortSlice(context.Background(), in,
+	out, err := sortSlice(context.Background(), in,
 		WithPageRecords(64), WithBudget(NewBudget(12)), WithStore(store))
 	if err != nil {
 		t.Fatal(err)
@@ -690,13 +701,12 @@ func TestReleasedRecordArraysPinNoPayloads(t *testing.T) {
 	}
 }
 
-// TestMemStoreCopiesOwnedPayloads runs, on a MemStore, the operators whose
-// stored payloads are made for the output alone — a join's tuples, SortT's
-// encodings — with 16-byte payloads, which a
-// MemStore holds by reference when they are its caller's: their runs hold
-// no page, since holding would keep one allocation a record alive. A Sort
-// of a slice of the same records, whose payloads are the caller's, holds
-// its runs' pages.
+// TestMemStoreCopiesOwnedPayloads runs, on a MemStore, a join, whose stored
+// payloads — its tuples — are made for the output alone, with 16-byte
+// payloads, which a MemStore holds by reference when they are its caller's:
+// its runs hold no page, since holding would keep one allocation a record
+// alive. A Sort of a slice of records as long, whose payloads are the
+// caller's, holds its runs' pages.
 func TestMemStoreCopiesOwnedPayloads(t *testing.T) {
 	ctx := context.Background()
 	in := randomRecords(3000, 9, 8)
@@ -705,11 +715,6 @@ func TestMemStoreCopiesOwnedPayloads(t *testing.T) {
 	}
 	opts := func(s *MemStore) []Option {
 		return []Option{WithStore(s), WithPageRecords(16), WithBudget(NewBudget(8))}
-	}
-	codec := FuncCodec[Record]{
-		KeyFunc:    func(r Record) Key { return r.Key },
-		EncodeFunc: func(dst []byte, r Record) []byte { return append(append(dst, r.Payload...), r.Payload...) },
-		DecodeFunc: func(k Key, p []byte) (Record, error) { return Record{Key: k, Payload: p}, nil },
 	}
 	long := slices.Clone(in)
 	for i := range long {
@@ -722,20 +727,6 @@ func TestMemStoreCopiesOwnedPayloads(t *testing.T) {
 	}{
 		{"join", func(s *MemStore) (*Result, error) {
 			return Join(ctx, NewSliceIterator(in), NewSliceIterator(in[:500]), opts(s)...)
-		}, false},
-		{"sortt", func(s *MemStore) (*Result, error) {
-			seq := func(yield func(Record, error) bool) {
-				for _, r := range in {
-					if !yield(r, nil) {
-						return
-					}
-				}
-			}
-			res, err := SortT(ctx, seq, Codec[Record](codec), opts(s)...)
-			if err != nil {
-				return nil, err
-			}
-			return res.Result, nil
 		}, false},
 		{"sort", func(s *MemStore) (*Result, error) {
 			return Sort(ctx, NewSliceIterator(long), opts(s)...)
@@ -872,13 +863,13 @@ func TestBudgetSemantics(t *testing.T) {
 }
 
 func TestOptionsValidation(t *testing.T) {
-	if _, err := SortSlice(context.Background(), nil, WithMethod(Method(9))); err == nil {
+	if _, err := sortSlice(context.Background(), nil, WithMethod(Method(9))); err == nil {
 		t.Fatal("bad method must fail")
 	}
-	if _, err := SortSlice(context.Background(), nil, WithMergeStrategy(MergeStrategy(9))); err == nil {
+	if _, err := sortSlice(context.Background(), nil, WithMergeStrategy(MergeStrategy(9))); err == nil {
 		t.Fatal("bad merge must fail")
 	}
-	if _, err := SortSlice(context.Background(), nil, WithAdaptation(Adaptation(9))); err == nil {
+	if _, err := sortSlice(context.Background(), nil, WithAdaptation(Adaptation(9))); err == nil {
 		t.Fatal("bad adaptation must fail")
 	}
 }
@@ -955,7 +946,7 @@ func TestPropertyPublicSort(t *testing.T) {
 		for i, k := range keys {
 			recs[i] = Record{Key: k}
 		}
-		out, err := SortSlice(context.Background(), recs,
+		out, err := sortSlice(context.Background(), recs,
 			WithPageRecords(int(prec)%64+1),
 			WithBudget(NewBudget(int(budget)%32+3)))
 		if err != nil {

@@ -16,12 +16,12 @@ import (
 	"github.com/memadapt/masort/internal/pagecodec"
 )
 
-// DefaultReadConcurrency is how many page reads a disk-backed store executes
+// readConcurrency is how many page reads a disk-backed store executes
 // in parallel per device, whoever runs them: a read a waiter runs inline
 // takes a slot like one handed to a reader goroutine. External-memory merges
 // read one page from each of up to fan-in runs at a time; a handful of
 // outstanding positional reads keeps the device busy without thrashing it.
-const DefaultReadConcurrency = 8
+const readConcurrency = 8
 
 // dispatchFetchTime is how slow a device's recent fetches must have been for
 // ReadAsync to hand a read to a goroutine of its own instead of leaving it
@@ -245,7 +245,7 @@ func (d *disk) noteFetch(took time.Duration) {
 //     fetches have been slow (dispatchFetchTime) does ReadAsync start a
 //     reader goroutine for the token at once, so read-ahead and a batch of N
 //     merge inputs overlap the device and each other, at most
-//     DefaultReadConcurrency per disk. A token nobody waits for costs no I/O
+//     readConcurrency per disk. A token nobody waits for costs no I/O
 //     and holds nothing but its own few words. Reads never contend with an
 //     Append for a file offset: a page can be asked for only once it is in
 //     the index, and by then its bytes are in the file. Raw page bytes never
@@ -337,7 +337,7 @@ func newStore(cfg *StoreConfig, n int, open func(string) (device, error)) *paged
 	}
 	for i := range s.disks {
 		s.disks[i].faults = cfg.faultsAt(i)
-		s.disks[i].readSem = make(chan struct{}, DefaultReadConcurrency)
+		s.disks[i].readSem = make(chan struct{}, readConcurrency)
 	}
 	return s
 }

@@ -20,13 +20,13 @@ func TestSortParallelMatchesSerial(t *testing.T) {
 	for _, m := range []Method{ReplacementSelection, Quicksort} {
 		for _, ad := range []Adaptation{DynamicSplitting, MRUPaging, Suspension} {
 			t.Run(fmt.Sprintf("m%d-a%d", m, ad), func(t *testing.T) {
-				serial, err := SortSlice(context.Background(), in,
+				serial, err := sortSlice(context.Background(), in,
 					WithMethod(m), WithAdaptation(ad),
 					WithPageRecords(64), WithBudget(NewBudget(48)))
 				if err != nil {
 					t.Fatalf("serial: %v", err)
 				}
-				par, err := SortSlice(context.Background(), in,
+				par, err := sortSlice(context.Background(), in,
 					WithMethod(m), WithAdaptation(ad), WithWorkers(4),
 					WithPageRecords(64), WithBudget(NewBudget(48)))
 				if err != nil {
@@ -108,7 +108,7 @@ func TestSortParallelUnderPoolChurn(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			in := randomRecords(30_000, uint64(50+i), 4)
-			out, err := SortSlice(context.Background(), in,
+			out, err := sortSlice(context.Background(), in,
 				WithBudget(pool), WithWorkers(4), WithPageRecords(64))
 			if err != nil {
 				errs <- fmt.Errorf("sort %d: %w", i, err)
@@ -244,7 +244,7 @@ func TestMergeParallel(t *testing.T) {
 				var all []Record
 				for i := range n {
 					recs := randomRecords(3000, uint64(70+i), 4)
-					sorted, err := SortSlice(context.Background(), recs, WithPageRecords(64))
+					sorted, err := sortSlice(context.Background(), recs, WithPageRecords(64))
 					if err != nil {
 						t.Fatal(err)
 					}

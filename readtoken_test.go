@@ -516,7 +516,7 @@ func (h *slowReads) afterRead(int64, []byte) error {
 
 // TestSlowDeviceBatchReadsOverlap is batchLoad's pattern — one read issued
 // for each of 16 runs, then all of them waited for — on the same device:
-// the reads run DefaultReadConcurrency at a time, so the batch takes about
+// the reads run readConcurrency at a time, so the batch takes about
 // two latencies, not sixteen.
 func TestSlowDeviceBatchReadsOverlap(t *testing.T) {
 	const runs = 16
@@ -551,8 +551,8 @@ func TestSlowDeviceBatchReadsOverlap(t *testing.T) {
 	if inline, dispatched := fs.inlineReads.Load(), fs.dispatchedReads.Load(); inline != 1 || dispatched != runs {
 		t.Errorf("reads run inline/dispatched = %d/%d, want 1/%d", inline, dispatched, runs)
 	}
-	if p := h.peak.Load(); p < 2 || p > DefaultReadConcurrency {
-		t.Errorf("%d reads were in their fetch at once, want within [2, %d]", p, DefaultReadConcurrency)
+	if p := h.peak.Load(); p < 2 || p > readConcurrency {
+		t.Errorf("%d reads were in their fetch at once, want within [2, %d]", p, readConcurrency)
 	}
 	// Two rounds of eight would be fetching/8; half of fetching is the
 	// generous line between overlapped and serial.

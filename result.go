@@ -104,8 +104,8 @@ type Result struct {
 // of them (the page's payload arena on FileStore and StripedStore, nothing
 // but the payload bytes; the run's mapping on MmapStore, zero-copy; on the
 // default MemStore, the batch's encoded chunk for payloads of 8 bytes or
-// less and for payloads the operator made (a Join's tuples, SortT's
-// encodings), and otherwise the input's own payload, capped at its length;
+// less and for payloads the operator made (a Join's tuples), and otherwise
+// the input's own payload, capped at its length;
 // see README.md, "Buffer ownership and zero-copy"). A GroupBy's payloads
 // are its Aggregator's. The iterator gives each input page's record array
 // — never the payloads — back to a store that takes it (ReleaseRecords) as
@@ -131,14 +131,22 @@ func (r *Result) Iterator() Iterator {
 // and hands its pages back at once.
 func (r *Result) All() iter.Seq2[Record, error] {
 	it := r.Iterator()
-	seq := All(it)
-	s, ok := it.(*stepIterator)
-	if !ok {
-		return seq
-	}
 	return func(yield func(Record, error) bool) {
-		seq(yield)
-		if !s.done { // the loop broke early: the step's pages go back now
+		for {
+			rec, ok, err := it.Next()
+			if err != nil {
+				yield(Record{}, err)
+				return
+			}
+			if !ok {
+				return
+			}
+			if !yield(rec, nil) {
+				break
+			}
+		}
+		// The loop broke early: a held step's pages go back now.
+		if s, ok := it.(*stepIterator); ok && !s.done {
 			s.end(errStopped)
 		}
 	}

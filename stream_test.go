@@ -414,6 +414,45 @@ func TestStreamDrainsTwiceAlike(t *testing.T) {
 	}
 }
 
+// TestResultAllSeq checks the Seq2 view of a Result, including early break.
+func TestResultAllSeq(t *testing.T) {
+	res, err := Sort(context.Background(), NewSliceIterator(randomRecords(5000, 9, 4)),
+		WithPageRecords(64), WithBudget(NewBudget(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	var prev Record
+	n := 0
+	for rec, err := range res.All() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n > 0 && Less(rec, prev) {
+			t.Fatal("All() out of order")
+		}
+		prev = rec
+		n++
+		if n == 100 {
+			break // early break must not panic or leak
+		}
+	}
+	if n != 100 {
+		t.Fatalf("n = %d", n)
+	}
+	// A second, full range runs the step afresh and hands out every record.
+	n = 0
+	for _, err := range res.All() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	if n != 5000 || n != res.Tuples {
+		t.Fatalf("full range: %d records, Tuples %d, want 5000", n, res.Tuples)
+	}
+}
+
 // TestStreamFeedsASortOnTheSameBudget: one Sort's held last step — on one
 // worker or two — is the input of another on the same
 // 8-page Budget and FileStore — the query plan WithBudget promises — and
