@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -102,7 +101,7 @@ func mustAppend(t *testing.T, s RunStore, id RunID, pages []Page) {
 
 func runFileSize(t *testing.T, s tokenStore, dev int, id RunID) int64 {
 	t.Helper()
-	fi, err := os.Stat(filepath.Join(s.ps.disks[dev].dir, fmt.Sprintf("run-%06d.bin", id)))
+	fi, err := os.Stat(runFile(s.ps, id, dev))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +148,7 @@ func TestWriterErrorPropagatesToInFlightWaits(t *testing.T) {
 	var sick atomic.Int32 // the device whose writes die, once armed
 	mkcfg := func() *StoreConfig {
 		sick.Store(-1)
-		return NewStoreConfig().WithDeviceFaults(func(dev int) FaultHooks {
+		return NewStoreConfig().withDeviceFaults(func(dev int) FaultHooks {
 			return hookFuncs{beforeWrite: func(off int64, b []byte) (int, error) {
 				if int(sick.Load()) == dev {
 					return 9, faultinject.Permanent("second batch dies")

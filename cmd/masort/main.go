@@ -110,8 +110,8 @@ func main() {
 		adapt     = flag.String("adapt", "split", "merge adaptation: split | page | susp")
 		merge     = flag.String("merge", "opt", "merge strategy: opt | naive")
 		script    = flag.String("script", "", "budget changes, e.g. \"25%:-40,50%:+20\" (percent of input records)")
-		tmpDir    = flag.String("tmp", "", "run-file directory or comma-separated directories (default: in-memory store)")
-		storeKind = flag.String("store", "", "run store backend: file | striped | mmap (default: file when -tmp is set, else in-memory)")
+		tmpDir    = flag.String("tmp", "", "run-file directory, or comma-separated directories to stripe a file store over (default: in-memory store)")
+		storeKind = flag.String("store", "", "run store backend: file | mmap (default: file when -tmp is set, else in-memory)")
 		stats     = flag.Bool("stats", false, "print sort statistics to stderr")
 		events    = flag.Bool("events", false, "print adaptation events to stderr")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON file (load in chrome://tracing)")
@@ -183,51 +183,35 @@ func main() {
 		fail(fmt.Errorf("unknown -merge %q", *merge))
 	}
 	// Pick the run store: -store selects the backend, -tmp supplies its
-	// directories (comma-separated for striped). With neither flag runs stay
-	// in memory; -tmp alone keeps the historical file-store behavior.
+	// directories (comma-separated: a file store striped over them). With
+	// neither flag runs stay in memory; -tmp alone keeps the historical
+	// file-store behavior.
 	if *storeKind != "" || *tmpDir != "" {
 		var dirs []string
 		if *tmpDir != "" {
 			dirs = strings.Split(*tmpDir, ",")
 		}
-		dir := func() string {
-			if len(dirs) > 0 {
-				return dirs[0]
-			}
-			return "" // fresh temp dir, removed on Close
-		}
-		kind := *storeKind
-		if kind == "" {
-			kind = "file"
-		}
 		cfg := masort.NewStoreConfig()
-		switch kind {
-		case "file":
-			fs, err := cfg.File(dir())
+		switch *storeKind {
+		case "", "file":
+			fs, err := cfg.File(dirs...)
 			if err != nil {
 				fail(err)
 			}
 			defer fs.Close()
 			opts = append(opts, masort.WithStore(fs))
-		case "striped":
-			if len(dirs) == 0 {
-				fail(fmt.Errorf("-store striped needs -tmp dir1,dir2,..."))
-			}
-			ss, err := cfg.Striped(dirs...)
-			if err != nil {
-				fail(err)
-			}
-			defer ss.Close()
-			opts = append(opts, masort.WithStore(ss))
 		case "mmap":
-			ms, err := cfg.Mmap(dir())
+			if len(dirs) > 1 {
+				fail(fmt.Errorf("-store mmap takes one -tmp directory, not %d", len(dirs)))
+			}
+			ms, err := cfg.Mmap(*tmpDir)
 			if err != nil {
 				fail(err)
 			}
 			defer ms.Close()
 			opts = append(opts, masort.WithStore(ms))
 		default:
-			fail(fmt.Errorf("unknown -store %q (want file, striped or mmap)", kind))
+			fail(fmt.Errorf("unknown -store %q (want file or mmap)", *storeKind))
 		}
 	}
 	if *events {

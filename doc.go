@@ -132,9 +132,9 @@
 //
 //	store, err := masort.NewStoreConfig().
 //		WithRetry(masort.RetryPolicy{MaxAttempts: 3}).
-//		Striped("/disk1/tmp", "/disk2/tmp")
+//		File("/disk1/tmp", "/disk2/tmp")
 //
-// Four backends cover the spectrum:
+// Three backends cover the spectrum:
 //
 //   - MemStore (NewMemStore, the default): runs held in memory, each Append
 //     batch in the smaller of two forms — by reference, a key and a pointer
@@ -144,14 +144,12 @@
 //     on read (8 bytes or less; also payloads an operator made itself, and
 //     views of the store's own chunks). Fastest; run data is bounded by RAM. Tests
 //     and small sorts.
-//   - FileStore (StoreConfig.File): one directory, checksummed frames,
-//     buffered writes where Append is called, bounded read concurrency,
-//     retry and rollback on write failure. The workhorse single-disk
-//     store.
-//   - StripedStore (StoreConfig.Striped): pages striped round-robin over
-//     N directories — one per physical device — and indexed once every
-//     device has its share of a batch, so one run's bandwidth is the sum
-//     of its devices'. The real-engine twin of the paper's Disks
+//   - FileStore (StoreConfig.File): checksummed frames, buffered writes
+//     where Append is called, bounded read concurrency, retry and rollback
+//     on write failure. The workhorse store. Over N directories — one per
+//     physical device — its pages are striped round-robin and indexed once
+//     every device has its share of a batch, so one run's bandwidth is the
+//     sum of its devices': the real-engine twin of the paper's Disks
 //     experiment.
 //   - MmapStore (StoreConfig.Mmap): file-backed runs read zero-copy
 //     through a memory mapping; falls back with ErrMmapUnsupported where
@@ -166,8 +164,8 @@
 // counted in Stats.StoreRetries, and a give-up is the ErrStoreFailed or
 // ErrCorruptPage the operation returns.
 //
-// Store architecture: MemStore, FileStore, StripedStore and MmapStore are
-// one implementation — an unexported paged-run layer — over thin devices. The
+// Store architecture: MemStore, FileStore and MmapStore are one
+// implementation — an unexported paged-run layer — over thin devices. The
 // layer owns the checksummed page frame, the per-run page index — which
 // describes written pages only: Append writes where it is called and
 // indexes afterwards, cutting a failed batch back off the file — the
@@ -193,9 +191,10 @@
 // collector alone frees (a MemStore batch whose encoding would outweigh its
 // reference form — its keys and payload pointers — is held so instead and
 // writes nothing); striping is the N > 1 case of the same index (page
-// i on device i mod N), so File(dir) is simply N = 1. A new backend is a new
-// device plus a StoreConfig terminal, verified by running storetest.Run on
-// it.
+// i on device i mod N), so File(dir) is simply N = 1. Every run file is
+// created exclusively under a name of its own, so stores may share a
+// directory. A new backend is a new device plus a StoreConfig terminal,
+// verified by running storetest.Run on it.
 //
 // # Buffer ownership
 //
@@ -204,8 +203,8 @@
 // read in place (do not mutate them until the operator returns). Pages
 // passed to RunStore.Append belong to the store only until the returned
 // token completes. Pages returned by RunStore.ReadAsync are read-only.
-// FileStore and StripedStore decode a page by copy: its payloads, which
-// the frame already stores back to back, are copied in one piece to an
+// FileStore decodes a page by copy: its payloads, which the frame already
+// stores back to back, are copied in one piece to an
 // arena of exactly their total size — the keys, lengths and checksum that
 // framed them on disk stay in the store's pooled raw buffer — and every
 // Record.Payload of the page is a slice of that

@@ -58,7 +58,7 @@ func run(name string, adapt masort.Adaptation, recs []masort.Record) {
 
 	// Runs live in real files so the cost of re-reading evicted buffers is
 	// actual disk I/O, as in the paper.
-	store, err := masort.NewFileStore("")
+	store, err := masort.NewStoreConfig().File("")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,10 +2,10 @@
 // pluggable run stores behind the StoreConfig builder. The same shuffled
 // input is sorted over every disk-backed store the library ships:
 //
-//   - FileStore: one directory, checksummed frames, buffered writes
-//   - StripedStore: the paper's Disks experiment for the real engine —
-//     pages striped round-robin over N directories, write bandwidth
-//     scaling with devices
+//   - FileStore over one directory: checksummed frames, buffered writes
+//   - FileStore over three directories: the paper's Disks experiment for
+//     the real engine — pages striped round-robin over N directories,
+//     write bandwidth scaling with devices
 //   - MmapStore: zero-copy reads straight out of the page cache
 //
 // Every store is built from the same StoreConfig, so checksums, retry
@@ -63,19 +63,19 @@ func main() {
 	// matter which store the builder finishes with.
 	cfg := masort.NewStoreConfig()
 
-	file, err := cfg.File("") // "" = fresh temp dir, removed on Close
+	file, err := cfg.File() // no directory: a fresh temp dir, removed on Close
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer file.Close()
 	runSort("file", file)
 
-	striped, err := cfg.Striped("", "", "") // three "devices"
+	striped, err := cfg.File("", "", "") // three "devices", each a fresh temp dir
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer striped.Close()
-	runSort("striped", striped)
+	runSort("file x3", striped)
 
 	if mm, err := cfg.Mmap(""); err != nil {
 		fmt.Printf("mmap     unavailable on this platform: %v\n", err)

@@ -13,10 +13,11 @@ import (
 
 // The fault discipline of faults_test.go, re-run against the other
 // backends: the fault-schedule table and the randomized soak must hold for
-// MemStore, StripedStore (per-device fault targeting included) and MmapStore
-// exactly as they do for FileStore — correct output or a documented sentinel
-// chain, and nothing leaked either way. On MemStore a torn write leaves a
-// chunk the retry must replace, not follow.
+// MemStore, a FileStore over three directories ("striped", per-device fault
+// targeting included) and MmapStore exactly as they do for a FileStore over
+// one — correct output or a documented sentinel chain, and nothing leaked
+// either way. On MemStore a torn write leaves a chunk the retry must
+// replace, not follow.
 
 // faultStore is a store the schedule/soak harnesses can audit for leaked
 // runs after the sort is closed, and then close.
@@ -44,7 +45,7 @@ func faultBackends() []backendCase {
 			name: "striped",
 			build: func(t *testing.T, h FaultHooks, policy RetryPolicy) faultStore {
 				s, err := NewStoreConfig().WithFaults(h).WithRetry(policy).
-					Striped(t.TempDir(), t.TempDir(), t.TempDir())
+					File(t.TempDir(), t.TempDir(), t.TempDir())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,7 +120,7 @@ func TestStoreRetriesWithoutATracer(t *testing.T) {
 }
 
 // TestSortFaultSchedulesNewBackends runs the scripted fault-schedule table
-// through pooled sorts over MemStore, StripedStore and MmapStore. Every
+// through pooled sorts over MemStore, a striped FileStore and MmapStore. Every
 // recoverable schedule must show its healed attempts in Stats.StoreRetries.
 func TestSortFaultSchedulesNewBackends(t *testing.T) {
 	recs := faultSortInput(4096)
@@ -335,9 +336,9 @@ func TestSortFaultStripedDeviceTargeted(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			store, err := NewStoreConfig().
-				WithDeviceFaults(tc.hooks).
+				withDeviceFaults(tc.hooks).
 				WithRetry(RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond}).
-				Striped(t.TempDir(), t.TempDir(), t.TempDir())
+				File(t.TempDir(), t.TempDir(), t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -439,9 +440,9 @@ func TestSortFaultStripedParallel(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			store, err := NewStoreConfig().
-				WithDeviceFaults(tc.hooks).
+				withDeviceFaults(tc.hooks).
 				WithRetry(policy).
-				Striped(t.TempDir(), t.TempDir(), t.TempDir())
+				File(t.TempDir(), t.TempDir(), t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,10 +3,8 @@ package masort
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand/v2"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"syscall"
@@ -339,7 +337,7 @@ func TestConcurrentReadersDuringWriteFailure(t *testing.T) {
 // must fail with ErrCorruptPage in the chain, and the token must report
 // exactly one retry (the re-read).
 func TestFileStoreCorruptionOnMedium(t *testing.T) {
-	store, err := NewFileStore(t.TempDir())
+	store, err := newFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +347,7 @@ func TestFileStoreCorruptionOnMedium(t *testing.T) {
 	if err != nil || tok.Wait() != nil {
 		t.Fatal("append failed")
 	}
-	name := filepath.Join(store.Dir(), fmt.Sprintf("run-%06d.bin", id))
+	name := runFile(store.pagedStore, id, 0)
 	raw, err := os.ReadFile(name)
 	if err != nil {
 		t.Fatal(err)

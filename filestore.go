@@ -1,12 +1,30 @@
 package masort
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"slices"
+	"strconv"
 )
 
-// FileStore is a disk-backed RunStore: each run is one file of checksummed
-// page frames in a directory, with an in-memory page index per run.
+// FileStore is a disk-backed RunStore: each run is a file of checksummed
+// page frames in each of the store's directories, with an in-memory page
+// index per run.
+//
+// Over N directories — ideally one per physical device — it is the real
+// engine's twin of the paper's multi-disk Disks experiment: a run's pages
+// are dealt round-robin, page i to directory i mod N across batch
+// boundaries, so consecutive pages sit on different disks and one run's
+// write bandwidth is the sum of its devices'. Each device has its own read
+// concurrency bound. Append writes each device's share of a batch in turn,
+// one positional write a device, and enters the batch in the page index once
+// every device has its share: Pages never counts a page some device has yet
+// to write. Each live run holds one open file per device, so sorts whose
+// budget is tiny relative to the input, which make tens of thousands of
+// runs, may need a higher fd limit, a bigger budget or fewer directories.
+// Every run file is created exclusively under a name of its own, so stores
+// may share a directory, and one directory may be named twice.
 //
 // Append encodes the pages and writes them where it is called, one
 // positional write a batch, and returns a completed Token: the pages are
@@ -41,29 +59,19 @@ import (
 // ErrCorruptPage in the chain, StoreConfig.WithRetry turns transient I/O
 // errors into bounded retries with backoff, and errors that survive retry —
 // or are permanent up front, like ENOSPC — wrap ErrStoreFailed. A write that
-// fails terminally breaks the whole run: the file is cut back to where the
-// batch began, Pages stays where it was, and the batch's token and every
-// subsequent Append and read of the run report the failure.
+// fails terminally breaks the whole run, on every device: the failing file
+// is cut back to where the batch began, what other devices already took of
+// the batch stays unindexed, Pages stays where it was, and the batch's token
+// and every subsequent Append and read of the run report the failure.
 //
-// Build one with StoreConfig.File, or NewFileStore for the default
-// configuration.
+// Build one with StoreConfig.File.
 type FileStore struct{ *pagedStore }
-
-// NewFileStore creates a run store in dir with the default configuration
-// (see NewStoreConfig); dir is created if missing. If dir is empty, a fresh
-// temporary directory is used and removed on Close.
-func NewFileStore(dir string) (*FileStore, error) {
-	return NewStoreConfig().File(dir)
-}
-
-// Dir returns the directory holding run files.
-func (s *FileStore) Dir() string { return s.disks[0].dir }
 
 // fileDevice is a run file read with positional reads into a pooled raw buffer.
 type fileDevice struct{ *os.File }
 
 func openFileDevice(path string) (device, error) {
-	f, err := os.Create(path)
+	f, err := createRunFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -78,6 +86,21 @@ func (d fileDevice) fetch(off int64, n int, bufs *bufPool) ([]byte, *rawBuf, err
 }
 
 func (d fileDevice) remove() error { return removeFile(d.File) }
+
+// createRunFile creates a new run file exclusively: path itself, or, when
+// that name is taken — by another store's run, or another device of this
+// store over the same directory — the first free one of path.1, path.2, …
+// A file it did not create is never opened.
+func createRunFile(path string) (*os.File, error) {
+	name := path
+	for i := 1; ; i++ {
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) {
+			return f, err
+		}
+		name = path + "." + strconv.Itoa(i)
+	}
+}
 
 // removeFile closes f and deletes it, even if the close fails.
 func removeFile(f *os.File) error {

@@ -17,11 +17,11 @@ import (
 )
 
 func TestFileStoreCreatesAndCleansDir(t *testing.T) {
-	store, err := NewFileStore("")
+	store, err := newFileStore("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := store.Dir()
+	dir := storeDir(store.pagedStore, 0)
 	if _, err := os.Stat(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestFileStoreCreatesAndCleansDir(t *testing.T) {
 
 func TestFileStoreExplicitDirSurvivesClose(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "runs")
-	store, err := NewFileStore(dir)
+	store, err := newFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestFileStoreExplicitDirSurvivesClose(t *testing.T) {
 }
 
 func TestFileStoreUnknownRunErrors(t *testing.T) {
-	store, _ := NewFileStore(t.TempDir())
+	store, _ := newFileStore(t.TempDir())
 	defer store.Close()
 	if _, err := store.Append(99, nil); err == nil {
 		t.Fatal("append to unknown run")
@@ -69,7 +69,7 @@ func TestFileStoreUnknownRunErrors(t *testing.T) {
 }
 
 func TestFileStoreEmptyPayloadAndLargeRecords(t *testing.T) {
-	store, _ := NewFileStore(t.TempDir())
+	store, _ := newFileStore(t.TempDir())
 	defer store.Close()
 	id, _ := store.Create()
 	big := make([]byte, 70000) // exceeds the bufio reader size
@@ -102,7 +102,7 @@ func TestFileStoreEmptyPayloadAndLargeRecords(t *testing.T) {
 
 // Property: any records survive a FileStore round trip byte-for-byte.
 func TestFileStoreRoundTripProperty(t *testing.T) {
-	store, err := NewFileStore(t.TempDir())
+	store, err := newFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestFileStoreAppendRollbackOnWriteFailure(t *testing.T) {
 		t.Fatalf("read of broken run = %v, want ErrStoreFailed chain", err)
 	}
 	// File truncated to match: no torn bytes past the last indexed page.
-	fi, err := os.Stat(filepath.Join(store.Dir(), fmt.Sprintf("run-%06d.bin", id)))
+	fi, err := os.Stat(runFile(store.pagedStore, id, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestFileStoreAppendRollbackOnWriteFailure(t *testing.T) {
 // Calls for any single run stay on one goroutine (the RunStore contract);
 // the store itself must tolerate everything else happening at once.
 func TestFileStoreConcurrentAccess(t *testing.T) {
-	store, err := NewFileStore(t.TempDir())
+	store, err := newFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestFileStoreConcurrentAccess(t *testing.T) {
 // contract: payloads of one read alias a single buffer, remain valid while
 // retained, and two reads of the same page never share buffers.
 func TestFileStoreZeroCopyPayloadOwnership(t *testing.T) {
-	store, err := NewFileStore(t.TempDir())
+	store, err := newFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestFileStoreZeroCopyPayloadOwnership(t *testing.T) {
 // TestIteratorAbandonedReadAhead closes a result while the run iterator
 // still has a read-ahead in flight: Free must drain it without deadlock.
 func TestIteratorAbandonedReadAhead(t *testing.T) {
-	store, err := NewFileStore(t.TempDir())
+	store, err := newFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,5 +431,112 @@ func TestIteratorAbandonedReadAhead(t *testing.T) {
 	}
 	if store.Live() != 0 {
 		t.Fatalf("%d runs leaked", store.Live())
+	}
+}
+
+// TestStoresShareADirectory: every run file is created exclusively under a
+// name of its own, so two stores over one directory — or one store that
+// names a directory twice — never truncate, read or remove each other's
+// files. Each case opens two stores over one directory: first each appends
+// a run of four pages and reads it back, then two sorts, one a store, run at
+// once; both directories' files are gone once the stores close.
+func TestStoresShareADirectory(t *testing.T) {
+	type closingStore interface {
+		RunStore
+		Close() error
+	}
+	cases := []struct {
+		name string
+		open func(dir string) (closingStore, error)
+	}{
+		{"file", func(dir string) (closingStore, error) { return newFileStore(dir) }},
+		{"mmap", func(dir string) (closingStore, error) { return newMmapStore(dir) }},
+		{"file-dir-twice", func(dir string) (closingStore, error) { return NewStoreConfig().File(dir, dir) }},
+	}
+	const pages, n = 4, 20000
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var stores [2]closingStore
+			for i := range stores {
+				s, err := tc.open(dir)
+				if errors.Is(err, ErrMmapUnsupported) {
+					t.Skip("mmap not supported on this platform")
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				stores[i] = s
+			}
+			// Page p of store i holds the key 100*(i+1) + 10*p.
+			key := func(i, p int) uint64 { return uint64(100*(i+1) + 10*p) }
+			ids := make([]RunID, len(stores))
+			for i, s := range stores {
+				id, err := s.Create()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids[i] = id
+				for p := range pages {
+					tok, err := s.Append(id, []Page{{{Key: key(i, p), Payload: []byte("x")}}})
+					if err != nil || tok.Wait() != nil {
+						t.Fatalf("store %d: append of page %d failed", i, p)
+					}
+				}
+			}
+			for i, s := range stores {
+				for p := range pages {
+					pg, err := s.ReadAsync(ids[i], p).Wait()
+					if err != nil {
+						t.Fatalf("store %d, page %d: %v", i, p, err)
+					}
+					if len(pg) != 1 || pg[0].Key != key(i, p) {
+						t.Fatalf("store %d, page %d: read %v, want key %d", i, p, pg, key(i, p))
+					}
+				}
+				if err := s.Free(ids[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			var wg sync.WaitGroup
+			errs := make([]error, len(stores))
+			for i, s := range stores {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					in := make([]Record, n)
+					for k := range in {
+						in[k] = Record{Key: uint64(i*n + (k*7919)%n), Payload: []byte("y")}
+					}
+					out, err := sortSlice(context.Background(), in,
+						WithStore(s), WithBudget(NewBudget(16)), WithPageRecords(64))
+					if err == nil && len(out) != n {
+						err = fmt.Errorf("%d records out, want %d", len(out), n)
+					}
+					for k := 0; err == nil && k < len(out); k++ {
+						if out[k].Key != uint64(i*n+k) {
+							err = fmt.Errorf("record %d has key %d, want %d", k, out[k].Key, i*n+k)
+						}
+					}
+					errs[i] = err
+				}()
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Errorf("sort on store %d: %v", i, err)
+				}
+			}
+			for i, s := range stores {
+				if err := s.Close(); err != nil {
+					t.Errorf("close store %d: %v", i, err)
+				}
+			}
+			if left, _ := os.ReadDir(dir); len(left) != 0 {
+				t.Fatalf("%d files left in the shared directory", len(left))
+			}
+		})
 	}
 }

@@ -101,7 +101,7 @@ func TestMergeReadsAllocateNothing(t *testing.T) {
 		{name: "fluct", bound: 576, every: 100, schedule: []int{41, 41, 41, 33, 41, 37, 41, 29, 41}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fs, err := NewFileStore(t.TempDir())
+			fs, err := newFileStore(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,7 +213,7 @@ func TestHeldDrainAllocatesOnlyPayloads(t *testing.T) {
 		open  func(t *testing.T) RunStore
 	}{
 		{"file", pageRecords * payload, func(t *testing.T) RunStore {
-			s, err := NewFileStore(t.TempDir())
+			s, err := newFileStore(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -299,8 +299,8 @@ func heldDrainWindow(t *testing.T, store RunStore, runs, pages, pageRecords, pay
 	return float64(allocTo-allocFrom) / float64(to-from), threadsTo - threadsFrom
 }
 
-// forFileBackends runs fn on the stores that read into memory: FileStore and
-// StripedStore, without fault hooks.
+// forFileBackends runs fn on the stores that read into memory: a FileStore
+// over one directory and over three ("striped"), without fault hooks.
 func forFileBackends(t *testing.T, fn func(t *testing.T, s tokenStore)) {
 	for _, be := range tokenBackends[:2] {
 		t.Run(be.name, func(t *testing.T) {
@@ -492,7 +492,7 @@ func TestFailedDecodeKeepsItsFrame(t *testing.T) {
 // TestReleaseIsIdempotent: a second Release must not put the frame on the
 // free list again — two readers decoding into one frame is silent corruption.
 func TestReleaseIsIdempotent(t *testing.T) {
-	s, err := NewFileStore(t.TempDir())
+	s, err := newFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

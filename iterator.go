@@ -21,10 +21,9 @@ type Token = core.Token
 type PageToken = core.PageToken
 
 // RunStore stores sorted runs — the seam between the sort engine and
-// storage. The library ships four implementations (NewMemStore,
-// NewFileStore, NewStripedStore and NewMmapStore); build configured
-// instances with NewStoreConfig and see the package documentation for
-// choosing between them.
+// storage. The library ships three implementations: MemStore
+// (NewMemStore), and FileStore and MmapStore, built by NewStoreConfig's
+// File and Mmap; see the package documentation for choosing between them.
 //
 // The contract every implementation must honor (and that the storetest
 // package verifies):

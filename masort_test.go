@@ -209,7 +209,7 @@ func TestSortUnderConcurrentBudgetChanges(t *testing.T) {
 }
 
 func TestSortWithFileStore(t *testing.T) {
-	store, err := NewFileStore(t.TempDir())
+	store, err := newFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestSortWithFileStore(t *testing.T) {
 }
 
 func TestFileStoreRoundTrip(t *testing.T) {
-	store, err := NewFileStore("")
+	store, err := newFileStore("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -774,13 +774,13 @@ func TestStoresTellFreedRunsApart(t *testing.T) {
 		open func(dir string) (store, error)
 	}{
 		{"file", func(dir string) (store, error) {
-			return NewFileStore(dir)
+			return newFileStore(dir)
 		}},
 		{"striped", func(dir string) (store, error) {
-			return NewStripedStore(dir+"/a", dir+"/b")
+			return NewStoreConfig().File(dir+"/a", dir+"/b")
 		}},
 		{"mmap", func(dir string) (store, error) {
-			return NewMmapStore(dir)
+			return newMmapStore(dir)
 		}},
 	}
 	for _, st := range stores {
@@ -988,7 +988,7 @@ func TestFuncIterator(t *testing.T) {
 // then verifies every output payload still matches its key — the guard for
 // the buffer-recycling and payload-aliasing machinery.
 func TestSortFileStorePayloadIntegrity(t *testing.T) {
-	store, err := NewFileStore(t.TempDir())
+	store, err := newFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 	"sync"
 )
 
-// ErrMmapUnsupported is returned by NewMmapStore (and StoreConfig.Mmap) on
-// platforms without memory-mapped file support. Test with
+// ErrMmapUnsupported is returned by StoreConfig.Mmap on platforms without
+// memory-mapped file support. Test with
 //
 //	errors.Is(err, masort.ErrMmapUnsupported)
 //
@@ -42,17 +42,6 @@ type MmapStore struct {
 	mu      sync.Mutex
 	retired [][]byte // outgrown mappings and those of freed runs, unmapped at Close
 }
-
-// NewMmapStore creates an mmap-backed run store in dir with the default
-// configuration (see NewStoreConfig); dir is created if missing, and an
-// empty dir means a fresh temporary directory removed on Close. Use
-// StoreConfig.Mmap to configure retries or faults.
-func NewMmapStore(dir string) (*MmapStore, error) {
-	return NewStoreConfig().Mmap(dir)
-}
-
-// Dir returns the directory holding run files.
-func (s *MmapStore) Dir() string { return s.disks[0].dir }
 
 // Close frees every run, unmaps every mapping (created by reads of live
 // and already-freed runs alike), and removes the directory if the store
@@ -92,7 +81,7 @@ type mmapDevice struct {
 }
 
 func (s *MmapStore) openDevice(path string) (device, error) {
-	f, err := os.Create(path)
+	f, err := createRunFile(path)
 	if err != nil {
 		return nil, err
 	}

@@ -58,8 +58,8 @@ func WithBudget(b *Budget) Option {
 
 // WithStore sets the run store (default NewMemStore, which holds the runs
 // in memory, encoded or by reference to the payloads, whichever is smaller; use
-// NewFileStore, or another StoreConfig backend, for datasets larger than
-// memory).
+// a FileStore or an MmapStore, built by NewStoreConfig, for datasets larger
+// than memory).
 func WithStore(s RunStore) Option {
 	return func(o *config) { o.store = s }
 }

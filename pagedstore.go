@@ -219,11 +219,11 @@ func (d *disk) noteFetch(took time.Duration) {
 	d.fetchNanos.Store(avg + (int64(took)-avg)/8)
 }
 
-// pagedStore is the one RunStore implementation; MemStore, FileStore,
-// StripedStore and MmapStore are this type over different devices and
-// directory counts. A run is a sequence of checksummed page frames spread
-// round-robin over the store's N disks — page i lives on disk i mod N — with
-// one in-memory page index per run; a single directory is simply N = 1.
+// pagedStore is the one RunStore implementation; MemStore, FileStore and
+// MmapStore are this type over different devices and directory counts. A
+// run is a sequence of checksummed page frames spread round-robin over the
+// store's N disks — page i lives on disk i mod N — with one in-memory page
+// index per run; a single directory is simply N = 1.
 //
 // A write is synchronous and a read runs where it is waited for:
 //

@@ -58,7 +58,7 @@ var tokenBackends = []struct {
 		return tokenStore{s, s.pagedStore, s.Close}
 	}},
 	{"striped", func(t *testing.T, cfg *StoreConfig) tokenStore {
-		s, err := cfg.Striped(t.TempDir(), t.TempDir(), t.TempDir())
+		s, err := cfg.File(t.TempDir(), t.TempDir(), t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -581,7 +581,7 @@ func (s *countReads) ReadAsync(id RunID, page int) PageToken {
 // are rightly dispatched — on a loaded box that is a few reads in a hundred.)
 func TestFastDeviceDispatchesNothing(t *testing.T) {
 	in := randomRecords(6000, 11, 16)
-	fs, err := NewFileStore(t.TempDir())
+	fs, err := newFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

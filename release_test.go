@@ -216,7 +216,7 @@ func releaseBackends() []releaseBackend {
 			return masort.NewMemStore() // payloads are views of the stored chunks
 		}, true},
 		{"file", func(t *testing.T) masort.RunStore {
-			s, err := masort.NewFileStore(t.TempDir())
+			s, err := masort.NewStoreConfig().File(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,7 +224,7 @@ func releaseBackends() []releaseBackend {
 			return s
 		}, false},
 		{"striped", func(t *testing.T) masort.RunStore {
-			s, err := masort.NewStripedStore(t.TempDir(), t.TempDir(), t.TempDir())
+			s, err := masort.NewStoreConfig().File(t.TempDir(), t.TempDir(), t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,7 +232,7 @@ func releaseBackends() []releaseBackend {
 			return s
 		}, false},
 		{"mmap", func(t *testing.T) masort.RunStore {
-			s, err := masort.NewMmapStore(t.TempDir())
+			s, err := masort.NewStoreConfig().Mmap(t.TempDir())
 			if errors.Is(err, masort.ErrMmapUnsupported) {
 				t.Skip("mmap not supported on this platform")
 			}
@@ -537,7 +537,7 @@ func TestJoinGroupPagesComeBackAsRecordArrays(t *testing.T) {
 		return recs
 	}
 	left, right := mk(1), mk(2)
-	inner, err := masort.NewFileStore(t.TempDir())
+	inner, err := masort.NewStoreConfig().File(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

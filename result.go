@@ -101,7 +101,7 @@ type Result struct {
 // Records are served from the store's pages: they stay valid as long as
 // they are referenced, but callers retaining Record.Payload across many
 // records should copy it — a retained payload pins its page's payloads, all
-// of them (the page's payload arena on FileStore and StripedStore, nothing
+// of them (the page's payload arena on FileStore, nothing
 // but the payload bytes; the run's mapping on MmapStore, zero-copy; on the
 // default MemStore, the batch's encoded chunk for payloads of 8 bytes or
 // less and for payloads the operator made (a Join's tuples), and otherwise
@@ -126,12 +126,13 @@ func (r *Result) Iterator() Iterator {
 //		...
 //	}
 //
-// The sequence yields at most one non-nil error, as its final pair. A loop
-// that breaks early over a held last step (see Result) ends that iteration
-// and hands its pages back at once.
+// The sequence yields at most one non-nil error, as its final pair. Each
+// range over it is an iteration of its own (see Iterator), so one sequence
+// may be ranged again. A loop that breaks early over a held last step (see
+// Result) ends that iteration and hands its pages back at once.
 func (r *Result) All() iter.Seq2[Record, error] {
-	it := r.Iterator()
 	return func(yield func(Record, error) bool) {
+		it := r.Iterator()
 		for {
 			rec, ok, err := it.Next()
 			if err != nil {

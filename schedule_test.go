@@ -237,7 +237,7 @@ func (c scheduleCase) open(t *testing.T) liveStore {
 	case 1:
 		s, err = cfg.File(t.TempDir())
 	case 2:
-		s, err = cfg.Striped(t.TempDir(), t.TempDir())
+		s, err = cfg.File(t.TempDir(), t.TempDir())
 	case 3:
 		s, err = cfg.Mmap(t.TempDir())
 		if errors.Is(err, masort.ErrMmapUnsupported) {

@@ -1,21 +1,17 @@
 package masort
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
-// StoreConfig is the one configuration consumed by every run-store backend:
-// FileStore, StripedStore and MmapStore all read the same
-// knobs (retry policy, fault hooks), so adding a backend never
-// re-grows a parallel option set.
+// StoreConfig is the one configuration consumed by every disk-backed run
+// store: FileStore and MmapStore read the same knobs (retry policy, fault
+// hooks), so adding a backend never re-grows a parallel option set.
 //
 // It is a builder: the With* methods mutate the receiver and return it, so
 // configuration chains into a terminal constructor —
 //
 //	store, err := masort.NewStoreConfig().
 //		WithRetry(masort.RetryPolicy{MaxAttempts: 3}).
-//		Striped("/mnt/d0/runs", "/mnt/d1/runs")
+//		File("/mnt/d0/runs", "/mnt/d1/runs")
 //
 // One StoreConfig may build any number of stores (each constructor snapshots
 // the relevant fields), but it is not safe for concurrent mutation.
@@ -96,16 +92,6 @@ func (c *StoreConfig) WithFaults(h FaultHooks) *StoreConfig {
 	return c
 }
 
-// WithDeviceFaults installs per-device fault-injection hooks: fn is invoked
-// with each device index (0-based; single-device backends use device 0) and
-// returns the hooks for that device, or nil to leave it untouched. This is
-// how tests target one stripe of a StripedStore while the others stay
-// healthy.
-func (c *StoreConfig) WithDeviceFaults(fn func(device int) FaultHooks) *StoreConfig {
-	c.faults = fn
-	return c
-}
-
 // faultsAt returns the fault hooks for one device (nil when none are
 // configured for it).
 func (c *StoreConfig) faultsAt(device int) FaultHooks {
@@ -115,28 +101,20 @@ func (c *StoreConfig) faultsAt(device int) FaultHooks {
 	return c.faults(device)
 }
 
-// File builds a disk-backed FileStore in dir; dir is created if missing.
-// If dir is empty, a fresh temporary directory is used and removed on
-// Close. See FileStore for the backend's semantics.
-func (c *StoreConfig) File(dir string) (*FileStore, error) {
-	s, err := newPagedStore(c, []string{dir}, openFileDevice)
-	if err != nil {
-		return nil, err
-	}
-	return &FileStore{s}, nil
-}
-
-// Striped builds a StripedStore over one directory per device — ideally
-// each on its own disk or filesystem. See StripedStore.
-func (c *StoreConfig) Striped(dirs ...string) (*StripedStore, error) {
+// File builds a disk-backed FileStore over one directory per device —
+// ideally each on its own disk or filesystem — with every run's pages dealt
+// round-robin over them (see FileStore). Each directory is created if
+// missing; an empty one, or none given at all, is a fresh temporary
+// directory removed on Close.
+func (c *StoreConfig) File(dirs ...string) (*FileStore, error) {
 	if len(dirs) == 0 {
-		return nil, fmt.Errorf("masort: striped store needs at least one directory")
+		dirs = []string{""}
 	}
 	s, err := newPagedStore(c, dirs, openFileDevice)
 	if err != nil {
 		return nil, err
 	}
-	return &StripedStore{s}, nil
+	return &FileStore{s}, nil
 }
 
 // Mmap builds an mmap-backed MmapStore in dir (created if missing; a fresh

@@ -35,7 +35,7 @@ func TestMemStoreConformance(t *testing.T) {
 func TestFileStoreConformance(t *testing.T) {
 	storetest.Run(t, storetest.Config{
 		New: func(tb testing.TB) masort.RunStore {
-			s, err := masort.NewFileStore(tb.TempDir())
+			s, err := masort.NewStoreConfig().File(tb.TempDir())
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -53,13 +53,15 @@ func TestFileStoreConformance(t *testing.T) {
 	})
 }
 
+// TestStripedStoreConformance runs the suite on a FileStore striped over
+// three directories.
 func TestStripedStoreConformance(t *testing.T) {
 	dirs := func(tb testing.TB) []string {
 		return []string{tb.TempDir(), tb.TempDir(), tb.TempDir()}
 	}
 	storetest.Run(t, storetest.Config{
 		New: func(tb testing.TB) masort.RunStore {
-			s, err := masort.NewStripedStore(dirs(tb)...)
+			s, err := masort.NewStoreConfig().File(dirs(tb)...)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -67,7 +69,7 @@ func TestStripedStoreConformance(t *testing.T) {
 			return s
 		},
 		NewFaulty: func(tb testing.TB, h masort.FaultHooks) masort.RunStore {
-			s, err := faultyCfg(h).Striped(dirs(tb)...)
+			s, err := faultyCfg(h).File(dirs(tb)...)
 			if err != nil {
 				tb.Fatal(err)
 			}

@@ -5,8 +5,8 @@
 // safety, nothing held per freed run, corruption surfacing and terminal
 // write-failure surfacing.
 //
-// Every built-in backend (MemStore, FileStore, StripedStore, MmapStore)
-// passes this suite; run it against a custom store with:
+// Every built-in backend (MemStore, FileStore over one directory or
+// several, MmapStore) passes this suite; run it against a custom store with:
 //
 //	func TestMyStoreConformance(t *testing.T) {
 //		storetest.Run(t, storetest.Config{

@@ -28,7 +28,7 @@ var streamBackends = []struct {
 	open func(t *testing.T) streamStore
 }{
 	{"file", func(t *testing.T) streamStore {
-		fs, err := NewFileStore(t.TempDir())
+		fs, err := newFileStore(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,6 +453,31 @@ func TestResultAllSeq(t *testing.T) {
 	}
 }
 
+// TestResultAllRangesTwice: one value of res.All() is a sequence like any
+// other — each range over it starts an iteration of its own — so ranging it
+// twice hands out every record both times.
+func TestResultAllRangesTwice(t *testing.T) {
+	in := streamInput()
+	want := oracle(in)
+	res, err := Sort(context.Background(), NewSliceIterator(in),
+		WithPageRecords(64), WithBudget(NewBudget(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	all := res.All()
+	for pass := range 2 {
+		var got []Record
+		for rec, err := range all {
+			if err != nil {
+				t.Fatalf("range %d: %v", pass+1, err)
+			}
+			got = append(got, rec)
+		}
+		sameOutput(t, got, want)
+	}
+}
+
 // TestStreamFeedsASortOnTheSameBudget: one Sort's held last step — on one
 // worker or two — is the input of another on the same
 // 8-page Budget and FileStore — the query plan WithBudget promises — and
@@ -464,7 +489,7 @@ func TestStreamFeedsASortOnTheSameBudget(t *testing.T) {
 	want := oracle(in)
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			fs, err := NewFileStore(t.TempDir())
+			fs, err := newFileStore(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}

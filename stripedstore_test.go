@@ -2,7 +2,6 @@ package masort
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,18 +11,21 @@ import (
 	"github.com/memadapt/masort/internal/pagecodec"
 )
 
+// The tests of a FileStore over several directories — striped, one device a
+// directory — keep the names they had when that was a type of its own.
+
 // TestStripedStoreDistribution pins the striping layout: pages go
 // round-robin across devices with the cursor carried across batches, so
 // two devices each end up with half of six pages regardless of batch
 // boundaries — and every page reads back from the right device.
 func TestStripedStoreDistribution(t *testing.T) {
-	store, err := NewStripedStore(t.TempDir(), t.TempDir())
+	store, err := NewStoreConfig().File(t.TempDir(), t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if store.Devices() != 2 {
-		t.Fatalf("Devices = %d, want 2", store.Devices())
+	if n := len(store.disks); n != 2 {
+		t.Fatalf("devices = %d, want 2", n)
 	}
 	id, _ := store.Create()
 	var want []Page
@@ -44,12 +46,16 @@ func TestStripedStoreDistribution(t *testing.T) {
 	// With the cursor carried across batches each device holds exactly 3
 	// pages (dev0: global 0,2,4; dev1: global 1,3,5): its run file is those
 	// three frames and nothing else.
-	for dev, dir := range store.Dirs() {
+	for dev := range 2 {
 		var wantSize int64
-		for p := dev; p < len(want); p += store.Devices() {
+		for p := dev; p < len(want); p += 2 {
 			wantSize += int64(pagecodec.EncodedSizeSum(want[p]))
 		}
-		fi, err := os.Stat(filepath.Join(dir, fmt.Sprintf("run-%06d.bin", id)))
+		name := runFile(store.pagedStore, id, dev)
+		if dir := storeDir(store.pagedStore, dev); filepath.Dir(name) != dir {
+			t.Fatalf("device %d's run file %s is not in its directory %s", dev, name, dir)
+		}
+		fi, err := os.Stat(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,12 +82,12 @@ func TestStripedStoreDistribution(t *testing.T) {
 func TestStripedStoreMergedDurabilityToken(t *testing.T) {
 	gate := newWriteGate()
 	gate.shut.Store(false)
-	store, err := NewStoreConfig().WithDeviceFaults(func(dev int) FaultHooks {
+	store, err := NewStoreConfig().withDeviceFaults(func(dev int) FaultHooks {
 		if dev != 1 {
 			return nil
 		}
 		return gate
-	}).Striped(t.TempDir(), t.TempDir())
+	}).File(t.TempDir(), t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,18 +124,18 @@ func TestStripedStoreMergedDurabilityToken(t *testing.T) {
 	}
 }
 
-// TestStripedStoreDeviceFaultTargeted uses WithDeviceFaults to corrupt
+// TestStripedStoreDeviceFaultTargeted uses withDeviceFaults to corrupt
 // exactly one stripe: reads of pages on the sick device fail with
 // ErrCorruptPage while its neighbors' pages are untouched.
 func TestStripedStoreDeviceFaultTargeted(t *testing.T) {
 	sick := 1
-	store, err := NewStoreConfig().WithDeviceFaults(func(dev int) FaultHooks {
+	store, err := NewStoreConfig().withDeviceFaults(func(dev int) FaultHooks {
 		if dev != sick {
 			return nil
 		}
 		return faultinject.New(faultinject.Rule{Op: faultinject.Read, Every: 1,
 			Fault: faultinject.Fault{FlipBit: 13}})
-	}).Striped(t.TempDir(), t.TempDir(), t.TempDir())
+	}).File(t.TempDir(), t.TempDir(), t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +168,14 @@ func TestStripedStoreDeviceFaultTargeted(t *testing.T) {
 // the whole striped run for appends and reads, while Free and Close still
 // work.
 func TestStripedStoreDeviceFailureBreaksRun(t *testing.T) {
-	store, err := NewStoreConfig().WithDeviceFaults(func(dev int) FaultHooks {
+	store, err := NewStoreConfig().withDeviceFaults(func(dev int) FaultHooks {
 		if dev != 2 {
 			return nil
 		}
 		return hookFuncs{beforeWrite: func(off int64, b []byte) (int, error) {
 			return -1, faultinject.Permanent("controller gone")
 		}}
-	}).Striped(t.TempDir(), t.TempDir(), t.TempDir())
+	}).File(t.TempDir(), t.TempDir(), t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
