@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -103,31 +103,23 @@ func TestSortCanceledMidMerge(t *testing.T) {
 
 // TestSortCanceledDuringSuspension parks the sort in a suspension wait (the
 // budget is slashed to the floor mid-merge, below any step's requirement)
-// and then cancels from another goroutine: the wait must wake promptly
-// instead of sleeping until the budget is restored.
+// and cancels it: the wait must wake promptly instead of sleeping until the
+// budget is restored. A step only suspends when the target drops below its
+// requirement MID-step (a step planned at a small target just uses fan-in
+// 2), so the shrink is keyed on the merge's own page operations, not on
+// wall-clock time: no goroutine of the test outlives it, and on one CPU the
+// shrink still lands inside a step. The test returns once the goroutines
+// it caused are gone: the sort's, and the one the arbiter's wait starts on
+// the canceled context, which carries the operator's profiler labels.
 func TestSortCanceledDuringSuspension(t *testing.T) {
+	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	store := NewMemStore()
+	mem := NewMemStore()
 	budget := NewBudget(16)
+	store := &ResizeOnOps{RunStore: mem, Resize: budget.Resize, Cycle: []int{16, 3}, Every: 50}
 	errCh := make(chan error, 1)
-	var suspended atomic.Bool
-	var squeeze, cancelOnce sync.Once
-	// A step only suspends when the target drops below its requirement
-	// MID-step (a step planned at a small target just uses fan-in 2), so
-	// the squeezer oscillates the budget until a suspension is observed,
-	// then leaves the target at the floor so the sort stays parked.
-	squeezer := func() {
-		for i := 0; i < 1000 && !suspended.Load(); i++ {
-			budget.Resize(3)
-			time.Sleep(2 * time.Millisecond)
-			if suspended.Load() {
-				break
-			}
-			budget.Resize(16)
-			time.Sleep(time.Millisecond)
-		}
-	}
+	var cancelOnce sync.Once
 	go func() {
 		_, err := Sort(ctx, NewSliceIterator(randomRecords(80_000, 4, 0)),
 			WithAdaptation(Suspension), WithPageRecords(32),
@@ -135,15 +127,11 @@ func TestSortCanceledDuringSuspension(t *testing.T) {
 			WithEvents(func(ev Event) {
 				switch {
 				case ev.Kind == EvPhase && ev.Phase == "merge":
-					squeeze.Do(func() { go squeezer() })
+					store.Arm()
 				case ev.Kind == EvSuspend:
-					suspended.Store(true)
 					// Cancel synchronously, on the sorting goroutine, before
-					// the suspension wait begins: whether the wait then blocks
-					// or the budget races back, the sort must observe the
-					// cancellation at its next adaptation point. (A delayed
-					// cancel is flaky: a fast resume can finish the sort
-					// before the cancel lands.)
+					// the suspension wait begins: nobody restores the budget,
+					// so only the cancellation can end the wait.
 					cancelOnce.Do(cancel)
 				}
 			}))
@@ -155,7 +143,8 @@ func TestSortCanceledDuringSuspension(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("suspended sort did not observe cancellation")
 	}
-	requireNoLeaks(t, store, budget)
+	requireNoLeaks(t, mem, budget)
+	waitGoroutines(t, base)
 }
 
 func TestJoinCanceledMidMerge(t *testing.T) {

@@ -43,20 +43,20 @@
 // recommendation: replacement selection with 6-page block writes, optimized
 // merging, dynamic splitting ("repl6,opt,split").
 //
-// Every operator returns before its last step, at every worker count: the
-// step's output is the operator's output, so the Result keeps the step's
-// input runs and Result.Iterator runs it under the caller's Next instead of
-// the engine writing the output to the store only for the caller to read it
-// back. Sort and Merge hold their last merge step (a step of one input when
-// there was one run), GroupBy folds its groups off its sort's last step
-// inside Next, and a Join reads the output run its joint step wrote through
-// a step of one input. Each
-// iterator is a user of its own of the same budget — an operator that reads
-// it on that budget shares the budget with it — and holds up to the step's
-// fan-in in pages (one per input: records go to Next by value, with no
-// output page) while it runs the step, adapts to its share and observes
-// ctx as every step does; the step runs afresh for every Iterator, and Stats
-// Pages and Tuples are final once a drain has completed (see Result).
+// Every operator returns before its last step: the step's output is the
+// operator's output, so the Result keeps the step's input runs and
+// Result.Iterator runs it under the caller's Next instead of the engine
+// writing the output to the store only for the caller to read it back.
+// Sort and Merge hold their last merge step (a step of one input when there
+// was one run), GroupBy folds its groups off its sort's last step inside
+// Next, and a Join reads the output run its joint step wrote through a step
+// of one input. Each iterator is a user of its own of the same budget — an
+// operator that reads it on that budget shares the budget with it — and
+// holds up to the step's fan-in in pages (one per input: records go to
+// Next by value, with no output page) while it runs the step, adapts to its
+// share and observes ctx as every step does; the step runs afresh for every
+// Iterator, and Stats Pages and Tuples are final once a drain has completed
+// (see Result).
 //
 // Sort-merge joins (Join), grouped aggregation (GroupBy) and run
 // compaction (Merge) run on the same adaptive machinery and compose through

@@ -8,7 +8,6 @@ import (
 	"runtime/pprof"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -78,31 +77,17 @@ func TestEventsEmittedDuringAdaptiveSort(t *testing.T) {
 	}
 }
 
-// shrinkOnRead slashes the budget to the floor on its nth page read. Merge
-// steps read pages continuously, so the shrink is guaranteed to land
-// MID-step — the only moment a suspension can trigger (a step planned
+// TestEventsSuspension: the budget is slashed to the floor every 100 page
+// operations of the merge. Merge steps read pages continuously, so a shrink
+// lands MID-step — the only moment a suspension can trigger (a step planned
 // after the shrink would simply use fan-in 2). Driving the shrink from the
 // sort's own I/O path makes the test deterministic even on one CPU, where
 // a wall-clock squeeze goroutine may never be scheduled inside the merge
 // window.
-type shrinkOnRead struct {
-	*MemStore
-	budget *Budget
-	at     int64
-	reads  atomic.Int64
-}
-
-func (s *shrinkOnRead) ReadAsync(id RunID, page int) PageToken {
-	if s.reads.Add(1) == s.at {
-		s.budget.Resize(3)
-	}
-	return s.MemStore.ReadAsync(id, page)
-}
-
 func TestEventsSuspension(t *testing.T) {
 	in := randomRecords(80_000, 23, 0)
 	budget := NewBudget(24)
-	store := &shrinkOnRead{MemStore: NewMemStore(), budget: budget, at: 100}
+	store := &ResizeOnOps{RunStore: NewMemStore(), Resize: budget.Resize, Cycle: []int{3}, Every: 100}
 	var mu sync.Mutex
 	suspends, resumes := 0, 0
 	out, err := sortSlice(context.Background(), in,
@@ -113,6 +98,10 @@ func TestEventsSuspension(t *testing.T) {
 		WithEvents(func(ev Event) {
 			mu.Lock()
 			switch ev.Kind {
+			case EvPhase:
+				if ev.Phase == "merge" {
+					store.Arm()
+				}
 			case EvSuspend:
 				suspends++
 				// Restore the budget so the suspended sort resumes. The

@@ -65,8 +65,8 @@ func (f *FuncAggregator) Finish(k Key) []byte { return f.OnFinish(k) }
 // the memory-adaptive external sort, so the budget may be resized while it
 // executes, and the Result is the sort's last merge step (see Result):
 // Iterator folds the groups straight off it, under the caller's Next —
-// Start, Add and Finish run inside Next — at every WithWorkers count. So
-// neither the sorted input nor the groups are written to the store, and
+// Start, Add and Finish run inside Next. So neither the sorted input nor
+// the groups are written to the store, and
 // Finish runs while the operator holds its memory contract, the last one
 // before the drain that completes the operator ends. Tuples, the number of
 // groups, is 0 until that drain. Every Iterator folds afresh with agg, so

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -447,6 +449,305 @@ func TestMergeBlocksFollowTheirStep(t *testing.T) {
 		}
 		if !slices.Equal(logs[0], logs[1]) {
 			t.Errorf("adaptation %d: one page a block is not the Append sequence of no blocks at all:\n%+v\nvs\n%+v", adapt, logs[1], logs[0])
+		}
+	}
+}
+
+// TestParallelSuspendResumeMidMerge: a sort's merge runs on the
+// operator's goroutine under its whole share, and adapts as any merge does.
+// Mid-merge the budget shrinks to 5 pages, below the running step's need.
+// Under the suspension strategy the merge must suspend at its next page
+// boundary — once — resume when the total is restored and complete
+// exactly; dynamic splitting splits the step instead and never suspends.
+func TestParallelSuspendResumeMidMerge(t *testing.T) {
+	const total = 48
+	recs := makeRecords(30000, 3)
+	for _, adapt := range []Adapt{Suspend, DynSplit} {
+		t.Run(fmt.Sprintf("adapt%d", adapt), func(t *testing.T) {
+			budget := newTestBudget(total)
+			party := budget.Handle
+			store := newMemStore()
+			var (
+				mu      sync.Mutex
+				merging bool
+				shrunk  bool
+				events  []Event
+			)
+			env := &Env{
+				In:    &sliceInput{pages: pagesOf(recs, 32)},
+				Store: store,
+				Mem:   party,
+				Ctx:   context.Background(),
+				OnEvent: func(ev Event) {
+					mu.Lock()
+					defer mu.Unlock()
+					switch ev.Kind {
+					case EvPhase:
+						merging = ev.Phase == "merge"
+					case EvSuspend, EvResume:
+						events = append(events, ev)
+						if ev.Kind == EvSuspend {
+							budget.Resize(total)
+						}
+					}
+				},
+			}
+			store.onAppend = func(RunID, int, int) {
+				mu.Lock()
+				defer mu.Unlock()
+				if merging && !shrunk {
+					shrunk = true
+					budget.Resize(5)
+				}
+			}
+			cfg := SortConfig{
+				Method: Repl, BlockPages: 6, Merge: OptMerge,
+				Adapt: adapt, PageRecords: 32,
+			}
+			res, err := ExternalSort(env, cfg)
+			if err != nil {
+				t.Fatalf("sort: %v", err)
+			}
+			got := sortOutput(t, store, res, budget)
+			checkSorted(t, got)
+			checkPermutation(t, recs, got)
+			if adapt == DynSplit {
+				if !shrunk || len(events) != 0 || res.Stats.Splits == 0 {
+					t.Fatalf("shrunk %v, suspension events %+v, %d splits: want splits and no suspension", shrunk, events, res.Stats.Splits)
+				}
+				return
+			}
+			if !shrunk || len(events) != 2 || events[0].Kind != EvSuspend || events[1].Kind != EvResume {
+				t.Fatalf("shrunk %v, suspension events %+v: want one suspend/resume pair", shrunk, events)
+			}
+			if res.Stats.Suspensions != 1 {
+				t.Fatalf("Stats.Suspensions = %d, want the merge's one", res.Stats.Suspensions)
+			}
+			if g := budget.Granted(); g != 0 {
+				t.Fatalf("broker still has %d pages granted", g)
+			}
+		})
+	}
+}
+
+// TestParallelCancelMidMerge cancels a sort in its merge — on the
+// operator's goroutine, over every run the split wrote — and requires a
+// leak-free abort: every run freed, every page yielded.
+func TestParallelCancelMidMerge(t *testing.T) {
+	recs := makeRecords(30000, 5)
+	budget := newTestBudget(48)
+	store := newMemStore()
+	ctx, cancel := context.WithCancel(context.Background())
+	var (
+		mu           sync.Mutex
+		merging      bool
+		mergeAppends int
+		canceled     bool
+	)
+	env := &Env{
+		In:    &sliceInput{pages: pagesOf(recs, 32)},
+		Store: store,
+		Mem:   budget,
+		Ctx:   ctx,
+		OnEvent: func(ev Event) {
+			if ev.Kind == EvPhase && ev.Phase == "merge" {
+				mu.Lock()
+				merging = true
+				mu.Unlock()
+			}
+		},
+	}
+	store.onAppend = func(id RunID, nth, pages int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if canceled || !merging {
+			return
+		}
+		mergeAppends++
+		if mergeAppends > 6 {
+			canceled = true
+			cancel()
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.PageRecords = 32
+	_, err := ExternalSort(env, cfg)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if live := store.liveRuns(); live != 0 {
+		t.Fatalf("aborted sort left %d live runs", live)
+	}
+	if g := budget.Granted(); g != 0 {
+		t.Fatalf("aborted sort left %d pages granted", g)
+	}
+}
+
+// storedRuns writes n sorted runs the way a MergeExisting caller would:
+// straight into the store.
+func storedRuns(t *testing.T, env *Env, n, size int) (ids []RunID, all []Record) {
+	t.Helper()
+	for i := range n {
+		recs := makeRecords(size, uint64(100+i))
+		sortRecords(recs)
+		res, err := WriteRun(&Env{Store: env.Store, In: &sliceInput{pages: pagesOf(recs, 32)}}, 6)
+		if err != nil {
+			t.Fatalf("WriteRun: %v", err)
+		}
+		ids = append(ids, res.Result)
+		all = append(all, recs...)
+	}
+	return ids, all
+}
+
+// TestParallelMergeExistingTree: MergeExisting over 3 runs and over 9 runs,
+// each merged twice on fresh stores. Both merges must give the same
+// output and the same merge steps, hand back a stored run, and leave
+// exactly that run behind.
+func TestParallelMergeExistingTree(t *testing.T) {
+	for _, n := range []int{3, 9} {
+		t.Run(fmt.Sprintf("runs%d", n), func(t *testing.T) {
+			merge := func() (*SortResult, []Record, *memStore) {
+				store := newMemStore()
+				env := &Env{Store: store, Mem: newTestBudget(32), Ctx: context.Background()}
+				ids, all := storedRuns(t, env, n, 2000)
+				cfg := DefaultConfig()
+				cfg.PageRecords = 32
+				res, err := MergeExisting(env, cfg, ids)
+				if err != nil {
+					t.Fatalf("merge: %v", err)
+				}
+				if res.Last != nil {
+					t.Fatal("held a last step; want a stored run")
+				}
+				if live := store.liveRuns(); live != 1 {
+					t.Fatalf("store has %d live runs, want 1", live)
+				}
+				if g := env.Mem.Granted(); g != 0 {
+					t.Fatalf("broker still has %d pages granted", g)
+				}
+				return res, all, store
+			}
+			first, all, fstore := merge()
+			want := runRecords(t, fstore, first.Result)
+			checkSorted(t, want)
+			checkPermutation(t, all, want)
+			again, _, astore := merge()
+			if got := runRecords(t, astore, again.Result); !slices.EqualFunc(got, want, func(a, b Record) bool { return a.Key == b.Key }) {
+				t.Fatalf("the second merge's output differs from the first's")
+			}
+			if again.Stats.MergeSteps != first.Stats.MergeSteps {
+				t.Fatalf("%d runs: %d steps, then %d; want one plan",
+					n, first.Stats.MergeSteps, again.Stats.MergeSteps)
+			}
+		})
+	}
+}
+
+// TestParallelMergeCancelWhileParkedFreesInputs is the regression for the
+// abort path the three hand-copied launch loops had drifted on: Merge's
+// inputs are consumed even on abort — on a 3-page budget, with
+// the cancel landing at the merge's first append, every input run is freed,
+// not only the ones the first step read.
+func TestParallelMergeCancelWhileParkedFreesInputs(t *testing.T) {
+	store := newMemStore()
+	budget := newTestBudget(32)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	env := &Env{Store: store, Mem: budget, Ctx: ctx}
+	ids, _ := storedRuns(t, env, 4, 2000)
+	budget.Resize(3)
+	first := store.appends + 1 // the merge's first append
+	store.onAppend = func(_ RunID, nth, _ int) {
+		if nth == first {
+			cancel()
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.PageRecords = 32
+	if _, err := MergeExisting(env, cfg, ids); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if live := store.liveRuns(); live != 0 {
+		t.Fatalf("canceled merge left %d live runs; its inputs are consumed even on abort", live)
+	}
+	if g := budget.Granted(); g != 0 {
+		t.Fatalf("canceled merge left %d pages granted", g)
+	}
+}
+
+// TestParkedWorkerSuspendsOnce: a merge suspends once per shrink below the
+// running step's need, and for nothing else. The total is cut from 48 pages
+// to the 3-page floor and restored when the merge reports a suspension. "mid" cuts it at
+// the merge's first append, so the running step's very next page boundary
+// finds it short: the suspension strategy goes through the one suspension
+// sequence — exactly one suspension on record and one EvSuspend/EvResume
+// pair. "start" cuts it as the merge phase begins, before any step runs:
+// the first step is planned to fit the 3 pages, and nothing suspends. Paging
+// and dynamic splitting adapt in place and never suspend.
+func TestParkedWorkerSuspendsOnce(t *testing.T) {
+	const total = 48
+	recs := makeRecords(8000, 17)
+	for _, adapt := range []Adapt{Suspend, Paging, DynSplit} {
+		for _, when := range []string{"start", "mid"} {
+			t.Run(fmt.Sprintf("a%d_%s", adapt, when), func(t *testing.T) {
+				budget := newTestBudget(total)
+				party := budget.Handle
+				store := newMemStore()
+				var (
+					merging, shrunk bool
+					events          []Event
+				)
+				shrink := func() {
+					shrunk = true
+					budget.Resize(3)
+				}
+				env := &Env{
+					In: &sliceInput{pages: pagesOf(recs, 32)}, Store: store, Mem: party, Ctx: context.Background(),
+					OnEvent: func(ev Event) {
+						switch ev.Kind {
+						case EvPhase:
+							if merging = ev.Phase == "merge"; merging && when == "start" {
+								shrink()
+							}
+						case EvSuspend, EvResume:
+							events = append(events, ev)
+							if ev.Kind == EvSuspend {
+								budget.Resize(total)
+							}
+						}
+					},
+				}
+				store.onAppend = func(RunID, int, int) {
+					if merging && !shrunk {
+						shrink()
+					}
+				}
+				cfg := SortConfig{
+					Method: Repl, BlockPages: 6, Merge: OptMerge,
+					Adapt: adapt, PageRecords: 32,
+				}
+				res, err := ExternalSort(env, cfg)
+				if err != nil {
+					t.Fatalf("sort: %v", err)
+				}
+				got := sortOutput(t, store, res, budget)
+				checkSorted(t, got)
+				checkPermutation(t, recs, got)
+				want := 0
+				if adapt == Suspend && when == "mid" {
+					want = 1
+				}
+				if !shrunk || len(events) != 2*want || want == 1 && (events[0].Kind != EvSuspend || events[1].Kind != EvResume) {
+					t.Fatalf("shrunk %v, suspension events %+v, want %d suspend/resume pair", shrunk, events, want)
+				}
+				if res.Stats.Suspensions != want {
+					t.Fatalf("Stats.Suspensions = %d, want %d", res.Stats.Suspensions, want)
+				}
+				if g := budget.Granted(); g != 0 {
+					t.Fatalf("broker still has %d pages granted", g)
+				}
+			})
 		}
 	}
 }

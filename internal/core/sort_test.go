@@ -1,8 +1,13 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // sortAndCheck runs ExternalSort and validates output order and content.
@@ -379,4 +384,115 @@ func TestAdaptiveBlockIOShedOnShrink(t *testing.T) {
 	if res.Stats.ExtraMergeReads == 0 {
 		t.Log("note: no re-reads observed (schedule may not have forced shedding)")
 	}
+}
+
+// TestParallelSortMatchesSerial is the determinism contract of the one phase
+// driver: for every method × adaptation — a broker that is not the arbiter
+// included, all through the same entry — the output equals slices.SortFunc
+// on (key, payload), stored or streamed. The w labels are the worker counts
+// a host may ask for (masort.WithWorkers); the engine never sees them, so
+// each case reruns the one sort, which must come out the same every time.
+// The merge holds its last step exactly when the Env asks for it
+// (StreamLast).
+func TestParallelSortMatchesSerial(t *testing.T) {
+	recs := payloadRecords(20000, 7)
+	want := slices.Clone(recs)
+	slices.SortFunc(want, compareRecords)
+	type variant struct {
+		name  string
+		noCtx bool
+	}
+	variants := []variant{
+		{"w1", false}, {"w2", false}, {"w4", false},
+		// A broker that is not the arbiter's handle (nocb).
+		{"w4nocb", true},
+	}
+	for _, method := range []Method{Quick, Repl} {
+		for _, adapt := range []Adapt{Suspend, Paging, DynSplit} {
+			for _, v := range variants {
+				t.Run(fmt.Sprintf("m%d_a%d_%s", method, adapt, v.name), func(t *testing.T) {
+					cfg := SortConfig{
+						Method: method, BlockPages: 6, Merge: OptMerge,
+						Adapt: adapt, PageRecords: 32,
+					}
+					for _, stream := range []bool{false, true} {
+						store := newMemStore()
+						env := &Env{
+							In:         &sliceInput{pages: pagesOf(recs, 32)},
+							Store:      store,
+							Mem:        newTestBudget(48),
+							Ctx:        context.Background(),
+							StreamLast: stream,
+						}
+						if v.noCtx {
+							env.Mem = newScriptedBroker(t, 48, 3)
+						}
+						res, err := ExternalSort(env, cfg)
+						if err != nil {
+							t.Fatalf("sort: %v", err)
+						}
+						if (res.Last != nil) != stream {
+							t.Fatalf("StreamLast %v: held a last step %v", stream, res.Last != nil)
+						}
+						if got := sortOutput(t, store, res, env.Mem); !slices.EqualFunc(got, want, func(a, b Record) bool { return compareRecords(a, b) == 0 }) {
+							t.Fatalf("StreamLast %v: output (%d records) differs from slices.SortFunc (%d records)", stream, len(got), len(want))
+						}
+						if g := env.Mem.Granted(); g != 0 {
+							t.Fatalf("broker still has %d pages granted", g)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestOneWorkerSpawnsNoGoroutine pins the property the simulator depends on:
+// both phases run inline on the caller's goroutine, observed from inside the
+// operation's own events (the store here starts no goroutine of its own),
+// and the sort leaves none behind.
+func TestOneWorkerSpawnsNoGoroutine(t *testing.T) {
+	recs := makeRecords(8000, 13)
+	base := settledGoroutines()
+	seen := map[string]int{}
+	phase := ""
+	env := &Env{
+		In:    &sliceInput{pages: pagesOf(recs, 32)},
+		Store: newMemStore(),
+		Mem:   newTestBudget(16),
+		Ctx:   context.Background(),
+		OnEvent: func(ev Event) {
+			if ev.Kind == EvPhase {
+				phase = ev.Phase
+			}
+			seen[phase]++
+			if n := runtime.NumGoroutine(); n > base {
+				t.Errorf("%d goroutines during %q (%v), %d before the sort", n, phase, ev.Kind, base)
+			}
+		},
+	}
+	cfg := DefaultConfig()
+	cfg.PageRecords = 32
+	if _, err := ExternalSort(env, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if seen["split"] < 2 || seen["merge"] < 2 {
+		t.Fatalf("events observed per phase: %v, want some in split and merge", seen)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the sort, %d before it", n, base)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has stopped
+// moving: earlier tests' goroutines may still be on their way out.
+func settledGoroutines() int {
+	base := runtime.NumGoroutine()
+	for still := 0; still < 5; still++ {
+		time.Sleep(time.Millisecond)
+		if n := runtime.NumGoroutine(); n != base {
+			base, still = n, 0
+		}
+	}
+	return base
 }

@@ -1,8 +1,15 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
+	"time"
+
+	"github.com/memadapt/masort/internal/memarb"
 )
 
 func splitOnly(t *testing.T, recs []Record, cfg SortConfig, total int, script []targetChange) ([]*runInfo, *memStore, *SortStats) {
@@ -149,4 +156,138 @@ func TestSplitDelaysQuickVsRepl(t *testing.T) {
 	rRuns, rStore, _ := splitOnly(t, recs, replCfg, 16, script)
 	checkRunsValid(t, qStore, qRuns, 4000)
 	checkRunsValid(t, rStore, rRuns, 4000)
+}
+
+// TestSplitFollowsGrowAndShrink: the split's one selection adapts to its
+// whole target. A script keyed on the split's own appends grows and shrinks
+// the budget; from the third append after a change on, the split holds no
+// more than the target (the appends in between are the blocks a shrink
+// writes out before it yields, and the one already under way). The output
+// equals the oracle, and the budget and the store end at zero. The w labels
+// are host worker counts the engine never sees: each case reruns the one
+// sort through the whole script.
+func TestSplitFollowsGrowAndShrink(t *testing.T) {
+	const delay = 3 // appends a change may take to be honoured
+	recs := payloadRecords(40000, 29)
+	want := slices.Clone(recs)
+	slices.SortFunc(want, compareRecords)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			budget := newTestBudget(48)
+			store := newMemStore()
+			script := map[int]int{12: 12, 30: 40, 48: 6, 66: 48, 84: 9, 102: 30}
+			var (
+				splitting = true
+				changed   = -delay
+				changes   int
+			)
+			store.onAppend = func(_ RunID, nth, _ int) {
+				if !splitting {
+					return
+				}
+				if g, tg := budget.Granted(), budget.Target(); g > tg && nth > changed+delay {
+					t.Errorf("append %d, %d after the last change: %d pages held on a target of %d", nth, nth-changed, g, tg)
+				}
+				if target, ok := script[nth]; ok {
+					budget.Resize(target)
+					changed = nth
+					changes++
+				}
+			}
+			env := &Env{
+				In: &sliceInput{pages: pagesOf(recs, 32)}, Store: store, Mem: budget, Ctx: context.Background(),
+				StreamLast: true,
+				OnEvent: func(ev Event) {
+					if ev.Kind == EvPhase && ev.Phase != "split" {
+						splitting = false
+					}
+				},
+			}
+			cfg := DefaultConfig()
+			cfg.PageRecords = 32
+			res, err := ExternalSort(env, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if changes != len(script) {
+				t.Fatalf("%d of %d budget changes made: want the whole script", changes, len(script))
+			}
+			budget.Resize(48)
+			if got := sortOutput(t, store, res, budget); !slices.EqualFunc(got, want, func(a, b Record) bool { return compareRecords(a, b) == 0 }) {
+				t.Fatalf("output (%d records) differs from slices.SortFunc (%d records)", len(got), len(want))
+			}
+			if g := budget.Granted(); g != 0 {
+				t.Fatalf("budget still has %d pages granted", g)
+			}
+		})
+	}
+}
+
+// leaveInWindow is the broker of an operator whose sibling holds the whole
+// pool, on which that sibling finishes and leaves exactly between the
+// operator's "no page" check and its wait — the window a loaded box opens
+// by descheduling it there.
+type leaveInWindow struct {
+	*memarb.Handle
+	sibling *memarb.Handle
+	once    sync.Once
+}
+
+func (b *leaveInWindow) WaitChange(ctx context.Context) error {
+	b.once.Do(b.sibling.Leave)
+	return b.Handle.WaitChange(ctx)
+}
+
+// TestParkedSplitWorkerSeesSiblingLeave: a split on a Pool whose registered
+// sibling holds every free page must not lose the wakeup of that sibling's
+// departure when it lands between the split's check and its wait — under a
+// pool nobody resizes again there is no other. (With a wait "until the next
+// change" this test hangs: the one change had already happened.)
+func TestParkedSplitWorkerSeesSiblingLeave(t *testing.T) {
+	for _, method := range []Method{Quick, Repl} {
+		t.Run(fmt.Sprintf("m%d", method), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Method, cfg.PageRecords = method, 32
+			split := replSplit
+			if method == Quick {
+				split = quickSplit
+			}
+			pool := memarb.New(memarb.Config{Total: 6, Floor: 3, Admission: memarb.QueueWhenFull})
+			older, _ := pool.Register(context.Background(), false)
+			older.Acquire(6) // all of it: the pool was its alone
+			party, _ := pool.Register(context.Background(), false)
+			if got := party.Target(); got != 3 || party.Acquire(3) != 0 {
+				t.Fatalf("the younger operator has target %d and pages to take, want 3 and none", got)
+			}
+			recs := makeRecords(1000, 23)
+			store := newMemStore()
+			env := &Env{
+				In: &sliceInput{pages: pagesOf(recs, cfg.PageRecords)}, Store: store,
+				Mem: &leaveInWindow{Handle: party, sibling: older}, Ctx: context.Background(),
+			}
+			var runs []*runInfo
+			var err error
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				runs, err = split(env, cfg, &SortStats{})
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("the split slept through its sibling's departure")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			party.Leave()
+			var got []Record
+			for _, r := range runs {
+				run := runRecords(t, store, r.id)
+				checkSorted(t, run)
+				got = append(got, run...)
+			}
+			checkPermutation(t, recs, got)
+		})
+	}
 }

@@ -116,7 +116,7 @@ func TestHeldLastStepSavesExactlyItsOutput(t *testing.T) {
 				if op == "merge" {
 					for i := range 20 {
 						part := slices.Clone(recs[i*150 : (i+1)*150])
-						slices.SortFunc(part, func(a, b Record) int { return cmpRecords(a, b) })
+						slices.SortFunc(part, compareRecords)
 						w, err := WriteRun(&Env{Store: cs, In: &sliceInput{pages: pagesOf(part, r)}}, 1)
 						if err != nil {
 							t.Fatal(err)
@@ -186,7 +186,7 @@ func TestHeldLastStepSavesExactlyItsOutput(t *testing.T) {
 			t.Run(op+"/"+cfg.Notation(), func(t *testing.T) {
 				mat, matOut, pages, _, runs := run(false)
 				held, heldOut, heldPages, st, _ := run(true)
-				if !slices.EqualFunc(matOut, heldOut, func(a, b Record) bool { return cmpRecords(a, b) == 0 }) {
+				if !slices.EqualFunc(matOut, heldOut, func(a, b Record) bool { return compareRecords(a, b) == 0 }) {
 					t.Fatal("the held step produced other records than the materialised result")
 				}
 				checkSorted(t, heldOut)
@@ -281,7 +281,7 @@ func TestHeldPlanIsMinimal(t *testing.T) {
 			var ids []RunID
 			for i, p := range pages {
 				recs := makeRecords(p*r, uint64(trial*16+i))
-				slices.SortFunc(recs, cmpRecords)
+				slices.SortFunc(recs, compareRecords)
 				w, err := WriteRun(&Env{Store: store, In: &sliceInput{pages: pagesOf(recs, r)}}, 1)
 				if err != nil {
 					t.Fatal(err)
@@ -337,16 +337,6 @@ func streamAll(t *testing.T, l *LastStep, mem Broker) []Record {
 	return out
 }
 
-func cmpRecords(a, b Record) int {
-	switch {
-	case Less(a, b):
-		return -1
-	case Less(b, a):
-		return 1
-	}
-	return 0
-}
-
 // flickerBroker reports a target that alternates between lo and hi from one
 // Target call to the next, as if a concurrent Resize landed between any two
 // reads. Grants follow the scripted broker underneath, whose total is hi.
@@ -371,7 +361,7 @@ func (b *flickerBroker) Target() int {
 func TestHeldRootDecidedOnOneTarget(t *testing.T) {
 	recs := makeRecords(3000, 11)
 	want := slices.Clone(recs)
-	slices.SortFunc(want, cmpRecords)
+	slices.SortFunc(want, compareRecords)
 	cfg := SortConfig{Method: Quick, BlockPages: 1, Merge: OptMerge, Adapt: DynSplit, PageRecords: 8, MergeBlockPages: 6}
 	for phase := range 2 {
 		env, store, sb, _ := testEnv(t, recs, 8, 64, 3)
@@ -385,7 +375,7 @@ func TestHeldRootDecidedOnOneTarget(t *testing.T) {
 			t.Fatalf("phase %d: %d runs, held step %v: want a held step over at least 4 runs", phase, res.Stats.Runs, res.Last != nil)
 		}
 		out := streamAll(t, res.Last, b)
-		if !slices.EqualFunc(out, want, func(a, b Record) bool { return cmpRecords(a, b) == 0 }) {
+		if !slices.EqualFunc(out, want, func(a, b Record) bool { return compareRecords(a, b) == 0 }) {
 			t.Fatalf("phase %d: the held step produced %d records, not the sorted input's %d", phase, len(out), len(want))
 		}
 		if sb.granted != 0 || store.liveRuns() != 0 {
@@ -447,11 +437,11 @@ func (in streamInput) NextPage() (Page, bool, error) {
 func TestStreamFeedsASortThroughOneBroker(t *testing.T) {
 	recs := makeRecords(6400, 67)
 	want := slices.Clone(recs)
-	slices.SortFunc(want, cmpRecords)
+	slices.SortFunc(want, compareRecords)
 	budget := newTestBudget(8)
 	inner := budget.Handle
 	both := 0
-	store := newSafeStore()
+	store := newMemStore()
 	cfg := SortConfig{Method: Repl, BlockPages: 6, Merge: OptMerge, Adapt: DynSplit, PageRecords: 32, MergeBlockPages: 6}
 	outer, _ := budget.arb.Register(context.Background(), false)
 	mem := &partyBroker{Handle: inner, t: t, arb: budget.arb, rival: outer, both: &both}
@@ -478,7 +468,7 @@ func TestStreamFeedsASortThroughOneBroker(t *testing.T) {
 		t.Fatalf("the second sort wrote %d runs, and %d grants found both operators holding pages: want a merge, and some", out.Stats.Runs, both)
 	}
 	got := sortOutput(t, store, out, outer)
-	if !slices.EqualFunc(got, want, func(a, b Record) bool { return cmpRecords(a, b) == 0 }) {
+	if !slices.EqualFunc(got, want, func(a, b Record) bool { return compareRecords(a, b) == 0 }) {
 		t.Fatalf("%d records out, want the sorted %d", len(got), len(want))
 	}
 	outer.Leave()
@@ -497,7 +487,7 @@ func BenchmarkStreamDrain(b *testing.B) {
 	var ids []RunID
 	for i := range runs {
 		recs := makeRecords(pages*r, uint64(i))
-		slices.SortFunc(recs, cmpRecords)
+		slices.SortFunc(recs, compareRecords)
 		w, err := WriteRun(&Env{Store: store, In: &sliceInput{pages: pagesOf(recs, r)}}, 1)
 		if err != nil {
 			b.Fatal(err)

@@ -1,22 +1,30 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
 	"testing"
 
+	"github.com/memadapt/masort/internal/memarb"
 	"github.com/memadapt/masort/internal/randx"
 )
 
 // ---- instant in-memory store ----
 
+// memStore is the tests' one RunStore: runs held in memory, every token
+// already done. It is unsynchronized, as the engine calls its store from
+// the operation's one goroutine. onAppend, when set, observes (run, appends
+// so far, pages in this batch) after each append, for driving budget
+// changes from store traffic.
 type memStore struct {
-	runs    map[RunID][]Page
-	freed   map[RunID]bool
-	next    RunID
-	appends int
-	reads   int
+	runs     map[RunID][]Page
+	freed    map[RunID]bool
+	next     RunID
+	appends  int
+	reads    int
+	onAppend func(id RunID, nth int, pages int)
 }
 
 func newMemStore() *memStore {
@@ -51,6 +59,9 @@ func (s *memStore) Append(id RunID, pages []Page) (Token, error) {
 		s.runs[id] = append(s.runs[id], cp)
 	}
 	s.appends++
+	if s.onAppend != nil {
+		s.onAppend(id, s.appends, len(pages))
+	}
 	return instantToken{}, nil
 }
 
@@ -86,7 +97,23 @@ func (s *memStore) liveRuns() int {
 	return n
 }
 
-// ---- scriptable broker ----
+// ---- brokers ----
+
+// testBudget is the real arbiter set up the way masort.NewBudget sets it up
+// — 3-page floor, unclamped waits — with one operator registered on it, so
+// the tests exercise the broker that ships.
+type testBudget struct {
+	*memarb.Handle
+	arb *memarb.Arbiter
+}
+
+func newTestBudget(total int) *testBudget {
+	arb := memarb.New(memarb.Config{Total: total, Floor: 3})
+	h, _ := arb.Register(context.Background(), false)
+	return &testBudget{Handle: h, arb: arb}
+}
+
+func (b *testBudget) Resize(n int) { b.arb.Resize(n) }
 
 // scriptedBroker drives target changes deterministically: tick() advances on
 // every broker call, and the script maps tick thresholds to new targets.
@@ -290,5 +317,78 @@ func checkPermutation(t *testing.T, in, out []Record) {
 		if a[i] != b[i] {
 			t.Fatalf("output is not a permutation of input (first diff at %d)", i)
 		}
+	}
+}
+
+// sortOutput returns res's records: its stored run's, or what a Stream of
+// its held last step on mem yields, after which it closes it. The store
+// must hold exactly the runs the result keeps, and after a Stream and Close
+// nothing.
+func sortOutput(t *testing.T, store *memStore, res *SortResult, mem Broker) []Record {
+	t.Helper()
+	if res.Last == nil {
+		if live := store.liveRuns(); live != 1 {
+			t.Fatalf("store has %d live runs, want the result run", live)
+		}
+		return runRecords(t, store, res.Result)
+	}
+	if live := store.liveRuns(); live != len(res.Last.runs) {
+		t.Fatalf("store has %d live runs, the held step keeps %d", live, len(res.Last.runs))
+	}
+	out := streamAll(t, res.Last, mem)
+	if live := store.liveRuns(); live != 0 {
+		t.Fatalf("store has %d live runs after the held step closed", live)
+	}
+	return out
+}
+
+// payloadRecords generates n records over a narrow key range with short
+// payloads, so the (key, payload) order is exercised on plenty of key ties.
+func payloadRecords(n int, seed uint64) []Record {
+	rng := randx.New(seed, "payload-records")
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = Record{Key: uint64(rng.IntN(n / 4)), Payload: []byte{byte(rng.IntN(256)), byte(i)}}
+	}
+	return recs
+}
+
+func compareRecords(a, b Record) int {
+	if a.Key != b.Key {
+		if a.Key < b.Key {
+			return -1
+		}
+		return 1
+	}
+	return bytes.Compare(a.Payload, b.Payload)
+}
+
+// sortRecords orders records by the engine's comparator (test helper).
+func sortRecords(recs []Record) {
+	n := len(recs)
+	// simple in-place heapsort to avoid importing sort twice in tests
+	var down func(i, n int)
+	down = func(i, n int) {
+		for {
+			l, r, s := 2*i+1, 2*i+2, i
+			if l < n && Less(recs[s], recs[l]) {
+				s = l
+			}
+			if r < n && Less(recs[s], recs[r]) {
+				s = r
+			}
+			if s == i {
+				return
+			}
+			recs[i], recs[s] = recs[s], recs[i]
+			i = s
+		}
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		down(i, n)
+	}
+	for i := n - 1; i > 0; i-- {
+		recs[0], recs[i] = recs[i], recs[0]
+		down(0, i)
 	}
 }

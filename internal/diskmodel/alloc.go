@@ -37,9 +37,6 @@ func NewExtentAllocTopDown(limit int) *ExtentAlloc {
 	return a
 }
 
-// Limit returns the size of the managed range in pages.
-func (a *ExtentAlloc) Limit() int { return a.limit }
-
 // InUse returns the number of currently allocated pages.
 func (a *ExtentAlloc) InUse() int { return a.inUse }
 

@@ -162,9 +162,6 @@ func (d *Disk) Write(p *sim.Proc, a Addr) {
 	d.Submit(a, Write).Wait(p)
 }
 
-// QueueLen returns the number of pending requests.
-func (d *Disk) QueueLen() int { return len(d.q) }
-
 func (d *Disk) serve(p *sim.Proc) {
 	for {
 		if len(d.q) == 0 {

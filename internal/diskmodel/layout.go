@@ -58,12 +58,6 @@ func NewLayout(geo Geometry, ndisks int, relPages []int) (*Layout, error) {
 // RelationBaseCyl returns the first cylinder of the relation area.
 func (l *Layout) RelationBaseCyl() int { return l.baseCyl }
 
-// RelationPages returns the size of relation rel in pages.
-func (l *Layout) RelationPages(rel int) int { return l.relPages[rel] }
-
-// NumRelations returns the number of relations placed.
-func (l *Layout) NumRelations() int { return len(l.relPages) }
-
 // RelationAddr maps page number `page` of relation rel onto (disk, address).
 func (l *Layout) RelationAddr(rel, page int) (disk int, a Addr) {
 	if rel < 0 || rel >= len(l.relPages) || page < 0 || page >= l.relPages[rel] {

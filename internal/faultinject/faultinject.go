@@ -105,9 +105,9 @@ func (r Rule) matches(seq, fired int) bool {
 }
 
 // Injector decides faults for a stream of operations. It is safe for
-// concurrent use (FileStore reads run on a worker pool); decisions are
-// serialized, so a scripted schedule fires each rule exactly as written
-// whatever goroutine carries the operation.
+// concurrent use (a FileStore read runs on its waiter, or on a goroutine of
+// a slow disk); decisions are serialized, so a scripted schedule fires each
+// rule exactly as written whatever goroutine carries the operation.
 type Injector struct {
 	mu    sync.Mutex
 	rules []Rule

@@ -25,9 +25,6 @@ func New(seed uint64, name string) *Stream {
 	return &Stream{r: rand.New(rand.NewPCG(seed, h.Sum64()))}
 }
 
-// Float64 returns a uniform variate in [0, 1).
-func (s *Stream) Float64() float64 { return s.r.Float64() }
-
 // Uint64 returns a uniform 64-bit value.
 func (s *Stream) Uint64() uint64 { return s.r.Uint64() }
 

@@ -46,9 +46,6 @@ func New() *Sim {
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
 
-// Err returns the first panic captured from a process, if any.
-func (s *Sim) Err() error { return s.err }
-
 type eventKind int
 
 const (
@@ -92,15 +89,11 @@ func (s *Sim) After(d Time, fn func()) {
 // process's own goroutine (inside the function passed to Spawn).
 type Proc struct {
 	sim    *Sim
-	name   string
 	resume chan struct{}
 	parked bool
 	killed bool
 	done   bool
 }
-
-// Name returns the process name given at Spawn time.
-func (p *Proc) Name() string { return p.name }
 
 // Sim returns the simulation the process belongs to.
 func (p *Proc) Sim() *Sim { return p.sim }
@@ -113,7 +106,7 @@ type killSentinel struct{}
 // Spawn starts a new process at the current simulated time. The process
 // function runs when the scheduler dispatches it.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name, resume: make(chan struct{})}
+	p := &Proc{sim: s, resume: make(chan struct{})}
 	s.procs[p] = struct{}{}
 	// A lock-step coroutine, deterministic despite the goroutine: exactly one
 	// process goroutine runs at a time, dispatched by the scheduler's
@@ -321,6 +314,3 @@ func (r *Resource) Use(p *Proc, d Time) {
 		r.busy = false
 	}
 }
-
-// QueueLen returns the number of processes waiting for the resource.
-func (r *Resource) QueueLen() int { return len(r.q) }

@@ -2,7 +2,6 @@ package simenv
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/memadapt/masort/internal/bufmgr"
@@ -352,18 +351,4 @@ func meanMax(ds []time.Duration) (mean, maxd time.Duration) {
 		}
 	}
 	return sum / time.Duration(len(ds)), maxd
-}
-
-// Percentile returns the p-quantile (0..1) of response times, for tests.
-func (r *Result) Percentile(p float64) time.Duration {
-	if len(r.Sorts) == 0 {
-		return 0
-	}
-	ds := make([]time.Duration, len(r.Sorts))
-	for i, s := range r.Sorts {
-		ds[i] = s.Response
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	idx := int(p * float64(len(ds)-1))
-	return ds[idx]
 }

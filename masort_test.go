@@ -1,6 +1,7 @@
 package masort
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -366,7 +367,7 @@ func TestMemStoreKeepsTheSmallerForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameOutput(t, got, w)
+		SameRecords(t, got, w)
 		_, records := tok.(interface{ ReleaseRecords() })
 		_, whole := tok.(interface{ Release() })
 		if whole || !records {
@@ -427,7 +428,7 @@ func TestMemStoreReferenceForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameOutput(t, got, pg)
+	SameRecords(t, got, pg)
 	for i, rec := range got {
 		switch {
 		case len(pg[i].Payload) == 0:
@@ -454,7 +455,7 @@ func TestMemStoreReferenceForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameOutput(t, again, pg[:5])
+	SameRecords(t, again, pg[:5])
 	if &again[0] != array {
 		t.Fatal("the next read did not reuse the released record array")
 	}
@@ -489,7 +490,7 @@ func TestFaultyMemStoreEncodesEveryBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameOutput(t, got, in[i*8:(i+1)*8])
+		SameRecords(t, got, in[i*8:(i+1)*8])
 		if &got[0].Payload[0] == &in[i*8].Payload[0] {
 			t.Fatalf("page %d shares the caller's payloads: it was not encoded", i)
 		}
@@ -547,7 +548,7 @@ func TestMemStoreSortsMixedForms(t *testing.T) {
 		got = append(got, Record{Key: r.Key, Payload: slices.Clone(r.Payload)})
 	}
 	res.Close()
-	sameOutput(t, got, oracle(in))
+	SameRecords(t, got, SortedCopy(in))
 	store.mu.Lock()
 	defer store.mu.Unlock()
 	if store.encoded == 0 || store.uniform == 0 || store.mixed == 0 || store.badToken != 0 {
@@ -663,7 +664,7 @@ func TestMemStoreCopiesViewsOfItsChunks(t *testing.T) {
 		}
 		got = append(got, pg...)
 	}
-	sameOutput(t, got, want)
+	SameRecords(t, got, want)
 }
 
 // TestReleasedRecordArraysPinNoPayloads: a record array handed back with
@@ -1035,5 +1036,71 @@ func TestSortFileStorePayloadIntegrity(t *testing.T) {
 	}
 	if n != len(in) {
 		t.Fatalf("iterated %d of %d records", n, len(in))
+	}
+}
+
+// TestSortParallelMatchesSerial: WithWorkers must not change the output —
+// the parallel result is value-identical to the serial sort, record for
+// record, across every method × adaptation.
+func TestSortParallelMatchesSerial(t *testing.T) {
+	in := randomRecords(60_000, 21, 8)
+	for _, m := range []Method{ReplacementSelection, Quicksort} {
+		for _, ad := range []Adaptation{DynamicSplitting, MRUPaging, Suspension} {
+			t.Run(fmt.Sprintf("m%d-a%d", m, ad), func(t *testing.T) {
+				serial, err := sortSlice(context.Background(), in,
+					WithMethod(m), WithAdaptation(ad),
+					WithPageRecords(64), WithBudget(NewBudget(48)))
+				if err != nil {
+					t.Fatalf("serial: %v", err)
+				}
+				par, err := sortSlice(context.Background(), in,
+					WithMethod(m), WithAdaptation(ad), WithWorkers(4),
+					WithPageRecords(64), WithBudget(NewBudget(48)))
+				if err != nil {
+					t.Fatalf("parallel: %v", err)
+				}
+				if len(par) != len(serial) {
+					t.Fatalf("parallel %d records, serial %d", len(par), len(serial))
+				}
+				for i := range par {
+					if par[i].Key != serial[i].Key || !bytes.Equal(par[i].Payload, serial[i].Payload) {
+						t.Fatalf("outputs diverge at record %d", i)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestWithWorkersResolution pins the option semantics: 0 resolves to
+// GOMAXPROCS at option-application time, capped at the two goroutines a
+// sort can use, as is any larger count; negatives clamp to serial, and the
+// zero-value configuration stays serial.
+func TestWithWorkersResolution(t *testing.T) {
+	o := applyOptions([]Option{WithWorkers(0)})
+	if want := min(runtime.GOMAXPROCS(0), 2); o.workers != want {
+		t.Fatalf("WithWorkers(0): workers = %d, want GOMAXPROCS capped at 2, %d", o.workers, want)
+	}
+	o = applyOptions([]Option{WithWorkers(8)})
+	if o.workers != 2 {
+		t.Fatalf("WithWorkers(8): workers = %d, want 2", o.workers)
+	}
+	o = applyOptions([]Option{WithWorkers(-3)})
+	if o.workers != 1 {
+		t.Fatalf("WithWorkers(-3): workers = %d, want 1", o.workers)
+	}
+	o = applyOptions(nil)
+	if o.workers != 0 {
+		t.Fatalf("no options: workers = %d, want 0 (serial)", o.workers)
+	}
+	// A 1-worker request reports serial execution in the stats.
+	res, err := Sort(context.Background(), NewSliceIterator(randomRecords(2000, 1, 0)),
+		WithWorkers(1), WithPageRecords(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	if res.Stats.Workers != 1 {
+		t.Fatalf("Stats.Workers = %d, want 1", res.Stats.Workers)
 	}
 }

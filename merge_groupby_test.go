@@ -1,6 +1,7 @@
 package masort
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -425,5 +426,67 @@ func TestGroupByAggregatesInsideItsContract(t *testing.T) {
 	}
 	if opEnd < lastFinish {
 		t.Fatalf("KindOpEnd at %d, the last Finish after %d events: the span must cover the aggregation", opEnd, lastFinish)
+	}
+}
+
+// TestMergeParallel: a Merge has no run generation to parallelise, so Merge
+// at three workers is the one-worker merge — the same output record for
+// record, the same steps — and Stats.Workers says 1. Three runs and nine,
+// each all one step can merge: the parent of this test merged nine on three
+// workers in a tree of four steps.
+func TestMergeParallel(t *testing.T) {
+	for _, n := range []int{3, 9} {
+		t.Run(fmt.Sprintf("runs%d", n), func(t *testing.T) {
+			merge := func(workers int) ([]Record, []Record, Stats) {
+				store := NewMemStore()
+				var ids []RunID
+				var all []Record
+				for i := range n {
+					recs := randomRecords(3000, uint64(70+i), 4)
+					sorted, err := sortSlice(context.Background(), recs, WithPageRecords(64))
+					if err != nil {
+						t.Fatal(err)
+					}
+					id, _, err := WriteRun(store, NewSliceIterator(sorted), 64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids = append(ids, id)
+					all = append(all, recs...)
+				}
+				res, err := Merge(context.Background(), store, ids,
+					WithWorkers(workers), WithPageRecords(64), WithBudget(NewBudget(32)))
+				if err != nil {
+					t.Fatalf("merge at %d workers: %v", workers, err)
+				}
+				out, err := Drain(res.Iterator())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := res.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if live := store.Live(); live != 0 {
+					t.Fatalf("store still has %d live runs at %d workers", live, workers)
+				}
+				return all, out, res.Stats
+			}
+			all, want, one := merge(1)
+			assertSorted(t, want)
+			assertPermutation(t, all, want)
+			_, got, three := merge(3)
+			if len(got) != len(want) {
+				t.Fatalf("%d records at 3 workers, %d at one", len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Key != want[i].Key || !bytes.Equal(got[i].Payload, want[i].Payload) {
+					t.Fatalf("outputs diverge at record %d", i)
+				}
+			}
+			if three.Workers != 1 || three.MergeSteps != one.MergeSteps {
+				t.Fatalf("at 3 workers: Stats.Workers = %d, %d merge steps; want 1 and the one-worker %d",
+					three.Workers, three.MergeSteps, one.MergeSteps)
+			}
+		})
 	}
 }

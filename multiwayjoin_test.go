@@ -37,7 +37,7 @@ func TestMultiwayJoinPlan(t *testing.T) {
 		c := custOf[o]
 		want = append(want, Record{Key: uint64(c), Payload: fmt.Appendf(nil, "l%d;o%d->c%d;c%d;", i, o, c, c)})
 	}
-	want = oracle(want)
+	want = SortedCopy(want)
 
 	store := NewMemStore()
 	budget := NewBudget(48)
@@ -93,8 +93,8 @@ func TestMultiwayJoinPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slices.SortFunc(got, byKeyThenPayload)
-	sameOutput(t, got, want)
+	slices.SortFunc(got, ByKeyThenPayload)
+	SameRecords(t, got, want)
 	if j2.Tuples != nLineitems || budget.Granted() != 0 {
 		t.Fatalf("%d rows out, %d pages granted: want %d and none", j2.Tuples, budget.Granted(), nLineitems)
 	}

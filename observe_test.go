@@ -128,7 +128,7 @@ func TestMetricsMatchStats(t *testing.T) {
 		m := trace.NewMetrics()
 		in := randomRecords(80_000, 23, 0)
 		budget := NewBudget(24)
-		store := &shrinkOnRead{MemStore: NewMemStore(), budget: budget, at: 100}
+		store := &ResizeOnOps{RunStore: NewMemStore(), Resize: budget.Resize, Cycle: []int{3}, Every: 100}
 		res, err := Sort(ctx, NewSliceIterator(in),
 			WithAdaptation(Suspension),
 			WithPageRecords(64),
@@ -136,7 +136,10 @@ func TestMetricsMatchStats(t *testing.T) {
 			WithStore(store),
 			WithTracer(m),
 			WithEvents(func(ev Event) {
-				if ev.Kind == EvSuspend {
+				switch {
+				case ev.Kind == EvPhase && ev.Phase == "merge":
+					store.Arm()
+				case ev.Kind == EvSuspend:
 					go budget.Resize(24)
 				}
 			}))

@@ -91,9 +91,9 @@ func WithWorkers(n int) Option {
 //
 // Concurrency contract: the engine invokes the callback sequentially, on
 // the operator's own goroutine — and for a held last merge step (see
-// Result), on the goroutine draining it — at every worker count. A
-// callback shared across operators (a pooled workload) must be safe for
-// concurrent use, since each operator invokes its own copy of the stream.
+// Result), on the goroutine draining it. A callback shared across
+// operators (a pooled workload) must be safe for concurrent use, since each
+// operator invokes its own copy of the stream.
 // The callback must be fast — it runs inside the sort's adaptation path.
 // A panicking callback is recovered and counted in
 // Stats.EventPanics; it never corrupts the operation.

@@ -561,18 +561,6 @@ func TestSlowDeviceBatchReadsOverlap(t *testing.T) {
 	}
 }
 
-// countReads counts the reads issued to a FileStore, handing its tokens
-// through untouched.
-type countReads struct {
-	*FileStore
-	issued atomic.Int64
-}
-
-func (s *countReads) ReadAsync(id RunID, page int) PageToken {
-	s.issued.Add(1)
-	return s.FileStore.ReadAsync(id, page)
-}
-
 // TestFastDeviceDispatchesNothing: a sort and the drain of its result on a
 // FileStore whose fetches take a microsecond run every read on the goroutine
 // that waits for it, and each read issued exactly once. (The store's clock is
@@ -589,7 +577,7 @@ func TestFastDeviceDispatchesNothing(t *testing.T) {
 	var ticks atomic.Int64
 	epoch := time.Now()
 	fs.now = func() time.Time { return epoch.Add(time.Duration(ticks.Add(1)) * time.Microsecond) }
-	store := &countReads{FileStore: fs}
+	store := &pageCounter{RunStore: fs}
 	res, err := Sort(context.Background(), NewSliceIterator(in),
 		WithPageRecords(32), WithBudget(NewBudget(8)), WithStore(store))
 	if err != nil {
@@ -602,7 +590,7 @@ func TestFastDeviceDispatchesNothing(t *testing.T) {
 	}
 	inline, dispatched := fs.inlineReads.Load(), fs.dispatchedReads.Load()
 	// The drain runs the last merge step: its reads are merge reads.
-	issued, want := store.issued.Load(), int64(res.Stats.MergePagesRead)
+	issued, want := store.read.Load(), int64(res.Stats.MergePagesRead)
 	if issued != want || inline != issued || dispatched != 0 || ticks.Load() != 2*issued {
 		t.Fatalf("%d reads issued (merge = %d): %d run inline, %d dispatched, %d fetches timed; want all inline, each fetched once",
 			issued, want, inline, dispatched, ticks.Load()/2)

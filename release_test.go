@@ -2,14 +2,12 @@ package masort_test
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand/v2"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/memadapt/masort"
@@ -38,36 +36,6 @@ func dupRecords(n int, seed uint64) []masort.Record {
 		recs[i] = masort.Record{Key: uint64(rng.IntN(max(n/8, 1))), Payload: p}
 	}
 	return recs
-}
-
-func byKeyPayload(a, b masort.Record) int {
-	if c := cmp.Compare(a.Key, b.Key); c != 0 {
-		return c
-	}
-	return bytes.Compare(a.Payload, b.Payload)
-}
-
-// sortedCopy is the oracle's ordering: slices.SortFunc on (key, payload)
-// over deep copies.
-func sortedCopy(recs []masort.Record) []masort.Record {
-	out := make([]masort.Record, len(recs))
-	for i, r := range recs {
-		out[i] = masort.Record{Key: r.Key, Payload: bytes.Clone(r.Payload)}
-	}
-	slices.SortFunc(out, byKeyPayload)
-	return out
-}
-
-func sameRecords(t *testing.T, got, want []masort.Record) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if byKeyPayload(got[i], want[i]) != 0 {
-			t.Fatalf("record %d = {%d %x}, want {%d %x}", i, got[i].Key, got[i].Payload, want[i].Key, want[i].Payload)
-		}
-	}
 }
 
 // drainClose reads a result to the end holding every Record, as masort.Drain
@@ -105,48 +73,9 @@ func drainCopying(t *testing.T, res *masort.Result) []masort.Record {
 // count less the record arrays the drains gave back.
 func mergeReleased(p *storetest.PoisonStore) int { return p.Released() - p.ReleasedRecords() }
 
-// resizeOnOps moves the memory's target through cycle, one step every
-// `every` page operations (pages appended + reads issued), on the goroutine
-// issuing the operation — never on wall-clock time — and, when cancelAt is
-// set, calls cancel at that page operation. Tokens pass through untouched,
-// so Release stays visible to the engine. It counts from the moment it is
-// armed.
-type resizeOnOps struct {
-	masort.RunStore
-	resize   func(pages int) // the owner's Resize
-	cycle    []int
-	every    int64
-	cancelAt int64
-	cancel   context.CancelFunc
-	armed    atomic.Bool
-	ops      atomic.Int64
-}
-
+// resizeCycle is the poison matrix's schedule: down to the 3-page floor and
+// back, a step every 37 page operations of the merge.
 var resizeCycle = []int{5, 12, 3, 9, 4, 12, 6, 3, 10}
-
-func (s *resizeOnOps) note(n int) {
-	if !s.armed.Load() {
-		return
-	}
-	after := s.ops.Add(int64(n))
-	before := after - int64(n)
-	if s.cancelAt > 0 && before < s.cancelAt && after >= s.cancelAt {
-		s.cancel()
-	}
-	if len(s.cycle) > 0 && after/s.every != before/s.every {
-		s.resize(s.cycle[(after/s.every)%int64(len(s.cycle))])
-	}
-}
-
-func (s *resizeOnOps) Append(id masort.RunID, pages []masort.Page) (masort.Token, error) {
-	s.note(len(pages))
-	return s.RunStore.Append(id, pages)
-}
-
-func (s *resizeOnOps) ReadAsync(id masort.RunID, page int) masort.PageToken {
-	s.note(1)
-	return s.RunStore.ReadAsync(id, page)
-}
 
 // livePages counts the pages of the runs live in the store beneath it and
 // the pages ever appended to it. Read tokens pass through untouched.
@@ -263,13 +192,13 @@ var releaseOps = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, sortedCopy(in)
+		return res, masort.SortedCopy(in)
 	}},
 	{"merge", func(t *testing.T, store masort.RunStore, opts []masort.Option) (*masort.Result, []masort.Record) {
 		var all []masort.Record
 		var ids []masort.RunID
 		for i := range 20 {
-			run := sortedCopy(dupRecords(80, uint64(10+i)))
+			run := masort.SortedCopy(dupRecords(80, uint64(10+i)))
 			all = append(all, run...)
 			id, _, err := masort.WriteRun(store, masort.NewSliceIterator(run), relPageRecords)
 			if err != nil {
@@ -281,7 +210,7 @@ var releaseOps = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, sortedCopy(all)
+		return res, masort.SortedCopy(all)
 	}},
 	{"join", func(t *testing.T, store masort.RunStore, opts []masort.Option) (*masort.Result, []masort.Record) {
 		left, right := dupRecords(700, 2), dupRecords(700, 3)
@@ -319,7 +248,7 @@ func foldOracle(in []masort.Record) (*masort.FuncAggregator, []masort.Record) {
 		OnFinish: func(masort.Key) []byte { return fmt.Appendf(nil, "%d/%d", n, sum) },
 	}
 	var want []masort.Record
-	for _, r := range sortedCopy(in) {
+	for _, r := range masort.SortedCopy(in) {
 		if len(want) == 0 || want[len(want)-1].Key != r.Key {
 			n, sum = 0, 0
 			want = append(want, masort.Record{Key: r.Key})
@@ -342,7 +271,7 @@ func joinOracle(left, right []masort.Record) []masort.Record {
 			out = append(out, masort.Record{Key: l.Key, Payload: slices.Concat(l.Payload, r.Payload)})
 		}
 	}
-	slices.SortFunc(out, byKeyPayload)
+	slices.SortFunc(out, masort.ByKeyThenPayload)
 	return out
 }
 
@@ -383,7 +312,7 @@ func TestPoisonOnReleaseMatrix(t *testing.T) {
 								live := &livePages{RunStore: poison, pages: map[masort.RunID]int{}}
 								budget := masort.NewBudget(relBudget)
 								var store masort.RunStore = live
-								schedule := &resizeOnOps{RunStore: live, resize: budget.Resize, cycle: resizeCycle, every: 37}
+								schedule := &masort.ResizeOnOps{RunStore: live, Resize: budget.Resize, Cycle: resizeCycle, Every: 37}
 								if sched == "resize" {
 									store = schedule
 								}
@@ -395,7 +324,7 @@ func TestPoisonOnReleaseMatrix(t *testing.T) {
 									masort.WithEvents(func(ev masort.Event) {
 										switch {
 										case ev.Kind == masort.EvPhase && ev.Phase == "merge":
-											schedule.armed.Store(true)
+											schedule.Arm()
 										case ev.Kind == masort.EvSuspend:
 											go budget.Resize(relBudget)
 										}
@@ -425,9 +354,9 @@ func TestPoisonOnReleaseMatrix(t *testing.T) {
 										st = res.Stats
 									}
 									if op.name == "join" {
-										slices.SortFunc(got, byKeyPayload)
+										slices.SortFunc(got, masort.ByKeyThenPayload)
 									}
-									sameRecords(t, got, want)
+									masort.SameRecords(t, got, want)
 								}
 								if st.MergePagesReleased != counts[1].whole {
 									t.Fatalf("Stats.MergePagesReleased = %d after the first drain, the store saw %d", st.MergePagesReleased, counts[1].whole)
@@ -550,8 +479,8 @@ func TestJoinGroupPagesComeBackAsRecordArrays(t *testing.T) {
 	}
 	st, joined := res.Stats, poison.ReleasedRecords()
 	got := drainClose(t, res)
-	slices.SortFunc(got, byKeyPayload)
-	sameRecords(t, got, joinOracle(left, right))
+	slices.SortFunc(got, masort.ByKeyThenPayload)
+	masort.SameRecords(t, got, joinOracle(left, right))
 	if st.MergeSteps != 1 || st.MergePagesRead == 0 {
 		t.Fatalf("want one joint step reading pages, got %d steps, %d pages read", st.MergeSteps, st.MergePagesRead)
 	}
@@ -664,8 +593,8 @@ func TestJoinGroupSurvivesSplitMidGroup(t *testing.T) {
 				t.Fatalf("scenario not reached: %d splits, %d of 3 resizes, page 0 of A read %d times",
 					splits, store.fired, store.reads[[2]int{a, 0}])
 			}
-			slices.SortFunc(got, byKeyPayload)
-			sameRecords(t, got, joinOracle(left, right))
+			slices.SortFunc(got, masort.ByKeyThenPayload)
+			masort.SameRecords(t, got, joinOracle(left, right))
 			if be.recordsOnly {
 				if st.MergePagesReleased != 0 || mergeReleased(poison) != 0 || poison.ReleasedRecords() == 0 {
 					t.Fatalf("%d pages released whole (%d by Stats), %d record arrays", mergeReleased(poison), st.MergePagesReleased, poison.ReleasedRecords())

@@ -18,9 +18,9 @@ import (
 // The output is the operator's last step, held back from the store: the
 // operator returns before it, and Iterator runs it under the caller's Next,
 // record by record, rather than writing every output page only to read it
-// back, at every WithWorkers count. For Sort and Merge it is the last merge
-// step — a step of one input when there was one run to merge (the input fit
-// in memory), of none when there was none; GroupBy folds its groups off its
+// back. For Sort and Merge it is the last merge step — a step of one input
+// when there was one run to merge (the input fit in memory), of none when
+// there was none; GroupBy folds its groups off its
 // sort's last step; a Join's is a step of one input too, reading the output
 // run its joint step wrote. Such a result keeps the step's input runs until
 // Close and runs the step afresh for every Iterator. The contract of a held

@@ -258,10 +258,10 @@ func (c scheduleCase) run(t *testing.T) {
 	live := &livePages{RunStore: storetest.PoisonOnRelease(inner), pages: map[masort.RunID]int{}}
 	start := 3 + int(c.pages)
 	budget := masort.NewBudget(start, masort.WithAdmissionPolicy(masort.AdmissionPolicy(c.policy)))
-	store := &resizeOnOps{RunStore: live, resize: budget.Resize, every: 1 + int64(c.every%32), cancelAt: int64(c.cancelAt), cancel: cancel}
+	store := &masort.ResizeOnOps{RunStore: live, Resize: budget.Resize, Every: 1 + int64(c.every%32), CancelAt: int64(c.cancelAt), Cancel: cancel}
 	top := start // what the owner restores: no step was planned on more
 	for _, p := range c.schedule {
-		store.cycle = append(store.cycle, 3+int(p%14))
+		store.Cycle = append(store.Cycle, 3+int(p%14))
 		top = max(top, 3+int(p%14))
 	}
 	pageRecords := 4 << c.pageRec
@@ -290,21 +290,21 @@ func (c scheduleCase) run(t *testing.T) {
 	switch c.op {
 	case 0:
 		in := c.input(n, 1)
-		want = sortedCopy(in)
-		store.armed.Store(true)
+		want = masort.SortedCopy(in)
+		store.Arm()
 		res, err = masort.Sort(ctx, masort.NewSliceIterator(in), opts...)
 	case 1:
 		var ids []masort.RunID
 		if k := int(c.runs % 24); k > 0 {
 			in := c.input(n, 2)
-			want = sortedCopy(in)
+			want = masort.SortedCopy(in)
 			for i := range k {
 				var run []masort.Record
 				for j := i; j < len(in); j += k {
 					run = append(run, in[j])
 				}
 				var id masort.RunID
-				if id, _, err = masort.WriteRun(store, masort.NewSliceIterator(sortedCopy(run)), pageRecords); err != nil {
+				if id, _, err = masort.WriteRun(store, masort.NewSliceIterator(masort.SortedCopy(run)), pageRecords); err != nil {
 					break
 				}
 				ids = append(ids, id)
@@ -318,18 +318,18 @@ func (c scheduleCase) run(t *testing.T) {
 			}
 			break
 		}
-		store.armed.Store(true)
+		store.Arm()
 		res, err = masort.Merge(ctx, store, ids, opts...)
 	case 2:
 		left, right := c.input(n/4, 3), c.input(n/4, 4)
 		want = joinOracle(left, right)
-		store.armed.Store(true)
+		store.Arm()
 		res, err = masort.Join(ctx, masort.NewSliceIterator(left), masort.NewSliceIterator(right), opts...)
 	case 3:
 		in := c.input(n, 5)
 		var agg *masort.FuncAggregator
 		agg, want = foldOracle(in)
-		store.armed.Store(true)
+		store.Arm()
 		res, err = masort.GroupBy(ctx, masort.NewSliceIterator(in), agg, opts...)
 	}
 	var got []masort.Record
@@ -344,9 +344,9 @@ func (c scheduleCase) run(t *testing.T) {
 		t.Fatalf("%+v reached its deadline: %v", c, err)
 	case err == nil:
 		if c.op == 2 {
-			slices.SortFunc(got, byKeyPayload)
+			slices.SortFunc(got, masort.ByKeyThenPayload)
 		}
-		sameRecords(t, got, want)
+		masort.SameRecords(t, got, want)
 	case c.fault > 0 && (errors.Is(err, masort.ErrStoreFailed) || errors.Is(err, masort.ErrCorruptPage)):
 	case ctx.Err() != nil && errors.Is(err, masort.ErrCanceled) && errors.Is(err, context.Canceled):
 	default:

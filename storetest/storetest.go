@@ -492,14 +492,18 @@ func testAbortLeakFree(t *testing.T, cfg Config) {
 	}
 }
 
-// testFreedRunsCostNothing creates and frees ten thousand runs: a store
+// testFreedRunsCostNothing creates and frees two thousand runs: a store
 // shared by a long-lived process sees any number of them, so what it holds
 // must follow the runs that are live, not the runs it has ever seen — while
-// a freed run stays freed, whatever the store remembers it by.
+// a freed run stays freed, whatever the store remembers it by. A map entry
+// kept per freed run costs 16 bytes and more, so the live heap may grow by
+// 4 bytes a run at most; two thousand runs put that bound at 8 000 bytes,
+// above the few hundred bytes a GC'd heap moves by on its own and far below
+// the 32 000 and more of a per-run entry.
 func testFreedRunsCostNothing(t *testing.T, cfg Config) {
 	const (
-		runs        = 10000
-		bytesPerRun = 4 // a map entry is 16 and more
+		runs        = 2000
+		bytesPerRun = 4
 	)
 	s := cfg.New(t)
 	ids := make([]masort.RunID, 0, runs)
@@ -518,6 +522,7 @@ func testFreedRunsCostNothing(t *testing.T, cfg Config) {
 	liveHeap := func() int64 {
 		var m runtime.MemStats
 		runtime.GC()
+		runtime.GC() // the second empties what sync.Pools kept through the first
 		runtime.ReadMemStats(&m)
 		return int64(m.HeapAlloc)
 	}
@@ -525,7 +530,8 @@ func testFreedRunsCostNothing(t *testing.T, cfg Config) {
 	ids = ids[:0]
 	before := liveHeap()
 	cycle(runs)
-	if grown := liveHeap() - before; grown > runs*bytesPerRun {
+	grown := liveHeap() - before
+	if grown > runs*bytesPerRun {
 		t.Errorf("live heap grew by %d bytes over %d created-and-freed runs (%d a run): the store keeps something per freed run",
 			grown, runs, grown/runs)
 	}

@@ -1,8 +1,6 @@
 package masort
 
 import (
-	"bytes"
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -57,34 +55,6 @@ var drainPoints = []struct {
 	{"/w2/part2", 2, 768 * 32 * 3 / 4},
 }
 
-// byKeyThenPayload is Less as a three-way comparison, for slices.SortFunc.
-func byKeyThenPayload(a, b Record) int {
-	if c := cmp.Compare(a.Key, b.Key); c != 0 {
-		return c
-	}
-	return bytes.Compare(a.Payload, b.Payload)
-}
-
-// oracle is the exact output of sorting in.
-func oracle(in []Record) []Record {
-	out := slices.Clone(in)
-	slices.SortFunc(out, byKeyThenPayload)
-	return out
-}
-
-// sameOutput fails unless got is want, record for record, payloads included.
-func sameOutput(t *testing.T, got, want []Record) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%d records, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if byKeyThenPayload(got[i], want[i]) != 0 {
-			t.Fatalf("record %d is %d/%x, want %d/%x", i, got[i].Key, got[i].Payload, want[i].Key, want[i].Payload)
-		}
-	}
-}
-
 // drainHeld drains res one record at a time, calling at(n) before the n-th
 // record (0-based) is read.
 func drainHeld(t *testing.T, res *Result, at func(n int)) []Record {
@@ -113,7 +83,7 @@ func drainHeld(t *testing.T, res *Result, at func(n int)) []Record {
 // in the same one step, early or late in its output.
 func TestStreamAdaptsAfterSortReturns(t *testing.T) {
 	in := streamInput()
-	want := oracle(in)
+	want := SortedCopy(in)
 	for _, be := range streamBackends {
 		for _, ad := range []struct {
 			name string
@@ -154,7 +124,7 @@ func TestStreamAdaptsAfterSortReturns(t *testing.T) {
 							budget.Resize(4)
 						}
 					})
-					sameOutput(t, got, want)
+					SameRecords(t, got, want)
 					st := res.Stats
 					if st.MergeSteps <= before.MergeSteps || st.Workers != dp.workers {
 						t.Fatalf("the drain ran no merge step, or changed Workers: %d steps before, %d after; %d workers", before.MergeSteps, st.MergeSteps, st.Workers)
@@ -199,7 +169,7 @@ func TestStreamAdaptsAfterSortReturns(t *testing.T) {
 func TestStreamHoldsNoOutputPage(t *testing.T) {
 	const records, shrinkAt, growAt, target = 32, 1000, 8000, 3
 	in := streamInput()
-	want := oracle(in)
+	want := SortedCopy(in)
 	for _, be := range streamBackends {
 		t.Run(be.name, func(t *testing.T) {
 			store := be.open(t)
@@ -238,7 +208,7 @@ func TestStreamHoldsNoOutputPage(t *testing.T) {
 					t.Fatalf("before record %d: %d pages granted on a %d-page budget", n, budget.Granted(), budget.Target())
 				}
 			})
-			sameOutput(t, got, want)
+			SameRecords(t, got, want)
 			if splits == 0 || rootFanIn != target {
 				t.Fatalf("the drain split %d times down to a last step of %d inputs, want a root of %d", splits, rootFanIn, target)
 			}
@@ -381,7 +351,7 @@ func TestStreamReadFaultMidDrain(t *testing.T) {
 // second leaves Stats and Pages as the first made them.
 func TestStreamDrainsTwiceAlike(t *testing.T) {
 	in := streamInput()
-	want := oracle(in)
+	want := SortedCopy(in)
 	for _, be := range streamBackends {
 		for _, workers := range []int{1, 2} {
 			name := be.name
@@ -397,12 +367,12 @@ func TestStreamDrainsTwiceAlike(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer res.Close()
-				sameOutput(t, drainHeld(t, res, nil), want)
+				SameRecords(t, drainHeld(t, res, nil), want)
 				st, pages := res.Stats, res.Pages
 				if pages == 0 || st.MergeSteps == 0 || st.Workers != workers {
 					t.Fatalf("after the first drain: %d pages, %d merge steps, %d workers", pages, st.MergeSteps, st.Workers)
 				}
-				sameOutput(t, drainHeld(t, res, nil), want)
+				SameRecords(t, drainHeld(t, res, nil), want)
 				if res.Stats != st || res.Pages != pages {
 					t.Fatalf("the second drain moved the numbers: Stats %+v, then %+v; Pages %d, then %d", st, res.Stats, pages, res.Pages)
 				}
@@ -458,7 +428,7 @@ func TestResultAllSeq(t *testing.T) {
 // twice hands out every record both times.
 func TestResultAllRangesTwice(t *testing.T) {
 	in := streamInput()
-	want := oracle(in)
+	want := SortedCopy(in)
 	res, err := Sort(context.Background(), NewSliceIterator(in),
 		WithPageRecords(64), WithBudget(NewBudget(8)))
 	if err != nil {
@@ -474,7 +444,7 @@ func TestResultAllRangesTwice(t *testing.T) {
 			}
 			got = append(got, rec)
 		}
-		sameOutput(t, got, want)
+		SameRecords(t, got, want)
 	}
 }
 
@@ -486,7 +456,7 @@ func TestResultAllRangesTwice(t *testing.T) {
 // sum to more than the Budget, although both hold pages at once.
 func TestStreamFeedsASortOnTheSameBudget(t *testing.T) {
 	in := randomRecords(200*32, 67, 8)
-	want := oracle(in)
+	want := SortedCopy(in)
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			fs, err := newFileStore(t.TempDir())
@@ -522,7 +492,7 @@ func TestStreamFeedsASortOnTheSameBudget(t *testing.T) {
 			if in1.Stats.Runs < 2 || out.Stats.Runs < 2 {
 				t.Fatalf("inner %d runs, outer %d: both must merge", in1.Stats.Runs, out.Stats.Runs)
 			}
-			sameOutput(t, drainHeld(t, out, nil), want)
+			SameRecords(t, drainHeld(t, out, nil), want)
 			if peak > budget.Target() || both == 0 {
 				t.Fatalf("the two operators held up to %d pages together on a %d-page budget (both at once: %d)", peak, budget.Target(), both)
 			}
@@ -559,14 +529,7 @@ func (c *pageCounter) ReadAsync(id RunID, page int) PageToken {
 // sort's last merge step, under the drain. The store sees the runs and the
 // preliminary steps written, and their pages read — nothing else: neither
 // the sorted input nor the groups are written, or read back.
-func TestGroupByFoldsTheStreamedStep(t *testing.T) { groupByWritesOnlyItsSort(t, 1) }
-
-// TestGroupByFoldsTheStreamedPartitions: on two workers GroupBy folds the
-// groups off the one held step over both workers' runs, and the store again
-// sees only the runs and the preliminary steps written and read.
-func TestGroupByFoldsTheStreamedPartitions(t *testing.T) { groupByWritesOnlyItsSort(t, 2) }
-
-func groupByWritesOnlyItsSort(t *testing.T, workers int) {
+func TestGroupByFoldsTheStreamedStep(t *testing.T) {
 	in := randomRecords(600*32, 71, 4)
 	groups := map[Key]bool{}
 	for i := range in {
@@ -575,7 +538,7 @@ func groupByWritesOnlyItsSort(t *testing.T, workers int) {
 	}
 	store := &pageCounter{RunStore: NewMemStore()}
 	res, err := GroupBy(context.Background(), NewSliceIterator(in), &CountAggregator{},
-		WithPageRecords(32), WithBudget(NewBudget(12)), WithStore(store), WithWorkers(workers))
+		WithPageRecords(32), WithBudget(NewBudget(12)), WithStore(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,9 +548,9 @@ func groupByWritesOnlyItsSort(t *testing.T, workers int) {
 		t.Fatal(err)
 	}
 	st := res.Stats
-	if st.MergeSteps < 2 || len(out) != len(groups) || res.Tuples != len(groups) || st.Workers != workers {
-		t.Fatalf("%d merge steps, %d groups (Tuples %d), %d workers: want preliminary steps, %d groups and %d workers",
-			st.MergeSteps, len(out), res.Tuples, st.Workers, len(groups), workers)
+	if st.MergeSteps < 2 || len(out) != len(groups) || res.Tuples != len(groups) {
+		t.Fatalf("%d merge steps, %d groups (Tuples %d): want preliminary steps and %d groups",
+			st.MergeSteps, len(out), res.Tuples, len(groups))
 	}
 	if w, r := store.written.Load(), store.read.Load(); w != int64(st.RunPagesWritten+st.MergePagesWritten) || r != int64(st.MergePagesRead) {
 		t.Fatalf("store wrote %d pages and read %d; runs %d + merge %d written, merge %d read",
@@ -689,7 +652,7 @@ func TestStreamCanceledMidDrain(t *testing.T) {
 // both are done.
 func TestStreamIteratorsInterleave(t *testing.T) {
 	in := streamInput()
-	want := oracle(in)
+	want := SortedCopy(in)
 	for p := range policyNames {
 		store := NewMemStore()
 		budget := NewBudget(64, WithAdmissionPolicy(AdmissionPolicy(p)))
@@ -717,8 +680,8 @@ func TestStreamIteratorsInterleave(t *testing.T) {
 				t.Fatalf("policy %d: %d operators admitted while two iterators run, want 2", p, budget.Ops())
 			}
 		}
-		sameOutput(t, outs[0], want)
-		sameOutput(t, outs[1], want)
+		SameRecords(t, outs[0], want)
+		SameRecords(t, outs[1], want)
 		if l := Leftovers(budget); l != "" || store.Live() != held {
 			t.Fatalf("policy %d, after both drains: %s; %d runs live, %d held", p, l, store.Live(), held)
 		}
@@ -726,34 +689,6 @@ func TestStreamIteratorsInterleave(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-}
-
-// resizingStore moves a budget through a cycle of levels, one step every 29
-// page operations (pages appended, reads issued), on the goroutine issuing
-// them — through the drain as through the operation.
-type resizingStore struct {
-	RunStore
-	budget *Budget
-	ops    atomic.Int64
-}
-
-var resizeLevels = []int{16, 5, 12, 4, 9, 16, 6}
-
-func (s *resizingStore) step(n int) {
-	after := s.ops.Add(int64(n))
-	if before := after - int64(n); after/29 != before/29 {
-		s.budget.Resize(resizeLevels[(after/29)%int64(len(resizeLevels))])
-	}
-}
-
-func (s *resizingStore) Append(id RunID, pages []Page) (Token, error) {
-	s.step(len(pages))
-	return s.RunStore.Append(id, pages)
-}
-
-func (s *resizingStore) ReadAsync(id RunID, page int) PageToken {
-	s.step(1)
-	return s.RunStore.ReadAsync(id, page)
 }
 
 // TestStreamStatsCountEveryPage is the true I/O count in small: the pages a
@@ -764,7 +699,7 @@ func (s *resizingStore) ReadAsync(id RunID, page int) PageToken {
 // under one that the page operations keep resizing through the drain.
 func TestStreamStatsCountEveryPage(t *testing.T) {
 	in := streamInput()
-	want := oracle(in)
+	want := SortedCopy(in)
 	for _, op := range []string{"sort", "sort/w2", "merge"} {
 		for _, ad := range []Adaptation{Suspension, MRUPaging, DynamicSplitting} {
 			for _, fluct := range []bool{false, true} {
@@ -773,7 +708,11 @@ func TestStreamStatsCountEveryPage(t *testing.T) {
 					budget := NewBudget(16)
 					var store RunStore = counter
 					if fluct {
-						store = &resizingStore{RunStore: counter, budget: budget}
+						// The budget moves a level every 29 page operations,
+						// through the drain as through the operation.
+						schedule := &ResizeOnOps{RunStore: counter, Resize: budget.Resize, Cycle: []int{16, 5, 12, 4, 9, 16, 6}, Every: 29}
+						schedule.Arm()
+						store = schedule
 					}
 					workers := 1
 					if op == "sort/w2" {
@@ -792,7 +731,7 @@ func TestStreamStatsCountEveryPage(t *testing.T) {
 					if op == "merge" {
 						var ids []RunID
 						for part := range slices.Chunk(in, len(in)/24) {
-							id, _, err := WriteRun(counter, NewSliceIterator(oracle(part)), 32)
+							id, _, err := WriteRun(counter, NewSliceIterator(SortedCopy(part)), 32)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -810,7 +749,7 @@ func TestStreamStatsCountEveryPage(t *testing.T) {
 					if res.Stats.Workers != workers {
 						t.Fatalf("Stats.Workers = %d, want %d", res.Stats.Workers, workers)
 					}
-					sameOutput(t, drainHeld(t, res, nil), want)
+					SameRecords(t, drainHeld(t, res, nil), want)
 					st := res.Stats
 					if res.last == nil || st.MergeSteps == 0 {
 						t.Fatalf("held step %v, %d merge steps: want a held last step", res.last != nil, st.MergeSteps)
